@@ -58,14 +58,12 @@ use std::sync::{Arc, Mutex, Once, PoisonError};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FrameFault, FrameLottery};
 use parquake_fabric::{CondId, Fabric, LockId, Nanos, PortId, TaskCtx};
-use parquake_interest::InterestStats;
 use parquake_metrics::{
-    Bucket, ElasticEvent, ElasticEventKind, ElasticStats, FrameSample, FrameStats, LockClass,
-    SupervisorStats, ThreadStats, Timeline,
+    Bucket, ElasticEvent, ElasticEventKind, ElasticStats, LockClass, SupervisorStats, ThreadStats,
 };
 use parquake_protocol::{ClientMessage, Decode};
 use parquake_server::clients::SlotState;
-use parquake_server::runtime::{ServerShared, REQUEST_QUEUE_CAP};
+use parquake_server::runtime::{FrameState, ServerShared, REQUEST_QUEUE_CAP};
 use parquake_server::{
     spawn_server, LifecycleEvent, LockPolicy, ServerConfig, ServerHandle, ServerResults,
 };
@@ -774,19 +772,8 @@ fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
         // Claim flag clear + liveness masked: no worker will touch the
         // cell again, so its frame state is safe to snapshot here.
         let cell = &parts.cells[k];
-        let f = cell.frame();
-        f.stats.queue_dropped = ctx.fabric().port_dropped(cell.port);
-        {
-            let mut r = env.results[k]
-                .lock() // lockcheck: allow(raw-sync: host-side result sink, arena already fenced from workers)
-                .unwrap_or_else(PoisonError::into_inner);
-            r.threads = vec![f.stats.clone()];
-            r.frames = f.frames.clone();
-            r.timeline = f.timeline.clone();
-            r.frame_count = f.frame_no as u64;
-            r.leaf_count = cell.shared.world.tree.leaf_count() as u64;
-            r.interest = f.interest.clone();
-        }
+        cell.shared
+            .publish_single(ctx, cell.frame(), &env.results[k]);
         parts.pool.exit(ctx);
         d.live[k] = false;
         d.empty_since[k] = None;
@@ -811,18 +798,10 @@ fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
 pub(crate) struct ArenaCell {
     pub(crate) shared: Arc<ServerShared>,
     port: PortId,
-    frame: UnsafeCell<ArenaFrame>,
+    frame: UnsafeCell<FrameState>,
     /// Supervision state: checkpoint ring, fault lottery, overload
     /// stretch. Claim-protected exactly like `frame`.
     guard: UnsafeCell<ArenaGuard>,
-}
-
-pub(crate) struct ArenaFrame {
-    pub(crate) stats: ThreadStats,
-    frames: FrameStats,
-    timeline: Timeline,
-    interest: InterestStats,
-    pub(crate) frame_no: u32,
 }
 
 /// Claim-protected supervision state of one arena.
@@ -866,7 +845,7 @@ unsafe impl Send for ArenaCell {}
 
 impl ArenaCell {
     #[allow(clippy::mut_from_ref)]
-    pub(crate) fn frame(&self) -> &mut ArenaFrame {
+    pub(crate) fn frame(&self) -> &mut FrameState {
         // SAFETY: see type-level invariant.
         unsafe { &mut *self.frame.get() }
     }
@@ -1038,13 +1017,7 @@ fn spawn_pool(
         cells.push(Arc::new(ArenaCell {
             port: shared.ports[0],
             shared,
-            frame: UnsafeCell::new(ArenaFrame {
-                stats: ThreadStats::new(),
-                frames: FrameStats::new(),
-                timeline: Timeline::default(),
-                interest: InterestStats::default(),
-                frame_no: 0,
-            }),
+            frame: UnsafeCell::new(FrameState::default()),
             guard: UnsafeCell::new(ArenaGuard {
                 ring: CheckpointRing::new(cfg.checkpoint_depth),
                 lottery,
@@ -1164,7 +1137,7 @@ fn pool_worker(
             if rcfg.frame_interval_ns > 0 && ctx.now() < next_due {
                 ctx.sleep_until(next_due);
             }
-            run_arena_frame(ctx, cell);
+            run_arena_frame(ctx, cell, None);
             next_due = ctx.now() + rcfg.frame_interval_ns;
             degenerate_frames += 1;
         }
@@ -1184,16 +1157,8 @@ fn pool_worker(
     st.exited += 1;
     let last = st.exited == workers;
     if last {
-        for (k, cell) in cells.iter().enumerate() {
-            let f = cell.frame();
-            f.stats.queue_dropped = ctx.fabric().port_dropped(cell.port);
-            let mut r = results[k].lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side result sink, last worker publishes alone)
-            r.threads = vec![f.stats.clone()];
-            r.frames = f.frames.clone();
-            r.timeline = f.timeline.clone();
-            r.frame_count = f.frame_no as u64;
-            r.leaf_count = cell.shared.world.tree.leaf_count() as u64;
-            r.interest = f.interest.clone();
+        for (cell, result) in cells.iter().zip(results) {
+            cell.shared.publish_single(ctx, cell.frame(), result);
         }
         let mut rep = report.lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side pool report, last worker publishes alone)
         rep.frames_by_worker = st.frames_by_worker.clone();
@@ -1278,7 +1243,7 @@ fn pool_worker_scan(
                     }))
                     .is_err()
                 } else {
-                    run_arena_frame(ctx, cell);
+                    run_arena_frame(ctx, cell, None);
                     false
                 };
                 if panicked {
@@ -1374,72 +1339,14 @@ fn pool_worker_scan(
 
 /// One complete frame of one arena — the sequential server's frame
 /// body (§2.1: world update, drain requests, reply), run by whichever
-/// pool worker claimed the arena.
-fn run_arena_frame(ctx: &TaskCtx, cell: &ArenaCell) {
-    run_arena_frame_body(ctx, cell, None);
-}
-
-/// The frame body proper. `shed`-mode frames (`Some`) coalesce queued
-/// moves per client instead of processing every one; the count of
-/// superseded moves is accumulated into the given counter.
-fn run_arena_frame_body(ctx: &TaskCtx, cell: &ArenaCell, shed: Option<&mut u64>) {
+/// pool worker claimed the arena. `shed`-mode frames (`Some`) coalesce
+/// queued moves per client instead of processing every one; the count
+/// of superseded moves is accumulated into the given counter.
+fn run_arena_frame(ctx: &TaskCtx, cell: &ArenaCell, shed: Option<&mut u64>) {
     let shared = &cell.shared;
-    let port = cell.port;
-    let f = cell.frame();
-    ctx.charge(shared.cost.select_op);
-    f.frame_no += 1;
-    let frame_start = ctx.now();
-
-    // P: world physics.
-    let t0 = ctx.now();
-    shared.run_world_update(ctx, port, &mut f.stats, f.frame_no);
-    f.stats.breakdown.add(Bucket::World, ctx.now() - t0);
-    f.stats.mastered += 1;
-
-    // Rx/E: drain the request queue.
-    let mut unused_mask = 0u64;
-    let moves = match shed {
-        Some(coalesced) => {
-            drain_requests_coalesced(ctx, cell, &mut f.stats, &mut unused_mask, coalesced)
-        }
-        None => shared.drain_requests(ctx, 0, port, &mut f.stats, &mut unused_mask),
-    };
-
-    // T/Tx: replies for everyone who sent a request.
-    let t0 = ctx.now();
-    let global = shared.read_global_events(ctx, &mut f.stats);
-    let all_slots: Vec<usize> = (0..shared.clients.capacity()).collect();
-    let index = shared.build_interest_index(ctx, &mut f.interest);
-    let iframe = index
-        .as_ref()
-        .map(|ix| shared.match_interest(ctx, &all_slots, ix, &mut f.interest));
-    shared.reply_for_slots(
-        ctx,
-        port,
-        &all_slots,
-        &global,
-        f.frame_no,
-        &mut f.stats,
-        true,
-        iframe.as_ref(),
-        &mut f.interest,
-    );
-    shared.clear_global_events(ctx, &mut f.stats);
-    f.stats.breakdown.add(Bucket::Reply, ctx.now() - t0);
-
-    f.stats.frames += 1;
-    f.frames.frames += 1;
-    f.frames.frame_ns_sum += ctx.now() - frame_start;
-    f.frames.note_frame_requests(&[moves]);
-    f.frames.leaf_count = shared.world.tree.leaf_count() as u64;
-    f.timeline.push(FrameSample {
-        start_ns: frame_start,
-        duration_ns: ctx.now() - frame_start,
-        participants: 1,
-        requests: moves,
-        requests_max: moves,
-        requests_min: moves,
-        master: 0,
+    shared.run_single_frame(ctx, cell.frame(), |stats, mask| match shed {
+        Some(coalesced) => drain_requests_coalesced(ctx, cell, stats, mask, coalesced),
+        None => shared.drain_requests(ctx, 0, cell.port, stats, mask),
     });
 }
 
@@ -1494,11 +1401,11 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg
     }
     if g.stretch > 1 {
         let mut coalesced = 0u64;
-        run_arena_frame_body(ctx, cell, Some(&mut coalesced));
+        run_arena_frame(ctx, cell, Some(&mut coalesced));
         g.shed_frames += 1;
         g.coalesced_moves += coalesced;
     } else {
-        run_arena_frame_body(ctx, cell, None);
+        run_arena_frame(ctx, cell, None);
     }
     // Graceful degradation: two consecutive deadline overruns double
     // the arena's effective frame interval (cap 8×); a frame back

@@ -1,23 +1,21 @@
 //! `udp_client` — drive real-UDP bots against a `udpd` gateway.
 //!
 //! ```text
-//! udp_client [--server 127.0.0.1:27500] [--threads 2] [--players 8] [--secs 5]
-//!            [--arenas N] [--ramp] [--sockets M] [--predict]
+//! udp_client [--server 127.0.0.1:27500] [--players 8] [--secs 5]
+//!            [--arenas 1] [--ramp] [--sockets M] [--predict]
 //! ```
 //!
-//! `--arenas N` targets a multi-arena gateway (one socket): client `i`
-//! requests arena `i % N` on connect and reply traffic is tallied per
-//! arena. Without it the client spreads across `--threads` thread ports
-//! as before. `--ramp` (arena mode only) staggers joins over the first
-//! 30% of the run, holds, then drains everyone (with `Disconnect`s)
-//! over the next 20% — leaving a quiet tail that lets an elastic
-//! gateway reap its spawned arenas. `--sockets M` (arena mode only)
-//! spreads the bots over M client sockets — a sharded `SO_REUSEPORT`
-//! gateway balances flows by 4-tuple hash, so driving S server shards
-//! needs at least S client sockets (one socket pins every bot to one
-//! shard). `--predict` turns on client-side prediction: every bot runs
-//! the movement kernel locally against the default `udpd` map, opts
-//! into the Move/Reply prediction trailer, and reconciles against each
+//! Client `i` requests arena `i % N` (`--arenas N`) on connect and
+//! reply traffic is tallied per arena. `--ramp` staggers joins over the
+//! first 30% of the run, holds, then drains everyone (with
+//! `Disconnect`s) over the next 20% — leaving a quiet tail that lets an
+//! elastic gateway reap its spawned arenas. `--sockets M` spreads the
+//! bots over M client sockets — a sharded `SO_REUSEPORT` gateway
+//! balances flows by 4-tuple hash, so driving S server shards needs at
+//! least S client sockets (one socket pins every bot to one shard).
+//! `--predict` turns on client-side prediction: every bot runs the
+//! movement kernel locally against the default `udpd` map, opts into
+//! the Move/Reply prediction trailer, and reconciles against each
 //! authoritative reply; the run prints the full prediction ledger
 //! including the divergence oracle (only valid against a `udpd` run
 //! with the default map).
@@ -25,8 +23,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parquake_harness::udp::{run_udp_clients_predicting, UdpServerOpts};
-use parquake_harness::udp_arena::run_udp_arena_clients_predicting;
+use parquake_harness::cli::Args;
+use parquake_harness::udp_arena::{run_udp_clients, UdpArenaOpts};
 use parquake_metrics::PredictionStats;
 
 fn print_prediction(p: &PredictionStats, in_flight: u64) {
@@ -69,100 +67,49 @@ fn print_prediction(p: &PredictionStats, in_flight: u64) {
 
 fn main() {
     let mut server: std::net::SocketAddr = "127.0.0.1:27500".parse().unwrap();
-    let mut threads = 2u32;
     let mut players = 8u32;
     let mut secs = 5u64;
-    let mut arenas: Option<u32> = None;
+    let mut arenas = 1u32;
     let mut ramp = false;
     let mut sockets = 1u32;
     let mut predict = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server" => {
-                i += 1;
-                server = args[i].parse().expect("--server addr:port");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args[i].parse().expect("--threads");
-            }
-            "--players" => {
-                i += 1;
-                players = args[i].parse().expect("--players");
-            }
-            "--secs" => {
-                i += 1;
-                secs = args[i].parse().expect("--secs");
-            }
-            "--arenas" => {
-                i += 1;
-                arenas = Some(args[i].parse().expect("--arenas"));
-            }
+    let mut args = Args::from_env("udp_client");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--server" => server = args.value("addr:port"),
+            "--players" => players = args.value("a number"),
+            "--secs" => secs = args.value("a number"),
+            "--arenas" => arenas = args.value("a number"),
             "--ramp" => ramp = true,
-            "--sockets" => {
-                i += 1;
-                sockets = args[i].parse().expect("--sockets needs a number");
-            }
+            "--sockets" => sockets = args.value("a number"),
             "--predict" => predict = true,
-            other => {
-                eprintln!("udp_client: unknown option {other}");
-                std::process::exit(2);
-            }
+            other => args.die(&format!("unknown option {other}")),
         }
-        i += 1;
     }
     // Prediction needs the *same compiled map* as the server; `udpd`
-    // has no map flag, so both sides share the `UdpServerOpts` default
+    // has no map flag, so both sides share the `UdpArenaOpts` default
     // generator.
-    let map = predict.then(|| Arc::new(UdpServerOpts::default().map.generate()));
-    if let Some(arenas) = arenas {
-        let duration = Duration::from_secs(secs);
-        // 30% up, 30% hold, 20% down, 20% quiet tail for reaps.
-        let windows = ramp.then(|| {
-            (
-                duration.mul_f64(0.3),
-                duration.mul_f64(0.3),
-                duration.mul_f64(0.2),
-            )
-        });
-        match run_udp_arena_clients_predicting(
-            server,
-            arenas,
-            players,
-            duration,
-            windows,
-            sockets.max(1),
-            map,
-        ) {
-            Ok(out) => {
-                println!(
-                    "udp_client: sent {}, received {}, avg response {:.2} ms",
-                    out.sent, out.received, out.avg_ms
-                );
-                for (k, n) in out.per_arena.iter().enumerate() {
-                    println!("udp_client: arena{k} — {n} replies");
-                }
-                println!("udp_client: restarts observed — {}", out.restarts_observed);
-                println!("udp_client: rehomings observed — {}", out.rehomed_observed);
-                if predict {
-                    print_prediction(&out.prediction, out.predict_in_flight);
-                }
-            }
-            Err(e) => {
-                eprintln!("udp_client: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    match run_udp_clients_predicting(server, threads, players, Duration::from_secs(secs), map) {
+    let map = predict.then(|| Arc::new(UdpArenaOpts::default().map.generate()));
+    let duration = Duration::from_secs(secs);
+    // 30% up, 30% hold, 20% down, 20% quiet tail for reaps.
+    let windows = ramp.then(|| {
+        (
+            duration.mul_f64(0.3),
+            duration.mul_f64(0.3),
+            duration.mul_f64(0.2),
+        )
+    });
+    match run_udp_clients(server, arenas, players, duration, windows, sockets, map) {
         Ok(out) => {
             println!(
                 "udp_client: sent {}, received {}, avg response {:.2} ms",
                 out.sent, out.received, out.avg_ms
             );
+            for (k, n) in out.per_arena.iter().enumerate() {
+                println!("udp_client: arena{k} — {n} replies");
+            }
+            println!("udp_client: restarts observed — {}", out.restarts_observed);
+            println!("udp_client: rehomings observed — {}", out.rehomed_observed);
             if predict {
                 print_prediction(&out.prediction, out.predict_in_flight);
             }

@@ -1,24 +1,35 @@
-//! `udpd` — serve parquake over real UDP sockets.
+//! `udpd` — serve parquake over one real UDP socket.
 //!
 //! ```text
-//! udpd [--port 27500] [--threads 2] [--players 32] [--secs 10]
+//! udpd [--port 27500] [--players 32] [--secs 5]
+//!      [--arenas 1] [--threads 1] [--workers 2]
 //!      [--loss P] [--dup P] [--delay P] [--delay-ms MS] [--min-delay-ms MS]
 //!      [--burst-loss P] [--burst-len N] [--jitter-ms MS]
 //!      [--fault-seed N] [--timeout-secs S]
 //!      [--interest scan|sweep|sweep-oracle]
-//!      [--arenas N] [--workers W] [--max-arenas M] [--linger-ms MS]
+//!      [--max-arenas M] [--linger-ms MS]
 //!      [--crash-rate P] [--crash-seed N]
 //!      [--migrate-spread N] [--migrate-drain]
 //!      [--gateway-shards S]
 //! ```
 //!
-//! Thread `t` listens on `port + t` (the paper's one-UDP-port-per-thread
-//! scheme). Pair with the `udp_client` binary or any protocol-speaking
-//! client. The `--loss/--dup/--delay` probabilities (0.0–1.0) enable
-//! seeded fault injection on the inbound path; `--min-delay-ms` floors
-//! the delay draw, `--burst-loss`/`--burst-len` add Gilbert–Elliott
-//! bursty loss (loss probability inside a burst, mean burst length),
-//! and `--jitter-ms` adds a uniform per-copy jitter that reorders
+//! `--arenas N` worlds of `--players` slots each are served behind ONE
+//! socket on `--port`; pair with the `udp_client` binary or any
+//! protocol-speaking client. `--threads 1` (the default) schedules the
+//! arenas' frames on a shared pool of `--workers` tasks. `--threads T`
+//! (T > 1) instead gives every arena the paper's region-locked
+//! parallel server on T dedicated threads: each thread keeps its
+//! private request queue (a fabric port where the paper binds a UDP
+//! port per thread) and the gateway routes every move to the thread its
+//! client was dealt to. Elasticity, supervision and live migration are
+//! pool features, so `--threads T` combined with `--max-arenas`,
+//! `--crash-rate` or `--migrate-*` is refused (exit 2).
+//!
+//! The `--loss/--dup/--delay` probabilities (0.0–1.0) enable seeded
+//! fault injection on the inbound path; `--min-delay-ms` floors the
+//! delay draw, `--burst-loss`/`--burst-len` add Gilbert–Elliott bursty
+//! loss (loss probability inside a burst, mean burst length), and
+//! `--jitter-ms` adds a uniform per-copy jitter that reorders
 //! deliveries. The composed profile is validated at startup (exit 2 on
 //! an inconsistent one). `--timeout-secs` sets the server-side
 //! inactivity reclaim (0 disables it).
@@ -26,189 +37,99 @@
 //! sweep instead of per-client scans; `sweep-oracle` additionally runs
 //! the scan as a shadow oracle per reply and counts mismatches (the
 //! report prints the pair-accounting identity and the oracle verdict).
-//!
-//! `--arenas N` (N ≥ 1) switches to the multi-arena gateway: N worlds
-//! behind ONE socket on `--port`, frames scheduled on a `--workers`
-//! shared pool, with `--players` slots per arena. `--threads` does not
-//! apply in this mode; every other flag keeps its meaning.
 //! `--max-arenas M` (M > N) makes the directory elastic: it spawns
 //! arenas under admission pressure up to M and reaps arenas whose
 //! occupancy stays zero past `--linger-ms` (default 500).
-//! `--crash-rate P` (arena mode only) turns supervision on and injects
-//! a seeded per-frame panic lottery with probability P per arena
-//! frame; every crash is caught, the arena restored from its last
-//! checkpoint, and the supervisor's accounting printed at shutdown.
-//! `--migrate-spread N` (arena mode only) turns on cross-arena live
-//! migration: whenever the hottest live arena holds at least N more
-//! clients than the coldest open one, the director hands one slot off
-//! per tick. `--migrate-drain` additionally empties lingering elastic
-//! arenas slot by slot so the reaper finds them empty.
-//! `--gateway-shards S` (arena mode only) runs S inbound/outbound pump
-//! pairs on the one UDP port via `SO_REUSEPORT` (kernel 4-tuple hash
-//! spreads client flows across the shard sockets; the report prints
-//! whether batched syscalls and reuseport are live). `S = 1` is the
-//! classic single-pump gateway, fault lottery included.
+//! `--crash-rate P` turns supervision on and injects a seeded
+//! per-frame panic lottery with probability P per arena frame; every
+//! crash is caught, the arena restored from its last checkpoint, and
+//! the supervisor's accounting printed at shutdown.
+//! `--migrate-spread N` turns on cross-arena live migration: whenever
+//! the hottest live arena holds at least N more clients than the
+//! coldest open one, the director hands one slot off per tick.
+//! `--migrate-drain` additionally empties lingering elastic arenas
+//! slot by slot so the reaper finds them empty.
+//! `--gateway-shards S` runs S inbound/outbound pump pairs on the one
+//! UDP port via `SO_REUSEPORT` (kernel 4-tuple hash spreads client
+//! flows across the shard sockets; the report prints whether batched
+//! syscalls and reuseport are live). `S = 1` is the classic
+//! single-pump gateway, fault lottery included.
+//!
+//! Exit status: 0 when every accounting identity closed and the
+//! interest oracle (if armed) stayed silent, 1 when one did not or the
+//! socket could not be had, 2 on a usage error.
 
 use std::time::Duration;
 
-use parquake_harness::udp::{run_udp_server, thread_port, UdpServerOpts};
+use parquake_harness::cli::Args;
 use parquake_harness::udp_arena::{run_udp_arena_server, UdpArenaOpts};
 use parquake_server::InterestMode;
 
+fn closes(ok: bool) -> &'static str {
+    if ok {
+        "closes"
+    } else {
+        "DOES NOT CLOSE"
+    }
+}
+
 fn main() {
-    let mut opts = UdpServerOpts::default();
-    let mut arenas: Option<u32> = None;
-    let mut workers = 2u32;
-    let mut max_arenas = 0u32;
-    let mut linger = Duration::from_millis(500);
-    let mut crash_rate = 0f32;
-    let mut crash_seed = 0xC4A5_5EEDu64;
-    let mut migrate_spread = 0u32;
-    let mut migrate_drain = false;
-    let mut gateway_shards = 1u32;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--port" => {
-                i += 1;
-                opts.base_port = args[i].parse().expect("--port needs a number");
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args[i].parse().expect("--threads needs a number");
-            }
-            "--players" => {
-                i += 1;
-                opts.max_players = args[i].parse().expect("--players needs a number");
-            }
-            "--secs" => {
-                i += 1;
-                opts.duration = Duration::from_secs(args[i].parse().expect("--secs"));
-            }
-            "--loss" => {
-                i += 1;
-                opts.fault.drop = args[i].parse().expect("--loss needs 0.0-1.0");
-            }
-            "--dup" => {
-                i += 1;
-                opts.fault.duplicate = args[i].parse().expect("--dup needs 0.0-1.0");
-            }
-            "--delay" => {
-                i += 1;
-                opts.fault.delay = args[i].parse().expect("--delay needs 0.0-1.0");
-            }
-            "--delay-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().expect("--delay-ms needs a number");
-                opts.fault.max_delay_ns = ms * 1_000_000;
-            }
-            "--min-delay-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().expect("--min-delay-ms needs a number");
-                opts.fault.min_delay_ns = ms * 1_000_000;
-            }
-            "--burst-loss" => {
-                i += 1;
-                opts.fault.burst_loss = args[i].parse().expect("--burst-loss needs 0.0-1.0");
-            }
-            "--burst-len" => {
-                i += 1;
-                opts.fault.burst_len = args[i].parse().expect("--burst-len needs >= 1.0");
-            }
-            "--jitter-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().expect("--jitter-ms needs a number");
-                opts.fault.jitter_ns = ms * 1_000_000;
-            }
-            "--fault-seed" => {
-                i += 1;
-                opts.fault.seed = args[i].parse().expect("--fault-seed needs a number");
-            }
-            "--timeout-secs" => {
-                i += 1;
-                opts.client_timeout = Duration::from_secs(args[i].parse().expect("--timeout-secs"));
-            }
-            "--interest" => {
-                i += 1;
-                opts.interest = InterestMode::from_flag(&args[i])
-                    .expect("--interest needs scan|sweep|sweep-oracle");
-            }
-            "--arenas" => {
-                i += 1;
-                arenas = Some(args[i].parse().expect("--arenas needs a number"));
-            }
-            "--workers" => {
-                i += 1;
-                workers = args[i].parse().expect("--workers needs a number");
-            }
-            "--max-arenas" => {
-                i += 1;
-                max_arenas = args[i].parse().expect("--max-arenas needs a number");
-            }
-            "--linger-ms" => {
-                i += 1;
-                linger =
-                    Duration::from_millis(args[i].parse().expect("--linger-ms needs a number"));
-            }
-            "--crash-rate" => {
-                i += 1;
-                crash_rate = args[i].parse().expect("--crash-rate needs 0.0-1.0");
-            }
-            "--crash-seed" => {
-                i += 1;
-                crash_seed = args[i].parse().expect("--crash-seed needs a number");
-            }
-            "--migrate-spread" => {
-                i += 1;
-                migrate_spread = args[i].parse().expect("--migrate-spread needs a number");
-            }
-            "--migrate-drain" => migrate_drain = true,
-            "--gateway-shards" => {
-                i += 1;
-                gateway_shards = args[i].parse().expect("--gateway-shards needs a number");
-            }
-            other => {
-                eprintln!("udpd: unknown option {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    // Reject impossible fault profiles (min > max, rates outside
-    // [0,1], burst length < 1) before any socket is bound.
-    if let Err(e) = opts.fault.validate() {
-        eprintln!("udpd: invalid fault profile — {e}");
-        std::process::exit(2);
-    }
-    if let Some(arenas) = arenas {
-        run_arena_mode(
-            &opts,
-            arenas.max(1),
-            workers.max(1),
-            max_arenas,
-            linger,
-            crash_rate,
-            crash_seed,
-            migrate_spread,
-            migrate_drain,
-            gateway_shards.max(1),
-        );
-        return;
-    }
-    let last_port = match thread_port(opts.base_port, opts.threads.saturating_sub(1)) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("udpd: {e}");
-            std::process::exit(2);
-        }
+    let mut opts = UdpArenaOpts {
+        arenas: 1,
+        ..UdpArenaOpts::default()
     };
+    let mut args = Args::from_env("udpd");
+    let ms_to_ns = |args: &mut Args| args.value::<u64>("a number").saturating_mul(1_000_000);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--port" => opts.port = args.value("a number"),
+            "--threads" => opts.threads = args.value("a number"),
+            "--players" => opts.slots_per_arena = args.value("a number"),
+            "--secs" => opts.duration = Duration::from_secs(args.value("a number")),
+            "--loss" => opts.fault.drop = args.value("0.0-1.0"),
+            "--dup" => opts.fault.duplicate = args.value("0.0-1.0"),
+            "--delay" => opts.fault.delay = args.value("0.0-1.0"),
+            "--delay-ms" => opts.fault.max_delay_ns = ms_to_ns(&mut args),
+            "--min-delay-ms" => opts.fault.min_delay_ns = ms_to_ns(&mut args),
+            "--burst-loss" => opts.fault.burst_loss = args.value("0.0-1.0"),
+            "--burst-len" => opts.fault.burst_len = args.value(">= 1.0"),
+            "--jitter-ms" => opts.fault.jitter_ns = ms_to_ns(&mut args),
+            "--fault-seed" => opts.fault.seed = args.value("a number"),
+            "--timeout-secs" => opts.client_timeout = Duration::from_secs(args.value("a number")),
+            "--interest" => {
+                let mode: String = args.value("scan|sweep|sweep-oracle");
+                opts.interest = InterestMode::from_flag(&mode)
+                    .unwrap_or_else(|| args.die("--interest needs scan|sweep|sweep-oracle"));
+            }
+            "--arenas" => opts.arenas = args.value("a number"),
+            "--workers" => opts.workers = args.value("a number"),
+            "--max-arenas" => opts.max_arenas = args.value("a number"),
+            "--linger-ms" => opts.linger = Duration::from_millis(args.value("a number")),
+            "--crash-rate" => opts.crash_rate = args.value("0.0-1.0"),
+            "--crash-seed" => opts.crash_seed = args.value("a number"),
+            "--migrate-spread" => opts.migrate_spread = args.value("a number"),
+            "--migrate-drain" => opts.migrate_drain = true,
+            "--gateway-shards" => opts.gateway_shards = args.value("a number"),
+            other => args.die(&format!("unknown option {other}")),
+        }
+    }
+    opts.arenas = opts.arenas.max(1);
+    opts.workers = opts.workers.max(1);
+    // Reject impossible fault profiles (min > max delay, burst loss
+    // >= 1, burst length < 1) before any socket is bound.
+    if let Err(e) = opts.fault.validate() {
+        args.die(&format!("invalid fault profile — {e}"));
+    }
     println!(
-        "udpd: {} threads on 127.0.0.1:{}..{}, {} player slots, {}s",
-        opts.threads,
-        opts.base_port,
-        last_port,
-        opts.max_players,
+        "udpd: {} arenas x {} slots on 127.0.0.1:{} (one socket), {}, {}s",
+        opts.arenas,
+        opts.slots_per_arena,
+        opts.port,
+        if opts.threads > 1 {
+            format!("{} dedicated threads per arena", opts.threads)
+        } else {
+            format!("{}-worker pool", opts.workers)
+        },
         opts.duration.as_secs()
     );
     if opts.interest.uses_sweep() {
@@ -222,126 +143,6 @@ fn main() {
             }
         );
     }
-    if !opts.fault.is_noop() {
-        println!(
-            "udpd: fault injection — drop {:.1}%, burst {:.1}% (mean len {:.1}), dup {:.1}%, \
-             delay {:.1}% in {}..{} ms, jitter up to {} ms, seed {:#x}",
-            opts.fault.drop * 100.0,
-            opts.fault.burst_loss * 100.0,
-            opts.fault.burst_len,
-            opts.fault.duplicate * 100.0,
-            opts.fault.delay * 100.0,
-            opts.fault.min_delay_ns / 1_000_000,
-            opts.fault.max_delay_ns / 1_000_000,
-            opts.fault.jitter_ns / 1_000_000,
-            opts.fault.seed
-        );
-    }
-    match run_udp_server(&opts) {
-        Ok(report) => {
-            println!(
-                "udpd: done — {} datagrams in, {} out, {} replies over {} frames",
-                report.datagrams_in, report.datagrams_out, report.replies, report.frames
-            );
-            println!(
-                "udpd: inbound fates — {} forwarded ({} dup copies), {} fault-dropped, \
-                 {} decode-rejected, {} spoof-rejected",
-                report.forwarded,
-                report.fault_duplicated,
-                report.fault_dropped,
-                report.decode_rejected,
-                report.spoof_rejected
-            );
-            println!(
-                "udpd: server fates — {} processed, {} queue-dropped, {} pending at shutdown, \
-                 {} slots timed out, {} replies unroutable — accounting {}",
-                report.server_processed,
-                report.queue_dropped,
-                report.pending_at_shutdown,
-                report.timeouts,
-                report.replies_unroutable,
-                if report.accounting_closed() {
-                    "closes"
-                } else {
-                    "DOES NOT CLOSE"
-                }
-            );
-            if opts.interest.uses_sweep() {
-                let ist = &report.interest;
-                println!(
-                    "udpd: interest — {} frames indexed, {} viewer-entity pairs \
-                     ({} tested + {} skipped) — pair accounting {}",
-                    ist.frames,
-                    ist.pairs_total,
-                    ist.pairs_tested,
-                    ist.pairs_skipped,
-                    if ist.pairs_closed() {
-                        "closes"
-                    } else {
-                        "DOES NOT CLOSE"
-                    }
-                );
-                if opts.interest.oracle() {
-                    println!(
-                        "udpd: interest oracle — {} replies checked, {} mismatches{}",
-                        ist.oracle_checked,
-                        ist.oracle_mismatches,
-                        if ist.oracle_mismatches == 0 {
-                            " — sweep == scan"
-                        } else {
-                            " — SWEEP DIVERGED FROM SCAN"
-                        }
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("udpd: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--arenas` mode: N worlds behind one socket on a shared worker pool.
-#[allow(clippy::too_many_arguments)]
-fn run_arena_mode(
-    base: &UdpServerOpts,
-    arenas: u32,
-    workers: u32,
-    max_arenas: u32,
-    linger: Duration,
-    crash_rate: f32,
-    crash_seed: u64,
-    migrate_spread: u32,
-    migrate_drain: bool,
-    gateway_shards: u32,
-) {
-    let opts = UdpArenaOpts {
-        port: base.base_port,
-        gateway_shards,
-        arenas,
-        workers,
-        slots_per_arena: base.max_players,
-        map: base.map.clone(),
-        duration: base.duration,
-        fault: base.fault.clone(),
-        client_timeout: base.client_timeout,
-        max_arenas,
-        linger,
-        crash_rate,
-        crash_seed,
-        migrate_spread,
-        migrate_drain,
-        ..UdpArenaOpts::default()
-    };
-    println!(
-        "udpd: {} arenas x {} slots on 127.0.0.1:{} (one socket), {}-worker pool, {}s",
-        opts.arenas,
-        opts.slots_per_arena,
-        opts.port,
-        opts.workers,
-        opts.duration.as_secs()
-    );
     if opts.gateway_shards > 1 {
         let cap = parquake_harness::mmsg::capability();
         println!(
@@ -395,166 +196,172 @@ fn run_arena_mode(
             opts.fault.seed
         );
     }
-    match run_udp_arena_server(&opts) {
-        Ok(report) => {
-            println!(
-                "udpd: done — {} datagrams in, {} out, {} routed connects \
-                 ({} sticky, {} rejected-full)",
-                report.datagrams_in,
-                report.datagrams_out,
-                report.admission.routed,
-                report.admission.sticky,
-                report.admission.rejected_full
-            );
-            println!(
-                "udpd: gateway fates — {} to front door, {} straight to arenas, \
-                 {} fault-dropped ({} dup copies), {} decode-rejected, \
-                 {} spoof-rejected, {} arena-unknown",
-                report.to_front,
-                report.forwarded - report.to_front,
-                report.fault_dropped,
-                report.fault_duplicated,
-                report.decode_rejected,
-                report.spoof_rejected,
-                report.arena_unknown
-            );
-            for lane in &report.shards {
-                println!(
-                    "udpd: shard{} — {} in, {} out ({} batched recvs, {} batched sends), \
-                     {} forwarded ({} to front), {} fault-dropped ({} dup copies), \
-                     {} decode-rejected, {} spoof-rejected, {} arena-unknown, \
-                     {} replies unroutable — identity {}",
-                    lane.shard,
-                    lane.datagrams_in,
-                    lane.datagrams_out,
-                    lane.batched_recvs,
-                    lane.batched_sends,
-                    lane.forwarded,
-                    lane.to_front,
-                    lane.fault_dropped,
-                    lane.fault_duplicated,
-                    lane.decode_rejected,
-                    lane.spoof_rejected,
-                    lane.arena_unknown,
-                    lane.replies_unroutable,
-                    if lane.accounting_closed() {
-                        "closes"
-                    } else {
-                        "DOES NOT CLOSE"
-                    }
-                );
-            }
-            for (k, lane) in report.lanes.iter().enumerate() {
-                println!(
-                    "udpd: arena{} — {} admitted, {} replies over {} frames; \
-                     {} pump + {} director forwarded = {} processed + {} dropped \
-                     + {} pending — accounting {}",
-                    k,
-                    lane.admitted,
-                    lane.replies,
-                    lane.frames,
-                    lane.pump_forwarded,
-                    lane.director_forwarded,
-                    lane.processed,
-                    lane.queue_dropped,
-                    lane.pending_at_shutdown,
-                    if lane.accounting_closed() {
-                        "closes"
-                    } else {
-                        "DOES NOT CLOSE"
-                    }
-                );
-            }
-            let e = &report.elastic;
-            println!(
-                "udpd: elastic — {} spawned, {} reaped (peak {} live, {} at end)",
-                e.spawned, e.reaped, e.peak_live, e.live_at_end
-            );
-            for ev in &e.events {
-                println!(
-                    "udpd: elastic t={:.2}s arena{} {:?} -> {} live",
-                    ev.at as f64 / 1e9,
-                    ev.arena,
-                    ev.kind,
-                    ev.live
-                );
-            }
-            if opts.crash_rate > 0.0 {
-                let s = &report.supervisor;
-                println!(
-                    "udpd: supervisor — caught {} panics, condemned {} stuck, \
-                     restored {} arenas (avg recovery {:.2} ms, {} placements replayed)",
-                    s.panics_caught,
-                    s.stuck_detected,
-                    s.restarts,
-                    s.avg_recovery_ms(),
-                    s.replayed_placements
-                );
-                println!(
-                    "udpd: supervisor — {} checkpoints ({} KiB), {} shed frames, \
-                     {} moves coalesced",
-                    s.checkpoints_taken,
-                    s.checkpoint_bytes / 1024,
-                    s.shed_frames,
-                    s.coalesced_moves
-                );
-                for ev in &s.events {
-                    println!(
-                        "udpd: supervisor t={:.2}s arena{} {:?}",
-                        ev.at as f64 / 1e9,
-                        ev.arena,
-                        ev.kind
-                    );
-                }
-            }
-            if opts.migrate_spread > 0 || opts.migrate_drain {
-                let s = &report.supervisor;
-                println!(
-                    "udpd: migration — migrated {} slots ({} by drain), {} aborted, \
-                     {} hash mismatches",
-                    s.migrations, s.drain_migrations, s.migrate_aborted, s.migrate_hash_mismatch
-                );
-            }
-            if !report.lanes_missing_counters.is_empty() {
-                println!(
-                    "udpd: WARNING — lanes with absent director counters: {:?}",
-                    report.lanes_missing_counters
-                );
-            }
-            let adm = &report.admission;
-            let identity_closes = adm.placed == adm.departed + adm.resident;
-            println!(
-                "udpd: population identity — placed {} == departed {} + resident {} — \
-                 accounting {} ({} connected, {} disconnected, {} reclaimed, \
-                 {} migrated notices)",
-                adm.placed,
-                adm.departed,
-                adm.resident,
-                if identity_closes {
-                    "closes"
-                } else {
-                    "DOES NOT CLOSE"
-                },
-                adm.notice_connected,
-                adm.notice_disconnected,
-                adm.notice_reclaimed,
-                adm.notice_migrated
-            );
-            println!(
-                "udpd: overall accounting {}",
-                if report.accounting_closed() && identity_closes {
-                    "closes"
-                } else {
-                    "DOES NOT CLOSE"
-                }
-            );
-            if !report.accounting_closed() || !identity_closes {
-                std::process::exit(1);
-            }
-        }
+    let report = match run_udp_arena_server(&opts) {
+        Ok(report) => report,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => args.die(&e.to_string()),
         Err(e) => {
             eprintln!("udpd: {e}");
             std::process::exit(1);
         }
+    };
+    println!(
+        "udpd: done — {} datagrams in, {} out, {} routed connects \
+         ({} sticky, {} rejected-full)",
+        report.datagrams_in,
+        report.datagrams_out,
+        report.admission.routed,
+        report.admission.sticky,
+        report.admission.rejected_full
+    );
+    println!(
+        "udpd: gateway fates — {} to front door, {} straight to arenas, \
+         {} fault-dropped ({} dup copies), {} decode-rejected, \
+         {} spoof-rejected, {} arena-unknown",
+        report.to_front,
+        report.forwarded - report.to_front,
+        report.fault_dropped,
+        report.fault_duplicated,
+        report.decode_rejected,
+        report.spoof_rejected,
+        report.arena_unknown
+    );
+    for lane in &report.shards {
+        println!(
+            "udpd: shard{} — {} in, {} out ({} batched recvs, {} batched sends), \
+             {} forwarded ({} to front), {} fault-dropped ({} dup copies), \
+             {} decode-rejected, {} spoof-rejected, {} arena-unknown, \
+             {} replies unroutable — identity {}",
+            lane.shard,
+            lane.datagrams_in,
+            lane.datagrams_out,
+            lane.batched_recvs,
+            lane.batched_sends,
+            lane.forwarded,
+            lane.to_front,
+            lane.fault_dropped,
+            lane.fault_duplicated,
+            lane.decode_rejected,
+            lane.spoof_rejected,
+            lane.arena_unknown,
+            lane.replies_unroutable,
+            closes(lane.accounting_closed())
+        );
+    }
+    for (k, lane) in report.lanes.iter().enumerate() {
+        println!(
+            "udpd: arena{} — {} admitted, {} replies over {} frames; \
+             {} pump + {} director forwarded = {} processed + {} dropped \
+             + {} pending — accounting {}",
+            k,
+            lane.admitted,
+            lane.replies,
+            lane.frames,
+            lane.pump_forwarded,
+            lane.director_forwarded,
+            lane.processed,
+            lane.queue_dropped,
+            lane.pending_at_shutdown,
+            closes(lane.accounting_closed())
+        );
+    }
+    let e = &report.elastic;
+    println!(
+        "udpd: elastic — {} spawned, {} reaped (peak {} live, {} at end)",
+        e.spawned, e.reaped, e.peak_live, e.live_at_end
+    );
+    for ev in &e.events {
+        println!(
+            "udpd: elastic t={:.2}s arena{} {:?} -> {} live",
+            ev.at as f64 / 1e9,
+            ev.arena,
+            ev.kind,
+            ev.live
+        );
+    }
+    if opts.crash_rate > 0.0 {
+        let s = &report.supervisor;
+        println!(
+            "udpd: supervisor — caught {} panics, condemned {} stuck, \
+             restored {} arenas (avg recovery {:.2} ms, {} placements replayed)",
+            s.panics_caught,
+            s.stuck_detected,
+            s.restarts,
+            s.avg_recovery_ms(),
+            s.replayed_placements
+        );
+        println!(
+            "udpd: supervisor — {} checkpoints ({} KiB), {} shed frames, \
+             {} moves coalesced",
+            s.checkpoints_taken,
+            s.checkpoint_bytes / 1024,
+            s.shed_frames,
+            s.coalesced_moves
+        );
+        for ev in &s.events {
+            println!(
+                "udpd: supervisor t={:.2}s arena{} {:?}",
+                ev.at as f64 / 1e9,
+                ev.arena,
+                ev.kind
+            );
+        }
+    }
+    if opts.migrate_spread > 0 || opts.migrate_drain {
+        let s = &report.supervisor;
+        println!(
+            "udpd: migration — migrated {} slots ({} by drain), {} aborted, \
+             {} hash mismatches",
+            s.migrations, s.drain_migrations, s.migrate_aborted, s.migrate_hash_mismatch
+        );
+    }
+    if !report.lanes_missing_counters.is_empty() {
+        println!(
+            "udpd: WARNING — lanes with absent director counters: {:?}",
+            report.lanes_missing_counters
+        );
+    }
+    let ist = &report.interest;
+    if opts.interest.uses_sweep() {
+        println!(
+            "udpd: interest — {} frames indexed, {} viewer-entity pairs \
+             ({} tested + {} skipped) — pair accounting {}",
+            ist.frames,
+            ist.pairs_total,
+            ist.pairs_tested,
+            ist.pairs_skipped,
+            closes(ist.pairs_closed())
+        );
+    }
+    if opts.interest.oracle() {
+        println!(
+            "udpd: interest oracle — {} replies checked, {} mismatches{}",
+            ist.oracle_checked,
+            ist.oracle_mismatches,
+            if ist.oracle_mismatches == 0 {
+                " — sweep == scan"
+            } else {
+                " — SWEEP DIVERGED FROM SCAN"
+            }
+        );
+    }
+    let adm = &report.admission;
+    let population_closes = adm.placed == adm.departed + adm.resident;
+    println!(
+        "udpd: population identity — placed {} == departed {} + resident {} — \
+         accounting {} ({} connected, {} disconnected, {} reclaimed, \
+         {} migrated notices)",
+        adm.placed,
+        adm.departed,
+        adm.resident,
+        closes(population_closes),
+        adm.notice_connected,
+        adm.notice_disconnected,
+        adm.notice_reclaimed,
+        adm.notice_migrated
+    );
+    let all_closed = report.accounting_closed() && population_closes && ist.pairs_closed();
+    println!("udpd: overall accounting {}", closes(all_closed));
+    if !all_closed || ist.oracle_mismatches > 0 {
+        std::process::exit(1);
     }
 }

@@ -27,9 +27,7 @@ use std::time::Duration;
 use parquake_metrics::report::{f, numeric_table};
 
 use crate::figures::common::SweepOpts;
-use crate::udp_arena::{
-    run_udp_arena_clients_sharded, run_udp_arena_server, UdpArenaOpts, UdpArenaReport,
-};
+use crate::udp_arena::{run_udp_arena_server, run_udp_clients, UdpArenaOpts, UdpArenaReport};
 
 /// Shard counts swept over the fixed fleet.
 pub const SHARDS: [u32; 3] = [1, 2, 4];
@@ -66,10 +64,9 @@ pub fn run_point(
     std::thread::sleep(Duration::from_millis(150));
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
     let sockets = shards.max(2) * 2;
-    let (sent, received, avg_ms, _per_arena, _restarts, _rehomed) =
-        run_udp_arena_clients_sharded(addr, ARENAS, players, duration, None, sockets)?;
+    let out = run_udp_clients(addr, ARENAS, players, duration, None, sockets, None)?;
     let report = server.join().expect("gateway server thread")?;
-    Ok((report, sent, received, avg_ms))
+    Ok((report, out.sent, out.received, out.avg_ms))
 }
 
 /// Run the shard sweep and render the report.

@@ -7,10 +7,10 @@
 //! the `repro` binary exposes one subcommand per figure.
 
 pub mod arena_experiment;
+pub mod cli;
 pub mod experiment;
 pub mod figures;
 pub mod mmsg;
-pub mod udp;
 pub mod udp_arena;
 
 pub use arena_experiment::{ArenaExperiment, ArenaExperimentConfig, ArenaOutcome};

@@ -3,71 +3,85 @@
 //! single-pump gateway reported (one lane that *is* the totals), and
 //! a multi-shard gateway must keep every book closed at every width.
 
-use std::net::{SocketAddr, UdpSocket};
+use std::io;
+use std::net::UdpSocket;
 use std::time::Duration;
 
 use parquake_fabric::fault::FaultConfig;
 use parquake_harness::udp_arena::{
-    run_udp_arena_clients_sharded, run_udp_arena_server, UdpArenaOpts, UdpArenaReport,
+    run_udp_arena_server, run_udp_clients, UdpArenaOpts, UdpArenaReport,
 };
+use parquake_server::InterestMode;
 
-/// Probe-bind the port first so a sandbox without loopback UDP skips
-/// instead of failing.
-fn loopback_available(port: u16) -> bool {
-    match UdpSocket::bind(("127.0.0.1", port)) {
-        Ok(_) => true,
-        Err(e) => {
-            eprintln!("skipping: cannot bind 127.0.0.1:{port}: {e}");
-            false
+/// Serve 2 pooled arenas on a free loopback port (bind `:0` to learn
+/// one, release it, retry with another if the gateway loses the race
+/// for it) and drive them with 12 bots. `None` when loopback UDP is
+/// not permitted here at all.
+fn drive(
+    shards: u32,
+    client_sockets: u32,
+    fault: FaultConfig,
+    interest: InterestMode,
+) -> Option<UdpArenaReport> {
+    for _ in 0..8 {
+        let Ok(probe) = UdpSocket::bind("127.0.0.1:0") else {
+            eprintln!("skipping: loopback UDP not permitted in this environment");
+            return None;
+        };
+        let addr = probe.local_addr().unwrap();
+        drop(probe);
+        let opts = UdpArenaOpts {
+            port: addr.port(),
+            gateway_shards: shards,
+            arenas: 2,
+            workers: 2,
+            slots_per_arena: 16,
+            duration: Duration::from_millis(1200),
+            fault: fault.clone(),
+            interest,
+            ..UdpArenaOpts::default()
+        };
+        let server = std::thread::spawn(move || run_udp_arena_server(&opts));
+        std::thread::sleep(Duration::from_millis(120));
+        if server.is_finished() {
+            match server.join().unwrap() {
+                Err(e) if e.kind() == io::ErrorKind::AddrInUse => continue,
+                other => panic!("gateway exited during start-up: {other:?}"),
+            }
         }
+        let out = run_udp_clients(
+            addr,
+            2,
+            12,
+            Duration::from_millis(900),
+            None,
+            client_sockets,
+            None,
+        )
+        .expect("client run");
+        let report = server.join().expect("server thread").expect("server run");
+        assert!(out.sent > 0, "clients sent nothing");
+        assert!(
+            out.received > 0,
+            "clients heard nothing back (sent {}): {report:?}",
+            out.sent
+        );
+        return Some(report);
     }
-}
-
-fn drive(port: u16, shards: u32, client_sockets: u32, fault: FaultConfig) -> UdpArenaReport {
-    let opts = UdpArenaOpts {
-        port,
-        gateway_shards: shards,
-        arenas: 2,
-        workers: 2,
-        slots_per_arena: 16,
-        duration: Duration::from_millis(1200),
-        fault,
-        ..UdpArenaOpts::default()
-    };
-    let server = std::thread::spawn(move || run_udp_arena_server(&opts).expect("server run"));
-    std::thread::sleep(Duration::from_millis(120));
-    let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let (sent, received, _avg, _per_arena, _restarts, _rehomed) = run_udp_arena_clients_sharded(
-        addr,
-        2,
-        12,
-        Duration::from_millis(900),
-        None,
-        client_sockets,
-    )
-    .expect("client run");
-    let report = server.join().expect("server thread");
-    assert!(sent > 0, "clients sent nothing");
-    assert!(
-        received > 0,
-        "clients heard nothing back (sent {sent}): {report:?}"
-    );
-    report
+    panic!("no free loopback port after 8 tries");
 }
 
 #[test]
 fn one_shard_gateway_reports_one_lane_that_is_the_totals() {
-    let port = 28150;
-    if !loopback_available(port) {
-        return;
-    }
     let fault = FaultConfig {
         drop: 0.05,
         duplicate: 0.05,
         seed: 0x5EED_0001,
         ..FaultConfig::none()
     };
-    let report = drive(port, 1, 1, fault);
+    let Some(report) = drive(1, 1, fault, InterestMode::Scan) else {
+        return;
+    };
     assert!(report.accounting_closed(), "books open: {report:?}");
     assert!(report.datagrams_in > 0);
     // One shard: the shard lane IS the report — every top-level
@@ -95,11 +109,9 @@ fn one_shard_gateway_reports_one_lane_that_is_the_totals() {
 
 #[test]
 fn two_shard_gateway_closes_every_book() {
-    let port = 28160;
-    if !loopback_available(port) {
+    let Some(report) = drive(2, 4, FaultConfig::none(), InterestMode::Scan) else {
         return;
-    }
-    let report = drive(port, 2, 4, FaultConfig::none());
+    };
     assert!(report.accounting_closed(), "books open: {report:?}");
     assert_eq!(report.shards.len(), 2);
     assert!(report.datagrams_in > 0);
@@ -119,4 +131,22 @@ fn two_shard_gateway_closes_every_book() {
             .map(|l| (l.shard, l.datagrams_in, l.datagrams_out))
             .collect::<Vec<_>>()
     );
+}
+
+/// Regression: the arena gateway used to build its server template
+/// without the interest mode, so `udpd --arenas N --interest sweep*`
+/// silently ran the scan and reported nothing.
+#[test]
+fn pooled_arenas_run_the_requested_interest_mode() {
+    let Some(report) = drive(1, 1, FaultConfig::none(), InterestMode::SweepOracle) else {
+        return;
+    };
+    assert!(report.accounting_closed(), "books open: {report:?}");
+    let ist = &report.interest;
+    assert!(ist.oracle_checked > 0, "sweep never ran: {ist:?}");
+    assert_eq!(
+        ist.oracle_mismatches, 0,
+        "sweep diverged from scan: {ist:?}"
+    );
+    assert!(ist.pairs_closed(), "pair accounting open: {ist:?}");
 }

@@ -17,7 +17,7 @@
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-use parquake_harness::udp::run_udp_clients;
+use parquake_harness::udp_arena::run_udp_clients;
 use parquake_math::Vec3;
 use parquake_protocol::{ClientMessage, Decode, Encode, ServerMessage, MAX_DATAGRAM};
 
@@ -105,8 +105,8 @@ fn post_restart_replies_survive_the_dedup_window() {
         (pre_crash, post_crash)
     });
 
-    let (sent, received, _avg) =
-        run_udp_clients(addr, 1, 1, CLIENT_RUN).expect("client loop failed");
+    let out = run_udp_clients(addr, 1, 1, CLIENT_RUN, None, 1, None).expect("client loop failed");
+    let (sent, received) = (out.sent, out.received);
     let (pre_crash, post_crash) = server.join().unwrap();
 
     assert_eq!(pre_crash, PRE_CRASH_REPLIES, "pre-crash phase never ran");

@@ -1,0 +1,44 @@
+//! `udpd` must turn every usage error into a message and exit status
+//! 2 — never a panic, and never a run that silently ignores a flag.
+
+use std::process::Command;
+
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_udpd"))
+        .args(args)
+        .output()
+        .expect("spawn udpd");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn value_flag_given_last_is_a_usage_error() {
+    // Pre-fix: `args[i]` indexed out of bounds and panicked (exit 101).
+    let (code, stderr) = run(&["--port"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--port needs a number"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn threads_with_pool_only_features_is_refused() {
+    // Pre-fix: `--threads` next to `--arenas` was silently ignored.
+    // Dedicated threads cannot supervise, grow or migrate arenas, so
+    // the combination is refused before any socket is bound.
+    for extra in [
+        &["--crash-rate", "0.01"][..],
+        &["--arenas", "1", "--max-arenas", "4"],
+        &["--arenas", "2", "--migrate-spread", "4"],
+        &["--migrate-drain"],
+    ] {
+        let mut args = vec!["--threads", "2", "--secs", "1"];
+        args.extend_from_slice(extra);
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("threads > 1"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

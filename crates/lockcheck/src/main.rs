@@ -386,7 +386,11 @@ fn strip_source(text: &str) -> String {
             i += 1;
             while i < b.len() {
                 if b[i] == '\\' && i + 1 < b.len() {
-                    out.push_str("  ");
+                    // The escaped character may be a newline (a
+                    // `\`-continued literal): keep it, or every line
+                    // below reports one too low.
+                    out.push(' ');
+                    blank(&mut out, b[i + 1]);
                     i += 2;
                 } else if b[i] == '"' {
                     out.push(' ');
@@ -1470,6 +1474,7 @@ mod tests {
         "let x = m.lock();",
         "\"string with } brace and ctx.lock( inside\"",
         "\"escaped \\\" quote\"",
+        "\"continued \\\n  literal\"",
         "r\"raw string\"",
         "r#\"raw with \" quote\"#",
         "r##\"nested \"# almost\"##",

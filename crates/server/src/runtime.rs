@@ -3,13 +3,13 @@
 //! reply phase, and the global state buffer.
 
 use std::cell::UnsafeCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
 use parquake_interest::oracle::{oracle_agrees, OracleScratch};
 use parquake_interest::{match_viewers, EntityIndex, InterestFrame, InterestMode, InterestStats};
 use parquake_math::Pcg32;
-use parquake_metrics::ThreadStats;
+use parquake_metrics::{Bucket, FrameSample, FrameStats, ThreadStats, Timeline};
 use parquake_protocol::{
     ClientMessage, Decode, Encode, GameEvent, ServerMessage, MAX_EVENTS_PER_REPLY,
 };
@@ -21,13 +21,25 @@ use crate::cost::CostModel;
 use crate::exec::{execute_move, ExecEnv, RegionLocks};
 use crate::lifecycle::LifecycleEvent;
 use crate::visibility_reply::build_reply;
-use crate::{Assignment, LockPolicy, ServerConfig};
+use crate::{Assignment, LockPolicy, ServerConfig, ServerResults};
 
 /// Bound on each thread's inbound request queue. On overflow the
 /// fabric drops the *oldest* queued datagram (freshest input wins,
 /// like a full OS socket buffer under load); drops are counted and
 /// surfaced as `ThreadStats::queue_dropped`.
 pub const REQUEST_QUEUE_CAP: usize = 1024;
+
+/// Everything a single-threaded runtime accumulates across frames: the
+/// sequential server owns one for its whole run, a pooled arena hands
+/// its own to whichever worker claimed the frame.
+#[derive(Default)]
+pub struct FrameState {
+    pub stats: ThreadStats,
+    pub frames: FrameStats,
+    pub timeline: Timeline,
+    pub interest: InterestStats,
+    pub frame_no: u32,
+}
 
 /// State shared by every server thread of one server instance.
 pub struct ServerShared {
@@ -559,9 +571,7 @@ impl ServerShared {
             ctx.charge(self.cost.recv);
             stats.datagrams += 1;
             let decoded = ClientMessage::from_bytes(&raw.payload);
-            stats
-                .breakdown
-                .add(parquake_metrics::Bucket::Receive, ctx.now() - t0);
+            stats.breakdown.add(Bucket::Receive, ctx.now() - t0);
             match decoded {
                 Ok(msg) => {
                     if self.handle_message(ctx, thread, raw.from, msg, stats, frame_leaf_mask) {
@@ -575,6 +585,91 @@ impl ServerShared {
             }
         }
         moves
+    }
+
+    /// One complete frame of a single-threaded runtime (paper §2.1):
+    /// world update, `drain` the request queue (it returns the moves
+    /// processed), reply to everyone who sent a request, then the
+    /// per-frame bookkeeping. The sequential server and the pooled
+    /// arena frame are this one body, which is what keeps a 1×1 pool
+    /// byte-identical to `ServerKind::Sequential`.
+    pub fn run_single_frame(
+        &self,
+        ctx: &TaskCtx,
+        f: &mut FrameState,
+        drain: impl FnOnce(&mut ThreadStats, &mut u64) -> u32,
+    ) {
+        let port = self.ports[0];
+        ctx.charge(self.cost.select_op);
+        f.frame_no += 1;
+        let frame_start = ctx.now();
+
+        // P: world physics.
+        let t0 = ctx.now();
+        self.run_world_update(ctx, port, &mut f.stats, f.frame_no);
+        f.stats.breakdown.add(Bucket::World, ctx.now() - t0);
+        f.stats.mastered += 1;
+
+        // Rx/E: drain the request queue.
+        let mut unused_mask = 0u64;
+        let moves = drain(&mut f.stats, &mut unused_mask);
+
+        // T/Tx: replies for everyone who sent a request.
+        let t0 = ctx.now();
+        let global = self.read_global_events(ctx, &mut f.stats);
+        let all_slots: Vec<usize> = (0..self.clients.capacity()).collect();
+        let index = self.build_interest_index(ctx, &mut f.interest);
+        let iframe = index
+            .as_ref()
+            .map(|ix| self.match_interest(ctx, &all_slots, ix, &mut f.interest));
+        self.reply_for_slots(
+            ctx,
+            port,
+            &all_slots,
+            &global,
+            f.frame_no,
+            &mut f.stats,
+            true,
+            iframe.as_ref(),
+            &mut f.interest,
+        );
+        self.clear_global_events(ctx, &mut f.stats);
+        f.stats.breakdown.add(Bucket::Reply, ctx.now() - t0);
+
+        f.stats.frames += 1;
+        f.frames.frames += 1;
+        f.frames.frame_ns_sum += ctx.now() - frame_start;
+        f.frames.note_frame_requests(&[moves]);
+        f.frames.leaf_count = self.world.tree.leaf_count() as u64;
+        f.timeline.push(FrameSample {
+            start_ns: frame_start,
+            duration_ns: ctx.now() - frame_start,
+            participants: 1,
+            requests: moves,
+            requests_max: moves,
+            requests_min: moves,
+            master: 0,
+        });
+    }
+
+    /// Publish a single-threaded runtime's accumulated state as its
+    /// `ServerResults`. Poison-tolerant so a supervised panic elsewhere
+    /// still lets results publish.
+    pub fn publish_single(
+        &self,
+        ctx: &TaskCtx,
+        f: &mut FrameState,
+        results: &Mutex<ServerResults>,
+    ) {
+        f.stats.queue_dropped = ctx.fabric().port_dropped(self.ports[0]);
+        // lockcheck: allow(raw-sync: host-side result sink, no fabric task blocks on it)
+        let mut r = results.lock().unwrap_or_else(PoisonError::into_inner);
+        r.threads = vec![f.stats.clone()];
+        r.frames = f.frames.clone();
+        r.timeline = f.timeline.clone();
+        r.frame_count = f.frame_no as u64;
+        r.leaf_count = self.world.tree.leaf_count() as u64;
+        r.interest = f.interest.clone();
     }
 
     /// Build this frame's shared entity index for the batch interest

@@ -5,14 +5,13 @@
 //! the queue is empty, then form and send replies to every client that
 //! sent a request this frame.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use parquake_fabric::{Fabric, TaskCtx};
-use parquake_interest::InterestStats;
-use parquake_metrics::{Bucket, FrameSample, FrameStats, ThreadStats, Timeline};
+use parquake_metrics::Bucket;
 use parquake_sim::GameWorld;
 
-use crate::runtime::ServerShared;
+use crate::runtime::{FrameState, ServerShared};
 use crate::{ServerConfig, ServerHandle, ServerResults};
 
 /// Spawn the sequential server task onto `fabric`.
@@ -45,11 +44,7 @@ fn run(ctx: &TaskCtx, shared: &ServerShared, results: &Mutex<ServerResults>) {
     shared.world.store.set_checking(false);
 
     let port = shared.ports[0];
-    let mut stats = ThreadStats::new();
-    let mut frames = FrameStats::new();
-    let mut timeline = Timeline::default();
-    let mut istats = InterestStats::default();
-    let mut frame_no: u32 = 0;
+    let mut f = FrameState::default();
 
     loop {
         // S: block until a request arrives (or the run ends).
@@ -59,94 +54,30 @@ fn run(ctx: &TaskCtx, shared: &ServerShared, results: &Mutex<ServerResults>) {
             // End-of-run drain tail: not part of the measured window.
             break;
         }
-        stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
-        ctx.charge(shared.cost.select_op);
-        frame_no += 1;
-        let frame_start = ctx.now();
+        f.stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
 
-        let frame_body = |stats: &mut ThreadStats, istats: &mut InterestStats| {
-            // P: world physics.
-            let t0 = ctx.now();
-            shared.run_world_update(ctx, port, stats, frame_no);
-            stats.breakdown.add(Bucket::World, ctx.now() - t0);
-            stats.mastered += 1;
-
-            // Rx/E: drain the request queue.
-            let mut unused_mask = 0u64;
-            let moves = shared.drain_requests(ctx, 0, port, stats, &mut unused_mask);
-
-            // T/Tx: replies for everyone who sent a request.
-            let t0 = ctx.now();
-            let global = shared.read_global_events(ctx, stats);
-            let all_slots: Vec<usize> = (0..shared.clients.capacity()).collect();
-            let index = shared.build_interest_index(ctx, istats);
-            let iframe = index
-                .as_ref()
-                .map(|ix| shared.match_interest(ctx, &all_slots, ix, istats));
-            shared.reply_for_slots(
-                ctx,
-                port,
-                &all_slots,
-                &global,
-                frame_no,
-                stats,
-                true,
-                iframe.as_ref(),
-                istats,
-            );
-            shared.clear_global_events(ctx, stats);
-            stats.breakdown.add(Bucket::Reply, ctx.now() - t0);
-            moves
+        let mut frame = || {
+            shared.run_single_frame(ctx, &mut f, |stats, mask| {
+                shared.drain_requests(ctx, 0, port, stats, mask)
+            })
         };
-        let moves = if shared.catch_panics {
+        if !shared.catch_panics {
+            frame();
+        } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(frame)).is_err() {
             // Supervised dedicated arena: a panicking frame must fate
             // only this runtime, not the whole fabric. World state may
             // be mid-mutation, so stop serving cleanly rather than
             // continue on a possibly-inconsistent world; results are
             // still published below.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                frame_body(&mut stats, &mut istats)
-            })) {
-                Ok(moves) => moves,
-                Err(_) => {
-                    stats.panics_caught += 1;
-                    // A fabric lock leaked by the unwound frame would
-                    // wedge its peers; make the witness report it.
-                    if let Some(w) = ctx.fabric().witness() {
-                        w.on_unwind(ctx.id(), ctx.now());
-                    }
-                    break;
-                }
+            f.stats.panics_caught += 1;
+            // A fabric lock leaked by the unwound frame would wedge
+            // its peers; make the witness report it.
+            if let Some(w) = ctx.fabric().witness() {
+                w.on_unwind(ctx.id(), ctx.now());
             }
-        } else {
-            frame_body(&mut stats, &mut istats)
-        };
-
-        stats.frames += 1;
-        frames.frames += 1;
-        frames.frame_ns_sum += ctx.now() - frame_start;
-        frames.note_frame_requests(&[moves]);
-        frames.leaf_count = shared.world.tree.leaf_count() as u64;
-        timeline.push(FrameSample {
-            start_ns: frame_start,
-            duration_ns: ctx.now() - frame_start,
-            participants: 1,
-            requests: moves,
-            requests_max: moves,
-            requests_min: moves,
-            master: 0,
-        });
+            break;
+        }
     }
 
-    stats.queue_dropped = ctx.fabric().port_dropped(port);
-    // Host-side result sink, written once at task end; poison-tolerant
-    // so a supervised panic elsewhere still lets results publish.
-    // lockcheck: allow(raw-sync: host-side result sink, no fabric task blocks on it)
-    let mut r = results.lock().unwrap_or_else(PoisonError::into_inner);
-    r.threads = vec![stats];
-    r.frames = frames;
-    r.timeline = timeline;
-    r.frame_count = frame_no as u64;
-    r.leaf_count = shared.world.tree.leaf_count() as u64;
-    r.interest = istats;
+    shared.publish_single(ctx, &mut f, results);
 }
