@@ -3,7 +3,8 @@
 //! one coordinate-sorted view per horizontal axis.
 //!
 //! Building the index costs one O(capacity) walk and two O(E log E)
-//! sorts — paid once per frame, shared by every viewer. The id-ordered
+//! sorts of 8-byte `(coordinate, slot)` records — paid once per
+//! frame, shared by every viewer. The id-ordered
 //! `entities` array doubles as the narrow phase's iteration order:
 //! candidate indices sorted ascending recover exactly the order the
 //! per-client scan visits entities in, which is what makes the sweep's
@@ -26,28 +27,57 @@ pub struct IndexedEntity {
     pub update: EntityUpdate,
 }
 
-/// One axis of the index: entity coordinates in ascending order with a
-/// parallel array of indices into [`EntityIndex::entities`].
+/// One axis of the index: entity coordinates in ascending order with
+/// two parallel arrays — each entity's coordinate on the *other*
+/// horizontal axis and its index into [`EntityIndex::entities`] — so
+/// the broad phase tests a viewer's range by reading memory
+/// sequentially instead of chasing `slots` into the entity array.
 #[derive(Clone, Debug, Default)]
 pub struct AxisIndex {
     pub coords: Vec<f32>,
+    pub other: Vec<f32>,
     pub slots: Vec<u32>,
 }
 
 impl AxisIndex {
-    fn build(entities: &[IndexedEntity], coord: impl Fn(&IndexedEntity) -> f32) -> AxisIndex {
-        let mut order: Vec<u32> = (0..entities.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            coord(&entities[a as usize]).total_cmp(&coord(&entities[b as usize]))
-        });
-        AxisIndex {
-            coords: order
-                .iter()
-                .map(|&i| coord(&entities[i as usize]))
-                .collect(),
-            slots: order,
+    /// Sort the entities by `coord`, ties by slot (what a stable sort
+    /// of the id-ordered entities gives), then lay the parallel arrays
+    /// out in that order. Each sort record is one integer — the
+    /// coordinate's order-preserving bit pattern above the slot — so
+    /// the sort compares words, not floats through a closure.
+    fn build(
+        entities: &[IndexedEntity],
+        coord: fn(&Vec3) -> f32,
+        other: fn(&Vec3) -> f32,
+    ) -> AxisIndex {
+        let mut records: Vec<u64> = entities
+            .iter()
+            .enumerate()
+            .map(|(slot, e)| u64::from(total_order_bits(coord(&e.pos))) << 32 | slot as u64)
+            .collect();
+        records.sort_unstable();
+        let mut axis = AxisIndex {
+            coords: Vec::with_capacity(records.len()),
+            other: Vec::with_capacity(records.len()),
+            slots: Vec::with_capacity(records.len()),
+        };
+        for record in records {
+            let slot = record as u32;
+            let pos = &entities[slot as usize].pos;
+            axis.coords.push(coord(pos));
+            axis.other.push(other(pos));
+            axis.slots.push(slot);
         }
+        axis
     }
+}
+
+/// Map a float to an integer that orders like `f32::total_cmp`.
+fn total_order_bits(v: f32) -> u32 {
+    let bits = v.to_bits();
+    // Negative floats order backwards in their bit patterns: flip all
+    // their bits; for the rest, only lift them above the negatives.
+    bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
 }
 
 /// The per-frame index all viewers match against.
@@ -85,8 +115,8 @@ impl EntityIndex {
             });
         }
         work.interest_steps += cap as u64 + 2 * sort_steps(entities.len());
-        let by_x = AxisIndex::build(&entities, |e| e.pos.x);
-        let by_y = AxisIndex::build(&entities, |e| e.pos.y);
+        let by_x = AxisIndex::build(&entities, |p| p.x, |p| p.y);
+        let by_y = AxisIndex::build(&entities, |p| p.y, |p| p.x);
         EntityIndex {
             entities,
             by_x,
@@ -150,13 +180,49 @@ mod tests {
         }
         let mut work = WorkCounters::new();
         let idx = EntityIndex::build(&w, &mut work);
-        for axis in [&idx.by_x, &idx.by_y] {
+        type Pick = fn(&Vec3) -> f32;
+        let axes: [(&AxisIndex, Pick, Pick); 2] =
+            [(&idx.by_x, |p| p.x, |p| p.y), (&idx.by_y, |p| p.y, |p| p.x)];
+        for (axis, coord, other) in axes {
             assert_eq!(axis.coords.len(), idx.len());
+            assert_eq!(axis.other.len(), idx.len());
             assert_eq!(axis.slots.len(), idx.len());
             assert!(axis.coords.windows(2).all(|p| p[0] <= p[1]), "unsorted");
+            // The parallel arrays describe the entity `slots` names.
+            for (k, &slot) in axis.slots.iter().enumerate() {
+                let pos = idx.entities[slot as usize].pos;
+                assert_eq!(axis.coords[k], coord(&pos));
+                assert_eq!(axis.other[k], other(&pos));
+            }
             let mut seen: Vec<u32> = axis.slots.clone();
             seen.sort_unstable();
             assert!(seen.iter().enumerate().all(|(i, &s)| i as u32 == s));
+        }
+    }
+
+    #[test]
+    fn total_order_bits_order_like_total_cmp() {
+        let samples = [
+            f32::NEG_INFINITY,
+            -4096.5,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            0.25,
+            1.0,
+            4096.5,
+            f32::INFINITY,
+        ];
+        for a in samples {
+            for b in samples {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

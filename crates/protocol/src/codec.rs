@@ -30,13 +30,79 @@ impl std::error::Error for CodecError {}
 
 /// Types that serialize themselves onto a byte buffer.
 pub trait Encode {
+    /// Exact number of bytes [`Encode::encode`] appends.
+    fn wire_len(&self) -> usize;
+
+    /// Append the encoding to `out`, reserving [`Encode::wire_len`]
+    /// bytes up front so one message costs `out` at most one growth.
     fn encode(&self, out: &mut Vec<u8>);
 
-    /// Convenience: encode into a fresh buffer.
+    /// Convenience: encode into a fresh buffer of exactly the wire
+    /// length (the reservation `encode` makes on an empty `Vec`).
     fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(64);
+        let mut v = Vec::new();
         self.encode(&mut v);
+        debug_assert_eq!(v.len(), self.wire_len(), "wire_len out of step with encode");
         v
+    }
+}
+
+/// A fixed-size run of fields assembled on the stack and appended to
+/// the output with a single `extend_from_slice`, instead of one
+/// capacity check and length update per field.
+pub(crate) struct Fixed<const N: usize> {
+    buf: [u8; N],
+    at: usize,
+}
+
+impl<const N: usize> Fixed<N> {
+    #[inline]
+    pub(crate) fn new() -> Fixed<N> {
+        Fixed { buf: [0; N], at: 0 }
+    }
+
+    #[inline]
+    fn put<const K: usize>(mut self, bytes: [u8; K]) -> Fixed<N> {
+        self.buf[self.at..self.at + K].copy_from_slice(&bytes);
+        self.at += K;
+        self
+    }
+
+    #[inline]
+    pub(crate) fn u8(self, v: u8) -> Fixed<N> {
+        self.put([v])
+    }
+
+    #[inline]
+    pub(crate) fn u16(self, v: u16) -> Fixed<N> {
+        self.put(v.to_le_bytes())
+    }
+
+    #[inline]
+    pub(crate) fn u32(self, v: u32) -> Fixed<N> {
+        self.put(v.to_le_bytes())
+    }
+
+    #[inline]
+    pub(crate) fn u64(self, v: u64) -> Fixed<N> {
+        self.put(v.to_le_bytes())
+    }
+
+    #[inline]
+    pub(crate) fn f32(self, v: f32) -> Fixed<N> {
+        self.put(v.to_le_bytes())
+    }
+
+    #[inline]
+    pub(crate) fn vec3(self, v: parquake_math::Vec3) -> Fixed<N> {
+        self.f32(v.x).f32(v.y).f32(v.z)
+    }
+
+    /// Append the `N` bytes; every one of them must have been written.
+    #[inline]
+    pub(crate) fn finish(self, out: &mut Vec<u8>) {
+        debug_assert_eq!(self.at, N, "fixed run not filled");
+        out.extend_from_slice(&self.buf);
     }
 }
 

@@ -72,6 +72,14 @@ pub const GAME_EVENT_WIRE_BYTES: usize = 1 + 2 + 2 + 12;
 /// Fixed part of a `Reply`: tag + client_id + seq + sent_at_echo +
 /// frame + assigned_thread + origin + delta flag.
 const REPLY_HEADER_WIRE_BYTES: usize = 1 + 4 + 4 + 8 + 4 + 1 + 12 + 1;
+/// Encoded size of a `Connect` (arena 0), `Disconnect` or `Bye`:
+/// tag + client_id.
+const ID_ONLY_WIRE_BYTES: usize = 1 + 4;
+/// Encoded size of a legacy `Move`: tag + client_id + seq + sent_at +
+/// two angles + three impulses + buttons + msec.
+const MOVE_WIRE_BYTES: usize = 1 + 4 + 4 + 8 + 2 * 4 + 3 * 4 + 1 + 1;
+/// Encoded size of a `ConnectAck` (arena 0): tag + client_id + spawn.
+const CONNECT_ACK_WIRE_BYTES: usize = 1 + 4 + 12;
 
 /// Worst-case encoded *legacy* `Reply`: header plus the three
 /// length-prefixed lists at their caps (no prediction trailer).

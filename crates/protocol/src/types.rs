@@ -1,10 +1,12 @@
 //! Protocol message types.
 
-use crate::codec::{
-    get_f32, get_u16, get_u32, get_u64, get_u8, put_f32, put_u16, put_u32, put_u64, put_u8,
-    CodecError, Decode, Encode,
+use crate::codec::{get_f32, get_u16, get_u32, get_u64, get_u8, CodecError, Decode, Encode, Fixed};
+use crate::{
+    ARENA_EXT_WIRE_BYTES, CONNECT_ACK_WIRE_BYTES, ENTITY_UPDATE_WIRE_BYTES, GAME_EVENT_WIRE_BYTES,
+    ID_ONLY_WIRE_BYTES, MAX_ENTITIES_PER_REPLY, MAX_EVENTS_PER_REPLY, MAX_MOVE_MSEC,
+    MAX_REMOVALS_PER_REPLY, MOVE_PREDICT_EXT_WIRE_BYTES, MOVE_WIRE_BYTES, REPLY_HEADER_WIRE_BYTES,
+    REPLY_PREDICT_EXT_WIRE_BYTES,
 };
-use crate::{MAX_ENTITIES_PER_REPLY, MAX_EVENTS_PER_REPLY, MAX_MOVE_MSEC, MAX_REMOVALS_PER_REPLY};
 use parquake_math::vec3::vec3;
 use parquake_math::Vec3;
 
@@ -115,8 +117,19 @@ use crate::tags::{TAG_CONNECT, TAG_DISCONNECT, TAG_MOVE};
 /// byte for byte and old decoders keep accepting it.
 fn put_arena_ext(out: &mut Vec<u8>, arena: u16) {
     if arena != 0 {
-        put_u8(out, crate::ARENA_EXT_TAG);
-        put_u16(out, arena);
+        Fixed::<ARENA_EXT_WIRE_BYTES>::new()
+            .u8(crate::ARENA_EXT_TAG)
+            .u16(arena)
+            .finish(out);
+    }
+}
+
+/// Wire size of the arena extension for `arena` (canonical: none at 0).
+fn arena_ext_len(arena: u16) -> usize {
+    if arena != 0 {
+        ARENA_EXT_WIRE_BYTES
+    } else {
+        0
     }
 }
 
@@ -160,8 +173,10 @@ pub struct ReplyPredict {
 /// even at ack 0.
 fn put_move_predict_ext(out: &mut Vec<u8>, ack: Option<u32>) {
     if let Some(ack) = ack {
-        put_u8(out, crate::PREDICT_EXT_TAG);
-        put_u32(out, ack);
+        Fixed::<MOVE_PREDICT_EXT_WIRE_BYTES>::new()
+            .u8(crate::PREDICT_EXT_TAG)
+            .u32(ack)
+            .finish(out);
     }
 }
 
@@ -182,13 +197,13 @@ fn get_move_predict_ext(buf: &mut &[u8]) -> Result<Option<u32>, CodecError> {
 /// toward predicting clients).
 fn put_reply_predict_ext(out: &mut Vec<u8>, p: &Option<ReplyPredict>) {
     if let Some(p) = p {
-        put_u8(out, crate::PREDICT_EXT_TAG);
-        put_u32(out, p.input_ack);
-        put_u32(out, p.perturb);
-        put_f32(out, p.vel.x);
-        put_f32(out, p.vel.y);
-        put_f32(out, p.vel.z);
-        put_u8(out, u8::from(p.on_ground));
+        Fixed::<REPLY_PREDICT_EXT_WIRE_BYTES>::new()
+            .u8(crate::PREDICT_EXT_TAG)
+            .u32(p.input_ack)
+            .u32(p.perturb)
+            .vec3(p.vel)
+            .u8(u8::from(p.on_ground))
+            .finish(out);
     }
 }
 
@@ -209,33 +224,52 @@ fn get_reply_predict_ext(buf: &mut &[u8]) -> Result<Option<ReplyPredict>, CodecE
 }
 
 impl Encode for ClientMessage {
+    fn wire_len(&self) -> usize {
+        match self {
+            ClientMessage::Connect { arena, .. } => ID_ONLY_WIRE_BYTES + arena_ext_len(*arena),
+            ClientMessage::Move { cmd, .. } => {
+                MOVE_WIRE_BYTES + cmd.predict_ack.map_or(0, |_| MOVE_PREDICT_EXT_WIRE_BYTES)
+            }
+            ClientMessage::Disconnect { .. } => ID_ONLY_WIRE_BYTES,
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_len());
         match self {
             ClientMessage::Connect { client_id, arena } => {
-                put_u8(out, TAG_CONNECT);
-                put_u32(out, *client_id);
+                put_id_only(out, TAG_CONNECT, *client_id);
                 put_arena_ext(out, *arena);
             }
             ClientMessage::Move { client_id, cmd } => {
-                put_u8(out, TAG_MOVE);
-                put_u32(out, *client_id);
-                put_u32(out, cmd.seq);
-                put_u64(out, cmd.sent_at);
-                put_f32(out, cmd.pitch);
-                put_f32(out, cmd.yaw);
-                put_f32(out, cmd.forward);
-                put_f32(out, cmd.side);
-                put_f32(out, cmd.up);
-                put_u8(out, cmd.buttons.0);
-                put_u8(out, cmd.msec);
+                Fixed::<MOVE_WIRE_BYTES>::new()
+                    .u8(TAG_MOVE)
+                    .u32(*client_id)
+                    .u32(cmd.seq)
+                    .u64(cmd.sent_at)
+                    .f32(cmd.pitch)
+                    .f32(cmd.yaw)
+                    .f32(cmd.forward)
+                    .f32(cmd.side)
+                    .f32(cmd.up)
+                    .u8(cmd.buttons.0)
+                    .u8(cmd.msec)
+                    .finish(out);
                 put_move_predict_ext(out, cmd.predict_ack);
             }
             ClientMessage::Disconnect { client_id } => {
-                put_u8(out, TAG_DISCONNECT);
-                put_u32(out, *client_id);
+                put_id_only(out, TAG_DISCONNECT, *client_id);
             }
         }
     }
+}
+
+/// The messages that are a tag and a client id and nothing else.
+fn put_id_only(out: &mut Vec<u8>, tag: u8, client_id: u32) {
+    Fixed::<ID_ONLY_WIRE_BYTES>::new()
+        .u8(tag)
+        .u32(client_id)
+        .finish(out);
 }
 
 impl Decode for ClientMessage {
@@ -310,14 +344,18 @@ pub struct EntityUpdate {
 }
 
 impl Encode for EntityUpdate {
+    fn wire_len(&self) -> usize {
+        ENTITY_UPDATE_WIRE_BYTES
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u16(out, self.id);
-        put_u8(out, self.kind.to_u8());
-        put_u8(out, self.state);
-        put_f32(out, self.pos.x);
-        put_f32(out, self.pos.y);
-        put_f32(out, self.pos.z);
-        put_f32(out, self.yaw);
+        Fixed::<ENTITY_UPDATE_WIRE_BYTES>::new()
+            .u16(self.id)
+            .u8(self.kind.to_u8())
+            .u8(self.state)
+            .vec3(self.pos)
+            .f32(self.yaw)
+            .finish(out);
     }
 }
 
@@ -378,13 +416,17 @@ pub struct GameEvent {
 }
 
 impl Encode for GameEvent {
+    fn wire_len(&self) -> usize {
+        GAME_EVENT_WIRE_BYTES
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, self.kind.to_u8());
-        put_u16(out, self.a);
-        put_u16(out, self.b);
-        put_f32(out, self.pos.x);
-        put_f32(out, self.pos.y);
-        put_f32(out, self.pos.z);
+        Fixed::<GAME_EVENT_WIRE_BYTES>::new()
+            .u8(self.kind.to_u8())
+            .u16(self.a)
+            .u16(self.b)
+            .vec3(self.pos)
+            .finish(out);
     }
 }
 
@@ -446,18 +488,41 @@ pub enum ServerMessage {
 use crate::tags::{TAG_ACK, TAG_BYE, TAG_REPLY};
 
 impl Encode for ServerMessage {
+    fn wire_len(&self) -> usize {
+        match self {
+            ServerMessage::ConnectAck { arena, .. } => {
+                CONNECT_ACK_WIRE_BYTES + arena_ext_len(*arena)
+            }
+            ServerMessage::Reply {
+                entities,
+                removed,
+                events,
+                predict,
+                ..
+            } => {
+                REPLY_HEADER_WIRE_BYTES
+                    + (1 + entities.len().min(MAX_ENTITIES_PER_REPLY) * ENTITY_UPDATE_WIRE_BYTES)
+                    + (1 + removed.len().min(MAX_REMOVALS_PER_REPLY) * 2)
+                    + (1 + events.len().min(MAX_EVENTS_PER_REPLY) * GAME_EVENT_WIRE_BYTES)
+                    + predict.map_or(0, |_| REPLY_PREDICT_EXT_WIRE_BYTES)
+            }
+            ServerMessage::Bye { .. } => ID_ONLY_WIRE_BYTES,
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_len());
         match self {
             ServerMessage::ConnectAck {
                 client_id,
                 spawn,
                 arena,
             } => {
-                put_u8(out, TAG_ACK);
-                put_u32(out, *client_id);
-                put_f32(out, spawn.x);
-                put_f32(out, spawn.y);
-                put_f32(out, spawn.z);
+                Fixed::<CONNECT_ACK_WIRE_BYTES>::new()
+                    .u8(TAG_ACK)
+                    .u32(*client_id)
+                    .vec3(*spawn)
+                    .finish(out);
                 put_arena_ext(out, *arena);
             }
             ServerMessage::Reply {
@@ -474,29 +539,33 @@ impl Encode for ServerMessage {
                 predict,
             } => {
                 let start = out.len();
-                put_u8(out, TAG_REPLY);
-                put_u32(out, *client_id);
-                put_u32(out, *seq);
-                put_u64(out, *sent_at_echo);
-                put_u32(out, *frame);
-                put_u8(out, *assigned_thread);
-                put_f32(out, origin.x);
-                put_f32(out, origin.y);
-                put_f32(out, origin.z);
-                put_u8(out, u8::from(*delta));
                 debug_assert!(entities.len() <= MAX_ENTITIES_PER_REPLY);
-                put_u8(out, entities.len().min(MAX_ENTITIES_PER_REPLY) as u8);
-                for e in entities.iter().take(MAX_ENTITIES_PER_REPLY) {
+                let entities = &entities[..entities.len().min(MAX_ENTITIES_PER_REPLY)];
+                // The header and the first list's length prefix.
+                Fixed::<{ REPLY_HEADER_WIRE_BYTES + 1 }>::new()
+                    .u8(TAG_REPLY)
+                    .u32(*client_id)
+                    .u32(*seq)
+                    .u64(*sent_at_echo)
+                    .u32(*frame)
+                    .u8(*assigned_thread)
+                    .vec3(*origin)
+                    .u8(u8::from(*delta))
+                    .u8(entities.len() as u8)
+                    .finish(out);
+                for e in entities {
                     e.encode(out);
                 }
                 debug_assert!(removed.len() <= MAX_REMOVALS_PER_REPLY);
-                put_u8(out, removed.len().min(MAX_REMOVALS_PER_REPLY) as u8);
-                for r in removed.iter().take(MAX_REMOVALS_PER_REPLY) {
-                    put_u16(out, *r);
+                let removed = &removed[..removed.len().min(MAX_REMOVALS_PER_REPLY)];
+                out.push(removed.len() as u8);
+                for r in removed {
+                    out.extend_from_slice(&r.to_le_bytes());
                 }
                 debug_assert!(events.len() <= MAX_EVENTS_PER_REPLY);
-                put_u8(out, events.len().min(MAX_EVENTS_PER_REPLY) as u8);
-                for e in events.iter().take(MAX_EVENTS_PER_REPLY) {
+                let events = &events[..events.len().min(MAX_EVENTS_PER_REPLY)];
+                out.push(events.len() as u8);
+                for e in events {
                     e.encode(out);
                 }
                 put_reply_predict_ext(out, predict);
@@ -506,10 +575,7 @@ impl Encode for ServerMessage {
                     out.len() - start
                 );
             }
-            ServerMessage::Bye { client_id } => {
-                put_u8(out, TAG_BYE);
-                put_u32(out, *client_id);
-            }
+            ServerMessage::Bye { client_id } => put_id_only(out, TAG_BYE, *client_id),
         }
     }
 }
@@ -855,6 +921,7 @@ mod tests {
 
     #[test]
     fn oversized_entity_count_is_rejected() {
+        use crate::codec::{put_f32, put_u32, put_u64, put_u8};
         // Hand-craft a reply header claiming 200 entities.
         let mut bytes = Vec::new();
         put_u8(&mut bytes, 101);

@@ -8,6 +8,167 @@ use parquake_protocol::{
 };
 use proptest::prelude::*;
 
+/// The encoder the exact-size one replaced, field by field through the
+/// `put_*` primitives into a buffer that grows as it goes. It is the
+/// oracle for "same bytes on the wire": it shares no code with
+/// `Encode::encode` beyond the primitives and the tag registry.
+mod field_by_field {
+    use parquake_protocol::codec::{put_f32, put_u16, put_u32, put_u64, put_u8};
+    use parquake_protocol::tags::{
+        TAG_ACK, TAG_BYE, TAG_CONNECT, TAG_DISCONNECT, TAG_MOVE, TAG_REPLY,
+    };
+    use parquake_protocol::{
+        ClientMessage, EntityKind, EntityUpdate, GameEvent, GameEventKind, ServerMessage,
+        ARENA_EXT_TAG, PREDICT_EXT_TAG,
+    };
+
+    fn put_arena_ext(out: &mut Vec<u8>, arena: u16) {
+        if arena != 0 {
+            put_u8(out, ARENA_EXT_TAG);
+            put_u16(out, arena);
+        }
+    }
+
+    fn put_entity(out: &mut Vec<u8>, e: &EntityUpdate) {
+        put_u16(out, e.id);
+        put_u8(
+            out,
+            match e.kind {
+                EntityKind::Player => 0,
+                EntityKind::Item => 1,
+                EntityKind::Projectile => 2,
+                EntityKind::Teleporter => 3,
+            },
+        );
+        put_u8(out, e.state);
+        put_f32(out, e.pos.x);
+        put_f32(out, e.pos.y);
+        put_f32(out, e.pos.z);
+        put_f32(out, e.yaw);
+    }
+
+    fn put_event(out: &mut Vec<u8>, e: &GameEvent) {
+        put_u8(
+            out,
+            match e.kind {
+                GameEventKind::Pickup => 0,
+                GameEventKind::Teleport => 1,
+                GameEventKind::Hit => 2,
+                GameEventKind::Spawn => 3,
+                GameEventKind::Sound => 4,
+            },
+        );
+        put_u16(out, e.a);
+        put_u16(out, e.b);
+        put_f32(out, e.pos.x);
+        put_f32(out, e.pos.y);
+        put_f32(out, e.pos.z);
+    }
+
+    pub fn client(msg: &ClientMessage) -> Vec<u8> {
+        let mut v = Vec::with_capacity(64);
+        let out = &mut v;
+        match msg {
+            ClientMessage::Connect { client_id, arena } => {
+                put_u8(out, TAG_CONNECT);
+                put_u32(out, *client_id);
+                put_arena_ext(out, *arena);
+            }
+            ClientMessage::Move { client_id, cmd } => {
+                put_u8(out, TAG_MOVE);
+                put_u32(out, *client_id);
+                put_u32(out, cmd.seq);
+                put_u64(out, cmd.sent_at);
+                put_f32(out, cmd.pitch);
+                put_f32(out, cmd.yaw);
+                put_f32(out, cmd.forward);
+                put_f32(out, cmd.side);
+                put_f32(out, cmd.up);
+                put_u8(out, cmd.buttons.0);
+                put_u8(out, cmd.msec);
+                if let Some(ack) = cmd.predict_ack {
+                    put_u8(out, PREDICT_EXT_TAG);
+                    put_u32(out, ack);
+                }
+            }
+            ClientMessage::Disconnect { client_id } => {
+                put_u8(out, TAG_DISCONNECT);
+                put_u32(out, *client_id);
+            }
+        }
+        v
+    }
+
+    pub fn server(msg: &ServerMessage) -> Vec<u8> {
+        let mut v = Vec::with_capacity(64);
+        let out = &mut v;
+        match msg {
+            ServerMessage::ConnectAck {
+                client_id,
+                spawn,
+                arena,
+            } => {
+                put_u8(out, TAG_ACK);
+                put_u32(out, *client_id);
+                put_f32(out, spawn.x);
+                put_f32(out, spawn.y);
+                put_f32(out, spawn.z);
+                put_arena_ext(out, *arena);
+            }
+            ServerMessage::Reply {
+                client_id,
+                seq,
+                sent_at_echo,
+                frame,
+                assigned_thread,
+                origin,
+                delta,
+                entities,
+                removed,
+                events,
+                predict,
+            } => {
+                put_u8(out, TAG_REPLY);
+                put_u32(out, *client_id);
+                put_u32(out, *seq);
+                put_u64(out, *sent_at_echo);
+                put_u32(out, *frame);
+                put_u8(out, *assigned_thread);
+                put_f32(out, origin.x);
+                put_f32(out, origin.y);
+                put_f32(out, origin.z);
+                put_u8(out, u8::from(*delta));
+                put_u8(out, entities.len() as u8);
+                for e in entities {
+                    put_entity(out, e);
+                }
+                put_u8(out, removed.len() as u8);
+                for r in removed {
+                    put_u16(out, *r);
+                }
+                put_u8(out, events.len() as u8);
+                for e in events {
+                    put_event(out, e);
+                }
+                if let Some(p) = predict {
+                    put_u8(out, PREDICT_EXT_TAG);
+                    put_u32(out, p.input_ack);
+                    put_u32(out, p.perturb);
+                    put_f32(out, p.vel.x);
+                    put_f32(out, p.vel.y);
+                    put_f32(out, p.vel.z);
+                    put_u8(out, u8::from(p.on_ground));
+                }
+            }
+            ServerMessage::Bye { client_id } => {
+                put_u8(out, TAG_BYE);
+                put_u32(out, *client_id);
+            }
+        }
+        v
+    }
+}
+
 /// Is this trailer exactly one well-formed arena extension? Appended to
 /// an extension-less `Connect`/`ConnectAck` it forms a valid new-format
 /// message rather than trailing garbage.
@@ -211,6 +372,30 @@ proptest! {
     fn server_messages_roundtrip(msg in arb_server_msg()) {
         let bytes = msg.to_bytes();
         prop_assert_eq!(ServerMessage::from_bytes(&bytes).unwrap(), msg);
+    }
+
+    /// The exact-size encoder writes the bytes the field-by-field one
+    /// wrote, announces their number beforehand, and (from an empty
+    /// buffer) allocates exactly that many — no slack rides along in
+    /// the payload a fabric `Message` owns.
+    #[test]
+    fn client_encoding_is_exact_size_and_unchanged(msg in arb_client_msg()) {
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(bytes.len(), msg.wire_len());
+        prop_assert_eq!(&bytes, &field_by_field::client(&msg));
+        prop_assert!(bytes.capacity() == bytes.len() || bytes.len() < 8);
+    }
+
+    #[test]
+    fn server_encoding_is_exact_size_and_unchanged(msg in arb_server_msg()) {
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(bytes.len(), msg.wire_len());
+        prop_assert_eq!(&bytes, &field_by_field::server(&msg));
+        prop_assert!(bytes.capacity() == bytes.len() || bytes.len() < 8);
+        // Appending to a buffer in use reserves too: one growth at most.
+        let mut shared = vec![0xEE; 3];
+        msg.encode(&mut shared);
+        prop_assert_eq!(&shared[3..], &bytes[..]);
     }
 
     #[test]

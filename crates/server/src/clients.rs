@@ -17,7 +17,7 @@
 
 use std::cell::UnsafeCell;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use parquake_fabric::{Nanos, PortId};
 use parquake_protocol::{EntityUpdate, GameEvent};
@@ -63,8 +63,11 @@ pub struct Slot {
     /// Fabric time of the last datagram accepted from this client
     /// (Connect or Move); drives the inactivity timeout.
     pub last_active: Nanos,
-    /// Queued broadcast events (guarded by the slot's fabric lock).
-    pub events: Vec<GameEvent>,
+    /// Queued broadcast events, oldest first (guarded by the slot's
+    /// fabric lock). A ring: the reply phase appends a frame's batch at
+    /// the back and each reply takes from the front, neither shifting
+    /// what stays queued.
+    pub events: VecDeque<GameEvent>,
     /// Last entity state acked to this client (delta compression
     /// baseline; owner-thread access only, reply phase).
     pub baseline: HashMap<u16, EntityUpdate>,
@@ -102,7 +105,7 @@ impl Slot {
             last_seq: 0,
             last_sent_at: 0,
             last_active: 0,
-            events: Vec::new(),
+            events: VecDeque::new(),
             baseline: HashMap::new(),
             predicts: false,
             input_ack: 0,
@@ -111,12 +114,26 @@ impl Slot {
         }
     }
 
-    /// Queue a broadcast event, dropping the oldest on overflow.
-    pub fn push_event(&mut self, ev: GameEvent) {
-        if self.events.len() >= MAX_PENDING_EVENTS {
-            self.events.remove(0);
+    /// Queue one frame's broadcast events, dropping the oldest on
+    /// overflow: the queue ends up holding what pushing `batch` one
+    /// event at a time against the cap would leave, but the front is
+    /// trimmed once and the batch copied once.
+    pub fn push_events(&mut self, batch: &[GameEvent]) {
+        // Only the newest MAX_PENDING_EVENTS of the batch can survive.
+        let batch = &batch[batch.len().saturating_sub(MAX_PENDING_EVENTS)..];
+        let overflow = (self.events.len() + batch.len()).saturating_sub(MAX_PENDING_EVENTS);
+        self.events.drain(..overflow);
+        // Grow like a `Vec` would, but never past the cap: doubling
+        // towards it overshoots (a ring of 120 asked for 128 becomes
+        // 240), on every slot of a full server.
+        let needed = self.events.len() + batch.len();
+        if self.events.capacity() < needed {
+            let target = needed
+                .max(2 * self.events.capacity())
+                .min(MAX_PENDING_EVENTS);
+            self.events.reserve_exact(target - self.events.len());
         }
-        self.events.push(ev);
+        self.events.extend(batch);
     }
 }
 
@@ -195,10 +212,59 @@ mod tests {
         let t = ClientTable::new(1);
         let s = t.slot(0);
         for i in 0..(MAX_PENDING_EVENTS + 10) {
-            s.push_event(ev(i as u16));
+            s.push_events(&[ev(i as u16)]);
         }
         assert_eq!(s.events.len(), MAX_PENDING_EVENTS);
         // The first ten were dropped.
         assert_eq!(s.events[0].a, 10);
+    }
+
+    /// The queue discipline `push_events` replaced: one event at a
+    /// time, shifting the whole queue down to drop the oldest.
+    fn push_one_by_one(queue: &mut Vec<GameEvent>, batch: &[GameEvent]) {
+        for &ev in batch {
+            if queue.len() >= MAX_PENDING_EVENTS {
+                queue.remove(0);
+            }
+            queue.push(ev);
+        }
+    }
+
+    /// A batch leaves the queue exactly as the same events pushed one
+    /// by one would, for queues below, at and above the point where
+    /// the cap bites, for batches smaller and larger than the cap, and
+    /// across consecutive batches with replies draining in between.
+    #[test]
+    fn batched_push_equals_one_by_one() {
+        let cap = MAX_PENDING_EVENTS;
+        for queued in [0, 1, cap - 67, cap - 1, cap] {
+            for batch_len in [0, 1, 66, 67, 68, cap - 1, cap, cap + 1, 3 * cap] {
+                let t = ClientTable::new(1);
+                let slot = t.slot(0);
+                let mut reference = Vec::new();
+                let mut next = 0u16;
+                let mut batch = |n: usize| -> Vec<GameEvent> {
+                    (0..n)
+                        .map(|_| {
+                            next += 1;
+                            ev(next)
+                        })
+                        .collect()
+                };
+                for n in [queued, batch_len, 5, batch_len] {
+                    let b = batch(n);
+                    slot.push_events(&b);
+                    push_one_by_one(&mut reference, &b);
+                    assert!(
+                        slot.events.iter().eq(reference.iter()),
+                        "queued {queued}, batch {batch_len}"
+                    );
+                    assert!(slot.events.len() <= cap);
+                    // A reply takes some from the front.
+                    let take = slot.events.len().min(32);
+                    assert!(slot.events.drain(..take).eq(reference.drain(..take)));
+                }
+            }
+        }
     }
 }

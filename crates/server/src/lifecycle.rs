@@ -99,7 +99,19 @@ impl LifecycleEvent {
 }
 
 impl Encode for LifecycleEvent {
+    fn wire_len(&self) -> usize {
+        let own_fields = match self {
+            LifecycleEvent::Disconnected { .. } | LifecycleEvent::Rejected { .. } => 0,
+            LifecycleEvent::Connected { .. } => 2,
+            LifecycleEvent::Reclaimed { .. } => 8,
+            LifecycleEvent::Migrated { .. } => 2 + 2,
+        };
+        // tag + arena + client_id, then the variant's own fields.
+        1 + 2 + 4 + own_fields
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_len());
         match self {
             LifecycleEvent::Connected {
                 arena,

@@ -462,10 +462,10 @@ impl ServerShared {
                 // Static assignment: the slot is in this thread's home
                 // block. Dynamic assignment: the client may have been
                 // steered here from any block, so scan everything.
-                let range: Box<dyn Iterator<Item = usize>> = if self.dynamic_assignment() {
-                    Box::new(0..self.clients.capacity())
+                let range = if self.dynamic_assignment() {
+                    0..self.clients.capacity()
                 } else {
-                    Box::new(self.own_slots(thread))
+                    self.own_slots(thread)
                 };
                 for idx in range {
                     let slot = self.clients.slot(idx);
@@ -744,10 +744,7 @@ impl ServerShared {
             if !global.is_empty() {
                 let waited = self.locks.acquire_client(ctx, idx);
                 stats.lock.reply_buffer_ns += waited;
-                let slot = self.clients.slot(idx);
-                for ev in global {
-                    slot.push_event(*ev);
-                }
+                self.clients.slot(idx).push_events(global);
                 ctx.charge(self.cost.event_append * global.len() as u64);
                 self.locks.release_client(ctx, idx);
             }
@@ -975,7 +972,7 @@ mod tests {
                 parquake_math::Vec3::ZERO,
                 true,
             ));
-            slot.events.push(parquake_protocol::GameEvent {
+            slot.events.push_back(parquake_protocol::GameEvent {
                 kind: parquake_protocol::GameEventKind::Sound,
                 a: 1,
                 b: 2,

@@ -78,16 +78,18 @@ pub fn build_reply(
                 }
             }
         }
-        // Entities that left the visible set.
         let visible_ids: std::collections::HashSet<u16> = visible.iter().map(|u| u.id).collect();
+        // Entities that left the visible set, lowest ids first: the
+        // window must not depend on the baseline map's iteration order,
+        // which differs between two runs of one seed.
         let mut removed: Vec<u16> = slot
             .baseline
             .keys()
             .copied()
             .filter(|id| !visible_ids.contains(id))
-            .take(MAX_REMOVALS_PER_REPLY)
             .collect();
         removed.sort_unstable();
+        removed.truncate(MAX_REMOVALS_PER_REPLY);
         for id in &removed {
             slot.baseline.remove(id);
         }
@@ -276,6 +278,46 @@ mod tests {
             &mut work,
         ));
         assert!(removed3.is_empty());
+    }
+
+    /// Which removals go first must be a function of the baseline's
+    /// *contents*: two clients holding the same 100 departed entities
+    /// hear about the same 64 — the lowest ids — first and the other 36
+    /// next. (Taking the window in `HashMap` iteration order made two
+    /// runs of one seed disagree.)
+    #[test]
+    fn removal_window_is_the_lowest_ids_whatever_the_map_order() {
+        let (world, table) = delta_world();
+        table.slot(1).client_id = 7;
+        let ghosts: Vec<u16> = (1000..1100).collect();
+        // Same contents, opposite insertion orders, two hash seeds.
+        for &id in &ghosts {
+            table.slot(0).baseline.insert(id, ghost(id));
+        }
+        for &id in ghosts.iter().rev() {
+            table.slot(1).baseline.insert(id, ghost(id));
+        }
+        let mut work = WorkCounters::new();
+        let mut reply = |slot: usize, frame: u32| {
+            reply_parts(build_reply(
+                &world,
+                0,
+                table.slot(slot),
+                frame,
+                0,
+                true,
+                Vec::new(),
+                None,
+                &mut work,
+            ))
+            .1
+        };
+        let (first0, first1) = (reply(0, 1), reply(1, 1));
+        assert_eq!(first0, ghosts[..MAX_REMOVALS_PER_REPLY]);
+        assert_eq!(first1, first0);
+        let (second0, second1) = (reply(0, 2), reply(1, 2));
+        assert_eq!(second0, ghosts[MAX_REMOVALS_PER_REPLY..]);
+        assert_eq!(second1, second0);
     }
 
     /// A crowd world where far more entities are visible than the
