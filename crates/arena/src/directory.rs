@@ -104,9 +104,12 @@ pub struct ArenaDirectoryConfig {
     /// common to all arenas; `kind` is honoured by `Dedicated` only;
     /// `arena_id` and `lifecycle_port` are overwritten per arena.
     pub server: ServerConfig,
-    /// Pooled workers re-scan for runnable arenas at least this often
-    /// while idle (bounds added latency when a datagram lands while
-    /// every worker sleeps).
+    /// The modelled select timeout of an idle pooled worker on
+    /// `VirtualSmp`: it re-scans for runnable arenas at least this
+    /// often. Unused on fabrics that wake the pool on delivery
+    /// ([`Fabric::wake_on_delivery`], i.e. `RealFabric`) — there an
+    /// idle worker sleeps until a datagram, a pool event or a deadline
+    /// the pool itself owes (pacing, maintenance, end of run).
     pub poll_ns: Nanos,
     /// Minimum gap between two frames of the same arena (0 = purely
     /// event-driven, the sequential server's behaviour).
@@ -236,6 +239,11 @@ pub struct PoolReport {
     pub frames_by_arena: Vec<u64>,
     /// Time each worker spent waiting for a runnable arena.
     pub idle_ns_by_worker: Vec<Nanos>,
+    /// Idle waits of each worker that ended by their deadline rather
+    /// than by a wake-up (with delivery wake-ups: owed pacing,
+    /// maintenance and end-of-run deadlines only; without: mostly the
+    /// `poll_ns` bound).
+    pub idle_timeouts_by_worker: Vec<u64>,
 }
 
 /// A spawned (not yet running) directory.
@@ -890,6 +898,7 @@ pub(crate) struct PoolState {
     frames_by_worker: Vec<u64>,
     frames_by_arena: Vec<u64>,
     idle_ns_by_worker: Vec<Nanos>,
+    idle_timeouts_by_worker: Vec<u64>,
 }
 
 /// Pool scheduling state, guarded by the fabric lock `lock`. The lock
@@ -943,7 +952,9 @@ type PoolSpawn = (
 /// `Arc` per worker).
 struct PoolRunCfg {
     end_time: Nanos,
-    poll_ns: Nanos,
+    /// Idle-wait bound for fabrics that do not wake the pool on
+    /// delivery; `None` when every arena port is watched.
+    poll_ns: Option<Nanos>,
     frame_interval_ns: Nanos,
     maintenance_ns: Nanos,
     supervised: bool,
@@ -1051,13 +1062,28 @@ fn spawn_pool(
             frames_by_worker: vec![0; workers as usize],
             frames_by_arena: vec![0; n],
             idle_ns_by_worker: vec![0; workers as usize],
+            idle_timeouts_by_worker: vec![0; workers as usize],
         }),
     });
     let report = Arc::new(Mutex::new(PoolReport::default()));
+    // Event-driven idling: ask the fabric to ring the pool condvar on
+    // every delivery to an arena port (the degenerate pool blocks on
+    // its one port directly and has no use for it). Rule: never send
+    // to an arena port between `pool.enter` and `pool.exit` — the
+    // delivery passes through the pool lock, which is not re-entrant.
+    // The director forwards outside that section and the gateway pumps
+    // hold no fabric lock. One waiter is woken per delivery; the only
+    // non-worker waiter, `migrate::capture_fence`, waits solely while a
+    // worker holds a claim, and every claim release broadcasts.
+    let degenerate = is_degenerate_pool(n, workers, maintenance_ns, cfg.supervision);
+    let delivery_wakes = !degenerate
+        && cells
+            .iter()
+            .all(|c| fabric.wake_on_delivery(c.port, pool.lock, pool.cond));
 
     let rcfg = Arc::new(PoolRunCfg {
         end_time: cfg.server.end_time,
-        poll_ns: cfg.poll_ns.max(1),
+        poll_ns: (!delivery_wakes).then_some(cfg.poll_ns.max(1)),
         frame_interval_ns: cfg.frame_interval_ns,
         maintenance_ns,
         supervised: cfg.supervision,
@@ -1097,6 +1123,17 @@ fn spawn_pool(
     (ports, results, PoolParts { pool, cells }, report)
 }
 
+/// A 1×1 pool with nothing to tick and nothing to supervise runs the
+/// sequential server's select loop instead of the scan.
+fn is_degenerate_pool(
+    arenas: usize,
+    workers: u32,
+    maintenance_ns: Nanos,
+    supervised: bool,
+) -> bool {
+    arenas == 1 && workers == 1 && maintenance_ns == 0 && !supervised
+}
+
 #[allow(clippy::too_many_arguments)]
 fn pool_worker(
     ctx: &TaskCtx,
@@ -1118,7 +1155,7 @@ fn pool_worker(
     // its catch_unwind wrapper, checkpoints and watchdog claim
     // accounting all live in the scan path.
     let mut degenerate_frames = 0u64;
-    if n == 1 && workers == 1 && rcfg.maintenance_ns == 0 && !rcfg.supervised {
+    if is_degenerate_pool(n, workers, rcfg.maintenance_ns, rcfg.supervised) {
         let cell = &cells[0];
         // `next_due` pacing, exactly like `pool_worker_scan`: input
         // arriving mid-interval is processed *at* `next_due`, not an
@@ -1164,6 +1201,7 @@ fn pool_worker(
         rep.frames_by_worker = st.frames_by_worker.clone();
         rep.frames_by_arena = st.frames_by_arena.clone();
         rep.idle_ns_by_worker = st.idle_ns_by_worker.clone();
+        rep.idle_timeouts_by_worker = st.idle_timeouts_by_worker.clone();
         if rcfg.supervised {
             // Fold worker-side guard counters into the directory's
             // supervision report; the director contributes the
@@ -1311,11 +1349,13 @@ fn pool_worker_scan(
             }
             None => {
                 // Nothing runnable: sleep until the earliest moment an
-                // arena could become runnable — queued input, a
-                // maintenance frame coming due — or the poll bound,
-                // whichever is sooner — then rescan.
+                // arena could become runnable without anyone ringing
+                // the condvar — queued input reaching its pacing or
+                // delivery time, a maintenance frame coming due, the
+                // end of the run — and, only where deliveries do not
+                // ring it, the poll bound; then rescan.
                 let st = pool.state();
-                let mut deadline = now + rcfg.poll_ns;
+                let mut deadline = rcfg.poll_ns.map_or(rcfg.end_time, |p| now + p);
                 for (k, cell) in cells.iter().enumerate() {
                     if st.claimed[k] || st.fenced[k] || !st.live[k] {
                         continue;
@@ -1329,8 +1369,10 @@ fn pool_worker_scan(
                     }
                 }
                 let deadline = deadline.min(rcfg.end_time).max(now + 1);
-                let (waited, _) = ctx.cond_wait_until(pool.cond, pool.lock, deadline);
-                pool.state().idle_ns_by_worker[w as usize] += waited;
+                let (waited, timed_out) = ctx.cond_wait_until(pool.cond, pool.lock, deadline);
+                let st = pool.state();
+                st.idle_ns_by_worker[w as usize] += waited;
+                st.idle_timeouts_by_worker[w as usize] += timed_out as u64;
                 pool.exit(ctx);
             }
         }
@@ -1395,6 +1437,9 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg
             // A stall: the frame "hangs" for the configured time —
             // past the watchdog bound it gets the arena condemned
             // mid-claim; short of it, it drives graceful degradation.
+            // Modelled time, so a virtual-fabric-only fault: `charge`
+            // costs nothing on `RealFabric`, and no real path (`udpd`
+            // exposes only the panic lottery) can configure a stall.
             FrameFault::Stuck(ns) => ctx.charge(ns),
             FrameFault::None => {}
         }

@@ -94,6 +94,10 @@ fn pooled_directory_serves_every_arena() {
         .sum();
     assert_eq!(pool.frames_by_arena.iter().sum::<u64>(), total);
     assert!(pool.frames_by_worker.iter().all(|&f| f > 0));
+    // The virtual fabric rings no pool condvar on delivery: idle
+    // workers still run into `poll_ns`, the modelled select timeout
+    // (the real fabric's side of this branch is `pool_wakeups.rs`).
+    assert!(pool.idle_timeouts_by_worker.iter().sum::<u64>() > 0);
 }
 
 #[test]

@@ -331,7 +331,8 @@ pub enum FrameFault {
     /// Frame panics (the supervisor must catch and recover).
     Panic,
     /// Frame stalls for the given extra modelled time before running
-    /// (long stalls trip the directory watchdog).
+    /// (long stalls trip the directory watchdog). Injected as
+    /// `ctx.charge(ns)`, so it exists on the virtual fabric only.
     Stuck(Nanos),
 }
 

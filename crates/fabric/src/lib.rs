@@ -91,6 +91,20 @@ pub trait Fabric: Send + Sync {
     /// tell "work is ready" apart from "work is on the wire" without
     /// claiming the port.
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos>;
+    /// Ask that every delivery to `port` also wake the waiters of
+    /// `cond`, for schedulers that sleep on one condition variable
+    /// while watching many ports. Returns whether the fabric does so;
+    /// at `false` (the default) the caller must bound its waits
+    /// itself. When `true`, a task that found `port` empty while
+    /// holding `lock` and then waits on `cond` with `lock` cannot miss
+    /// a delivery: the delivering side passes through `lock` before it
+    /// notifies. `lock` is not re-entrant, so nothing may send to a
+    /// watched port while holding it. Must be called before `run`, at
+    /// most once per port.
+    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) -> bool {
+        let _ = (port, lock, cond);
+        false
+    }
 
     /// Register a task. `server_cpu` pins the task onto the modelled
     /// server's CPU topology (used by the virtual HT model); `None`
@@ -103,7 +117,11 @@ pub trait Fabric: Send + Sync {
 
     /// Current time for `task`.
     fn now(&self, task: TaskId) -> Nanos;
-    /// Account `ns` of modelled CPU work to `task`.
+    /// Account `ns` of modelled CPU work to `task`. The modelled
+    /// machine exists only in virtual time: [`virt::VirtualSmp`]
+    /// advances the task's clock by exactly `ns` (HT/bus-scaled);
+    /// [`real::RealFabric`] ignores the call — on wall-clock time the
+    /// code that ran *is* the cost, and `now()` deltas measure it.
     fn charge(&self, task: TaskId, ns: Nanos);
     /// Acquire a mutex; returns the time spent blocked.
     fn lock(&self, task: TaskId, lock: LockId) -> Nanos;

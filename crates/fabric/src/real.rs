@@ -2,13 +2,16 @@
 //! wall-clock time.
 //!
 //! Semantics mirror the pthreads environment of the original server.
-//! `charge()` spins for the requested duration — modelled work consumes
-//! real CPU — so workload shapes carry over between fabrics. Condition
-//! variables may wake spuriously (as pthreads allows); all callers must
-//! re-check predicates in a loop.
+//! `charge()` is a no-op: on wall-clock time the code that ran is the
+//! cost, and the modelled 2003 Xeon lives only on
+//! [`crate::virt::VirtualSmp`]. Nothing here wakes on a timer of its
+//! own — a blocked task resumes on a delivery, a signal or the
+//! deadline its caller passed. Condition variables may wake spuriously
+//! (as pthreads allows); all callers must re-check predicates in a
+//! loop.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RawMutex, RwLock};
@@ -43,6 +46,35 @@ impl PortQueue {
 struct PortImpl {
     q: Mutex<PortQueue>,
     cv: Condvar,
+    /// Set by [`Fabric::wake_on_delivery`]: a scheduler's condvar to
+    /// ring on every delivery, besides the port's own.
+    watch: OnceLock<DeliveryWatch>,
+}
+
+/// A condvar whose waiters watch a port they do not block on.
+struct DeliveryWatch {
+    lock: Arc<RawMutex>,
+    cond: Arc<CondImpl>,
+}
+
+impl PortImpl {
+    /// Wake whoever waits for this port, after a delivery (the queue
+    /// lock must be released: a watcher's lock is taken here).
+    fn ring(&self) {
+        self.cv.notify_one();
+        let Some(w) = self.watch.get() else { return };
+        // A watcher checks the port under `lock`, then waits on `cond`;
+        // `cond_wait*` takes `cond.m` before it releases `lock`. Passing
+        // through `lock` orders this delivery either before that check
+        // (the watcher sees the message) or after `cond.m` was taken
+        // (the notify below blocks until the watcher is parked) — there
+        // is no window in which the wake-up is lost.
+        w.lock.lock();
+        // SAFETY: acquired on the line above.
+        unsafe { w.lock.unlock() };
+        let _guard = w.cond.m.lock();
+        w.cond.cv.notify_one();
+    }
 }
 
 /// OS-thread implementation of [`Fabric`].
@@ -93,13 +125,12 @@ impl RealFabric {
     /// so external producers are safe.
     pub fn send_external(&self, from: PortId, to: PortId, payload: Vec<u8>) {
         let p = self.port_ref(to);
-        let mut q = p.q.lock();
-        q.push(Message {
+        p.q.lock().push(Message {
             from,
             sent_at: self.epoch.elapsed().as_nanos() as Nanos,
             payload,
         });
-        p.cv.notify_one();
+        p.ring();
     }
 
     /// As [`RealFabric::send_external`], but enqueue a whole batch of
@@ -127,7 +158,7 @@ impl RealFabric {
         }
         drop(q);
         if any {
-            p.cv.notify_one();
+            p.ring();
         }
     }
 
@@ -188,6 +219,7 @@ impl Fabric for RealFabric {
                 dropped: 0,
             }),
             cv: Condvar::new(),
+            watch: OnceLock::new(),
         }));
         (v.len() - 1) as PortId
     }
@@ -208,6 +240,16 @@ impl Fabric for RealFabric {
         } else {
             Some(0)
         }
+    }
+
+    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) -> bool {
+        let watch = DeliveryWatch {
+            lock: self.lock_ref(lock),
+            cond: self.cond_ref(cond),
+        };
+        let fresh = self.port_ref(port).watch.set(watch).is_ok();
+        assert!(fresh, "port {port} is already watched");
+        true
     }
 
     fn spawn(&self, name: &str, _server_cpu: Option<u32>, body: TaskBody) -> TaskId {
@@ -272,14 +314,7 @@ impl Fabric for RealFabric {
         self.epoch.elapsed().as_nanos() as Nanos
     }
 
-    fn charge(&self, _task: TaskId, ns: Nanos) {
-        // Modelled work burns real CPU so contention shapes are
-        // preserved under real threads.
-        let target = Instant::now() + Duration::from_nanos(ns);
-        while Instant::now() < target {
-            std::hint::spin_loop();
-        }
-    }
+    fn charge(&self, _task: TaskId, _ns: Nanos) {}
 
     fn attach_witness(&self, w: Arc<LockWitness>) {
         *self.witness.lock() = Some(w);
@@ -368,13 +403,12 @@ impl Fabric for RealFabric {
 
     fn send(&self, task: TaskId, from: PortId, to: PortId, payload: Vec<u8>) {
         let p = self.port_ref(to);
-        let mut q = p.q.lock();
-        q.push(Message {
+        p.q.lock().push(Message {
             from,
             sent_at: self.now(task),
             payload,
         });
-        p.cv.notify_one();
+        p.ring();
     }
 
     fn try_recv(&self, _task: TaskId, port: PortId) -> Option<Message> {
@@ -549,21 +583,156 @@ mod tests {
     }
 
     #[test]
-    fn charge_advances_wall_clock() {
+    fn charge_costs_no_wall_clock() {
         let fabric = FabricKind::Real.build();
-        let took = Arc::new(AtomicU64::new(0));
+        let took = Arc::new(AtomicU64::new(u64::MAX));
         let t = took.clone();
         fabric.spawn(
-            "burner",
+            "charger",
             None,
             Box::new(move |ctx| {
                 let t0 = ctx.now();
-                ctx.charge(3_000_000); // 3 ms
+                for _ in 0..1_000 {
+                    ctx.charge(3_000_000); // 3 s of modelled work in all
+                }
                 t.store(ctx.now() - t0, Ordering::Relaxed);
             }),
         );
         fabric.run();
-        assert!(took.load(Ordering::Relaxed) >= 3_000_000);
+        // Well under ONE modelled charge, let alone a thousand.
+        assert!(took.load(Ordering::Relaxed) < 100_000_000);
+    }
+
+    /// A fabric with one port watched through `(lock, cond)`, plus a
+    /// source port for outside senders.
+    #[allow(clippy::type_complexity)]
+    fn watched_port() -> (
+        Arc<RealFabric>,
+        Arc<dyn Fabric>,
+        PortId,
+        PortId,
+        LockId,
+        CondId,
+    ) {
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let gw = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        let lock = fabric.alloc_lock();
+        let cond = fabric.alloc_cond();
+        assert!(fabric.wake_on_delivery(port, lock, cond));
+        (real, fabric, gw, port, lock, cond)
+    }
+
+    /// A watcher that saw its port empty under the lock and then waits
+    /// on the watched condvar must be woken by a delivery that lands
+    /// anywhere in between — the 2 s deadline is never the way out.
+    #[test]
+    fn watched_port_delivery_never_loses_the_wakeup() {
+        const ROUNDS: u32 = 2_000;
+        let (real, fabric, gw, port, lock, cond) = watched_port();
+        // Round hand-off: the watcher publishes the round it is about
+        // to wait in, the injector answers each round exactly once.
+        let round = Arc::new(AtomicU64::new(0));
+        let r = round.clone();
+        fabric.spawn(
+            "watcher",
+            None,
+            Box::new(move |ctx| {
+                for i in 1..=ROUNDS as u64 {
+                    ctx.lock(lock);
+                    r.store(i, Ordering::Release);
+                    while ctx.fabric().port_next_delivery(port).is_none() {
+                        let (_, timed_out) =
+                            ctx.cond_wait_until(cond, lock, ctx.now() + 2_000_000_000);
+                        assert!(!timed_out, "round {i}: delivery wake-up lost");
+                    }
+                    ctx.unlock(lock);
+                    assert_eq!(ctx.try_recv(port).unwrap().payload, i.to_le_bytes());
+                    assert!(ctx.try_recv(port).is_none());
+                }
+            }),
+        );
+        let injector = std::thread::spawn(move || {
+            let mut rng = parquake_math::Pcg32::seeded(17);
+            for i in 1..=ROUNDS as u64 {
+                while round.load(Ordering::Acquire) < i {
+                    std::hint::spin_loop();
+                }
+                // 0–200 µs: lands before the scan, inside the window
+                // between scan and wait, or after the watcher parked.
+                let delay = Duration::from_nanos(rng.below(200_000) as u64);
+                let t0 = Instant::now();
+                while t0.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                let payload = i.to_le_bytes().to_vec();
+                if i % 2 == 0 {
+                    real.send_external(gw, port, payload);
+                } else {
+                    real.send_external_batch(gw, port, [payload]);
+                }
+            }
+        });
+        fabric.run();
+        injector.join().unwrap();
+    }
+
+    /// The window the stress test above can only graze, held open on
+    /// purpose: the delivery lands after the watcher's scan and before
+    /// its wait. The sender must not get its notify out until the
+    /// watcher is parked.
+    #[test]
+    fn delivery_between_scan_and_wait_still_wakes() {
+        let (real, fabric, gw, port, lock, cond) = watched_port();
+        let (scanned_tx, scanned_rx) = std::sync::mpsc::channel();
+        fabric.spawn(
+            "watcher",
+            None,
+            Box::new(move |ctx| {
+                ctx.lock(lock);
+                assert!(ctx.fabric().port_next_delivery(port).is_none());
+                scanned_tx.send(()).unwrap();
+                // Long enough for the sender to enqueue and reach its
+                // notify, were nothing holding it back.
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(ctx.fabric().port_next_delivery(port).is_some());
+                let (_, timed_out) = ctx.cond_wait_until(cond, lock, ctx.now() + 500_000_000);
+                ctx.unlock(lock);
+                assert!(!timed_out, "notify went out before the watcher parked");
+            }),
+        );
+        let injector = std::thread::spawn(move || {
+            scanned_rx.recv().unwrap();
+            real.send_external(gw, port, vec![1]);
+        });
+        fabric.run();
+        injector.join().unwrap();
+    }
+
+    #[test]
+    fn empty_external_batch_rings_no_watcher() {
+        let (real, fabric, gw, port, lock, cond) = watched_port();
+        let (tx, rx) = std::sync::mpsc::channel();
+        fabric.spawn(
+            "watcher",
+            None,
+            Box::new(move |ctx| {
+                ctx.lock(lock);
+                tx.send(()).unwrap();
+                let (_, timed_out) = ctx.cond_wait_until(cond, lock, ctx.now() + 30_000_000);
+                ctx.unlock(lock);
+                assert!(
+                    timed_out,
+                    "an empty batch delivered nothing and must wake nobody"
+                );
+            }),
+        );
+        let injector = std::thread::spawn(move || {
+            rx.recv().unwrap();
+            real.send_external_batch(gw, port, std::iter::empty());
+        });
+        fabric.run();
+        injector.join().unwrap();
     }
 
     #[test]

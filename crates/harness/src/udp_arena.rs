@@ -137,6 +137,62 @@ fn pump_wait_plan(earliest_due: Option<Instant>, now: Instant) -> PumpWait {
     }
 }
 
+/// An inbound pump's socket plus its current blocking mode, so a mode
+/// or timeout switch costs a syscall only when the plan changes.
+struct PumpSock {
+    sock: UdpSocket,
+    /// Read timeout last set (`None` = not set by us yet).
+    timeout: Option<Duration>,
+    nonblocking: bool,
+}
+
+impl PumpSock {
+    fn new(sock: UdpSocket) -> PumpSock {
+        PumpSock {
+            sock,
+            timeout: None,
+            nonblocking: false,
+        }
+    }
+
+    /// Wait for one datagram as `plan` says. Returns it with the
+    /// instant it was in hand, read *after* the wait: the wait may
+    /// have blocked for up to [`PUMP_IDLE_TIMEOUT`], so a clock value
+    /// from before it is up to that stale — arrivals (address-book
+    /// `last_seen`, fault-delay due times) are stamped with this one.
+    fn recv(
+        &mut self,
+        plan: PumpWait,
+        buf: &mut [u8],
+    ) -> std::io::Result<(usize, SocketAddr, Instant)> {
+        let res = match plan {
+            PumpWait::Block(want) => {
+                if self.nonblocking {
+                    let _ = self.sock.set_nonblocking(false);
+                    self.nonblocking = false;
+                }
+                if self.timeout != Some(want) {
+                    let _ = self.sock.set_read_timeout(Some(want));
+                    self.timeout = Some(want);
+                }
+                self.sock.recv_from(buf)
+            }
+            PumpWait::PollSleep(nap) => {
+                if !self.nonblocking {
+                    let _ = self.sock.set_nonblocking(true);
+                    self.nonblocking = true;
+                }
+                let r = self.sock.recv_from(buf);
+                if r.is_err() && !nap.is_zero() {
+                    std::thread::sleep(nap);
+                }
+                r
+            }
+        };
+        res.map(|(n, from)| (n, from, Instant::now()))
+    }
+}
+
 /// How often an outbound pump retries held (not-yet-routable) replies
 /// when no new gateway traffic wakes it — without this bound a reply
 /// whose address-book entry lands just after it would sit the whole
@@ -647,9 +703,9 @@ pub(crate) fn spawn_outbound_pump(fabric: &Arc<dyn Fabric>, p: OutboundShard) {
                 // Everything sendable this wakeup goes out in one
                 // batched write at the end.
                 let mut outbox: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
-                held.retain(|(since, cid, payload)| {
+                held.retain_mut(|(since, cid, payload)| {
                     if let Some(e) = addrs.get(*cid) {
-                        outbox.push((payload.clone(), e.addr));
+                        outbox.push((std::mem::take(payload), e.addr));
                         false
                     } else if now.duration_since(*since) >= REPLY_RETAIN {
                         unroutable += 1;
@@ -804,9 +860,6 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     );
 
     let (socks, _reuseport) = bind_shard_sockets(opts.port, shards)?;
-    for sock in &socks {
-        sock.set_read_timeout(Some(PUMP_IDLE_TIMEOUT))?;
-    }
 
     let addrs: Arc<StripedBook<AddrEntry>> = Arc::new(StripedBook::new(shards));
     let placements: Arc<StripedBook<GwPlacement>> = Arc::new(StripedBook::new(shards));
@@ -841,9 +894,11 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     let front = handle.front_port;
     let pumps: Vec<std::thread::JoinHandle<(GatewayLane, Vec<u64>)>> = (0..shards)
         .map(|shard| {
-            let sock = socks[shard]
-                .try_clone()
-                .expect("shard socket clone for inbound pump");
+            let mut sock = PumpSock::new(
+                socks[shard]
+                    .try_clone()
+                    .expect("shard socket clone for inbound pump"),
+            );
             let real = real.clone();
             let gw = gw_ports[shard];
             let addrs = addrs.clone();
@@ -863,8 +918,6 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
                 // Fabric deliveries staged this wakeup, flushed in
                 // per-port batches under one queue lock each.
                 let mut outbox: Vec<(PortId, Vec<u8>)> = Vec::new();
-                let mut cur_timeout = PUMP_IDLE_TIMEOUT;
-                let mut nonblocking = false;
 
                 fn stage(
                     lane: &mut GatewayLane,
@@ -977,32 +1030,11 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
                     // Wait so the earliest held due time is hit on the
                     // dot (block far out, poll the final stretch)
                     // instead of up to the idle timeout late.
-                    let res = match pump_wait_plan(held.iter().map(|h| h.0).min(), now) {
-                        PumpWait::Block(want) => {
-                            if nonblocking {
-                                let _ = sock.set_nonblocking(false);
-                                nonblocking = false;
-                            }
-                            if want != cur_timeout {
-                                let _ = sock.set_read_timeout(Some(want));
-                                cur_timeout = want;
-                            }
-                            sock.recv_from(&mut buf)
-                        }
-                        PumpWait::PollSleep(nap) => {
-                            if !nonblocking {
-                                let _ = sock.set_nonblocking(true);
-                                nonblocking = true;
-                            }
-                            let r = sock.recv_from(&mut buf);
-                            if r.is_err() && !nap.is_zero() {
-                                std::thread::sleep(nap);
-                            }
-                            r
-                        }
-                    };
-                    match res {
-                        Ok((n, from)) => {
+                    let plan = pump_wait_plan(held.iter().map(|h| h.0).min(), now);
+                    match sock.recv(plan, &mut buf) {
+                        // `received`, not the pre-wait `now`, stamps
+                        // the whole burst.
+                        Ok((n, from, received)) => {
                             let (payload, rest) = buf.split_at_mut(n);
                             let _ = rest;
                             process(
@@ -1012,11 +1044,11 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
                                 &mut outbox,
                                 payload,
                                 from,
-                                now,
+                                received,
                             );
                             // Drain the rest of a burst in one batched
                             // syscall (no-op without mmsg capability).
-                            for (extra, from2) in mmsg::recv_more(&sock, mmsg::BATCH - 1) {
+                            for (extra, from2) in mmsg::recv_more(&sock.sock, mmsg::BATCH - 1) {
                                 lane.batched_recvs += 1;
                                 process(
                                     &mut lane,
@@ -1025,7 +1057,7 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
                                     &mut outbox,
                                     &extra,
                                     from2,
-                                    now,
+                                    received,
                                 );
                             }
                         }
@@ -1602,44 +1634,20 @@ mod tests {
             eprintln!("skipping: loopback UDP not permitted");
             return;
         };
+        let mut sock = PumpSock::new(sock);
         let mut worst = Duration::ZERO;
         // Best-of-3: absorb scheduler hiccups on loaded machines.
         for _ in 0..3 {
             // 15 ms out exercises both phases: block, then poll.
             let due = Instant::now() + Duration::from_millis(15);
-            let mut cur = PUMP_IDLE_TIMEOUT;
-            let mut nonblocking = false;
-            sock.set_read_timeout(Some(cur)).unwrap();
             let mut buf = [0u8; 16];
             let delivered = loop {
                 let now = Instant::now();
                 if due <= now {
                     break now; // the pump would inject the copy here
                 }
-                match pump_wait_plan(Some(due), now) {
-                    PumpWait::Block(want) => {
-                        if nonblocking {
-                            sock.set_nonblocking(false).unwrap();
-                            nonblocking = false;
-                        }
-                        if want != cur {
-                            sock.set_read_timeout(Some(want)).unwrap();
-                            cur = want;
-                        }
-                        let _ = sock.recv_from(&mut buf); // quiet: timeout
-                    }
-                    PumpWait::PollSleep(nap) => {
-                        if !nonblocking {
-                            sock.set_nonblocking(true).unwrap();
-                            nonblocking = true;
-                        }
-                        if sock.recv_from(&mut buf).is_err() && !nap.is_zero() {
-                            std::thread::sleep(nap);
-                        }
-                    }
-                }
+                let _ = sock.recv(pump_wait_plan(Some(due), now), &mut buf); // quiet: timeout
             };
-            sock.set_nonblocking(false).unwrap();
             let err = delivered.duration_since(due);
             worst = worst.max(err);
             if err < Duration::from_millis(2) {
@@ -1647,6 +1655,44 @@ mod tests {
             }
         }
         panic!("delayed delivery error {worst:?} ≥ 2ms on every attempt");
+    }
+
+    /// The stamping side of the same bound. The pump reads the clock
+    /// at the top of its loop and may then block up to 10 ms in the
+    /// receive; stamping an arrival with that pre-wait clock made a
+    /// fault-delayed copy come due up to 10 ms early (and measured
+    /// rebind grace from a stale instant). The stamp is the one
+    /// `PumpSock::recv` takes after the wait.
+    #[test]
+    fn arrival_after_silence_is_stamped_when_received() {
+        let (Ok(rx), Ok(tx)) = (
+            UdpSocket::bind("127.0.0.1:0"),
+            UdpSocket::bind("127.0.0.1:0"),
+        ) else {
+            eprintln!("skipping: loopback UDP not permitted");
+            return;
+        };
+        let to = rx.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(8));
+            let sent = Instant::now();
+            tx.send_to(&[7], to).unwrap();
+            sent
+        });
+        let mut sock = PumpSock::new(rx);
+        let mut buf = [0u8; 16];
+        let received = loop {
+            // The pump's own order: clock, plan, wait (≥ 8 ms here).
+            let now = Instant::now();
+            if let Ok((_, _, received)) = sock.recv(pump_wait_plan(None, now), &mut buf) {
+                break received;
+            }
+        };
+        let sent = sender.join().unwrap();
+        // Held copies come due at `stamp + drawn delay`, so a 5 ms
+        // draw is staged no earlier than 5 ms after the arrival iff
+        // the stamp is no earlier than the arrival.
+        assert!(received >= sent, "stamped before the datagram existed");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! contention, waits, saturation knees for other configurations —
 //! emerges from running the actual algorithm.
 //!
-//! On the real-thread fabric the same charges are burned as spin time,
-//! so workload *shape* is preserved across fabrics.
+//! The real-thread fabric ignores the charges: there the code that ran
+//! is the cost and `ctx.now()` deltas measure it. The model is a
+//! virtual-fabric concept.
 
 use parquake_fabric::Nanos;
 use parquake_sim::WorkCounters;
