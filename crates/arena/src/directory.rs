@@ -64,9 +64,7 @@ use parquake_metrics::{
 use parquake_protocol::{ClientMessage, Decode};
 use parquake_server::clients::SlotState;
 use parquake_server::runtime::{FrameState, ServerShared, REQUEST_QUEUE_CAP};
-use parquake_server::{
-    spawn_server, LifecycleEvent, LockPolicy, ServerConfig, ServerHandle, ServerResults,
-};
+use parquake_server::{spawn_server, LifecycleEvent, ServerConfig, ServerHandle, ServerResults};
 use parquake_sim::GameWorld;
 
 use crate::admission::{AdmissionPolicy, AdmissionStats};
@@ -104,21 +102,6 @@ pub struct ArenaDirectoryConfig {
     /// common to all arenas; `kind` is honoured by `Dedicated` only;
     /// `arena_id` and `lifecycle_port` are overwritten per arena.
     pub server: ServerConfig,
-    /// The modelled select timeout of an idle pooled worker on
-    /// `VirtualSmp`: it re-scans for runnable arenas at least this
-    /// often. Unused on fabrics that wake the pool on delivery
-    /// ([`Fabric::wake_on_delivery`], i.e. `RealFabric`) — there an
-    /// idle worker sleeps until a datagram, a pool event or a deadline
-    /// the pool itself owes (pacing, maintenance, end of run).
-    pub poll_ns: Nanos,
-    /// Minimum gap between two frames of the same arena (0 = purely
-    /// event-driven, the sequential server's behaviour).
-    pub frame_interval_ns: Nanos,
-    /// Run the pooled frame body under a region-locking policy
-    /// (uncontended inside one frame, but the lock/unlock pattern and
-    /// the witness stay exercised). `None` = the sequential server's
-    /// lock-free frames.
-    pub pooled_locking: Option<LockPolicy>,
     /// Elasticity ceiling (pooled scheduling only): up to this many
     /// arenas may be live at once; cells beyond `arenas` start cold
     /// and are spawned under admission pressure. `0` (the default) and
@@ -129,9 +112,6 @@ pub struct ArenaDirectoryConfig {
     /// How long a non-boot arena's occupancy must sit at zero before
     /// it is reaped.
     pub linger_ns: Nanos,
-    /// Arena runtimes report lifecycle events to the director (on by
-    /// default). Off reproduces PR 3's drifting occupancy estimate.
-    pub lifecycle: bool,
     /// Pooled arenas with resident sessions run a frame at least this
     /// often even with no input queued, so leave/timeout maintenance
     /// (despawns, `Bye`s, lifecycle notices) cannot stall waiting for
@@ -140,13 +120,6 @@ pub struct ArenaDirectoryConfig {
     /// and stays off otherwise (keeping the 1×1 degenerate path
     /// byte-identical to the sequential server).
     pub maintenance_ns: Nanos,
-    /// LRU bound on the director's book (entries). `0` = automatic:
-    /// 4× the directory's total player capacity.
-    pub book_cap: usize,
-    /// The director wakes at least this often to drain lifecycle
-    /// notices and run elastic bookkeeping while the front door is
-    /// quiet.
-    pub notice_poll_ns: Nanos,
     /// Supervise arena frames (pooled scheduling): run each claimed
     /// frame behind `catch_unwind` so a panic fates only that arena,
     /// checkpoint periodically, watchdog stuck frames, and restore
@@ -160,8 +133,6 @@ pub struct ArenaDirectoryConfig {
     /// only). `0` disables periodic checkpoints (the spawn-time
     /// checkpoint is still taken, so restore always has a target).
     pub checkpoint_interval: u32,
-    /// Checkpoints retained per arena ring.
-    pub checkpoint_depth: usize,
     /// The watchdog condemns an arena whose claimed frame has been
     /// running longer than this. A stuck frame cannot be preempted —
     /// the watchdog fences the arena (liveness masked, fate condemned)
@@ -182,8 +153,6 @@ pub struct ArenaDirectoryConfig {
     /// to 2 — moving a client across a spread of 1 just swaps which
     /// arena is hotter.
     pub migrate_spread: u32,
-    /// Minimum gap between two migration handoffs (spread or drain).
-    pub migrate_interval_ns: Nanos,
     /// Drain-before-reap (pooled + elastic only): a non-boot live
     /// arena whose whole population fits in the other live arenas'
     /// free capacity is emptied by migration, one slot per tick, so
@@ -208,22 +177,14 @@ impl ArenaDirectoryConfig {
             map: MapGenConfig::large_arena(0x6D_6D_31),
             areanode_depth: 4,
             server,
-            poll_ns: 1_000_000,
-            frame_interval_ns: 0,
-            pooled_locking: None,
             max_arenas: 0,
             linger_ns: 500_000_000,
-            lifecycle: true,
             maintenance_ns: 0,
-            book_cap: 0,
-            notice_poll_ns: 2_000_000,
             supervision: false,
             checkpoint_interval: 64,
-            checkpoint_depth: 4,
             watchdog_ns: 250_000_000,
             frame_faults: None,
             migrate_spread: 0,
-            migrate_interval_ns: 25_000_000,
             migrate_drain: false,
             lifecycle_tap: None,
         }
@@ -242,7 +203,7 @@ pub struct PoolReport {
     /// Idle waits of each worker that ended by their deadline rather
     /// than by a wake-up (with delivery wake-ups: owed pacing,
     /// maintenance and end-of-run deadlines only; without: mostly the
-    /// `poll_ns` bound).
+    /// 1 ms `POLL_NS` bound).
     pub idle_timeouts_by_worker: Vec<u64>,
 }
 
@@ -272,9 +233,9 @@ pub struct ArenaHandle {
     /// shedding), filled when the run ends. All-zero when
     /// `supervision` is off.
     pub supervisor: Arc<Mutex<SupervisorStats>>,
-    /// The director's lifecycle control port (tests inject synthetic
-    /// notices here). `None` when lifecycle reporting is disabled.
-    pub lifecycle_port: Option<PortId>,
+    /// The director's lifecycle control port: every arena runtime
+    /// reports slot churn here (tests inject synthetic notices).
+    pub lifecycle_port: PortId,
 }
 
 /// Spawn the directory onto `fabric`: all arena runtimes (live and
@@ -287,11 +248,7 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         ArenaScheduling::Pooled { .. } => (cfg.max_arenas as usize).max(boot),
         ArenaScheduling::Dedicated => boot,
     };
-    let lifecycle_port = if cfg.lifecycle {
-        Some(fabric.alloc_bounded_port(REQUEST_QUEUE_CAP))
-    } else {
-        None
-    };
+    let lifecycle_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
     let map = Arc::new(cfg.map.generate());
     let worlds: Vec<Arc<GameWorld>> = (0..max_arenas)
         .map(|_| {
@@ -316,7 +273,7 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
             for (k, world) in worlds.iter().enumerate() {
                 let mut scfg = cfg.server.clone();
                 scfg.arena_id = k as u16;
-                scfg.lifecycle_port = lifecycle_port;
+                scfg.lifecycle_port = Some(lifecycle_port);
                 // Dedicated supervision is panic isolation only: a
                 // caught panic stops that runtime cleanly (results
                 // still published); there is no pooled claim table to
@@ -337,13 +294,11 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
     let admission = Arc::new(Mutex::new(AdmissionStats::default()));
     let elastic = Arc::new(Mutex::new(ElasticStats::default()));
     let front_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
-    let book_cap = if cfg.book_cap > 0 {
-        cfg.book_cap
-    } else {
-        (max_arenas * cfg.slots_per_arena as usize)
-            .saturating_mul(4)
-            .max(64)
-    };
+    // LRU bound on the director's book: 4× the directory's total
+    // player capacity.
+    let book_cap = (max_arenas * cfg.slots_per_arena as usize)
+        .saturating_mul(4)
+        .max(64);
     let env = DirectorEnv {
         front: front_port,
         lifecycle: lifecycle_port,
@@ -354,7 +309,6 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         end_time: cfg.server.end_time,
         boot,
         linger_ns: cfg.linger_ns,
-        notice_poll_ns: cfg.notice_poll_ns.max(1),
         book_cap,
         pool: pool_parts,
         results: results.clone(),
@@ -368,7 +322,6 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         } else {
             0
         },
-        migrate_interval_ns: cfg.migrate_interval_ns.max(1),
         migrate_drain: cfg.migrate_drain,
         tap: cfg.lifecycle_tap,
     };
@@ -399,7 +352,7 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
 /// one move.
 pub(crate) struct DirectorEnv {
     pub(crate) front: PortId,
-    lifecycle: Option<PortId>,
+    lifecycle: PortId,
     arena_ports: Vec<Vec<PortId>>,
     pub(crate) policy: AdmissionPolicy,
     pub(crate) capacity: u32,
@@ -408,7 +361,6 @@ pub(crate) struct DirectorEnv {
     /// Arenas live at boot (never reaped).
     pub(crate) boot: usize,
     linger_ns: Nanos,
-    notice_poll_ns: Nanos,
     book_cap: usize,
     /// Pool internals for spawn/reap and supervised restore (pooled
     /// scheduling only).
@@ -420,7 +372,6 @@ pub(crate) struct DirectorEnv {
     pub(crate) watchdog_ns: Nanos,
     supervisor_out: Arc<Mutex<SupervisorStats>>,
     pub(crate) migrate_spread: u32,
-    pub(crate) migrate_interval_ns: Nanos,
     pub(crate) migrate_drain: bool,
     pub(crate) tap: Option<PortId>,
 }
@@ -450,6 +401,11 @@ pub(crate) struct Director {
     /// throttle — see [`crate::migrate`]).
     pub(crate) next_migrate_at: Nanos,
 }
+
+/// The director wakes at least this often to drain lifecycle notices
+/// and run elastic bookkeeping while the front door is quiet (one task
+/// cannot block on two ports).
+const NOTICE_POLL_NS: Nanos = 2_000_000;
 
 fn director(ctx: &TaskCtx, env: &DirectorEnv) {
     let n = env.arena_ports.len();
@@ -481,11 +437,9 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
         // The front door is the main wait; lifecycle notices and linger
         // expiries bound the sleep so they are drained/acted on even
         // when no client traffic arrives.
-        let mut deadline = now + env.notice_poll_ns;
-        if let Some(lp) = env.lifecycle {
-            if let Some(t) = ctx.fabric().port_next_delivery(lp) {
-                deadline = deadline.min(t.max(now + 1));
-            }
+        let mut deadline = now + NOTICE_POLL_NS;
+        if let Some(t) = ctx.fabric().port_next_delivery(env.lifecycle) {
+            deadline = deadline.min(t.max(now + 1));
         }
         for k in env.boot..n {
             if let Some(t0) = d.empty_since[k] {
@@ -501,16 +455,14 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
             ctx.charge(env.cost.recv);
             handle_front(ctx, env, &mut d, raw.from, &raw.payload);
         }
-        if let Some(lp) = env.lifecycle {
-            // Notices are drained uncharged: they model an in-process
-            // queue, not client traffic. Each one is mirrored to the
-            // tap (when configured) so downstream placement books see
-            // the same stream the ledger does.
-            while let Some(raw) = ctx.try_recv(lp) {
-                handle_notice(&mut d, &raw.payload);
-                if let Some(tap) = env.tap {
-                    ctx.send(env.front, tap, raw.payload.clone());
-                }
+        // Notices are drained uncharged: they model an in-process
+        // queue, not client traffic. Each one is mirrored to the tap
+        // (when configured) so downstream placement books see the same
+        // stream the ledger does.
+        while let Some(raw) = ctx.try_recv(env.lifecycle) {
+            handle_notice(&mut d, &raw.payload);
+            if let Some(tap) = env.tap {
+                ctx.send(env.front, tap, raw.payload.clone());
             }
         }
         elastic_reap(ctx, env, &mut d);
@@ -884,8 +836,8 @@ pub(crate) struct PoolState {
     pub(crate) sessions: Vec<bool>,
     /// When arena k's last frame finished (maintenance pacing).
     pub(crate) last_frame: Vec<Nanos>,
-    /// Earliest time arena k may start its next frame
-    /// (`frame_interval_ns` pacing).
+    /// Earliest time arena k may start its next frame: now, unless
+    /// sustained overruns stretched it (supervised arenas only).
     pub(crate) next_due: Vec<Nanos>,
     /// When arena k's current claim was taken (watchdog clock).
     pub(crate) claim_started: Vec<Nanos>,
@@ -948,20 +900,31 @@ type PoolSpawn = (
     Arc<Mutex<PoolReport>>,
 );
 
+/// The modelled select timeout of an idle pooled worker on
+/// `VirtualSmp`: it re-scans for runnable arenas at least this often.
+/// Unused on fabrics that wake the pool on delivery
+/// ([`Fabric::wake_on_delivery`], i.e. `RealFabric`) — there an idle
+/// worker sleeps until a datagram, a pool event or a deadline the pool
+/// itself owes (overload pacing, maintenance, end of run).
+const POLL_NS: Nanos = 1_000_000;
+
+/// A frame running longer than this (one client tick) counts as an
+/// overrun for the graceful-degradation stretch, and is the unit a
+/// stretched arena's frames are paced in.
+const FRAME_DEADLINE_NS: Nanos = 30_000_000;
+
+/// Checkpoints retained per arena ring.
+const CHECKPOINT_DEPTH: usize = 4;
+
 /// Per-run knobs every pool worker shares (one allocation, cloned
 /// `Arc` per worker).
 struct PoolRunCfg {
     end_time: Nanos,
-    /// Idle-wait bound for fabrics that do not wake the pool on
-    /// delivery; `None` when every arena port is watched.
-    poll_ns: Option<Nanos>,
-    frame_interval_ns: Nanos,
+    /// Whether idle waits need the [`POLL_NS`] bound: the fabric does
+    /// not wake the pool on delivery.
+    poll: bool,
     maintenance_ns: Nanos,
     supervised: bool,
-    /// A frame running longer than this counts as an overrun for the
-    /// graceful-degradation stretch (`frame_interval_ns`, or 30 ms
-    /// when frames are purely event-driven).
-    frame_deadline_ns: Nanos,
     checkpoint_interval: u32,
 }
 
@@ -970,7 +933,7 @@ fn spawn_pool(
     cfg: &ArenaDirectoryConfig,
     worlds: &[Arc<GameWorld>],
     workers: u32,
-    lifecycle_port: Option<PortId>,
+    lifecycle_port: PortId,
     supervisor: &Arc<Mutex<SupervisorStats>>,
 ) -> PoolSpawn {
     assert!(workers >= 1, "pool needs at least one worker");
@@ -993,22 +956,12 @@ fn spawn_pool(
     for (k, world) in worlds.iter().enumerate() {
         let mut scfg = cfg.server.clone();
         scfg.arena_id = k as u16;
-        scfg.lifecycle_port = lifecycle_port;
-        let shared = Arc::new(ServerShared::new(
-            fabric,
-            &scfg,
-            world.clone(),
-            1,
-            cfg.pooled_locking,
-        ));
-        if cfg.pooled_locking.is_some() {
-            shared.set_checking(true);
-        } else {
-            // The sequential frame body takes no region locks, so the
-            // parallel protocol checkers have nothing to check.
-            shared.world.links.set_checking(false);
-            shared.world.store.set_checking(false);
-        }
+        scfg.lifecycle_port = Some(lifecycle_port);
+        let shared = Arc::new(ServerShared::new(fabric, &scfg, world.clone(), 1, None));
+        // The sequential frame body takes no region locks, so the
+        // parallel protocol checkers have nothing to check.
+        shared.world.links.set_checking(false);
+        shared.world.store.set_checking(false);
         ports.push(shared.ports.clone());
         results.push(Arc::new(Mutex::new(ServerResults::default())));
         // The per-arena fault lottery is salted with the arena id so
@@ -1030,7 +983,7 @@ fn spawn_pool(
             shared,
             frame: UnsafeCell::new(FrameState::default()),
             guard: UnsafeCell::new(ArenaGuard {
-                ring: CheckpointRing::new(cfg.checkpoint_depth),
+                ring: CheckpointRing::new(CHECKPOINT_DEPTH),
                 lottery,
                 stretch: 1,
                 overruns: 0,
@@ -1083,15 +1036,9 @@ fn spawn_pool(
 
     let rcfg = Arc::new(PoolRunCfg {
         end_time: cfg.server.end_time,
-        poll_ns: (!delivery_wakes).then_some(cfg.poll_ns.max(1)),
-        frame_interval_ns: cfg.frame_interval_ns,
+        poll: !delivery_wakes,
         maintenance_ns,
         supervised: cfg.supervision,
-        frame_deadline_ns: if cfg.frame_interval_ns > 0 {
-            cfg.frame_interval_ns
-        } else {
-            30_000_000
-        },
         checkpoint_interval: cfg.checkpoint_interval,
     });
     let cells = Arc::new(cells);
@@ -1147,37 +1094,18 @@ fn pool_worker(
     supervisor: &Mutex<SupervisorStats>,
 ) {
     let n = cells.len();
-    // A 1×1 pool with no maintenance ticking and no supervision
-    // degenerates to the sequential server's select loop: no
-    // scheduling lock, no polling — byte-identical behaviour to
-    // `ServerKind::Sequential`, so a default single-arena directory
-    // adds zero overhead over today's server. Supervision opts out:
-    // its catch_unwind wrapper, checkpoints and watchdog claim
-    // accounting all live in the scan path.
+    // A 1×1 pool with no maintenance ticking and no supervision runs
+    // the sequential server's select loop itself: no scheduling lock,
+    // no polling, so a default single-arena directory *is*
+    // `ServerKind::Sequential`. Supervision opts out: its catch_unwind
+    // wrapper, checkpoints and watchdog claim accounting all live in
+    // the scan path.
     let mut degenerate_frames = 0u64;
     if is_degenerate_pool(n, workers, rcfg.maintenance_ns, rcfg.supervised) {
-        let cell = &cells[0];
-        // `next_due` pacing, exactly like `pool_worker_scan`: input
-        // arriving mid-interval is processed *at* `next_due`, not an
-        // extra interval later. With `frame_interval_ns == 0` the
-        // sleep never fires and the loop is the sequential server's.
-        let mut next_due: Nanos = 0;
-        loop {
-            let t0 = ctx.now();
-            if !ctx.wait_readable(cell.port, Some(rcfg.end_time)) {
-                break;
-            }
-            cell.frame()
-                .stats
-                .breakdown
-                .add(Bucket::Idle, ctx.now() - t0);
-            if rcfg.frame_interval_ns > 0 && ctx.now() < next_due {
-                ctx.sleep_until(next_due);
-            }
-            run_arena_frame(ctx, cell, None);
-            next_due = ctx.now() + rcfg.frame_interval_ns;
-            degenerate_frames += 1;
-        }
+        let f = cells[0].frame();
+        let before = f.frame_no;
+        cells[0].shared.run_single_loop(ctx, f);
+        degenerate_frames = (f.frame_no - before) as u64;
     } else {
         pool_worker_scan(ctx, w, cells, pool, rcfg);
     }
@@ -1328,15 +1256,15 @@ fn pool_worker_scan(
                     // condemn time); the director restores it from
                     // checkpoint now that the claim is clear.
                 } else {
-                    // Graceful degradation: a stretched arena paces
-                    // its frames at `stretch ×` the frame interval
-                    // (or the deadline, when purely event-driven).
-                    let base = if stretch > 1 {
-                        rcfg.frame_interval_ns.max(rcfg.frame_deadline_ns)
+                    // Frames are event-driven; graceful degradation
+                    // paces a stretched arena at `stretch ×` the frame
+                    // deadline.
+                    let gap = if stretch > 1 {
+                        FRAME_DEADLINE_NS * stretch as u64
                     } else {
-                        rcfg.frame_interval_ns
+                        0
                     };
-                    st.next_due[k] = ctx.now() + base * stretch as u64;
+                    st.next_due[k] = ctx.now() + gap;
                     st.last_frame[k] = ctx.now();
                     st.sessions[k] = has_sessions;
                 }
@@ -1355,7 +1283,11 @@ fn pool_worker_scan(
                 // end of the run — and, only where deliveries do not
                 // ring it, the poll bound; then rescan.
                 let st = pool.state();
-                let mut deadline = rcfg.poll_ns.map_or(rcfg.end_time, |p| now + p);
+                let mut deadline = if rcfg.poll {
+                    now + POLL_NS
+                } else {
+                    rcfg.end_time
+                };
                 for (k, cell) in cells.iter().enumerate() {
                     if st.claimed[k] || st.fenced[k] || !st.live[k] {
                         continue;
@@ -1427,10 +1359,10 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg
     let t0 = ctx.now();
     // The lottery fires before any frame work — and before any fabric
     // lock could possibly be taken — so an injected panic can never
-    // wedge a lock. (An organic mid-frame panic under `pooled_locking`
-    // can; see DESIGN.md §10's documented limitations.) An injected
-    // stall counts toward the overrun clock below: a slow frame is an
-    // overrun, wherever the time went.
+    // wedge a lock. (An organic mid-frame panic can; see DESIGN.md
+    // §9's documented limitations.) An injected stall counts toward
+    // the overrun clock below: a slow frame is an overrun, wherever
+    // the time went.
     if let Some(lot) = g.lottery.as_mut() {
         match lot.draw() {
             FrameFault::Panic => std::panic::panic_any(InjectedPanic),
@@ -1456,7 +1388,7 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg
     // the arena's effective frame interval (cap 8×); a frame back
     // under the deadline halves it toward real time.
     let dur = ctx.now() - t0;
-    if dur > rcfg.frame_deadline_ns {
+    if dur > FRAME_DEADLINE_NS {
         g.overruns += 1;
         if g.overruns >= 2 && g.stretch < 8 {
             g.stretch *= 2;

@@ -36,7 +36,7 @@
 //! source entity is despawned, so any failure aborts that slot with
 //! both worlds untouched.
 //!
-//! One fence per tick (`migrate_interval_ns`), up to [`MIGRATE_BATCH`]
+//! One fence per tick ([`MIGRATE_INTERVAL_NS`]), up to [`MIGRATE_BATCH`]
 //! slots per fence: the fence wait is the expensive part (a frame
 //! boundary on a hot arena can be tens of milliseconds away), so a
 //! captured fence is amortised over a small batch while keeping the
@@ -76,6 +76,9 @@ use crate::directory::{drain_requests_coalesced, ArenaFate, Director, DirectorEn
 /// skewed fleet takes tens of fences, not hundreds.
 pub const MIGRATE_BATCH: usize = 8;
 
+/// Minimum gap between two migration handoffs (spread or drain).
+const MIGRATE_INTERVAL_NS: u64 = 25_000_000;
+
 /// How long the director will hold a pending fence waiting for the
 /// in-flight frames to reach their boundary before giving up. Matches
 /// the default watchdog bound: a frame that overruns this is condemned
@@ -97,7 +100,7 @@ pub(crate) fn rebalance(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
     if now < d.next_migrate_at {
         return;
     }
-    d.next_migrate_at = now + env.migrate_interval_ns;
+    d.next_migrate_at = now + MIGRATE_INTERVAL_NS;
     if let Some((src, dst)) = pick_drain(env, d) {
         handoff(ctx, env, d, parts, src, dst, true);
     } else if let Some((src, dst)) = pick_spread(env, d) {

@@ -133,6 +133,45 @@ pub struct BotSwarm {
     /// Ring entries still unacked across all bots at shutdown — the
     /// `in_flight` term that closes the prediction ledger.
     pub predict_in_flight: Arc<AtomicU64>,
+    /// The fabric port of each spawned driver, in client-block order:
+    /// entry `d` is the source (and reply) address of the `d`-th
+    /// contiguous block of clients. Shorter than
+    /// [`BotSwarmConfig::drivers`] when there are fewer players than
+    /// drivers; empty for a swarm of zero.
+    pub driver_ports: Vec<PortId>,
+}
+
+/// Everything a swarm measured, as plain values.
+#[derive(Clone, Debug, Default)]
+pub struct SwarmReport {
+    pub stats: ResponseStats,
+    pub connected: u32,
+    pub per_arena: Vec<ResponseStats>,
+    pub restarts_observed: u64,
+    pub rehomed: u64,
+    pub prediction: parquake_metrics::PredictionStats,
+    pub predict_in_flight: u64,
+}
+
+impl BotSwarm {
+    /// Read every sink. Host-side, after `fabric.run()` returned: the
+    /// drivers merge into the sinks as their last act, so the values
+    /// are final only once no task is alive.
+    pub fn report(&self) -> SwarmReport {
+        fn read<T: Clone>(sink: &Mutex<T>) -> T {
+            let guard = sink.lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side read of a swarm sink after fabric.run() returned, no tasks alive)
+            guard.clone()
+        }
+        SwarmReport {
+            stats: read(&self.stats),
+            connected: self.connected.load(Ordering::Relaxed),
+            per_arena: read(&self.per_arena),
+            restarts_observed: self.restarts_observed.load(Ordering::Relaxed),
+            rehomed: self.rehomed.load(Ordering::Relaxed),
+            prediction: read(&self.prediction),
+            predict_in_flight: self.predict_in_flight.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Where a swarm's traffic goes.
@@ -208,6 +247,7 @@ pub fn spawn_swarm_multi(
     let predict_in_flight = Arc::new(AtomicU64::new(0));
     let drivers = cfg.drivers.clamp(1, cfg.players.max(1));
     let per = cfg.players.div_ceil(drivers);
+    let mut driver_ports = Vec::with_capacity(drivers as usize);
     for d in 0..drivers {
         let lo = d * per;
         let hi = ((d + 1) * per).min(cfg.players);
@@ -215,6 +255,7 @@ pub fn spawn_swarm_multi(
             break;
         }
         let port = fabric.alloc_port();
+        driver_ports.push(port);
         // Bot drivers are the WAN side of the link: fabrics running a
         // WAN-scoped fault lottery perturb exactly the client↔server
         // datagrams and leave intra-server traffic pristine.
@@ -269,6 +310,7 @@ pub fn spawn_swarm_multi(
         rehomed: rehomed_observed,
         prediction,
         predict_in_flight,
+        driver_ports,
     }
 }
 
@@ -892,6 +934,64 @@ mod tests {
             at_b > 10,
             "bot never followed the migration to arena 1 (moves at B: {at_b})"
         );
+    }
+
+    #[test]
+    fn driver_ports_list_each_spawned_driver_in_client_block_order() {
+        // 5 players on 3 drivers: blocks [0,2) [2,4) [4,5). A recording
+        // server notes which port each client's Connect came from.
+        let fabric = FabricKind::VirtualSmp(Default::default()).build();
+        let server_port = fabric.alloc_port();
+        let until: Nanos = 500_000_000;
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        fabric.spawn(
+            "recorder",
+            Some(0),
+            Box::new(move |ctx| {
+                while ctx.wait_readable(server_port, Some(until)) {
+                    while let Some(raw) = ctx.try_recv(server_port) {
+                        if let Ok(ClientMessage::Connect { client_id, .. }) =
+                            ClientMessage::from_bytes(&raw.payload)
+                        {
+                            log.lock().unwrap().push((client_id, raw.from));
+                        }
+                    }
+                }
+            }),
+        );
+        let cfg = BotSwarmConfig {
+            drivers: 3,
+            ..BotSwarmConfig::new(5, until)
+        };
+        let swarm = spawn_swarm(&fabric, &cfg, &[server_port], |_c| 0);
+        assert_eq!(swarm.driver_ports.len(), 3);
+        fabric.run();
+        let seen = seen.lock().unwrap();
+        for c in 0..5u32 {
+            let from = seen.iter().find(|&&(id, _)| id == c).map(|&(_, p)| p);
+            assert_eq!(
+                from,
+                Some(swarm.driver_ports[(c / 2) as usize]),
+                "client {c} is not behind driver {}",
+                c / 2
+            );
+        }
+
+        // Fewer players than drivers spawn fewer drivers; none spawn none.
+        let ports = |players: u32| {
+            let fabric = FabricKind::VirtualSmp(Default::default()).build();
+            let server_port = fabric.alloc_port();
+            let cfg = BotSwarmConfig {
+                drivers: 4,
+                ..BotSwarmConfig::new(players, until)
+            };
+            spawn_swarm(&fabric, &cfg, &[server_port], |_c| 0)
+                .driver_ports
+                .len()
+        };
+        assert_eq!(ports(3), 3);
+        assert_eq!(ports(0), 0);
     }
 
     #[test]

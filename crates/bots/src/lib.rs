@@ -21,6 +21,7 @@ pub mod predict;
 
 pub use behavior::{BotBehavior, BotMind};
 pub use driver::{
-    spawn_swarm, spawn_swarm_multi, BotSwarm, BotSwarmConfig, PredictMap, SwarmRamp, SwarmTopology,
+    spawn_swarm, spawn_swarm_multi, BotSwarm, BotSwarmConfig, PredictMap, SwarmRamp, SwarmReport,
+    SwarmTopology,
 };
 pub use predict::{Predictor, PREDICT_RING_CAP};

@@ -6,7 +6,6 @@
 //! worlds?" — same fabric, same bots, same cost model, with the arena
 //! directory between them.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parquake_arena::{
@@ -17,7 +16,7 @@ use parquake_bots::{spawn_swarm_multi, BotBehavior, BotSwarmConfig, SwarmRamp, S
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
 use parquake_metrics::{rollup, ArenaLoad, ElasticStats, SupervisorStats, WitnessReport};
-use parquake_server::{CostModel, LockPolicy, ServerConfig, ServerKind};
+use parquake_server::{CostModel, ServerConfig, ServerKind};
 
 /// One multi-arena configuration (a row of the arenasweep figure).
 #[derive(Clone, Debug)]
@@ -30,12 +29,6 @@ pub struct ArenaExperimentConfig {
     pub workers: u32,
     /// Connect routing policy.
     pub policy: AdmissionPolicy,
-    /// Use dedicated per-arena runtimes of this kind instead of the
-    /// shared pool (`None` = pooled).
-    pub dedicated: Option<ServerKind>,
-    /// Run pooled frames under a region-locking policy (`None` = the
-    /// sequential lock-free frame body).
-    pub pooled_locking: Option<LockPolicy>,
     /// Map generator settings (shared map, per-arena entity state).
     pub map: MapGenConfig,
     /// Areanode tree depth per arena.
@@ -106,8 +99,6 @@ impl Default for ArenaExperimentConfig {
             arenas: 4,
             workers: 4,
             policy: AdmissionPolicy::Explicit,
-            dedicated: None,
-            pooled_locking: None,
             map: MapGenConfig::large_arena(0x6D_6D_31),
             areanode_depth: 4,
             duration_ns: 10_000_000_000,
@@ -212,20 +203,13 @@ impl ArenaExperiment {
         server.cost = cfg.cost.clone();
         server.checking = cfg.checking;
         server.client_timeout_ns = cfg.client_timeout_ns;
-        if let Some(kind) = cfg.dedicated {
-            server.kind = kind;
-        }
         let dir_cfg = ArenaDirectoryConfig {
             policy: cfg.policy,
-            scheduling: match cfg.dedicated {
-                Some(_) => ArenaScheduling::Dedicated,
-                None => ArenaScheduling::Pooled {
-                    workers: cfg.workers,
-                },
+            scheduling: ArenaScheduling::Pooled {
+                workers: cfg.workers,
             },
             map: cfg.map.clone(),
             areanode_depth: cfg.areanode_depth,
-            pooled_locking: cfg.pooled_locking,
             max_arenas: cfg.max_arenas,
             linger_ns: cfg.linger_ns,
             supervision: cfg.supervision,
@@ -271,8 +255,7 @@ impl ArenaExperiment {
         fabric.run();
 
         let admission = handle.admission.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-        let response = swarm.per_arena.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-        let connected = swarm.connected.load(Ordering::Relaxed);
+        let bots = swarm.report();
         // Cover every arena cell the directory provisioned — an
         // elastic run has result rows past the boot fleet.
         let per_arena: Vec<ArenaLoad> = (0..handle.results.len())
@@ -286,12 +269,11 @@ impl ArenaExperiment {
                     requests: m.requests,
                     datagrams: m.datagrams,
                     admitted: admission.per_arena.get(k).copied().unwrap_or(0),
-                    response: response.get(k).cloned().unwrap_or_default(),
+                    response: bots.per_arena.get(k).cloned().unwrap_or_default(),
                 }
             })
             .collect();
         let aggregate = rollup(&per_arena);
-        let prediction = swarm.prediction.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
         let elastic = handle.elastic.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
         let supervisor = handle.supervisor.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
 
@@ -300,15 +282,15 @@ impl ArenaExperiment {
             per_arena,
             pool: handle.pool.as_ref().map(|p| p.lock().unwrap().clone()), // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
             admission,
-            connected,
+            connected: bots.connected,
             duration_ns: cfg.duration_ns,
             world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
             witness: witness.map(|w| w.report()),
             elastic,
             supervisor,
-            rehomed: swarm.rehomed.load(Ordering::Relaxed),
-            prediction,
-            predict_in_flight: swarm.predict_in_flight.load(Ordering::Relaxed),
+            rehomed: bots.rehomed,
+            prediction: bots.prediction,
+            predict_in_flight: bots.predict_in_flight,
         }
     }
 }

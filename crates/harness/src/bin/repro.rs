@@ -1,29 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <subcommand> [options]
-//!
-//! subcommands:
-//!   table1            system configuration table
-//!   fig4              sequential vs 1-thread parallel overhead
-//!   fig5              parallel performance, baseline locking
-//!   fig6              parallel performance, optimized locking
-//!   fig7a|fig7b|fig7c locking overhead analysis
-//!   waitstats         §4.2/§5.2 imbalance and wait decomposition
-//!   batching          request batching study (paper future work)
-//!   onepass           one-pass locking study (paper future work)
-//!   dynassign         dynamic region-affine assignment (paper future work)
-//!   delta             QuakeWorld-style delta-compressed replies (extension)
-//!   losssweep         response rate vs injected datagram loss (extension)
-//!   arenasweep        multi-arena shared-pool multiplexing (extension)
-//!   elasticity        elastic arena spawn/reap under a population ramp (extension)
-//!   crashsweep        response-rate retention vs injected crash rate (extension)
-//!   chaossweep        client prediction under combined WAN fault profiles (extension)
-//!   migratesweep      live migration recovering a skewed fleet (extension)
-//!   interestsweep     batch DDM interest matching vs per-client scans (extension)
-//!   gatewaysweep      sharded UDP gateway over loopback sockets (extension)
-//!   timeline          per-frame CSV dump for one configuration
-//!   all               everything above in sequence
+//! repro <figure>|all [options]
 //!
 //! options:
 //!   --quick           short runs, fewer player counts
@@ -31,129 +9,119 @@
 //!   --players LIST    comma-separated player counts (e.g. 64,128,160)
 //!   --seed N          map/workload seed
 //! ```
+//!
+//! `repro` with no argument lists the figures ([`FIGURES`] is the one
+//! table usage, dispatch and `all` read).
 
+use parquake_harness::cli::Args;
 use parquake_harness::figures::{
     arenasweep, batching, chaossweep, common::SweepOpts, crashsweep, delta, dynassign, elasticity,
     fig4, fig5, fig6, fig7, gatewaysweep, interestsweep, losssweep, migratesweep, onepass, table1,
     waitstats,
 };
 
+/// A subcommand: name, what it regenerates, how.
+type Figure = (&'static str, &'static str, fn(&SweepOpts) -> String);
+
+#[rustfmt::skip] // a table: one row per figure
+const FIGURES: &[Figure] = &[
+    ("table1", "system configuration table", |_| table1::run()),
+    ("fig4", "sequential vs 1-thread parallel overhead", fig4::run),
+    ("fig5", "parallel performance, baseline locking", fig5::run),
+    ("fig6", "parallel performance, optimized locking", fig6::run),
+    ("fig7a", "locking overhead: leaf vs parent", fig7::run_a),
+    ("fig7b", "locking overhead: areanode tree size", fig7::run_b),
+    ("fig7c", "locking overhead: inter-thread overlap", fig7::run_c),
+    ("waitstats", "§4.2/§5.2 imbalance and wait decomposition", waitstats::run),
+    ("batching", "request batching study (paper future work)", batching::run),
+    ("onepass", "one-pass locking study (paper future work)", onepass::run),
+    ("dynassign", "dynamic region-affine assignment (paper future work)", dynassign::run),
+    ("delta", "QuakeWorld-style delta-compressed replies (extension)", delta::run),
+    ("losssweep", "response rate vs injected datagram loss (extension)", losssweep::run),
+    ("arenasweep", "multi-arena shared-pool multiplexing (extension)", arenasweep::run),
+    ("elasticity", "elastic arena spawn/reap under a population ramp (extension)", elasticity::run),
+    ("crashsweep", "response-rate retention vs injected crash rate (extension)", crashsweep::run),
+    ("chaossweep", "client prediction under combined WAN fault profiles (extension)", chaossweep::run),
+    ("migratesweep", "live migration recovering a skewed fleet (extension)", migratesweep::run),
+    ("interestsweep", "batch DDM interest matching vs per-client scans (extension)", interestsweep::run),
+    ("gatewaysweep", "sharded UDP gateway over loopback sockets (extension)", gatewaysweep::run),
+    (TIMELINE, "per-frame CSV dump for one configuration", timeline),
+];
+
+/// The one subcommand that is a dump, not a figure: its stdout is the
+/// bare CSV (no trailing blank line) and `all` leaves it out.
+const TIMELINE: &str = "timeline";
+
+/// Per-frame CSV for one configuration (8 threads, optimized, last
+/// player count of the sweep); the summary goes to stderr.
+fn timeline(opts: &SweepOpts) -> String {
+    use parquake_harness::figures::common::run_config;
+    use parquake_server::{LockPolicy, ServerKind};
+    let players = *opts.players.last().unwrap_or(&128);
+    let out = run_config(
+        players,
+        ServerKind::Parallel {
+            threads: 8,
+            locking: LockPolicy::Optimized,
+        },
+        opts,
+    );
+    eprintln!(
+        "[repro] {} frames recorded, duration p50 {:.2} ms / p95 {:.2} ms",
+        out.server.timeline.len(),
+        out.server.timeline.duration_percentile(0.5) as f64 / 1e6,
+        out.server.timeline.duration_percentile(0.95) as f64 / 1e6,
+    );
+    out.server.timeline.to_csv()
+}
+
+fn usage() -> ! {
+    eprintln!("usage: repro <figure>|all [--quick] [--duration SECS] [--players LIST] [--seed N]");
+    for (name, what, _) in FIGURES {
+        eprintln!("  {name:<14} {what}");
+    }
+    eprintln!("  {:<14} every figure above except {TIMELINE}", "all");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
-        eprintln!(
-            "usage: repro <table1|fig4|fig5|fig6|fig7a|fig7b|fig7c|waitstats|batching|onepass|dynassign|delta|losssweep|arenasweep|elasticity|crashsweep|chaossweep|migratesweep|interestsweep|gatewaysweep|all> [options]"
-        );
-        std::process::exit(2);
+    let mut args = Args::from_env("repro");
+    let Some(cmd) = args.next_flag() else {
+        usage();
     };
+    let picked: Vec<_> = FIGURES
+        .iter()
+        .filter(|(name, ..)| *name == cmd || (cmd == "all" && *name != TIMELINE))
+        .collect();
+    if picked.is_empty() {
+        args.die(&format!("unknown subcommand {cmd}"));
+    }
 
     let mut opts = SweepOpts::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--quick" => opts = SweepOpts::quick(),
-            "--duration" => {
-                i += 1;
-                opts.duration_secs = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--duration needs a number"));
-            }
+            "--duration" => opts.duration_secs = args.value("a number"),
             "--players" => {
-                i += 1;
                 opts.players = args
-                    .get(i)
-                    .map(|v| {
-                        v.split(',')
-                            .map(|p| p.parse().unwrap_or_else(|_| die("bad player count")))
-                            .collect()
-                    })
-                    .unwrap_or_else(|| die("--players needs a list"));
+                    .value::<String>("a list")
+                    .split(',')
+                    .map(|p| p.parse().unwrap_or_else(|_| args.die("bad player count")))
+                    .collect();
             }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            other => die(&format!("unknown option {other}")),
+            "--seed" => opts.seed = args.value("a number"),
+            other => args.die(&format!("unknown option {other}")),
         }
-        i += 1;
     }
 
     let t0 = std::time::Instant::now();
-    match cmd.as_str() {
-        "table1" => println!("{}", table1::run()),
-        "fig4" => println!("{}", fig4::run(&opts)),
-        "fig5" => println!("{}", fig5::run(&opts)),
-        "fig6" => println!("{}", fig6::run(&opts)),
-        "fig7a" => println!("{}", fig7::run_a(&opts)),
-        "fig7b" => println!("{}", fig7::run_b(&opts)),
-        "fig7c" => println!("{}", fig7::run_c(&opts)),
-        "waitstats" => println!("{}", waitstats::run(&opts)),
-        "batching" => println!("{}", batching::run(&opts)),
-        "onepass" => println!("{}", onepass::run(&opts)),
-        "dynassign" => println!("{}", dynassign::run(&opts)),
-        "delta" => println!("{}", delta::run(&opts)),
-        "losssweep" => println!("{}", losssweep::run(&opts)),
-        "arenasweep" => println!("{}", arenasweep::run(&opts)),
-        "elasticity" => println!("{}", elasticity::run(&opts)),
-        "crashsweep" => println!("{}", crashsweep::run(&opts)),
-        "chaossweep" => println!("{}", chaossweep::run(&opts)),
-        "migratesweep" => println!("{}", migratesweep::run(&opts)),
-        "interestsweep" => println!("{}", interestsweep::run(&opts)),
-        "gatewaysweep" => println!("{}", gatewaysweep::run(&opts)),
-        "timeline" => {
-            // Per-frame CSV for one configuration (8 threads, optimized,
-            // last player count of the sweep).
-            use parquake_harness::figures::common::run_config;
-            use parquake_server::{LockPolicy, ServerKind};
-            let players = *opts.players.last().unwrap_or(&128);
-            let out = run_config(
-                players,
-                ServerKind::Parallel {
-                    threads: 8,
-                    locking: LockPolicy::Optimized,
-                },
-                &opts,
-            );
-            print!("{}", out.server.timeline.to_csv());
-            eprintln!(
-                "[repro] {} frames recorded, duration p50 {:.2} ms / p95 {:.2} ms",
-                out.server.timeline.len(),
-                out.server.timeline.duration_percentile(0.5) as f64 / 1e6,
-                out.server.timeline.duration_percentile(0.95) as f64 / 1e6,
-            );
+    for (name, _, run) in picked {
+        let out = run(&opts);
+        if *name == TIMELINE {
+            print!("{out}");
+        } else {
+            println!("{out}");
         }
-        "all" => {
-            println!("{}", table1::run());
-            println!("{}", fig4::run(&opts));
-            println!("{}", fig5::run(&opts));
-            println!("{}", fig6::run(&opts));
-            println!("{}", fig7::run_a(&opts));
-            println!("{}", fig7::run_b(&opts));
-            println!("{}", fig7::run_c(&opts));
-            println!("{}", waitstats::run(&opts));
-            println!("{}", batching::run(&opts));
-            println!("{}", onepass::run(&opts));
-            println!("{}", dynassign::run(&opts));
-            println!("{}", delta::run(&opts));
-            println!("{}", losssweep::run(&opts));
-            println!("{}", arenasweep::run(&opts));
-            println!("{}", elasticity::run(&opts));
-            println!("{}", crashsweep::run(&opts));
-            println!("{}", chaossweep::run(&opts));
-            println!("{}", migratesweep::run(&opts));
-            println!("{}", interestsweep::run(&opts));
-            println!("{}", gatewaysweep::run(&opts));
-        }
-        other => die(&format!("unknown subcommand {other}")),
     }
     eprintln!("[repro] completed in {:.1}s", t0.elapsed().as_secs_f64());
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2);
 }

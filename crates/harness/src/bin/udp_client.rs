@@ -5,14 +5,19 @@
 //!            [--arenas 1] [--ramp] [--sockets M] [--predict]
 //! ```
 //!
-//! Client `i` requests arena `i % N` (`--arenas N`) on connect and
-//! reply traffic is tallied per arena. `--ramp` staggers joins over the
-//! first 30% of the run, holds, then drains everyone (with
-//! `Disconnect`s) over the next 20% — leaving a quiet tail that lets an
-//! elastic gateway reap its spawned arenas. `--sockets M` spreads the
-//! bots over M client sockets — a sharded `SO_REUSEPORT` gateway
-//! balances flows by 4-tuple hash, so driving S server shards needs at
-//! least S client sockets (one socket pins every bot to one shard).
+//! The bots are the swarm of the virtual-time figures — `BotMind`
+//! deathmatch players, one jittered move per 30 ms client frame,
+//! arriving asynchronously — behind a socket bridge (see
+//! `run_udp_clients`). Client `i` requests arena `i % N` (`--arenas N`)
+//! on connect and reply traffic is tallied per arena. `--ramp` staggers
+//! joins over the first 30% of the run, holds, then drains everyone
+//! (with `Disconnect`s) over the next 20% — leaving a quiet tail that
+//! lets an elastic gateway reap its spawned arenas. `--sockets M` deals
+//! the bots to M client sockets in contiguous blocks (bots
+//! `[0, ⌈P/M⌉)` on the first, and so on; fewer sockets when there are
+//! fewer bots) — a sharded `SO_REUSEPORT` gateway balances flows by
+//! 4-tuple hash, so driving S server shards needs at least S client
+//! sockets (one socket pins every bot to one shard).
 //! `--predict` turns on client-side prediction: every bot runs the
 //! movement kernel locally against the default `udpd` map, opts into
 //! the Move/Reply prediction trailer, and reconciles against each

@@ -1,7 +1,8 @@
-//! Flag parsing shared by the `udpd` and `udp_client` binaries: a
-//! cursor over `--flag [value]` arguments whose every failure — a
-//! value-taking flag given last, an unparsable value, an unknown
-//! flag — is a message on stderr and exit status 2, never a panic.
+//! Flag parsing shared by the `udpd`, `udp_client` and `repro`
+//! binaries: a cursor over `--flag [value]` arguments whose every
+//! failure — a value-taking flag given last, an unparsable value, an
+//! unknown flag — is a message on stderr and exit status 2, never a
+//! panic.
 
 use std::str::FromStr;
 

@@ -1,6 +1,5 @@
 //! Run one measured server configuration.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parquake_bots::{spawn_swarm, BotBehavior, BotSwarmConfig};
@@ -186,12 +185,11 @@ impl Experiment {
         fabric.run();
 
         let results = server.results.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-        let response = swarm.stats.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-        let connected = swarm.connected.load(Ordering::Relaxed);
+        let bots = swarm.report();
         Outcome {
             server: results,
-            response,
-            connected,
+            response: bots.stats,
+            connected: bots.connected,
             duration_ns: cfg.duration_ns,
             world_hash: world.world_hash(),
             world,

@@ -61,12 +61,14 @@
 
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use parquake_arena::{
     spawn_directory, AdmissionPolicy, AdmissionStats, ArenaDirectoryConfig, ArenaScheduling,
 };
+use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, PredictMap, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FaultInjector};
 use parquake_fabric::real::RealFabric;
@@ -1194,36 +1196,50 @@ pub struct ClientOutcome {
     pub predict_in_flight: u64,
 }
 
-/// The real-UDP client: drives `players` bots, each requesting arena
-/// `i % arenas`, against one gateway port for `duration`.
+/// Arena ids a `ConnectAck` may name that the client still follows.
+/// The bridge's arena table is sized by this, not by the `arenas` the
+/// caller spreads its Connects over: a migrating gateway re-acks a
+/// session from an arena the client never asked for, and the swarm's
+/// drivers file an ack naming an arena past their table under
+/// "restarts" instead of re-homing (`--arenas 1` against a 2-arena
+/// migrating gateway read 0 rehomings for 6 migrations that way).
+const CLIENT_ARENA_TABLE: usize = 256;
+
+/// How often a client socket's inbound thread looks up from
+/// `recv_from` to see whether the run is over. Not on the data path:
+/// a datagram ends the wait at once.
+const CLIENT_STOP_POLL: Duration = Duration::from_millis(50);
+
+/// The real-UDP client: the bot swarm of the virtual-time figures
+/// ([`parquake_bots::spawn_swarm_multi`] — `BotMind` deathmatch
+/// players, one jittered move per 30 ms client frame, Connect retry
+/// with back-off, a 1 s starvation watchdog, reply-seq dedup,
+/// re-homing on unsolicited acks) on a `RealFabric` of its own,
+/// bridged to sockets for `duration` (DESIGN.md §7):
 ///
-/// Resilient to loss: unanswered `Connect`s are retried with
-/// exponential backoff, an acked session that stops hearing replies
-/// falls back to the handshake instead of wedging, and duplicated
-/// replies are deduplicated by sequence number before being counted.
+/// ```text
+///   driver d ──► egress port ─(one fabric task)─► socket d ──► server
+///   driver d ◄── driver port d ◄─(one OS thread per socket)── socket d
+/// ```
 ///
-/// With `ramp = Some((up, hold, down))` bot `i` joins staggered over
-/// the up window and leaves (with a `Disconnect`) staggered over the
-/// down window — the load shape that exercises an elastic gateway.
+/// Behind the egress port sits a single server address, so every arena
+/// of the swarm's topology, and its front door, is that one port.
+/// Inbound datagrams are injected with the egress port as their
+/// source, which is what the drivers expect of a server reply.
 ///
-/// The bots are spread over `sockets` client sockets (bot `i` lives on
-/// socket `i % sockets`). A sharded `SO_REUSEPORT` gateway balances
-/// *flows*, not datagrams: one client socket is one 4-tuple and lands
-/// entirely on one shard, so driving a multi-shard gateway needs at
-/// least as many client sockets as server shards.
-///
-/// Given a compiled map in `predict` (which must be bit-identical to
-/// the server's — both sides default to [`UdpArenaOpts::default`]'s
-/// generator), every bot runs the movement kernel locally, opts into
-/// the Move/Reply prediction trailer, and reconciles against each
-/// authoritative reply; the outcome then carries the full prediction
-/// ledger, including the divergence oracle.
-///
-/// An unsolicited `ConnectAck` arriving while a client is already
-/// acked is either a supervised arena restored from checkpoint
-/// re-announcing its slots (same arena: a restart) or a live
-/// migration's destination claiming the session (different arena: a
-/// rehoming).
+/// Bot `i` requests arena `i % arenas`, also when it falls back to the
+/// handshake (moot while the director still books the session —
+/// placement is sticky). With `ramp = Some((up, hold, down))` bots join
+/// staggered over the up window and leave (with a `Disconnect`)
+/// staggered over the down window — the load shape that exercises an
+/// elastic gateway. The bots are dealt to `sockets` drivers in
+/// contiguous blocks, one client socket per spawned driver: a sharded
+/// `SO_REUSEPORT` gateway balances 4-tuples, not datagrams, so driving
+/// S shards needs at least S client sockets. Given a compiled map in
+/// `predict` (bit-identical to the server's — both sides default to
+/// [`UdpArenaOpts::default`]'s generator), every bot predicts locally,
+/// opts into the Move/Reply trailer and reconciles against each reply;
+/// the outcome then carries the prediction ledger and its oracle.
 pub fn run_udp_clients(
     server: SocketAddr,
     arenas: u32,
@@ -1233,237 +1249,111 @@ pub fn run_udp_clients(
     sockets: u32,
     predict: Option<Arc<parquake_bsp::BspWorld>>,
 ) -> std::io::Result<ClientOutcome> {
-    use parquake_protocol::Encode;
-
-    const RETRY_MIN: Duration = Duration::from_millis(100);
-    const RETRY_MAX: Duration = Duration::from_millis(1600);
-    const STARVATION: Duration = Duration::from_secs(1);
-
-    let m = sockets.max(1) as usize;
-    let socks: Vec<UdpSocket> = (0..m)
-        .map(|_| UdpSocket::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()?;
-    if m == 1 {
-        // Single socket: the blocking drain below doubles as pacing.
-        socks[0].set_read_timeout(Some(Duration::from_millis(5)))?;
-    } else {
-        // Multi-socket: poll all sockets nonblocking; the loop's sleep
-        // paces the scan.
-        for s in &socks {
-            s.set_nonblocking(true)?;
-        }
-    }
-    let start = Instant::now();
-    let n = players as usize;
     let arenas = arenas.max(1);
-    let mut acked = vec![false; n];
-    let mut seq = vec![0u32; n];
-    let mut last_rx_seq = vec![-1i64; n];
-    // The arena each client was actually placed in (from its ack).
-    let mut placed: Vec<u16> = (0..n).map(|i| (i as u32 % arenas) as u16).collect();
-    let mut next_at = vec![Duration::ZERO; n];
-    let mut backoff = vec![RETRY_MIN; n];
-    let mut last_heard = vec![Duration::ZERO; n];
-    let (join_at, leave_at): (Vec<Duration>, Vec<Duration>) = match ramp {
-        Some((up, hold, down)) => (0..n)
-            .map(|i| {
-                (
-                    up * i as u32 / players.max(1),
-                    up + hold + down * (i as u32 + 1) / players.max(1),
-                )
-            })
-            .unzip(),
-        None => (vec![Duration::ZERO; n], vec![duration; n]),
+    let (real, fabric) = RealFabric::new_arc_pair();
+    let egress = fabric.alloc_port();
+    let end_time: Nanos = duration.as_nanos() as Nanos;
+    let cfg = BotSwarmConfig {
+        // A bare `clamp(1, 0)` panics.
+        drivers: sockets.clamp(1, players.max(1)),
+        ramp: ramp.map(|(up, hold, down)| SwarmRamp::UpDown {
+            ramp_up_ns: up.as_nanos() as Nanos,
+            hold_ns: hold.as_nanos() as Nanos,
+            ramp_down_ns: down.as_nanos() as Nanos,
+        }),
+        predict: predict.map(PredictMap),
+        ..BotSwarmConfig::new(players, end_time)
     };
-    let mut left = vec![false; n];
-    let mut predictors: Vec<Option<parquake_bots::Predictor>> = (0..n)
+    let topology = SwarmTopology {
+        arena_ports: vec![vec![egress]; CLIENT_ARENA_TABLE.max(arenas as usize)],
+        connect_port: Some(egress),
+    };
+    let swarm = spawn_swarm_multi(&fabric, &cfg, &topology, |c| ((c % arenas) as u16, 0));
+    // One socket per *spawned* driver: fewer players than sockets
+    // spawn fewer drivers, and nothing may index past them.
+    let socks: Vec<UdpSocket> = swarm
+        .driver_ports
+        .iter()
         .map(|_| {
-            predict
-                .as_ref()
-                .map(|m| parquake_bots::Predictor::new(m.clone(), parquake_math::Vec3::ZERO))
+            let s = UdpSocket::bind("127.0.0.1:0")?;
+            s.set_read_timeout(Some(CLIENT_STOP_POLL))?;
+            Ok(s)
+        })
+        .collect::<std::io::Result<_>>()?;
+
+    // Outbound: one fabric task drains the egress port onto the socket
+    // of the driver each payload came from.
+    let sent = Arc::new(AtomicU64::new(0));
+    {
+        let out_socks: Vec<UdpSocket> = socks
+            .iter()
+            .map(UdpSocket::try_clone)
+            .collect::<std::io::Result<_>>()?;
+        let driver_ports = swarm.driver_ports.clone();
+        let sent = sent.clone();
+        fabric.spawn(
+            "udp-client-out",
+            None,
+            Box::new(move |ctx| {
+                // A payload a driver hands over on its very last tick
+                // may miss the wire; it is then not counted as sent.
+                while ctx.wait_readable(egress, Some(end_time)) {
+                    while let Some(raw) = ctx.try_recv(egress) {
+                        let Some(d) = driver_ports.iter().position(|&p| p == raw.from) else {
+                            continue;
+                        };
+                        if out_socks[d].send_to(&raw.payload, server).is_ok() {
+                            sent.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }),
+        );
+    }
+
+    // Inbound: one plain OS thread per socket, injecting into its
+    // driver's port. No timer on the path — the read timeout exists
+    // only to observe `stop`.
+    let stop = Arc::new(AtomicBool::new(false));
+    let inbound: Vec<std::thread::JoinHandle<()>> = socks
+        .into_iter()
+        .zip(swarm.driver_ports.iter().copied())
+        .map(|(sock, port)| {
+            let real = real.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut buf = [0u8; MAX_DATAGRAM];
+                while !stop.load(Ordering::Relaxed) {
+                    if let Ok((len, _)) = sock.recv_from(&mut buf) {
+                        real.send_external(egress, port, buf[..len].to_vec());
+                    }
+                }
+            })
         })
         .collect();
-    let mut sent = 0u64;
-    let mut received = 0u64;
-    let mut restarts_observed = 0u64;
-    let mut rehomed_observed = 0u64;
-    let mut per_arena = vec![0u64; arenas as usize];
-    let mut latency_sum = 0f64;
-    let mut buf = [0u8; MAX_DATAGRAM];
 
-    while start.elapsed() < duration {
-        let now = start.elapsed();
-        let now_ns = now.as_nanos() as u64;
-        for i in 0..n {
-            if left[i] || now < join_at[i] {
-                continue;
-            }
-            if now >= leave_at[i] {
-                left[i] = true;
-                if acked[i] {
-                    let bye = ClientMessage::Disconnect {
-                        client_id: i as u32,
-                    };
-                    if socks[i % m].send_to(&bye.to_bytes(), server).is_ok() {
-                        sent += 1;
-                    }
-                }
-                continue;
-            }
-            if now < next_at[i] {
-                continue;
-            }
-            if acked[i] && now.saturating_sub(last_heard[i]) > STARVATION {
-                acked[i] = false;
-                backoff[i] = RETRY_MIN;
-            }
-            let msg = if !acked[i] {
-                next_at[i] = now + backoff[i];
-                backoff[i] = (backoff[i] * 2).min(RETRY_MAX);
-                // Reconnect to the arena the last ack *placed* us in,
-                // not the `i % arenas` initial guess: after a crash
-                // restore or migration the session is sticky to the
-                // learned arena, and asking for the original spread
-                // would split it across worlds.
-                ClientMessage::Connect {
-                    client_id: i as u32,
-                    arena: placed[i],
-                }
-            } else {
-                seq[i] += 1;
-                next_at[i] = now + Duration::from_millis(30);
-                let mut cmd = parquake_protocol::MoveCmd {
-                    seq: seq[i],
-                    sent_at: now_ns,
-                    pitch: 0.0,
-                    yaw: (i as f32 * 37.0) % 360.0 - 180.0,
-                    forward: 320.0,
-                    side: 0.0,
-                    up: 0.0,
-                    buttons: parquake_protocol::Buttons::NONE,
-                    msec: 30,
-                    predict_ack: None,
-                };
-                if let Some(p) = predictors[i].as_mut() {
-                    cmd.predict_ack = Some(p.trailer_ack());
-                    p.predict(&cmd);
-                }
-                ClientMessage::Move {
-                    client_id: i as u32,
-                    cmd,
-                }
-            };
-            if socks[i % m].send_to(&msg.to_bytes(), server).is_ok() {
-                sent += 1;
-            }
-        }
-        let mut handle_reply = |buf: &[u8]| {
-            match ServerMessage::from_bytes(buf) {
-                Ok(ServerMessage::ConnectAck {
-                    client_id,
-                    arena,
-                    spawn,
-                }) => {
-                    let i = client_id as usize;
-                    if i < n {
-                        if !acked[i] {
-                            acked[i] = true;
-                            next_at[i] = start.elapsed();
-                            // A fresh ack opens a new server-side
-                            // session whose reply sequence restarts
-                            // low (slot reclaim, supervised restart).
-                            // The duplicate-suppression window must
-                            // restart with it, or every reply of the
-                            // new session is swallowed as a stale
-                            // duplicate and the session starves again.
-                            last_rx_seq[i] = -1;
-                            if let Some(p) = predictors[i].as_mut() {
-                                p.reset(spawn);
-                            }
-                        } else if !left[i] {
-                            // Already connected and not retrying: this
-                            // ack is unsolicited — a restored arena
-                            // re-announcing the slot after recovery,
-                            // or a migration destination claiming the
-                            // session from its new world.
-                            if placed[i] != arena {
-                                rehomed_observed += 1;
-                            } else {
-                                restarts_observed += 1;
-                            }
-                        }
-                        placed[i] = arena;
-                        backoff[i] = RETRY_MIN;
-                        last_heard[i] = start.elapsed();
-                    }
-                }
-                Ok(ServerMessage::Reply {
-                    client_id,
-                    seq: rx_seq,
-                    sent_at_echo,
-                    origin,
-                    predict: reply_predict,
-                    ..
-                }) => {
-                    let i = client_id as usize;
-                    if i < n {
-                        last_heard[i] = start.elapsed();
-                        if rx_seq as i64 > last_rx_seq[i] {
-                            last_rx_seq[i] = rx_seq as i64;
-                            received += 1;
-                            if (placed[i] as usize) < per_arena.len() {
-                                per_arena[placed[i] as usize] += 1;
-                            }
-                            let rx_ns = start.elapsed().as_nanos() as u64;
-                            if sent_at_echo > 0 && rx_ns > sent_at_echo {
-                                latency_sum += (rx_ns - sent_at_echo) as f64 / 1e6;
-                            }
-                            if let (Some(p), Some(rp)) =
-                                (predictors[i].as_mut(), reply_predict.as_ref())
-                            {
-                                p.reconcile(origin, rp);
-                            }
-                        }
-                    }
-                }
-                Ok(ServerMessage::Bye { client_id }) => {
-                    let i = client_id as usize;
-                    if i < n {
-                        acked[i] = false;
-                        backoff[i] = RETRY_MIN;
-                        next_at[i] = start.elapsed();
-                    }
-                }
-                Err(_) => {}
-            }
-        };
-        for s in &socks {
-            while let Ok((len, _)) = s.recv_from(&mut buf) {
-                handle_reply(&buf[..len]);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    fabric.run();
+    stop.store(true, Ordering::Relaxed);
+    for t in inbound {
+        t.join().expect("client inbound thread panicked");
     }
-    let avg = if received > 0 {
-        latency_sum / received as f64
-    } else {
-        0.0
-    };
-    let mut prediction = parquake_metrics::PredictionStats::new();
-    let mut predict_in_flight = 0u64;
-    for p in predictors.iter().flatten() {
-        prediction.merge(&p.stats);
-        predict_in_flight += p.in_flight();
-    }
+
+    let bots = swarm.report();
     Ok(ClientOutcome {
-        sent,
-        received,
-        avg_ms: avg,
-        per_arena,
-        restarts_observed,
-        rehomed_observed,
-        prediction,
-        predict_in_flight,
+        sent: sent.load(Ordering::Relaxed),
+        received: bots.stats.received,
+        avg_ms: bots.stats.avg_latency_ms(),
+        // The table is wider than the spread; report what was asked.
+        per_arena: bots
+            .per_arena
+            .iter()
+            .take(arenas as usize)
+            .map(|a| a.received)
+            .collect(),
+        restarts_observed: bots.restarts_observed,
+        rehomed_observed: bots.rehomed,
+        prediction: bots.prediction,
+        predict_in_flight: bots.predict_in_flight,
     })
 }
 

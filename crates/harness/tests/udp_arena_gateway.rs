@@ -4,7 +4,8 @@
 //! a multi-shard gateway must keep every book closed at every width.
 
 use std::io;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parquake_fabric::fault::FaultConfig;
@@ -13,16 +14,11 @@ use parquake_harness::udp_arena::{
 };
 use parquake_server::InterestMode;
 
-/// Serve 2 pooled arenas on a free loopback port (bind `:0` to learn
-/// one, release it, retry with another if the gateway loses the race
-/// for it) and drive them with 12 bots. `None` when loopback UDP is
-/// not permitted here at all.
-fn drive(
-    shards: u32,
-    client_sockets: u32,
-    fault: FaultConfig,
-    interest: InterestMode,
-) -> Option<UdpArenaReport> {
+/// Boot the gateway on a free loopback port: bind `:0` to learn one,
+/// release it, and start over with another if the gateway loses the
+/// race for it (`AddrInUse`) — parallel test runs cannot collide.
+/// `None` when loopback UDP is not permitted here at all.
+fn serve(opts: UdpArenaOpts) -> Option<(SocketAddr, JoinHandle<io::Result<UdpArenaReport>>)> {
     for _ in 0..8 {
         let Ok(probe) = UdpSocket::bind("127.0.0.1:0") else {
             eprintln!("skipping: loopback UDP not permitted in this environment");
@@ -32,43 +28,63 @@ fn drive(
         drop(probe);
         let opts = UdpArenaOpts {
             port: addr.port(),
-            gateway_shards: shards,
-            arenas: 2,
-            workers: 2,
-            slots_per_arena: 16,
-            duration: Duration::from_millis(1200),
-            fault: fault.clone(),
-            interest,
-            ..UdpArenaOpts::default()
+            ..opts.clone()
         };
         let server = std::thread::spawn(move || run_udp_arena_server(&opts));
         std::thread::sleep(Duration::from_millis(120));
-        if server.is_finished() {
-            match server.join().unwrap() {
-                Err(e) if e.kind() == io::ErrorKind::AddrInUse => continue,
-                other => panic!("gateway exited during start-up: {other:?}"),
-            }
+        if !server.is_finished() {
+            return Some((addr, server));
         }
-        let out = run_udp_clients(
-            addr,
-            2,
-            12,
-            Duration::from_millis(900),
-            None,
-            client_sockets,
-            None,
-        )
-        .expect("client run");
-        let report = server.join().expect("server thread").expect("server run");
-        assert!(out.sent > 0, "clients sent nothing");
-        assert!(
-            out.received > 0,
-            "clients heard nothing back (sent {}): {report:?}",
-            out.sent
-        );
-        return Some(report);
+        match server.join().unwrap() {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => continue,
+            other => panic!("gateway exited during start-up: {other:?}"),
+        }
     }
     panic!("no free loopback port after 8 tries");
+}
+
+/// 2 pooled arenas × 16 slots on 2 workers for `duration`.
+fn two_arenas(duration: Duration) -> UdpArenaOpts {
+    UdpArenaOpts {
+        arenas: 2,
+        workers: 2,
+        slots_per_arena: 16,
+        duration,
+        ..UdpArenaOpts::default()
+    }
+}
+
+/// Serve 2 pooled arenas and drive them with 12 bots.
+fn drive(
+    shards: u32,
+    client_sockets: u32,
+    fault: FaultConfig,
+    interest: InterestMode,
+) -> Option<UdpArenaReport> {
+    let (addr, server) = serve(UdpArenaOpts {
+        gateway_shards: shards,
+        fault,
+        interest,
+        ..two_arenas(Duration::from_millis(1200))
+    })?;
+    let out = run_udp_clients(
+        addr,
+        2,
+        12,
+        Duration::from_millis(900),
+        None,
+        client_sockets,
+        None,
+    )
+    .expect("client run");
+    let report = server.join().expect("server thread").expect("server run");
+    assert!(out.sent > 0, "clients sent nothing");
+    assert!(
+        out.received > 0,
+        "clients heard nothing back (sent {}): {report:?}",
+        out.sent
+    );
+    Some(report)
 }
 
 #[test]
@@ -149,4 +165,53 @@ fn pooled_arenas_run_the_requested_interest_mode() {
         "sweep diverged from scan: {ist:?}"
     );
     assert!(ist.pairs_closed(), "pair accounting open: {ist:?}");
+}
+
+/// The `migrate-smoke` shape: every client requests arena 0 of a
+/// 2-arena gateway that levels the skew by live migration, so the
+/// destination re-acks sessions from an arena the client never named.
+/// A client bridge whose arena table is sized by its own `arenas`
+/// argument (1 here) cannot follow those acks and books them as
+/// restarts.
+#[test]
+fn migrated_sessions_are_rehomed_whatever_arenas_the_client_asked_for() {
+    let Some((addr, server)) = serve(UdpArenaOpts {
+        migrate_spread: 4,
+        ..two_arenas(Duration::from_millis(2500))
+    }) else {
+        return;
+    };
+    let out = run_udp_clients(addr, 1, 12, Duration::from_millis(2000), None, 1, None)
+        .expect("client run");
+    let report = server.join().expect("server thread").expect("server run");
+    let migrations = report.supervisor.migrations;
+    assert!(migrations >= 1, "nothing migrated: {report:?}");
+    assert!(
+        (1..=migrations).contains(&out.rehomed_observed),
+        "{} rehomings observed for {migrations} migrations",
+        out.rehomed_observed
+    );
+    assert_eq!(
+        out.restarts_observed, 0,
+        "migration re-acks read as restarts"
+    );
+    assert!(report.accounting_closed(), "books open: {report:?}");
+}
+
+/// Fewer bots than sockets spawn fewer drivers than sockets were asked
+/// for — none at all for zero bots — and the bridge must not reach
+/// past the ones that exist.
+#[test]
+fn more_sockets_than_players_is_fine() {
+    let Some((addr, server)) = serve(two_arenas(Duration::from_millis(1200))) else {
+        return;
+    };
+    let few = run_udp_clients(addr, 2, 3, Duration::from_millis(700), None, 4, None)
+        .expect("3 players on 4 sockets");
+    assert!(few.received > 0, "3 players heard nothing: {few:?}");
+    let none = run_udp_clients(addr, 2, 0, Duration::from_millis(100), None, 4, None)
+        .expect("0 players on 4 sockets");
+    assert_eq!((none.sent, none.received), (0, 0));
+    let report = server.join().expect("server thread").expect("server run");
+    assert!(report.accounting_closed(), "books open: {report:?}");
 }

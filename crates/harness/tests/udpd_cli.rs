@@ -1,17 +1,23 @@
-//! `udpd` must turn every usage error into a message and exit status
-//! 2 — never a panic, and never a run that silently ignores a flag.
+//! `udpd` and `repro` must turn every usage error into a message and
+//! exit status 2 — never a panic, and never a run that silently
+//! ignores a flag.
 
 use std::process::Command;
 
-fn run(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_udpd"))
-        .args(args)
-        .output()
-        .expect("spawn udpd");
+fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    run_bin(env!("CARGO_BIN_EXE_udpd"), args)
+}
+
+fn repro(args: &[&str]) -> (Option<i32>, String) {
+    run_bin(env!("CARGO_BIN_EXE_repro"), args)
 }
 
 #[test]
@@ -41,4 +47,27 @@ fn threads_with_pool_only_features_is_refused() {
         assert!(stderr.contains("threads > 1"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn repro_unknown_subcommand_is_a_usage_error() {
+    let (code, stderr) = repro(&["fig99"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown subcommand fig99"), "{stderr}");
+    // No subcommand at all lists every figure, `timeline` included
+    // (it was dispatched and documented but missing from the usage
+    // line while the names were kept in four places).
+    let (code, stderr) = repro(&[]);
+    assert_eq!(code, Some(2), "{stderr}");
+    for name in ["table1", "fig7c", "gatewaysweep", "timeline", "all"] {
+        assert!(stderr.contains(name), "usage omits {name}: {stderr}");
+    }
+}
+
+#[test]
+fn repro_value_flag_given_last_is_a_usage_error() {
+    let (code, stderr) = repro(&["table1", "--duration"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--duration needs a number"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

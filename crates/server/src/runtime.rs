@@ -652,6 +652,41 @@ impl ServerShared {
         });
     }
 
+    /// The select loop of a single-threaded runtime (paper §2.1):
+    /// block until a request arrives or the run ends, book the wait as
+    /// idle time, run one frame. The sequential server's whole life,
+    /// and a 1×1 pool's. With `catch_panics` a panicking frame ends
+    /// the loop instead of the fabric: the world may be mid-mutation,
+    /// so the runtime stops serving rather than continue on it (its
+    /// results still publish), and the witness is told so a fabric
+    /// lock leaked by the unwound frame is reported, not a silent
+    /// wedge.
+    pub fn run_single_loop(&self, ctx: &TaskCtx, f: &mut FrameState) {
+        let port = self.ports[0];
+        loop {
+            let t0 = ctx.now();
+            if !ctx.wait_readable(port, Some(self.end_time)) {
+                // End-of-run drain tail: not part of the measured window.
+                break;
+            }
+            f.stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
+            let mut frame = || {
+                self.run_single_frame(ctx, f, |stats, mask| {
+                    self.drain_requests(ctx, 0, port, stats, mask)
+                })
+            };
+            if !self.catch_panics {
+                frame();
+            } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(frame)).is_err() {
+                f.stats.panics_caught += 1;
+                if let Some(w) = ctx.fabric().witness() {
+                    w.on_unwind(ctx.id(), ctx.now());
+                }
+                break;
+            }
+        }
+    }
+
     /// Publish a single-threaded runtime's accumulated state as its
     /// `ServerResults`. Poison-tolerant so a supervised panic elsewhere
     /// still lets results publish.

@@ -8,7 +8,6 @@
 use std::sync::{Arc, Mutex};
 
 use parquake_fabric::{Fabric, TaskCtx};
-use parquake_metrics::Bucket;
 use parquake_sim::GameWorld;
 
 use crate::runtime::{FrameState, ServerShared};
@@ -43,41 +42,7 @@ fn run(ctx: &TaskCtx, shared: &ServerShared, results: &Mutex<ServerResults>) {
     shared.world.links.set_checking(false);
     shared.world.store.set_checking(false);
 
-    let port = shared.ports[0];
     let mut f = FrameState::default();
-
-    loop {
-        // S: block until a request arrives (or the run ends).
-        let t0 = ctx.now();
-        let readable = ctx.wait_readable(port, Some(shared.end_time));
-        if !readable {
-            // End-of-run drain tail: not part of the measured window.
-            break;
-        }
-        f.stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
-
-        let mut frame = || {
-            shared.run_single_frame(ctx, &mut f, |stats, mask| {
-                shared.drain_requests(ctx, 0, port, stats, mask)
-            })
-        };
-        if !shared.catch_panics {
-            frame();
-        } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(frame)).is_err() {
-            // Supervised dedicated arena: a panicking frame must fate
-            // only this runtime, not the whole fabric. World state may
-            // be mid-mutation, so stop serving cleanly rather than
-            // continue on a possibly-inconsistent world; results are
-            // still published below.
-            f.stats.panics_caught += 1;
-            // A fabric lock leaked by the unwound frame would wedge
-            // its peers; make the witness report it.
-            if let Some(w) = ctx.fabric().witness() {
-                w.on_unwind(ctx.id(), ctx.now());
-            }
-            break;
-        }
-    }
-
+    shared.run_single_loop(ctx, &mut f);
     shared.publish_single(ctx, &mut f, results);
 }
