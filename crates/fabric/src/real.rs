@@ -9,12 +9,25 @@
 //! deadline its caller passed. Condition variables may wake spuriously
 //! (as pthreads allows); all callers must re-check predicates in a
 //! loop.
+//!
+//! A primitive nobody waits on costs no system call. Fabric locks are
+//! the stand-in's `RawMutex` lock word (two atomic operations per
+//! uncontended pair). A port counts, under its queue mutex, the tasks
+//! parked in `wait_readable`; a delivery reads that count under the
+//! same mutex and notifies the port's condvar only when it is nonzero.
+//! No wake-up is lost: a task parks only after it saw the queue empty
+//! under the mutex and releases the mutex by parking, so a delivery is
+//! either already in the queue when the task looks or finds the task
+//! counted. Lock, condvar and port tables are append-only until
+//! `run()` and frozen by it, so a running task reaches its primitive
+//! through one pointer load — no table lock, no reference count.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RawMutex, RwLock};
+use parking_lot::{Condvar, Mutex, RawMutex};
 
 use crate::witness::LockWitness;
 use crate::{CondId, Fabric, LockId, Message, Nanos, PortId, TaskBody, TaskCtx, TaskId};
@@ -30,16 +43,20 @@ struct PortQueue {
     cap: usize,
     /// Messages discarded by the bounded-queue drop policy.
     dropped: u64,
+    /// Tasks parked on the port's condvar in `wait_readable`.
+    parked: u32,
 }
 
 impl PortQueue {
-    /// Enqueue with the drop-oldest overflow policy.
-    fn push(&mut self, msg: Message) {
+    /// Enqueue with the drop-oldest overflow policy. Returns whether a
+    /// task is parked on the port and must be notified.
+    fn push(&mut self, msg: Message) -> bool {
         if self.q.len() >= self.cap {
             self.q.pop_front();
             self.dropped += 1;
         }
         self.q.push_back(msg);
+        self.parked > 0
     }
 }
 
@@ -58,10 +75,13 @@ struct DeliveryWatch {
 }
 
 impl PortImpl {
-    /// Wake whoever waits for this port, after a delivery (the queue
-    /// lock must be released: a watcher's lock is taken here).
-    fn ring(&self) {
-        self.cv.notify_one();
+    /// Wake whoever waits for this port, after a delivery that found
+    /// `parked` a task on the port's own condvar (the queue lock must
+    /// be released: a watcher's lock is taken here).
+    fn ring(&self, parked: bool) {
+        if parked {
+            self.cv.notify_one();
+        }
         let Some(w) = self.watch.get() else { return };
         // A watcher checks the port under `lock`, then waits on `cond`;
         // `cond_wait*` takes `cond.m` before it releases `lock`. Passing
@@ -77,29 +97,75 @@ impl PortImpl {
     }
 }
 
+/// An id → primitive table: grown under a mutex while the fabric is
+/// set up, published once by `run()`. Whoever looks an id up before
+/// then (set-up code, an outside thread already injecting traffic)
+/// goes through the mutex and a reference count; a running task does
+/// not.
+struct Table<T> {
+    building: Mutex<Vec<Arc<T>>>,
+    frozen: OnceLock<Box<[Arc<T>]>>,
+}
+
+impl<T> Table<T> {
+    fn new() -> Table<T> {
+        Table {
+            building: Mutex::new(Vec::new()),
+            frozen: OnceLock::new(),
+        }
+    }
+
+    fn push(&self, t: T) -> u32 {
+        let mut v = self.building.lock();
+        assert!(!self.is_frozen(), "allocation after run()");
+        v.push(Arc::new(t));
+        (v.len() - 1) as u32
+    }
+
+    fn freeze(&self) {
+        let v = self.building.lock();
+        let fresh = self.frozen.set(v.clone().into_boxed_slice()).is_ok();
+        assert!(fresh, "run() called twice");
+    }
+
+    fn is_frozen(&self) -> bool {
+        self.frozen.get().is_some()
+    }
+
+    /// Borrowed from the frozen table, or counted out of the growing
+    /// one.
+    #[inline]
+    fn get(&self, id: u32) -> Cow<'_, Arc<T>> {
+        match self.frozen.get() {
+            Some(t) => Cow::Borrowed(&t[id as usize]),
+            None => Cow::Owned(self.building.lock()[id as usize].clone()),
+        }
+    }
+}
+
 /// OS-thread implementation of [`Fabric`].
 pub struct RealFabric {
     epoch: Instant,
-    locks: RwLock<Vec<Arc<RawMutex>>>,
-    conds: RwLock<Vec<Arc<CondImpl>>>,
-    ports: RwLock<Vec<Arc<PortImpl>>>,
+    locks: Table<RawMutex>,
+    conds: Table<CondImpl>,
+    ports: Table<PortImpl>,
     pending: Mutex<Vec<(String, TaskBody)>>,
     me: Mutex<Option<Weak<dyn Fabric>>>,
-    started: Mutex<bool>,
-    witness: Mutex<Option<Arc<LockWitness>>>,
+    /// Write-once, before `run()`: every `lock`/`unlock` reads it, and
+    /// two threads on different locks must not meet on the way.
+    witness: OnceLock<Arc<LockWitness>>,
 }
 
 impl RealFabric {
     pub fn new() -> RealFabric {
         RealFabric {
             epoch: Instant::now(),
-            locks: RwLock::new(Vec::new()),
-            conds: RwLock::new(Vec::new()),
-            ports: RwLock::new(Vec::new()),
+            locks: Table::new(),
+            conds: Table::new(),
+            ports: Table::new(),
             pending: Mutex::new(Vec::new()),
             me: Mutex::new(None),
-            started: Mutex::new(false),
-            witness: Mutex::new(None),
+            witness: OnceLock::new(),
         }
     }
 
@@ -124,13 +190,13 @@ impl RealFabric {
     /// e.g. a socket pump). Real fabric only: ports are plain queues,
     /// so external producers are safe.
     pub fn send_external(&self, from: PortId, to: PortId, payload: Vec<u8>) {
-        let p = self.port_ref(to);
-        p.q.lock().push(Message {
+        let p = self.ports.get(to);
+        let parked = p.q.lock().push(Message {
             from,
             sent_at: self.epoch.elapsed().as_nanos() as Nanos,
             payload,
         });
-        p.ring();
+        p.ring(parked);
     }
 
     /// As [`RealFabric::send_external`], but enqueue a whole batch of
@@ -144,12 +210,13 @@ impl RealFabric {
         to: PortId,
         payloads: impl IntoIterator<Item = Vec<u8>>,
     ) {
-        let p = self.port_ref(to);
+        let p = self.ports.get(to);
         let sent_at = self.epoch.elapsed().as_nanos() as Nanos;
         let mut q = p.q.lock();
         let mut any = false;
+        let mut parked = false;
         for payload in payloads {
-            q.push(Message {
+            parked = q.push(Message {
                 from,
                 sent_at,
                 payload,
@@ -158,20 +225,8 @@ impl RealFabric {
         }
         drop(q);
         if any {
-            p.ring();
+            p.ring(parked);
         }
-    }
-
-    fn lock_ref(&self, l: LockId) -> Arc<RawMutex> {
-        self.locks.read()[l as usize].clone()
-    }
-
-    fn cond_ref(&self, c: CondId) -> Arc<CondImpl> {
-        self.conds.read()[c as usize].clone()
-    }
-
-    fn port_ref(&self, p: PortId) -> Arc<PortImpl> {
-        self.ports.read()[p as usize].clone()
     }
 
     fn abs_instant(&self, t: Nanos) -> Instant {
@@ -191,18 +246,14 @@ impl Fabric for RealFabric {
     }
 
     fn alloc_lock(&self) -> LockId {
-        let mut v = self.locks.write();
-        v.push(Arc::new(RawMutex::INIT));
-        (v.len() - 1) as LockId
+        self.locks.push(RawMutex::INIT)
     }
 
     fn alloc_cond(&self) -> CondId {
-        let mut v = self.conds.write();
-        v.push(Arc::new(CondImpl {
+        self.conds.push(CondImpl {
             m: Mutex::new(()),
             cv: Condvar::new(),
-        }));
-        (v.len() - 1) as CondId
+        })
     }
 
     fn alloc_port(&self) -> PortId {
@@ -211,31 +262,30 @@ impl Fabric for RealFabric {
 
     fn alloc_bounded_port(&self, capacity: usize) -> PortId {
         assert!(capacity > 0, "bounded port needs capacity >= 1");
-        let mut v = self.ports.write();
-        v.push(Arc::new(PortImpl {
+        self.ports.push(PortImpl {
             q: Mutex::new(PortQueue {
                 q: VecDeque::new(),
                 cap: capacity,
                 dropped: 0,
+                parked: 0,
             }),
             cv: Condvar::new(),
             watch: OnceLock::new(),
-        }));
-        (v.len() - 1) as PortId
+        })
     }
 
     fn port_dropped(&self, port: PortId) -> u64 {
-        self.port_ref(port).q.lock().dropped
+        self.ports.get(port).q.lock().dropped
     }
 
     fn port_pending(&self, port: PortId) -> usize {
-        self.port_ref(port).q.lock().q.len()
+        self.ports.get(port).q.lock().q.len()
     }
 
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos> {
         // Real-fabric sends deliver immediately: anything queued is
         // already receivable.
-        if self.port_ref(port).q.lock().q.is_empty() {
+        if self.ports.get(port).q.lock().q.is_empty() {
             None
         } else {
             Some(0)
@@ -244,27 +294,25 @@ impl Fabric for RealFabric {
 
     fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) -> bool {
         let watch = DeliveryWatch {
-            lock: self.lock_ref(lock),
-            cond: self.cond_ref(cond),
+            lock: self.locks.get(lock).into_owned(),
+            cond: self.conds.get(cond).into_owned(),
         };
-        let fresh = self.port_ref(port).watch.set(watch).is_ok();
+        let fresh = self.ports.get(port).watch.set(watch).is_ok();
         assert!(fresh, "port {port} is already watched");
         true
     }
 
     fn spawn(&self, name: &str, _server_cpu: Option<u32>, body: TaskBody) -> TaskId {
         let mut pending = self.pending.lock();
-        assert!(!*self.started.lock(), "spawn after run()");
+        assert!(!self.locks.is_frozen(), "spawn after run()");
         pending.push((name.to_string(), body));
         (pending.len() - 1) as TaskId
     }
 
     fn run(&self) {
-        {
-            let mut started = self.started.lock();
-            assert!(!*started, "run() called twice");
-            *started = true;
-        }
+        self.locks.freeze();
+        self.conds.freeze();
+        self.ports.freeze();
         let tasks: Vec<(String, TaskBody)> = std::mem::take(&mut *self.pending.lock());
         let me = self.me.lock().clone().expect(
             "RealFabric must be created via new_arc()/FabricKind::build so tasks can \
@@ -317,15 +365,16 @@ impl Fabric for RealFabric {
     fn charge(&self, _task: TaskId, _ns: Nanos) {}
 
     fn attach_witness(&self, w: Arc<LockWitness>) {
-        *self.witness.lock() = Some(w);
+        let fresh = self.witness.set(w).is_ok();
+        assert!(fresh, "a witness is already attached");
     }
 
     fn witness(&self) -> Option<Arc<LockWitness>> {
-        self.witness.lock().clone()
+        self.witness.get().cloned()
     }
 
     fn lock(&self, task: TaskId, lock: LockId) -> Nanos {
-        let l = self.lock_ref(lock);
+        let l = self.locks.get(lock);
         let blocked = if l.try_lock() {
             0
         } else {
@@ -333,25 +382,25 @@ impl Fabric for RealFabric {
             l.lock();
             self.now(task) - t0
         };
-        if let Some(w) = self.witness() {
+        if let Some(w) = self.witness.get() {
             w.on_acquire(task, lock, self.now(task));
         }
         blocked
     }
 
     fn unlock(&self, task: TaskId, lock: LockId) {
-        if let Some(w) = self.witness() {
+        if let Some(w) = self.witness.get() {
             w.on_release(task, lock);
         }
         // SAFETY: protocol — the calling task holds the lock (verified
         // in debug runs by the LinkTable owner checks layered above).
-        unsafe { self.lock_ref(lock).unlock() };
+        unsafe { self.locks.get(lock).unlock() };
     }
 
     fn cond_wait(&self, task: TaskId, cond: CondId, lock: LockId) -> Nanos {
-        let c = self.cond_ref(cond);
+        let c = self.conds.get(cond);
         let t0 = self.now(task);
-        if let Some(w) = self.witness() {
+        if let Some(w) = self.witness.get() {
             w.on_wait(task, lock, t0);
         }
         {
@@ -373,9 +422,9 @@ impl Fabric for RealFabric {
         lock: LockId,
         deadline: Nanos,
     ) -> (Nanos, bool) {
-        let c = self.cond_ref(cond);
+        let c = self.conds.get(cond);
         let t0 = self.now(task);
-        if let Some(w) = self.witness() {
+        if let Some(w) = self.witness.get() {
             w.on_wait(task, lock, t0);
         }
         let timed_out;
@@ -390,47 +439,52 @@ impl Fabric for RealFabric {
     }
 
     fn cond_signal(&self, _task: TaskId, cond: CondId) {
-        let c = self.cond_ref(cond);
+        let c = self.conds.get(cond);
         let _guard = c.m.lock();
         c.cv.notify_one();
     }
 
     fn cond_broadcast(&self, _task: TaskId, cond: CondId) {
-        let c = self.cond_ref(cond);
+        let c = self.conds.get(cond);
         let _guard = c.m.lock();
         c.cv.notify_all();
     }
 
     fn send(&self, task: TaskId, from: PortId, to: PortId, payload: Vec<u8>) {
-        let p = self.port_ref(to);
-        p.q.lock().push(Message {
+        let p = self.ports.get(to);
+        let parked = p.q.lock().push(Message {
             from,
             sent_at: self.now(task),
             payload,
         });
-        p.ring();
+        p.ring(parked);
     }
 
     fn try_recv(&self, _task: TaskId, port: PortId) -> Option<Message> {
-        self.port_ref(port).q.lock().q.pop_front()
+        self.ports.get(port).q.lock().q.pop_front()
     }
 
     fn wait_readable(&self, _task: TaskId, port: PortId, deadline: Option<Nanos>) -> bool {
-        let p = self.port_ref(port);
+        let p = self.ports.get(port);
         let mut q = p.q.lock();
-        loop {
-            if !q.q.is_empty() {
-                return true;
-            }
-            match deadline {
-                Some(d) => {
-                    if p.cv.wait_until(&mut q, self.abs_instant(d)).timed_out() {
-                        return !q.q.is_empty();
-                    }
+        while q.q.is_empty() {
+            // Counted from before the queue mutex is released (by the
+            // wait) until after it is held again: a delivery either is
+            // in the queue already or sees this task counted.
+            q.parked += 1;
+            let timed_out = match deadline {
+                Some(d) => p.cv.wait_until(&mut q, self.abs_instant(d)).timed_out(),
+                None => {
+                    p.cv.wait(&mut q);
+                    false
                 }
-                None => p.cv.wait(&mut q),
+            };
+            q.parked -= 1;
+            if timed_out {
+                return !q.q.is_empty();
             }
         }
+        true
     }
 
     fn sleep_until(&self, task: TaskId, t: Nanos) {
@@ -623,6 +677,39 @@ mod tests {
         (real, fabric, gw, port, lock, cond)
     }
 
+    /// An outside thread that answers each round the waiting task
+    /// publishes in `round` with exactly one delivery of the round
+    /// number, 0–200 µs after it was published: the delivery lands
+    /// before the waiter looks at the port, between its look and its
+    /// park, or after it parked.
+    fn inject_one_per_round(
+        real: Arc<RealFabric>,
+        gw: PortId,
+        port: PortId,
+        round: Arc<AtomicU64>,
+        rounds: u32,
+    ) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut rng = parquake_math::Pcg32::seeded(17);
+            for i in 1..=rounds as u64 {
+                while round.load(Ordering::Acquire) < i {
+                    std::hint::spin_loop();
+                }
+                let delay = Duration::from_nanos(rng.below(200_000) as u64);
+                let t0 = Instant::now();
+                while t0.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                let payload = i.to_le_bytes().to_vec();
+                if i % 2 == 0 {
+                    real.send_external(gw, port, payload);
+                } else {
+                    real.send_external_batch(gw, port, [payload]);
+                }
+            }
+        })
+    }
+
     /// A watcher that saw its port empty under the lock and then waits
     /// on the watched condvar must be woken by a delivery that lands
     /// anywhere in between — the 2 s deadline is never the way out.
@@ -652,27 +739,61 @@ mod tests {
                 }
             }),
         );
-        let injector = std::thread::spawn(move || {
-            let mut rng = parquake_math::Pcg32::seeded(17);
-            for i in 1..=ROUNDS as u64 {
-                while round.load(Ordering::Acquire) < i {
-                    std::hint::spin_loop();
+        let injector = inject_one_per_round(real, gw, port, round, ROUNDS);
+        fabric.run();
+        injector.join().unwrap();
+    }
+
+    #[test]
+    fn delivery_to_an_unwatched_unawaited_port_is_readable_at_once() {
+        let fabric = FabricKind::Real.build();
+        let src = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        fabric.spawn(
+            "self-sender",
+            None,
+            Box::new(move |ctx| {
+                // Nobody is parked on `port`: this send notifies no one.
+                ctx.send(src, port, vec![7]);
+                let t0 = ctx.now();
+                assert!(ctx.wait_readable(port, Some(t0 + 2_000_000_000)));
+                assert!(ctx.now() - t0 < 500_000_000, "readable, not timed out");
+                assert_eq!(ctx.try_recv(port).unwrap().payload, vec![7]);
+            }),
+        );
+        fabric.run();
+    }
+
+    /// The port's own condvar is notified only when a delivery finds a
+    /// task counted as parked. Wherever the delivery lands relative to
+    /// the waiter's look at the queue and its park, the waiter is woken
+    /// by it — the 2 s deadline is never the way out.
+    #[test]
+    fn timed_wait_readable_never_loses_the_wakeup() {
+        const ROUNDS: u32 = 2_000;
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let gw = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        let round = Arc::new(AtomicU64::new(0));
+        let r = round.clone();
+        fabric.spawn(
+            "waiter",
+            None,
+            Box::new(move |ctx| {
+                for i in 1..=ROUNDS as u64 {
+                    let t0 = ctx.now();
+                    r.store(i, Ordering::Release);
+                    assert!(ctx.wait_readable(port, Some(t0 + 2_000_000_000)));
+                    assert!(
+                        ctx.now() - t0 < 1_000_000_000,
+                        "round {i}: delivery wake-up lost"
+                    );
+                    assert_eq!(ctx.try_recv(port).unwrap().payload, i.to_le_bytes());
+                    assert!(ctx.try_recv(port).is_none());
                 }
-                // 0–200 µs: lands before the scan, inside the window
-                // between scan and wait, or after the watcher parked.
-                let delay = Duration::from_nanos(rng.below(200_000) as u64);
-                let t0 = Instant::now();
-                while t0.elapsed() < delay {
-                    std::hint::spin_loop();
-                }
-                let payload = i.to_le_bytes().to_vec();
-                if i % 2 == 0 {
-                    real.send_external(gw, port, payload);
-                } else {
-                    real.send_external_batch(gw, port, [payload]);
-                }
-            }
-        });
+            }),
+        );
+        let injector = inject_one_per_round(real, gw, port, round, ROUNDS);
         fabric.run();
         injector.join().unwrap();
     }

@@ -23,7 +23,8 @@ use parquake_metrics::{Bucket, ThreadStats};
 use parquake_protocol::{Buttons, GameEvent, GameEventKind, MoveCmd};
 use parquake_sim::entity::EntityId;
 use parquake_sim::interact::{
-    directional_beam_box, launch_projectile, run_hitscan, EXPANDED_LOCK_MARGIN, HITSCAN_RANGE,
+    directional_beam_box, hitscan_along, launch_projectile, Beam, EXPANDED_LOCK_MARGIN,
+    HITSCAN_RANGE,
 };
 use parquake_sim::movement::{move_bounding_box, run_move, TouchEvent};
 use parquake_sim::{GameWorld, WorkCounters};
@@ -247,6 +248,22 @@ impl CommitLog {
     }
 }
 
+/// The buffers one move fills and empties again — tree nodes visited,
+/// a node's link entries, the candidates gathered, the touches of the
+/// motion — kept per thread so a move allocates none of them. Phase B
+/// reuses phase A's: those candidates are released before it starts.
+#[derive(Default)]
+struct MoveScratch {
+    nodes: Vec<NodeId>,
+    raw: Vec<u32>,
+    candidates: Vec<EntityId>,
+    touched: Vec<TouchEvent>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::Cell<MoveScratch> = std::cell::Cell::default();
+}
+
 /// Execute one move command for the player in `slot`. Returns the
 /// broadcastable events it produced (the caller flushes them to the
 /// global buffer) and updates `stats` and the per-frame leaf usage
@@ -306,16 +323,24 @@ pub fn execute_move(
         log.note(task, slot, cmd.seq);
     }
 
-    let mut nodes = Vec::new();
-    let mut candidates = Vec::new();
+    // Taken, not borrowed: a panicking move simply leaves the thread a
+    // fresh set.
+    let mut scratch = SCRATCH.take();
+    let MoveScratch {
+        nodes,
+        raw,
+        candidates,
+        touched,
+    } = &mut scratch;
     gather_candidates(
         env,
         ctx,
         task,
         &move_bbox,
         &plan,
-        &mut nodes,
-        &mut candidates,
+        nodes,
+        raw,
+        candidates,
         &mut work,
         &mut lock_ns,
         stats,
@@ -327,25 +352,25 @@ pub fn execute_move(
         ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
         lock_ns += ctx.now() - t0;
     }
-    claim_all(env, task, mover, &candidates);
-    let mut touched = Vec::new();
+    claim_all(env, task, mover, candidates);
+    touched.clear();
     run_move(
         env.world,
         task,
         mover,
         cmd,
-        &candidates,
+        candidates,
         ctx.now(),
-        &mut touched,
+        touched,
         &mut work,
     );
     relink_locked(env, ctx, task, mover, &plan, &mut lock_ns, stats);
-    release_all(env, task, mover, &candidates);
+    release_all(env, task, mover, candidates);
     if !one_pass {
         unlock_region(env, ctx, task, &plan, &mut lock_ns);
     }
 
-    for t in &touched {
+    for t in touched.iter() {
         match *t {
             TouchEvent::Pickup { item } => outcome.events.push(GameEvent {
                 kind: GameEventKind::Pickup,
@@ -366,13 +391,16 @@ pub fn execute_move(
     // ---- Phase B: long-range action ---------------------------------
     if buttons.long_range() {
         let after = env.world.store.snapshot(mover);
-        let region = if one_pass {
-            // Already covered by the initial acquisition; query the
-            // post-move action region within it.
-            action_region_for(env, &after, buttons, true)
-        } else {
-            action_region_for(env, &after, buttons, false)
-        };
+        let attack = buttons.has(Buttons::ATTACK);
+        // Nothing is locked and nobody else runs: the shooter cannot
+        // change before the hitscan, so trace now and let the wall clip
+        // the gather. A locking policy traces under its locks instead —
+        // the shooter may be hit while it waits for them.
+        let beam = (attack && env.policy.is_none() && after.is_live_player())
+            .then(|| Beam::trace(env.world, &after, &mut work));
+        // Under one-pass locking the region is already covered by the
+        // initial acquisition and only queried here.
+        let region = action_region_for(env, &after, buttons, beam.as_ref());
         let mut action_plan = LeafSet::new();
         if one_pass {
             action_plan.merge(&plan);
@@ -390,34 +418,39 @@ pub fn execute_move(
                 &mut request_distinct,
             );
         }
-        let mut action_nodes = Vec::new();
-        let mut action_cands = Vec::new();
         gather_candidates(
             env,
             ctx,
             task,
             &region,
             &action_plan,
-            &mut action_nodes,
-            &mut action_cands,
+            nodes,
+            raw,
+            candidates,
             &mut work,
             &mut lock_ns,
             stats,
         );
         if env.policy.is_some() {
             let t0 = ctx.now();
-            ctx.charge(env.cost.claim_op * (action_cands.len() as u64 + 1));
+            ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
             lock_ns += ctx.now() - t0;
         }
-        claim_all(env, task, mover, &action_cands);
-        if buttons.has(Buttons::ATTACK) {
-            if let Some(hit) = run_hitscan(env.world, task, mover, &action_cands, &mut work) {
-                outcome.events.push(GameEvent {
-                    kind: GameEventKind::Hit,
-                    a: mover,
-                    b: hit.victim,
-                    pos: hit.pos,
-                });
+        claim_all(env, task, mover, candidates);
+        if attack {
+            let me = env.world.store.snapshot(mover);
+            if me.is_live_player() {
+                let beam = beam.unwrap_or_else(|| Beam::trace(env.world, &me, &mut work));
+                if let Some(hit) =
+                    hitscan_along(env.world, task, mover, &beam, candidates, &mut work)
+                {
+                    outcome.events.push(GameEvent {
+                        kind: GameEventKind::Hit,
+                        a: mover,
+                        b: hit.victim,
+                        pos: hit.pos,
+                    });
+                }
             }
         }
         if buttons.has(Buttons::THROW) {
@@ -430,11 +463,13 @@ pub fn execute_move(
             }
             env.world.store.release(slot_ent, task);
         }
-        release_all(env, task, mover, &action_cands);
+        release_all(env, task, mover, candidates);
         unlock_region(env, ctx, task, &action_plan, &mut lock_ns);
     } else if one_pass {
         unlock_region(env, ctx, task, &plan, &mut lock_ns);
     }
+
+    SCRATCH.set(scratch);
 
     // ---- Accounting --------------------------------------------------
     ctx.charge(env.cost.work_ns(&work));
@@ -460,31 +495,26 @@ pub struct ExecOutcome {
     pub events: Vec<GameEvent>,
 }
 
-/// The lock/query region for a long-range action (paper §4.3).
-/// `optimized_shape` forces the directional/expanded form (used by the
-/// one-pass policy, whose region shapes follow the optimized rules).
+/// The lock *and* query region for a long-range action (paper §4.3).
+/// The whole map is `Baseline`'s locking rule and nothing else: every
+/// other policy, and the lock-free frame, works on the directional beam
+/// box (hitscan — clipped at the wall when `beam` is already traced) or
+/// the expanded box (thrown projectile, completed in the world phase).
 fn action_region_for(
     env: &ExecEnv<'_>,
     me: &parquake_sim::Entity,
     buttons: Buttons,
-    optimized_shape: bool,
+    beam: Option<&Beam>,
 ) -> Aabb {
-    match env.policy {
-        Some(LockPolicy::Baseline) | None if !optimized_shape => {
-            // Conservative: the entire map.
-            env.world.map.bounds
-        }
-        _ => {
-            if buttons.has(Buttons::ATTACK) {
-                // Directional bounding-box locking for fully simulated
-                // objects (hitscan).
-                directional_beam_box(me.eye(), Angles::new(me.pitch, me.yaw, 0.0), HITSCAN_RANGE)
-            } else {
-                // Expanded bounding-box locking for objects completed
-                // in the world phase (thrown projectiles).
-                me.abs_box().inflated(Vec3::splat(EXPANDED_LOCK_MARGIN))
-            }
-        }
+    if env.policy == Some(LockPolicy::Baseline) {
+        return env.world.map.bounds;
+    }
+    if !buttons.has(Buttons::ATTACK) {
+        return me.abs_box().inflated(Vec3::splat(EXPANDED_LOCK_MARGIN));
+    }
+    match beam {
+        Some(beam) => beam.reach_box(),
+        None => directional_beam_box(me.eye(), Angles::new(me.pitch, me.yaw, 0.0), HITSCAN_RANGE),
     }
 }
 
@@ -574,6 +604,7 @@ fn gather_candidates(
     query: &Aabb,
     plan: &LeafSet,
     nodes: &mut Vec<NodeId>,
+    raw: &mut Vec<u32>,
     out: &mut Vec<EntityId>,
     work: &mut WorkCounters,
     lock_ns: &mut Nanos,
@@ -582,7 +613,6 @@ fn gather_candidates(
     out.clear();
     let visits = env.world.tree.nodes_overlapping(query, nodes);
     work.areanode_visits += visits as u64;
-    let mut raw: Vec<u32> = Vec::new();
     for &node in nodes.iter() {
         raw.clear();
         let is_leaf = env.world.tree.is_leaf(node);
@@ -593,7 +623,7 @@ fn gather_candidates(
             let waited = env.locks.acquire_parent(ctx, &env.world.links, task, node);
             stats.lock.parent_ns += waited;
             stats.lock.parent_ops += 1;
-            env.world.links.extend_into(node, task, &mut raw);
+            env.world.links.extend_into(node, task, raw);
             ctx.charge(env.cost.unlock_op);
             env.locks.release_parent(ctx, &env.world.links, task, node);
             *lock_ns += ctx.now() - t0;
@@ -601,9 +631,9 @@ fn gather_candidates(
             if env.policy.is_some() {
                 debug_assert!(plan.contains(node), "reading unlocked leaf {node}");
             }
-            env.world.links.extend_into(node, task, &mut raw);
+            env.world.links.extend_into(node, task, raw);
         }
-        for &id in &raw {
+        for &id in raw.iter() {
             let id = id as EntityId;
             work.candidates += 1;
             let e = env.world.store.snapshot(id);

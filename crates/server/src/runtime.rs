@@ -3,6 +3,7 @@
 //! reply phase, and the global state buffer.
 
 use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
@@ -78,6 +79,12 @@ pub struct ServerShared {
     rng: UnsafeCell<Pcg32>,
     /// Time of the previous world update (master-only).
     last_world: UnsafeCell<Nanos>,
+    /// Where each client's last `Move` was routed: slot index by
+    /// `client_id` modulo the table size (a power of two). Only ever a
+    /// hint — `slot_for_move` checks the slot it names before using it —
+    /// so entries are relaxed atomics that publish nothing, and two
+    /// client ids sharing an entry merely cost each other the scan.
+    route_hint: Box<[AtomicU32]>,
 }
 
 // SAFETY: interior state is guarded by the fabric global lock
@@ -120,6 +127,9 @@ impl ServerShared {
             global_events: UnsafeCell::new(Vec::new()),
             rng: UnsafeCell::new(Pcg32::new(0x5EB0_0715, 99)),
             last_world: UnsafeCell::new(0),
+            route_hint: (0..(2 * slots).next_power_of_two())
+                .map(|_| AtomicU32::new(0))
+                .collect(),
             world,
         }
     }
@@ -353,6 +363,33 @@ impl ServerShared {
         ctx.charge(keyed.len() as u64 * 400);
     }
 
+    /// The Active slot `thread` may execute `client_id`'s move on.
+    /// Static assignment: the slot is in this thread's home block.
+    /// Dynamic assignment: the client may have been steered here from
+    /// any block, so every slot qualifies. The routing hint is tried
+    /// first; whatever it names must pass the same test the scan
+    /// applies, so a stale hint falls through to the scan and can never
+    /// route a move to another client's slot.
+    fn slot_for_move(&self, thread: u32, client_id: u32) -> Option<usize> {
+        let range = if self.dynamic_assignment() {
+            0..self.clients.capacity()
+        } else {
+            self.own_slots(thread)
+        };
+        let plays_here = |idx: usize| {
+            let slot = self.clients.slot(idx);
+            slot.state == SlotState::Active && slot.client_id == client_id
+        };
+        let hint = &self.route_hint[client_id as usize & (self.route_hint.len() - 1)];
+        let hinted = hint.load(Ordering::Relaxed) as usize;
+        if range.contains(&hinted) && plays_here(hinted) {
+            return Some(hinted);
+        }
+        let idx = range.into_iter().find(|&idx| plays_here(idx))?;
+        hint.store(idx as u32, Ordering::Relaxed);
+        Some(idx)
+    }
+
     /// Handle one decoded client message during request processing.
     /// Returns `true` if it was a move (counts toward per-frame request
     /// statistics).
@@ -459,95 +496,78 @@ impl ServerShared {
                 false
             }
             ClientMessage::Move { client_id, cmd } => {
-                // Static assignment: the slot is in this thread's home
-                // block. Dynamic assignment: the client may have been
-                // steered here from any block, so scan everything.
-                let range = if self.dynamic_assignment() {
-                    0..self.clients.capacity()
-                } else {
-                    self.own_slots(thread)
+                let Some(idx) = self.slot_for_move(thread, client_id) else {
+                    return false;
                 };
-                for idx in range {
-                    let slot = self.clients.slot(idx);
-                    if slot.state == SlotState::Active && slot.client_id == client_id {
-                        // Prediction trailer handling, all before the
-                        // move executes: opt-in is sticky, duplicates
-                        // are dropped (applying a network duplicate
-                        // would double-move the player), and sequence
-                        // gaps disarm the client's divergence oracle by
-                        // bumping the perturbation epoch.
-                        if cmd.predict_ack.is_some() {
-                            slot.predicts = true;
-                            if slot.input_ack != 0 && cmd.seq <= slot.input_ack {
-                                stats.inputs_deduped += 1;
-                                slot.last_active = ctx.now();
-                                return false;
-                            }
-                            if slot.input_ack != 0 && cmd.seq != slot.input_ack + 1 {
-                                slot.input_perturb = slot.input_perturb.wrapping_add(1);
-                                stats.input_gaps += 1;
-                            }
-                        }
-                        let env = self.exec_env();
-                        let outcome = execute_move(
-                            &env,
-                            ctx,
-                            thread,
-                            idx as u16,
-                            &cmd,
-                            stats,
-                            frame_leaf_mask,
-                        );
-                        self.push_global_events(ctx, stats, &outcome.events);
-                        // Slot bookkeeping: under dynamic assignment two
-                        // threads can transiently process one client's
-                        // moves in the same frame (port switch window),
-                        // so serialize on the slot's buffer lock.
-                        let dynamic = self.dynamic_assignment();
-                        if dynamic {
-                            let waited = self.locks.acquire_client(ctx, idx);
-                            stats.lock.reply_buffer_ns += waited;
-                        }
-                        let slot = self.clients.slot(idx);
-                        slot.requests_this_frame += 1;
-                        slot.last_seq = cmd.seq;
-                        slot.last_sent_at = cmd.sent_at;
-                        slot.owner = thread;
+                let slot = self.clients.slot(idx);
+                // Prediction trailer handling, all before the
+                // move executes: opt-in is sticky, duplicates
+                // are dropped (applying a network duplicate
+                // would double-move the player), and sequence
+                // gaps disarm the client's divergence oracle by
+                // bumping the perturbation epoch.
+                if cmd.predict_ack.is_some() {
+                    slot.predicts = true;
+                    if slot.input_ack != 0 && cmd.seq <= slot.input_ack {
+                        stats.inputs_deduped += 1;
                         slot.last_active = ctx.now();
-                        if slot.predicts {
-                            slot.input_ack = cmd.seq;
-                            // Advance the reconciliation shadow with
-                            // the pure movement kernel. The first
-                            // trailered move (and the first after a
-                            // restore) adopts the authoritative
-                            // post-move state instead — there is no
-                            // prior shadow to step from.
-                            slot.predict_shadow = match slot.predict_shadow {
-                                Some((pos, vel, on_ground)) => {
-                                    let next = parquake_sim::step_world_only(
-                                        &self.world.map,
-                                        parquake_sim::PredictState {
-                                            pos,
-                                            vel,
-                                            on_ground,
-                                        },
-                                        &cmd,
-                                    );
-                                    Some((next.pos, next.vel, next.on_ground))
-                                }
-                                None => {
-                                    let e = self.world.store.snapshot(idx as u16);
-                                    Some((e.pos, e.vel, e.on_ground))
-                                }
-                            };
-                        }
-                        if dynamic {
-                            self.locks.release_client(ctx, idx);
-                        }
-                        return true;
+                        return false;
+                    }
+                    if slot.input_ack != 0 && cmd.seq != slot.input_ack + 1 {
+                        slot.input_perturb = slot.input_perturb.wrapping_add(1);
+                        stats.input_gaps += 1;
                     }
                 }
-                false
+                let env = self.exec_env();
+                let outcome =
+                    execute_move(&env, ctx, thread, idx as u16, &cmd, stats, frame_leaf_mask);
+                self.push_global_events(ctx, stats, &outcome.events);
+                // Slot bookkeeping: under dynamic assignment two
+                // threads can transiently process one client's
+                // moves in the same frame (port switch window),
+                // so serialize on the slot's buffer lock.
+                let dynamic = self.dynamic_assignment();
+                if dynamic {
+                    let waited = self.locks.acquire_client(ctx, idx);
+                    stats.lock.reply_buffer_ns += waited;
+                }
+                let slot = self.clients.slot(idx);
+                slot.requests_this_frame += 1;
+                slot.last_seq = cmd.seq;
+                slot.last_sent_at = cmd.sent_at;
+                slot.owner = thread;
+                slot.last_active = ctx.now();
+                if slot.predicts {
+                    slot.input_ack = cmd.seq;
+                    // Advance the reconciliation shadow with
+                    // the pure movement kernel. The first
+                    // trailered move (and the first after a
+                    // restore) adopts the authoritative
+                    // post-move state instead — there is no
+                    // prior shadow to step from.
+                    slot.predict_shadow = match slot.predict_shadow {
+                        Some((pos, vel, on_ground)) => {
+                            let next = parquake_sim::step_world_only(
+                                &self.world.map,
+                                parquake_sim::PredictState {
+                                    pos,
+                                    vel,
+                                    on_ground,
+                                },
+                                &cmd,
+                            );
+                            Some((next.pos, next.vel, next.on_ground))
+                        }
+                        None => {
+                            let e = self.world.store.snapshot(idx as u16);
+                            Some((e.pos, e.vel, e.on_ground))
+                        }
+                    };
+                }
+                if dynamic {
+                    self.locks.release_client(ctx, idx);
+                }
+                true
             }
         }
     }
@@ -1057,6 +1077,215 @@ mod tests {
         assert!(!pending.needs_ack, "Pending acks on spawn, not restore");
 
         assert_eq!(s.clients.slot(6).state, SlotState::Empty, "impostor gone");
+    }
+
+    /// One scripted session against a `ServerShared`, run as the only
+    /// task of a virtual fabric. Messages go through `handle_message`
+    /// on the thread the script names; `tick` is the world phase that
+    /// spawns Pending slots and frees leavers.
+    struct Session<'a> {
+        s: &'a ServerShared,
+        ctx: &'a TaskCtx,
+        stats: ThreadStats,
+        frame: u32,
+    }
+
+    impl Session<'_> {
+        fn handle(&mut self, thread: u32, msg: ClientMessage) -> bool {
+            // Each client's reply port is its id: distinct endpoints.
+            let from = match msg {
+                ClientMessage::Connect { client_id, .. }
+                | ClientMessage::Move { client_id, .. }
+                | ClientMessage::Disconnect { client_id } => client_id,
+            };
+            self.s
+                .handle_message(self.ctx, thread, from, msg, &mut self.stats, &mut 0)
+        }
+
+        fn connect(&mut self, thread: u32, client_id: u32) {
+            self.handle(
+                thread,
+                ClientMessage::Connect {
+                    client_id,
+                    arena: 0,
+                },
+            );
+            self.tick();
+        }
+
+        fn disconnect(&mut self, thread: u32, client_id: u32) {
+            self.handle(thread, ClientMessage::Disconnect { client_id });
+            self.tick();
+        }
+
+        fn tick(&mut self) {
+            self.frame += 1;
+            let port = self.s.ports[0];
+            self.s
+                .run_world_update(self.ctx, port, &mut self.stats, self.frame);
+        }
+
+        /// Send `client_id` a move that turns its player to `yaw`, on
+        /// `thread`. Returns whether a move executed.
+        fn turn(&mut self, thread: u32, client_id: u32, seq: u32, yaw: f32) -> bool {
+            let cmd = parquake_protocol::MoveCmd {
+                yaw,
+                ..parquake_protocol::MoveCmd::idle(seq, 30)
+            };
+            self.handle(thread, ClientMessage::Move { client_id, cmd })
+        }
+
+        fn slot_of(&self, client_id: u32) -> usize {
+            (0..self.s.clients.capacity())
+                .find(|&i| {
+                    let slot = self.s.clients.slot(i);
+                    slot.state == SlotState::Active && slot.client_id == client_id
+                })
+                .expect("client holds an Active slot")
+        }
+
+        fn yaw_of(&self, slot: usize) -> f32 {
+            self.s.world.store.snapshot(slot as u16).yaw
+        }
+
+        fn hint_of(&self, client_id: u32) -> &AtomicU32 {
+            &self.s.route_hint[client_id as usize & (self.s.route_hint.len() - 1)]
+        }
+    }
+
+    fn in_session(
+        assignment: Assignment,
+        threads: u32,
+        script: impl FnOnce(&mut Session<'_>) + Send + 'static,
+    ) {
+        let fabric = FabricKind::VirtualSmp(Default::default()).build();
+        let map = Arc::new(MapGenConfig::small_arena(1).generate());
+        let world = Arc::new(GameWorld::new(map, 4, 32));
+        let cfg = ServerConfig {
+            assignment,
+            ..ServerConfig::new(ServerKind::Sequential, 1_000_000_000)
+        };
+        let s = ServerShared::new(&fabric, &cfg, world, threads, None);
+        fabric.spawn(
+            "session",
+            Some(0),
+            Box::new(move |ctx: &TaskCtx| {
+                let mut session = Session {
+                    s: &s,
+                    ctx,
+                    stats: ThreadStats::new(),
+                    frame: 0,
+                };
+                script(&mut session);
+            }),
+        );
+        // A failed assertion in the script panics out of `run`.
+        fabric.run();
+    }
+
+    const A: u32 = 100;
+    const B: u32 = 200;
+
+    /// A's hint goes stale in the worst way — the slot it names is
+    /// Active again, for somebody else — and must not be believed.
+    #[test]
+    fn a_move_follows_its_client_into_a_new_slot_not_the_hint_into_the_old_one() {
+        in_session(Assignment::Static, 1, |t| {
+            t.connect(0, A);
+            let old = t.slot_of(A);
+            assert!(t.turn(0, A, 1, 10.0));
+            assert_eq!(t.yaw_of(old), 10.0);
+            assert_eq!(t.hint_of(A).load(Ordering::Relaxed) as usize, old);
+
+            t.disconnect(0, A);
+            assert!(!t.turn(0, A, 2, 20.0), "nobody plays as A now");
+            t.connect(0, B);
+            assert_eq!(t.slot_of(B), old, "B is admitted into A's old slot");
+            t.connect(0, A);
+            let new = t.slot_of(A);
+            assert_ne!(new, old);
+
+            let b_yaw = t.yaw_of(old);
+            assert!(t.turn(0, A, 3, 30.0));
+            assert_eq!(t.yaw_of(new), 30.0, "A's move ran on A's new entity");
+            assert_eq!(t.yaw_of(old), b_yaw, "and left B's alone");
+            assert_eq!(t.s.clients.slot(new).last_seq, 3);
+            assert_ne!(t.s.clients.slot(old).last_seq, 3);
+            assert_eq!(t.hint_of(A).load(Ordering::Relaxed) as usize, new);
+
+            assert!(t.turn(0, B, 4, 40.0));
+            assert_eq!(t.yaw_of(old), 40.0, "B's move ran on B's entity");
+            assert_eq!(t.yaw_of(new), 30.0);
+        });
+    }
+
+    /// Under region-affine assignment a steered client's moves arrive
+    /// on another thread than the one that admitted it; the hint is
+    /// shared by the threads and checked by each.
+    #[test]
+    fn a_steered_clients_move_is_routed_by_whichever_thread_receives_it() {
+        in_session(Assignment::RegionAffine { period_frames: 0 }, 2, |t| {
+            t.connect(0, A);
+            let old = t.slot_of(A);
+            assert!(t.s.own_slots(0).contains(&old));
+            assert!(t.turn(0, A, 1, 10.0));
+            assert_eq!(t.s.clients.slot(old).owner, 0);
+            // The steer: A's replies name thread 1, its moves go there.
+            t.s.clients.slot(old).desired_thread = 1;
+            assert!(t.turn(1, A, 2, 20.0));
+            assert_eq!(t.yaw_of(old), 20.0);
+            assert_eq!(t.s.clients.slot(old).owner, 1);
+
+            t.disconnect(1, A);
+            t.connect(0, B);
+            assert_eq!(t.slot_of(B), old);
+            t.connect(1, A);
+            let new = t.slot_of(A);
+            assert!(t.s.own_slots(1).contains(&new), "admitted by thread 1");
+            // Steered back: thread 0 receives A's move, holding a hint
+            // that names B's slot in its own home block.
+            assert!(t.turn(0, A, 3, 30.0));
+            assert_eq!(t.yaw_of(new), 30.0);
+            assert_eq!(t.s.clients.slot(new).owner, 0);
+            assert_ne!(t.yaw_of(old), 30.0);
+            assert!(t.turn(1, B, 4, 40.0));
+            assert_eq!(t.yaw_of(old), 40.0);
+            assert_eq!(t.yaw_of(new), 30.0);
+        });
+    }
+
+    #[test]
+    fn a_hint_naming_an_empty_or_pending_slot_falls_back_to_the_scan() {
+        in_session(Assignment::Static, 2, |t| {
+            t.connect(0, B);
+            t.connect(0, A);
+            let slot = t.slot_of(A);
+            assert_eq!(slot, 1);
+
+            // Empty, and out of thread 0's home block besides.
+            for stale in [5, 20] {
+                assert_eq!(t.s.clients.slot(stale).state, SlotState::Empty);
+                t.hint_of(A).store(stale as u32, Ordering::Relaxed);
+                assert!(t.turn(0, A, stale as u32, stale as f32));
+                assert_eq!(t.yaw_of(slot), stale as f32);
+                assert_eq!(t.hint_of(A).load(Ordering::Relaxed) as usize, slot);
+            }
+
+            // Pending: a Connect the world phase has not spawned yet,
+            // wearing A's id in a slot of its own.
+            let pending = t.s.clients.slot(2);
+            pending.state = SlotState::Pending;
+            pending.client_id = A;
+            t.hint_of(A).store(2, Ordering::Relaxed);
+            assert!(t.turn(0, A, 30, 33.0));
+            assert_eq!(t.yaw_of(slot), 33.0);
+            assert_eq!(t.s.clients.slot(2).last_seq, 0);
+
+            // A table index past the last slot is no slot at all.
+            t.hint_of(A).store(63, Ordering::Relaxed);
+            assert!(t.turn(0, A, 31, 34.0));
+            assert_eq!(t.yaw_of(slot), 34.0);
+        });
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use parquake_math::angles::Angles;
 use parquake_math::{Aabb, Vec3};
 
-use crate::entity::{EntityClass, EntityId};
+use crate::entity::{Entity, EntityClass, EntityId};
 use crate::world::GameWorld;
 use crate::WorkCounters;
 
@@ -44,14 +44,54 @@ pub struct HitInfo {
 /// by the victim hull size (paper §4.3 "directional bounding-box
 /// locking").
 pub fn directional_beam_box(eye: Vec3, angles: Angles, range: f32) -> Aabb {
-    let dir = angles.forward();
-    let end = eye.mul_add(dir, range);
-    Aabb::from_corners(eye, end).inflated(Vec3::splat(32.0))
+    beam_box(eye, angles.forward(), range)
 }
 
-/// Execute a hitscan attack for `shooter`. `candidates` must cover the
-/// beam region (guaranteed by whichever locking policy gathered them).
-/// Returns the nearest victim hit, with damage applied.
+fn beam_box(eye: Vec3, dir: Vec3, range: f32) -> Aabb {
+    Aabb::from_corners(eye, eye.mul_add(dir, range)).inflated(Vec3::splat(32.0))
+}
+
+/// A hitscan beam clipped at the wall: from `eye` along `dir`, blocked
+/// by world geometry at `wall_frac` × [`HITSCAN_RANGE`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Beam {
+    pub eye: Vec3,
+    pub dir: Vec3,
+    pub wall_frac: f32,
+}
+
+impl Beam {
+    /// Trace `shooter`'s line of fire against the map — the one BSP
+    /// point trace a hitscan costs.
+    pub fn trace(world: &GameWorld, shooter: &Entity, work: &mut WorkCounters) -> Beam {
+        let eye = shooter.eye();
+        let dir = Angles::new(shooter.pitch, shooter.yaw, 0.0).forward();
+        let tr = world.map.trace(
+            parquake_bsp::Hull::Point,
+            eye,
+            eye.mul_add(dir, HITSCAN_RANGE),
+        );
+        work.trace_steps += tr.steps as u64;
+        Beam {
+            eye,
+            dir,
+            wall_frac: tr.fraction,
+        }
+    }
+
+    /// The region holding every object the beam can hit: the
+    /// directional box of [`directional_beam_box`], stopped at the
+    /// wall. A box the ray enters before the wall contains a point of
+    /// the clipped segment, so it intersects this region.
+    pub fn reach_box(&self) -> Aabb {
+        beam_box(self.eye, self.dir, HITSCAN_RANGE * self.wall_frac)
+    }
+}
+
+/// Execute a hitscan attack for `shooter`: trace the beam, then
+/// [`hitscan_along`] it. `candidates` must cover the beam region
+/// (guaranteed by whichever locking policy gathered them). Returns the
+/// nearest victim hit, with damage applied.
 pub fn run_hitscan(
     world: &GameWorld,
     task: u32,
@@ -63,18 +103,26 @@ pub fn run_hitscan(
     if !me.is_live_player() {
         return None;
     }
-    let eye = me.eye();
-    let angles = Angles::new(me.pitch, me.yaw, 0.0);
-    let dir = angles.forward();
+    let beam = Beam::trace(world, &me, work);
+    hitscan_along(world, task, shooter, &beam, candidates, work)
+}
 
-    // Clip the beam to world geometry first.
-    let tr = world.map.trace(
-        parquake_bsp::Hull::Point,
+/// Apply a live `shooter`'s already-traced `beam`: damage the nearest
+/// candidate player it reaches before the wall. `candidates` must cover
+/// [`Beam::reach_box`].
+pub fn hitscan_along(
+    world: &GameWorld,
+    task: u32,
+    shooter: EntityId,
+    beam: &Beam,
+    candidates: &[EntityId],
+    work: &mut WorkCounters,
+) -> Option<HitInfo> {
+    let Beam {
         eye,
-        eye.mul_add(dir, HITSCAN_RANGE),
-    );
-    work.trace_steps += tr.steps as u64;
-    let wall_frac = tr.fraction;
+        dir,
+        wall_frac,
+    } = *beam;
     let delta = dir * HITSCAN_RANGE;
 
     // Nearest candidate player intersecting the beam before the wall.
