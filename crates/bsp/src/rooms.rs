@@ -179,13 +179,36 @@ impl RoomGraph {
         &self.adj[room as usize]
     }
 
+    /// `room`'s row of the visibility matrix.
+    #[inline]
+    fn vis_row(&self, room: RoomId) -> &[u64] {
+        let row = room as usize * self.words_per_row;
+        &self.vis[row..row + self.words_per_row]
+    }
+
     /// Number of rooms visible from `room` (including itself).
     pub fn visible_count(&self, room: RoomId) -> usize {
-        let row = room as usize * self.words_per_row;
-        self.vis[row..row + self.words_per_row]
+        self.vis_row(room)
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
+    }
+
+    /// The rooms visible from `room` (itself included), ascending.
+    pub fn visible_rooms(&self, room: RoomId) -> impl Iterator<Item = RoomId> + '_ {
+        self.vis_row(room)
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        (w as u32 * 64 + bit) as RoomId
+                    })
+                })
+            })
     }
 }
 
@@ -229,6 +252,25 @@ mod tests {
     }
 
     #[test]
+    fn visible_rooms_lists_the_pvs_row_ascending() {
+        // 70 rooms: the row spans two words.
+        for g in [line_graph(6), line_graph(70)] {
+            let n = g.room_count() as RoomId;
+            for a in 0..n {
+                let seen: Vec<RoomId> = g.visible_rooms(a).collect();
+                assert!(seen.windows(2).all(|p| p[0] < p[1]), "room {a}: {seen:?}");
+                assert!(seen.contains(&a), "room {a} does not see itself");
+                assert_eq!(seen.len(), g.visible_count(a));
+                for b in 0..n {
+                    assert_eq!(seen.contains(&b), g.rooms_visible(a, b), "{a} -> {b}");
+                    // Symmetric: b lists a exactly when a lists b.
+                    assert_eq!(seen.contains(&b), g.visible_rooms(b).any(|r| r == a));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn room_of_maps_grid_positions() {
         let g = line_graph(4);
         assert_eq!(g.room_of(vec3(50.0, 50.0, 0.0)), 0);
@@ -245,6 +287,7 @@ mod tests {
         let g = RoomGraph::single_room(bounds);
         assert_eq!(g.room_count(), 1);
         assert!(g.positions_visible(vec3(-90.0, -90.0, 0.0), vec3(90.0, 90.0, 0.0)));
+        assert_eq!(g.visible_rooms(0).collect::<Vec<_>>(), [0]);
     }
 
     #[test]

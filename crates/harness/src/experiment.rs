@@ -233,6 +233,28 @@ mod tests {
     }
 
     #[test]
+    fn an_index_is_built_only_for_frames_that_owe_a_reply() {
+        let out = Experiment::new(ExperimentConfig {
+            interest: InterestMode::SweepOracle,
+            ..quick(8, ServerKind::Sequential)
+        })
+        .run();
+        assert_eq!(out.connected, 8);
+        let timeline = &out.server.timeline;
+        assert_eq!(timeline.total_frames, timeline.len() as u64, "clipped");
+        let with_moves = timeline.samples().iter().filter(|f| f.requests > 0).count();
+        let ist = &out.server.interest;
+        // The connect-only frames index nothing.
+        assert!(
+            (with_moves as u64) < out.server.frame_count,
+            "{with_moves} of {} frames",
+            out.server.frame_count
+        );
+        assert_eq!(ist.frames, with_moves as u64, "{ist:?}");
+        assert!(ist.oracle_checked > 100 && ist.oracle_mismatches == 0);
+    }
+
+    #[test]
     fn parallel_smoke() {
         let out = Experiment::new(quick(
             8,

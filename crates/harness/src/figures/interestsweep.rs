@@ -1,17 +1,17 @@
-//! Interest-matching figure (extension): the batch DDM sweep against
-//! the per-client visibility scan.
+//! Interest-matching figure (extension): the batch room-to-room
+//! matcher ("sweep") against the per-client visibility scan.
 //!
 //! The paper's reply phase scans every entity for every replying
 //! client — V×E distance tests per frame, the dominant cost once the
-//! world is big and the server saturated. The sweep builds one sorted
-//! entity index per frame and matches all viewers with two monotone
-//! merge passes per axis, so most viewer–entity pairs are disposed of
-//! without ever being examined. The figure runs a saturated 160-player
-//! world on a map large enough that each view window covers only a
-//! sliver of it, and compares scan, sweep, and sweep-with-oracle — the
-//! last re-running the scan UNCHARGED as a shadow oracle for every
-//! reply, so it proves the sweep byte-identical on the same virtual
-//! schedule.
+//! world is big and the server saturated. The sweep buckets the
+//! entities by room once per frame and gathers one candidate list per
+//! occupied room from the rooms its PVS row names, so most
+//! viewer–entity pairs are disposed of room-to-room without ever being
+//! examined. The figure runs a saturated 160-player world on a map
+//! large enough that each PVS covers only a sliver of it, and compares
+//! scan, sweep, and sweep-with-oracle — the last re-running the scan
+//! UNCHARGED as a shadow oracle for every reply, so it proves the
+//! sweep byte-identical on the same virtual schedule.
 
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_metrics::report::{f, numeric_table};
@@ -23,8 +23,9 @@ use crate::figures::common::SweepOpts;
 /// Saturation population (the paper's top of Fig 4's sweep).
 pub const PLAYERS: u32 = 160;
 /// View distance override: the default 1600 would cover most of even a
-/// big map; 800 keeps each view window a small fraction of the world
-/// so the broad phase has something to prune.
+/// big map; 800 keeps each view window, and so each reply set, a small
+/// fraction of the world (what the sweep prunes is set by the PVS, not
+/// by this distance).
 pub const VIEW_DIST: f32 = 800.0;
 
 /// A map big enough that interest matters: 18×18 rooms (~7.5k units a
@@ -135,10 +136,11 @@ pub fn run(opts: &SweepOpts) -> String {
     ));
     s.push_str(&format!(
         "\nThe scan pays {} distance tests per frame per viewer; the sweep\n\
-         disposes of the overwhelming majority of pairs with two sorted\n\
-         merges per axis and hands build_reply a precomputed set. The\n\
-         oracle run re-scans every reply off the clock and found {}\n\
-         divergences: the sweep is the scan, just cheaper.\n",
+         disposes of the overwhelming majority of pairs room-to-room (one\n\
+         candidate list per occupied room, from the rooms its PVS names)\n\
+         and hands build_reply a precomputed set. The oracle run re-scans\n\
+         every reply off the clock and found {} divergences: the sweep is\n\
+         the scan, just cheaper.\n",
         "V x E", oist.oracle_mismatches,
     ));
     s

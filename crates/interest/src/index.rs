@@ -1,14 +1,15 @@
 //! The shared per-frame entity index: every active entity snapshotted
 //! once, in id order, with its reply payload and room precomputed, plus
-//! one coordinate-sorted view per horizontal axis.
+//! one bucket of entities per room.
 //!
-//! Building the index costs one O(capacity) walk and two O(E log E)
-//! sorts of 8-byte `(coordinate, slot)` records — paid once per
-//! frame, shared by every viewer. The id-ordered
-//! `entities` array doubles as the narrow phase's iteration order:
-//! candidate indices sorted ascending recover exactly the order the
-//! per-client scan visits entities in, which is what makes the sweep's
-//! output (including truncation ties) byte-identical to the scan's.
+//! Building the index costs one O(capacity) walk and one stable
+//! counting pass over the rooms the walk already computed — no
+//! comparison sort — paid once per frame and shared by every viewer.
+//! A bucket lists its room's entities as ascending positions in the
+//! id-ordered `entities` array, so the union of any set of buckets,
+//! read in ascending position, is in the order the per-client scan
+//! visits entities in: that is what makes the matcher's output
+//! (including truncation ties) byte-identical to the scan's.
 
 use parquake_bsp::rooms::RoomId;
 use parquake_math::Vec3;
@@ -27,84 +28,39 @@ pub struct IndexedEntity {
     pub update: EntityUpdate,
 }
 
-/// One axis of the index: entity coordinates in ascending order with
-/// two parallel arrays — each entity's coordinate on the *other*
-/// horizontal axis and its index into [`EntityIndex::entities`] — so
-/// the broad phase tests a viewer's range by reading memory
-/// sequentially instead of chasing `slots` into the entity array.
-#[derive(Clone, Debug, Default)]
-pub struct AxisIndex {
-    pub coords: Vec<f32>,
-    pub other: Vec<f32>,
-    pub slots: Vec<u32>,
-}
-
-impl AxisIndex {
-    /// Sort the entities by `coord`, ties by slot (what a stable sort
-    /// of the id-ordered entities gives), then lay the parallel arrays
-    /// out in that order. Each sort record is one integer — the
-    /// coordinate's order-preserving bit pattern above the slot — so
-    /// the sort compares words, not floats through a closure.
-    fn build(
-        entities: &[IndexedEntity],
-        coord: fn(&Vec3) -> f32,
-        other: fn(&Vec3) -> f32,
-    ) -> AxisIndex {
-        let mut records: Vec<u64> = entities
-            .iter()
-            .enumerate()
-            .map(|(slot, e)| u64::from(total_order_bits(coord(&e.pos))) << 32 | slot as u64)
-            .collect();
-        records.sort_unstable();
-        let mut axis = AxisIndex {
-            coords: Vec::with_capacity(records.len()),
-            other: Vec::with_capacity(records.len()),
-            slots: Vec::with_capacity(records.len()),
-        };
-        for record in records {
-            let slot = record as u32;
-            let pos = &entities[slot as usize].pos;
-            axis.coords.push(coord(pos));
-            axis.other.push(other(pos));
-            axis.slots.push(slot);
-        }
-        axis
-    }
-}
-
-/// Map a float to an integer that orders like `f32::total_cmp`.
-fn total_order_bits(v: f32) -> u32 {
-    let bits = v.to_bits();
-    // Negative floats order backwards in their bit patterns: flip all
-    // their bits; for the rest, only lift them above the negatives.
-    bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
-}
-
 /// The per-frame index all viewers match against.
 #[derive(Clone, Debug, Default)]
 pub struct EntityIndex {
     /// Active entities in ascending id order (the scan's order).
     pub entities: Vec<IndexedEntity>,
-    pub by_x: AxisIndex,
-    pub by_y: AxisIndex,
+    /// CSR room buckets: room `r` owns
+    /// `room_slots[room_start[r]..room_start[r + 1]]`.
+    room_start: Vec<u32>,
+    /// Positions into `entities`, grouped by room, ascending inside a
+    /// room.
+    room_slots: Vec<u32>,
 }
 
 impl EntityIndex {
-    /// Snapshot every active entity and sort both axes. Charged to the
-    /// caller as `interest_steps` (one step per entity walked, `n log n`
-    /// per sort).
+    /// Snapshot every active entity and bucket the snapshots by room.
+    /// Charged to the caller as `interest_steps`: one step per store
+    /// slot walked, one per entity bucketed.
     pub fn build(world: &GameWorld, work: &mut WorkCounters) -> EntityIndex {
+        let rooms = &world.map.rooms;
         let cap = world.store.capacity();
         let mut entities = Vec::with_capacity(cap);
+        let mut room_start = vec![0u32; rooms.room_count() + 1];
         for id in 0..cap as EntityId {
             let e = world.store.snapshot(id);
             if !e.active {
                 continue;
             }
+            let room = rooms.room_of(e.pos);
+            room_start[room as usize + 1] += 1;
             entities.push(IndexedEntity {
                 id,
                 pos: e.pos,
-                room: world.map.rooms.room_of(e.pos),
+                room,
                 update: EntityUpdate {
                     id: e.id,
                     kind: e.wire_kind(),
@@ -114,14 +70,32 @@ impl EntityIndex {
                 },
             });
         }
-        work.interest_steps += cap as u64 + 2 * sort_steps(entities.len());
-        let by_x = AxisIndex::build(&entities, |p| p.x, |p| p.y);
-        let by_y = AxisIndex::build(&entities, |p| p.y, |p| p.x);
+        work.interest_steps += (cap + entities.len()) as u64;
+        // Counting sort by room: sizes → bucket starts, then a stable
+        // scatter (ascending slots stay ascending inside a bucket).
+        for r in 1..room_start.len() {
+            room_start[r] += room_start[r - 1];
+        }
+        let mut next = room_start.clone();
+        let mut room_slots = vec![0u32; entities.len()];
+        for (slot, e) in entities.iter().enumerate() {
+            let at = &mut next[e.room as usize];
+            room_slots[*at as usize] = slot as u32;
+            *at += 1;
+        }
         EntityIndex {
             entities,
-            by_x,
-            by_y,
+            room_start,
+            room_slots,
         }
+    }
+
+    /// Positions into `entities` of the entities standing in `room`,
+    /// ascending.
+    #[inline]
+    pub fn bucket(&self, room: RoomId) -> &[u32] {
+        let r = room as usize;
+        &self.room_slots[self.room_start[r] as usize..self.room_start[r + 1] as usize]
     }
 
     #[inline]
@@ -171,59 +145,24 @@ mod tests {
     }
 
     #[test]
-    fn axis_views_are_sorted_and_complete() {
-        let map = Arc::new(MapGenConfig::open_hall(2).generate());
-        let w = GameWorld::new(map, 4, 16);
+    fn every_indexed_slot_sits_in_exactly_one_bucket() {
+        let map = Arc::new(MapGenConfig::large_arena(2).generate());
+        let w = GameWorld::new(map, 4, 32);
         let mut rng = Pcg32::seeded(2);
-        for i in 0..16 {
+        for i in 0..32 {
             w.spawn_player(i, i as u32, &mut rng);
         }
-        let mut work = WorkCounters::new();
-        let idx = EntityIndex::build(&w, &mut work);
-        type Pick = fn(&Vec3) -> f32;
-        let axes: [(&AxisIndex, Pick, Pick); 2] =
-            [(&idx.by_x, |p| p.x, |p| p.y), (&idx.by_y, |p| p.y, |p| p.x)];
-        for (axis, coord, other) in axes {
-            assert_eq!(axis.coords.len(), idx.len());
-            assert_eq!(axis.other.len(), idx.len());
-            assert_eq!(axis.slots.len(), idx.len());
-            assert!(axis.coords.windows(2).all(|p| p[0] <= p[1]), "unsorted");
-            // The parallel arrays describe the entity `slots` names.
-            for (k, &slot) in axis.slots.iter().enumerate() {
-                let pos = idx.entities[slot as usize].pos;
-                assert_eq!(axis.coords[k], coord(&pos));
-                assert_eq!(axis.other[k], other(&pos));
-            }
-            let mut seen: Vec<u32> = axis.slots.clone();
-            seen.sort_unstable();
-            assert!(seen.iter().enumerate().all(|(i, &s)| i as u32 == s));
-        }
-    }
-
-    #[test]
-    fn total_order_bits_order_like_total_cmp() {
-        let samples = [
-            f32::NEG_INFINITY,
-            -4096.5,
-            -1.0,
-            -f32::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f32::MIN_POSITIVE,
-            0.25,
-            1.0,
-            4096.5,
-            f32::INFINITY,
-        ];
-        for a in samples {
-            for b in samples {
-                assert_eq!(
-                    total_order_bits(a).cmp(&total_order_bits(b)),
-                    a.total_cmp(&b),
-                    "{a} vs {b}"
-                );
+        let idx = EntityIndex::build(&w, &mut WorkCounters::new());
+        let mut seen = vec![0u32; idx.len()];
+        for room in 0..w.map.rooms.room_count() as RoomId {
+            let bucket = idx.bucket(room);
+            assert!(bucket.windows(2).all(|p| p[0] < p[1]), "room {room}");
+            for &slot in bucket {
+                assert_eq!(idx.entities[slot as usize].room, room);
+                seen[slot as usize] += 1;
             }
         }
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
     }
 
     #[test]

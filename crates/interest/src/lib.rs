@@ -3,21 +3,26 @@
 //! The original server scopes each reply with a per-client scan over
 //! every entity (`parquake_sim::visibility`) — O(players × entities)
 //! per frame, the measured saturation driver. This crate replaces the
-//! scan with the sort-based DDM sweep of Marzolla et al.: once per
-//! frame the server builds one shared [`EntityIndex`] (active entities
-//! sorted by X and by Y), then matches *all* viewers against it with
-//! two linear merges per axis. Because entities are points, each
-//! viewer's per-axis candidates form a contiguous range of the sorted
-//! array, so the broad phase costs a shared O(E log E) sort plus
-//! O(V log V + V + E) merges instead of V separate O(E) scans. A
-//! narrow phase re-runs the scan's exact distance and room checks on
-//! the few survivors, so the output is byte-identical to the scan —
-//! provable on demand via [`InterestMode::SweepOracle`], which shadows
-//! every reply with an uncharged brute-force scan and counts
-//! mismatches (zero expected, asserted in tests and the
-//! `interestsweep` figure).
+//! scan with region-to-region matching in the sense of the DDM
+//! literature (Marzolla et al.): a viewer's subscription region is the
+//! set of rooms its room sees (the map's PVS), an entity's update
+//! region is the room it stands in. Once per frame the server builds
+//! one shared [`EntityIndex`] (active entities in id order, bucketed
+//! by room in one counting pass); [`match_viewers`] then groups the
+//! viewers by room, gathers one candidate list per *occupied* room
+//! from the buckets its PVS row names, and runs the scan's own
+//! self-skip, distance cut and nearest-first truncation over that
+//! list for each viewer standing there. The room gate is the scan's,
+//! applied to whole rooms instead of pairs, so the output is
+//! byte-identical to the scan — provable on demand via
+//! [`InterestMode::SweepOracle`], which shadows every reply with an
+//! uncharged brute-force scan and counts mismatches (zero expected,
+//! asserted in tests and the `interestsweep` figure).
 //!
-//! The sweep parallelizes trivially: the index is built once (by the
+//! "Sweep" names this batch matcher throughout (mode, flag value,
+//! figure); the flag value is what command lines and CI already pass.
+//!
+//! The matcher parallelizes trivially: the index is built once (by the
 //! thread releasing the intra-frame barrier, in the parallel server)
 //! and each worker matches only the viewers it owns.
 
@@ -34,8 +39,8 @@ pub enum InterestMode {
     /// The original per-client O(entities) scan (`visibility.rs`).
     #[default]
     Scan,
-    /// Batch sort-based sweep: one shared index per frame, cheap
-    /// per-client lookups.
+    /// Batch room-to-room matching: one shared index per frame, one
+    /// candidate list per occupied room, a short walk per client.
     Sweep,
     /// Sweep, plus an uncharged brute-force scan shadowing every reply
     /// and counting mismatches (zero expected). Charges exactly what
@@ -78,30 +83,34 @@ impl InterestMode {
 
 /// Matching counters published when a run ends.
 ///
-/// `pairs_skipped` is accumulated at two independent places — the axis
-/// prune (entities never reached because they fall outside the
-/// viewer's contiguous per-axis range) and the broad phase's
-/// other-axis rejects — while `pairs_tested` counts narrow-phase
-/// examinations. The identity below therefore cross-checks that the
-/// sweep accounted for every (viewer, entity) pair exactly once; a
-/// matcher that dropped or double-visited candidates cannot close it.
+/// `pairs_tested` and `pairs_skipped` are accumulated per viewer from
+/// the size of its room's candidate list — the entities the matcher
+/// walked for that viewer (its own included) and the indexed entities
+/// it never touched because their room is outside the viewer's PVS —
+/// while `pairs_total` is counted up front as viewers × indexed
+/// entities. The identity below therefore cross-checks that the
+/// matcher accounted for every (viewer, entity) pair exactly once; a
+/// viewer dropped from its room group, or a candidate list that is not
+/// a subset of the index, cannot close it.
 // lockcheck: identity(pairs_tested + pairs_skipped == pairs_total)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InterestStats {
-    /// Frames for which an entity index was built.
+    /// Entity indexes actually built: frames in which at least one
+    /// client is owed a reply (connect-only, ack-only and maintenance
+    /// frames build none).
     pub frames: u64,
     /// Viewers matched (Σ per match pass).
     pub viewers: u64,
-    /// Active entities indexed (Σ per frame).
+    /// Active entities indexed (Σ per match pass).
     pub entities: u64,
     /// Candidate pairs in play: Σ viewers × indexed entities.
     pub pairs_total: u64,
-    /// Pairs that reached the narrow phase (exact distance + room
-    /// checks, including the viewer's own entity when it survives the
-    /// broad phase).
+    /// Pairs examined entity-to-entity: Σ over viewers of the
+    /// candidate list of the viewer's room (the viewer's own entity
+    /// included).
     pub pairs_tested: u64,
-    /// Pairs disposed of by the broad phase: axis-pruned (outside the
-    /// per-axis range) plus other-axis rejects.
+    /// Pairs disposed of room-to-room: indexed entities standing in
+    /// rooms the viewer's room does not see.
     pub pairs_skipped: u64,
     /// Replies shadowed by the brute-force oracle.
     pub oracle_checked: u64,
@@ -123,7 +132,7 @@ impl InterestStats {
     }
 
     /// The pair-accounting identity: every candidate pair was either
-    /// narrow-phase tested or broad-phase skipped.
+    /// examined entity-to-entity or skipped room-to-room.
     pub fn pairs_closed(&self) -> bool {
         self.pairs_tested + self.pairs_skipped == self.pairs_total
     }

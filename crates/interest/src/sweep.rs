@@ -1,35 +1,35 @@
-//! The sort-based sweep: match every viewer against the shared
-//! [`EntityIndex`] with two linear merges per axis.
+//! The batch matcher: interest matched room-to-room first, entity to
+//! entity only inside the hit.
 //!
-//! Entities are points, so a viewer's per-axis candidates — entities
-//! whose coordinate falls inside `[center − R, center + R]` — form one
-//! contiguous range of the coordinate-sorted array. Viewers all share
-//! the radius `R` (the world's view distance), so sorting viewers by
-//! center orders their lower *and* upper bounds simultaneously; one
-//! monotone two-pointer pass per bound finds every range. The broad
-//! phase then walks the smaller of a viewer's two axis ranges, tests
-//! the other axis against the range's parallel coordinate array and
-//! marks survivors in a bitset over index positions; survivors are
-//! exact AABB candidates, a superset of the sphere the scan uses. The
-//! narrow phase walks the set bits ascending — ascending index is
-//! ascending id, the scan's order — and re-runs the scan's checks
-//! verbatim: same distance test, same room gate, same stable
-//! nearest-first truncation, so the result is byte-identical to
-//! `visibility::build_reply_entities`.
+//! Whether a viewer may see an entity at all depends only on the two
+//! *rooms* (the map's PVS), and many viewers share few rooms. So the
+//! viewers are grouped by room, and once per occupied room the buckets
+//! of the rooms its PVS row lists are OR-ed into a bitset over index
+//! positions and drained ascending — ascending position is ascending
+//! id, the scan's order — into one candidate list that every viewer
+//! standing in that room shares. What is left per viewer is the
+//! scan's own self-skip, distance cut and stable nearest-first
+//! truncation over that list, so the result is byte-identical to
+//! `visibility::build_reply_entities`. A viewer's set depends on
+//! nothing but the index and its own position: matching any subset of
+//! the viewers (one thread's slots, in the parallel server) yields the
+//! same sets.
 
+use parquake_bsp::rooms::RoomId;
+use parquake_math::Vec3;
 use parquake_protocol::{EntityUpdate, MAX_ENTITIES_PER_REPLY};
 use parquake_sim::{EntityId, GameWorld, WorkCounters};
 
-use crate::index::{sort_steps, AxisIndex, EntityIndex};
+use crate::index::{sort_steps, EntityIndex};
 use crate::InterestStats;
 
 /// One frame's precomputed interest sets, keyed by viewer entity id.
-/// All sets live back to back in one array: viewer `ids[i]` owns
-/// `updates[offsets[i]..offsets[i + 1]]`.
+/// All sets live in one array, in the order they were produced: viewer
+/// `ids[i]` owns `updates[windows[i].0..windows[i].1]`.
 #[derive(Clone, Debug, Default)]
 pub struct InterestFrame {
     ids: Vec<EntityId>,
-    offsets: Vec<u32>,
+    windows: Vec<(u32, u32)>,
     updates: Vec<EntityUpdate>,
 }
 
@@ -37,7 +37,8 @@ impl InterestFrame {
     /// The precomputed reply set for `viewer`, if it was matched.
     pub fn get(&self, viewer: EntityId) -> Option<&[EntityUpdate]> {
         let i = self.ids.binary_search(&viewer).ok()?;
-        Some(&self.updates[self.offsets[i] as usize..self.offsets[i + 1] as usize])
+        let (start, end) = self.windows[i];
+        Some(&self.updates[start as usize..end as usize])
     }
 
     pub fn len(&self) -> usize {
@@ -49,9 +50,9 @@ impl InterestFrame {
     }
 }
 
-/// Broad-phase survivors as a bitset over index positions, reused
-/// across viewers. Draining it visits positions in ascending order,
-/// which is ascending entity id, without sorting anything.
+/// A set of index positions, reused across rooms. Draining it visits
+/// positions in ascending order, which is ascending entity id, without
+/// sorting anything.
 struct SlotBits {
     words: Vec<u64>,
 }
@@ -63,11 +64,9 @@ impl SlotBits {
         }
     }
 
-    /// Set bit `slot` iff `hit` (branch-free: the broad phase rejects
-    /// most of what it walks, unpredictably).
     #[inline]
-    fn mark(&mut self, slot: u32, hit: bool) {
-        self.words[(slot >> 6) as usize] |= u64::from(hit) << (slot & 63);
+    fn set(&mut self, slot: u32) {
+        self.words[(slot >> 6) as usize] |= 1 << (slot & 63);
     }
 
     /// Visit every set bit in ascending order, leaving the set empty.
@@ -86,9 +85,10 @@ impl SlotBits {
 /// Match `viewers` (ascending entity ids) against the index. Returns
 /// one reply set per viewer, byte-identical to what the per-client
 /// scan would produce. Work is reported through `work`
-/// (`interest_steps` for the sweep machinery, `visibility_checks` for
-/// narrow-phase examinations) and the pair accounting through `stats`.
-/// Allocates a fixed number of buffers per call, none per viewer.
+/// (`interest_steps` for grouping the viewers and gathering each
+/// occupied room's candidates, `visibility_checks` for candidates
+/// examined) and the pair accounting through `stats`. Allocates a
+/// fixed number of buffers per call, none per viewer.
 pub fn match_viewers(
     world: &GameWorld,
     index: &EntityIndex,
@@ -97,142 +97,104 @@ pub fn match_viewers(
     stats: &mut InterestStats,
 ) -> InterestFrame {
     debug_assert!(viewers.windows(2).all(|p| p[0] < p[1]), "viewers unsorted");
+    let rooms = &world.map.rooms;
     let e_n = index.len();
     let v_n = viewers.len();
     stats.viewers += v_n as u64;
     stats.entities += e_n as u64;
     stats.pairs_total += (v_n * e_n) as u64;
 
-    let r = world.max_view_dist;
-    let max_d2 = r * r;
-    let centers: Vec<parquake_math::Vec3> = viewers
+    let max_d2 = world.max_view_dist * world.max_view_dist;
+    let centers: Vec<Vec3> = viewers
         .iter()
         .map(|&id| world.store.snapshot(id).pos)
         .collect();
+    // Group the viewers by room: one word per viewer, its room above
+    // its position in `viewers` (ids are 16 bits, so positions are).
+    let mut by_room: Vec<u32> = centers
+        .iter()
+        .enumerate()
+        .map(|(vi, &me)| u32::from(rooms.room_of(me)) << 16 | vi as u32)
+        .collect();
+    by_room.sort_unstable();
+    work.interest_steps += sort_steps(v_n);
 
-    let cx: Vec<f32> = centers.iter().map(|p| p.x).collect();
-    let cy: Vec<f32> = centers.iter().map(|p| p.y).collect();
-    let rx = axis_ranges(&index.by_x, &cx, r, work);
-    let ry = axis_ranges(&index.by_y, &cy, r, work);
-
-    let mut offsets = Vec::with_capacity(v_n + 1);
-    offsets.push(0u32);
-    let mut updates: Vec<EntityUpdate> = Vec::with_capacity(v_n * e_n.min(MAX_ENTITIES_PER_REPLY));
-    // Per-viewer scratch, sized once for the worst case (everything
-    // visible): the viewer's set in id order and, parallel to it,
-    // nearest-first sort keys.
+    // Every buffer is sized once for the worst case (everything
+    // visible to everyone); `updates` has room for one viewer's
+    // untruncated set on top of the sets it keeps.
+    let keep = e_n.min(MAX_ENTITIES_PER_REPLY);
+    let mut windows = vec![(0u32, 0u32); v_n];
+    let mut updates: Vec<EntityUpdate> = Vec::with_capacity(v_n * keep + e_n);
     let mut bits = SlotBits::new(e_n);
-    let mut near: Vec<EntityUpdate> = Vec::with_capacity(e_n);
+    let mut cand: Vec<u32> = Vec::with_capacity(e_n);
     let mut keys: Vec<u64> = Vec::with_capacity(e_n);
-    for (vi, &vid) in viewers.iter().enumerate() {
-        let me = centers[vi];
-        let (sx, ex) = rx[vi];
-        let (sy, ey) = ry[vi];
-        let nx = (ex - sx) as usize;
-        let ny = (ey - sy) as usize;
-
-        // Broad phase: walk the smaller axis range, test the other
-        // axis coordinate from the range's parallel array.
-        let broad = nx.min(ny);
-        let (axis, center, range) = if nx <= ny {
-            (&index.by_x, me.y, sx as usize..ex as usize)
-        } else {
-            (&index.by_y, me.x, sy as usize..ey as usize)
-        };
-        let mut cand_n = 0usize;
-        for (&other, &slot) in axis.other[range.clone()].iter().zip(&axis.slots[range]) {
-            let hit = (other - center).abs() <= r;
-            bits.mark(slot, hit);
-            cand_n += usize::from(hit);
+    let mut nearest: Vec<EntityUpdate> = Vec::with_capacity(keep);
+    let mut gathered: Option<RoomId> = None;
+    for &key in &by_room {
+        let (room, vi) = ((key >> 16) as RoomId, (key & 0xffff) as usize);
+        if gathered != Some(room) {
+            // Region to region, once per occupied room: everything
+            // standing in a room this room sees, in id order. The
+            // bitset hands the union over already ordered; the
+            // modelled machine has no such trick, so the comparison
+            // sort it would need to restore id order is still charged
+            // — the price of the ordered walk.
+            gathered = Some(room);
+            for seen in rooms.visible_rooms(room) {
+                for &slot in index.bucket(seen) {
+                    bits.set(slot);
+                }
+            }
+            cand.clear();
+            bits.drain_ascending(|slot| cand.push(slot));
+            work.interest_steps += cand.len() as u64 + sort_steps(cand.len());
         }
-        work.interest_steps += broad as u64;
-        // Axis prune: entities outside the walked range were never
-        // touched. Other-axis rejects: walked but discarded.
-        stats.pairs_skipped += (e_n - broad) as u64;
-        stats.pairs_skipped += (broad - cand_n) as u64;
+        let (vid, me) = (viewers[vi], centers[vi]);
+        stats.pairs_tested += cand.len() as u64;
+        stats.pairs_skipped += (e_n - cand.len()) as u64;
 
-        // Narrow phase in id order. The bitset hands the survivors
-        // over already ordered; the modelled machine has no such
-        // trick, so the comparison sort it would need to restore id
-        // order is still charged — the price of the ordered walk.
-        work.interest_steps += sort_steps(cand_n);
-        stats.pairs_tested += cand_n as u64;
-
-        let my_room = world.map.rooms.room_of(me);
-        near.clear();
-        keys.clear();
-        bits.drain_ascending(|slot| {
+        // Entity to entity, inside the hit only.
+        let start = updates.len();
+        for &slot in &cand {
             let ent = &index.entities[slot as usize];
             if ent.id == vid {
-                return;
+                continue;
             }
             work.visibility_checks += 1;
-            let d2 = ent.pos.distance_sq(me);
-            if d2 > max_d2 {
-                return;
+            if ent.pos.distance_sq(me) > max_d2 {
+                continue;
             }
-            if !world.map.rooms.rooms_visible(my_room, ent.room) {
-                return;
-            }
-            // `d2` is a non-negative finite float, so its bit pattern
-            // orders like its value; the low half breaks ties in id
-            // order, which is what the scan's stable sort does.
-            keys.push(u64::from(d2.to_bits()) << 32 | near.len() as u64);
-            near.push(ent.update);
-        });
-        if near.len() > MAX_ENTITIES_PER_REPLY {
+            updates.push(ent.update);
+        }
+        if updates.len() - start > MAX_ENTITIES_PER_REPLY {
+            // A squared distance is a non-negative float, so its bit
+            // pattern orders like its value; the low half breaks ties
+            // in id order, which is what the scan's stable sort does.
             // Keys are unique, so the nearest MAX are one definite set
             // in one definite order: select them, then order only them.
+            keys.clear();
+            keys.extend(
+                updates[start..]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, u)| u64::from(u.pos.distance_sq(me).to_bits()) << 32 | k as u64),
+            );
             keys.select_nth_unstable(MAX_ENTITIES_PER_REPLY);
             keys.truncate(MAX_ENTITIES_PER_REPLY);
-            keys.sort();
-            updates.extend(keys.iter().map(|&k| near[k as u32 as usize]));
-        } else {
-            updates.extend_from_slice(&near);
+            keys.sort_unstable();
+            nearest.clear();
+            nearest.extend(keys.iter().map(|&k| updates[start + k as u32 as usize]));
+            updates.truncate(start);
+            updates.extend_from_slice(&nearest);
         }
-        offsets.push(updates.len() as u32);
+        windows[vi] = (start as u32, updates.len() as u32);
     }
 
     InterestFrame {
         ids: viewers.to_vec(),
-        offsets,
+        windows,
         updates,
     }
-}
-
-/// For every viewer center, the contiguous `[start, end)` range of the
-/// axis array whose coordinates fall inside `center ± r`. One sort of
-/// the viewers by center plus two monotone merge passes — the DDM
-/// sweep's core.
-fn axis_ranges(
-    axis: &AxisIndex,
-    centers: &[f32],
-    r: f32,
-    work: &mut WorkCounters,
-) -> Vec<(u32, u32)> {
-    let v_n = centers.len();
-    let mut order: Vec<u32> = (0..v_n as u32).collect();
-    order.sort_by(|&a, &b| centers[a as usize].total_cmp(&centers[b as usize]));
-    work.interest_steps += sort_steps(v_n);
-
-    let coords = &axis.coords;
-    let n = coords.len();
-    let mut ranges = vec![(0u32, 0u32); v_n];
-    let (mut lo, mut hi) = (0usize, 0usize);
-    for &vi in &order {
-        let c = centers[vi as usize];
-        while lo < n && coords[lo] < c - r {
-            lo += 1;
-            work.interest_steps += 1;
-        }
-        while hi < n && coords[hi] <= c + r {
-            hi += 1;
-            work.interest_steps += 1;
-        }
-        ranges[vi as usize] = (lo as u32, hi as u32);
-        work.interest_steps += 1;
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -261,115 +223,25 @@ mod tests {
         (frame, stats)
     }
 
-    /// The matcher this module replaced, kept as the oracle for
-    /// everything the rewrite must not move: candidates collected into
-    /// a `Vec` and re-sorted into id order, one `Vec` per viewer,
-    /// stable distance sort on truncation.
-    fn match_viewers_reference(
-        world: &GameWorld,
-        index: &EntityIndex,
-        viewers: &[EntityId],
-        work: &mut WorkCounters,
-        stats: &mut InterestStats,
-    ) -> Vec<Vec<EntityUpdate>> {
-        let e_n = index.len();
-        let v_n = viewers.len();
-        stats.viewers += v_n as u64;
-        stats.entities += e_n as u64;
-        stats.pairs_total += (v_n * e_n) as u64;
-        let r = world.max_view_dist;
-        let max_d2 = r * r;
-        let centers: Vec<parquake_math::Vec3> = viewers
-            .iter()
-            .map(|&id| world.store.snapshot(id).pos)
-            .collect();
-        let cx: Vec<f32> = centers.iter().map(|p| p.x).collect();
-        let cy: Vec<f32> = centers.iter().map(|p| p.y).collect();
-        let rx = axis_ranges(&index.by_x, &cx, r, work);
-        let ry = axis_ranges(&index.by_y, &cy, r, work);
-        let mut sets = Vec::with_capacity(v_n);
-        for (vi, &vid) in viewers.iter().enumerate() {
-            let me = centers[vi];
-            let (sx, ex) = rx[vi];
-            let (sy, ey) = ry[vi];
-            let broad = (ex - sx).min(ey - sy) as usize;
-            let mut cand: Vec<u32> = Vec::new();
-            if ex - sx <= ey - sy {
-                for k in sx..ex {
-                    let slot = index.by_x.slots[k as usize];
-                    if (index.entities[slot as usize].pos.y - me.y).abs() <= r {
-                        cand.push(slot);
-                    }
-                }
-            } else {
-                for k in sy..ey {
-                    let slot = index.by_y.slots[k as usize];
-                    if (index.entities[slot as usize].pos.x - me.x).abs() <= r {
-                        cand.push(slot);
-                    }
-                }
-            }
-            work.interest_steps += broad as u64;
-            stats.pairs_skipped += (e_n - broad) as u64;
-            stats.pairs_skipped += (broad - cand.len()) as u64;
-            cand.sort_unstable();
-            work.interest_steps += sort_steps(cand.len());
-            stats.pairs_tested += cand.len() as u64;
-            let my_room = world.map.rooms.room_of(me);
-            let mut scratch: Vec<(f32, EntityUpdate)> = Vec::new();
-            for &slot in &cand {
-                let ent = &index.entities[slot as usize];
-                if ent.id == vid {
-                    continue;
-                }
-                work.visibility_checks += 1;
-                let d2 = ent.pos.distance_sq(me);
-                if d2 > max_d2 {
-                    continue;
-                }
-                if !world.map.rooms.rooms_visible(my_room, ent.room) {
-                    continue;
-                }
-                scratch.push((d2, ent.update));
-            }
-            if scratch.len() > MAX_ENTITIES_PER_REPLY {
-                scratch.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-                scratch.truncate(MAX_ENTITIES_PER_REPLY);
-            }
-            sets.push(scratch.iter().map(|&(_, u)| u).collect());
-        }
-        sets
-    }
-
-    /// Sweep output equals the scan for every viewer, the pair
-    /// accounting closes, and sets, charged work and pair counters all
-    /// equal the replaced matcher's — for all viewers and for a subset
-    /// (offsets must not depend on who else was matched).
+    /// Sweep output equals the scan for every viewer and the pair
+    /// accounting closes — matching all viewers, every third viewer
+    /// and none: a viewer's set must not depend on who else is matched
+    /// (the parallel server splits the viewers between its threads).
     fn assert_matches_scan(world: &GameWorld, viewers: &[EntityId]) {
-        let (frame, stats) = sweep_all(world, viewers);
-        for &v in viewers {
-            assert_eq!(
-                frame.get(v).expect("viewer matched"),
-                scan(world, v).as_slice(),
-                "sweep != scan for viewer {v}"
-            );
-        }
-        assert!(stats.pairs_closed(), "{stats:?}");
-
-        let index = EntityIndex::build(world, &mut WorkCounters::new());
         let thirds: Vec<EntityId> = viewers.iter().copied().step_by(3).collect();
         for subset in [viewers, &thirds[..], &[]] {
-            let (mut work, mut stats) = (WorkCounters::new(), InterestStats::default());
-            let frame = match_viewers(world, &index, subset, &mut work, &mut stats);
-            let (mut ref_work, mut ref_stats) = (WorkCounters::new(), InterestStats::default());
-            let sets =
-                match_viewers_reference(world, &index, subset, &mut ref_work, &mut ref_stats);
+            let (frame, stats) = sweep_all(world, subset);
             assert_eq!(frame.len(), subset.len());
-            for (&v, set) in subset.iter().zip(&sets) {
-                assert_eq!(frame.get(v).unwrap(), set.as_slice(), "viewer {v}");
+            for &v in subset {
+                assert_eq!(
+                    frame.get(v).expect("viewer matched"),
+                    scan(world, v).as_slice(),
+                    "sweep != scan for viewer {v} among {} matched",
+                    subset.len()
+                );
             }
-            assert_eq!(work, ref_work, "charged work moved");
-            assert_eq!(stats, ref_stats, "pair accounting moved");
+            assert!(stats.pairs_closed(), "{stats:?}");
+            assert_eq!(stats.viewers, subset.len() as u64);
         }
     }
 
@@ -381,7 +253,12 @@ mod tests {
         for i in 0..16 {
             w.spawn_player(i, i as u32, &mut rng);
         }
-        assert_matches_scan(&w, &(0..16).collect::<Vec<_>>());
+        let viewers: Vec<EntityId> = (0..16).collect();
+        assert_matches_scan(&w, &viewers);
+        // One room sees itself: nothing to prune, every pair examined.
+        let (_, stats) = sweep_all(&w, &viewers);
+        assert_eq!(stats.pairs_skipped, 0, "{stats:?}");
+        assert_eq!(stats.pairs_tested, 16 * stats.entities, "V × E");
     }
 
     #[test]
@@ -404,6 +281,32 @@ mod tests {
         for i in 0..32 {
             w.spawn_player(i, i as u32, &mut rng);
         }
+        assert_matches_scan(&w, &(0..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sweep_equals_scan_for_viewers_in_walls_and_off_the_grid() {
+        // `room_of` attributes a position inside a wall to the nearest
+        // cell and clamps one outside the grid; the matcher must file
+        // such viewers (and such entities) exactly as the scan does.
+        let cfg = MapGenConfig::large_arena(15);
+        let (fx, fy) = cfg.footprint();
+        let pitch = cfg.pitch();
+        let map = Arc::new(cfg.generate());
+        let w = GameWorld::new(map, 4, 32);
+        let mut rng = Pcg32::seeded(15);
+        for i in 0..32 {
+            w.spawn_player(i, i as u32, &mut rng);
+        }
+        let z = w.store.snapshot(0).pos.z;
+        // Inside the wall slab between cells (2,·) and (3,·).
+        w.store
+            .with_mut(0, 0, |e| e.pos = vec3(3.0 * pitch + 8.0, 2.5 * pitch, z));
+        // Beyond the far corner, and before the near one.
+        w.store
+            .with_mut(1, 0, |e| e.pos = vec3(fx + 300.0, fy + 300.0, z));
+        w.store
+            .with_mut(2, 0, |e| e.pos = vec3(-200.0, 0.5 * pitch, z));
         assert_matches_scan(&w, &(0..32).collect::<Vec<_>>());
     }
 
@@ -474,9 +377,11 @@ mod tests {
             let mut bits = SlotBits::new(700);
             let mut cand: Vec<u32> = Vec::new();
             for &(slot, hit) in &picks {
-                bits.mark(slot, hit);
-                if hit && !cand.contains(&slot) {
-                    cand.push(slot);
+                if hit {
+                    bits.set(slot);
+                    if !cand.contains(&slot) {
+                        cand.push(slot);
+                    }
                 }
             }
             cand.sort_unstable();

@@ -1,5 +1,6 @@
-//! Property-based oracle: on random worlds — random maps, player
-//! positions, view distances and inactive entities — the sweep's
+//! Property-based oracle: on random worlds — random room grids and PVS
+//! depths (one room that sees everything up to 36 that mostly do not),
+//! player positions, view distances and inactive entities — the sweep's
 //! interest set must equal the per-client scan *exactly*, including
 //! the nearest-first truncation order, and the pair accounting
 //! identity must close.
@@ -16,7 +17,11 @@ use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 struct RandomWorld {
-    map: u8,
+    /// Rooms along X and Y.
+    grid: (u16, u16),
+    /// Door-graph distance at which rooms still see each other (0: a
+    /// room sees only itself).
+    vis_depth: u32,
     players: u16,
     /// Per-player (x, y) position as a fraction of the map footprint
     /// (players beyond this list keep their spawn point).
@@ -29,26 +34,31 @@ struct RandomWorld {
 
 fn arb_world() -> impl Strategy<Value = RandomWorld> {
     (
-        0u8..3,
+        (1u16..=6, 1u16..=6),
+        0u32..=3,
         2u16..40,
         prop::collection::vec((0.05f32..0.95, 0.05f32..0.95), 0..40),
         50.0f32..2000.0,
         prop::collection::vec(any::<u16>(), 0..6),
     )
-        .prop_map(|(map, players, spots, view_dist, gone)| RandomWorld {
-            map,
-            players,
-            spots,
-            view_dist,
-            gone,
-        })
+        .prop_map(
+            |(grid, vis_depth, players, spots, view_dist, gone)| RandomWorld {
+                grid,
+                vis_depth,
+                players,
+                spots,
+                view_dist,
+                gone,
+            },
+        )
 }
 
 fn build(rw: &RandomWorld) -> GameWorld {
-    let cfg = match rw.map {
-        0 => MapGenConfig::open_hall(rw.map as u64 + 3),
-        1 => MapGenConfig::small_arena(11),
-        _ => MapGenConfig::large_arena(17),
+    let cfg = MapGenConfig {
+        grid_w: rw.grid.0,
+        grid_h: rw.grid.1,
+        vis_depth: rw.vis_depth,
+        ..MapGenConfig::large_arena(17)
     };
     let (fx, fy) = cfg.footprint();
     let map = Arc::new(cfg.generate());

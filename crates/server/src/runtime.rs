@@ -729,14 +729,20 @@ impl ServerShared {
 
     /// Build this frame's shared entity index for the batch interest
     /// sweep, charging the build to the calling thread. Returns `None`
-    /// under [`InterestMode::Scan`]. Must run *after* the request
-    /// phase (positions quiescent) and before any reply is built.
+    /// under [`InterestMode::Scan`], and when no client is owed a
+    /// reply this frame (connect-only, ack-only and maintenance
+    /// frames): nothing would read the index. Must run *after* the
+    /// request phase (positions quiescent, and every slot's request
+    /// count final — in the parallel server the caller releases the
+    /// intra-frame barrier, so every other thread is parked) and
+    /// before any reply is built.
     pub fn build_interest_index(
         &self,
         ctx: &TaskCtx,
         istats: &mut InterestStats,
     ) -> Option<Arc<EntityIndex>> {
-        if !self.interest.uses_sweep() {
+        let owed = || (0..self.clients.capacity()).any(|idx| self.is_viewer(idx));
+        if !self.interest.uses_sweep() || !owed() {
             return None;
         }
         let mut work = WorkCounters::new();
@@ -744,6 +750,13 @@ impl ServerShared {
         ctx.charge(self.cost.work_ns(&work));
         istats.frames += 1;
         Some(Arc::new(index))
+    }
+
+    /// Is slot `idx` owed a reply this frame — Active, with at least
+    /// one request?
+    fn is_viewer(&self, idx: usize) -> bool {
+        let s = self.clients.slot(idx);
+        s.state == SlotState::Active && s.requests_this_frame > 0
     }
 
     /// Match the viewers among `slots` — Active slots with at least
@@ -759,10 +772,7 @@ impl ServerShared {
     ) -> InterestFrame {
         let viewers: Vec<u16> = slots
             .iter()
-            .filter(|&&idx| {
-                let s = self.clients.slot(idx);
-                s.state == SlotState::Active && s.requests_this_frame > 0
-            })
+            .filter(|&&idx| self.is_viewer(idx))
             .map(|&idx| idx as u16)
             .collect();
         let mut work = WorkCounters::new();
