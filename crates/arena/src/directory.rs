@@ -9,17 +9,18 @@
 //!                       └───────────────────────────────────────┘
 //! ```
 //!
-//! Two scheduling shapes:
+//! Two scheduling shapes, picked by the server template's `kind`:
 //!
-//! * **Pooled** — every arena is a single-threaded sequential runtime
-//!   (the paper's §2.1 frame body, verbatim); W pinned workers pull
+//! * **Pooled** (`Sequential`) — every arena is a single-threaded
+//!   runtime (the paper's §2.1 frame body, verbatim); W workers pull
 //!   *whole frames* from whichever arena has work. The pool lock only
 //!   guards the claim table — no worker ever holds it during a frame,
 //!   and no worker ever touches two arenas at once, so the per-world
 //!   locking discipline (and its witness) is untouched.
-//! * **Dedicated** — every arena is a full `spawn_server` runtime with
-//!   its own threads; assignment schemes and region locking run
-//!   unchanged inside each arena. The directory only adds admission.
+//! * **Dedicated** (`Parallel`) — every arena is a full `spawn_server`
+//!   runtime with its own threads; assignment schemes and region
+//!   locking run unchanged inside each arena. The directory only adds
+//!   admission.
 //!
 //! The **director** task owns the front door. It never touches world
 //! state: it decodes, places (stickily), and forwards the raw datagram
@@ -64,23 +65,14 @@ use parquake_metrics::{
 use parquake_protocol::{ClientMessage, Decode};
 use parquake_server::clients::SlotState;
 use parquake_server::runtime::{FrameState, ServerShared, REQUEST_QUEUE_CAP};
-use parquake_server::{spawn_server, LifecycleEvent, ServerConfig, ServerHandle, ServerResults};
+use parquake_server::{
+    spawn_server, LifecycleEvent, ServerConfig, ServerHandle, ServerKind, ServerResults,
+};
 use parquake_sim::GameWorld;
 
 use crate::admission::{AdmissionPolicy, AdmissionStats};
 use crate::checkpoint::{Checkpoint, CheckpointRing};
 use crate::ledger::{Departure, Ledger};
-
-/// How arena frames get processors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArenaScheduling {
-    /// One shared pool of `workers` pinned tasks executes whole frames
-    /// of whichever arena has pending input.
-    Pooled { workers: u32 },
-    /// Each arena gets its own full server runtime per the config
-    /// template's `kind` (sequential or parallel with region locking).
-    Dedicated,
-}
 
 /// Configuration for [`spawn_directory`].
 #[derive(Clone, Debug)]
@@ -91,23 +83,29 @@ pub struct ArenaDirectoryConfig {
     pub slots_per_arena: u16,
     /// Connect routing policy.
     pub policy: AdmissionPolicy,
-    /// Processor scheduling shape.
-    pub scheduling: ArenaScheduling,
+    /// Shared-pool worker tasks, for `server.kind` `Sequential`: every
+    /// arena is a single-threaded runtime and `workers` pinned tasks
+    /// execute whole frames of whichever arena has pending input.
+    /// `Parallel { threads, .. }` instead gives each arena its own
+    /// full server runtime on `threads` tasks and never reads this.
+    pub workers: u32,
     /// Map generator settings (one compiled map, shared by every
     /// arena — separate entity state per arena).
     pub map: MapGenConfig,
     /// Areanode tree depth per arena.
     pub areanode_depth: u32,
-    /// Server template: `end_time`, cost model, checking, timeouts are
-    /// common to all arenas; `kind` is honoured by `Dedicated` only;
-    /// `arena_id` and `lifecycle_port` are overwritten per arena.
+    /// Server template: `kind` picks the scheduling shape (see
+    /// `workers`); `end_time`, cost model, checking, timeouts are
+    /// common to all arenas; `arena_id` and `lifecycle_port` are
+    /// overwritten per arena.
     pub server: ServerConfig,
     /// Elasticity ceiling (pooled scheduling only): up to this many
     /// arenas may be live at once; cells beyond `arenas` start cold
     /// and are spawned under admission pressure. `0` (the default) and
     /// anything `<= arenas` mean a fixed fleet — exactly the old
-    /// behaviour. Dedicated scheduling ignores this (its runtimes
-    /// spawn real tasks at boot and cannot be grown).
+    /// behaviour. Dedicated runtimes spawn real tasks at boot and
+    /// cannot be grown: [`ArenaDirectoryConfig::validate`] refuses
+    /// the combination.
     pub max_arenas: u32,
     /// How long a non-boot arena's occupancy must sit at zero before
     /// it is reaped.
@@ -124,10 +122,8 @@ pub struct ArenaDirectoryConfig {
     /// frame behind `catch_unwind` so a panic fates only that arena,
     /// checkpoint periodically, watchdog stuck frames, and restore
     /// fated arenas from their last checkpoint with a ledger replay.
-    /// Dedicated scheduling gets panic isolation only (sequential
-    /// runtimes stop serving cleanly on a caught panic). Off by
-    /// default — the unsupervised 1×1 pooled path stays byte-identical
-    /// to the sequential server.
+    /// Off by default — the unsupervised 1×1 pooled path stays
+    /// byte-identical to the sequential server.
     pub supervision: bool,
     /// Checkpoint every this-many frames per arena (supervised pooled
     /// only). `0` disables periodic checkpoints (the spawn-time
@@ -173,7 +169,7 @@ impl ArenaDirectoryConfig {
             arenas,
             slots_per_arena,
             policy: AdmissionPolicy::Explicit,
-            scheduling: ArenaScheduling::Pooled { workers: 4 },
+            workers: 4,
             map: MapGenConfig::large_arena(0x6D_6D_31),
             areanode_depth: 4,
             server,
@@ -188,6 +184,24 @@ impl ArenaDirectoryConfig {
             migrate_drain: false,
             lifecycle_tap: None,
         }
+    }
+
+    /// Elasticity, supervision and live migration are driven through
+    /// the pool's claim table; a `Parallel` template gives every arena
+    /// dedicated threads instead, so asking for both is refused rather
+    /// than silently dropped.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let pool_only = self.max_arenas > self.arenas
+            || self.supervision
+            || self.migrate_spread > 0
+            || self.migrate_drain;
+        if pool_only && matches!(self.server.kind, ServerKind::Parallel { .. }) {
+            return Err(
+                "threads > 1 gives every arena dedicated threads; elasticity (max_arenas), \
+                 supervision (crash_rate) and live migration need the worker pool (threads 1)",
+            );
+        }
+        Ok(())
     }
 }
 
@@ -224,7 +238,7 @@ pub struct ArenaHandle {
     pub worlds: Vec<Arc<GameWorld>>,
     /// Front-door routing counters, filled when the run ends.
     pub admission: Arc<Mutex<AdmissionStats>>,
-    /// Pool accounting (`Pooled` scheduling only), filled when the run
+    /// Pool accounting (`Sequential` arenas only), filled when the run
     /// ends.
     pub pool: Option<Arc<Mutex<PoolReport>>>,
     /// Spawn/reap accounting, filled when the run ends.
@@ -243,11 +257,9 @@ pub struct ArenaHandle {
 /// task.
 pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> ArenaHandle {
     assert!(cfg.arenas >= 1, "directory needs at least one arena");
+    assert_eq!(cfg.validate(), Ok(()));
     let boot = cfg.arenas as usize;
-    let max_arenas = match cfg.scheduling {
-        ArenaScheduling::Pooled { .. } => (cfg.max_arenas as usize).max(boot),
-        ArenaScheduling::Dedicated => boot,
-    };
+    let max_arenas = (cfg.max_arenas as usize).max(boot);
     let lifecycle_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
     let map = Arc::new(cfg.map.generate());
     let worlds: Vec<Arc<GameWorld>> = (0..max_arenas)
@@ -261,24 +273,19 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         .collect();
 
     let supervisor = Arc::new(Mutex::new(SupervisorStats::default()));
-    let (arena_ports, results, pool_parts, pool_report) = match cfg.scheduling {
-        ArenaScheduling::Pooled { workers } => {
+    let (arena_ports, results, pool_parts, pool_report) = match cfg.server.kind {
+        ServerKind::Sequential => {
             let (ports, results, parts, report) =
-                spawn_pool(fabric, &cfg, &worlds, workers, lifecycle_port, &supervisor);
+                spawn_pool(fabric, &cfg, &worlds, lifecycle_port, &supervisor);
             (ports, results, Some(parts), Some(report))
         }
-        ArenaScheduling::Dedicated => {
+        ServerKind::Parallel { .. } => {
             let mut ports = Vec::new();
             let mut results = Vec::new();
             for (k, world) in worlds.iter().enumerate() {
                 let mut scfg = cfg.server.clone();
                 scfg.arena_id = k as u16;
                 scfg.lifecycle_port = Some(lifecycle_port);
-                // Dedicated supervision is panic isolation only: a
-                // caught panic stops that runtime cleanly (results
-                // still published); there is no pooled claim table to
-                // drive checkpoint/restore through.
-                scfg.catch_panics = cfg.supervision;
                 let ServerHandle {
                     ports: p,
                     results: r,
@@ -932,10 +939,10 @@ fn spawn_pool(
     fabric: &Arc<dyn Fabric>,
     cfg: &ArenaDirectoryConfig,
     worlds: &[Arc<GameWorld>],
-    workers: u32,
     lifecycle_port: PortId,
     supervisor: &Arc<Mutex<SupervisorStats>>,
 ) -> PoolSpawn {
+    let workers = cfg.workers;
     assert!(workers >= 1, "pool needs at least one worker");
     let n = worlds.len();
     let boot = cfg.arenas as usize;

@@ -12,11 +12,11 @@
 //!   independent [`parquake_sim::GameWorld`]s plus server runtimes, and
 //!   either
 //!   * schedules their frames as tasks on one **shared worker pool**
-//!     ([`ArenaScheduling::Pooled`]) — 4 workers serve 4×64 players in
-//!     4 arenas where the paper's parallel server serves 1×256 — or
-//!   * gives each arena its own full parallel runtime
-//!     ([`ArenaScheduling::Dedicated`]), assignment schemes and region
-//!     locking intact inside each arena.
+//!     (a `Sequential` server template) — 4 workers serve 4×64 players
+//!     in 4 arenas where the paper's parallel server serves 1×256 — or
+//!   * gives each arena its own full parallel runtime (a `Parallel`
+//!     template), assignment schemes and region locking intact inside
+//!     each arena.
 //! * [`admission::AdmissionPolicy`] routes `Connect`s arriving at the
 //!   directory's **front door** to an arena: fill-first, least-loaded,
 //!   or honouring an explicit arena request carried by the protocol's
@@ -70,6 +70,6 @@ pub mod supervisor;
 pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use checkpoint::{Checkpoint, CheckpointRing};
 pub use directory::{
-    spawn_directory, ArenaDirectoryConfig, ArenaHandle, ArenaScheduling, InjectedPanic, PoolReport,
+    spawn_directory, ArenaDirectoryConfig, ArenaHandle, InjectedPanic, PoolReport,
 };
 pub use ledger::{Departure, Ledger, Placement};

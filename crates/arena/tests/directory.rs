@@ -5,7 +5,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig, ArenaScheduling};
+use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness};
@@ -13,12 +13,12 @@ use parquake_server::{LockPolicy, ServerConfig, ServerKind};
 
 const SEND_NS: u64 = 3_000_000_000;
 
-fn directory_cfg(arenas: u32, slots: u16, scheduling: ArenaScheduling) -> ArenaDirectoryConfig {
+fn directory_cfg(arenas: u32, slots: u16, workers: u32) -> ArenaDirectoryConfig {
     let mut server = ServerConfig::new(ServerKind::Sequential, SEND_NS + 500_000_000);
     server.checking = true;
     ArenaDirectoryConfig {
         policy: AdmissionPolicy::Explicit,
-        scheduling,
+        workers,
         map: MapGenConfig::small_arena(11),
         ..ArenaDirectoryConfig::new(arenas, slots, server)
     }
@@ -64,7 +64,7 @@ fn run(
 
 #[test]
 fn pooled_directory_serves_every_arena() {
-    let cfg = directory_cfg(3, 8, ArenaScheduling::Pooled { workers: 2 });
+    let cfg = directory_cfg(3, 8, 2);
     let (handle, per_arena, connected) = run(cfg, 24);
 
     assert_eq!(connected, 24, "every bot should complete its handshake");
@@ -102,13 +102,14 @@ fn pooled_directory_serves_every_arena() {
 
 #[test]
 fn dedicated_directory_runs_parallel_runtimes_per_arena() {
-    let mut cfg = directory_cfg(2, 8, ArenaScheduling::Dedicated);
+    let mut cfg = directory_cfg(2, 8, 1);
     cfg.server.kind = ServerKind::Parallel {
         threads: 2,
         locking: LockPolicy::Optimized,
     };
     let (handle, per_arena, connected) = run(cfg, 16);
     assert_eq!(connected, 16);
+    assert!(handle.pool.is_none(), "a Parallel template spawns no pool");
     for (k, swarm) in per_arena.iter().enumerate().take(2) {
         let r = handle.results[k].lock().unwrap().clone();
         assert_eq!(r.threads.len(), 2, "arena {k} should run 2 threads");
@@ -118,8 +119,41 @@ fn dedicated_directory_runs_parallel_runtimes_per_arena() {
 }
 
 #[test]
+fn parallel_template_refuses_what_only_the_pool_can_do() {
+    let parallel = || {
+        let mut cfg = directory_cfg(2, 8, 1);
+        cfg.server.kind = ServerKind::Parallel {
+            threads: 2,
+            locking: LockPolicy::Optimized,
+        };
+        cfg
+    };
+    assert_eq!(parallel().validate(), Ok(()));
+    type Ask = fn(&mut ArenaDirectoryConfig);
+    let pool_only: [(&str, Ask); 4] = [
+        ("max_arenas", |c| c.max_arenas = 4),
+        ("supervision", |c| c.supervision = true),
+        ("migrate_spread", |c| c.migrate_spread = 4),
+        ("migrate_drain", |c| c.migrate_drain = true),
+    ];
+    for (what, set) in pool_only {
+        let mut cfg = parallel();
+        set(&mut cfg);
+        let refusal = cfg.validate().expect_err(what);
+        assert!(refusal.contains("threads > 1"), "{what}: {refusal}");
+        cfg.server.kind = ServerKind::Sequential;
+        assert_eq!(cfg.validate(), Ok(()), "{what} on the pool");
+    }
+    // A ceiling at or below the boot fleet is a fixed fleet, not
+    // elasticity.
+    let mut fixed = parallel();
+    fixed.max_arenas = 2;
+    assert_eq!(fixed.validate(), Ok(()));
+}
+
+#[test]
 fn fill_first_packs_the_first_arena() {
-    let mut cfg = directory_cfg(2, 32, ArenaScheduling::Pooled { workers: 1 });
+    let mut cfg = directory_cfg(2, 32, 1);
     cfg.policy = AdmissionPolicy::FillFirst;
     let (handle, _, connected) = run(cfg, 8);
     assert_eq!(connected, 8);
@@ -154,7 +188,7 @@ fn single_pooled_arena_matches_the_sequential_server() {
 
     let pooled_outcome = {
         let fabric = FabricKind::VirtualSmp(Default::default()).build();
-        let mut cfg = directory_cfg(1, 8, ArenaScheduling::Pooled { workers: 1 });
+        let mut cfg = directory_cfg(1, 8, 1);
         cfg.server.checking = false;
         let handle = spawn_directory(&fabric, cfg);
         // Address the arena directly (no front door), exactly like the

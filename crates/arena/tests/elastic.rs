@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig, ArenaScheduling};
+use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness};
@@ -25,7 +25,7 @@ fn directory_spawns_under_pressure_and_reaps_after_drain() {
     let mut server = ServerConfig::new(ServerKind::Sequential, 9_000_000_000);
     server.checking = true;
     let mut cfg = ArenaDirectoryConfig::new(1, 8, server);
-    cfg.scheduling = ArenaScheduling::Pooled { workers: 2 };
+    cfg.workers = 2;
     cfg.map = MapGenConfig::small_arena(11);
     cfg.policy = AdmissionPolicy::FillFirst;
     cfg.max_arenas = 3;

@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use parquake_arena::{spawn_directory, ArenaDirectoryConfig, ArenaScheduling, Departure, Ledger};
+use parquake_arena::{spawn_directory, ArenaDirectoryConfig, Departure, Ledger};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, Nanos, PortId, TaskCtx};
 use parquake_protocol::{ClientMessage, Decode, Encode, ServerMessage};
@@ -50,7 +50,7 @@ fn occupancy_converges_after_at_arena_disconnect() {
     let mut server = ServerConfig::new(ServerKind::Sequential, 4_000_000_000);
     server.checking = true;
     let mut cfg = ArenaDirectoryConfig::new(1, 2, server);
-    cfg.scheduling = ArenaScheduling::Pooled { workers: 1 };
+    cfg.workers = 1;
     cfg.map = MapGenConfig::small_arena(11);
     // Leave-despawns and their notices run on maintenance frames, not
     // on the next datagram that happens by.
@@ -111,7 +111,7 @@ fn reclaim_notice_evicts_the_book_entry() {
     server.checking = true;
     server.client_timeout_ns = 250_000_000;
     let mut cfg = ArenaDirectoryConfig::new(1, 1, server);
-    cfg.scheduling = ArenaScheduling::Pooled { workers: 1 };
+    cfg.workers = 1;
     cfg.map = MapGenConfig::small_arena(11);
     let handle = spawn_directory(&fabric, cfg);
     let front = handle.front_port;

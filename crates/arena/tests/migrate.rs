@@ -8,7 +8,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig, ArenaScheduling};
+use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, Nanos, PortId, TaskCtx};
@@ -27,7 +27,7 @@ fn skewed_load_is_levelled_by_live_handoffs() {
     server.checking = false;
     let cfg = ArenaDirectoryConfig {
         policy: AdmissionPolicy::Explicit,
-        scheduling: ArenaScheduling::Pooled { workers: 2 },
+        workers: 2,
         map: MapGenConfig::small_arena(11),
         maintenance_ns: 20_000_000,
         migrate_spread: 2,
@@ -78,7 +78,7 @@ fn handoffs_are_deterministic_and_hash_identical() {
         server.checking = false;
         let cfg = ArenaDirectoryConfig {
             policy: AdmissionPolicy::Explicit,
-            scheduling: ArenaScheduling::Pooled { workers: 2 },
+            workers: 2,
             map: MapGenConfig::small_arena(11),
             maintenance_ns: 20_000_000,
             migrate_spread: spread,
@@ -139,7 +139,7 @@ fn drain_before_reap_empties_the_spawned_arena() {
     server.client_timeout_ns = 60_000_000_000; // nobody is reclaimed
     let cfg = ArenaDirectoryConfig {
         policy: AdmissionPolicy::FillFirst,
-        scheduling: ArenaScheduling::Pooled { workers: 1 },
+        workers: 1,
         map: MapGenConfig::small_arena(11),
         maintenance_ns: 20_000_000,
         max_arenas: 2,

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use parquake_arena::{spawn_directory, ArenaDirectoryConfig, ArenaScheduling};
+use parquake_arena::{spawn_directory, ArenaDirectoryConfig};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::real::RealFabric;
 use parquake_math::Pcg32;
@@ -24,7 +24,7 @@ fn injected_moves_wake_the_pool_without_a_poll_clock() {
     // No client timeout and a fixed fleet: no maintenance tick either.
     let server = ServerConfig::new(ServerKind::Sequential, RUN_NS);
     let cfg = ArenaDirectoryConfig {
-        scheduling: ArenaScheduling::Pooled { workers: 2 },
+        workers: 2,
         map: MapGenConfig::small_arena(11),
         maintenance_ns: 0,
         ..ArenaDirectoryConfig::new(2, 4, server)

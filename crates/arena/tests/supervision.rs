@@ -3,7 +3,7 @@
 //! from checkpoints, and the directory rides through — population
 //! identity closed, clients still served, everything deterministic.
 
-use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig, ArenaScheduling};
+use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::FaultConfig;
@@ -21,7 +21,7 @@ fn supervised_cfg(arenas: u32, slots: u16, workers: u32) -> ArenaDirectoryConfig
     server.checking = false;
     ArenaDirectoryConfig {
         policy: AdmissionPolicy::Explicit,
-        scheduling: ArenaScheduling::Pooled { workers },
+        workers,
         map: MapGenConfig::small_arena(11),
         supervision: true,
         checkpoint_interval: 16,

@@ -141,11 +141,33 @@ impl FaultConfig {
         self.panic_per_frame > 0.0 || (self.stuck_per_frame > 0.0 && self.stuck_ns > 0)
     }
 
-    /// Reject configs whose knobs contradict each other. Called by
+    /// Reject configs with a probability outside `0.0..=1.0` (NaN
+    /// included) or knobs that contradict each other. Called by
     /// [`FaultLottery::new`] (and therefore by both fabrics) so a bad
     /// profile fails loudly at build time instead of silently skewing a
     /// sweep.
     pub fn validate(&self) -> Result<(), String> {
+        for (name, p) in [
+            ("drop", self.drop),
+            ("duplicate", self.duplicate),
+            ("delay", self.delay),
+            ("burst_loss", self.burst_loss),
+            ("panic_per_frame", self.panic_per_frame),
+            ("stuck_per_frame", self.stuck_per_frame),
+        ] {
+            // A NaN is in no range.
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!(
+                    "fault config: {name} ({p}) must be a probability in 0.0..=1.0"
+                ));
+            }
+        }
+        if !self.burst_len.is_finite() {
+            return Err(format!(
+                "fault config: burst_len ({}) must be finite",
+                self.burst_len
+            ));
+        }
         if self.min_delay_ns > self.max_delay_ns {
             return Err(format!(
                 "fault config: min_delay_ns ({}) > max_delay_ns ({})",
@@ -567,6 +589,32 @@ mod tests {
         };
         assert!(total_burst.validate().is_err());
         assert!(FaultConfig::none().validate().is_ok());
+    }
+
+    #[test]
+    fn out_of_range_probabilities_are_rejected() {
+        type Set = fn(&mut FaultConfig);
+        let bad: [(&str, Set); 8] = [
+            ("drop", |c| c.drop = 1.5),
+            ("duplicate", |c| c.duplicate = -0.2),
+            ("delay", |c| c.delay = f32::NAN),
+            ("burst_loss", |c| c.burst_loss = -0.1),
+            ("burst_loss", |c| c.burst_loss = f32::NAN),
+            ("panic_per_frame", |c| c.panic_per_frame = 7.0),
+            ("stuck_per_frame", |c| c.stuck_per_frame = f32::INFINITY),
+            ("burst_len", |c| c.burst_len = f32::NAN),
+        ];
+        for (field, set) in bad {
+            let mut cfg = FaultConfig::none();
+            set(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        // The ends of the range are legal (certain loss is a test tool).
+        let mut edges = FaultConfig::loss(1.0, 0);
+        edges.duplicate = 1.0;
+        edges.panic_per_frame = 1.0;
+        assert!(edges.validate().is_ok());
     }
 
     #[test]

@@ -9,14 +9,13 @@
 use std::sync::Arc;
 
 use parquake_arena::{
-    spawn_directory, AdmissionPolicy, AdmissionStats, ArenaDirectoryConfig, ArenaScheduling,
-    PoolReport,
+    spawn_directory, AdmissionPolicy, AdmissionStats, ArenaDirectoryConfig, PoolReport,
 };
-use parquake_bots::{spawn_swarm_multi, BotBehavior, BotSwarmConfig, SwarmRamp, SwarmTopology};
+use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
 use parquake_metrics::{rollup, ArenaLoad, ElasticStats, SupervisorStats, WitnessReport};
-use parquake_server::{CostModel, ServerConfig, ServerKind};
+use parquake_server::{ServerConfig, ServerKind};
 
 /// One multi-arena configuration (a row of the arenasweep figure).
 #[derive(Clone, Debug)]
@@ -37,16 +36,6 @@ pub struct ArenaExperimentConfig {
     pub duration_ns: Nanos,
     /// Execution platform.
     pub fabric: FabricKind,
-    /// Modelled CPU costs.
-    pub cost: CostModel,
-    /// Bot behaviour mix.
-    pub behavior: BotBehavior,
-    /// Workload seed.
-    pub seed: u64,
-    /// Client frame length in ms.
-    pub client_frame_ms: u32,
-    /// Bot driver tasks.
-    pub bot_drivers: u32,
     /// Run the locking-protocol checkers and the lock witness.
     pub checking: bool,
     /// Elastic ceiling: pooled directories may grow to this many live
@@ -71,8 +60,6 @@ pub struct ArenaExperimentConfig {
     pub frame_faults: Option<parquake_fabric::fault::FaultConfig>,
     /// Checkpoint cadence in frames (supervised pooled only).
     pub checkpoint_interval: u32,
-    /// Watchdog bound on one claimed frame.
-    pub watchdog_ns: Nanos,
     /// Arena every bot requests at connect time (`None` = spread
     /// requests `c % arenas`). `Some(k)` with the `Explicit` policy
     /// creates a deliberately skewed load — the shape migration
@@ -83,9 +70,6 @@ pub struct ArenaExperimentConfig {
     /// many clients, the director hands one slot off per tick (0 =
     /// migration off; pooled only).
     pub migrate_spread: u32,
-    /// Drain-before-reap: live-migrate the last residents out of a
-    /// lingering elastic arena instead of waiting their sessions out.
-    pub migrate_drain: bool,
     /// Client-side prediction: bots run the shared movement kernel on
     /// the (identical) generated map, send the input-seq trailer, and
     /// reconcile against the server's trailered replies.
@@ -103,11 +87,6 @@ impl Default for ArenaExperimentConfig {
             areanode_depth: 4,
             duration_ns: 10_000_000_000,
             fabric: FabricKind::VirtualSmp(Default::default()),
-            cost: CostModel::default(),
-            behavior: BotBehavior::deathmatch(),
-            seed: 0xB07_5EED,
-            client_frame_ms: 30,
-            bot_drivers: 8,
             checking: cfg!(debug_assertions),
             max_arenas: 0,
             linger_ns: 500_000_000,
@@ -117,10 +96,8 @@ impl Default for ArenaExperimentConfig {
             supervision: false,
             frame_faults: None,
             checkpoint_interval: 64,
-            watchdog_ns: 250_000_000,
             request_arena: None,
             migrate_spread: 0,
-            migrate_drain: false,
             predict: false,
         }
     }
@@ -200,14 +177,11 @@ impl ArenaExperiment {
         };
 
         let mut server = ServerConfig::new(ServerKind::Sequential, cfg.duration_ns + 500_000_000);
-        server.cost = cfg.cost.clone();
         server.checking = cfg.checking;
         server.client_timeout_ns = cfg.client_timeout_ns;
         let dir_cfg = ArenaDirectoryConfig {
             policy: cfg.policy,
-            scheduling: ArenaScheduling::Pooled {
-                workers: cfg.workers,
-            },
+            workers: cfg.workers,
             map: cfg.map.clone(),
             areanode_depth: cfg.areanode_depth,
             max_arenas: cfg.max_arenas,
@@ -215,9 +189,7 @@ impl ArenaExperiment {
             supervision: cfg.supervision,
             frame_faults: cfg.frame_faults.clone(),
             checkpoint_interval: cfg.checkpoint_interval,
-            watchdog_ns: cfg.watchdog_ns,
             migrate_spread: cfg.migrate_spread,
-            migrate_drain: cfg.migrate_drain,
             ..ArenaDirectoryConfig::new(cfg.arenas, slots_per_arena, server)
         };
         let handle = spawn_directory(&fabric, dir_cfg);
@@ -226,14 +198,6 @@ impl ArenaExperiment {
         // through the front door; the Explicit default honours the
         // spread, other policies use it as a hint only.
         let swarm_cfg = BotSwarmConfig {
-            players: cfg.players,
-            drivers: cfg.bot_drivers,
-            client_frame_ms: cfg.client_frame_ms,
-            seed: cfg.seed,
-            send_until: cfg.duration_ns,
-            behavior: cfg.behavior.clone(),
-            think_cost_ns: 15_000,
-            jitter_ns: 8_000_000,
             ramp: cfg.ramp,
             // The directory's arenas all share one compiled map, so
             // predicting bots borrow arena 0's — bit-identical to what
@@ -241,6 +205,7 @@ impl ArenaExperiment {
             predict: cfg
                 .predict
                 .then(|| parquake_bots::PredictMap(handle.worlds[0].map.clone())),
+            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns)
         };
         let topology = SwarmTopology {
             arena_ports: handle.arena_ports.clone(),
@@ -306,7 +271,6 @@ mod tests {
             workers,
             map: MapGenConfig::small_arena(7),
             duration_ns: 2_000_000_000,
-            bot_drivers: 4,
             checking: true,
             ..ArenaExperimentConfig::default()
         }

@@ -21,7 +21,8 @@
 //! parallel server on T dedicated threads: each thread keeps its
 //! private request queue (a fabric port where the paper binds a UDP
 //! port per thread) and the gateway routes every move to the thread its
-//! client was dealt to. Elasticity, supervision and live migration are
+//! client was dealt to (there is no pool then: `--workers` is unused,
+//! and the banner says so). Elasticity, supervision and live migration are
 //! pool features, so `--threads T` combined with `--max-arenas`,
 //! `--crash-rate` or `--migrate-*` is refused (exit 2).
 //!
@@ -33,10 +34,10 @@
 //! deliveries. The composed profile is validated at startup (exit 2 on
 //! an inconsistent one). `--timeout-secs` sets the server-side
 //! inactivity reclaim (0 disables it).
-//! `--interest sweep` computes visible-entity sets with the batch DDM
-//! sweep instead of per-client scans; `sweep-oracle` additionally runs
-//! the scan as a shadow oracle per reply and counts mismatches (the
-//! report prints the pair-accounting identity and the oracle verdict).
+//! `--interest sweep` (the default) computes visible-entity sets with
+//! the batch DDM sweep and prints its pair-accounting identity; `scan`
+//! selects the paper's per-client scans, and `sweep-oracle` shadows
+//! every reply with the scan and prints the mismatch count.
 //! `--max-arenas M` (M > N) makes the directory elastic: it spawns
 //! arenas under admission pressure up to M and reaps arenas whose
 //! occupancy stays zero past `--linger-ms` (default 500).
@@ -61,6 +62,7 @@
 
 use std::time::Duration;
 
+use parquake_fabric::fault::FaultConfig;
 use parquake_harness::cli::Args;
 use parquake_harness::udp_arena::{run_udp_arena_server, UdpArenaOpts};
 use parquake_server::InterestMode;
@@ -115,9 +117,14 @@ fn main() {
     }
     opts.arenas = opts.arenas.max(1);
     opts.workers = opts.workers.max(1);
-    // Reject impossible fault profiles (min > max delay, burst loss
-    // >= 1, burst length < 1) before any socket is bound.
-    if let Err(e) = opts.fault.validate() {
+    // Reject impossible fault profiles (a probability outside 0..=1 —
+    // the crash rate is one — min > max delay, burst length < 1) before
+    // any socket is bound.
+    let profile = FaultConfig {
+        panic_per_frame: opts.crash_rate,
+        ..opts.fault.clone()
+    };
+    if let Err(e) = profile.validate() {
         args.die(&format!("invalid fault profile — {e}"));
     }
     println!(
@@ -126,7 +133,10 @@ fn main() {
         opts.slots_per_arena,
         opts.port,
         if opts.threads > 1 {
-            format!("{} dedicated threads per arena", opts.threads)
+            format!(
+                "{} dedicated threads per arena (no pool: --workers is unused)",
+                opts.threads
+            )
         } else {
             format!("{}-worker pool", opts.workers)
         },

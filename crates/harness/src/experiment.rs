@@ -7,7 +7,7 @@ use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
 use parquake_metrics::{Breakdown, ResponseStats, WitnessReport};
 use parquake_server::{
-    spawn_server, Assignment, CostModel, InterestMode, ServerConfig, ServerKind, ServerResults,
+    spawn_server, Assignment, InterestMode, ServerConfig, ServerKind, ServerResults,
 };
 use parquake_sim::GameWorld;
 
@@ -26,14 +26,10 @@ pub struct ExperimentConfig {
     pub duration_ns: Nanos,
     /// Execution platform.
     pub fabric: FabricKind,
-    /// Modelled CPU costs.
-    pub cost: CostModel,
     /// Bot behaviour mix.
     pub behavior: BotBehavior,
     /// Workload seed (bots) — map seed lives in `map`.
     pub seed: u64,
-    /// Client frame length in ms (one move per bot per frame).
-    pub client_frame_ms: u32,
     /// Bot driver tasks (client machines).
     pub bot_drivers: u32,
     /// Run the dynamic locking-protocol checkers.
@@ -65,10 +61,8 @@ impl Default for ExperimentConfig {
             areanode_depth: 4,
             duration_ns: 10_000_000_000, // 10 virtual seconds
             fabric: FabricKind::VirtualSmp(Default::default()),
-            cost: CostModel::default(),
             behavior: BotBehavior::deathmatch(),
             seed: 0xB07_5EED,
-            client_frame_ms: 30,
             bot_drivers: 8,
             checking: cfg!(debug_assertions),
             frame_batch_ns: 0,
@@ -150,32 +144,21 @@ impl Experiment {
         // The server runs a little longer than the bots send, so the
         // final requests drain.
         let server_cfg = ServerConfig {
-            kind: cfg.server,
-            end_time: cfg.duration_ns + 500_000_000,
-            cost: cfg.cost.clone(),
             checking: cfg.checking,
             frame_batch_ns: cfg.frame_batch_ns,
             assignment: cfg.assignment,
             delta_compression: cfg.delta_compression,
             interest: cfg.interest,
-            arena_id: 0,
             client_timeout_ns: cfg.client_timeout_ns,
-            lifecycle_port: None,
-            catch_panics: false,
+            ..ServerConfig::new(cfg.server, cfg.duration_ns + 500_000_000)
         };
         let server = spawn_server(&fabric, server_cfg, world.clone());
 
         let swarm_cfg = BotSwarmConfig {
-            players: cfg.players,
             drivers: cfg.bot_drivers,
-            client_frame_ms: cfg.client_frame_ms,
             seed: cfg.seed,
-            send_until: cfg.duration_ns,
             behavior: cfg.behavior.clone(),
-            think_cost_ns: 15_000,
-            jitter_ns: 8_000_000,
-            ramp: None,
-            predict: None,
+            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns)
         };
         let spt = server.slots_per_thread;
         let swarm = spawn_swarm(&fabric, &swarm_cfg, &server.ports, move |client| {

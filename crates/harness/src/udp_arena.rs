@@ -65,9 +65,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parquake_arena::{
-    spawn_directory, AdmissionPolicy, AdmissionStats, ArenaDirectoryConfig, ArenaScheduling,
-};
+use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, PredictMap, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FaultInjector};
@@ -276,16 +274,14 @@ pub struct UdpArenaOpts {
     pub map: MapGenConfig,
     /// Wall-clock run time.
     pub duration: Duration,
-    /// Connect routing policy.
-    pub policy: AdmissionPolicy,
     /// Inbound fault injection (drop/duplicate/delay); default none.
     pub fault: FaultConfig,
     /// Server-side inactivity timeout: slots silent this long are
     /// reclaimed (a `Bye` is sent). Zero disables reclaim; the
     /// gateway's address-rebind grace then falls back to one second.
     pub client_timeout: Duration,
-    /// How visible-entity sets are computed (per-client scan, the batch
-    /// DDM sweep, or the sweep with the scan as a shadow oracle).
+    /// How visible-entity sets are computed: the batch DDM sweep (the
+    /// default), per-client scans, or the sweep shadowed by the scan.
     pub interest: InterestMode,
     /// Elastic ceiling: the directory may grow past `arenas` up to
     /// this many live arenas under admission pressure (0 = fixed
@@ -319,10 +315,9 @@ impl Default for UdpArenaOpts {
             slots_per_arena: 32,
             map: MapGenConfig::small_arena(1),
             duration: Duration::from_secs(5),
-            policy: AdmissionPolicy::Explicit,
             fault: FaultConfig::none(),
             client_timeout: Duration::from_secs(2),
-            interest: InterestMode::Scan,
+            interest: InterestMode::Sweep,
             max_arenas: 0,
             linger: Duration::from_millis(500),
             crash_rate: 0.0,
@@ -783,35 +778,16 @@ fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<(Vec<UdpSocke
 /// Run the arena directory behind `gateway_shards` pump pairs on one
 /// real UDP port until `opts.duration` elapses. Returns the layered
 /// traffic report. Fails with `InvalidInput` on an option combination
-/// the chosen scheduling would silently ignore, and with the bind
-/// error when the port cannot be had.
+/// [`ArenaDirectoryConfig::validate`] refuses, and with the bind error
+/// when the port cannot be had.
 pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaReport> {
-    let (kind, scheduling) = if opts.threads > 1 {
-        if opts.max_arenas > opts.arenas
-            || opts.crash_rate > 0.0
-            || opts.migrate_spread > 0
-            || opts.migrate_drain
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "threads > 1 gives every arena dedicated threads; elasticity (max_arenas), \
-                 supervision (crash_rate) and live migration need the worker pool (threads 1)",
-            ));
+    let kind = if opts.threads > 1 {
+        ServerKind::Parallel {
+            threads: opts.threads,
+            locking: LockPolicy::Optimized,
         }
-        (
-            ServerKind::Parallel {
-                threads: opts.threads,
-                locking: LockPolicy::Optimized,
-            },
-            ArenaScheduling::Dedicated,
-        )
     } else {
-        (
-            ServerKind::Sequential,
-            ArenaScheduling::Pooled {
-                workers: opts.workers,
-            },
-        )
+        ServerKind::Sequential
     };
     let shards = opts.gateway_shards.max(1) as usize;
     let (real, fabric) = RealFabric::new_arc_pair();
@@ -827,8 +803,7 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         ..ServerConfig::new(kind, end_time)
     };
     let dir_cfg = ArenaDirectoryConfig {
-        policy: opts.policy,
-        scheduling,
+        workers: opts.workers,
         map: opts.map.clone(),
         max_arenas: opts.max_arenas,
         linger_ns: opts.linger.as_nanos() as Nanos,
@@ -843,6 +818,9 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         lifecycle_tap: Some(gw_ports[0]),
         ..ArenaDirectoryConfig::new(opts.arenas, opts.slots_per_arena, server)
     };
+    dir_cfg
+        .validate()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let handle = spawn_directory(&fabric, dir_cfg);
     // Every provisioned cell, including elastic headroom past the boot
     // fleet — the pumps route to (and the report covers) all of them.
@@ -1739,7 +1717,6 @@ mod tests {
             end_time,
         );
         let dir_cfg = ArenaDirectoryConfig {
-            scheduling: parquake_arena::ArenaScheduling::Dedicated,
             lifecycle_tap: Some(gw),
             ..ArenaDirectoryConfig::new(1, 8, server)
         };

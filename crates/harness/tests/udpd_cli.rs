@@ -50,6 +50,23 @@ fn threads_with_pool_only_features_is_refused() {
 }
 
 #[test]
+fn out_of_range_fault_probabilities_are_refused() {
+    // Pre-fix: all four started a server (`"nan".parse::<f32>()` is
+    // `Ok`, and a NaN or negative rate silently turned its fault off).
+    for (flag, value, field) in [
+        ("--loss", "1.5", "drop"),
+        ("--dup", "-0.2", "duplicate"),
+        ("--delay", "nan", "delay"),
+        ("--crash-rate", "7", "panic_per_frame"),
+    ] {
+        let (code, stderr) = run(&["--secs", "1", flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("invalid fault profile"), "{stderr}");
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
 fn repro_unknown_subcommand_is_a_usage_error() {
     let (code, stderr) = repro(&["fig99"]);
     assert_eq!(code, Some(2), "{stderr}");

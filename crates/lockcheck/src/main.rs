@@ -2,7 +2,7 @@
 //!
 //! Enforces the static half of the region-locking verification layer
 //! (the dynamic half is the runtime witness in `parquake-fabric`).
-//! Eight passes run over every production source file in the workspace:
+//! Nine passes run over every production source file in the workspace:
 //!
 //! * **raw-sync** — no raw `std::sync::Mutex`/`parking_lot` lock
 //!   acquisition outside `crates/fabric`. Game-state synchronization
@@ -45,6 +45,14 @@
 //!   `lockcheck: identity(<equation>)` must expose a `*_closed()`
 //!   method proving the equation and be exercised from at least one
 //!   test.
+//! * **surface** — the committed `surface.budget` counts what a user or
+//!   a caller can set: CLI flags per binary, `pub` fields per budgeted
+//!   `*Config`/`*Opts` struct, variants per mode enum, workspace
+//!   packages and examples. A count that drifts in EITHER direction
+//!   fails, so a new flag, field, mode or package is paid for in the
+//!   budget's diff and a removed one is ratcheted down. A budgeted
+//!   field that nothing outside its defining file sets has no consumer:
+//!   it is deleted, or waived in the budget with a reason.
 //!
 //! The scanner is a hand-rolled token-level pass: it strips comments,
 //! strings and char literals (so quoted or commented `ctx.lock(` never
@@ -94,9 +102,10 @@ const RULE_UNWIND: &str = "unwind-safety";
 const RULE_WAIVER: &str = "waiver-audit";
 const RULE_TAGS: &str = "wire-tag-registry";
 const RULE_IDENTITY: &str = "identity-closure";
+const RULE_SURFACE: &str = "surface";
 
 /// Every pass, for reports.
-const PASSES: [&str; 8] = [
+const PASSES: [&str; 9] = [
     RULE_RAW_SYNC,
     RULE_ORDERED,
     RULE_GUARD,
@@ -105,12 +114,15 @@ const PASSES: [&str; 8] = [
     RULE_WAIVER,
     RULE_TAGS,
     RULE_IDENTITY,
+    RULE_SURFACE,
 ];
 
 /// The one module allowed to declare wire-tag constants.
 const REGISTRY_PATH: &str = "crates/protocol/src/tags.rs";
 /// Committed per-crate waiver budget, workspace-relative.
 const BUDGET_PATH: &str = "lockcheck.budget";
+/// Committed surface budget, workspace-relative.
+const SURFACE_PATH: &str = "surface.budget";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -155,6 +167,12 @@ fn main() -> ExitCode {
             collect_rs(&e.path().join("tests"), &mut test_paths);
         }
     }
+    let mut examples = Vec::new();
+    collect_rs(&root.join("examples"), &mut examples);
+    // Every dependency is a path dependency, so the lock file's
+    // packages are exactly the workspace's: root, `crates/*`, `vendor/*`.
+    let lock = fs::read_to_string(root.join("Cargo.lock")).unwrap_or_default();
+    let members = lock.matches("[[package]]").count();
     src_paths.sort();
     test_paths.sort();
 
@@ -186,7 +204,10 @@ fn main() -> ExitCode {
         Err(c) => return c,
     };
     let budget = fs::read_to_string(root.join(BUDGET_PATH)).ok();
-    let violations = check_workspace(&files, &test_files, budget.as_deref());
+    let mut violations = check_workspace(&files, &test_files, budget.as_deref());
+    let budget = fs::read_to_string(root.join(SURFACE_PATH)).ok();
+    let counts = [("members", members), ("examples", examples.len())];
+    violations.extend(check_surface(&files, &counts, budget.as_deref()));
     let scanned = files.len();
 
     match format {
@@ -899,10 +920,11 @@ fn check_source(path: &str, text: &str) -> (Vec<Violation>, FileFacts) {
     (out, facts)
 }
 
-/// Run all eight passes over a whole workspace: per-file rules plus the
-/// cross-file audits (waiver budget, wire-tag registry, identity
-/// closure). `budget` is the content of `lockcheck.budget` (`None` =
-/// the file is missing, which is itself a violation).
+/// Run the eight source passes over a whole workspace: per-file rules
+/// plus the cross-file audits (waiver budget, wire-tag registry,
+/// identity closure); [`check_surface`] is the ninth. `budget` is the
+/// content of `lockcheck.budget` (`None` = the file is missing, which
+/// is itself a violation).
 fn check_workspace(
     files: &[(String, String)],
     test_files: &[(String, String)],
@@ -1083,6 +1105,90 @@ fn check_workspace(
         }
     }
 
+    out
+}
+
+// ---------------------------------------------------------------------
+// surface: the ratcheted count of flags, fields, modes and packages
+// ---------------------------------------------------------------------
+
+/// How many names budget item `kind name` is made of, `None` when the
+/// tree has no such item: `flags <bin>` counts the `"--flag"` patterns
+/// of the match arms of `crates/harness/src/bin/<bin>.rs` (each side of
+/// a `|` is a flag), `fields <Struct>` the `pub` fields and
+/// `variants <Enum>` the variants of that `pub` type. The type kinds
+/// lean on the layout `cargo fmt --check` enforces: the members of a
+/// top-level type sit at one indent and its closing brace at none.
+fn surface_count(kind: &str, name: &str, files: &[(String, String)]) -> Option<usize> {
+    if kind == "flags" {
+        let path = format!("crates/harness/src/bin/{name}.rs");
+        let (_, text) = files.iter().find(|(p, _)| *p == path)?;
+        let patterns = text.match_indices("\"--").filter(|(at, _)| {
+            let rest = &text[at + 1..];
+            rest.find('"').is_some_and(|end| {
+                let after = rest[end + 1..].trim_start();
+                after.starts_with("=>") || after.starts_with('|')
+            })
+        });
+        return Some(patterns.count());
+    }
+    let (header, member): (_, fn(&str) -> bool) = match kind {
+        "fields" => (format!("pub struct {name} {{"), |m| m.starts_with("pub ")),
+        "variants" => (format!("pub enum {name} {{"), |m| {
+            m.starts_with(char::is_uppercase)
+        }),
+        _ => return None,
+    };
+    files.iter().find_map(|(_, text)| {
+        let start = text.lines().position(|l| l == header)? + 1;
+        let body = text.lines().skip(start).take_while(|l| *l != "}");
+        Some(
+            body.filter(|l| l.strip_prefix("    ").is_some_and(member))
+                .count(),
+        )
+    })
+}
+
+/// The surface pass: every `<kind> <name> <count>` line of `budget`
+/// (the content of `surface.budget`; `#` starts a comment) must match
+/// the tree exactly. `counts` carries the kinds not read from `files`:
+/// `members`, the workspace's packages, and `examples`.
+fn check_surface(
+    files: &[(String, String)],
+    counts: &[(&str, usize)],
+    budget: Option<&str>,
+) -> Vec<Violation> {
+    let at_budget = |line: usize, msg: String| Violation {
+        file: SURFACE_PATH.into(),
+        line,
+        rule: RULE_SURFACE,
+        msg,
+    };
+    let Some(budget) = budget else {
+        let msg = "surface budget file is missing — commit one line per item: \
+                   `<flags|fields|variants|members|examples> <name> <count>`";
+        return vec![at_budget(1, msg.into())];
+    };
+    let mut out = Vec::new();
+    for (i, l) in budget.lines().enumerate() {
+        let mut words = l.split('#').next().unwrap_or("").split_whitespace();
+        let Some(kind) = words.next() else { continue };
+        let (name, count) = (words.next().unwrap_or(""), words.next().unwrap_or(""));
+        let actual = match counts.iter().find(|c| c.0 == kind) {
+            Some(c) => Some(c.1),
+            None => surface_count(kind, name, files),
+        };
+        if actual.is_none() || count.parse().ok() != actual {
+            let found = actual.map_or("not in the tree".into(), |n| format!("{n} in the tree"));
+            out.push(at_budget(
+                i + 1,
+                format!(
+                    "`{kind} {name}` budgets {count} but is {found} — a count changes \
+                     only together with its budget line, up or down"
+                ),
+            ));
+        }
+    }
     out
 }
 
@@ -1375,6 +1481,33 @@ const WS_FIXTURES: &[WsFixture] = &[
     },
 ];
 
+/// The tree every surface fixture measures: a binary with three flags
+/// (two share an arm), a two-field options struct and a two-variant
+/// mode enum; with it go three packages and one example.
+const SURFACE_TREE: &[(&str, &str)] = &[
+    (
+        "crates/harness/src/bin/udpd.rs",
+        "fn main() {\n    match flag {\n        \"--port\" => a(),\n        \"--secs\" | \"--seconds\" => b(),\n        _ => die(\"--port needs a number\"),\n    }\n}\n",
+    ),
+    (
+        "crates/demo/src/lib.rs",
+        "pub struct DemoOpts {\n    pub port: u16,\n    pub secs: u64,\n}\npub enum DemoMode {\n    Scan,\n    Sweep { depth: u32 },\n}\n",
+    ),
+];
+
+/// Surface fixtures over [`SURFACE_TREE`]: name, budget, and the
+/// `surface.budget` line of every violation it must draw, in order.
+#[rustfmt::skip] // a table: one row per fixture
+const SURFACE_FIXTURES: &[(&str, Option<&str>, &[usize])] = &[
+    ("balanced", Some("# comment\nflags udpd 3\nfields DemoOpts 2 # why\n\nvariants DemoMode 2\nmembers workspace 3\nexamples root 1\n"), &[]),
+    ("budget-missing", None, &[1]),
+    ("flag-added-without-a-bump", Some("flags udpd 2\n"), &[1]),
+    ("field-removed-without-a-ratchet", Some("flags udpd 3\nfields DemoOpts 3\n"), &[2]),
+    ("unknown-struct", Some("fields GhostOpts 1\n"), &[1]),
+    ("packages-and-examples-drift", Some("members workspace 2\nexamples root 2\n"), &[1, 2]),
+    ("unknown-kind-or-no-count", Some("waive DemoOpts.port 1\nvariants DemoMode\n"), &[1, 2]),
+];
+
 fn self_test() -> ExitCode {
     let mut failed = 0usize;
     for fx in FIXTURES {
@@ -1390,14 +1523,14 @@ fn self_test() -> ExitCode {
             }
         }
     }
-    for fx in WS_FIXTURES {
-        let files: Vec<(String, String)> = fx
-            .files
-            .iter()
+    let own = |t: &[(&str, &str)]| -> Vec<(String, String)> {
+        t.iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        let tests = vec![("tests/fixture.rs".to_string(), fx.tests.to_string())];
-        let got = check_workspace(&files, &tests, fx.budget);
+            .collect()
+    };
+    for fx in WS_FIXTURES {
+        let tests = own(&[("tests/fixture.rs", fx.tests)]);
+        let got = check_workspace(&own(fx.files), &tests, fx.budget);
         let got_tuples: Vec<(&str, &str, usize)> = got
             .iter()
             .map(|v| (v.rule, v.file.as_str(), v.line))
@@ -1412,11 +1545,25 @@ fn self_test() -> ExitCode {
             }
         }
     }
+    let tree = own(SURFACE_TREE);
+    for &(name, budget, expect) in SURFACE_FIXTURES {
+        let got = check_surface(&tree, &[("members", 3), ("examples", 1)], budget);
+        let lines: Vec<usize> = got.iter().map(|v| v.line).collect();
+        if lines != expect || got.iter().any(|v| v.file != SURFACE_PATH) {
+            failed += 1;
+            eprintln!("self-test FAIL surface fixture `{name}`:");
+            eprintln!("  expected {SURFACE_PATH} lines {expect:?}");
+            for v in &got {
+                eprintln!("    {v}");
+            }
+        }
+    }
     if failed == 0 {
         println!(
-            "lockcheck self-test: {} file fixtures + {} workspace fixtures ok",
+            "lockcheck self-test: {} file fixtures + {} workspace fixtures + {} surface fixtures ok",
             FIXTURES.len(),
-            WS_FIXTURES.len()
+            WS_FIXTURES.len(),
+            SURFACE_FIXTURES.len()
         );
         ExitCode::SUCCESS
     } else {

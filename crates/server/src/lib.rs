@@ -136,12 +136,10 @@ pub struct ServerConfig {
     /// so its occupancy ledger tracks server-side slot churn. Notices
     /// are sent uncharged, so game-path timing is unaffected.
     pub lifecycle_port: Option<PortId>,
-    /// Run each frame behind `catch_unwind` so a panicking frame fates
-    /// only this runtime instead of the whole fabric (supervised
-    /// dedicated-arena directories set this). A caught panic ends the
-    /// serving loop cleanly — results are still published — because a
-    /// mid-frame panic may leave world state inconsistent. Off by
-    /// default: the standalone servers keep the fail-fast behaviour.
+    /// Inert, and [`runtime::ServerShared::new`] refuses `true`: the
+    /// arena pool supervises frames, no server runtime does. Kept only
+    /// because the frozen benchmark (`wallbench/src/mirror.rs`) names
+    /// it; goes with the mirror (ROADMAP item 1e).
     pub catch_panics: bool,
 }
 

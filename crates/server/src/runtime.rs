@@ -64,8 +64,6 @@ pub struct ServerShared {
     pub client_timeout_ns: Nanos,
     /// Arena id echoed in every ConnectAck (0 for standalone servers).
     pub arena_id: u16,
-    /// Catch frame panics instead of letting them kill the fabric.
-    pub catch_panics: bool,
     /// Directory control port for lifecycle notices (`None` = off).
     pub lifecycle: Option<PortId>,
     pub threads: u32,
@@ -101,6 +99,7 @@ impl ServerShared {
         threads: u32,
         policy: Option<LockPolicy>,
     ) -> ServerShared {
+        assert!(!cfg.catch_panics, "inert: the arena pool supervises frames");
         let slots = world.max_players() as usize;
         let locks = RegionLocks::new(fabric, &world.tree, slots);
         let ports: Vec<PortId> = (0..threads)
@@ -119,7 +118,6 @@ impl ServerShared {
             interest: cfg.interest,
             client_timeout_ns: cfg.client_timeout_ns,
             arena_id: cfg.arena_id,
-            catch_panics: cfg.catch_panics,
             lifecycle: cfg.lifecycle_port,
             threads,
             slots_per_thread: (slots as u32).div_ceil(threads),
@@ -675,12 +673,7 @@ impl ServerShared {
     /// The select loop of a single-threaded runtime (paper §2.1):
     /// block until a request arrives or the run ends, book the wait as
     /// idle time, run one frame. The sequential server's whole life,
-    /// and a 1×1 pool's. With `catch_panics` a panicking frame ends
-    /// the loop instead of the fabric: the world may be mid-mutation,
-    /// so the runtime stops serving rather than continue on it (its
-    /// results still publish), and the witness is told so a fabric
-    /// lock leaked by the unwound frame is reported, not a silent
-    /// wedge.
+    /// and a 1×1 pool's.
     pub fn run_single_loop(&self, ctx: &TaskCtx, f: &mut FrameState) {
         let port = self.ports[0];
         loop {
@@ -690,20 +683,9 @@ impl ServerShared {
                 break;
             }
             f.stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
-            let mut frame = || {
-                self.run_single_frame(ctx, f, |stats, mask| {
-                    self.drain_requests(ctx, 0, port, stats, mask)
-                })
-            };
-            if !self.catch_panics {
-                frame();
-            } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(frame)).is_err() {
-                f.stats.panics_caught += 1;
-                if let Some(w) = ctx.fabric().witness() {
-                    w.on_unwind(ctx.id(), ctx.now());
-                }
-                break;
-            }
+            self.run_single_frame(ctx, f, |stats, mask| {
+                self.drain_requests(ctx, 0, port, stats, mask)
+            });
         }
     }
 
