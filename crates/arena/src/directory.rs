@@ -1471,7 +1471,7 @@ pub(crate) fn drain_requests_coalesced(
                 continue;
             }
         }
-        if shared.handle_message(ctx, 0, from, msg, stats, frame_leaf_mask) {
+        if shared.handle_message(ctx, ctx.now(), 0, from, msg, stats, frame_leaf_mask) {
             moves += 1;
         }
     }

@@ -24,7 +24,7 @@ pub mod trace;
 pub mod tree;
 
 pub use brush::Brush;
-pub use trace::Trace;
+pub use trace::{Anchor, Trace};
 pub use tree::{BspTree, Contents};
 
 use parquake_math::{Aabb, Vec3};
@@ -131,10 +131,12 @@ impl BspWorld {
         }
     }
 
-    /// Is this point submerged (and not inside a wall)?
+    /// Is this point submerged (and not inside a wall)? Water is asked
+    /// first: a dry map answers from the water tree's root leaf.
     #[inline]
     pub fn in_water(&self, p: Vec3) -> bool {
-        self.contents(p) == Contents::Water
+        self.hull_water.contents(p) == Contents::Water
+            && self.hull_point.contents(p) != Contents::Solid
     }
 
     /// True when a player-sized box at `p` stands in open space.

@@ -8,7 +8,7 @@
 //! tracing a *point* through the hull is an exact swept-box query.
 
 use crate::tree::{BspTree, Contents, NodeRef};
-use parquake_math::{clampf, Plane, Vec3, DIST_EPSILON};
+use parquake_math::{clampf, Aabb, Plane, Vec3, DIST_EPSILON};
 
 /// Result of a trace through the world.
 #[derive(Clone, Copy, Debug)]
@@ -46,16 +46,86 @@ impl Trace {
     }
 }
 
+/// Where the traces of one move start: the deepest node whose half-space
+/// chain holds the whole `reach` box. Every ancestor's plane has the box
+/// wholly on one side, so a segment inside the box walks root → `node`
+/// without a split and a trace may begin at `node` instead — with
+/// `depth` added back to [`Trace::steps`], the walk it skipped.
+#[derive(Clone, Copy, Debug)]
+pub struct Anchor {
+    reach: Aabb,
+    node: NodeRef,
+    depth: u32,
+}
+
+impl Anchor {
+    /// Levels of the tree a trace begun here does not walk.
+    #[inline]
+    pub fn depth(&self) -> u32 {
+        self.depth
+    }
+}
+
 impl BspTree {
+    /// Descend from the root while `reach` lies wholly on one side.
+    pub fn anchor_for(&self, reach: &Aabb) -> Anchor {
+        let mut node = self.root();
+        let mut depth = 0;
+        while let NodeRef::Node(idx) = node {
+            let n = self.node(idx);
+            // The very comparisons `recursive_check` makes per endpoint.
+            node = if n.plane.point_dist(reach.min) >= 0.0 {
+                n.front
+            } else if n.plane.point_dist(reach.max) < 0.0 {
+                n.back
+            } else {
+                break;
+            };
+            depth += 1;
+        }
+        Anchor {
+            reach: *reach,
+            node,
+            depth,
+        }
+    }
+
+    /// The anchor every segment may start from: the root itself.
+    fn root_anchor(&self) -> Anchor {
+        Anchor {
+            reach: Aabb {
+                min: Vec3::splat(f32::NEG_INFINITY),
+                max: Vec3::splat(f32::INFINITY),
+            },
+            node: self.root(),
+            depth: 0,
+        }
+    }
+
     /// Trace from `start` to `end`; see [`Trace`].
     pub fn trace(&self, start: Vec3, end: Vec3) -> Trace {
+        self.trace_under(&self.root_anchor(), start, end)
+    }
+
+    /// [`BspTree::trace`], begun at `anchor` when the segment lies in
+    /// its reach box and at the root when it does not. Equal to `trace`
+    /// field for field, `steps` included.
+    pub fn trace_from(&self, anchor: &Anchor, start: Vec3, end: Vec3) -> Trace {
+        if anchor.reach.contains_point(start) && anchor.reach.contains_point(end) {
+            self.trace_under(anchor, start, end)
+        } else {
+            self.trace(start, end)
+        }
+    }
+
+    fn trace_under(&self, top: &Anchor, start: Vec3, end: Vec3) -> Trace {
         let mut tr = Trace::fresh(end);
-        let root = self.root();
-        if matches!(root, NodeRef::Leaf(Contents::Empty)) {
+        if matches!(self.root(), NodeRef::Leaf(Contents::Empty)) {
             tr.all_solid = false;
             return tr;
         }
-        self.recursive_check(root, 0.0, 1.0, start, end, &mut tr);
+        self.recursive_check(top, top.node, 0.0, 1.0, start, end, &mut tr);
+        tr.steps += top.depth;
         if tr.fraction == 1.0 {
             tr.end = end;
         }
@@ -68,9 +138,21 @@ impl BspTree {
         tr
     }
 
+    /// Contents at `p`, walked from `top` when `p` is in its reach box
+    /// (the walk from the root passes through `top.node` then).
+    fn contents_under(&self, top: &Anchor, p: Vec3) -> Contents {
+        if top.reach.contains_point(p) {
+            self.contents_from(top.node, p)
+        } else {
+            self.contents(p)
+        }
+    }
+
     /// Returns `false` once the trace has been stopped by an impact.
+    #[allow(clippy::too_many_arguments)]
     fn recursive_check(
         &self,
+        top: &Anchor,
         num: NodeRef,
         p1f: f32,
         p2f: f32,
@@ -97,10 +179,10 @@ impl BspTree {
         let t2 = node.plane.point_dist(p2);
 
         if t1 >= 0.0 && t2 >= 0.0 {
-            return self.recursive_check(node.front, p1f, p2f, p1, p2, tr);
+            return self.recursive_check(top, node.front, p1f, p2f, p1, p2, tr);
         }
         if t1 < 0.0 && t2 < 0.0 {
-            return self.recursive_check(node.back, p1f, p2f, p1, p2, tr);
+            return self.recursive_check(top, node.back, p1f, p2f, p1, p2, tr);
         }
 
         // The segment crosses the plane; split it, keeping DIST_EPSILON
@@ -120,13 +202,13 @@ impl BspTree {
         };
 
         // Move up to the plane.
-        if !self.recursive_check(near, p1f, midf, p1, mid, tr) {
+        if !self.recursive_check(top, near, p1f, midf, p1, mid, tr) {
             return false;
         }
 
         // If the far side at the crossing point is not solid, continue.
         if self.contents_from(far, mid) != Contents::Solid {
-            return self.recursive_check(far, midf, p2f, mid, p2, tr);
+            return self.recursive_check(top, far, midf, p2f, mid, p2, tr);
         }
 
         if tr.all_solid {
@@ -147,7 +229,7 @@ impl BspTree {
         // Occasionally the backed-off mid point is still inside solid
         // due to accumulated error; walk it back further.
         let mut f = frac;
-        while self.contents(mid) == Contents::Solid {
+        while self.contents_under(top, mid) == Contents::Solid {
             f -= 0.1;
             if f < 0.0 {
                 tr.fraction = midf;
@@ -169,7 +251,6 @@ mod tests {
     use super::*;
     use crate::brush::Brush;
     use parquake_math::vec3::vec3;
-    use parquake_math::Aabb;
 
     fn slab_world() -> BspTree {
         // A floor slab z ∈ [-10, 0] spanning x,y ∈ [-100, 100].

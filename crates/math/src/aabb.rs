@@ -192,10 +192,12 @@ impl Aabb {
 
     /// As [`Aabb::sweep_hit`], but also reports the outward unit normal
     /// of the face that was struck (the axis whose entry time dominated).
+    ///
+    /// Boxes that already overlap block only motion that deepens the
+    /// penetration — towards the target's centre along the axis of
+    /// least penetration — so an overlapping pair can always walk apart.
     pub fn sweep_hit_with_normal(&self, delta: Vec3, target: &Aabb) -> Option<(f32, Vec3)> {
         if self.intersects(target) {
-            // Already overlapping: push back along the axis of least
-            // penetration, against the motion.
             let mut best_axis = 0;
             let mut best_depth = f32::INFINITY;
             for axis in 0..3 {
@@ -206,6 +208,13 @@ impl Aabb {
                     best_depth = depth;
                     best_axis = axis;
                 }
+            }
+            // Twice the offset of the target's centre from ours.
+            let toward = (target.min[best_axis] + target.max[best_axis])
+                - (self.min[best_axis] + self.max[best_axis]);
+            if delta[best_axis] * toward <= 0.0 {
+                // Moving out, sliding along, or dead centre (any way is out).
+                return None;
             }
             let mut n = Vec3::ZERO;
             n[best_axis] = if delta[best_axis] > 0.0 { -1.0 } else { 1.0 };
@@ -398,6 +407,42 @@ mod tests {
             .unwrap();
         assert_eq!(t, 0.0);
         assert_eq!(n, vec3(-1.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn overlapping_boxes_may_separate_or_slide_but_not_close_in() {
+        let mover = unit_at(Vec3::ZERO);
+        let other = unit_at(vec3(0.25, 0.1, 0.0));
+        // Least penetration is on x (0.75 < 0.9 < 1): away is free …
+        assert!(mover
+            .sweep_hit_with_normal(vec3(-1.0, 0.0, 0.0), &other)
+            .is_none());
+        // … so is sliding along y or z, either way …
+        for d in [
+            vec3(0.0, 1.0, 0.0),
+            vec3(0.0, -1.0, 0.0),
+            vec3(0.0, 0.3, -1.0),
+        ] {
+            assert!(mover.sweep_hit_with_normal(d, &other).is_none(), "{d:?}");
+        }
+        // … closing in is not, however slightly.
+        let (t, n) = mover
+            .sweep_hit_with_normal(vec3(0.01, -1.0, 0.0), &other)
+            .unwrap();
+        assert_eq!((t, n), (0.0, vec3(-1.0, 0.0, 0.0)));
+        // Dead centre: every direction leads out.
+        assert!(mover
+            .sweep_hit_with_normal(vec3(1.0, 0.0, 0.0), &mover)
+            .is_none());
+        // Touching faces (closed intervals intersect): pulling away from
+        // contact is free, pushing into it is blocked.
+        let wall = unit_at(vec3(1.0, 0.0, 0.0));
+        assert!(mover
+            .sweep_hit_with_normal(vec3(-1.0, 0.0, 0.0), &wall)
+            .is_none());
+        assert!(mover
+            .sweep_hit_with_normal(vec3(1.0, 0.0, 0.0), &wall)
+            .is_some());
     }
 
     #[test]

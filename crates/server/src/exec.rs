@@ -268,10 +268,28 @@ thread_local! {
 /// broadcastable events it produced (the caller flushes them to the
 /// global buffer) and updates `stats` and the per-frame leaf usage
 /// mask. `task` identifies the server thread for the protocol checkers.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_move(
     env: &ExecEnv<'_>,
     ctx: &TaskCtx,
+    task: u32,
+    slot: u16,
+    cmd: &MoveCmd,
+    stats: &mut ThreadStats,
+    frame_leaf_mask: &mut u64,
+) -> ExecOutcome {
+    execute_move_at(env, ctx, ctx.now(), task, slot, cmd, stats, frame_leaf_mask)
+}
+
+/// [`execute_move`] for a caller that has just read the clock: the
+/// request loop's receive section ends at `t_start` and the move's
+/// `Exec`/`Lock` time begins there, with no second read between them.
+/// `t_start` is also the move's game time (item respawn and projectile
+/// expiry are dated from it).
+#[allow(clippy::too_many_arguments)]
+pub fn execute_move_at(
+    env: &ExecEnv<'_>,
+    ctx: &TaskCtx,
+    t_start: Nanos,
     task: u32,
     slot: u16,
     cmd: &MoveCmd,
@@ -283,7 +301,6 @@ pub fn execute_move(
     if !me.active {
         return ExecOutcome::default();
     }
-    let t_start = ctx.now();
     let mut lock_ns: Nanos = 0;
     let mut outcome = ExecOutcome::default();
     let mut request_leaf_events = 0u64;
@@ -355,14 +372,7 @@ pub fn execute_move(
     claim_all(env, task, mover, candidates);
     touched.clear();
     run_move(
-        env.world,
-        task,
-        mover,
-        cmd,
-        candidates,
-        ctx.now(),
-        touched,
-        &mut work,
+        env.world, task, mover, cmd, candidates, t_start, touched, &mut work,
     );
     relink_locked(env, ctx, task, mover, &plan, &mut lock_ns, stats);
     release_all(env, task, mover, candidates);
@@ -458,7 +468,7 @@ pub fn execute_move(
             // claim can never conflict; it must still precede mutation.
             let slot_ent = env.world.projectile_slot(slot);
             env.world.store.claim(slot_ent, task);
-            if let Some(proj) = launch_projectile(env.world, task, slot, ctx.now(), &mut work) {
+            if let Some(proj) = launch_projectile(env.world, task, slot, t_start, &mut work) {
                 relink_locked(env, ctx, task, proj, &action_plan, &mut lock_ns, stats);
             }
             env.world.store.release(slot_ent, task);
@@ -636,8 +646,8 @@ fn gather_candidates(
         for &id in raw.iter() {
             let id = id as EntityId;
             work.candidates += 1;
-            let e = env.world.store.snapshot(id);
-            if e.active && e.abs_box().intersects(query) {
+            let row = env.world.store.row(id);
+            if row.active() && row.bounds.intersects(query) {
                 out.push(id);
             }
         }

@@ -19,7 +19,7 @@ use parquake_sim::{GameWorld, WorkCounters};
 
 use crate::clients::{ClientTable, SlotState};
 use crate::cost::CostModel;
-use crate::exec::{execute_move, ExecEnv, RegionLocks};
+use crate::exec::{execute_move_at, ExecEnv, RegionLocks};
 use crate::lifecycle::LifecycleEvent;
 use crate::visibility_reply::build_reply;
 use crate::{Assignment, LockPolicy, ServerConfig, ServerResults};
@@ -389,11 +389,15 @@ impl ServerShared {
     }
 
     /// Handle one decoded client message during request processing.
+    /// `now` is the caller's last clock read — the moment the message
+    /// came off the wire — and the time everything here is dated from.
     /// Returns `true` if it was a move (counts toward per-frame request
     /// statistics).
+    #[allow(clippy::too_many_arguments)]
     pub fn handle_message(
         &self,
         ctx: &TaskCtx,
+        now: Nanos,
         thread: u32,
         from_port: PortId,
         msg: ClientMessage,
@@ -406,7 +410,6 @@ impl ServerShared {
             // nothing for a standalone server); the runtime itself IS
             // one arena and acks with its own id.
             ClientMessage::Connect { client_id, .. } => {
-                let now = ctx.now();
                 // Re-ack an existing slot (anywhere, in case the client
                 // was steered) or claim a fresh one in the home block.
                 let mut existing = None;
@@ -508,7 +511,7 @@ impl ServerShared {
                     slot.predicts = true;
                     if slot.input_ack != 0 && cmd.seq <= slot.input_ack {
                         stats.inputs_deduped += 1;
-                        slot.last_active = ctx.now();
+                        slot.last_active = now;
                         return false;
                     }
                     if slot.input_ack != 0 && cmd.seq != slot.input_ack + 1 {
@@ -517,8 +520,16 @@ impl ServerShared {
                     }
                 }
                 let env = self.exec_env();
-                let outcome =
-                    execute_move(&env, ctx, thread, idx as u16, &cmd, stats, frame_leaf_mask);
+                let outcome = execute_move_at(
+                    &env,
+                    ctx,
+                    now,
+                    thread,
+                    idx as u16,
+                    &cmd,
+                    stats,
+                    frame_leaf_mask,
+                );
                 self.push_global_events(ctx, stats, &outcome.events);
                 // Slot bookkeeping: under dynamic assignment two
                 // threads can transiently process one client's
@@ -534,7 +545,7 @@ impl ServerShared {
                 slot.last_seq = cmd.seq;
                 slot.last_sent_at = cmd.sent_at;
                 slot.owner = thread;
-                slot.last_active = ctx.now();
+                slot.last_active = now;
                 if slot.predicts {
                     slot.input_ack = cmd.seq;
                     // Advance the reconciliation shadow with
@@ -589,10 +600,19 @@ impl ServerShared {
             ctx.charge(self.cost.recv);
             stats.datagrams += 1;
             let decoded = ClientMessage::from_bytes(&raw.payload);
-            stats.breakdown.add(Bucket::Receive, ctx.now() - t0);
+            let received = ctx.now();
+            stats.breakdown.add(Bucket::Receive, received - t0);
             match decoded {
                 Ok(msg) => {
-                    if self.handle_message(ctx, thread, raw.from, msg, stats, frame_leaf_mask) {
+                    if self.handle_message(
+                        ctx,
+                        received,
+                        thread,
+                        raw.from,
+                        msg,
+                        stats,
+                        frame_leaf_mask,
+                    ) {
                         moves += 1;
                     }
                 }
@@ -1090,8 +1110,15 @@ mod tests {
                 | ClientMessage::Move { client_id, .. }
                 | ClientMessage::Disconnect { client_id } => client_id,
             };
-            self.s
-                .handle_message(self.ctx, thread, from, msg, &mut self.stats, &mut 0)
+            self.s.handle_message(
+                self.ctx,
+                self.ctx.now(),
+                thread,
+                from,
+                msg,
+                &mut self.stats,
+                &mut 0,
+            )
         }
 
         fn connect(&mut self, thread: u32, client_id: u32) {

@@ -83,6 +83,7 @@ fn connect_then_world_update_spawns_and_acks() {
         // Connect lands a Pending slot in thread 0's home block.
         let is_move = sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Connect {
@@ -136,6 +137,7 @@ fn move_is_processed_and_replied_with_echo() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Connect {
@@ -153,6 +155,7 @@ fn move_is_processed_and_replied_with_echo() {
         };
         let is_move = sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Move { client_id: 7, cmd },
@@ -200,6 +203,7 @@ fn unknown_client_moves_are_ignored() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Move {
@@ -226,6 +230,7 @@ fn connects_fill_home_block_then_stop() {
         for cid in 0..5u32 {
             sh.handle_message(
                 ctx,
+                ctx.now(),
                 0,
                 client_port,
                 ClientMessage::Connect {
@@ -262,6 +267,7 @@ fn region_affine_reclustering_steers_clients() {
         for cid in 0..8u32 {
             sh.handle_message(
                 ctx,
+                ctx.now(),
                 cid / 2,
                 client_port,
                 ClientMessage::Connect {
@@ -298,6 +304,7 @@ fn connect_from_new_port_does_not_hijack_live_slot() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             port_a,
             ClientMessage::Connect {
@@ -311,6 +318,7 @@ fn connect_from_new_port_does_not_hijack_live_slot() {
         // Attacker (or stale duplicate) claims the session from port_b.
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             port_b,
             ClientMessage::Connect {
@@ -340,6 +348,7 @@ fn connect_rebinds_after_silence_grace() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             port_a,
             ClientMessage::Connect {
@@ -353,6 +362,7 @@ fn connect_rebinds_after_silence_grace() {
         // Too soon: rejected.
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             port_b,
             ClientMessage::Connect {
@@ -367,6 +377,7 @@ fn connect_rebinds_after_silence_grace() {
         ctx.sleep_until(ctx.now() + TIMEOUT / 2);
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             port_b,
             ClientMessage::Connect {
@@ -393,6 +404,7 @@ fn silent_client_is_reclaimed_with_bye() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Connect {
@@ -432,6 +444,7 @@ fn active_client_is_not_reclaimed_while_sending() {
         let mut mask = 0u64;
         sh.handle_message(
             ctx,
+            ctx.now(),
             0,
             client_port,
             ClientMessage::Connect {
@@ -447,6 +460,7 @@ fn active_client_is_not_reclaimed_while_sending() {
             ctx.sleep_until(ctx.now() + TIMEOUT / 2);
             sh.handle_message(
                 ctx,
+                ctx.now(),
                 0,
                 client_port,
                 ClientMessage::Move {
@@ -504,6 +518,7 @@ fn mixed_legacy_and_trailered_clients_share_a_server() {
         for (cid, port) in [(7u32, legacy_port), (8u32, predict_port)] {
             sh.handle_message(
                 ctx,
+                ctx.now(),
                 0,
                 port,
                 ClientMessage::Connect {
@@ -529,6 +544,7 @@ fn mixed_legacy_and_trailered_clients_share_a_server() {
             };
             sh.handle_message(
                 ctx,
+                ctx.now(),
                 0,
                 if cid == 7 { legacy_port } else { predict_port },
                 ClientMessage::Move {

@@ -164,6 +164,42 @@ impl Entity {
     }
 }
 
+/// What a broad-phase test asks of an entity, packed: the absolute box
+/// and two bits. Gathers, sweeps and the hitscan walk read rows — 28
+/// contiguous bytes each — and copy the full [`Entity`] only for the
+/// survivors.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Row {
+    /// [`Entity::abs_box`].
+    pub bounds: Aabb,
+    flags: u32,
+}
+
+impl Row {
+    const ACTIVE: u32 = 1;
+    const LIVE_PLAYER: u32 = 2;
+
+    fn of(e: &Entity) -> Row {
+        Row {
+            bounds: e.abs_box(),
+            flags: (u32::from(e.active) * Row::ACTIVE)
+                | (u32::from(e.is_live_player()) * Row::LIVE_PLAYER),
+        }
+    }
+
+    /// [`Entity::active`].
+    #[inline]
+    pub fn active(&self) -> bool {
+        self.flags & Row::ACTIVE != 0
+    }
+
+    /// [`Entity::is_live_player`].
+    #[inline]
+    pub fn live_player(&self) -> bool {
+        self.flags & Row::LIVE_PLAYER != 0
+    }
+}
+
 struct Slot {
     ent: UnsafeCell<Entity>,
     owner: AtomicU32,
@@ -172,6 +208,10 @@ struct Slot {
 /// Fixed-capacity entity storage with dynamic access-protocol checks.
 pub struct EntityStore {
     slots: Vec<Slot>,
+    /// One [`Row`] per slot, rewritten by [`EntityStore::init`] and
+    /// [`EntityStore::with_mut`] — the only two writers of an entity —
+    /// and so under the very protocol that guards the slot.
+    rows: Vec<UnsafeCell<Row>>,
     checking: AtomicBool,
 }
 
@@ -184,25 +224,29 @@ impl EntityStore {
     /// A store of `capacity` inactive placeholder entities.
     pub fn new(capacity: usize) -> EntityStore {
         assert!(capacity <= EntityId::MAX as usize + 1);
+        let placeholder = |i: usize| Entity {
+            id: i as EntityId,
+            class: EntityClass::Teleporter { dest: Vec3::ZERO },
+            pos: Vec3::ZERO,
+            vel: Vec3::ZERO,
+            yaw: 0.0,
+            pitch: 0.0,
+            on_ground: false,
+            mins: Vec3::ZERO,
+            maxs: Vec3::ZERO,
+            linked_node: 0,
+            linked: false,
+            active: false,
+        };
         EntityStore {
             slots: (0..capacity)
                 .map(|i| Slot {
-                    ent: UnsafeCell::new(Entity {
-                        id: i as EntityId,
-                        class: EntityClass::Teleporter { dest: Vec3::ZERO },
-                        pos: Vec3::ZERO,
-                        vel: Vec3::ZERO,
-                        yaw: 0.0,
-                        pitch: 0.0,
-                        on_ground: false,
-                        mins: Vec3::ZERO,
-                        maxs: Vec3::ZERO,
-                        linked_node: 0,
-                        linked: false,
-                        active: false,
-                    }),
+                    ent: UnsafeCell::new(placeholder(i)),
                     owner: AtomicU32::new(NO_OWNER),
                 })
+                .collect(),
+            rows: (0..capacity)
+                .map(|i| UnsafeCell::new(Row::of(&placeholder(i))))
                 .collect(),
             checking: AtomicBool::new(false),
         }
@@ -265,6 +309,13 @@ impl EntityStore {
         unsafe { *self.slots[id as usize].ent.get() }
     }
 
+    /// Copy out an entity's packed row (same protocol as `snapshot`).
+    #[inline]
+    pub fn row(&self, id: EntityId) -> Row {
+        // SAFETY: as `snapshot` — rows are written where entities are.
+        unsafe { *self.rows[id as usize].get() }
+    }
+
     /// Mutate an entity under the access protocol.
     pub fn with_mut<R>(&self, id: EntityId, task: u32, f: impl FnOnce(&mut Entity) -> R) -> R {
         if self.is_checking() {
@@ -277,7 +328,10 @@ impl EntityStore {
         // SAFETY: claim verified above when checking; otherwise the
         // phase protocol guarantees exclusivity.
         let ent = unsafe { &mut *self.slots[id as usize].ent.get() };
-        f(ent)
+        let r = f(ent);
+        // SAFETY: the exclusivity that covers the entity covers its row.
+        unsafe { *self.rows[id as usize].get() = Row::of(ent) };
+        r
     }
 
     /// Unchecked initialization/system mutation — only for
@@ -285,13 +339,16 @@ impl EntityStore {
     /// `task` only for symmetry.
     pub fn init(&self, id: EntityId, ent: Entity) {
         // SAFETY: single-threaded by contract.
-        unsafe { *self.slots[id as usize].ent.get() = ent };
+        unsafe {
+            *self.slots[id as usize].ent.get() = ent;
+            *self.rows[id as usize].get() = Row::of(&ent);
+        }
     }
 
     /// Iterate ids of active entities (snapshot-based).
     pub fn active_ids(&self) -> Vec<EntityId> {
         (0..self.capacity() as EntityId)
-            .filter(|&i| self.snapshot(i).active)
+            .filter(|&i| self.row(i).active())
             .collect()
     }
 }
@@ -331,6 +388,26 @@ mod tests {
         let e = store.snapshot(3);
         assert_eq!(e.pos, vec3(10.0, 20.0, 30.0));
         assert!(e.is_live_player());
+    }
+
+    #[test]
+    fn row_is_packed_and_follows_every_write() {
+        assert!(std::mem::size_of::<Row>() <= 32);
+        let store = EntityStore::new(4);
+        assert!(!store.row(1).active());
+        store.init(1, player(1));
+        let row = store.row(1);
+        assert_eq!(row.bounds, player(1).abs_box());
+        assert!(row.active() && row.live_player());
+        store.with_mut(1, 0, |e| {
+            e.pos.x += 5.0;
+            if let EntityClass::Player { dead, .. } = &mut e.class {
+                *dead = true;
+            }
+        });
+        let row = store.row(1);
+        assert_eq!(row.bounds, store.snapshot(1).abs_box());
+        assert!(row.active() && !row.live_player());
     }
 
     #[test]

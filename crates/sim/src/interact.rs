@@ -26,6 +26,8 @@ pub const PROJECTILE_DAMAGE: i32 = 40;
 pub const PROJECTILE_SPEED: f32 = 600.0;
 /// Projectile lifetime.
 pub const PROJECTILE_LIFETIME_NS: u64 = 1_500_000_000;
+/// Distance from the shooter's eye to where its projectile appears.
+pub const MUZZLE_OFFSET: f32 = 24.0;
 /// How far beyond its bounding box a thrown object can affect the world
 /// while being completed in the world phase — the *expanded* locking
 /// margin of paper §4.3 (launch offset + first-frame flight).
@@ -132,12 +134,12 @@ pub fn hitscan_along(
         if cand == shooter {
             continue;
         }
-        let other = world.store.snapshot(cand);
-        if !other.is_live_player() {
+        let other = world.store.row(cand);
+        if !other.live_player() {
             continue;
         }
         work.object_tests += 1;
-        if let Some(t) = beam_origin.sweep_hit(delta, &other.abs_box()) {
+        if let Some(t) = beam_origin.sweep_hit(delta, &other.bounds) {
             if t <= wall_frac && best.map(|(bt, _)| t < bt).unwrap_or(true) {
                 best = Some((t, cand));
             }
@@ -170,7 +172,8 @@ pub fn hitscan_along(
     })
 }
 
-/// Launch the shooter's projectile if its slot is idle. The caller must
+/// Launch the shooter's projectile if its slot is idle and the muzzle
+/// has a clear path from the eye. The caller must
 /// hold locks covering the expanded region around the shooter and is
 /// responsible for linking the returned entity.
 pub fn launch_projectile(
@@ -190,10 +193,20 @@ pub fn launch_projectile(
     if let EntityClass::Projectile { live: true, .. } = proj.class {
         return None; // one in flight at a time
     }
-    work.interactions += 1;
     let angles = Angles::new(me.pitch, me.yaw, 0.0);
     let dir = angles.forward();
-    let start = me.eye().mul_add(dir, 24.0);
+    let eye = me.eye();
+    let start = eye.mul_add(dir, MUZZLE_OFFSET);
+    // A shooter pressed against a wall (the player hull stops 16 units
+    // short of it) has its muzzle in or beyond the brush, and a
+    // projectile that starts in solid is never stopped by it — on an
+    // outer wall it would leave the world. No clear path, no launch.
+    let tr = world.map.trace(parquake_bsp::Hull::Projectile, eye, start);
+    work.trace_steps += tr.steps as u64;
+    if tr.hit() || tr.start_solid {
+        return None;
+    }
+    work.interactions += 1;
     world.store.with_mut(slot, task, |e| {
         e.pos = start;
         e.vel = dir * PROJECTILE_SPEED + Vec3::new(0.0, 0.0, 40.0);

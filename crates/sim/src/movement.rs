@@ -8,6 +8,7 @@
 //! the areanode tree, clipping velocity at each impact. After motion,
 //! overlap touches trigger interactions (item pickup, teleporter pads).
 
+use parquake_bsp::Anchor;
 use parquake_math::angles::Angles;
 use parquake_math::{clampf, Aabb, Plane, Vec3};
 use parquake_protocol::{Buttons, MoveCmd};
@@ -145,7 +146,11 @@ pub fn run_move(
             on_ground: me.on_ground,
         },
         cmd,
-        &mut |pos, delta| nearest_hit(world, mover, pos, me.mins, me.maxs, delta, candidates, work),
+        &mut |anchor, pos, delta| {
+            nearest_hit(
+                world, anchor, mover, pos, me.mins, me.maxs, delta, candidates, work,
+            )
+        },
     );
     work.substeps += out.substeps;
     work.trace_steps += out.trace_steps;
@@ -175,14 +180,15 @@ pub fn run_move(
         if cand == mover {
             continue;
         }
-        let other = world.store.snapshot(cand);
-        if !other.active {
+        let row = world.store.row(cand);
+        if !row.active() {
             continue;
         }
         work.object_tests += 1;
-        if !my_box.intersects(&other.abs_box()) {
+        if !my_box.intersects(&row.bounds) {
             continue;
         }
+        let other = world.store.snapshot(cand);
         match other.class {
             EntityClass::Item {
                 class,
@@ -238,11 +244,15 @@ pub fn run_move(
 /// server's reconciliation shadow pass [`world_only_hit`]. Both paths
 /// execute the *same* float operations in the same order, so their
 /// results are bit-identical whenever no object impact wins.
+///
+/// Every trace of the move — one per slide iteration inside `collide`,
+/// plus the ground probe — is handed the move's [`Anchor`]: the BSP
+/// subtree holding the reach box of the origin, found once.
 pub fn step_kernel(
     map: &parquake_bsp::BspWorld,
     state: PredictState,
     cmd: &MoveCmd,
-    collide: &mut dyn FnMut(Vec3, Vec3) -> (f32, Vec3),
+    collide: &mut dyn FnMut(&Anchor, Vec3, Vec3) -> (f32, Vec3),
 ) -> KernelOutcome {
     let mut out = KernelOutcome {
         state,
@@ -258,6 +268,9 @@ pub fn step_kernel(
     let mut on_ground = state.on_ground;
     let yaw = cmd.yaw;
     let pitch = view_pitch(cmd);
+    let anchor = map
+        .hull_player
+        .anchor_for(&move_bounding_box(&Aabb::point(pos), vel, cmd.msec));
 
     let submerged = map.in_water(pos);
 
@@ -337,7 +350,7 @@ pub fn step_kernel(
         }
         out.substeps += 1;
         let delta = vel * time_left;
-        let (frac, normal) = collide(pos, delta);
+        let (frac, normal) = collide(&anchor, pos, delta);
         pos = pos.mul_add(delta, frac);
         if frac >= 1.0 {
             break;
@@ -354,7 +367,7 @@ pub fn step_kernel(
     // which is also what keeps this probe predictable client-side.
     {
         let probe = Vec3::new(0.0, 0.0, -2.0);
-        let tr = map.trace(parquake_bsp::Hull::Player, pos, pos + probe);
+        let tr = map.hull_player.trace_from(&anchor, pos, pos + probe);
         out.trace_steps += tr.steps as u64;
         on_ground = tr.hit() && tr.plane.normal.z > 0.7;
         if on_ground && vel.z < 0.0 {
@@ -384,8 +397,8 @@ pub fn step_world_only(
     cmd: &MoveCmd,
 ) -> PredictState {
     let mut scratch = 0u64;
-    step_kernel(map, state, cmd, &mut |pos, delta| {
-        world_only_hit(map, pos, delta, &mut scratch)
+    step_kernel(map, state, cmd, &mut |anchor, pos, delta| {
+        world_only_hit(map, anchor, pos, delta, &mut scratch)
     })
     .state
 }
@@ -407,11 +420,12 @@ fn finish_hit(best: f32, normal: Vec3, delta: Vec3) -> (f32, Vec3) {
 /// into `trace_steps`.
 pub fn world_only_hit(
     map: &parquake_bsp::BspWorld,
+    anchor: &Anchor,
     pos: Vec3,
     delta: Vec3,
     trace_steps: &mut u64,
 ) -> (f32, Vec3) {
-    let tr = map.trace(parquake_bsp::Hull::Player, pos, pos + delta);
+    let tr = map.hull_player.trace_from(anchor, pos, pos + delta);
     *trace_steps += tr.steps as u64;
     finish_hit(tr.fraction, tr.plane.normal, delta)
 }
@@ -421,6 +435,7 @@ pub fn world_only_hit(
 #[allow(clippy::too_many_arguments)]
 fn nearest_hit(
     world: &GameWorld,
+    anchor: &Anchor,
     mover: EntityId,
     pos: Vec3,
     mins: Vec3,
@@ -430,9 +445,7 @@ fn nearest_hit(
     work: &mut WorkCounters,
 ) -> (f32, Vec3) {
     // World: swept player hull via the pre-inflated clip hull.
-    let tr = world
-        .map
-        .trace(parquake_bsp::Hull::Player, pos, pos + delta);
+    let tr = world.map.hull_player.trace_from(anchor, pos, pos + delta);
     work.trace_steps += tr.steps as u64;
     let mut best = tr.fraction;
     let mut normal = tr.plane.normal;
@@ -443,12 +456,12 @@ fn nearest_hit(
         if cand == mover {
             continue;
         }
-        let other = world.store.snapshot(cand);
-        if !other.active || !matches!(other.class, EntityClass::Player { dead: false, .. }) {
+        let other = world.store.row(cand);
+        if !other.live_player() {
             continue; // items/pads are triggers, not solids
         }
         work.object_tests += 1;
-        if let Some((t, n)) = my_box.sweep_hit_with_normal(delta, &other.abs_box()) {
+        if let Some((t, n)) = my_box.sweep_hit_with_normal(delta, &other.bounds) {
             if t < best {
                 best = t;
                 normal = n;

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use parquake_areanode::{AreanodeTree, LinkTable, NodeId};
 use parquake_bsp::BspWorld;
 use parquake_math::vec3::vec3;
-use parquake_math::{Pcg32, Vec3};
+use parquake_math::{Aabb, Pcg32, Vec3};
 
 use crate::entity::{Entity, EntityClass, EntityId, EntityStore, ItemClass};
 
@@ -149,6 +149,11 @@ impl GameWorld {
         self.item_base..self.tele_base
     }
 
+    /// All projectile slot ids — the only entities of that class.
+    pub fn projectile_ids(&self) -> std::ops::Range<u16> {
+        self.proj_base..self.proj_base + self.max_players
+    }
+
     /// Is this id a player slot?
     #[inline]
     pub fn is_player(&self, id: EntityId) -> bool {
@@ -159,7 +164,7 @@ impl GameWorld {
     /// contexts only (setup / world phase). Returns the entity id.
     pub fn spawn_player(&self, idx: u16, client_id: u32, rng: &mut Pcg32) -> EntityId {
         let id = self.player_slot(idx);
-        let pos = self.pick_spawn_pos(idx, rng);
+        let pos = self.pick_spawn_pos(idx);
         let prev = self.store.snapshot(id);
         let was_linked = prev.linked;
         self.store.init(
@@ -193,19 +198,50 @@ impl GameWorld {
         id
     }
 
-    /// Deterministically choose a free-standing spawn position.
-    fn pick_spawn_pos(&self, idx: u16, rng: &mut Pcg32) -> Vec3 {
+    /// Deterministically choose a spawn position that stands free of
+    /// world geometry *and* of every live player: the cells of a grid
+    /// around the slot's spawn point, nearest ring first, then around
+    /// up to 15 more spawn points. Only a map with no free cell left
+    /// falls back to the bare spawn point (an overlap the movement code
+    /// lets players walk out of).
+    fn pick_spawn_pos(&self, idx: u16) -> Vec3 {
         let spawns = &self.map.spawn_points;
         assert!(!spawns.is_empty(), "map has no spawn points");
-        for attempt in 0..16 {
+        let me = self.player_slot(idx);
+        let mut nodes = Vec::new();
+        for attempt in 0..spawns.len().min(16) {
             let base = spawns[(idx as usize + attempt * 7) % spawns.len()];
-            let jitter = vec3(rng.range_f32(-48.0, 48.0), rng.range_f32(-48.0, 48.0), 0.0);
-            let pos = base + jitter * (attempt.min(3) as f32 / 3.0);
-            if self.map.player_fits(pos) {
-                return pos;
+            for ring in 0..=SPAWN_RINGS {
+                for (i, j) in ring_cells(ring) {
+                    let pos = base + vec3(i as f32, j as f32, 0.0) * SPAWN_PITCH;
+                    let hull = Aabb::new(
+                        pos + crate::movement::PLAYER_MINS,
+                        pos + crate::movement::PLAYER_MAXS,
+                    );
+                    if self.map.bounds.contains(&hull)
+                        && self.map.player_fits(pos)
+                        && self.no_live_player_in(&hull, me, &mut nodes)
+                    {
+                        return pos;
+                    }
+                }
             }
         }
         spawns[idx as usize % spawns.len()]
+    }
+
+    /// Does no live player other than `except` intersect `hull`? Asks
+    /// the areanode lists the box overlaps, not every slot.
+    fn no_live_player_in(&self, hull: &Aabb, except: EntityId, nodes: &mut Vec<NodeId>) -> bool {
+        self.tree.nodes_overlapping(hull, nodes);
+        nodes.iter().all(|&node| {
+            self.links.with_list(node, 0, |list| {
+                list.iter().all(|&id| {
+                    let row = self.store.row(id as EntityId);
+                    id as EntityId == except || !row.live_player() || !row.bounds.intersects(hull)
+                })
+            })
+        })
     }
 
     /// Link an entity for the first time (no locks; single-threaded).
@@ -249,7 +285,7 @@ impl GameWorld {
 
     /// Compute the node an entity at `abs_box` should link to.
     #[inline]
-    pub fn node_for(&self, b: &parquake_math::Aabb) -> NodeId {
+    pub fn node_for(&self, b: &Aabb) -> NodeId {
         self.tree.node_for_box(b)
     }
 
@@ -304,11 +340,19 @@ impl GameWorld {
                 ));
             }
         }
-        // The reverse direction: every linked-flagged entity is listed.
+        // The reverse direction: every linked-flagged entity is listed —
+        // and every entity's packed row says what the entity says.
         for id in 0..self.store.capacity() as EntityId {
             let e = self.store.snapshot(id);
             if e.linked && !seen.contains_key(&(id as u32)) {
                 return Err(format!("entity {id} flagged linked but in no list"));
+            }
+            let row = self.store.row(id);
+            if row.bounds != e.abs_box()
+                || row.active() != e.active
+                || row.live_player() != e.is_live_player()
+            {
+                return Err(format!("entity {id}: packed row {row:?} is stale"));
             }
         }
         Ok(())
@@ -350,6 +394,19 @@ impl GameWorld {
         }
         h
     }
+}
+
+/// Grid pitch of spawn cells: a player box (32 wide) plus a clear gap.
+const SPAWN_PITCH: f32 = 40.0;
+/// Rings of cells tried around one spawn point (a 9 × 9 grid).
+const SPAWN_RINGS: i32 = 4;
+
+/// The grid cells at Chebyshev distance `ring` from the centre, in a
+/// fixed order.
+fn ring_cells(ring: i32) -> impl Iterator<Item = (i32, i32)> {
+    (-ring..=ring)
+        .flat_map(move |j| (-ring..=ring).map(move |i| (i, j)))
+        .filter(move |&(i, j)| i.abs().max(j.abs()) == ring)
 }
 
 /// Quantize a coordinate to 1/8 unit for hashing (collision epsilons

@@ -32,10 +32,15 @@ pub fn run_world_phase(
     work: &mut WorkCounters,
 ) {
     let dt = dt_ns as f32 / 1e9;
-    let capacity = world.store.capacity() as EntityId;
 
-    // Projectiles in flight.
-    for id in 0..capacity {
+    // Projectiles in flight. The two gather buffers serve every
+    // projectile of the phase.
+    let mut nodes = Vec::new();
+    let mut cands: Vec<u32> = Vec::new();
+    for id in world.projectile_ids() {
+        if !world.store.row(id).active() {
+            continue;
+        }
         let e = world.store.snapshot(id);
         let EntityClass::Projectile {
             owner,
@@ -45,9 +50,6 @@ pub fn run_world_phase(
         else {
             continue;
         };
-        if !e.active {
-            continue;
-        }
         if now >= expire_at {
             retire_projectile(world, id);
             continue;
@@ -62,27 +64,24 @@ pub fn run_world_phase(
         let new_pos = tr.end;
 
         // Check players along the path (gather from the areanode tree).
-        let sweep = e.abs_box().swept(new_pos - e.pos);
-        let mut nodes = Vec::new();
+        let my_box = e.abs_box();
+        let sweep = my_box.swept(new_pos - e.pos);
         work.areanode_visits += world.tree.nodes_overlapping(&sweep, &mut nodes) as u64;
         let mut hit_player: Option<EntityId> = None;
-        'outer: for node in nodes {
-            let mut cands: Vec<u32> = Vec::new();
+        'outer: for &node in &nodes {
+            cands.clear();
             world.links.extend_into(node, 0, &mut cands);
-            for cand in cands {
+            for &cand in &cands {
                 let cand = cand as EntityId;
                 if cand == owner {
                     continue;
                 }
-                let other = world.store.snapshot(cand);
-                if !other.is_live_player() {
+                let other = world.store.row(cand);
+                if !other.live_player() {
                     continue;
                 }
                 work.object_tests += 1;
-                if e.abs_box()
-                    .sweep_hit(new_pos - e.pos, &other.abs_box())
-                    .is_some()
-                {
+                if my_box.sweep_hit(new_pos - e.pos, &other.bounds).is_some() {
                     hit_player = Some(cand);
                     break 'outer;
                 }
@@ -303,6 +302,58 @@ mod tests {
         }
         assert!(!w.store.snapshot(slot).active, "projectile never landed");
         assert!(events.iter().any(|e| e.kind == GameEventKind::Sound));
+    }
+
+    #[test]
+    fn a_shooter_against_the_outer_wall_launches_nothing_out_of_the_world() {
+        let w = world();
+        let mut rng = Pcg32::seeded(8);
+        w.spawn_player(0, 0, &mut rng);
+        // Start clear of the central pillar, then walk west until the
+        // outer wall stops the hull, 16 units short of the brush — the
+        // muzzle, 24 ahead of the eye, is inside it.
+        w.store.with_mut(0, 0, |e| e.pos.y += 300.0);
+        settle(&w, 0);
+        let mut touched = Vec::new();
+        let mut work = WorkCounters::new();
+        let west = parquake_protocol::MoveCmd {
+            yaw: 180.0,
+            forward: crate::movement::MAX_GROUND_SPEED,
+            ..parquake_protocol::MoveCmd::idle(0, 30)
+        };
+        for _ in 0..400 {
+            crate::movement::run_move(&w, 0, 0, &west, &[], 0, &mut touched, &mut work);
+        }
+        w.relink_unlocked(0);
+        let me = w.store.snapshot(0);
+        let wall = w.map.bounds.min.x + 32.0;
+        assert!(me.pos.x - wall < 17.0, "not at the wall: {:?}", me.pos);
+
+        // Refused: no path from the eye to the muzzle.
+        assert_eq!(launch_projectile(&w, 0, 0, 0, &mut work), None);
+        let slot = w.projectile_slot(0);
+        assert!(!w.store.snapshot(slot).active);
+        // One 100 ms world phase (a stall long enough to carry a
+        // projectile that started in the brush through the rest of it).
+        let mut events = Vec::new();
+        run_world_phase(
+            &w,
+            100_000_000,
+            100_000_000,
+            &mut rng,
+            &mut events,
+            &mut work,
+        );
+        for id in w.store.active_ids() {
+            let b = w.store.row(id).bounds;
+            assert!(
+                w.map.bounds.contains(&b),
+                "entity {id} at {b:?} left the world"
+            );
+        }
+        // Facing back into the hall the same player may throw.
+        w.store.with_mut(0, 0, |e| e.yaw = 0.0);
+        assert_eq!(launch_projectile(&w, 0, 0, 0, &mut work), Some(slot));
     }
 
     #[test]

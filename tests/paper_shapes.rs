@@ -3,11 +3,11 @@
 //! binary; these run in CI-sized debug builds).
 
 use parquake::bsp::mapgen::MapGenConfig;
-use parquake::harness::experiment::{Experiment, ExperimentConfig};
+use parquake::harness::experiment::{Experiment, ExperimentConfig, Outcome};
 use parquake::metrics::Bucket;
 use parquake::server::{LockPolicy, ServerKind};
 
-fn run(players: u32, server: ServerKind) -> parquake::harness::experiment::Outcome {
+fn run(players: u32, server: ServerKind) -> Outcome {
     Experiment::new(ExperimentConfig {
         players,
         server,
@@ -18,6 +18,27 @@ fn run(players: u32, server: ServerKind) -> parquake::harness::experiment::Outco
         ..ExperimentConfig::default()
     })
     .run()
+}
+
+/// A sequential server counts as saturated when its thread idles for
+/// less than this share of the run.
+const SATURATED_IDLE: f64 = 0.02;
+
+/// Climb the 128, 160, 192, … ladder of player counts and return the
+/// first run whose (single-threaded) server is saturated. The heavy
+/// point of a shape test is *found*, not fixed: how many players it
+/// takes depends on what a move costs, and that changes — until PR 23
+/// stacked spawns froze half the crowd at four slide iterations a move
+/// and 96–128 players were enough; a crowd that walks needs ≈ 160.
+fn first_saturated(run_at: impl Fn(u32) -> Outcome) -> (u32, Outcome) {
+    for players in (128..=256).step_by(32) {
+        let out = run_at(players);
+        let idle = out.server.merged().breakdown.fraction(Bucket::Idle);
+        if idle < SATURATED_IDLE {
+            return (players, out);
+        }
+    }
+    panic!("no player count up to 256 saturates the server");
 }
 
 #[test]
@@ -31,7 +52,7 @@ fn lock_time_grows_with_player_count() {
     let hi = run(48, kind);
     // Contention (time blocked on leaf locks) must grow super-linearly
     // with the player count; compare per-request blocked time.
-    let per_req = |o: &parquake::harness::experiment::Outcome| {
+    let per_req = |o: &Outcome| {
         let m = o.server.merged();
         m.lock.leaf_ns as f64 / m.requests.max(1) as f64
     };
@@ -88,18 +109,30 @@ fn world_update_is_a_small_fraction_at_saturation() {
     // share is only meaningful at saturation and on the paper-scale
     // evaluation map (the cramped small arena triggers far more
     // teleports/respawns per player than the paper's regime).
-    let out = Experiment::new(ExperimentConfig {
-        players: 128,
-        server: ServerKind::Sequential,
-        map: MapGenConfig::eval_arena(31),
-        duration_ns: 2_000_000_000,
-        checking: false,
-        ..ExperimentConfig::default()
-    })
-    .run();
+    //
+    // The bar is the paper's own 5 % (it was 10 % while 128 players
+    // were the fixed heavy point). Which side of the ratio moved in
+    // PR 23: at 128 players the walking crowd leaves the thread 7.5 %
+    // idle, so frames stay ≈ 1.7 moves long, the per-frame world phase
+    // runs 1 260 times a second and reads 12.8 % of busy time — an
+    // unsaturated server, not an expensive world. At saturation (160
+    // players, ≈ 100-move frames) world time itself fell, 42.7 → 16.0
+    // ms of a 2-s run, and its share 2.1 % → 0.8 %, although teleports,
+    // pickups and respawns now actually happen.
+    let (players, out) = first_saturated(|players| {
+        Experiment::new(ExperimentConfig {
+            players,
+            server: ServerKind::Sequential,
+            map: MapGenConfig::eval_arena(31),
+            duration_ns: 2_000_000_000,
+            checking: false,
+            ..ExperimentConfig::default()
+        })
+        .run()
+    });
     let bd = out.server.merged().breakdown;
     let share = bd.fraction_non_idle(Bucket::World);
-    assert!(share < 0.10, "world share {share:.3}");
+    assert!(share < 0.05, "world share {share:.3} at {players} players");
 }
 
 #[test]
@@ -173,13 +206,15 @@ fn deeper_areanode_trees_lock_smaller_world_fractions() {
 
 #[test]
 fn response_time_rises_under_overload() {
-    // Paper Fig 4c/5c: response time climbs sharply at saturation.
+    // Paper Fig 4c/5c: response time climbs sharply at saturation —
+    // so the heavy point is wherever saturation is (see
+    // `first_saturated`), not a player count that once reached it.
     let kind = ServerKind::Sequential;
     let light = run(16, kind);
-    let heavy = run(96, kind);
+    let (players, heavy) = first_saturated(|players| run(players, kind));
     assert!(
         heavy.avg_response_ms() > light.avg_response_ms() * 2.0,
-        "latency {:.2}ms -> {:.2}ms",
+        "latency {:.2}ms -> {:.2}ms at {players} players",
         light.avg_response_ms(),
         heavy.avg_response_ms()
     );
