@@ -129,11 +129,6 @@ pub struct ArenaDirectoryConfig {
     /// only). `0` disables periodic checkpoints (the spawn-time
     /// checkpoint is still taken, so restore always has a target).
     pub checkpoint_interval: u32,
-    /// The watchdog condemns an arena whose claimed frame has been
-    /// running longer than this. A stuck frame cannot be preempted —
-    /// the watchdog fences the arena (liveness masked, fate condemned)
-    /// and the restore happens once the frame returns its claim.
-    pub watchdog_ns: Nanos,
     /// Deterministic frame-fault injection for supervised arenas: a
     /// seeded per-arena lottery fires panics and/or stuck stalls
     /// inside claimed frames (see
@@ -158,7 +153,7 @@ pub struct ArenaDirectoryConfig {
     /// Mirror port for lifecycle notices: every notice the director
     /// drains — and every `Migrated` notice it emits — is also sent
     /// here, uncharged. The UDP gateway points this at its outbound
-    /// pump so its placement book follows reclaims and migrations.
+    /// pump so its session book follows reclaims and migrations.
     /// `None` (the default) = no mirror.
     pub lifecycle_tap: Option<PortId>,
 }
@@ -178,7 +173,6 @@ impl ArenaDirectoryConfig {
             maintenance_ns: 0,
             supervision: false,
             checkpoint_interval: 64,
-            watchdog_ns: 250_000_000,
             frame_faults: None,
             migrate_spread: 0,
             migrate_drain: false,
@@ -189,8 +183,17 @@ impl ArenaDirectoryConfig {
     /// Elasticity, supervision and live migration are driven through
     /// the pool's claim table; a `Parallel` template gives every arena
     /// dedicated threads instead, so asking for both is refused rather
-    /// than silently dropped.
+    /// than silently dropped. So is a thread count a parallel arena
+    /// cannot run: its per-frame participant mask is one `u64`.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if let ServerKind::Parallel { threads, .. } = self.server.kind {
+            if !(1..=64).contains(&threads) {
+                return Err(
+                    "threads must be 1..=64: a parallel arena tracks its frame's participants \
+                     in one 64-bit mask",
+                );
+            }
+        }
         let pool_only = self.max_arenas > self.arenas
             || self.supervision
             || self.migrate_spread > 0
@@ -322,7 +325,6 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         out: admission.clone(),
         elastic_out: elastic.clone(),
         supervised: cfg.supervision,
-        watchdog_ns: cfg.watchdog_ns.max(1),
         supervisor_out: supervisor.clone(),
         migrate_spread: if cfg.migrate_spread > 0 {
             cfg.migrate_spread.max(2)
@@ -376,7 +378,6 @@ pub(crate) struct DirectorEnv {
     out: Arc<Mutex<AdmissionStats>>,
     elastic_out: Arc<Mutex<ElasticStats>>,
     pub(crate) supervised: bool,
-    pub(crate) watchdog_ns: Nanos,
     supervisor_out: Arc<Mutex<SupervisorStats>>,
     pub(crate) migrate_spread: u32,
     pub(crate) migrate_drain: bool,

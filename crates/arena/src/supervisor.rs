@@ -6,7 +6,7 @@
 //!            frame panics (caught)          claim released
 //! healthy ──────────────────────► crashed ───────────────┐
 //!    │                                                    │
-//!    │ claimed frame overruns watchdog_ns                 ▼
+//!    │ claimed frame overruns WATCHDOG_NS                 ▼
 //!    └──────────────────────────► condemned ────► restoring ──► live
 //!                                  (stuck)     (claim fenced by
 //!                                                the director)
@@ -35,6 +35,12 @@ use parquake_server::clients::SlotState;
 use crate::directory::{ArenaFate, Director, DirectorEnv, PoolParts};
 use crate::ledger::Departure;
 
+/// The watchdog condemns an arena whose claimed frame has been running
+/// longer than this. A stuck frame cannot be preempted — the watchdog
+/// fences the arena (liveness masked, fate condemned) and the restore
+/// happens once the frame returns its claim.
+const WATCHDOG_NS: Nanos = 250_000_000;
+
 /// One supervision pass: watchdog sweep, then restore every restorable
 /// fated arena. Called from the director loop; no-op unless the
 /// directory is pooled and supervised.
@@ -59,8 +65,7 @@ pub(crate) fn supervise(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
                 // it dead and restore happens below, on a later pass,
                 // once the claim clears.
                 ArenaFate::Healthy
-                    if st.claimed[k]
-                        && now.saturating_sub(st.claim_started[k]) > env.watchdog_ns =>
+                    if st.claimed[k] && now.saturating_sub(st.claim_started[k]) > WATCHDOG_NS =>
                 {
                     st.fate[k] = ArenaFate::Condemned { at: now };
                     st.live[k] = false;

@@ -129,6 +129,15 @@ fn parallel_template_refuses_what_only_the_pool_can_do() {
         cfg
     };
     assert_eq!(parallel().validate(), Ok(()));
+    // The participant mask is one u64: 64 threads fit, 65 do not.
+    for (threads, ok) in [(0, false), (64, true), (65, false)] {
+        let mut cfg = parallel();
+        cfg.server.kind = ServerKind::Parallel {
+            threads,
+            locking: LockPolicy::Optimized,
+        };
+        assert_eq!(cfg.validate().is_ok(), ok, "threads {threads}");
+    }
     type Ask = fn(&mut ArenaDirectoryConfig);
     let pool_only: [(&str, Ask); 4] = [
         ("max_arenas", |c| c.max_arenas = 4),

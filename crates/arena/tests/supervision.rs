@@ -104,10 +104,9 @@ fn injected_panics_are_caught_and_arenas_restored() {
 #[test]
 fn stalls_past_the_watchdog_are_condemned_and_restored() {
     let mut cfg = supervised_cfg(2, 8, 2);
-    cfg.watchdog_ns = 100_000_000;
     cfg.frame_faults = Some(FaultConfig {
         stuck_per_frame: 0.01,
-        stuck_ns: 400_000_000, // 4× the watchdog bound
+        stuck_ns: 400_000_000, // well past WATCHDOG_NS
         seed: 0xBAD_CAFE,
         ..FaultConfig::none()
     });
@@ -130,10 +129,10 @@ fn short_stalls_degrade_gracefully_with_move_coalescing() {
     // shed frames coalesce the queued moves per client instead of
     // dropping them.
     let mut cfg = supervised_cfg(1, 8, 1);
-    cfg.watchdog_ns = 10_000_000_000; // never condemns
     cfg.frame_faults = Some(FaultConfig {
         stuck_per_frame: 0.5,
-        stuck_ns: 45_000_000, // > the 30 ms event-driven deadline
+        // Past the 30 ms event-driven deadline, far below WATCHDOG_NS.
+        stuck_ns: 45_000_000,
         seed: 7,
         ..FaultConfig::none()
     });

@@ -27,6 +27,13 @@ impl std::fmt::Debug for PredictMap {
     }
 }
 
+/// Client frame length: one move per bot per frame, the paper's
+/// always-active client.
+const CLIENT_FRAME_MS: u8 = 30;
+
+/// Modelled client CPU cost per sent command.
+const THINK_COST_NS: Nanos = 15_000;
+
 /// Swarm configuration.
 #[derive(Clone, Debug)]
 pub struct BotSwarmConfig {
@@ -34,16 +41,12 @@ pub struct BotSwarmConfig {
     pub players: u32,
     /// Driver tasks to spread them over (client machines).
     pub drivers: u32,
-    /// Client frame length — one move per bot per frame (~30 ms).
-    pub client_frame_ms: u32,
     /// Workload seed.
     pub seed: u64,
     /// Bots stop sending at this time (give the server room to drain).
     pub send_until: Nanos,
     /// Behaviour mix.
     pub behavior: BotBehavior,
-    /// Modelled client CPU cost per sent command.
-    pub think_cost_ns: Nanos,
     /// Random cadence jitter (±ns) applied per command — clients are
     /// asynchronous, which is what creates the paper's fine-grain
     /// per-frame imbalance (§4.2).
@@ -96,11 +99,9 @@ impl BotSwarmConfig {
         BotSwarmConfig {
             players,
             drivers: 8.min(players.max(1)),
-            client_frame_ms: 30,
             seed: 0xB07_5EED,
             send_until,
             behavior: BotBehavior::deathmatch(),
-            think_cost_ns: 15_000,
             jitter_ns: 8_000_000,
             ramp: None,
             predict: None,
@@ -340,7 +341,7 @@ fn drive(
     const STARVATION: Nanos = 1_000_000_000;
 
     let n = (hi - lo) as usize;
-    let frame_ns = cfg.client_frame_ms as Nanos * 1_000_000;
+    let frame_ns = CLIENT_FRAME_MS as Nanos * 1_000_000;
     let mut bots: Vec<BotMind> = (lo..hi)
         .map(|c| BotMind::new(c, cfg.seed, cfg.behavior.clone()))
         .collect();
@@ -400,7 +401,7 @@ fn drive(
                 left[i] = true;
                 next_at[i] = cfg.send_until;
                 if ever_acked[i] {
-                    ctx.charge(cfg.think_cost_ns);
+                    ctx.charge(THINK_COST_NS);
                     let msg = ClientMessage::Disconnect {
                         client_id: lo + i as u32,
                     };
@@ -428,7 +429,7 @@ fn drive(
                 backoff[i] = RETRY_MIN;
             }
             if !acked[i] {
-                ctx.charge(cfg.think_cost_ns);
+                ctx.charge(THINK_COST_NS);
                 let msg = ClientMessage::Connect {
                     client_id: lo + i as u32,
                     arena: requested[i],
@@ -444,8 +445,8 @@ fn drive(
                 next_at[i] = now + backoff[i];
                 backoff[i] = (backoff[i] * 2).min(RETRY_MAX);
             } else {
-                ctx.charge(cfg.think_cost_ns);
-                let mut cmd = bots[i].think(now, cfg.client_frame_ms.min(250) as u8);
+                ctx.charge(THINK_COST_NS);
+                let mut cmd = bots[i].think(now, CLIENT_FRAME_MS);
                 if let Some(p) = predictors[i].as_mut() {
                     // Opt in on the wire and act on the input locally,
                     // a full round trip before the server confirms it.

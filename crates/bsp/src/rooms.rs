@@ -125,11 +125,6 @@ impl RoomGraph {
         self.grid_w as usize * self.grid_h as usize
     }
 
-    #[inline]
-    pub fn grid_dims(&self) -> (u16, u16) {
-        (self.grid_w, self.grid_h)
-    }
-
     /// World bounds the graph covers.
     #[inline]
     pub fn bounds(&self) -> Aabb {

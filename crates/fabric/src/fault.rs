@@ -10,8 +10,8 @@
 //! * the virtual-SMP simulator applies it inside [`Fabric::send`], so
 //!   whole lossy-network experiments replay bit-identically from a
 //!   seed ([`crate::VirtualSmpConfig::fault`]);
-//! * the real UDP gateway wraps it in a [`FaultInjector`] and applies
-//!   it at the socket pumps.
+//! * the real UDP gateway gives each inbound socket pump a
+//!   [`FaultLottery`] of its own.
 //!
 //! [`Fabric::send`]: crate::Fabric::send
 
@@ -217,9 +217,10 @@ pub struct FaultStats {
     pub jittered: u64,
 }
 
-/// The seeded per-datagram lottery. Single-owner; wrap in a
-/// [`FaultInjector`] when several threads share one (the real gateway's
-/// socket pumps).
+/// The seeded per-datagram lottery. Single-owner: the virtual fabric
+/// holds one, and so does each of the real gateway's inbound pumps (so
+/// cross-run determinism holds on the virtual fabric only — on real
+/// sockets the order datagrams reach a pump is the kernel's).
 #[derive(Clone, Debug)]
 pub struct FaultLottery {
     cfg: FaultConfig,
@@ -394,36 +395,6 @@ impl FrameLottery {
     }
 }
 
-/// Thread-safe wrapper around a [`FaultLottery`] for use outside the
-/// virtual fabric (several OS-thread socket pumps sharing one lottery).
-/// Draw order then depends on pump interleaving, so cross-run
-/// determinism is only guaranteed on the virtual fabric.
-pub struct FaultInjector {
-    inner: parking_lot::Mutex<FaultLottery>,
-}
-
-impl FaultInjector {
-    pub fn new(cfg: FaultConfig) -> FaultInjector {
-        FaultInjector {
-            inner: parking_lot::Mutex::new(FaultLottery::new(cfg)),
-        }
-    }
-
-    /// See [`FaultLottery::draw`].
-    pub fn draw(&self) -> Vec<Nanos> {
-        self.inner.lock().draw()
-    }
-
-    /// See [`FaultLottery::draw_dir`].
-    pub fn draw_dir(&self, dir: FaultDir) -> Vec<Nanos> {
-        self.inner.lock().draw_dir(dir)
-    }
-
-    pub fn stats(&self) -> FaultStats {
-        self.inner.lock().stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,25 +470,6 @@ mod tests {
         let s = l.stats();
         assert_eq!(s.passed + s.dropped, n);
         assert!(s.duplicated > 0 && s.delayed > 0);
-    }
-
-    #[test]
-    fn injector_is_shareable() {
-        let inj = std::sync::Arc::new(FaultInjector::new(FaultConfig::loss(0.5, 1)));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let inj = inj.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..250 {
-                    inj.draw();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = inj.stats();
-        assert_eq!(s.passed + s.dropped, 1000);
     }
 
     #[test]

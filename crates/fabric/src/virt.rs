@@ -173,11 +173,6 @@ impl VirtualSmp {
         arc
     }
 
-    /// What the fault lottery did so far (`None` if no fault config).
-    pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.state.lock().fault.as_ref().map(|l| l.stats())
-    }
-
     /// The virtual time at which a blocked-with-deadline task would act
     /// if nothing else wakes it; `INF` for indefinitely blocked tasks.
     fn wake_key(g: &Shared, id: usize) -> Nanos {

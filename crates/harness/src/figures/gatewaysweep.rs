@@ -3,12 +3,12 @@
 //!
 //! The paper scales the world *inside* the server; this figure scales
 //! the front door. A single inbound pump is one thread doing one
-//! `recvfrom` per datagram plus one lock acquisition per book touch —
+//! `recvfrom` and one book-lock acquisition per datagram —
 //! at high fan-in it saturates before the arenas do. Sharding the
 //! gateway binds N sockets to the one port (the kernel's 4-tuple hash
 //! spreads client flows across them), gives every shard its own
 //! fault lottery and [`parquake_metrics::GatewayLane`], stripes the
-//! address/placement books so shards almost never contend, and drains
+//! session book so shards almost never contend, and drains
 //! datagram bursts with `recvmmsg`/`sendmmsg` where the kernel offers
 //! them. At `--gateway-shards 1` the gateway is the classic
 //! single-pump build, byte-identical lottery included — the sweep's

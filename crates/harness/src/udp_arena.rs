@@ -15,43 +15,31 @@
 //! and either way the gateway routes each `Move` to the port of the
 //! thread the client was dealt to.
 //!
+//! What the gateway knows of a client is one [`Session`] — reply
+//! address, last arrival, booked placement — in the one
+//! [`StripedBook`] of the [`Router`] every pump shares. An admitted
+//! `Connect` opens the session *before* it is forwarded and nothing
+//! removes it, so every payload a server emits for a client finds its
+//! address; one that does not is counted `replies_unroutable` on the
+//! spot. A datagram takes **one** stripe lock: in
+//! [`Router::inbound`] (admission, and the booked arena **and** dealt
+//! thread; the shard's seeded fault lottery — drop, duplicate, delay,
+//! client→server only — then deals the admitted datagram its fate) or
+//! in [`Router::outbound`] (book the placement a `ConnectAck` or
+//! lifecycle notice names, read the address).
+//!
 //! The gateway runs `gateway_shards` independent pump pairs. Each shard
 //! owns a socket bound to the *same* UDP port via `SO_REUSEPORT` (the
-//! kernel spreads client flows across shard sockets by 4-tuple hash), a
-//! seeded fault injector (shard 0 keeps the configured seed so a
-//! 1-shard gateway replays the exact pre-shard lottery; other shards
-//! salt it), and a [`parquake_metrics::GatewayLane`] so no counter is
-//! ever shared between pumps. Where batched syscalls are available
-//! (see [`crate::mmsg`]), a pump drains datagram bursts with one
-//! `recvmmsg`, forwards them into the fabric under one queue lock
+//! kernel spreads client flows across shard sockets by 4-tuple hash),
+//! its lottery (shard 0 keeps the configured seed so a 1-shard gateway
+//! replays the exact pre-shard lottery; other shards salt it) and a
+//! [`parquake_metrics::GatewayLane`], so no counter is ever shared
+//! between pumps. Where batched syscalls are available (see
+//! [`crate::mmsg`]), a pump drains datagram bursts with one `recvmmsg`,
+//! forwards them into the fabric under one queue lock
 //! ([`parquake_fabric::real::RealFabric::send_external_batch`]), and
 //! writes reply bursts with one `sendmmsg`; everywhere else the same
 //! loops degrade to one-datagram std I/O.
-//!
-//! Inbound pumps are plain OS threads; each datagram passes decode →
-//! address admission → routing → a seeded
-//! [`parquake_fabric::fault::FaultInjector`] stage (drop, duplicate,
-//! delay — client→server path only; replies travel untouched).
-//! Client addresses are learned under a strict admission policy
-//! ([`admit`]): only a validated `Connect` may bind or rebind an
-//! address, mid-session address changes are rejected until the old
-//! endpoint has been silent for a grace period, and `Move`/`Disconnect`
-//! datagrams must come from the bound address — a datagram carrying a
-//! client id cannot redirect that player's reply stream.
-//!
-//! The address and placement books are striped
-//! ([`StripedBook`]): clients hash to one of `max(4, shards)` stripes,
-//! so pumps on different shards almost never contend on one lock, and
-//! a book entry learned by one shard (Connect via shard 0, reply out
-//! via shard 1) is visible to all.
-//!
-//! Routing demuxes all arenas over every shard: `Connect`s go through
-//! the directory's admission stage, while `Move`/`Disconnect`
-//! datagrams are routed by the gateway straight to the client's placed
-//! arena **and thread** — the placement is learned from the outbound
-//! `ConnectAck{arena}` stream plus the ack's fabric source port (which
-//! names the dealt thread), and from the directory's lifecycle notices
-//! (which carry the thread explicitly).
 //!
 //! Accounting closes at every layer and at every width: each shard's
 //! [`GatewayLane`] closes on its own, the aggregate of the shard lanes
@@ -59,16 +47,17 @@
 //! arena `pump_forwarded + director_forwarded == processed +
 //! queue_dropped + pending_at_shutdown`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig};
+use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig, ArenaHandle};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, PredictMap, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
-use parquake_fabric::fault::{FaultConfig, FaultInjector};
+use parquake_fabric::fault::{FaultConfig, FaultLottery};
 use parquake_fabric::real::RealFabric;
 use parquake_fabric::{Fabric, Nanos, PortId};
 use parquake_interest::InterestStats;
@@ -77,17 +66,6 @@ use parquake_protocol::{ClientMessage, Decode, ServerMessage, MAX_DATAGRAM};
 use parquake_server::{InterestMode, LockPolicy, ServerConfig, ServerKind};
 
 use crate::mmsg;
-
-/// How long an unroutable reply is retried before being counted as
-/// lost; covers the window where a reply races address learning.
-const REPLY_RETAIN: Duration = Duration::from_millis(250);
-
-/// A learned client endpoint.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct AddrEntry {
-    pub(crate) addr: SocketAddr,
-    pub(crate) last_seen: Instant,
-}
 
 /// How long an inbound pump sleeps in `recv_from` when nothing is
 /// pending — the poll cadence for the shutdown deadline.
@@ -158,7 +136,7 @@ impl PumpSock {
     /// Wait for one datagram as `plan` says. Returns it with the
     /// instant it was in hand, read *after* the wait: the wait may
     /// have blocked for up to [`PUMP_IDLE_TIMEOUT`], so a clock value
-    /// from before it is up to that stale — arrivals (address-book
+    /// from before it is up to that stale — arrivals (a session's
     /// `last_seen`, fault-delay due times) are stamped with this one.
     fn recv(
         &mut self,
@@ -190,63 +168,6 @@ impl PumpSock {
             }
         };
         res.map(|(n, from)| (n, from, Instant::now()))
-    }
-}
-
-/// How often an outbound pump retries held (not-yet-routable) replies
-/// when no new gateway traffic wakes it — without this bound a reply
-/// whose address-book entry lands just after it would sit the whole
-/// retention window on a quiet port.
-const HELD_RETRY_TICK: Nanos = 25_000_000;
-
-/// The admission policy: may a decoded datagram from `from` reach the
-/// server, and how does it affect the address book?
-///
-/// * `Connect` from an unknown id binds the address; from the bound
-///   address it refreshes it (handshake retry); from a *different*
-///   address it rebinds only once the bound endpoint has been silent
-///   for `rebind_grace` (NAT rebinding), else it is rejected — a live
-///   session cannot be hijacked by guessing its client id.
-/// * `Move`/`Disconnect` must come from the bound address.
-fn admit(
-    book: &mut HashMap<u32, AddrEntry>,
-    msg: &ClientMessage,
-    from: SocketAddr,
-    now: Instant,
-    rebind_grace: Duration,
-) -> bool {
-    match msg {
-        ClientMessage::Connect { client_id, .. } => match book.get_mut(client_id) {
-            None => {
-                book.insert(
-                    *client_id,
-                    AddrEntry {
-                        addr: from,
-                        last_seen: now,
-                    },
-                );
-                true
-            }
-            Some(e) if e.addr == from => {
-                e.last_seen = now;
-                true
-            }
-            Some(e) if now.duration_since(e.last_seen) >= rebind_grace => {
-                e.addr = from;
-                e.last_seen = now;
-                true
-            }
-            Some(_) => false,
-        },
-        ClientMessage::Move { client_id, .. } | ClientMessage::Disconnect { client_id } => {
-            match book.get_mut(client_id) {
-                Some(e) if e.addr == from => {
-                    e.last_seen = now;
-                    true
-                }
-                _ => false,
-            }
-        }
     }
 }
 
@@ -400,7 +321,7 @@ pub struct UdpArenaReport {
     pub front_pending: u64,
     /// Datagrams written to the shard sockets.
     pub datagrams_out: u64,
-    /// Replies that never matched a learned client address.
+    /// Client-bound payloads whose client has no session.
     pub replies_unroutable: u64,
     /// Per-shard gateway lanes (one per pump pair); their aggregate
     /// must reproduce the totals above.
@@ -475,7 +396,51 @@ pub struct GwPlacement {
     pub thread: u16,
 }
 
-/// A placement-book mutation derived from one outbound payload.
+/// Everything the gateway knows of one client. Only an admitted
+/// `Connect` opens one and nothing removes it: with its placement
+/// evicted it still says where the client's replies go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Session {
+    /// The bound endpoint: replies go here, requests must come from
+    /// here.
+    pub(crate) addr: SocketAddr,
+    /// Last admitted arrival — what the rebind grace is measured from.
+    pub(crate) last_seen: Instant,
+    /// Where `Move`/`Disconnect` datagrams go; `None` until the first
+    /// ack (or lifecycle notice) books it, and again after a `Bye`.
+    pub(crate) placement: Option<GwPlacement>,
+}
+
+impl Session {
+    /// The admission policy: may a datagram from `from` pass as this
+    /// session's? If so the bound address and arrival time are brought
+    /// up to date.
+    ///
+    /// * `Connect` from the bound address refreshes it (handshake
+    ///   retry); from a *different* address it rebinds only once the
+    ///   bound endpoint has been silent for `rebind_grace` (NAT
+    ///   rebinding), else it is rejected — a live session cannot be
+    ///   hijacked by guessing its client id. A rebind keeps the
+    ///   placement.
+    /// * `Move`/`Disconnect` must come from the bound address.
+    fn admit(
+        &mut self,
+        is_connect: bool,
+        from: SocketAddr,
+        now: Instant,
+        rebind_grace: Duration,
+    ) -> bool {
+        let rebind = is_connect && now.duration_since(self.last_seen) >= rebind_grace;
+        if self.addr != from && !rebind {
+            return false;
+        }
+        self.addr = from;
+        self.last_seen = now;
+        true
+    }
+}
+
+/// A placement change derived from one outbound payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BookOp {
     /// Bind (or rebind) the client's placement.
@@ -495,18 +460,14 @@ impl BookOp {
         }
     }
 
-    /// Apply to a plain placement map (one stripe).
-    pub fn apply(&self, book: &mut HashMap<u32, GwPlacement>) {
+    /// Apply to that client's session.
+    pub(crate) fn apply(&self, session: &mut Session) {
         match *self {
-            BookOp::Insert(cid, p) => {
-                book.insert(cid, p);
-            }
-            BookOp::Remove(cid) => {
-                book.remove(&cid);
-            }
-            BookOp::RemoveIfArena(cid, arena) => {
-                if book.get(&cid).map(|p| p.arena) == Some(arena) {
-                    book.remove(&cid);
+            BookOp::Insert(_, p) => session.placement = Some(p),
+            BookOp::Remove(_) => session.placement = None,
+            BookOp::RemoveIfArena(_, arena) => {
+                if session.placement.map(|p| p.arena) == Some(arena) {
+                    session.placement = None;
                 }
             }
         }
@@ -514,19 +475,19 @@ impl BookOp {
 }
 
 /// Classify one outbound fabric payload: does it go on the wire (and
-/// to which client), and how does it change the placement book?
+/// to which client), and how does it change that client's placement?
 ///
 /// `from_pos` is the payload's fabric source resolved to an
 /// `(arena, thread)` position when it came from an arena thread's
 /// request port. A `ConnectAck` whose source thread belongs to the
-/// ack's own arena teaches the gateway the client's *dealt thread* —
-/// the pre-fix book kept only the arena and routed every later move to
-/// thread 0's port. Lifecycle notices carry the thread explicitly.
+/// ack's own arena teaches the gateway the client's *dealt thread*
+/// (an ack relayed from anywhere else books thread 0 rather than trust
+/// a foreign index). Lifecycle notices carry the thread explicitly.
 pub fn classify_outbound(
     payload: &[u8],
     from_pos: Option<(u16, u16)>,
 ) -> (Option<u32>, Option<BookOp>) {
-    use parquake_server::LifecycleEvent;
+    use parquake_server::LifecycleEvent::{self, *};
     match ServerMessage::from_bytes(payload) {
         Ok(ServerMessage::ConnectAck {
             client_id, arena, ..
@@ -544,47 +505,26 @@ pub fn classify_outbound(
         Ok(ServerMessage::Reply { client_id, .. }) => (Some(client_id), None),
         Err(_) => {
             let op = match LifecycleEvent::from_bytes(payload) {
-                Ok(LifecycleEvent::Connected {
+                Ok(Connected {
                     arena,
                     client_id,
                     thread,
-                }) => Some(BookOp::Insert(client_id, GwPlacement { arena, thread })),
-                Ok(LifecycleEvent::Disconnected { arena, client_id })
-                | Ok(LifecycleEvent::Reclaimed {
-                    arena, client_id, ..
-                }) => Some(BookOp::RemoveIfArena(client_id, arena)),
-                Ok(LifecycleEvent::Migrated {
-                    to_arena,
+                })
+                | Ok(Migrated {
+                    to_arena: arena,
                     client_id,
                     thread,
                     ..
-                }) => Some(BookOp::Insert(
-                    client_id,
-                    GwPlacement {
-                        arena: to_arena,
-                        thread,
-                    },
-                )),
-                Ok(LifecycleEvent::Rejected { .. }) | Err(_) => None,
+                }) => Some(BookOp::Insert(client_id, GwPlacement { arena, thread })),
+                Ok(Disconnected { arena, client_id })
+                | Ok(Reclaimed {
+                    arena, client_id, ..
+                }) => Some(BookOp::RemoveIfArena(client_id, arena)),
+                Ok(Rejected { .. }) | Err(_) => None,
             };
             (None, op)
         }
     }
-}
-
-/// Apply one outbound payload to a placement book. Returns
-/// `Some(client_id)` when the payload must be forwarded to the client,
-/// `None` for lifecycle notices and undecodable payloads.
-pub fn apply_outbound(
-    book: &mut HashMap<u32, GwPlacement>,
-    payload: &[u8],
-    from_pos: Option<(u16, u16)>,
-) -> Option<u32> {
-    let (fwd, op) = classify_outbound(payload, from_pos);
-    if let Some(op) = op {
-        op.apply(book);
-    }
-    fwd
 }
 
 /// Resolve a placed client's Move/Disconnect destination: the arena
@@ -608,7 +548,7 @@ pub(crate) struct StripedBook<T> {
     stripes: Vec<Mutex<HashMap<u32, T>>>,
 }
 
-impl<T: Clone> StripedBook<T> {
+impl<T> StripedBook<T> {
     pub(crate) fn new(stripes: usize) -> StripedBook<T> {
         let n = stripes.max(4).next_power_of_two();
         StripedBook {
@@ -616,137 +556,308 @@ impl<T: Clone> StripedBook<T> {
         }
     }
 
-    /// Fibonacci-hash the client id onto a stripe (power-of-two count).
-    fn stripe(&self, cid: u32) -> &Mutex<HashMap<u32, T>> {
-        let h = (cid.wrapping_mul(0x9E37_79B9) >> 16) as usize;
-        &self.stripes[h & (self.stripes.len() - 1)]
-    }
-
-    pub(crate) fn get(&self, cid: u32) -> Option<T> {
-        self.stripe(cid).lock().unwrap().get(&cid).cloned() // lockcheck: allow(raw-sync: striped gateway book shared with OS-thread pumps outside the fabric)
-    }
-
-    /// Run `f` under the client's stripe lock.
+    /// Run `f` under the client's stripe lock (Fibonacci-hashed onto a
+    /// power-of-two stripe count).
     pub(crate) fn with<R>(&self, cid: u32, f: impl FnOnce(&mut HashMap<u32, T>) -> R) -> R {
-        f(&mut self.stripe(cid).lock().unwrap()) // lockcheck: allow(raw-sync: striped gateway book shared with OS-thread pumps outside the fabric)
+        let h = (cid.wrapping_mul(0x9E37_79B9) >> 16) as usize;
+        let stripe = &self.stripes[h & (self.stripes.len() - 1)];
+        let mut sessions = stripe.lock().expect("a pump panicked holding this stripe"); // lockcheck: allow(raw-sync: striped gateway book shared with OS-thread pumps outside the fabric)
+        f(&mut sessions)
     }
 }
 
-impl StripedBook<GwPlacement> {
-    /// Apply a book op under its client's stripe lock.
-    pub(crate) fn apply(&self, op: &BookOp) {
-        self.with(op.client_id(), |m| op.apply(m));
+/// The arena cell of a datagram bound for the directory's front door.
+const FRONT: usize = usize::MAX;
+
+/// What the gateway's pumps share: the session book and the port
+/// tables it is read against. Each of its two methods takes one stripe
+/// lock per datagram — the gateway's two critical sections.
+pub(crate) struct Router {
+    /// The directory's front door: every admitted `Connect` goes here.
+    front: PortId,
+    /// `arena_ports[k][t]` = arena `k`, thread `t`'s request port,
+    /// every provisioned cell included.
+    arena_ports: Vec<Vec<PortId>>,
+    /// The inverse, for learning the dealt thread from a `ConnectAck`'s
+    /// fabric source.
+    port_pos: HashMap<PortId, (u16, u16)>,
+    rebind_grace: Duration,
+    book: StripedBook<Session>,
+}
+
+impl Router {
+    pub(crate) fn new(
+        front: PortId,
+        arena_ports: Vec<Vec<PortId>>,
+        stripes: usize,
+        rebind_grace: Duration,
+    ) -> Router {
+        let port_pos = arena_ports
+            .iter()
+            .enumerate()
+            .flat_map(|(k, ports)| {
+                ports
+                    .iter()
+                    .enumerate()
+                    .map(move |(t, &p)| (p, (k as u16, t as u16)))
+            })
+            .collect();
+        Router {
+            front,
+            arena_ports,
+            port_pos,
+            rebind_grace,
+            book: StripedBook::new(stripes),
+        }
+    }
+
+    /// Admit and route one decoded datagram: `Connect`s go to the front
+    /// door (the director picks the arena), moves and disconnects
+    /// straight to the booked arena's dealt thread. Returns the arena
+    /// cell ([`FRONT`] for the front door) and the fabric port, or
+    /// counts the refusal in `lane`: `spoof_rejected` when admission
+    /// says no, `arena_unknown` when no routable placement is booked
+    /// (ack in flight, session over, or the arena has no port).
+    pub(crate) fn inbound(
+        &self,
+        lane: &mut GatewayLane,
+        msg: &ClientMessage,
+        from: SocketAddr,
+        now: Instant,
+    ) -> Option<(usize, PortId)> {
+        let (cid, is_connect) = match *msg {
+            ClientMessage::Connect { client_id, .. } => (client_id, true),
+            ClientMessage::Move { client_id, .. } | ClientMessage::Disconnect { client_id } => {
+                (client_id, false)
+            }
+        };
+        let admitted = self.book.with(cid, |sessions| {
+            let session = match sessions.entry(cid) {
+                Entry::Occupied(o) => o.into_mut(),
+                // Only a `Connect` opens a session.
+                Entry::Vacant(v) if is_connect => v.insert(Session {
+                    addr: from,
+                    last_seen: now,
+                    placement: None,
+                }),
+                Entry::Vacant(_) => return None,
+            };
+            session
+                .admit(is_connect, from, now, self.rebind_grace)
+                .then_some(session.placement)
+        });
+        let Some(placement) = admitted else {
+            lane.spoof_rejected += 1;
+            return None;
+        };
+        if is_connect {
+            return Some((FRONT, self.front));
+        }
+        let dest = route_move(placement, &self.arena_ports);
+        if dest.is_none() {
+            lane.arena_unknown += 1;
+        }
+        dest
+    }
+
+    /// Classify one payload off a gateway port (`from` = its fabric
+    /// source), book what it says about its client, and return the
+    /// address it goes to. `None` for a lifecycle notice (booked, never
+    /// sent), for garbage, and — counted `replies_unroutable` in `lane`
+    /// — for a client with no session, for whom nothing is booked
+    /// either: no `Connect` of its was admitted, so no `Move` can be.
+    pub(crate) fn outbound(
+        &self,
+        lane: &mut GatewayLane,
+        payload: &[u8],
+        from: PortId,
+    ) -> Option<SocketAddr> {
+        let (fwd, op) = classify_outbound(payload, self.port_pos.get(&from).copied());
+        let cid = fwd.or(op.map(|op| op.client_id()))?;
+        let addr = self.book.with(cid, |sessions| {
+            let session = sessions.get_mut(&cid)?;
+            if let Some(op) = op {
+                op.apply(session);
+            }
+            Some(session.addr)
+        });
+        fwd?;
+        if addr.is_none() {
+            lane.replies_unroutable += 1;
+        }
+        addr
     }
 }
 
-/// Outbound-pump counters, merged into the shard's [`GatewayLane`]
-/// after the run.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct OutCounters {
-    pub(crate) sent: u64,
-    pub(crate) unroutable: u64,
-    pub(crate) batched: u64,
-}
-
-/// Everything one outbound pump needs.
-pub(crate) struct OutboundShard {
+/// One shard's outbound pump: a fabric task draining the shard's
+/// gateway port to its socket — drain, classify, book, `sendmmsg`.
+pub(crate) struct OutboundPump {
     pub(crate) shard: usize,
     /// The gateway fabric port carrying this shard's replies.
     pub(crate) gw: PortId,
     /// This shard's UDP socket (replies leave from the server port).
     pub(crate) sock: UdpSocket,
-    pub(crate) addrs: Arc<StripedBook<AddrEntry>>,
-    pub(crate) placements: Arc<StripedBook<GwPlacement>>,
-    /// Arena thread request port → `(arena, thread)`, for learning the
-    /// dealt thread from a `ConnectAck`'s fabric source.
-    pub(crate) port_pos: Arc<HashMap<PortId, (u16, u16)>>,
+    pub(crate) router: Arc<Router>,
     pub(crate) end_time: Nanos,
-    pub(crate) out: Arc<Mutex<Vec<OutCounters>>>,
+    /// Where the task hands in its half of the shard's lane (datagrams
+    /// out, unroutable replies, batched sends) as it exits.
+    pub(crate) done: mpsc::Sender<GatewayLane>,
 }
 
-/// Spawn one shard's outbound pump: a fabric task draining the shard's
-/// gateway port to its socket. Replies whose client address is not
-/// learned yet are retained up to [`REPLY_RETAIN`] and retried both on
-/// new gateway traffic and on a bounded retry tick
-/// ([`HELD_RETRY_TICK`]) — without the tick, a book entry arriving on
-/// a quiet port left the reply sitting the whole retention window.
-pub(crate) fn spawn_outbound_pump(fabric: &Arc<dyn Fabric>, p: OutboundShard) {
-    let OutboundShard {
-        shard,
-        gw,
-        sock,
-        addrs,
-        placements,
-        port_pos,
-        end_time,
-        out,
-    } = p;
-    fabric.spawn(
-        &format!("udp-arena-out{shard}"),
-        None,
-        Box::new(move |ctx| {
-            let mut sent = 0u64;
-            let mut unroutable = 0u64;
-            let mut batched = 0u64;
-            let mut held: Vec<(Instant, u32, Vec<u8>)> = Vec::new();
-            loop {
-                let deadline = if held.is_empty() {
-                    end_time
-                } else {
-                    (ctx.now() + HELD_RETRY_TICK).min(end_time)
-                };
-                let readable = ctx.wait_readable(gw, Some(deadline));
-                let now = Instant::now();
-                // Everything sendable this wakeup goes out in one
-                // batched write at the end.
+impl OutboundPump {
+    pub(crate) fn spawn(self, fabric: &Arc<dyn Fabric>) {
+        fabric.spawn(
+            &format!("udp-arena-out{}", self.shard),
+            None,
+            Box::new(move |ctx| {
+                let mut lane = GatewayLane::new(self.shard);
+                // What one wakeup drains leaves in one batched write.
                 let mut outbox: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
-                held.retain_mut(|(since, cid, payload)| {
-                    if let Some(e) = addrs.get(*cid) {
-                        outbox.push((std::mem::take(payload), e.addr));
-                        false
-                    } else if now.duration_since(*since) >= REPLY_RETAIN {
-                        unroutable += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let expired = !readable && ctx.now() >= end_time;
-                if readable {
-                    while let Some(msg) = ctx.try_recv(gw) {
-                        let from_pos = port_pos.get(&msg.from).copied();
-                        let (fwd, op) = classify_outbound(&msg.payload, from_pos);
-                        if let Some(op) = op {
-                            placements.apply(&op);
-                        }
-                        let Some(cid) = fwd else { continue };
-                        match addrs.get(cid) {
-                            Some(e) => outbox.push((msg.payload, e.addr)),
-                            None => held.push((Instant::now(), cid, msg.payload)),
+                while ctx.wait_readable(self.gw, Some(self.end_time)) {
+                    while let Some(msg) = ctx.try_recv(self.gw) {
+                        if let Some(addr) = self.router.outbound(&mut lane, &msg.payload, msg.from)
+                        {
+                            outbox.push((msg.payload, addr));
                         }
                     }
+                    let (sent, batched) = mmsg::send_batch(&self.sock, &outbox);
+                    outbox.clear();
+                    lane.datagrams_out += sent;
+                    lane.batched_sends += batched;
                 }
-                let (s, b) = mmsg::send_batch(&sock, &outbox);
-                sent += s;
-                batched += b;
-                if expired {
-                    break;
+                // The host may already have given up on the run.
+                let _ = self.done.send(lane);
+            }),
+        );
+    }
+}
+
+/// One shard's inbound pump: a plain OS thread demuxing the shard's
+/// socket to the front door and every arena. It owns everything it
+/// writes — lane, lottery, hold list, outbox; only the router is shared.
+struct InboundPump {
+    sock: PumpSock,
+    real: Arc<RealFabric>,
+    /// The shard's gateway port: the fabric source of everything
+    /// forwarded here, so the replies come back to this shard.
+    gw: PortId,
+    router: Arc<Router>,
+    lottery: FaultLottery,
+    lane: GatewayLane,
+    /// Copies staged per arena cell.
+    to_arena: Vec<u64>,
+    /// Fault-delayed copies: (due, arena cell, port, payload).
+    held: Vec<(Instant, usize, PortId, Vec<u8>)>,
+    /// Copies staged this wakeup, flushed in per-port batches under
+    /// one queue lock each.
+    outbox: Vec<(PortId, Vec<u8>)>,
+}
+
+impl InboundPump {
+    /// One datagram off the socket: decode, admit and route, draw its
+    /// fault fate.
+    fn process(&mut self, payload: &[u8], from: SocketAddr, now: Instant) {
+        self.lane.datagrams_in += 1;
+        let Ok(msg) = ClientMessage::from_bytes(payload) else {
+            self.lane.decode_rejected += 1;
+            return;
+        };
+        let Some((cell, port)) = self.router.inbound(&mut self.lane, &msg, from, now) else {
+            return;
+        };
+        let fates = self.lottery.draw();
+        if fates.is_empty() {
+            self.lane.fault_dropped += 1;
+            return;
+        }
+        self.lane.fault_duplicated += fates.len() as u64 - 1;
+        for extra in fates {
+            if extra == 0 {
+                self.stage(cell, port, payload.to_vec());
+            } else {
+                let due = now + Duration::from_nanos(extra);
+                self.held.push((due, cell, port, payload.to_vec()));
+            }
+        }
+    }
+
+    fn stage(&mut self, cell: usize, port: PortId, payload: Vec<u8>) {
+        self.lane.forwarded += 1;
+        if cell == FRONT {
+            self.lane.to_front += 1;
+        } else {
+            self.to_arena[cell] += 1;
+        }
+        self.outbox.push((port, payload));
+    }
+
+    /// Hand the outbox to the fabric, one batch per destination port.
+    fn flush(&mut self) {
+        while let Some(&(port, _)) = self.outbox.first() {
+            let (batch, rest): (Vec<_>, Vec<_>) =
+                self.outbox.drain(..).partition(|&(p, _)| p == port);
+            self.outbox = rest;
+            self.real
+                .send_external_batch(self.gw, port, batch.into_iter().map(|(_, b)| b));
+        }
+    }
+
+    /// Pump until `deadline`; returns the lane and the per-cell count
+    /// of copies staged for each arena.
+    fn run(mut self, deadline: Instant) -> (GatewayLane, Vec<u64>) {
+        let mut buf = [0u8; MAX_DATAGRAM];
+        loop {
+            let now = Instant::now();
+            let mut i = 0;
+            while i < self.held.len() {
+                if self.held[i].0 <= now {
+                    let (_, cell, port, payload) = self.held.swap_remove(i);
+                    self.stage(cell, port, payload);
+                } else {
+                    i += 1;
                 }
             }
-            unroutable += held.len() as u64;
-            let mut c = out.lock().unwrap(); // lockcheck: allow(raw-sync: OS-thread UDP bridge counters, aggregated after join)
-            c[shard].sent += sent;
-            c[shard].unroutable += unroutable;
-            c[shard].batched += batched;
-        }),
-    );
+            self.flush();
+            if now >= deadline {
+                break;
+            }
+            // Wait so the earliest held due time is hit on the dot
+            // (block far out, poll the final stretch) instead of up to
+            // the idle timeout late.
+            let plan = pump_wait_plan(self.held.iter().map(|h| h.0).min(), now);
+            match self.sock.recv(plan, &mut buf) {
+                // `received`, not the pre-wait `now`, stamps the whole
+                // burst.
+                Ok((n, from, received)) => {
+                    self.process(&buf[..n], from, received);
+                    // Drain the rest of a burst in one batched syscall
+                    // (no-op without mmsg capability).
+                    for (extra, from) in mmsg::recv_more(&self.sock.sock, mmsg::BATCH - 1) {
+                        self.lane.batched_recvs += 1;
+                        self.process(&extra, from, received);
+                    }
+                }
+                Err(ref e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(_) => break,
+            }
+        }
+        // Late delivery is legal UDP: flush held copies so the
+        // accounting identity closes exactly.
+        for (_, cell, port, payload) in std::mem::take(&mut self.held) {
+            self.stage(cell, port, payload);
+        }
+        self.flush();
+        (self.lane, self.to_arena)
+    }
 }
 
-/// Bind the shard sockets for one gateway port. Returns the sockets
-/// and whether `SO_REUSEPORT` carried them (`false` at one shard, and
-/// on the portable fallback where all pumps share one socket via
-/// `try_clone` and the kernel wakes one blocked reader per datagram).
-fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<(Vec<UdpSocket>, bool)> {
+/// Bind the shard sockets for one gateway port: `SO_REUSEPORT` siblings
+/// where the host has it, else (and at one shard) one plain socket every
+/// pump shares via `try_clone`, the kernel waking one blocked reader
+/// per datagram.
+fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<Vec<UdpSocket>> {
     if shards > 1 && mmsg::capability().reuseport {
         // All sockets on the port must carry the flag (a plain bind
         // blocks later reuseport binds), so the first one is bound
@@ -761,18 +872,16 @@ fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<(Vec<UdpSocke
             Some(socks)
         })();
         if let Some(socks) = bound {
-            return Ok((socks, true));
+            return Ok(socks);
         }
         // A partial failure dropped every socket above; fall through to
         // the shared-socket fallback on a fresh plain bind.
     }
     let first = UdpSocket::bind(("127.0.0.1", port))?;
-    let mut socks = Vec::with_capacity(shards);
-    for _ in 1..shards {
-        socks.push(first.try_clone()?);
-    }
-    socks.insert(0, first);
-    Ok((socks, false))
+    let clones: Vec<UdpSocket> = (1..shards)
+        .map(|_| first.try_clone())
+        .collect::<std::io::Result<_>>()?;
+    Ok(std::iter::once(first).chain(clones).collect())
 }
 
 /// Run the arena directory behind `gateway_shards` pump pairs on one
@@ -794,8 +903,7 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     let end_time: Nanos = opts.duration.as_nanos() as Nanos;
     // One gateway fabric port per shard carries that shard's replies
     // out; the directory's lifecycle tap (slot-churn notices) rides on
-    // shard 0, and the shared placement book makes what it learns
-    // visible to every shard.
+    // shard 0, and the shared book shows every shard what it learns.
     let gw_ports: Vec<PortId> = (0..shards).map(|_| fabric.alloc_port()).collect();
     let server = ServerConfig {
         client_timeout_ns: opts.client_timeout.as_nanos() as Nanos,
@@ -821,271 +929,85 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     dir_cfg
         .validate()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    // Before the worlds are built: a port that cannot be had fails at
+    // once, and what arrives during set-up waits in the socket.
+    let socks = bind_shard_sockets(opts.port, shards)?;
     let handle = spawn_directory(&fabric, dir_cfg);
     // Every provisioned cell, including elastic headroom past the boot
     // fleet — the pumps route to (and the report covers) all of them.
     let cells = handle.arena_ports.len();
-    let arena_ports: Arc<Vec<Vec<PortId>>> = Arc::new(handle.arena_ports.clone());
-    let port_pos: Arc<HashMap<PortId, (u16, u16)>> = Arc::new(
-        arena_ports
-            .iter()
-            .enumerate()
-            .flat_map(|(k, ports)| {
-                ports
-                    .iter()
-                    .enumerate()
-                    .map(move |(t, &p)| (p, (k as u16, t as u16)))
-            })
-            .collect(),
-    );
-
-    let (socks, _reuseport) = bind_shard_sockets(opts.port, shards)?;
-
-    let addrs: Arc<StripedBook<AddrEntry>> = Arc::new(StripedBook::new(shards));
-    let placements: Arc<StripedBook<GwPlacement>> = Arc::new(StripedBook::new(shards));
     let rebind_grace = if opts.client_timeout.is_zero() {
         Duration::from_secs(1)
     } else {
         opts.client_timeout / 2
     };
+    let router = Arc::new(Router::new(
+        handle.front_port,
+        handle.arena_ports.clone(),
+        shards,
+        rebind_grace,
+    ));
 
-    // Outbound pumps: one fabric task per shard.
-    let out_counters: Arc<Mutex<Vec<OutCounters>>> =
-        Arc::new(Mutex::new(vec![OutCounters::default(); shards]));
-    for (shard, gw) in gw_ports.iter().enumerate() {
-        spawn_outbound_pump(
-            &fabric,
-            OutboundShard {
-                shard,
-                gw: *gw,
-                sock: socks[shard].try_clone()?,
-                addrs: addrs.clone(),
-                placements: placements.clone(),
-                port_pos: port_pos.clone(),
-                end_time,
-                out: out_counters.clone(),
-            },
-        );
-    }
-
-    // Inbound pumps: one OS thread per shard demuxing its socket to
-    // all arenas. Each owns its lane and fault injector outright.
     let deadline = Instant::now() + opts.duration;
-    let front = handle.front_port;
-    let pumps: Vec<std::thread::JoinHandle<(GatewayLane, Vec<u64>)>> = (0..shards)
-        .map(|shard| {
-            let mut sock = PumpSock::new(
-                socks[shard]
-                    .try_clone()
-                    .expect("shard socket clone for inbound pump"),
-            );
-            let real = real.clone();
-            let gw = gw_ports[shard];
-            let addrs = addrs.clone();
-            let placements = placements.clone();
-            let arena_ports = arena_ports.clone();
-            let injector = FaultInjector::new(FaultConfig {
+    let (done, out_lanes) = mpsc::channel();
+    let mut pumps = Vec::with_capacity(shards);
+    for (shard, (&gw, sock)) in gw_ports.iter().zip(&socks).enumerate() {
+        OutboundPump {
+            shard,
+            gw,
+            sock: sock.try_clone()?,
+            router: router.clone(),
+            end_time,
+            done: done.clone(),
+        }
+        .spawn(&fabric);
+        let pump = InboundPump {
+            sock: PumpSock::new(sock.try_clone()?),
+            real: real.clone(),
+            gw,
+            router: router.clone(),
+            lottery: FaultLottery::new(FaultConfig {
                 seed: shard_fault_seed(opts.fault.seed, shard),
                 ..opts.fault.clone()
-            });
-            std::thread::spawn(move || {
-                let mut buf = [0u8; MAX_DATAGRAM];
-                let mut lane = GatewayLane::new(shard);
-                let mut to_arena = vec![0u64; cells];
-                // Delayed copies waiting to come due:
-                // (due, cell, port, payload); cell usize::MAX = front.
-                let mut held: Vec<(Instant, usize, PortId, Vec<u8>)> = Vec::new();
-                // Fabric deliveries staged this wakeup, flushed in
-                // per-port batches under one queue lock each.
-                let mut outbox: Vec<(PortId, Vec<u8>)> = Vec::new();
-
-                fn stage(
-                    lane: &mut GatewayLane,
-                    to_arena: &mut [u64],
-                    outbox: &mut Vec<(PortId, Vec<u8>)>,
-                    cell: usize,
-                    port: PortId,
-                    payload: Vec<u8>,
-                ) {
-                    lane.forwarded += 1;
-                    if cell == usize::MAX {
-                        lane.to_front += 1;
-                    } else {
-                        to_arena[cell] += 1;
-                    }
-                    outbox.push((port, payload));
-                }
-
-                fn flush(real: &RealFabric, gw: PortId, outbox: &mut Vec<(PortId, Vec<u8>)>) {
-                    while !outbox.is_empty() {
-                        let port = outbox[0].0;
-                        let mut batch = Vec::new();
-                        let mut rest = Vec::new();
-                        for (p, payload) in outbox.drain(..) {
-                            if p == port {
-                                batch.push(payload);
-                            } else {
-                                rest.push((p, payload));
-                            }
-                        }
-                        *outbox = rest;
-                        real.send_external_batch(gw, port, batch);
-                    }
-                }
-
-                let process = |lane: &mut GatewayLane,
-                               to_arena: &mut Vec<u64>,
-                               held: &mut Vec<(Instant, usize, PortId, Vec<u8>)>,
-                               outbox: &mut Vec<(PortId, Vec<u8>)>,
-                               payload: &[u8],
-                               from: SocketAddr,
-                               now: Instant| {
-                    lane.datagrams_in += 1;
-                    let Ok(msg) = ClientMessage::from_bytes(payload) else {
-                        lane.decode_rejected += 1;
-                        return;
-                    };
-                    let cid = match &msg {
-                        ClientMessage::Connect { client_id, .. }
-                        | ClientMessage::Move { client_id, .. }
-                        | ClientMessage::Disconnect { client_id } => *client_id,
-                    };
-                    let admitted =
-                        addrs.with(cid, |book| admit(book, &msg, from, now, rebind_grace));
-                    if !admitted {
-                        lane.spoof_rejected += 1;
-                        return;
-                    }
-                    // Route: Connects go through admission (the
-                    // director picks the arena); moves/disconnects go
-                    // straight to the placed arena's dealt thread.
-                    let (cell, port) = match &msg {
-                        ClientMessage::Connect { .. } => (usize::MAX, front),
-                        ClientMessage::Move { client_id, .. }
-                        | ClientMessage::Disconnect { client_id } => {
-                            match route_move(placements.get(*client_id), &arena_ports) {
-                                Some(dest) => dest,
-                                None => {
-                                    lane.arena_unknown += 1;
-                                    return;
-                                }
-                            }
-                        }
-                    };
-                    let fates = injector.draw();
-                    if fates.is_empty() {
-                        lane.fault_dropped += 1;
-                        return;
-                    }
-                    lane.fault_duplicated += fates.len() as u64 - 1;
-                    for extra in fates {
-                        if extra == 0 {
-                            stage(lane, to_arena, outbox, cell, port, payload.to_vec());
-                        } else {
-                            held.push((
-                                now + Duration::from_nanos(extra),
-                                cell,
-                                port,
-                                payload.to_vec(),
-                            ));
-                        }
-                    }
-                };
-
-                loop {
-                    let now = Instant::now();
-                    let mut i = 0;
-                    while i < held.len() {
-                        if held[i].0 <= now {
-                            let (_, cell, port, payload) = held.swap_remove(i);
-                            stage(&mut lane, &mut to_arena, &mut outbox, cell, port, payload);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    flush(&real, gw, &mut outbox);
-                    if now >= deadline {
-                        break;
-                    }
-                    // Wait so the earliest held due time is hit on the
-                    // dot (block far out, poll the final stretch)
-                    // instead of up to the idle timeout late.
-                    let plan = pump_wait_plan(held.iter().map(|h| h.0).min(), now);
-                    match sock.recv(plan, &mut buf) {
-                        // `received`, not the pre-wait `now`, stamps
-                        // the whole burst.
-                        Ok((n, from, received)) => {
-                            let (payload, rest) = buf.split_at_mut(n);
-                            let _ = rest;
-                            process(
-                                &mut lane,
-                                &mut to_arena,
-                                &mut held,
-                                &mut outbox,
-                                payload,
-                                from,
-                                received,
-                            );
-                            // Drain the rest of a burst in one batched
-                            // syscall (no-op without mmsg capability).
-                            for (extra, from2) in mmsg::recv_more(&sock.sock, mmsg::BATCH - 1) {
-                                lane.batched_recvs += 1;
-                                process(
-                                    &mut lane,
-                                    &mut to_arena,
-                                    &mut held,
-                                    &mut outbox,
-                                    &extra,
-                                    from2,
-                                    received,
-                                );
-                            }
-                        }
-                        Err(ref e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            continue;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                // Late delivery is legal UDP: flush held copies so the
-                // accounting identity closes exactly.
-                for (_, cell, port, payload) in std::mem::take(&mut held) {
-                    stage(&mut lane, &mut to_arena, &mut outbox, cell, port, payload);
-                }
-                flush(&real, gw, &mut outbox);
-                (lane, to_arena)
-            })
-        })
-        .collect();
+            }),
+            lane: GatewayLane::new(shard),
+            to_arena: vec![0; cells],
+            held: Vec::new(),
+            outbox: Vec::new(),
+        };
+        pumps.push(std::thread::spawn(move || pump.run(deadline)));
+    }
 
     fabric.run();
     let mut shard_lanes: Vec<GatewayLane> = Vec::with_capacity(shards);
     let mut pump_to_arena = vec![0u64; cells];
     for pump in pumps {
         let (lane, to_arena) = pump.join().expect("inbound pump panicked");
-        for (k, v) in to_arena.iter().enumerate() {
-            pump_to_arena[k] += v;
+        for (total, v) in pump_to_arena.iter_mut().zip(to_arena) {
+            *total += v;
         }
         shard_lanes.push(lane);
     }
-    {
-        let outs = out_counters.lock().unwrap(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
-        for lane in shard_lanes.iter_mut() {
-            let oc = outs[lane.shard];
-            lane.datagrams_out = oc.sent;
-            lane.replies_unroutable = oc.unroutable;
-            lane.batched_sends = oc.batched;
-        }
+    // Every outbound task has exited and handed in its half-lane.
+    for out in out_lanes.try_iter() {
+        shard_lanes[out.shard].absorb(&out);
     }
-    let agg = GatewayLane::aggregate(&shard_lanes);
+    Ok(build_report(&fabric, &handle, shard_lanes, &pump_to_arena))
+}
 
+/// Read the directory's sinks and the ports' counters into the layered
+/// report. Host-side, after the run: no task is alive.
+fn build_report(
+    fabric: &Arc<dyn Fabric>,
+    handle: &ArenaHandle,
+    shard_lanes: Vec<GatewayLane>,
+    pump_to_arena: &[u64],
+) -> UdpArenaReport {
+    let agg = GatewayLane::aggregate(&shard_lanes);
     let admission = handle.admission.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
     let elastic = handle.elastic.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
     let supervisor = handle.supervisor.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
-    let mut lanes = Vec::with_capacity(cells);
+    let mut lanes = Vec::with_capacity(pump_to_arena.len());
     let mut lanes_missing_counters: Vec<u16> = Vec::new();
     let mut interest = InterestStats::default();
     for (k, &pump_forwarded) in pump_to_arena.iter().enumerate() {
@@ -1095,22 +1017,11 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         // A provisioned cell absent from the director's tables is a
         // drifted fleet view, not quiet traffic: record it so the
         // report refuses to close, instead of zero-filling silently.
-        let director_forwarded = match admission.forwarded_per_arena.get(k) {
-            Some(&v) => v,
-            None => {
-                lanes_missing_counters.push(k as u16);
-                0
-            }
-        };
-        let admitted = match admission.per_arena.get(k) {
-            Some(&v) => v,
-            None => {
-                if lanes_missing_counters.last() != Some(&(k as u16)) {
-                    lanes_missing_counters.push(k as u16);
-                }
-                0
-            }
-        };
+        let director_forwarded = admission.forwarded_per_arena.get(k).copied();
+        let admitted = admission.per_arena.get(k).copied();
+        if director_forwarded.is_none() || admitted.is_none() {
+            lanes_missing_counters.push(k as u16);
+        }
         let (queue_dropped, pending_at_shutdown) =
             handle.arena_ports[k]
                 .iter()
@@ -1122,16 +1033,16 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
                 });
         lanes.push(ArenaLane {
             pump_forwarded,
-            director_forwarded,
+            director_forwarded: director_forwarded.unwrap_or(0),
             processed: m.datagrams,
             queue_dropped,
             pending_at_shutdown,
             replies: m.replies,
             frames: r.frame_count,
-            admitted,
+            admitted: admitted.unwrap_or(0),
         });
     }
-    Ok(UdpArenaReport {
+    UdpArenaReport {
         datagrams_in: agg.datagrams_in,
         decode_rejected: agg.decode_rejected,
         spoof_rejected: agg.spoof_rejected,
@@ -1152,7 +1063,7 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         elastic,
         supervisor,
         interest,
-    })
+    }
 }
 
 /// What [`run_udp_clients`] measured.
@@ -1362,88 +1273,138 @@ mod tests {
         .to_bytes()
     }
 
+    fn reply(cid: u32) -> Vec<u8> {
+        ServerMessage::Reply {
+            client_id: cid,
+            seq: 1,
+            sent_at_echo: 0,
+            frame: 1,
+            assigned_thread: 0,
+            origin: parquake_math::Vec3::ZERO,
+            delta: false,
+            entities: Vec::new(),
+            removed: Vec::new(),
+            events: Vec::new(),
+            predict: None,
+        }
+        .to_bytes()
+    }
+
     fn addr(port: u16) -> SocketAddr {
         SocketAddr::from(([127, 0, 0, 1], port))
     }
 
+    fn connect(cid: u32) -> ClientMessage {
+        ClientMessage::Connect {
+            client_id: cid,
+            arena: 0,
+        }
+    }
+
+    fn mv(cid: u32) -> ClientMessage {
+        ClientMessage::Move {
+            client_id: cid,
+            cmd: parquake_protocol::MoveCmd::idle(1, 30),
+        }
+    }
+
     const GRACE: Duration = Duration::from_secs(1);
+
+    /// The front door of the synthetic port tables below.
+    const FRONT_PORT: PortId = 1;
+
+    /// A router over a synthetic 2-arena × 2-thread port table, and a
+    /// lane for it to count refusals in.
+    fn two_by_two() -> (Router, GatewayLane) {
+        let router = Router::new(FRONT_PORT, vec![vec![10, 11], vec![20, 21]], 1, GRACE);
+        (router, GatewayLane::default())
+    }
+
+    fn session(router: &Router, cid: u32) -> Option<Session> {
+        router
+            .book
+            .with(cid, |sessions| sessions.get(&cid).copied())
+    }
+
+    fn placement(router: &Router, cid: u32) -> Option<GwPlacement> {
+        session(router, cid).and_then(|s| s.placement)
+    }
 
     #[test]
     fn connect_learns_and_refreshes_address() {
-        let mut book = HashMap::new();
+        let (router, mut lane) = two_by_two();
         let t0 = Instant::now();
-        let connect = ClientMessage::Connect {
-            client_id: 7,
-            arena: 0,
-        };
-        assert!(admit(&mut book, &connect, addr(4000), t0, GRACE));
-        assert_eq!(book[&7].addr, addr(4000));
+        let front = Some((FRONT, FRONT_PORT));
+        assert_eq!(
+            router.inbound(&mut lane, &connect(7), addr(4000), t0),
+            front
+        );
+        assert_eq!(session(&router, 7).unwrap().addr, addr(4000));
         // Handshake retry from the same endpoint refreshes.
-        assert!(admit(
-            &mut book,
-            &connect,
-            addr(4000),
-            t0 + GRACE / 4,
-            GRACE
-        ));
-        assert_eq!(book[&7].last_seen, t0 + GRACE / 4);
+        let t1 = t0 + GRACE / 4;
+        assert_eq!(
+            router.inbound(&mut lane, &connect(7), addr(4000), t1),
+            front
+        );
+        assert_eq!(session(&router, 7).unwrap().last_seen, t1);
+        assert_eq!(lane, GatewayLane::default());
     }
 
     #[test]
     fn connect_from_new_addr_is_rejected_within_grace() {
-        let mut book = HashMap::new();
+        let (router, mut lane) = two_by_two();
         let t0 = Instant::now();
-        let connect = ClientMessage::Connect {
-            client_id: 7,
-            arena: 0,
-        };
-        assert!(admit(&mut book, &connect, addr(4000), t0, GRACE));
-        // Hijack attempt while the session is live: rejected, address
-        // book untouched.
-        assert!(!admit(
-            &mut book,
-            &connect,
-            addr(5000),
-            t0 + GRACE / 2,
-            GRACE
-        ));
-        assert_eq!(book[&7].addr, addr(4000));
+        router
+            .inbound(&mut lane, &connect(7), addr(4000), t0)
+            .unwrap();
+        let before = session(&router, 7);
+        // Hijack attempt while the session is live: rejected, session
+        // untouched.
+        let t1 = t0 + GRACE / 2;
+        assert_eq!(router.inbound(&mut lane, &connect(7), addr(5000), t1), None);
+        assert_eq!(lane.spoof_rejected, 1);
+        assert_eq!(session(&router, 7), before);
     }
 
     #[test]
     fn connect_rebinds_after_silence_grace() {
-        let mut book = HashMap::new();
+        let (router, mut lane) = two_by_two();
         let t0 = Instant::now();
-        let connect = ClientMessage::Connect {
-            client_id: 7,
-            arena: 0,
-        };
-        assert!(admit(&mut book, &connect, addr(4000), t0, GRACE));
-        assert!(admit(&mut book, &connect, addr(5000), t0 + GRACE, GRACE));
-        assert_eq!(book[&7].addr, addr(5000));
+        router
+            .inbound(&mut lane, &connect(7), addr(4000), t0)
+            .unwrap();
+        router.outbound(&mut lane, &ack(7, 1), 20).unwrap();
+        router
+            .inbound(&mut lane, &connect(7), addr(5000), t0 + GRACE)
+            .unwrap();
+        let s = session(&router, 7).unwrap();
+        assert_eq!(s.addr, addr(5000));
+        // The session moved house, not arena.
+        assert_eq!(s.placement.map(|p| p.arena), Some(1));
     }
 
     #[test]
     fn moves_require_the_bound_address() {
-        let mut book = HashMap::new();
+        let (router, mut lane) = two_by_two();
         let t0 = Instant::now();
-        let connect = ClientMessage::Connect {
-            client_id: 7,
-            arena: 0,
-        };
-        let mv = ClientMessage::Move {
-            client_id: 7,
-            cmd: parquake_protocol::MoveCmd::idle(1, 30),
-        };
         // Unknown client: no Move may pass (no implicit binding).
-        assert!(!admit(&mut book, &mv, addr(4000), t0, GRACE));
-        assert!(book.is_empty());
-        assert!(admit(&mut book, &connect, addr(4000), t0, GRACE));
-        assert!(admit(&mut book, &mv, addr(4000), t0, GRACE));
+        assert_eq!(router.inbound(&mut lane, &mv(7), addr(4000), t0), None);
+        assert_eq!(lane.spoof_rejected, 1);
+        assert_eq!(session(&router, 7), None);
+        router
+            .inbound(&mut lane, &connect(7), addr(4000), t0)
+            .unwrap();
+        router.outbound(&mut lane, &ack(7, 0), 10).unwrap();
+        assert_eq!(
+            router.inbound(&mut lane, &mv(7), addr(4000), t0),
+            Some((0, 10))
+        );
         // From anywhere else: rejected, even past the grace period
         // (only a validated Connect may rebind).
-        assert!(!admit(&mut book, &mv, addr(5000), t0 + GRACE * 2, GRACE));
-        assert_eq!(book[&7].addr, addr(4000));
+        let late = t0 + GRACE * 2;
+        assert_eq!(router.inbound(&mut lane, &mv(7), addr(5000), late), None);
+        assert_eq!(lane.spoof_rejected, 2);
+        assert_eq!(session(&router, 7).unwrap().addr, addr(4000));
     }
 
     #[test]
@@ -1574,34 +1535,43 @@ mod tests {
 
     #[test]
     fn outbound_notices_evict_and_rebind_placements() {
-        let mut book: HashMap<u32, GwPlacement> = HashMap::new();
+        let (router, mut lane) = two_by_two();
+        let now = Instant::now();
+        for cid in [7, 8] {
+            assert_eq!(
+                router.inbound(&mut lane, &connect(cid), addr(4000), now),
+                Some((FRONT, FRONT_PORT))
+            );
+        }
+        let sent = Some(addr(4000));
 
         // ConnectAck installs the placement and is forwarded.
-        assert_eq!(apply_outbound(&mut book, &ack(7, 1), None), Some(7));
-        assert_eq!(book[&7].arena, 1);
+        assert_eq!(router.outbound(&mut lane, &ack(7, 1), 0), sent);
+        assert_eq!(placement(&router, 7).map(|p| p.arena), Some(1));
 
-        // A Reclaimed notice from the placed arena evicts the entry
-        // (the pre-fix book kept it and misrouted every later Move to
-        // the world that had already dropped the session); notices are
-        // never forwarded to the client.
+        // A Reclaimed notice from the placed arena evicts the placement
+        // (else every later Move is misrouted to the world that already
+        // dropped the session); notices are never forwarded to the
+        // client, and the session keeps its address.
         let reclaim = LifecycleEvent::Reclaimed {
             arena: 1,
             client_id: 7,
             at: 123,
         };
-        assert_eq!(apply_outbound(&mut book, &reclaim.to_bytes(), None), None);
-        assert!(!book.contains_key(&7));
+        assert_eq!(router.outbound(&mut lane, &reclaim.to_bytes(), 0), None);
+        assert_eq!(placement(&router, 7), None);
+        assert_eq!(session(&router, 7).map(|s| s.addr), sent);
 
         // A *late* notice from an old placement must not kill a newer
         // booking elsewhere.
-        assert_eq!(apply_outbound(&mut book, &ack(7, 2), None), Some(7));
+        assert_eq!(router.outbound(&mut lane, &ack(7, 2), 0), sent);
         let stale = LifecycleEvent::Disconnected {
             arena: 1,
             client_id: 7,
         };
-        assert_eq!(apply_outbound(&mut book, &stale.to_bytes(), None), None);
+        assert_eq!(router.outbound(&mut lane, &stale.to_bytes(), 0), None);
         assert_eq!(
-            book.get(&7).map(|p| p.arena),
+            placement(&router, 7).map(|p| p.arena),
             Some(2),
             "late notice evicted a fresh booking"
         );
@@ -1614,73 +1584,87 @@ mod tests {
             client_id: 7,
             thread: 1,
         };
-        assert_eq!(apply_outbound(&mut book, &mig.to_bytes(), None), None);
+        assert_eq!(router.outbound(&mut lane, &mig.to_bytes(), 0), None);
         assert_eq!(
-            book.get(&7),
-            Some(&GwPlacement {
+            placement(&router, 7),
+            Some(GwPlacement {
                 arena: 0,
                 thread: 1
             }),
             "Migrated notice did not rebind"
         );
 
-        // A Connected notice (direct-at-arena join the front door
-        // never saw) installs arena and thread; Bye forwards and
-        // evicts.
+        // A Connected notice installs arena and thread; Bye forwards
+        // and evicts.
         let joined = LifecycleEvent::Connected {
             arena: 3,
             client_id: 8,
             thread: 1,
         };
-        assert_eq!(apply_outbound(&mut book, &joined.to_bytes(), None), None);
+        assert_eq!(router.outbound(&mut lane, &joined.to_bytes(), 0), None);
         assert_eq!(
-            book.get(&8),
-            Some(&GwPlacement {
+            placement(&router, 8),
+            Some(GwPlacement {
                 arena: 3,
                 thread: 1
             })
         );
         let bye = ServerMessage::Bye { client_id: 8 }.to_bytes();
-        assert_eq!(apply_outbound(&mut book, &bye, None), Some(8));
-        assert!(!book.contains_key(&8));
+        assert_eq!(router.outbound(&mut lane, &bye, 0), sent);
+        assert_eq!(placement(&router, 8), None);
 
         // Garbage decodes to neither family: ignored, book untouched.
-        assert_eq!(apply_outbound(&mut book, &[0xFF, 1, 2, 3], None), None);
-        assert_eq!(book.len(), 1);
+        assert_eq!(router.outbound(&mut lane, &[0xFF, 1, 2, 3], 0), None);
+        assert!(placement(&router, 7).is_some());
+        assert_eq!(lane, GatewayLane::default(), "nothing above is a refusal");
+
+        // Nothing is booked, and nothing sent, for a client no Connect
+        // was admitted for.
+        assert_eq!(router.outbound(&mut lane, &ack(9, 1), 0), None);
+        assert_eq!(lane.replies_unroutable, 1);
+        assert_eq!(session(&router, 9), None);
     }
 
-    /// Satellite regression (stale-thread routing): a dedicated
-    /// 2-thread arena must receive a placed client's moves on the
-    /// *dealt* thread's port. The pre-fix pump routed every move to
-    /// `arena_ports[k][0]`.
+    /// Regression (stale-thread routing): a dedicated 2-thread arena
+    /// must receive a placed client's moves on the *dealt* thread's
+    /// port, not on `arena_ports[k][0]`.
     #[test]
     fn moves_route_to_the_dealt_threads_port() {
-        // Synthetic 2-arena × 2-thread port table.
-        let ports: Vec<Vec<PortId>> = vec![vec![10, 11], vec![20, 21]];
-        let mut book: HashMap<u32, GwPlacement> = HashMap::new();
+        let (router, mut lane) = two_by_two();
+        let now = Instant::now();
+        let from = addr(4000);
+        for cid in [7, 8] {
+            router.inbound(&mut lane, &connect(cid), from, now).unwrap();
+        }
+        // Admitted but not booked yet: the ack is still in flight.
+        assert_eq!(router.inbound(&mut lane, &mv(7), from, now), None);
+        assert_eq!(lane.arena_unknown, 1);
 
         // The ack for client 7 leaves arena 1 from thread 1's request
         // port: the gateway must learn (arena 1, thread 1)…
-        assert_eq!(apply_outbound(&mut book, &ack(7, 1), Some((1, 1))), Some(7));
+        assert_eq!(router.outbound(&mut lane, &ack(7, 1), 21), Some(from));
         assert_eq!(
-            book[&7],
-            GwPlacement {
+            placement(&router, 7),
+            Some(GwPlacement {
                 arena: 1,
                 thread: 1
-            }
+            })
         );
-        // …and route later moves to thread 1's port (pre-fix: 20).
-        assert_eq!(route_move(book.get(&7).copied(), &ports), Some((1, 21)));
+        // …and route later moves to thread 1's port.
+        assert_eq!(router.inbound(&mut lane, &mv(7), from, now), Some((1, 21)));
+        // Only from the bound address, booked or not.
+        assert_eq!(router.inbound(&mut lane, &mv(7), addr(5000), now), None);
+        assert_eq!(lane.spoof_rejected, 1);
 
         // An ack whose fabric source is NOT one of the named arena's
         // ports (a re-ack relayed oddly) falls back to thread 0 rather
         // than trusting a foreign thread index.
-        assert_eq!(apply_outbound(&mut book, &ack(8, 1), Some((0, 1))), Some(8));
-        assert_eq!(route_move(book.get(&8).copied(), &ports), Some((1, 20)));
+        assert_eq!(router.outbound(&mut lane, &ack(8, 1), 11), Some(from));
+        assert_eq!(router.inbound(&mut lane, &mv(8), from, now), Some((1, 20)));
 
         // Pooled arenas have one port: any learned thread clamps to it.
         let pooled: Vec<Vec<PortId>> = vec![vec![10], vec![20]];
-        assert_eq!(route_move(book.get(&7).copied(), &pooled), Some((1, 20)));
+        assert_eq!(route_move(placement(&router, 7), &pooled), Some((1, 20)));
 
         // A placement naming a missing arena is unroutable, not a
         // panic (elastic reap raced the move).
@@ -1690,22 +1674,20 @@ mod tests {
                     arena: 9,
                     thread: 0
                 }),
-                &ports
+                &pooled
             ),
             None
         );
-        assert_eq!(route_move(None, &ports), None);
+        assert_eq!(route_move(None, &pooled), None);
     }
 
-    /// Satellite regression, live half: spin a dedicated directory
-    /// whose single arena runs a 2-thread parallel runtime, connect
-    /// two clients through the front door, and check the gateway's
-    /// book learns two *different* dealt threads from the ack stream —
-    /// and that moves would route to each thread's own port.
+    /// The live half: spin a dedicated directory whose single arena
+    /// runs a 2-thread parallel runtime, connect two clients through
+    /// the front door, and check the router learns two *different*
+    /// dealt threads from the ack stream — and routes each client's
+    /// moves to its own thread's port.
     #[test]
     fn dedicated_two_thread_arena_deals_moves_to_each_threads_port() {
-        use parquake_server::LockPolicy;
-
         let (_real, fabric) = RealFabric::new_arc_pair();
         let end_time: Nanos = 400_000_000; // 400ms
         let gw = fabric.alloc_port();
@@ -1726,87 +1708,60 @@ mod tests {
             2,
             "dedicated parallel arena should expose one port per thread"
         );
-        let arena_ports = handle.arena_ports.clone();
-        let port_pos: HashMap<PortId, (u16, u16)> = arena_ports
-            .iter()
-            .enumerate()
-            .flat_map(|(k, ports)| {
-                ports
-                    .iter()
-                    .enumerate()
-                    .map(move |(t, &p)| (p, (k as u16, t as u16)))
-            })
-            .collect();
         let front = handle.front_port;
+        let router = Arc::new(Router::new(front, handle.arena_ports.clone(), 1, GRACE));
+        let from = addr(4000);
 
-        let learned: Arc<Mutex<HashMap<u32, GwPlacement>>> = Arc::new(Mutex::new(HashMap::new()));
-        let learned_task = learned.clone();
+        let task_router = router.clone();
         fabric.spawn(
             "driver",
             None,
             Box::new(move |ctx| {
-                use parquake_protocol::Encode;
+                let mut lane = GatewayLane::default();
                 for cid in 0..2u32 {
-                    ctx.send(
-                        gw,
-                        front,
-                        ClientMessage::Connect {
-                            client_id: cid,
-                            arena: 0,
-                        }
-                        .to_bytes(),
-                    );
+                    let dest = task_router.inbound(&mut lane, &connect(cid), from, Instant::now());
+                    assert_eq!(dest, Some((FRONT, front)));
+                    ctx.send(gw, front, connect(cid).to_bytes());
                 }
-                let mut book: HashMap<u32, GwPlacement> = HashMap::new();
-                // Collect acks (and lifecycle notices) until both
-                // clients' placements are learned or time runs out.
-                while book.len() < 2 && ctx.now() < end_time - 50_000_000 {
+                // Book acks (and lifecycle notices) until both
+                // clients are placed or time runs out.
+                let placed = |r: &Router| (0..2u32).all(|cid| placement(r, cid).is_some());
+                while !placed(&task_router) && ctx.now() < end_time - 50_000_000 {
                     if !ctx.wait_readable(gw, Some(ctx.now() + 20_000_000)) {
                         continue;
                     }
                     while let Some(msg) = ctx.try_recv(gw) {
-                        apply_outbound(&mut book, &msg.payload, port_pos.get(&msg.from).copied());
+                        task_router.outbound(&mut lane, &msg.payload, msg.from);
                     }
                 }
-                *learned_task.lock().unwrap() = book; // lockcheck: allow(raw-sync: test harness captures the driver's book for post-run asserts)
             }),
         );
         fabric.run();
 
-        let book = learned.lock().unwrap(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
-        assert_eq!(book.len(), 2, "both clients should be acked: {book:?}");
-        let threads: Vec<u16> = (0..2u32).map(|cid| book[&cid].thread).collect();
-        assert_eq!(
-            {
-                let mut t = threads.clone();
-                t.sort_unstable();
-                t
-            },
-            vec![0, 1],
-            "round-robin dealing should land the two clients on the two threads"
-        );
+        let mut lane = GatewayLane::default();
+        let mut threads: Vec<u16> = (0..2u32)
+            .map(|cid| placement(&router, cid).expect("client never acked").thread)
+            .collect();
         for cid in 0..2u32 {
-            let dest = route_move(book.get(&cid).copied(), &arena_ports).unwrap();
             assert_eq!(
-                dest.1, arena_ports[0][threads[cid as usize] as usize],
+                router.inbound(&mut lane, &mv(cid), from, Instant::now()),
+                Some((0, handle.arena_ports[0][threads[cid as usize] as usize])),
                 "client {cid}'s moves must go to its dealt thread's port"
             );
         }
-        // The pre-fix gateway would have sent both to thread 0's port.
-        assert_ne!(
-            route_move(book.get(&0).copied(), &arena_ports),
-            route_move(book.get(&1).copied(), &arena_ports),
-            "the two clients should route to different thread ports"
+        threads.sort_unstable();
+        assert_eq!(
+            threads,
+            vec![0, 1],
+            "round-robin dealing should land the two clients on the two threads"
         );
     }
 
-    /// Satellite regression (held-reply starvation): a reply retained
-    /// for address learning must leave within one retry tick of the
-    /// book entry appearing — even with zero further gateway traffic.
-    /// Pre-fix, the outbound pump only retried on `wait_readable`
-    /// wakeups, so this reply sat the full 250 ms retention window.
+    /// A payload for a client with no session is counted
+    /// `replies_unroutable` when it is drained — nothing is retained —
+    /// and the pump goes straight on to the next payload.
     #[test]
-    fn held_reply_sends_within_one_tick_of_address_learning() {
+    fn reply_for_a_client_with_no_session_is_unroutable_at_once() {
         let Ok(client_sock) = UdpSocket::bind("127.0.0.1:0") else {
             eprintln!("skipping: loopback UDP not permitted");
             return;
@@ -1814,69 +1769,64 @@ mod tests {
         client_sock
             .set_read_timeout(Some(Duration::from_millis(800)))
             .unwrap();
-        let gw_sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let client_addr = client_sock.local_addr().unwrap();
         let (real, fabric) = RealFabric::new_arc_pair();
         let gw = fabric.alloc_port();
-        let addrs: Arc<StripedBook<AddrEntry>> = Arc::new(StripedBook::new(1));
-        let out = Arc::new(Mutex::new(vec![OutCounters::default()]));
-        spawn_outbound_pump(
-            &fabric,
-            OutboundShard {
-                shard: 0,
-                gw,
-                sock: gw_sock,
-                addrs: addrs.clone(),
-                placements: Arc::new(StripedBook::new(1)),
-                port_pos: Arc::new(HashMap::new()),
-                end_time: 600_000_000, // 600ms
-                out: out.clone(),
-            },
-        );
-        // A reply for client 42 reaches the gateway before any address
-        // is learned (e.g. a migration re-ack beating the handshake).
-        let reply = ServerMessage::Reply {
-            client_id: 42,
-            seq: 1,
-            sent_at_echo: 0,
-            frame: 1,
-            assigned_thread: 0,
-            origin: parquake_math::Vec3::ZERO,
-            delta: false,
-            entities: Vec::new(),
-            removed: Vec::new(),
-            events: Vec::new(),
-            predict: None,
+        let router = Arc::new(Router::new(FRONT_PORT, vec![vec![10]], 1, GRACE));
+        router
+            .inbound(
+                &mut GatewayLane::default(),
+                &connect(7),
+                client_addr,
+                Instant::now(),
+            )
+            .unwrap();
+        let (done, lanes) = mpsc::channel();
+        OutboundPump {
+            shard: 0,
+            gw,
+            sock: UdpSocket::bind("127.0.0.1:0").unwrap(),
+            router,
+            end_time: 150_000_000, // 150ms
+            done,
         }
-        .to_bytes();
-        real.send_external(gw, gw, reply);
-        let client_addr = client_sock.local_addr().unwrap();
-        let learner = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(60));
-            let inserted_at = Instant::now();
-            addrs.with(42, |book| {
-                book.insert(
-                    42,
-                    AddrEntry {
-                        addr: client_addr,
-                        last_seen: Instant::now(),
-                    },
-                );
-            });
-            let mut buf = [0u8; MAX_DATAGRAM];
-            let got = client_sock.recv_from(&mut buf).is_ok();
-            (inserted_at, Instant::now(), got)
-        });
+        .spawn(&fabric);
+        // Client 42 never connected; client 7's reply queues behind
+        // its.
+        real.send_external(gw, gw, reply(42));
+        real.send_external(gw, gw, reply(7));
         fabric.run();
-        let (inserted_at, received_at, got) = learner.join().unwrap();
-        assert!(got, "held reply never delivered");
-        let lag = received_at.duration_since(inserted_at);
-        // One 25 ms tick plus generous scheduling slack — far below
-        // the pre-fix floor of REPLY_RETAIN (250 ms).
-        assert!(
-            lag < Duration::from_millis(120),
-            "held reply took {lag:?} after the address was learned"
-        );
-        assert_eq!(out.lock().unwrap()[0].unroutable, 0); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
+
+        let mut buf = [0u8; MAX_DATAGRAM];
+        let (n, _) = client_sock
+            .recv_from(&mut buf)
+            .expect("routable reply not sent");
+        assert_eq!(buf[..n], reply(7)[..]);
+        let lane = lanes.try_recv().expect("outbound pump handed in no lane");
+        assert_eq!(lane.replies_unroutable, 1);
+        assert_eq!(lane.datagrams_out, 1);
+        assert!(lane.accounting_closed(), "{lane:?}");
+    }
+
+    #[test]
+    fn striped_book_is_coherent_across_stripes() {
+        let book: StripedBook<u64> = StripedBook::new(4);
+        for cid in 0..256u32 {
+            book.with(cid, |m| m.insert(cid, u64::from(cid) * 3));
+        }
+        for cid in 0..256u32 {
+            assert_eq!(
+                book.with(cid, |m| m.get(&cid).copied()),
+                Some(u64::from(cid) * 3)
+            );
+        }
+        assert_eq!(book.with(9999, |m| m.get(&9999).copied()), None);
+        // Spread sanity: 256 sequential ids should not all hash to one
+        // stripe.
+        let used = (0..book.stripes.len())
+            .filter(|&s| !book.stripes[s].lock().unwrap().is_empty()) // lockcheck: allow(raw-sync: single-threaded test inspection of the striped book)
+            .count();
+        assert!(used > 1, "all 256 clients landed on one stripe");
     }
 
     #[test]
@@ -1889,24 +1839,6 @@ mod tests {
             shard_fault_seed(0xDEAD_BEEF, 1),
             shard_fault_seed(0xDEAD_BEEF, 2)
         );
-    }
-
-    #[test]
-    fn striped_book_is_coherent_across_stripes() {
-        let book: StripedBook<u64> = StripedBook::new(4);
-        for cid in 0..256u32 {
-            book.with(cid, |m| m.insert(cid, u64::from(cid) * 3));
-        }
-        for cid in 0..256u32 {
-            assert_eq!(book.get(cid), Some(u64::from(cid) * 3));
-        }
-        assert_eq!(book.get(9999), None);
-        // Spread sanity: 256 sequential ids should not all hash to one
-        // stripe.
-        let used = (0..book.stripes.len())
-            .filter(|&s| !book.stripes[s].lock().unwrap().is_empty()) // lockcheck: allow(raw-sync: single-threaded test inspection of the striped book)
-            .count();
-        assert!(used > 1, "all 256 clients landed on one stripe");
     }
 
     #[test]
@@ -2038,6 +1970,133 @@ mod tests {
             prop_assert_eq!(agg.forwarded, single.forwarded);
             prop_assert_eq!(agg.to_front, single.to_front);
             prop_assert!(agg.accounting_closed());
+        }
+
+        /// Any interleaving of Connects, Moves, Disconnects, acks,
+        /// replies, `Bye`s and lifecycle notices over a few clients,
+        /// endpoints and arenas leaves the book, and the lane, exactly
+        /// where the rules say: a Move is forwarded iff it comes from
+        /// the bound address *and* a routable placement is booked; a
+        /// rebind waits out the grace and keeps the placement; an
+        /// eviction notice clears only a placement at its own arena;
+        /// and a session, once opened, never goes away.
+        #[test]
+        fn session_book_follows_the_rules_under_any_interleaving(
+            steps in prop::collection::vec(
+                (0u8..10, 0u32..3, 0u16..3, 0u16..3, 0u16..2, 0u64..700),
+                0..120,
+            ),
+        ) {
+            let (router, mut lane) = two_by_two();
+            let ports = [[10, 11], [20, 21]];
+            // The rules, restated over a plain map and a second lane.
+            let mut model: HashMap<u32, Session> = HashMap::new();
+            let mut want = GatewayLane::default();
+            let mut now = Instant::now();
+            for (kind, cid, endpoint, arena, thread, dt_ms) in steps {
+                now += Duration::from_millis(dt_ms);
+                let from = addr(4000 + endpoint);
+                let known = model.get(&cid).copied();
+                // What a client-bound payload does.
+                let sent = |want: &mut GatewayLane| {
+                    want.replies_unroutable += u64::from(known.is_none());
+                    known.map(|s| s.addr)
+                };
+                let place = |model: &mut HashMap<u32, Session>, p: Option<GwPlacement>| {
+                    if let Some(s) = model.get_mut(&cid) {
+                        s.placement = p;
+                    }
+                };
+                match kind {
+                    0 | 1 => {
+                        let admitted = known.map_or(true, |s| {
+                            s.addr == from || now.duration_since(s.last_seen) >= GRACE
+                        });
+                        let got = router.inbound(&mut lane, &connect(cid), from, now);
+                        if admitted {
+                            prop_assert_eq!(got, Some((FRONT, FRONT_PORT)));
+                            model.insert(cid, Session {
+                                addr: from,
+                                last_seen: now,
+                                placement: known.and_then(|s| s.placement),
+                            });
+                        } else {
+                            prop_assert_eq!(got, None);
+                            want.spoof_rejected += 1;
+                        }
+                    }
+                    2..=4 => {
+                        let msg = if kind == 4 {
+                            ClientMessage::Disconnect { client_id: cid }
+                        } else {
+                            mv(cid)
+                        };
+                        let dest = match known {
+                            Some(s) if s.addr == from => {
+                                model.get_mut(&cid).unwrap().last_seen = now;
+                                let dest = s.placement.filter(|p| p.arena < 2).map(|p| {
+                                    let k = p.arena as usize;
+                                    (k, ports[k][(p.thread as usize).min(1)])
+                                });
+                                want.arena_unknown += u64::from(dest.is_none());
+                                dest
+                            }
+                            _ => {
+                                want.spoof_rejected += 1;
+                                None
+                            }
+                        };
+                        prop_assert_eq!(router.inbound(&mut lane, &msg, from, now), dest);
+                    }
+                    5 => {
+                        // An ack leaving thread `thread` of arena
+                        // `endpoint`'s port (arena 2 has none: 0).
+                        let source = ports.get(endpoint as usize).map_or(0, |p| p[thread as usize]);
+                        let got = router.outbound(&mut lane, &ack(cid, arena), source);
+                        prop_assert_eq!(got, sent(&mut want));
+                        let thread = if endpoint == arena && arena < 2 { thread } else { 0 };
+                        place(&mut model, Some(GwPlacement { arena, thread }));
+                    }
+                    6 => {
+                        let got = router.outbound(&mut lane, &reply(cid), 0);
+                        prop_assert_eq!(got, sent(&mut want));
+                    }
+                    7 => {
+                        let bye = ServerMessage::Bye { client_id: cid }.to_bytes();
+                        prop_assert_eq!(router.outbound(&mut lane, &bye, 0), sent(&mut want));
+                        place(&mut model, None);
+                    }
+                    8 => {
+                        let notice = if thread == 0 {
+                            LifecycleEvent::Connected { arena, client_id: cid, thread: endpoint }
+                        } else {
+                            LifecycleEvent::Migrated {
+                                from_arena: 0,
+                                to_arena: arena,
+                                client_id: cid,
+                                thread: endpoint,
+                            }
+                        };
+                        prop_assert_eq!(router.outbound(&mut lane, &notice.to_bytes(), 0), None);
+                        place(&mut model, Some(GwPlacement { arena, thread: endpoint }));
+                    }
+                    _ => {
+                        let notice = if thread == 0 {
+                            LifecycleEvent::Disconnected { arena, client_id: cid }
+                        } else {
+                            LifecycleEvent::Reclaimed { arena, client_id: cid, at: 1 }
+                        };
+                        prop_assert_eq!(router.outbound(&mut lane, &notice.to_bytes(), 0), None);
+                        if known.and_then(|s| s.placement).map(|p| p.arena) == Some(arena) {
+                            place(&mut model, None);
+                        }
+                    }
+                }
+                for cid in 0..3u32 {
+                    prop_assert_eq!(session(&router, cid), model.get(&cid).copied());
+                }
+                prop_assert_eq!(&lane, &want);
+            }
         }
     }
 }

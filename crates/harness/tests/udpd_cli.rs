@@ -50,6 +50,16 @@ fn threads_with_pool_only_features_is_refused() {
 }
 
 #[test]
+fn more_threads_than_the_participant_mask_holds_is_a_usage_error() {
+    // Pre-fix: nothing checked the count before `spawn_parallel`
+    // asserted `1..=64`, so the process panicked (exit 101).
+    let (code, stderr) = run(&["--threads", "65", "--secs", "1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("threads must be 1..=64"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn out_of_range_fault_probabilities_are_refused() {
     // Pre-fix: all four started a server (`"nan".parse::<f32>()` is
     // `Ok`, and a NaN or negative rate silently turned its fault off).

@@ -93,15 +93,6 @@ impl Aabb {
         }
     }
 
-    /// Smallest box containing `self` and the point `p`.
-    #[inline]
-    pub fn union_point(&self, p: Vec3) -> Aabb {
-        Aabb {
-            min: self.min.min(p),
-            max: self.max.max(p),
-        }
-    }
-
     /// Closed-interval overlap test (touching boxes intersect).
     #[inline]
     pub fn intersects(&self, other: &Aabb) -> bool {

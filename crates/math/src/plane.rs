@@ -35,16 +35,6 @@ impl Axis {
             Axis::Z => Axis::X,
         }
     }
-
-    #[inline]
-    pub fn from_index(i: usize) -> Axis {
-        match i {
-            0 => Axis::X,
-            1 => Axis::Y,
-            2 => Axis::Z,
-            _ => panic!("axis index {i} out of range"),
-        }
-    }
 }
 
 /// Which side of a plane something is on.

@@ -43,8 +43,8 @@ pub struct GatewayLane {
     /// Replies written back to client sockets by this shard's
     /// outbound pump.
     pub datagrams_out: u64,
-    /// Replies whose client had no address-book entry when retention
-    /// expired.
+    /// Client-bound payloads whose client has no session in the
+    /// gateway's book (nothing is retained: counted when drained).
     pub replies_unroutable: u64,
 }
 

@@ -1,6 +1,8 @@
 //! Little-endian byte codec primitives.
 
 use bytes::{Buf, BufMut};
+use parquake_math::vec3::vec3;
+use parquake_math::Vec3;
 
 /// Decoding failure. The enclosing datagram should be dropped.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,7 +96,7 @@ impl<const N: usize> Fixed<N> {
     }
 
     #[inline]
-    pub(crate) fn vec3(self, v: parquake_math::Vec3) -> Fixed<N> {
+    pub(crate) fn vec3(self, v: Vec3) -> Fixed<N> {
         self.f32(v.x).f32(v.y).f32(v.z)
     }
 
@@ -160,6 +162,23 @@ pub fn get_f32(buf: &mut &[u8]) -> Result<f32, CodecError> {
     Ok(buf.get_f32_le())
 }
 
+/// Two's complement, so the bytes are those of the value as `u32`.
+#[inline]
+pub fn get_i32(buf: &mut &[u8]) -> Result<i32, CodecError> {
+    Ok(get_u32(buf)? as i32)
+}
+
+/// One byte; anything but 0 is `true`.
+#[inline]
+pub fn get_bool(buf: &mut &[u8]) -> Result<bool, CodecError> {
+    Ok(get_u8(buf)? != 0)
+}
+
+#[inline]
+pub fn get_vec3(buf: &mut &[u8]) -> Result<Vec3, CodecError> {
+    Ok(vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?))
+}
+
 #[inline]
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.put_u8(v);
@@ -185,6 +204,23 @@ pub fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.put_f32_le(v);
 }
 
+#[inline]
+pub fn put_i32(out: &mut Vec<u8>, v: i32) {
+    out.put_u32_le(v as u32);
+}
+
+#[inline]
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.put_u8(u8::from(v));
+}
+
+#[inline]
+pub fn put_vec3(out: &mut Vec<u8>, v: Vec3) {
+    put_f32(out, v.x);
+    put_f32(out, v.y);
+    put_f32(out, v.z);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,12 +233,18 @@ mod tests {
         put_u32(&mut out, 0xDEADBEEF);
         put_u64(&mut out, 42);
         put_f32(&mut out, -1.5);
+        put_i32(&mut out, -7);
+        put_bool(&mut out, true);
+        put_vec3(&mut out, vec3(1.0, -2.0, 3.5));
         let mut buf = &out[..];
         assert_eq!(get_u8(&mut buf).unwrap(), 0xAB);
         assert_eq!(get_u16(&mut buf).unwrap(), 0x1234);
         assert_eq!(get_u32(&mut buf).unwrap(), 0xDEADBEEF);
         assert_eq!(get_u64(&mut buf).unwrap(), 42);
         assert_eq!(get_f32(&mut buf).unwrap(), -1.5);
+        assert_eq!(get_i32(&mut buf).unwrap(), -7);
+        assert!(get_bool(&mut buf).unwrap());
+        assert_eq!(get_vec3(&mut buf).unwrap(), vec3(1.0, -2.0, 3.5));
         assert!(buf.is_empty());
     }
 

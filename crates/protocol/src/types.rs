@@ -1,13 +1,14 @@
 //! Protocol message types.
 
-use crate::codec::{get_f32, get_u16, get_u32, get_u64, get_u8, CodecError, Decode, Encode, Fixed};
+use crate::codec::{
+    get_f32, get_u16, get_u32, get_u64, get_u8, get_vec3, CodecError, Decode, Encode, Fixed,
+};
 use crate::{
     ARENA_EXT_WIRE_BYTES, CONNECT_ACK_WIRE_BYTES, ENTITY_UPDATE_WIRE_BYTES, GAME_EVENT_WIRE_BYTES,
     ID_ONLY_WIRE_BYTES, MAX_ENTITIES_PER_REPLY, MAX_EVENTS_PER_REPLY, MAX_MOVE_MSEC,
     MAX_REMOVALS_PER_REPLY, MOVE_PREDICT_EXT_WIRE_BYTES, MOVE_WIRE_BYTES, REPLY_HEADER_WIRE_BYTES,
     REPLY_PREDICT_EXT_WIRE_BYTES,
 };
-use parquake_math::vec3::vec3;
 use parquake_math::Vec3;
 
 /// Action-flag bits carried by a move command (paper §2.3 item iii).
@@ -215,7 +216,7 @@ fn get_reply_predict_ext(buf: &mut &[u8]) -> Result<Option<ReplyPredict>, CodecE
         Ok(Some(ReplyPredict {
             input_ack: get_u32(buf)?,
             perturb: get_u32(buf)?,
-            vel: vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?),
+            vel: get_vec3(buf)?,
             on_ground: get_u8(buf)? != 0,
         }))
     } else {
@@ -365,7 +366,7 @@ impl Decode for EntityUpdate {
             id: get_u16(buf)?,
             kind: EntityKind::from_u8(get_u8(buf)?)?,
             state: get_u8(buf)?,
-            pos: vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?),
+            pos: get_vec3(buf)?,
             yaw: get_f32(buf)?,
         })
     }
@@ -436,7 +437,7 @@ impl Decode for GameEvent {
             kind: GameEventKind::from_u8(get_u8(buf)?)?,
             a: get_u16(buf)?,
             b: get_u16(buf)?,
-            pos: vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?),
+            pos: get_vec3(buf)?,
         })
     }
 }
@@ -585,7 +586,7 @@ impl Decode for ServerMessage {
         match get_u8(buf)? {
             TAG_ACK => Ok(ServerMessage::ConnectAck {
                 client_id: get_u32(buf)?,
-                spawn: vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?),
+                spawn: get_vec3(buf)?,
                 arena: get_arena_ext(buf)?,
             }),
             TAG_REPLY => {
@@ -594,7 +595,7 @@ impl Decode for ServerMessage {
                 let sent_at_echo = get_u64(buf)?;
                 let frame = get_u32(buf)?;
                 let assigned_thread = get_u8(buf)?;
-                let origin = vec3(get_f32(buf)?, get_f32(buf)?, get_f32(buf)?);
+                let origin = get_vec3(buf)?;
                 let delta = get_u8(buf)? != 0;
                 let n_ent = get_u8(buf)? as usize;
                 if n_ent > MAX_ENTITIES_PER_REPLY {
@@ -646,6 +647,7 @@ impl Decode for ServerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parquake_math::vec3::vec3;
 
     fn sample_move() -> ClientMessage {
         ClientMessage::Move {

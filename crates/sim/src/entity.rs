@@ -120,12 +120,6 @@ impl Entity {
         Aabb::new(self.pos + self.mins, self.pos + self.maxs)
     }
 
-    /// Absolute bounding box at a hypothetical position.
-    #[inline]
-    pub fn abs_box_at(&self, pos: Vec3) -> Aabb {
-        Aabb::new(pos + self.mins, pos + self.maxs)
-    }
-
     /// Eye position (for aiming).
     #[inline]
     pub fn eye(&self) -> Vec3 {

@@ -16,8 +16,10 @@
 //! serialized `linked`/`linked_node` flags, so `audit_links()` holds
 //! after a restore whenever it held at snapshot time.
 
-use parquake_math::vec3::vec3;
-use parquake_math::Vec3;
+use parquake_protocol::codec::{
+    get_bool, get_f32, get_i32, get_u16, get_u32, get_u64, get_u8, get_vec3, put_bool, put_f32,
+    put_i32, put_u16, put_u32, put_u64, put_u8, put_vec3, CodecError,
+};
 
 use crate::entity::{Entity, EntityClass, EntityId, ItemClass};
 use crate::world::GameWorld;
@@ -30,85 +32,11 @@ const MAGIC: u32 = 0x50_51_57_01;
 /// never be mistaken for one migrating player or vice versa.
 const PLAYER_MAGIC: u32 = 0x50_51_50_01;
 
-/// Append-only little-endian writer.
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn vec3(&mut self, v: Vec3) {
-        self.f32(v.x);
-        self.f32(v.y);
-        self.f32(v.z);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-}
-
-/// Checked little-endian reader over a snapshot buffer.
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("snapshot truncated at byte {}", self.at))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        // lockcheck: panic-site(take(N) returned exactly N bytes, so the array conversion cannot fail)
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        // lockcheck: panic-site(take(N) returned exactly N bytes, so the array conversion cannot fail)
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        // lockcheck: panic-site(take(N) returned exactly N bytes, so the array conversion cannot fail)
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> Result<i32, String> {
-        // lockcheck: panic-site(take(N) returned exactly N bytes, so the array conversion cannot fail)
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, String> {
-        // lockcheck: panic-site(take(N) returned exactly N bytes, so the array conversion cannot fail)
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn vec3(&mut self) -> Result<Vec3, String> {
-        Ok(vec3(self.f32()?, self.f32()?, self.f32()?))
-    }
-    fn bool(&mut self) -> Result<bool, String> {
-        Ok(self.u8()? != 0)
+/// A codec failure in this module's words (its errors are `String`s).
+fn describe(e: CodecError) -> String {
+    match e {
+        CodecError::Truncated => "snapshot truncated".into(),
+        e => e.to_string(),
     }
 }
 
@@ -123,8 +51,8 @@ fn item_class_byte(c: ItemClass) -> u8 {
     }
 }
 
-fn encode_entity(e: &Entity, enc: &mut Enc) {
-    enc.u16(e.id);
+fn encode_entity(e: &Entity, out: &mut Vec<u8>) {
+    put_u16(out, e.id);
     match e.class {
         EntityClass::Player {
             client_id,
@@ -133,17 +61,14 @@ fn encode_entity(e: &Entity, enc: &mut Enc) {
             dead,
             pending_relocation,
         } => {
-            enc.u8(0);
-            enc.u32(client_id);
-            enc.i32(health);
-            enc.i32(score);
-            enc.bool(dead);
-            match pending_relocation {
-                Some(p) => {
-                    enc.u8(1);
-                    enc.vec3(p);
-                }
-                None => enc.u8(0),
+            put_u8(out, 0);
+            put_u32(out, client_id);
+            put_i32(out, health);
+            put_i32(out, score);
+            put_bool(out, dead);
+            put_bool(out, pending_relocation.is_some());
+            if let Some(p) = pending_relocation {
+                put_vec3(out, p);
             }
         }
         EntityClass::Item {
@@ -151,78 +76,80 @@ fn encode_entity(e: &Entity, enc: &mut Enc) {
             respawn_at,
             taken,
         } => {
-            enc.u8(1);
-            enc.u8(item_class_byte(class));
-            enc.u64(respawn_at);
-            enc.bool(taken);
+            put_u8(out, 1);
+            put_u8(out, item_class_byte(class));
+            put_u64(out, respawn_at);
+            put_bool(out, taken);
         }
         EntityClass::Projectile {
             owner,
             expire_at,
             live,
         } => {
-            enc.u8(2);
-            enc.u16(owner);
-            enc.u64(expire_at);
-            enc.bool(live);
+            put_u8(out, 2);
+            put_u16(out, owner);
+            put_u64(out, expire_at);
+            put_bool(out, live);
         }
         EntityClass::Teleporter { dest } => {
-            enc.u8(3);
-            enc.vec3(dest);
+            put_u8(out, 3);
+            put_vec3(out, dest);
         }
     }
-    enc.vec3(e.pos);
-    enc.vec3(e.vel);
-    enc.f32(e.yaw);
-    enc.f32(e.pitch);
-    enc.bool(e.on_ground);
-    enc.vec3(e.mins);
-    enc.vec3(e.maxs);
-    enc.u32(e.linked_node);
-    enc.bool(e.linked);
-    enc.bool(e.active);
+    put_vec3(out, e.pos);
+    put_vec3(out, e.vel);
+    put_f32(out, e.yaw);
+    put_f32(out, e.pitch);
+    put_bool(out, e.on_ground);
+    put_vec3(out, e.mins);
+    put_vec3(out, e.maxs);
+    put_u32(out, e.linked_node);
+    put_bool(out, e.linked);
+    put_bool(out, e.active);
 }
 
-fn decode_entity(dec: &mut Dec) -> Result<Entity, String> {
-    let id = dec.u16()?;
-    let class = match dec.u8()? {
+fn decode_entity(buf: &mut &[u8]) -> Result<Entity, CodecError> {
+    let id = get_u16(buf)?;
+    let class = match get_u8(buf)? {
         0 => EntityClass::Player {
-            client_id: dec.u32()?,
-            health: dec.i32()?,
-            score: dec.i32()?,
-            dead: dec.bool()?,
-            pending_relocation: if dec.u8()? != 0 {
-                Some(dec.vec3()?)
+            client_id: get_u32(buf)?,
+            health: get_i32(buf)?,
+            score: get_i32(buf)?,
+            dead: get_bool(buf)?,
+            pending_relocation: if get_bool(buf)? {
+                Some(get_vec3(buf)?)
             } else {
                 None
             },
         },
         1 => EntityClass::Item {
-            class: ItemClass::from_class_byte(dec.u8()?),
-            respawn_at: dec.u64()?,
-            taken: dec.bool()?,
+            class: ItemClass::from_class_byte(get_u8(buf)?),
+            respawn_at: get_u64(buf)?,
+            taken: get_bool(buf)?,
         },
         2 => EntityClass::Projectile {
-            owner: dec.u16()?,
-            expire_at: dec.u64()?,
-            live: dec.bool()?,
+            owner: get_u16(buf)?,
+            expire_at: get_u64(buf)?,
+            live: get_bool(buf)?,
         },
-        3 => EntityClass::Teleporter { dest: dec.vec3()? },
-        t => return Err(format!("unknown entity class tag {t}")),
+        3 => EntityClass::Teleporter {
+            dest: get_vec3(buf)?,
+        },
+        t => return Err(CodecError::BadTag("entity class", t)),
     };
     Ok(Entity {
         id,
         class,
-        pos: dec.vec3()?,
-        vel: dec.vec3()?,
-        yaw: dec.f32()?,
-        pitch: dec.f32()?,
-        on_ground: dec.bool()?,
-        mins: dec.vec3()?,
-        maxs: dec.vec3()?,
-        linked_node: dec.u32()?,
-        linked: dec.bool()?,
-        active: dec.bool()?,
+        pos: get_vec3(buf)?,
+        vel: get_vec3(buf)?,
+        yaw: get_f32(buf)?,
+        pitch: get_f32(buf)?,
+        on_ground: get_bool(buf)?,
+        mins: get_vec3(buf)?,
+        maxs: get_vec3(buf)?,
+        linked_node: get_u32(buf)?,
+        linked: get_bool(buf)?,
+        active: get_bool(buf)?,
     })
 }
 
@@ -233,16 +160,14 @@ impl GameWorld {
     /// under the pool claim).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let cap = self.store.capacity();
-        let mut enc = Enc {
-            // Header + a generous per-entity estimate; avoids regrowth.
-            buf: Vec::with_capacity(8 + cap * 96),
-        };
-        enc.u32(MAGIC);
-        enc.u32(cap as u32);
+        // Header + a generous per-entity estimate; avoids regrowth.
+        let mut out = Vec::with_capacity(8 + cap * 96);
+        put_u32(&mut out, MAGIC);
+        put_u32(&mut out, cap as u32);
         for id in 0..cap as EntityId {
-            encode_entity(&self.store.snapshot(id), &mut enc);
+            encode_entity(&self.store.snapshot(id), &mut out);
         }
-        enc.buf
+        out
     }
 
     /// Overwrite this world's entity state from a snapshot taken on a
@@ -250,12 +175,12 @@ impl GameWorld {
     /// Single-threaded contexts only. On error the world is left
     /// unchanged (all validation happens before any mutation).
     pub fn restore_bytes(&self, bytes: &[u8]) -> Result<(), String> {
-        let mut dec = Dec { buf: bytes, at: 0 };
-        let magic = dec.u32()?;
+        let mut buf = bytes;
+        let magic = get_u32(&mut buf).map_err(describe)?;
         if magic != MAGIC {
             return Err(format!("bad snapshot magic {magic:#010x}"));
         }
-        let cap = dec.u32()? as usize;
+        let cap = get_u32(&mut buf).map_err(describe)? as usize;
         if cap != self.store.capacity() {
             return Err(format!(
                 "snapshot capacity {cap} != world capacity {}",
@@ -266,7 +191,7 @@ impl GameWorld {
         // the world half-restored.
         let mut ents = Vec::with_capacity(cap);
         for id in 0..cap as EntityId {
-            let e = decode_entity(&mut dec)?;
+            let e = decode_entity(&mut buf).map_err(describe)?;
             if e.id != id {
                 return Err(format!("snapshot slot {id} holds entity {}", e.id));
             }
@@ -306,12 +231,10 @@ impl GameWorld {
         if !matches!(e.class, EntityClass::Player { .. }) {
             return Err(format!("slot {idx} does not hold a player entity"));
         }
-        let mut enc = Enc {
-            buf: Vec::with_capacity(4 + 96),
-        };
-        enc.u32(PLAYER_MAGIC);
-        encode_entity(&e, &mut enc);
-        Ok(enc.buf)
+        let mut out = Vec::with_capacity(4 + 96);
+        put_u32(&mut out, PLAYER_MAGIC);
+        encode_entity(&e, &mut out);
+        Ok(out)
     }
 
     /// Install a migrated player capsule into slot `idx` of this world.
@@ -323,17 +246,14 @@ impl GameWorld {
     /// world is left unchanged (all validation happens before any
     /// mutation, including rejecting an occupied target slot).
     pub fn restore_player_bytes(&self, idx: u16, bytes: &[u8]) -> Result<(), String> {
-        let mut dec = Dec { buf: bytes, at: 0 };
-        let magic = dec.u32()?;
+        let mut buf = bytes;
+        let magic = get_u32(&mut buf).map_err(describe)?;
         if magic != PLAYER_MAGIC {
             return Err(format!("bad player capsule magic {magic:#010x}"));
         }
-        let e = decode_entity(&mut dec)?;
-        if dec.at != bytes.len() {
-            return Err(format!(
-                "player capsule has {} trailing bytes",
-                bytes.len() - dec.at
-            ));
+        let e = decode_entity(&mut buf).map_err(describe)?;
+        if !buf.is_empty() {
+            return Err(format!("player capsule has {} trailing bytes", buf.len()));
         }
         if !matches!(e.class, EntityClass::Player { .. }) {
             return Err("player capsule does not hold a player entity".into());
@@ -379,14 +299,12 @@ impl GameWorld {
         if !e.active {
             return 0;
         }
-        let mut enc = Enc {
-            buf: Vec::with_capacity(96),
-        };
-        encode_entity(&e, &mut enc);
-        enc.buf[0] = 0;
-        enc.buf[1] = 0;
+        let mut bytes = Vec::with_capacity(96);
+        encode_entity(&e, &mut bytes);
+        bytes[0] = 0;
+        bytes[1] = 0;
         let mut h: u64 = 0xcbf29ce484222325;
-        for b in enc.buf {
+        for b in bytes {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
@@ -399,6 +317,7 @@ mod tests {
     use std::sync::Arc;
 
     use parquake_bsp::mapgen::MapGenConfig;
+    use parquake_math::vec3::vec3;
     use parquake_math::Pcg32;
 
     use super::*;

@@ -154,12 +154,6 @@ impl GameWorld {
         self.proj_base..self.proj_base + self.max_players
     }
 
-    /// Is this id a player slot?
-    #[inline]
-    pub fn is_player(&self, id: EntityId) -> bool {
-        id < self.max_players
-    }
-
     /// Spawn (or respawn) a player into the world. Single-threaded
     /// contexts only (setup / world phase). Returns the entity id.
     pub fn spawn_player(&self, idx: u16, client_id: u32, rng: &mut Pcg32) -> EntityId {
@@ -281,12 +275,6 @@ impl GameWorld {
                 },
             );
         }
-    }
-
-    /// Compute the node an entity at `abs_box` should link to.
-    #[inline]
-    pub fn node_for(&self, b: &Aabb) -> NodeId {
-        self.tree.node_for_box(b)
     }
 
     /// Deactivate a player (disconnect). Single-threaded contexts.
