@@ -8,25 +8,6 @@
 //! goes back to the same arena, so lost acks never split a session
 //! across worlds.
 
-/// A migration the director has picked but not yet (fully) executed:
-/// up to `batch` residents of `src` will move to `dst` over the next
-/// fence ticks. Admission consults this so new placements aim at where
-/// the population is *heading*, not where it was — otherwise a
-/// least-loaded front door keeps refilling the arena the rebalancer is
-/// emptying and the two fight forever.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MigrationPlan {
-    /// Arena being migrated off.
-    pub src: usize,
-    /// Landing arena.
-    pub dst: usize,
-    /// Slots the next fences intend to move.
-    pub batch: u32,
-    /// True when the source is being drained for reaping: it must not
-    /// receive new placements at all, whatever its predicted occupancy.
-    pub drain: bool,
-}
-
 /// How the directory places new clients.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
@@ -34,9 +15,6 @@ pub enum AdmissionPolicy {
     /// wins. Produces full arenas and empty tails (good for reaping
     /// idle worlds).
     FillFirst,
-    /// Balance: the least-occupied arena wins (lowest index on ties).
-    /// Produces even load (good for latency under the shared pool).
-    LeastLoaded,
     /// Honour the client's explicitly requested arena when it is in
     /// range and has room; otherwise fall back to fill-first. Clients
     /// without the arena extension request arena 0.
@@ -47,26 +25,25 @@ impl AdmissionPolicy {
     /// Choose an arena for a client requesting `requested`, given the
     /// per-arena occupancy estimates, the common per-arena capacity,
     /// and the live mask (an elastic directory keeps cold/reaped cells
-    /// in its tables; only `live[k]` arenas accept placements). `None`
-    /// means every live arena is full and the connect is refused — an
-    /// elastic director treats that as spawn pressure.
+    /// in its tables; only `live[k]` arenas accept placements). An arena
+    /// being `draining` for reaping is closed too: placing into it would
+    /// undo the drain. `None` means every open arena is full and the
+    /// connect is refused — an elastic director treats that as spawn
+    /// pressure.
     pub fn place(
         &self,
         requested: u16,
         occupancy: &[u32],
         capacity: u32,
         live: &[bool],
+        draining: Option<usize>,
     ) -> Option<usize> {
-        let open = |k: usize| live.get(k).copied().unwrap_or(false) && occupancy[k] < capacity;
+        let open = |k: usize| {
+            draining != Some(k) && live.get(k).copied().unwrap_or(false) && occupancy[k] < capacity
+        };
         let fill_first = || (0..occupancy.len()).find(|&k| open(k));
         match self {
             AdmissionPolicy::FillFirst => fill_first(),
-            AdmissionPolicy::LeastLoaded => occupancy
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| open(k))
-                .min_by_key(|&(_, &o)| o)
-                .map(|(k, _)| k),
             AdmissionPolicy::Explicit => {
                 let req = requested as usize;
                 if req < occupancy.len() && open(req) {
@@ -76,63 +53,6 @@ impl AdmissionPolicy {
                 }
             }
         }
-    }
-
-    /// [`Self::place`] with the in-flight migration plan factored in.
-    /// Only `LeastLoaded` scores by occupancy, so only it predicts:
-    /// a spread plan shifts `batch` residents from `src` to `dst` in
-    /// the predicted occupancy vector, and a drain plan closes the
-    /// source outright (an arena being emptied for reaping must not be
-    /// refilled). `FillFirst` and `Explicit` place by index/request,
-    /// not load, and are unchanged — a drain source is still closed
-    /// for them, since placing into it directly undoes the drain.
-    pub fn place_predicted(
-        &self,
-        requested: u16,
-        occupancy: &[u32],
-        capacity: u32,
-        live: &[bool],
-        plan: Option<&MigrationPlan>,
-    ) -> Option<usize> {
-        let Some(plan) = plan else {
-            return self.place(requested, occupancy, capacity, live);
-        };
-        let mut predicted = occupancy.to_vec();
-        let mut live_adj = live.to_vec();
-        if matches!(self, AdmissionPolicy::LeastLoaded) {
-            let moved = plan
-                .batch
-                .min(predicted[plan.src])
-                .min(capacity.saturating_sub(predicted[plan.dst]));
-            predicted[plan.src] -= moved;
-            predicted[plan.dst] += moved;
-        }
-        if plan.drain && plan.src < live_adj.len() {
-            live_adj[plan.src] = false;
-        }
-        self.place(requested, &predicted, capacity, &live_adj)
-    }
-
-    /// Choose a landing arena for a *live* slot being migrated off
-    /// `src`: the least-occupied live arena with room, excluding the
-    /// source. This is `LeastLoaded`'s rule applied to rebalancing —
-    /// whatever variant admitted the population, moving a resident
-    /// only helps if it lands on the coldest open world. `None` means
-    /// nowhere to go (every other live arena is full or dead) and the
-    /// handoff is abandoned.
-    pub fn rebalance_target(
-        &self,
-        src: usize,
-        occupancy: &[u32],
-        capacity: u32,
-        live: &[bool],
-    ) -> Option<usize> {
-        occupancy
-            .iter()
-            .enumerate()
-            .filter(|&(k, &o)| k != src && live.get(k).copied().unwrap_or(false) && o < capacity)
-            .min_by_key(|&(_, &o)| o)
-            .map(|(k, _)| k)
     }
 }
 
@@ -230,34 +150,24 @@ mod tests {
     #[test]
     fn fill_first_packs_in_index_order() {
         let p = AdmissionPolicy::FillFirst;
-        assert_eq!(p.place(0, &[3, 0, 0], 4, LIVE3), Some(0));
-        assert_eq!(p.place(0, &[4, 0, 0], 4, LIVE3), Some(1));
+        assert_eq!(p.place(0, &[3, 0, 0], 4, LIVE3, None), Some(0));
+        assert_eq!(p.place(0, &[4, 0, 0], 4, LIVE3, None), Some(1));
         // An explicit request is ignored by this policy.
-        assert_eq!(p.place(2, &[0, 0, 0], 4, LIVE3), Some(0));
-        assert_eq!(p.place(0, &[4, 4, 4], 4, LIVE3), None);
-    }
-
-    #[test]
-    fn least_loaded_balances_with_low_index_ties() {
-        let p = AdmissionPolicy::LeastLoaded;
-        assert_eq!(p.place(0, &[2, 1, 3], 4, LIVE3), Some(1));
-        assert_eq!(p.place(0, &[2, 2, 2], 4, LIVE3), Some(0));
-        // Full arenas are never chosen even if least loaded overall.
-        assert_eq!(p.place(0, &[4, 4, 3], 4, LIVE3), Some(2));
-        assert_eq!(p.place(0, &[4, 4, 4], 4, LIVE3), None);
+        assert_eq!(p.place(2, &[0, 0, 0], 4, LIVE3, None), Some(0));
+        assert_eq!(p.place(0, &[4, 4, 4], 4, LIVE3, None), None);
     }
 
     #[test]
     fn explicit_honours_in_range_requests_with_room() {
         let p = AdmissionPolicy::Explicit;
-        assert_eq!(p.place(2, &[0, 0, 1], 4, LIVE3), Some(2));
+        assert_eq!(p.place(2, &[0, 0, 1], 4, LIVE3, None), Some(2));
         // No extension on the wire ⇒ requested 0 ⇒ arena 0: old
         // clients land where the pre-arena server would put them.
-        assert_eq!(p.place(0, &[1, 0, 0], 4, LIVE3), Some(0));
+        assert_eq!(p.place(0, &[1, 0, 0], 4, LIVE3, None), Some(0));
         // Full or out-of-range requests fall back to fill-first.
-        assert_eq!(p.place(2, &[1, 0, 4], 4, LIVE3), Some(0));
-        assert_eq!(p.place(9, &[4, 1, 0], 4, LIVE3), Some(1));
-        assert_eq!(p.place(1, &[4, 4, 4], 4, LIVE3), None);
+        assert_eq!(p.place(2, &[1, 0, 4], 4, LIVE3, None), Some(0));
+        assert_eq!(p.place(9, &[4, 1, 0], 4, LIVE3, None), Some(1));
+        assert_eq!(p.place(1, &[4, 4, 4], 4, LIVE3, None), None);
     }
 
     #[test]
@@ -266,101 +176,33 @@ mod tests {
         // the occupancy table but masked out of placement.
         let live = &[true, false, true];
         assert_eq!(
-            AdmissionPolicy::FillFirst.place(0, &[4, 0, 1], 4, live),
+            AdmissionPolicy::FillFirst.place(0, &[4, 0, 1], 4, live, None),
             Some(2)
-        );
-        assert_eq!(
-            AdmissionPolicy::LeastLoaded.place(0, &[2, 0, 3], 4, live),
-            Some(0)
         );
         // An explicit request for a dead arena falls back to fill-first.
         assert_eq!(
-            AdmissionPolicy::Explicit.place(1, &[1, 0, 0], 4, live),
+            AdmissionPolicy::Explicit.place(1, &[1, 0, 0], 4, live, None),
             Some(0)
         );
         // Every live arena full ⇒ refusal, even with empty dead cells.
         assert_eq!(
-            AdmissionPolicy::FillFirst.place(0, &[4, 0, 4], 4, live),
+            AdmissionPolicy::FillFirst.place(0, &[4, 0, 4], 4, live, None),
             None
         );
     }
 
     #[test]
-    fn rebalance_target_lands_on_the_coldest_open_world() {
-        let p = AdmissionPolicy::LeastLoaded;
-        // Hottest arena 0 sheds to the emptiest other live arena.
-        assert_eq!(p.rebalance_target(0, &[6, 2, 4], 8, LIVE3), Some(1));
-        // The source itself is never a target, even when coldest.
-        assert_eq!(p.rebalance_target(1, &[6, 0, 4], 8, LIVE3), Some(2));
-        // Dead and full arenas are skipped.
-        let live = &[true, false, true];
-        assert_eq!(p.rebalance_target(0, &[6, 0, 4], 8, live), Some(2));
-        assert_eq!(p.rebalance_target(0, &[6, 0, 8], 8, live), None);
-        // The rule is the same under every admission variant.
-        assert_eq!(
-            AdmissionPolicy::Explicit.rebalance_target(0, &[6, 2, 4], 8, LIVE3),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn predicted_placement_sees_through_a_spread_plan() {
-        let p = AdmissionPolicy::LeastLoaded;
-        // Skewed fleet, rebalancer mid-flight: 5 residents are about to
-        // leave arena 0 for arena 1. Raw occupancy [16, 6] would send
-        // the connect to arena 1 — straight into the migration's
-        // landing zone. Predicted occupancy [11, 11] breaks the tie at
-        // the lower index instead.
-        let plan = MigrationPlan {
-            src: 0,
-            dst: 1,
-            batch: 5,
-            drain: false,
-        };
-        let live = &[true, true];
-        assert_eq!(p.place(0, &[16, 6], 32, live), Some(1));
-        assert_eq!(
-            p.place_predicted(0, &[16, 6], 32, live, Some(&plan)),
-            Some(0)
-        );
-        // No plan ⇒ identical to plain placement.
-        assert_eq!(p.place_predicted(0, &[16, 6], 32, live, None), Some(1));
-        // The predicted shift is clamped by the destination's room and
-        // the source's population.
-        let big = MigrationPlan {
-            src: 0,
-            dst: 1,
-            batch: 99,
-            drain: false,
-        };
-        assert_eq!(
-            p.place_predicted(0, &[3, 30], 32, live, Some(&big)),
-            Some(0)
-        );
-    }
-
-    #[test]
     fn a_draining_arena_is_closed_to_admission() {
-        let plan = MigrationPlan {
-            src: 1,
-            dst: 2,
-            batch: 8,
-            drain: true,
-        };
         // Arena 1 is the emptiest, but it is being drained for reaping:
         // every policy must refuse to refill it.
-        for p in [
-            AdmissionPolicy::LeastLoaded,
-            AdmissionPolicy::FillFirst,
-            AdmissionPolicy::Explicit,
-        ] {
-            let k = p.place_predicted(1, &[4, 1, 6], 8, LIVE3, Some(&plan));
+        for p in [AdmissionPolicy::FillFirst, AdmissionPolicy::Explicit] {
+            let k = p.place(1, &[4, 1, 6], 8, LIVE3, Some(1));
             assert_ne!(k, Some(1), "{p:?} refilled the draining arena");
         }
         // Drain everywhere-full still refuses rather than reopening
         // the source.
         assert_eq!(
-            AdmissionPolicy::LeastLoaded.place_predicted(0, &[8, 1, 8], 8, LIVE3, Some(&plan)),
+            AdmissionPolicy::FillFirst.place(0, &[8, 1, 8], 8, LIVE3, Some(1)),
             None
         );
     }

@@ -125,10 +125,6 @@ pub struct ArenaDirectoryConfig {
     /// Off by default — the unsupervised 1×1 pooled path stays
     /// byte-identical to the sequential server.
     pub supervision: bool,
-    /// Checkpoint every this-many frames per arena (supervised pooled
-    /// only). `0` disables periodic checkpoints (the spawn-time
-    /// checkpoint is still taken, so restore always has a target).
-    pub checkpoint_interval: u32,
     /// Deterministic frame-fault injection for supervised arenas: a
     /// seeded per-arena lottery fires panics and/or stuck stalls
     /// inside claimed frames (see
@@ -172,7 +168,6 @@ impl ArenaDirectoryConfig {
             linger_ns: 500_000_000,
             maintenance_ns: 0,
             supervision: false,
-            checkpoint_interval: 64,
             frame_faults: None,
             migrate_spread: 0,
             migrate_drain: false,
@@ -363,7 +358,7 @@ pub(crate) struct DirectorEnv {
     pub(crate) front: PortId,
     lifecycle: PortId,
     arena_ports: Vec<Vec<PortId>>,
-    pub(crate) policy: AdmissionPolicy,
+    policy: AdmissionPolicy,
     pub(crate) capacity: u32,
     cost: parquake_server::CostModel,
     end_time: Nanos,
@@ -584,17 +579,12 @@ fn place_fresh(
 
 impl Director {
     fn policy_place(&self, env: &DirectorEnv, requested: u16) -> Option<usize> {
-        // Score against where the rebalancer is about to move the
-        // population, not where it was — otherwise admission refills
-        // the arena the next fence is emptying (see
-        // [`crate::admission::MigrationPlan`]).
-        let plan = crate::migrate::planned(env, self);
-        env.policy.place_predicted(
+        env.policy.place(
             requested,
             self.ledger.occupancy(),
             env.capacity,
             &self.live,
-            plan.as_ref(),
+            crate::migrate::planned(env, self),
         )
     }
 }
@@ -924,6 +914,10 @@ const FRAME_DEADLINE_NS: Nanos = 30_000_000;
 /// Checkpoints retained per arena ring.
 const CHECKPOINT_DEPTH: usize = 4;
 
+/// A supervised arena checkpoints every this-many frames, and on its
+/// first claim, so restore always has a target.
+pub const CHECKPOINT_INTERVAL: u32 = 64;
+
 /// Per-run knobs every pool worker shares (one allocation, cloned
 /// `Arc` per worker).
 struct PoolRunCfg {
@@ -933,7 +927,6 @@ struct PoolRunCfg {
     poll: bool,
     maintenance_ns: Nanos,
     supervised: bool,
-    checkpoint_interval: u32,
 }
 
 fn spawn_pool(
@@ -1047,7 +1040,6 @@ fn spawn_pool(
         poll: !delivery_wakes,
         maintenance_ns,
         supervised: cfg.supervision,
-        checkpoint_interval: cfg.checkpoint_interval,
     });
     let cells = Arc::new(cells);
     for w in 0..workers {
@@ -1213,7 +1205,7 @@ fn pool_worker_scan(
                 let cell = &cells[k];
                 let panicked = if rcfg.supervised {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_arena_frame_supervised(ctx, cell, rcfg)
+                        run_arena_frame_supervised(ctx, cell)
                     }))
                     .is_err()
                 } else {
@@ -1356,7 +1348,7 @@ fn install_quiet_panic_hook() {
 /// A supervised frame: fault lottery, shed-mode selection, overload
 /// bookkeeping, checkpoint cadence. Runs under the claiming worker's
 /// `catch_unwind`.
-fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg) {
+fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell) {
     let g = cell.guard();
     // First claim of this arena's life (or first after a restore that
     // found an empty ring): checkpoint the current state so a crash on
@@ -1408,7 +1400,7 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell, rcfg: &PoolRunCfg
             g.stretch /= 2;
         }
     }
-    if rcfg.checkpoint_interval > 0 && cell.frame().frame_no % rcfg.checkpoint_interval == 0 {
+    if cell.frame().frame_no % CHECKPOINT_INTERVAL == 0 {
         take_checkpoint(ctx, cell, g);
     }
 }

@@ -18,8 +18,8 @@
 //!     template), assignment schemes and region locking intact inside
 //!     each arena.
 //! * [`admission::AdmissionPolicy`] routes `Connect`s arriving at the
-//!   directory's **front door** to an arena: fill-first, least-loaded,
-//!   or honouring an explicit arena request carried by the protocol's
+//!   directory's **front door** to an arena: fill-first, or
+//!   honouring an explicit arena request carried by the protocol's
 //!   backward-compatible arena-id extension (absent ⇒ arena 0).
 //! * Per-arena observability: every arena publishes its own
 //!   [`parquake_server::ServerResults`]; the pool publishes frame and
@@ -71,5 +71,6 @@ pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use checkpoint::{Checkpoint, CheckpointRing};
 pub use directory::{
     spawn_directory, ArenaDirectoryConfig, ArenaHandle, InjectedPanic, PoolReport,
+    CHECKPOINT_INTERVAL,
 };
 pub use ledger::{Departure, Ledger, Placement};

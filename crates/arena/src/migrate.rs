@@ -68,7 +68,6 @@ use parquake_protocol::Encode;
 use parquake_server::clients::SlotState;
 use parquake_server::LifecycleEvent;
 
-use crate::admission::MigrationPlan;
 use crate::directory::{drain_requests_coalesced, ArenaFate, Director, DirectorEnv, PoolParts};
 
 /// Most slots one captured fence may hand off. Small enough that a
@@ -108,35 +107,12 @@ pub(crate) fn rebalance(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
     }
 }
 
-/// What the next rebalance tick intends to do, as a [`MigrationPlan`]
-/// for admission scoring: the same drain-first pick as [`rebalance`]
-/// and the same batch sizing as [`handoff`], but without touching
-/// anything. `None` when migration is off, the directory is not
-/// pooled, or no trigger currently fires — admission then scores raw
-/// occupancy as before.
-pub(crate) fn planned(env: &DirectorEnv, d: &Director) -> Option<MigrationPlan> {
-    if env.migrate_spread == 0 && !env.migrate_drain {
-        return None;
-    }
+/// The arena the next rebalance tick would drain, if any: the same
+/// pick as [`rebalance`], without touching anything. Admission keeps it
+/// closed (see [`crate::admission::AdmissionPolicy::place`]).
+pub(crate) fn planned(env: &DirectorEnv, d: &Director) -> Option<usize> {
     env.pool.as_ref()?;
-    let occ = d.ledger.occupancy();
-    if let Some((src, dst)) = pick_drain(env, d) {
-        let batch = (occ[src] as usize).min(MIGRATE_BATCH) as u32;
-        return Some(MigrationPlan {
-            src,
-            dst,
-            batch,
-            drain: true,
-        });
-    }
-    let (src, dst) = pick_spread(env, d)?;
-    let batch = ((occ[src].saturating_sub(occ[dst]) as usize) / 2).min(MIGRATE_BATCH) as u32;
-    Some(MigrationPlan {
-        src,
-        dst,
-        batch,
-        drain: false,
-    })
+    pick_drain(env, d).map(|(src, _)| src)
 }
 
 /// The drain trigger: smallest-population non-boot live arena whose
@@ -158,9 +134,7 @@ fn pick_drain(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
     if free_elsewhere < occ[src] as u64 {
         return None;
     }
-    let dst = env
-        .policy
-        .rebalance_target(src, occ, env.capacity, &d.live)?;
+    let dst = rebalance_target(src, occ, env.capacity, &d.live)?;
     Some((src, dst))
 }
 
@@ -177,14 +151,27 @@ fn pick_spread(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
         .filter(|&(k, &o)| d.live[k] && o > 0)
         .max_by_key(|&(k, &o)| (o, std::cmp::Reverse(k)))
         .map(|(k, _)| k)?;
-    let dst = env
-        .policy
-        .rebalance_target(src, occ, env.capacity, &d.live)?;
+    let dst = rebalance_target(src, occ, env.capacity, &d.live)?;
     if occ[src].saturating_sub(occ[dst]) >= env.migrate_spread {
         Some((src, dst))
     } else {
         None
     }
+}
+
+/// Choose a landing arena for a *live* slot being migrated off `src`:
+/// the least-occupied live arena with room, excluding the source —
+/// whatever policy admitted the population, moving a resident only
+/// helps if it lands on the coldest open world. `None` means nowhere to
+/// go (every other live arena is full or dead) and the handoff is
+/// abandoned.
+fn rebalance_target(src: usize, occupancy: &[u32], capacity: u32, live: &[bool]) -> Option<usize> {
+    occupancy
+        .iter()
+        .enumerate()
+        .filter(|&(k, &o)| k != src && live.get(k).copied().unwrap_or(false) && o < capacity)
+        .min_by_key(|&(_, &o)| o)
+        .map(|(k, _)| k)
 }
 
 /// Capture both cells at their frame boundaries: mark them
@@ -437,4 +424,23 @@ fn transfer(
     t_slot.events.clear();
     t_slot.baseline.clear();
     Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LIVE3: &[bool] = &[true, true, true];
+
+    #[test]
+    fn rebalance_target_lands_on_the_coldest_open_world() {
+        // Hottest arena 0 sheds to the emptiest other live arena.
+        assert_eq!(rebalance_target(0, &[6, 2, 4], 8, LIVE3), Some(1));
+        // The source itself is never a target, even when coldest.
+        assert_eq!(rebalance_target(1, &[6, 0, 4], 8, LIVE3), Some(2));
+        // Dead and full arenas are skipped.
+        let live = &[true, false, true];
+        assert_eq!(rebalance_target(0, &[6, 0, 4], 8, live), Some(2));
+        assert_eq!(rebalance_target(0, &[6, 0, 8], 8, live), None);
+    }
 }

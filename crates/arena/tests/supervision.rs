@@ -24,7 +24,6 @@ fn supervised_cfg(arenas: u32, slots: u16, workers: u32) -> ArenaDirectoryConfig
         workers,
         map: MapGenConfig::small_arena(11),
         supervision: true,
-        checkpoint_interval: 16,
         ..ArenaDirectoryConfig::new(arenas, slots, server)
     }
 }
@@ -195,7 +194,6 @@ fn supervision_without_faults_only_checkpoints() {
 fn unsupervised_directories_report_zero_supervision_activity() {
     let mut cfg = supervised_cfg(2, 8, 2);
     cfg.supervision = false;
-    cfg.checkpoint_interval = 16;
     let out = run(cfg, 12);
     let s = &out.sup;
     assert_eq!(

@@ -224,8 +224,8 @@ pub fn spawn_swarm(
 
 /// Spawn driver tasks routing across arenas. `initial(client)` returns
 /// `(requested_arena, initial_thread)`: the arena id the bot asks for
-/// in its Connect (0 lets a fill-first/least-loaded admission policy
-/// choose) and its starting thread within whatever arena admits it.
+/// in its Connect (0 lets a fill-first admission policy choose) and
+/// its starting thread within whatever arena admits it.
 pub fn spawn_swarm_multi(
     fabric: &Arc<dyn Fabric>,
     cfg: &BotSwarmConfig,

@@ -8,98 +8,60 @@
 
 use std::sync::Arc;
 
-use parquake_arena::{
-    spawn_directory, AdmissionPolicy, AdmissionStats, ArenaDirectoryConfig, PoolReport,
-};
+use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig, PoolReport};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmRamp, SwarmTopology};
-use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
 use parquake_metrics::{rollup, ArenaLoad, ElasticStats, SupervisorStats, WitnessReport};
 use parquake_server::{ServerConfig, ServerKind};
 
-/// One multi-arena configuration (a row of the arenasweep figure).
+use crate::experiment::DRAIN_NS;
+
+/// One multi-arena configuration (a row of the arenasweep figure): the
+/// directory under test, plus the bot swarm that drives it.
 #[derive(Clone, Debug)]
 pub struct ArenaExperimentConfig {
     /// Total bots across all arenas.
     pub players: u32,
-    /// Number of independent worlds.
-    pub arenas: u32,
-    /// Shared-pool worker count (the machine's processors).
-    pub workers: u32,
-    /// Connect routing policy.
-    pub policy: AdmissionPolicy,
-    /// Map generator settings (shared map, per-arena entity state).
-    pub map: MapGenConfig,
-    /// Areanode tree depth per arena.
-    pub areanode_depth: u32,
-    /// Measured run length in fabric time.
-    pub duration_ns: Nanos,
+    /// Directory under test. Its server template's `end_time` fixes the
+    /// run length: the bots send for
+    /// [`ArenaExperimentConfig::duration_ns`], then the arenas drain
+    /// for [`DRAIN_NS`].
+    pub directory: ArenaDirectoryConfig,
     /// Execution platform.
     pub fabric: FabricKind,
-    /// Run the locking-protocol checkers and the lock witness.
-    pub checking: bool,
-    /// Elastic ceiling: pooled directories may grow to this many live
-    /// arenas under admission pressure (0 = fixed fleet).
-    pub max_arenas: u32,
-    /// How long an arena's occupancy must stay zero before it is
-    /// reaped (elastic directories only).
-    pub linger_ns: Nanos,
-    /// Server-side inactivity reclaim window (0 = never reclaim).
-    pub client_timeout_ns: Nanos,
-    /// Slots per arena override (`None` = players spread evenly over
-    /// the boot arenas — elasticity runs want a smaller fixed size so
-    /// the ramp actually overflows).
-    pub slots_per_arena: Option<u16>,
     /// Bot population ramp (`None` = everyone plays the whole run).
     pub ramp: Option<SwarmRamp>,
-    /// Supervise pooled frames (catch_unwind + checkpoint/restore +
-    /// watchdog + graceful degradation).
-    pub supervision: bool,
-    /// Frame-fault injection (panic lottery / stalls) for supervised
-    /// runs.
-    pub frame_faults: Option<parquake_fabric::fault::FaultConfig>,
-    /// Checkpoint cadence in frames (supervised pooled only).
-    pub checkpoint_interval: u32,
     /// Arena every bot requests at connect time (`None` = spread
     /// requests `c % arenas`). `Some(k)` with the `Explicit` policy
     /// creates a deliberately skewed load — the shape migration
     /// rebalances.
     pub request_arena: Option<u16>,
-    /// Live-migration spread threshold: when the hottest live arena's
-    /// occupancy exceeds the coldest open arena's by at least this
-    /// many clients, the director hands one slot off per tick (0 =
-    /// migration off; pooled only).
-    pub migrate_spread: u32,
     /// Client-side prediction: bots run the shared movement kernel on
     /// the (identical) generated map, send the input-seq trailer, and
     /// reconcile against the server's trailered replies.
     pub predict: bool,
 }
 
-impl Default for ArenaExperimentConfig {
-    fn default() -> ArenaExperimentConfig {
+impl ArenaExperimentConfig {
+    /// `players` bots spread evenly over `arenas` pooled sequential
+    /// arenas for `duration_ns` of sending, on the directory's default
+    /// map, pool and policy.
+    pub fn new(players: u32, arenas: u32, duration_ns: Nanos) -> ArenaExperimentConfig {
+        let server = ServerConfig::new(ServerKind::Sequential, duration_ns + DRAIN_NS);
+        let slots_per_arena = players.div_ceil(arenas).max(1) as u16;
         ArenaExperimentConfig {
-            players: 256,
-            arenas: 4,
-            workers: 4,
-            policy: AdmissionPolicy::Explicit,
-            map: MapGenConfig::large_arena(0x6D_6D_31),
-            areanode_depth: 4,
-            duration_ns: 10_000_000_000,
+            players,
+            directory: ArenaDirectoryConfig::new(arenas, slots_per_arena, server),
             fabric: FabricKind::VirtualSmp(Default::default()),
-            checking: cfg!(debug_assertions),
-            max_arenas: 0,
-            linger_ns: 500_000_000,
-            client_timeout_ns: 0,
-            slots_per_arena: None,
             ramp: None,
-            supervision: false,
-            frame_faults: None,
-            checkpoint_interval: 64,
             request_arena: None,
-            migrate_spread: 0,
             predict: false,
         }
+    }
+
+    /// The measured window: how long the bots send.
+    pub fn duration_ns(&self) -> Nanos {
+        self.directory.server.end_time.saturating_sub(DRAIN_NS)
     }
 }
 
@@ -162,13 +124,9 @@ impl ArenaExperiment {
     /// collect per-arena and aggregate metrics.
     pub fn run(&self) -> ArenaOutcome {
         let cfg = &self.cfg;
-        assert!(cfg.arenas >= 1);
-        let slots_per_arena = cfg
-            .slots_per_arena
-            .unwrap_or(cfg.players.div_ceil(cfg.arenas).max(1) as u16);
         let fabric = cfg.fabric.build();
 
-        let witness = if cfg.checking {
+        let witness = if cfg.directory.server.checking {
             let w = Arc::new(LockWitness::new());
             fabric.attach_witness(w.clone());
             Some(w)
@@ -176,23 +134,7 @@ impl ArenaExperiment {
             None
         };
 
-        let mut server = ServerConfig::new(ServerKind::Sequential, cfg.duration_ns + 500_000_000);
-        server.checking = cfg.checking;
-        server.client_timeout_ns = cfg.client_timeout_ns;
-        let dir_cfg = ArenaDirectoryConfig {
-            policy: cfg.policy,
-            workers: cfg.workers,
-            map: cfg.map.clone(),
-            areanode_depth: cfg.areanode_depth,
-            max_arenas: cfg.max_arenas,
-            linger_ns: cfg.linger_ns,
-            supervision: cfg.supervision,
-            frame_faults: cfg.frame_faults.clone(),
-            checkpoint_interval: cfg.checkpoint_interval,
-            migrate_spread: cfg.migrate_spread,
-            ..ArenaDirectoryConfig::new(cfg.arenas, slots_per_arena, server)
-        };
-        let handle = spawn_directory(&fabric, dir_cfg);
+        let handle = spawn_directory(&fabric, cfg.directory.clone());
 
         // Bots spread across arenas by requesting arena `c % arenas`
         // through the front door; the Explicit default honours the
@@ -205,13 +147,13 @@ impl ArenaExperiment {
             predict: cfg
                 .predict
                 .then(|| parquake_bots::PredictMap(handle.worlds[0].map.clone())),
-            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns)
+            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns())
         };
         let topology = SwarmTopology {
             arena_ports: handle.arena_ports.clone(),
             connect_port: Some(handle.front_port),
         };
-        let arenas = cfg.arenas;
+        let arenas = cfg.directory.arenas;
         let req = cfg.request_arena;
         let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, move |c| {
             (req.unwrap_or((c % arenas) as u16), 0)
@@ -248,7 +190,7 @@ impl ArenaExperiment {
             pool: handle.pool.as_ref().map(|p| p.lock().unwrap().clone()), // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
             admission,
             connected: bots.connected,
-            duration_ns: cfg.duration_ns,
+            duration_ns: cfg.duration_ns(),
             world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
             witness: witness.map(|w| w.report()),
             elastic,
@@ -263,17 +205,14 @@ impl ArenaExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parquake_bsp::mapgen::MapGenConfig;
 
     fn quick(players: u32, arenas: u32, workers: u32) -> ArenaExperimentConfig {
-        ArenaExperimentConfig {
-            players,
-            arenas,
-            workers,
-            map: MapGenConfig::small_arena(7),
-            duration_ns: 2_000_000_000,
-            checking: true,
-            ..ArenaExperimentConfig::default()
-        }
+        let mut cfg = ArenaExperimentConfig::new(players, arenas, 2_000_000_000);
+        cfg.directory.workers = workers;
+        cfg.directory.map = MapGenConfig::small_arena(7);
+        cfg.directory.server.checking = true;
+        cfg
     }
 
     #[test]
@@ -339,5 +278,25 @@ mod tests {
         let out = ArenaExperiment::new(quick(8, 1, 2)).run();
         assert_eq!(out.prediction.predicted, 0);
         assert_eq!(out.predict_in_flight, 0);
+    }
+
+    /// The run length is stated once, as the server template's
+    /// `end_time`: the outcome's window is the bots' send window, which
+    /// leaves the arenas `DRAIN_NS` to answer the last moves.
+    #[test]
+    fn the_measured_window_is_the_bots_send_window() {
+        let cfg = quick(12, 2, 2);
+        assert_eq!(cfg.directory.server.end_time, 2_000_000_000 + DRAIN_NS);
+        assert_eq!(cfg.directory.slots_per_arena, 6);
+        let out = ArenaExperiment::new(cfg).run();
+        assert_eq!(out.duration_ns, 2_000_000_000);
+        // Every bot sends one move per 30 ms client frame, from its
+        // connect until the window closes — never into the drain.
+        let per_bot = out.aggregate.response.sent as f64 / 12.0;
+        let ticks = out.duration_ns as f64 / 30e6;
+        assert!(
+            per_bot <= ticks + 2.0 && per_bot >= 0.9 * ticks,
+            "{per_bot:.1} moves per bot in a {ticks:.1}-frame window"
+        );
     }
 }

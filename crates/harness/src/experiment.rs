@@ -6,24 +6,28 @@ use parquake_bots::{spawn_swarm, BotBehavior, BotSwarmConfig};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
 use parquake_metrics::{Breakdown, ResponseStats, WitnessReport};
-use parquake_server::{
-    spawn_server, Assignment, InterestMode, ServerConfig, ServerKind, ServerResults,
-};
+use parquake_server::{spawn_server, ServerConfig, ServerKind, ServerResults};
 use parquake_sim::GameWorld;
 
-/// One experiment configuration (a single bar/point in a figure).
+/// How long a server keeps serving after its bots stop sending, so the
+/// final requests drain: the bots' send window is `end_time − DRAIN_NS`.
+pub const DRAIN_NS: Nanos = 500_000_000;
+
+/// One experiment configuration (a single bar/point in a figure): the
+/// server configuration under test, plus the world and the bot swarm
+/// that drive it.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Number of automatic players.
     pub players: u32,
-    /// Server under test.
-    pub server: ServerKind,
+    /// Server under test. Its `end_time` fixes the run length: the bots
+    /// send for [`ExperimentConfig::duration_ns`], then the server
+    /// drains for [`DRAIN_NS`].
+    pub server: ServerConfig,
     /// Map generator settings.
     pub map: MapGenConfig,
     /// Areanode tree depth (4 ⇒ the paper's default 31 nodes).
     pub areanode_depth: u32,
-    /// Measured run length in fabric time.
-    pub duration_ns: Nanos,
     /// Execution platform.
     pub fabric: FabricKind,
     /// Bot behaviour mix.
@@ -32,46 +36,32 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Bot driver tasks (client machines).
     pub bot_drivers: u32,
-    /// Run the dynamic locking-protocol checkers.
-    pub checking: bool,
-    /// Request batching window for the parallel server (paper §5.2
-    /// future work; 0 reproduces the measured paper behaviour).
-    pub frame_batch_ns: Nanos,
-    /// Player-to-thread assignment (static = the paper's scheme).
-    pub assignment: Assignment,
-    /// QuakeWorld-style delta-compressed replies (extension).
-    pub delta_compression: bool,
-    /// Server-side inactivity timeout (0 = never reclaim slots).
-    pub client_timeout_ns: Nanos,
-    /// How visible-entity sets are computed (per-client scan vs the
-    /// batch DDM sweep, optionally oracle-checked).
-    pub interest: InterestMode,
     /// Override the world's maximum view distance (`None` keeps the
     /// world default) — interest figures shrink it so view extents
     /// cover only part of a big map.
     pub view_dist: Option<f32>,
 }
 
-impl Default for ExperimentConfig {
-    fn default() -> ExperimentConfig {
+impl ExperimentConfig {
+    /// `players` bots against a `kind` server for `duration_ns` of
+    /// sending, on the default map, fabric and bot mix.
+    pub fn new(players: u32, kind: ServerKind, duration_ns: Nanos) -> ExperimentConfig {
         ExperimentConfig {
-            players: 64,
-            server: ServerKind::Sequential,
+            players,
+            server: ServerConfig::new(kind, duration_ns + DRAIN_NS),
             map: MapGenConfig::large_arena(0x6D_6D_31),
             areanode_depth: 4,
-            duration_ns: 10_000_000_000, // 10 virtual seconds
             fabric: FabricKind::VirtualSmp(Default::default()),
             behavior: BotBehavior::deathmatch(),
             seed: 0xB07_5EED,
             bot_drivers: 8,
-            checking: cfg!(debug_assertions),
-            frame_batch_ns: 0,
-            assignment: Assignment::Static,
-            delta_compression: false,
-            client_timeout_ns: 0,
-            interest: InterestMode::Scan,
             view_dist: None,
         }
+    }
+
+    /// The measured window: how long the bots send.
+    pub fn duration_ns(&self) -> Nanos {
+        self.server.end_time.saturating_sub(DRAIN_NS)
     }
 }
 
@@ -133,7 +123,7 @@ impl Experiment {
         // Checking runs also carry the lock-order witness: every fabric
         // lock operation is checked against the region-locking
         // discipline and the report lands in the outcome.
-        let witness = if cfg.checking {
+        let witness = if cfg.server.checking {
             let w = Arc::new(LockWitness::new());
             fabric.attach_witness(w.clone());
             Some(w)
@@ -141,24 +131,13 @@ impl Experiment {
             None
         };
 
-        // The server runs a little longer than the bots send, so the
-        // final requests drain.
-        let server_cfg = ServerConfig {
-            checking: cfg.checking,
-            frame_batch_ns: cfg.frame_batch_ns,
-            assignment: cfg.assignment,
-            delta_compression: cfg.delta_compression,
-            interest: cfg.interest,
-            client_timeout_ns: cfg.client_timeout_ns,
-            ..ServerConfig::new(cfg.server, cfg.duration_ns + 500_000_000)
-        };
-        let server = spawn_server(&fabric, server_cfg, world.clone());
+        let server = spawn_server(&fabric, cfg.server.clone(), world.clone());
 
         let swarm_cfg = BotSwarmConfig {
             drivers: cfg.bot_drivers,
             seed: cfg.seed,
             behavior: cfg.behavior.clone(),
-            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns)
+            ..BotSwarmConfig::new(cfg.players, cfg.duration_ns())
         };
         let spt = server.slots_per_thread;
         let swarm = spawn_swarm(&fabric, &swarm_cfg, &server.ports, move |client| {
@@ -173,7 +152,7 @@ impl Experiment {
             server: results,
             response: bots.stats,
             connected: bots.connected,
-            duration_ns: cfg.duration_ns,
+            duration_ns: cfg.duration_ns(),
             world_hash: world.world_hash(),
             world,
             witness: witness.map(|w| w.report()),
@@ -185,16 +164,13 @@ impl Experiment {
 mod tests {
     use super::*;
     use parquake_metrics::Bucket;
-    use parquake_server::LockPolicy;
+    use parquake_server::{InterestMode, LockPolicy};
 
     fn quick(players: u32, server: ServerKind) -> ExperimentConfig {
         ExperimentConfig {
-            players,
-            server,
             map: MapGenConfig::small_arena(7),
-            duration_ns: 2_000_000_000,
             bot_drivers: 4,
-            ..ExperimentConfig::default()
+            ..ExperimentConfig::new(players, server, 2_000_000_000)
         }
     }
 
@@ -217,11 +193,9 @@ mod tests {
 
     #[test]
     fn an_index_is_built_only_for_frames_that_owe_a_reply() {
-        let out = Experiment::new(ExperimentConfig {
-            interest: InterestMode::SweepOracle,
-            ..quick(8, ServerKind::Sequential)
-        })
-        .run();
+        let mut cfg = quick(8, ServerKind::Sequential);
+        cfg.server.interest = InterestMode::SweepOracle;
+        let out = Experiment::new(cfg).run();
         assert_eq!(out.connected, 8);
         let timeline = &out.server.timeline;
         assert_eq!(timeline.total_frames, timeline.len() as u64, "clipped");
@@ -239,14 +213,16 @@ mod tests {
 
     #[test]
     fn parallel_smoke() {
-        let out = Experiment::new(quick(
+        let mut cfg = quick(
             8,
             ServerKind::Parallel {
                 threads: 2,
                 locking: LockPolicy::Baseline,
             },
-        ))
-        .run();
+        );
+        // The witness is asserted on below, in release builds too.
+        cfg.server.checking = true;
+        let out = Experiment::new(cfg).run();
         assert_eq!(out.connected, 8);
         assert!(out.response.received > 100);
         assert_eq!(out.server.threads.len(), 2);
@@ -262,5 +238,36 @@ mod tests {
             (out.response.received, out.world_hash)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The run length is stated once, as the server's `end_time`: the
+    /// outcome's window is the bots' send window, which leaves the
+    /// server `DRAIN_NS` to answer the last moves.
+    #[test]
+    fn the_measured_window_is_the_bots_send_window() {
+        let cfg = quick(8, ServerKind::Sequential);
+        assert_eq!(cfg.server.end_time, 2_000_000_000 + DRAIN_NS);
+        let out = Experiment::new(cfg).run();
+        assert_eq!(out.duration_ns, 2_000_000_000);
+        // Every bot sends one move per 30 ms client frame, from its
+        // connect until the window closes — never into the drain.
+        let per_bot = out.response.sent as f64 / 8.0;
+        let ticks = out.duration_ns as f64 / 30e6;
+        assert!(
+            per_bot <= ticks + 2.0 && per_bot >= 0.9 * ticks,
+            "{per_bot:.1} moves per bot in a {ticks:.1}-frame window"
+        );
+        // And the server answers the last of them inside the drain.
+        let last_move = out
+            .server
+            .timeline
+            .samples()
+            .iter()
+            .filter(|f| f.requests > 0)
+            .map(|f| f.start_ns)
+            .max()
+            .unwrap();
+        assert!(last_move >= out.duration_ns - 60_000_000, "{last_move}");
+        assert!(last_move < out.duration_ns + DRAIN_NS / 5, "{last_move}");
     }
 }

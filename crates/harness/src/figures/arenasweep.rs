@@ -28,16 +28,12 @@ pub const TOTAL_PLAYERS: u32 = 256;
 
 /// Run one pooled split of `total` players into `arenas` arenas.
 pub fn run_split(total: u32, arenas: u32, workers: u32, opts: &SweepOpts) -> ArenaOutcome {
-    let cfg = ArenaExperimentConfig {
-        players: total,
-        arenas,
-        workers,
-        map: MapGenConfig::eval_arena(opts.seed),
-        areanode_depth: opts.depth,
-        duration_ns: (opts.duration_secs * 1e9) as u64,
-        checking: false, // measured runs: checkers off, like release Quake
-        ..ArenaExperimentConfig::default()
-    };
+    let mut cfg = ArenaExperimentConfig::new(total, arenas, (opts.duration_secs * 1e9) as u64);
+    let dir = &mut cfg.directory;
+    dir.workers = workers;
+    dir.map = MapGenConfig::eval_arena(opts.seed);
+    dir.areanode_depth = opts.depth;
+    dir.server.checking = false; // measured runs: checkers off, like release Quake
     ArenaExperiment::new(cfg).run()
 }
 

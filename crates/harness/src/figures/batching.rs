@@ -27,19 +27,17 @@ pub fn run(opts: &SweepOpts) -> String {
     };
     let mut rows = Vec::new();
     for window_ms in WINDOWS_MS {
-        let out = Experiment::new(ExperimentConfig {
-            players,
-            server: ServerKind::Parallel {
-                threads: 8,
-                locking: LockPolicy::Optimized,
-            },
+        let kind = ServerKind::Parallel {
+            threads: 8,
+            locking: LockPolicy::Optimized,
+        };
+        let mut cfg = ExperimentConfig {
             map: MapGenConfig::eval_arena(opts.seed),
-            duration_ns: (opts.duration_secs * 1e9) as u64,
-            frame_batch_ns: window_ms * 1_000_000,
-            checking: false,
-            ..ExperimentConfig::default()
-        })
-        .run();
+            ..ExperimentConfig::new(players, kind, (opts.duration_secs * 1e9) as u64)
+        };
+        cfg.server.frame_batch_ns = window_ms * 1_000_000;
+        cfg.server.checking = false;
+        let out = Experiment::new(cfg).run();
         let bd = out.server.merged().breakdown;
         let fs = &out.server.frames;
         let parts = if fs.frames > 0 {

@@ -25,7 +25,6 @@
 //! migration capsules stay lossless — mirroring where a real gateway
 //! injects.
 
-use parquake_arena::AdmissionPolicy;
 use parquake_bots::SwarmRamp;
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FaultDir};
@@ -42,7 +41,6 @@ pub const ARENAS: u32 = 4;
 pub const SLOTS: u16 = 8;
 pub const PLAYERS: u32 = 24;
 pub const WORKERS: u32 = 2;
-pub const CHECKPOINT_INTERVAL: u32 = 64;
 
 /// Network lottery seed (decorrelated from the crash lottery's).
 pub const CHAOS_SEED: u64 = 0xC4A0_55EE;
@@ -153,22 +151,7 @@ impl ChaosProfile {
 /// Run one profile with prediction on or off.
 pub fn run_at(profile: &ChaosProfile, predict: bool, opts: &SweepOpts) -> ArenaOutcome {
     let duration_ns = (opts.duration_secs * 1e9) as Nanos;
-    let cfg = ArenaExperimentConfig {
-        players: PLAYERS,
-        arenas: ARENAS,
-        workers: WORKERS,
-        policy: AdmissionPolicy::Explicit,
-        map: MapGenConfig::small_arena(opts.seed),
-        areanode_depth: opts.depth,
-        duration_ns,
-        slots_per_arena: Some(SLOTS),
-        supervision: true,
-        checkpoint_interval: CHECKPOINT_INTERVAL,
-        frame_faults: (profile.crash_rate > 0.0).then(|| FaultConfig {
-            panic_per_frame: profile.crash_rate,
-            seed: opts.seed ^ 0xC4A5_5EED,
-            ..FaultConfig::none()
-        }),
+    let mut cfg = ArenaExperimentConfig {
         fabric: FabricKind::VirtualSmp(VirtualSmpConfig {
             fault: profile.net_fault(opts.seed),
             fault_wan_only: true,
@@ -182,15 +165,26 @@ pub fn run_at(profile: &ChaosProfile, predict: bool, opts: &SweepOpts) -> ArenaO
             hold_ns: duration_ns * 4 / 10,
             ramp_down_ns: duration_ns * 2 / 10,
         }),
-        max_arenas: if profile.ramp { ARENAS + 2 } else { 0 },
-        linger_ns: duration_ns / 20,
-        // Lossy runs exercise the server lifecycle too: silent slots
-        // are reclaimed after 2 virtual seconds.
-        client_timeout_ns: 2_000_000_000,
         predict,
-        checking: false, // measured run: checkers off, like release Quake
-        ..ArenaExperimentConfig::default()
+        ..ArenaExperimentConfig::new(PLAYERS, ARENAS, duration_ns)
     };
+    let dir = &mut cfg.directory;
+    dir.workers = WORKERS;
+    dir.map = MapGenConfig::small_arena(opts.seed);
+    dir.areanode_depth = opts.depth;
+    dir.slots_per_arena = SLOTS;
+    dir.supervision = true;
+    dir.frame_faults = (profile.crash_rate > 0.0).then(|| FaultConfig {
+        panic_per_frame: profile.crash_rate,
+        seed: opts.seed ^ 0xC4A5_5EED,
+        ..FaultConfig::none()
+    });
+    dir.max_arenas = if profile.ramp { ARENAS + 2 } else { 0 };
+    dir.linger_ns = duration_ns / 20;
+    // Lossy runs exercise the server lifecycle too: silent slots are
+    // reclaimed after 2 virtual seconds.
+    dir.server.client_timeout_ns = 2_000_000_000;
+    dir.server.checking = false; // measured run: checkers off, like release Quake
     ArenaExperiment::new(cfg).run()
 }
 

@@ -60,15 +60,12 @@ pub fn kind_label(kind: ServerKind) -> String {
 
 /// Run one configuration on the paper's evaluation map.
 pub fn run_config(players: u32, kind: ServerKind, opts: &SweepOpts) -> Outcome {
-    let cfg = ExperimentConfig {
-        players,
-        server: kind,
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::eval_arena(opts.seed),
         areanode_depth: opts.depth,
-        duration_ns: (opts.duration_secs * 1e9) as u64,
-        checking: false, // measured runs: checkers off, like release Quake
-        ..ExperimentConfig::default()
+        ..ExperimentConfig::new(players, kind, (opts.duration_secs * 1e9) as u64)
     };
+    cfg.server.checking = false; // measured runs: checkers off, like release Quake
     Experiment::new(cfg).run()
 }
 

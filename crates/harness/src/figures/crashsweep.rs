@@ -10,7 +10,7 @@
 //! the frames lost between the last checkpoint and the restore, not
 //! the session.
 
-use parquake_arena::AdmissionPolicy;
+use parquake_arena::CHECKPOINT_INTERVAL;
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::FaultConfig;
 use parquake_fabric::Nanos;
@@ -26,9 +26,6 @@ pub const SLOTS: u16 = 8;
 pub const PLAYERS: u32 = 24;
 pub const WORKERS: u32 = 2;
 
-/// Checkpoint cadence named by the acceptance bar.
-pub const CHECKPOINT_INTERVAL: u32 = 64;
-
 /// Per-frame panic probabilities swept (0 = the fault-free baseline,
 /// still supervised so the comparison isolates the crashes from the
 /// checkpointing overhead).
@@ -38,25 +35,19 @@ pub const CRASH_RATES: [f64; 4] = [0.0, 0.0025, 0.005, 0.01];
 /// probability.
 pub fn run_at(crash_rate: f64, opts: &SweepOpts) -> ArenaOutcome {
     let duration_ns = (opts.duration_secs * 1e9) as Nanos;
-    let cfg = ArenaExperimentConfig {
-        players: PLAYERS,
-        arenas: ARENAS,
-        workers: WORKERS,
-        policy: AdmissionPolicy::Explicit,
-        map: MapGenConfig::small_arena(opts.seed),
-        areanode_depth: opts.depth,
-        duration_ns,
-        slots_per_arena: Some(SLOTS),
-        supervision: true,
-        checkpoint_interval: CHECKPOINT_INTERVAL,
-        frame_faults: (crash_rate > 0.0).then(|| FaultConfig {
-            panic_per_frame: crash_rate as f32,
-            seed: opts.seed ^ 0xC4A5_5EED,
-            ..FaultConfig::none()
-        }),
-        checking: false, // measured run: checkers off, like release Quake
-        ..ArenaExperimentConfig::default()
-    };
+    let mut cfg = ArenaExperimentConfig::new(PLAYERS, ARENAS, duration_ns);
+    let dir = &mut cfg.directory;
+    dir.workers = WORKERS;
+    dir.map = MapGenConfig::small_arena(opts.seed);
+    dir.areanode_depth = opts.depth;
+    dir.slots_per_arena = SLOTS;
+    dir.supervision = true;
+    dir.frame_faults = (crash_rate > 0.0).then(|| FaultConfig {
+        panic_per_frame: crash_rate as f32,
+        seed: opts.seed ^ 0xC4A5_5EED,
+        ..FaultConfig::none()
+    });
+    dir.server.checking = false; // measured run: checkers off, like release Quake
     ArenaExperiment::new(cfg).run()
 }
 

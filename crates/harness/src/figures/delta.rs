@@ -27,16 +27,13 @@ pub fn run(opts: &SweepOpts) -> String {
     ] {
         for &players in &opts.players {
             for (name, delta) in [("full", false), ("delta", true)] {
-                let out = Experiment::new(ExperimentConfig {
-                    players,
-                    server: kind,
+                let mut cfg = ExperimentConfig {
                     map: MapGenConfig::eval_arena(opts.seed),
-                    duration_ns: (opts.duration_secs * 1e9) as u64,
-                    delta_compression: delta,
-                    checking: false,
-                    ..ExperimentConfig::default()
-                })
-                .run();
+                    ..ExperimentConfig::new(players, kind, (opts.duration_secs * 1e9) as u64)
+                };
+                cfg.server.delta_compression = delta;
+                cfg.server.checking = false;
+                let out = Experiment::new(cfg).run();
                 let bd = out.server.merged().breakdown;
                 rows.push(vec![
                     format!("{}-{name} {players}p", kind_label(kind)),

@@ -25,23 +25,21 @@ pub fn run(opts: &SweepOpts) -> String {
                 ("static", Assignment::Static),
                 ("region", Assignment::RegionAffine { period_frames: 16 }),
             ] {
-                let out = Experiment::new(ExperimentConfig {
-                    players,
-                    server: ServerKind::Parallel {
-                        threads,
-                        // Optimized locking: region locks are local, so
-                        // spatial clustering can actually show up (the
-                        // baseline's whole-map locks share every leaf
-                        // regardless of assignment).
-                        locking: LockPolicy::Optimized,
-                    },
+                let kind = ServerKind::Parallel {
+                    threads,
+                    // Optimized locking: region locks are local, so
+                    // spatial clustering can actually show up (the
+                    // baseline's whole-map locks share every leaf
+                    // regardless of assignment).
+                    locking: LockPolicy::Optimized,
+                };
+                let mut cfg = ExperimentConfig {
                     map: MapGenConfig::eval_arena(opts.seed),
-                    duration_ns: (opts.duration_secs * 1e9) as u64,
-                    assignment,
-                    checking: false,
-                    ..ExperimentConfig::default()
-                })
-                .run();
+                    ..ExperimentConfig::new(players, kind, (opts.duration_secs * 1e9) as u64)
+                };
+                cfg.server.assignment = assignment;
+                cfg.server.checking = false;
+                let out = Experiment::new(cfg).run();
                 let m = out.server.merged();
                 rows.push(vec![
                     format!("par{threads}-{name} {players}p"),

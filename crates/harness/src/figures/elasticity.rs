@@ -31,25 +31,23 @@ pub const WORKERS: u32 = 2;
 /// 10% quiet tail so the last reap lands inside the run.
 pub fn run_ramp(opts: &SweepOpts) -> ArenaOutcome {
     let duration_ns = (opts.duration_secs * 1e9) as Nanos;
-    let cfg = ArenaExperimentConfig {
-        players: PLAYERS,
-        arenas: BOOT_ARENAS,
-        workers: WORKERS,
-        policy: AdmissionPolicy::FillFirst,
-        map: MapGenConfig::small_arena(opts.seed),
-        areanode_depth: opts.depth,
-        duration_ns,
-        max_arenas: MAX_ARENAS,
-        linger_ns: duration_ns / 20,
-        slots_per_arena: Some(SLOTS),
+    let mut cfg = ArenaExperimentConfig {
         ramp: Some(SwarmRamp::UpDown {
             ramp_up_ns: duration_ns * 3 / 10,
             hold_ns: duration_ns * 4 / 10,
             ramp_down_ns: duration_ns * 2 / 10,
         }),
-        checking: false, // measured run: checkers off, like release Quake
-        ..ArenaExperimentConfig::default()
+        ..ArenaExperimentConfig::new(PLAYERS, BOOT_ARENAS, duration_ns)
     };
+    let dir = &mut cfg.directory;
+    dir.workers = WORKERS;
+    dir.policy = AdmissionPolicy::FillFirst;
+    dir.map = MapGenConfig::small_arena(opts.seed);
+    dir.areanode_depth = opts.depth;
+    dir.max_arenas = MAX_ARENAS;
+    dir.linger_ns = duration_ns / 20;
+    dir.slots_per_arena = SLOTS;
+    dir.server.checking = false; // measured run: checkers off, like release Quake
     ArenaExperiment::new(cfg).run()
 }
 

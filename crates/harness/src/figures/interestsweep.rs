@@ -43,18 +43,19 @@ fn big_world(seed: u64) -> MapGenConfig {
 
 /// Run the saturated world with one interest mode.
 pub fn run_at(interest: InterestMode, opts: &SweepOpts) -> Outcome {
-    let cfg = ExperimentConfig {
-        players: PLAYERS,
-        server: ServerKind::Sequential,
+    let mut cfg = ExperimentConfig {
         map: big_world(opts.seed),
         areanode_depth: opts.depth,
-        duration_ns: (opts.duration_secs * 1e9) as u64,
-        delta_compression: true,
-        interest,
         view_dist: Some(VIEW_DIST),
-        checking: false, // measured run: checkers off, like release Quake
-        ..ExperimentConfig::default()
+        ..ExperimentConfig::new(
+            PLAYERS,
+            ServerKind::Sequential,
+            (opts.duration_secs * 1e9) as u64,
+        )
     };
+    cfg.server.delta_compression = true;
+    cfg.server.interest = interest;
+    cfg.server.checking = false; // measured run: checkers off, like release Quake
     Experiment::new(cfg).run()
 }
 

@@ -32,22 +32,19 @@ pub fn run_loss_config(players: u32, kind: ServerKind, loss: f32, opts: &SweepOp
     } else {
         None
     };
-    let cfg = ExperimentConfig {
-        players,
-        server: kind,
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::eval_arena(opts.seed),
         areanode_depth: opts.depth,
-        duration_ns: (opts.duration_secs * 1e9) as u64,
         fabric: FabricKind::VirtualSmp(VirtualSmpConfig {
             fault,
             ..Default::default()
         }),
-        checking: false,
-        // Loss runs exercise the server-side lifecycle too: silent
-        // slots are reclaimed after 2 virtual seconds.
-        client_timeout_ns: 2_000_000_000,
-        ..ExperimentConfig::default()
+        ..ExperimentConfig::new(players, kind, (opts.duration_secs * 1e9) as u64)
     };
+    cfg.server.checking = false;
+    // Loss runs exercise the server-side lifecycle too: silent slots
+    // are reclaimed after 2 virtual seconds.
+    cfg.server.client_timeout_ns = 2_000_000_000;
     Experiment::new(cfg).run()
 }
 

@@ -50,20 +50,18 @@ pub const SPREAD: u32 = 4;
 /// is the baseline (migration off): everyone grinds in arena 0.
 pub fn run_at(migrate_spread: u32, opts: &SweepOpts) -> ArenaOutcome {
     let duration_ns = (opts.duration_secs * 1e9) as Nanos;
-    let cfg = ArenaExperimentConfig {
-        players: PLAYERS,
-        arenas: ARENAS,
-        workers: WORKERS,
-        policy: AdmissionPolicy::Explicit,
-        map: MapGenConfig::small_arena(opts.seed),
-        areanode_depth: opts.depth,
-        duration_ns,
-        slots_per_arena: Some(SLOTS),
+    let mut cfg = ArenaExperimentConfig {
         request_arena: Some(0),
-        migrate_spread,
-        checking: false, // measured run: checkers off, like release Quake
-        ..ArenaExperimentConfig::default()
+        ..ArenaExperimentConfig::new(PLAYERS, ARENAS, duration_ns)
     };
+    let dir = &mut cfg.directory;
+    dir.workers = WORKERS;
+    dir.policy = AdmissionPolicy::Explicit;
+    dir.map = MapGenConfig::small_arena(opts.seed);
+    dir.areanode_depth = opts.depth;
+    dir.slots_per_arena = SLOTS;
+    dir.migrate_spread = migrate_spread;
+    dir.server.checking = false; // measured run: checkers off, like release Quake
     ArenaExperiment::new(cfg).run()
 }
 

@@ -14,21 +14,20 @@ use parquake::sim::entity::EntityClass;
 fn main() {
     let map_cfg = MapGenConfig::small_arena(0xDEAD);
     let players = 24u32;
-    let exp = Experiment::new(ExperimentConfig {
-        players,
+    let kind = ServerKind::Parallel {
+        threads: 2,
+        locking: LockPolicy::Optimized,
+    };
+    let mut cfg = ExperimentConfig {
         map: map_cfg.clone(),
-        server: ServerKind::Parallel {
-            threads: 2,
-            locking: LockPolicy::Optimized,
-        },
         behavior: BotBehavior {
             attack_chance: 0.20, // trigger-happy bots for a lively match
             ..BotBehavior::deathmatch()
         },
-        duration_ns: 8_000_000_000,
-        checking: false,
-        ..ExperimentConfig::default()
-    });
+        ..ExperimentConfig::new(players, kind, 8_000_000_000)
+    };
+    cfg.server.checking = false;
+    let exp = Experiment::new(cfg);
     let out = exp.run();
 
     println!(

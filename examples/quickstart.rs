@@ -17,15 +17,13 @@ fn main() {
 
     // 64 deathmatch bots against a 4-thread parallel server with the
     // paper's optimized (expanded/directional) locking.
+    let kind = ServerKind::Parallel {
+        threads: 4,
+        locking: LockPolicy::Optimized,
+    };
     let exp = Experiment::new(ExperimentConfig {
-        players: 64,
         map,
-        server: ServerKind::Parallel {
-            threads: 4,
-            locking: LockPolicy::Optimized,
-        },
-        duration_ns: 5_000_000_000, // 5 virtual seconds
-        ..ExperimentConfig::default()
+        ..ExperimentConfig::new(64, kind, 5_000_000_000) // 5 virtual seconds
     });
     let out = exp.run();
 

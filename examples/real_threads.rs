@@ -22,20 +22,19 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     );
-    let exp = Experiment::new(ExperimentConfig {
-        players,
+    let kind = ServerKind::Parallel {
+        threads,
+        locking: LockPolicy::Optimized,
+    };
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::small_arena(99),
-        server: ServerKind::Parallel {
-            threads,
-            locking: LockPolicy::Optimized,
-        },
         fabric: FabricKind::Real,
-        duration_ns: 2_000_000_000,
-        // Enable the lock/claim protocol checkers even in release: this
-        // example exists to exercise the protocol under real preemption.
-        checking: true,
-        ..ExperimentConfig::default()
-    });
+        ..ExperimentConfig::new(players, kind, 2_000_000_000)
+    };
+    // Enable the lock/claim protocol checkers even in release: this
+    // example exists to exercise the protocol under real preemption.
+    cfg.server.checking = true;
+    let exp = Experiment::new(cfg);
     let out = exp.run();
     println!("connected      : {}/{players}", out.connected);
     println!("replies        : {}", out.response.received);

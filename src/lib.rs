@@ -16,15 +16,14 @@
 //! use parquake::prelude::*;
 //!
 //! // A deterministic arena map and a 4-thread parallel server with 64
-//! // bots on the virtual SMP fabric.
+//! // bots sending for 10 virtual seconds on the virtual SMP fabric.
+//! let kind = ServerKind::Parallel {
+//!     threads: 4,
+//!     locking: LockPolicy::Optimized,
+//! };
 //! let exp = Experiment::new(ExperimentConfig {
-//!     players: 64,
 //!     map: MapGenConfig::large_arena(0xC0FFEE),
-//!     server: ServerKind::Parallel {
-//!         threads: 4,
-//!         locking: LockPolicy::Optimized,
-//!     },
-//!     ..ExperimentConfig::default()
+//!     ..ExperimentConfig::new(64, kind, 10_000_000_000)
 //! });
 //! let outcome = exp.run();
 //! println!("{} replies/s", outcome.response_rate());

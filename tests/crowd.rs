@@ -13,6 +13,7 @@ use parquake::math::angles::Angles;
 use parquake::math::vec3::vec3;
 use parquake::math::{Aabb, Pcg32, Vec3};
 use parquake::protocol::{Buttons, MoveCmd};
+use parquake::server::ServerKind;
 use parquake::sim::interact::{
     directional_beam_box, launch_projectile, run_hitscan, HITSCAN_RANGE,
 };
@@ -250,11 +251,11 @@ fn a_default_virtual_time_session_ends_with_no_overlapping_pair() {
     // The figures' own configuration (bots that observe and react, the
     // sequential server on the virtual fabric). Parent: 56 of 128
     // players ended a run inside another player's box.
-    let out = Experiment::new(ExperimentConfig {
-        players: 128,
-        duration_ns: 3_000_000_000,
-        ..ExperimentConfig::default()
-    })
+    let out = Experiment::new(ExperimentConfig::new(
+        128,
+        ServerKind::Sequential,
+        3_000_000_000,
+    ))
     .run();
     assert_eq!(out.connected, 128);
     assert_eq!(overlapping_pairs(&out.world), vec![]);

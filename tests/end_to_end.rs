@@ -1,20 +1,18 @@
 //! Full client/server sessions across server kinds and fabrics.
 
 use parquake::bsp::mapgen::MapGenConfig;
-use parquake::harness::experiment::{Experiment, ExperimentConfig};
+use parquake::harness::experiment::{Experiment, ExperimentConfig, DRAIN_NS};
 use parquake::metrics::Bucket;
 use parquake::server::{LockPolicy, ServerKind};
 
 fn base(players: u32, server: ServerKind) -> ExperimentConfig {
-    ExperimentConfig {
-        players,
-        server,
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::small_arena(11),
-        duration_ns: 2_500_000_000,
         bot_drivers: 4,
-        checking: true, // run the full lock/claim protocol checkers
-        ..ExperimentConfig::default()
-    }
+        ..ExperimentConfig::new(players, server, 2_500_000_000)
+    };
+    cfg.server.checking = true; // run the full lock/claim protocol checkers
+    cfg
 }
 
 #[test]
@@ -130,7 +128,7 @@ fn world_state_advances_and_scores_accumulate() {
             locking: LockPolicy::Optimized,
         },
     );
-    cfg.duration_ns = 4_000_000_000;
+    cfg.server.end_time = 4_000_000_000 + DRAIN_NS;
     let out = Experiment::new(cfg).run();
     // Bots shoot each other: someone must have scored or picked
     // something up after 4 virtual seconds of deathmatch.

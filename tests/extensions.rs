@@ -2,19 +2,18 @@
 //! request batching, one-pass locking, dynamic region-affine assignment.
 
 use parquake::bsp::mapgen::MapGenConfig;
-use parquake::harness::experiment::{Experiment, ExperimentConfig};
+use parquake::harness::experiment::{Experiment, ExperimentConfig, DRAIN_NS};
 use parquake::server::{Assignment, LockPolicy, ServerKind};
 
 fn cfg(players: u32, threads: u32, locking: LockPolicy) -> ExperimentConfig {
-    ExperimentConfig {
-        players,
-        server: ServerKind::Parallel { threads, locking },
+    let kind = ServerKind::Parallel { threads, locking };
+    let mut c = ExperimentConfig {
         map: MapGenConfig::small_arena(17),
-        duration_ns: 2_500_000_000,
         bot_drivers: 4,
-        checking: true,
-        ..ExperimentConfig::default()
-    }
+        ..ExperimentConfig::new(players, kind, 2_500_000_000)
+    };
+    c.server.checking = true;
+    c
 }
 
 #[test]
@@ -35,7 +34,7 @@ fn one_pass_locking_never_relocks() {
 fn batching_raises_frame_participation() {
     let run = |batch_ms: u64| {
         let mut c = cfg(32, 4, LockPolicy::Optimized);
-        c.frame_batch_ns = batch_ms * 1_000_000;
+        c.server.frame_batch_ns = batch_ms * 1_000_000;
         let out = Experiment::new(c).run();
         let fs = &out.server.frames;
         (
@@ -62,8 +61,8 @@ fn batching_raises_frame_participation() {
 fn region_affine_assignment_moves_ownership_and_reduces_sharing() {
     let run = |assignment: Assignment| {
         let mut c = cfg(48, 4, LockPolicy::Optimized);
-        c.assignment = assignment;
-        c.duration_ns = 3_000_000_000;
+        c.server.assignment = assignment;
+        c.server.end_time = 3_000_000_000 + DRAIN_NS;
         Experiment::new(c).run()
     };
     let stat = run(Assignment::Static);
@@ -109,8 +108,8 @@ fn static_assignment_keeps_block_ownership() {
 fn delta_compression_preserves_gameplay_and_shrinks_replies() {
     let run = |delta: bool| {
         let mut c = cfg(32, 2, LockPolicy::Optimized);
-        c.delta_compression = delta;
-        c.duration_ns = 3_000_000_000;
+        c.server.delta_compression = delta;
+        c.server.end_time = 3_000_000_000 + DRAIN_NS;
         Experiment::new(c).run()
     };
     let full = run(false);

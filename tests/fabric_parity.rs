@@ -9,19 +9,18 @@ use parquake::harness::experiment::{Experiment, ExperimentConfig};
 use parquake::server::{LockPolicy, ServerKind};
 
 fn cfg(fabric: FabricKind, duration_ns: u64) -> ExperimentConfig {
-    ExperimentConfig {
-        players: 8,
-        server: ServerKind::Parallel {
-            threads: 2,
-            locking: LockPolicy::Optimized,
-        },
+    let kind = ServerKind::Parallel {
+        threads: 2,
+        locking: LockPolicy::Optimized,
+    };
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::small_arena(77),
-        duration_ns,
         fabric,
         bot_drivers: 2,
-        checking: true,
-        ..ExperimentConfig::default()
-    }
+        ..ExperimentConfig::new(8, kind, duration_ns)
+    };
+    cfg.server.checking = true;
+    cfg
 }
 
 #[test]

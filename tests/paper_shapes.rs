@@ -8,16 +8,13 @@ use parquake::metrics::Bucket;
 use parquake::server::{LockPolicy, ServerKind};
 
 fn run(players: u32, server: ServerKind) -> Outcome {
-    Experiment::new(ExperimentConfig {
-        players,
-        server,
+    let mut cfg = ExperimentConfig {
         map: MapGenConfig::small_arena(31),
-        duration_ns: 3_000_000_000,
         bot_drivers: 4,
-        checking: false,
-        ..ExperimentConfig::default()
-    })
-    .run()
+        ..ExperimentConfig::new(players, server, 3_000_000_000)
+    };
+    cfg.server.checking = false;
+    Experiment::new(cfg).run()
 }
 
 /// A sequential server counts as saturated when its thread idles for
@@ -120,15 +117,12 @@ fn world_update_is_a_small_fraction_at_saturation() {
     // ms of a 2-s run, and its share 2.1 % → 0.8 %, although teleports,
     // pickups and respawns now actually happen.
     let (players, out) = first_saturated(|players| {
-        Experiment::new(ExperimentConfig {
-            players,
-            server: ServerKind::Sequential,
+        let mut cfg = ExperimentConfig {
             map: MapGenConfig::eval_arena(31),
-            duration_ns: 2_000_000_000,
-            checking: false,
-            ..ExperimentConfig::default()
-        })
-        .run()
+            ..ExperimentConfig::new(players, ServerKind::Sequential, 2_000_000_000)
+        };
+        cfg.server.checking = false;
+        Experiment::new(cfg).run()
     });
     let bd = out.server.merged().breakdown;
     let share = bd.fraction_non_idle(Bucket::World);
@@ -184,17 +178,14 @@ fn deeper_areanode_trees_lock_smaller_world_fractions() {
     };
     let mut prev = f64::INFINITY;
     for depth in [1u32, 3, 5] {
-        let out = Experiment::new(ExperimentConfig {
-            players: 24,
-            server: kind,
+        let mut cfg = ExperimentConfig {
             map: MapGenConfig::small_arena(31),
             areanode_depth: depth,
-            duration_ns: 2_000_000_000,
             bot_drivers: 4,
-            checking: false,
-            ..ExperimentConfig::default()
-        })
-        .run();
+            ..ExperimentConfig::new(24, kind, 2_000_000_000)
+        };
+        cfg.server.checking = false;
+        let out = Experiment::new(cfg).run();
         let frac = out.server.merged().lock.avg_distinct_leaf_percent();
         assert!(
             frac < prev,
