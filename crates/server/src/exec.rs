@@ -8,7 +8,8 @@
 //! the mover, and releases everything. Long-range actions run as a
 //! second locking phase whose region depends on the policy:
 //! the whole map under `Baseline`, a directional beam or expanded box
-//! under `Optimized` (§4.3).
+//! under `Optimized` (§4.3). What a hitscan *queries* is its line of
+//! fire up to the wall, under every policy.
 //!
 //! The same executor drives the sequential server with `policy: None`
 //! — no lock plan is computed and no lock calls are made, exactly like
@@ -318,7 +319,7 @@ pub fn execute_move_at(
     // of the motion region and a conservatively inflated action region
     // and acquire it once; no leaf is re-locked within the request.
     let initial_region = if one_pass && buttons.long_range() {
-        move_bbox.union(&one_pass_action_region(env, &me, cmd, buttons))
+        move_bbox.union(&one_pass_action_region(&me, cmd, buttons))
     } else {
         move_bbox
     };
@@ -401,16 +402,9 @@ pub fn execute_move_at(
     // ---- Phase B: long-range action ---------------------------------
     if buttons.long_range() {
         let after = env.world.store.snapshot(mover);
-        let attack = buttons.has(Buttons::ATTACK);
-        // Nothing is locked and nobody else runs: the shooter cannot
-        // change before the hitscan, so trace now and let the wall clip
-        // the gather. A locking policy traces under its locks instead —
-        // the shooter may be hit while it waits for them.
-        let beam = (attack && env.policy.is_none() && after.is_live_player())
-            .then(|| Beam::trace(env.world, &after, &mut work));
+        let lock = action_region_for(env, &after, buttons);
         // Under one-pass locking the region is already covered by the
-        // initial acquisition and only queried here.
-        let region = action_region_for(env, &after, buttons, beam.as_ref());
+        // initial acquisition.
         let mut action_plan = LeafSet::new();
         if one_pass {
             action_plan.merge(&plan);
@@ -419,7 +413,7 @@ pub fn execute_move_at(
                 env,
                 ctx,
                 task,
-                &region,
+                &lock,
                 &mut action_plan,
                 &mut lock_ns,
                 stats,
@@ -428,6 +422,19 @@ pub fn execute_move_at(
                 &mut request_distinct,
             );
         }
+        // The shooter may have been hit while it waited for the locks;
+        // from here on they cover it, so nobody else can touch it. A
+        // live shooter's line of fire reads only the static map and the
+        // shooter: trace it and query up to the wall, whatever region
+        // the policy had to lock.
+        let me = if env.policy.is_some() {
+            env.world.store.snapshot(mover)
+        } else {
+            after
+        };
+        let beam = (buttons.has(Buttons::ATTACK) && me.is_live_player())
+            .then(|| Beam::trace(env.world, &me, &mut work));
+        let region = action_query(&lock, beam.as_ref());
         gather_candidates(
             env,
             ctx,
@@ -447,20 +454,14 @@ pub fn execute_move_at(
             lock_ns += ctx.now() - t0;
         }
         claim_all(env, task, mover, candidates);
-        if attack {
-            let me = env.world.store.snapshot(mover);
-            if me.is_live_player() {
-                let beam = beam.unwrap_or_else(|| Beam::trace(env.world, &me, &mut work));
-                if let Some(hit) =
-                    hitscan_along(env.world, task, mover, &beam, candidates, &mut work)
-                {
-                    outcome.events.push(GameEvent {
-                        kind: GameEventKind::Hit,
-                        a: mover,
-                        b: hit.victim,
-                        pos: hit.pos,
-                    });
-                }
+        if let Some(beam) = &beam {
+            if let Some(hit) = hitscan_along(env.world, task, mover, beam, candidates, &mut work) {
+                outcome.events.push(GameEvent {
+                    kind: GameEventKind::Hit,
+                    a: mover,
+                    b: hit.victim,
+                    pos: hit.pos,
+                });
             }
         }
         if buttons.has(Buttons::THROW) {
@@ -505,26 +506,33 @@ pub struct ExecOutcome {
     pub events: Vec<GameEvent>,
 }
 
-/// The lock *and* query region for a long-range action (paper §4.3).
-/// The whole map is `Baseline`'s locking rule and nothing else: every
-/// other policy, and the lock-free frame, works on the directional beam
-/// box (hitscan — clipped at the wall when `beam` is already traced) or
-/// the expanded box (thrown projectile, completed in the world phase).
-fn action_region_for(
-    env: &ExecEnv<'_>,
-    me: &parquake_sim::Entity,
-    buttons: Buttons,
-    beam: Option<&Beam>,
-) -> Aabb {
+/// The lock region for a long-range action (paper §4.3): the whole map
+/// under `Baseline`; under every other policy, and in the lock-free
+/// frame, the directional beam box (hitscan) or the expanded box
+/// (thrown projectile, completed in the world phase). What the action
+/// queries inside it is [`action_query`].
+fn action_region_for(env: &ExecEnv<'_>, me: &parquake_sim::Entity, buttons: Buttons) -> Aabb {
     if env.policy == Some(LockPolicy::Baseline) {
-        return env.world.map.bounds;
+        env.world.map.bounds
+    } else if buttons.has(Buttons::ATTACK) {
+        directional_beam_box(me.eye(), Angles::new(me.pitch, me.yaw, 0.0), HITSCAN_RANGE)
+    } else {
+        me.abs_box().inflated(Vec3::splat(EXPANDED_LOCK_MARGIN))
     }
-    if !buttons.has(Buttons::ATTACK) {
-        return me.abs_box().inflated(Vec3::splat(EXPANDED_LOCK_MARGIN));
-    }
-    match beam {
-        Some(beam) => beam.reach_box(),
-        None => directional_beam_box(me.eye(), Angles::new(me.pitch, me.yaw, 0.0), HITSCAN_RANGE),
+}
+
+/// What a long-range action queries once the leaves of `lock` are held:
+/// a live shooter's line of fire up to the wall when it lies inside
+/// `lock`, else `lock` itself. Either way every object the query can
+/// reach lies wholly inside the locked leaves ([`LOCK_COVERAGE_MARGIN`]
+/// covers what intersects `lock`, not what lies beyond it). The line of
+/// fire leaves `lock` only when the shooter moved after `lock` was
+/// computed — a client whose moves run on two threads at once, a
+/// dynamic-assignment port switch.
+pub fn action_query(lock: &Aabb, beam: Option<&Beam>) -> Aabb {
+    match beam.map(Beam::reach_box) {
+        Some(reach) if lock.contains(&reach) => reach,
+        _ => *lock,
     }
 }
 
@@ -532,13 +540,7 @@ fn action_region_for(
 /// region computed from the *command's* view angles at the pre-move
 /// position, inflated by the maximum travel distance so it still covers
 /// the post-move region.
-fn one_pass_action_region(
-    env: &ExecEnv<'_>,
-    me: &parquake_sim::Entity,
-    cmd: &MoveCmd,
-    buttons: Buttons,
-) -> Aabb {
-    let _ = env;
+fn one_pass_action_region(me: &parquake_sim::Entity, cmd: &MoveCmd, buttons: Buttons) -> Aabb {
     let slack = parquake_sim::movement::max_move_distance(cmd.msec) + 8.0;
     let region = if buttons.has(Buttons::ATTACK) {
         directional_beam_box(

@@ -108,9 +108,11 @@ pub struct ServerConfig {
     /// default in debug builds).
     pub checking: bool,
     /// Request batching window (paper §5.2 future work): the frame
-    /// master waits this long before the world update so that more
-    /// threads join the frame instead of missing it. 0 = the paper's
-    /// measured behaviour.
+    /// master waits up to this long before the world update so that
+    /// more threads join the frame instead of missing it. The window
+    /// closes as soon as every thread has joined, so it only costs
+    /// latency while some thread is still missing (and nothing on a
+    /// 1-thread server). 0 = the paper's measured behaviour.
     pub frame_batch_ns: Nanos,
     /// Player-to-thread assignment scheme.
     pub assignment: Assignment,

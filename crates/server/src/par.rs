@@ -9,7 +9,10 @@
 //!    becomes the frame **master** and runs the world update; threads
 //!    arriving while it runs wait at the world gate (*inter-frame
 //!    wait*). Threads arriving after the gate opened missed the frame
-//!    and wait for the frame-end signal.
+//!    and wait for the frame-end signal. With a batching window
+//!    (`frame_batch_ns`, §5.2) the master first waits for joiners on
+//!    its condition variable; the window closes at its deadline or the
+//!    moment the last thread joins, whichever comes first.
 //! 2. Participants drain their private request queues under the region
 //!    locking policy.
 //! 3. Participants wait for each other at the intra-frame barrier
@@ -64,6 +67,8 @@ struct Ctrl {
     world_cv: CondId,
     intra_cv: CondId,
     frame_end_cv: CondId,
+    /// The master's own: it waits here for the last joiner during the
+    /// batching window, and for the last finisher at frame end.
     master_cv: CondId,
     state: UnsafeCell<CtrlState>,
 }
@@ -216,15 +221,24 @@ fn worker(
                 st.frame_no += 1;
                 st.frame_start = ctx.now();
                 frame_no = st.frame_no;
-                ctrl.exit(ctx);
 
                 // Optional request batching (paper §5.2): give other
                 // threads' requests time to arrive and join the frame.
-                if shared.frame_batch_ns > 0 {
-                    let t0 = ctx.now();
-                    ctx.sleep_until(t0 + shared.frame_batch_ns);
+                // The window closes early once every thread has joined:
+                // nobody is left to wait for.
+                if shared.frame_batch_ns > 0 && shared.threads > 1 {
+                    let t0 = st.frame_start;
+                    let deadline = t0 + shared.frame_batch_ns;
+                    while ctrl.state().participants < shared.threads {
+                        let (_, timed_out) =
+                            ctx.cond_wait_until(ctrl.master_cv, ctrl.lock, deadline);
+                        if timed_out {
+                            break;
+                        }
+                    }
                     stats.breakdown.add(Bucket::Idle, ctx.now() - t0);
                 }
+                ctrl.exit(ctx);
 
                 // P: world physics (master only).
                 let t0 = ctx.now();
@@ -241,6 +255,10 @@ fn worker(
                 st.participants += 1;
                 st.participant_mask |= 1 << t;
                 frame_no = st.frame_no;
+                if shared.frame_batch_ns > 0 && st.participants == shared.threads {
+                    // The last thread is in: close the master's window.
+                    ctx.cond_signal(ctrl.master_cv);
+                }
                 let t0 = ctx.now();
                 while !ctrl.state().world_done {
                     ctx.cond_wait(ctrl.world_cv, ctrl.lock);

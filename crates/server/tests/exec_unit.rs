@@ -5,13 +5,18 @@ use std::sync::{Arc, Mutex};
 use parquake_areanode::LeafSet;
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{Fabric, FabricKind, TaskCtx};
+use parquake_math::angles::Angles;
+use parquake_math::vec3::vec3;
 use parquake_math::{Pcg32, Vec3};
 use parquake_metrics::ThreadStats;
 use parquake_protocol::{Buttons, MoveCmd};
-use parquake_server::exec::{execute_move, ExecEnv, RegionLocks, LOCK_COVERAGE_MARGIN};
+use parquake_server::exec::{
+    action_query, execute_move, ExecEnv, RegionLocks, LOCK_COVERAGE_MARGIN,
+};
 use parquake_server::{CostModel, LockPolicy};
-use parquake_sim::movement::move_bounding_box;
-use parquake_sim::GameWorld;
+use parquake_sim::interact::{directional_beam_box, Beam, HITSCAN_RANGE};
+use parquake_sim::movement::{max_move_distance, move_bounding_box};
+use parquake_sim::{GameWorld, WorkCounters};
 
 fn world(players: u16) -> Arc<GameWorld> {
     let map = Arc::new(MapGenConfig::small_arena(33).generate());
@@ -187,4 +192,75 @@ fn lock_coverage_margin_fully_covers_every_reachable_entity() {
             w.relink_unlocked(idx);
         }
     }
+}
+
+/// The same property for a hitscan whose shooter moved between the
+/// phase-B lock region and the query: a client whose moves run on two
+/// threads at once (a dynamic-assignment port switch) can walk and turn
+/// the shooter in between. Whatever `action_query` returns, every
+/// object it can reach — any box of up to the largest entity's extent
+/// touching the query — must lie wholly inside the locked leaves.
+#[test]
+fn a_moved_shooters_query_stays_inside_its_locked_leaves() {
+    let w = world(1);
+    // Largest entity extents: 48 across (teleporters), 56 tall (players
+    // and items).
+    let reach_of_a_candidate = vec3(48.0, 48.0, 56.0);
+    let step = max_move_distance(30);
+    let b = w.map.bounds;
+    let mut rng = Pcg32::seeded(28);
+    let (mut plan, mut touched) = (LeafSet::new(), LeafSet::new());
+    let (mut line_of_fire, mut off_the_lock_within_margin) = (0, 0);
+    for _ in 0..4000 {
+        let p = vec3(
+            rng.range_f32(b.min.x + 64.0, b.max.x - 64.0),
+            rng.range_f32(b.min.y + 64.0, b.max.y - 64.0),
+            40.0,
+        );
+        if !w.map.player_fits(p) {
+            continue;
+        }
+        let (yaw, pitch) = (rng.range_f32(-180.0, 180.0), rng.range_f32(-40.0, 40.0));
+        // Phase B's lock region, from where the shooter stood then…
+        w.store
+            .with_mut(0, 0, |e| (e.pos, e.yaw, e.pitch) = (p, yaw, pitch));
+        let me = w.store.snapshot(0);
+        let lock = directional_beam_box(me.eye(), Angles::new(pitch, yaw, 0.0), HITSCAN_RANGE);
+        w.tree
+            .leaves_overlapping(&lock.inflated(Vec3::splat(LOCK_COVERAGE_MARGIN)), &mut plan);
+        // …and its line of fire after another thread's move of it.
+        let moved = p + vec3(rng.range_f32(-step, step), rng.range_f32(-step, step), 0.0);
+        w.store.with_mut(0, 0, |e| {
+            e.pos = moved;
+            e.yaw = yaw + rng.range_f32(-20.0, 20.0);
+            e.pitch = pitch + rng.range_f32(-10.0, 10.0);
+        });
+        let beam = Beam::trace(&w, &w.store.snapshot(0), &mut WorkCounters::new());
+        let reach = beam.reach_box();
+        let query = action_query(&lock, Some(&beam));
+        if query == reach {
+            line_of_fire += 1;
+        } else if lock
+            .inflated(Vec3::splat(LOCK_COVERAGE_MARGIN))
+            .contains(&reach)
+        {
+            off_the_lock_within_margin += 1;
+        }
+        w.tree
+            .leaves_overlapping(&query.inflated(reach_of_a_candidate), &mut touched);
+        for &leaf in touched.ids() {
+            assert!(
+                plan.contains(leaf),
+                "shooter moved {p:?} → {moved:?}: query {query:?} reaches unlocked leaf {leaf}"
+            );
+        }
+    }
+    // Both cases occur: the line of fire still inside the lock region,
+    // and outside it by less than the margin (where an object the line
+    // of fire reaches can overlap a leaf nobody locked).
+    assert!(line_of_fire >= 100, "{line_of_fire} lines of fire queried");
+    assert!(
+        off_the_lock_within_margin >= 100,
+        "{off_the_lock_within_margin} lines of fire left the lock region within its margin"
+    );
 }

@@ -1,14 +1,21 @@
-//! Equivalence oracle for the lock-free frame's long-range gathers.
+//! Equivalence oracle for the long-range gathers.
 //!
-//! With `policy: None` an `ATTACK` gathers along the beam box clipped
-//! at the wall and a `THROW` around the expanded box; the whole map is
-//! `Baseline`'s locking rule only. The game must not notice: over
-//! seeded worlds the same long-range move runs through `execute_move`
-//! on one world and, on an identical twin, through a reference that
-//! gathers every entity on the map and calls the public `run_hitscan` /
-//! `launch_projectile` itself. Events, world hash and every entity must
-//! come out identical, and the clipped gather may never examine more
-//! link entries than the whole-map one.
+//! Under every policy, and in the lock-free frame (`policy: None`), an
+//! `ATTACK` by a live shooter gathers along its beam box clipped at the
+//! wall; what a policy *locks* for it — the whole map under `Baseline`,
+//! the directional beam box under `Optimized` / `OnePass` — is its
+//! locking rule only. Anything else (a `THROW`, a dead shooter) queries
+//! what the policy locks, the expanded box in the lock-free frame. The
+//! game must not notice: over seeded worlds the same long-range move
+//! runs through `execute_move` on one world and, on an identical twin,
+//! through a reference that gathers every entity in the full region
+//! (the whole map in the lock-free frame and under `Baseline`, the
+//! region the policy locks otherwise) and calls the public
+//! `run_hitscan` / `launch_projectile` itself. Events, world hash and
+//! every entity must come out identical, and the clipped gather may
+//! never examine more link entries than the full one. Each run is the
+//! only task of a virtual fabric, so a locking policy takes its locks
+//! uncontended.
 
 use std::sync::{Arc, Mutex};
 
@@ -17,13 +24,15 @@ use parquake_bsp::BspWorld;
 use parquake_fabric::{Fabric, FabricKind, Nanos, TaskCtx};
 use parquake_math::angles::Angles;
 use parquake_math::vec3::vec3;
-use parquake_math::Pcg32;
+use parquake_math::{Aabb, Pcg32, Vec3};
 use parquake_metrics::ThreadStats;
 use parquake_protocol::{Buttons, GameEvent, GameEventKind, MoveCmd};
 use parquake_server::exec::{execute_move, ExecEnv, RegionLocks};
-use parquake_server::CostModel;
+use parquake_server::{CostModel, LockPolicy};
 use parquake_sim::entity::{Entity, EntityClass, EntityId};
-use parquake_sim::interact::{launch_projectile, run_hitscan, Beam};
+use parquake_sim::interact::{
+    directional_beam_box, launch_projectile, run_hitscan, Beam, EXPANDED_LOCK_MARGIN, HITSCAN_RANGE,
+};
 use parquake_sim::movement::{PLAYER_MAXS, PLAYER_MINS};
 use parquake_sim::{GameWorld, WorkCounters};
 
@@ -102,12 +111,13 @@ struct Outcome {
     entities: Vec<Entity>,
 }
 
-/// Run `body` as the only task of a fresh virtual fabric, lock-free
-/// (`policy: None`), under a cost model that charges one nanosecond per
-/// link entry a gather examines and nothing else: the task's clock then
+/// Run `body` as the only task of a fresh virtual fabric under
+/// `policy`, with a cost model that charges one nanosecond per link
+/// entry a gather examines and nothing else: the task's clock then
 /// counts `WorkCounters::candidates`. Returns the outcome and that
 /// count.
-fn lock_free(
+fn on_fabric(
+    policy: Option<LockPolicy>,
     w: GameWorld,
     body: impl FnOnce(&ExecEnv<'_>, &TaskCtx) -> Vec<GameEvent> + Send + 'static,
 ) -> (Outcome, Nanos) {
@@ -127,7 +137,7 @@ fn lock_free(
                 world: &w,
                 locks: &locks,
                 cost: &cost,
-                policy: None,
+                policy,
                 commit_log: None,
             };
             let events = body(&env, ctx);
@@ -148,19 +158,42 @@ fn lock_free(
 }
 
 /// The move as the server runs it.
-fn through_execute_move(w: GameWorld, cmd: MoveCmd) -> (Outcome, Nanos) {
-    lock_free(w, move |env, ctx| {
+fn through_execute_move(
+    policy: Option<LockPolicy>,
+    w: GameWorld,
+    cmd: MoveCmd,
+) -> (Outcome, Nanos) {
+    on_fabric(policy, w, move |env, ctx| {
         let mut stats = ThreadStats::new();
         execute_move(env, ctx, 0, SHOOTER, &cmd, &mut stats, &mut 0).events
     })
 }
 
+/// The full region of the reference's gather for `me`, the shooter after
+/// its motion: the whole map where that is what the lock-free frame
+/// gathered before its gathers were sized, or what `Baseline` locks;
+/// otherwise the region `Optimized` and `OnePass` lock for the action
+/// at the shooter's post-move position (paper §4.3).
+fn full_region(policy: Option<LockPolicy>, w: &GameWorld, me: &Entity, buttons: Buttons) -> Aabb {
+    match policy {
+        None | Some(LockPolicy::Baseline) => w.map.bounds,
+        Some(_) if buttons.has(Buttons::ATTACK) => {
+            directional_beam_box(me.eye(), Angles::new(me.pitch, me.yaw, 0.0), HITSCAN_RANGE)
+        }
+        Some(_) => me.abs_box().inflated(Vec3::splat(EXPANDED_LOCK_MARGIN)),
+    }
+}
+
 /// The reference: the motion through `execute_move` with the long-range
-/// buttons released, then the action over a gather of the whole map —
-/// every node of the tree, every link entry, as the lock-free frame did
-/// before its gathers were sized to the action.
-fn through_whole_map_gather(w: GameWorld, cmd: MoveCmd) -> (Outcome, Nanos) {
-    lock_free(w, move |env, ctx| {
+/// buttons released, then the action over a gather of the full region —
+/// every node of the tree it overlaps, every link entry there, as the
+/// executor gathered before its queries were sized to the line of fire.
+fn through_full_region_gather(
+    policy: Option<LockPolicy>,
+    w: GameWorld,
+    cmd: MoveCmd,
+) -> (Outcome, Nanos) {
+    on_fabric(policy, w, move |env, ctx| {
         let now = ctx.now();
         let walk = MoveCmd {
             buttons: Buttons(cmd.buttons.0 & !(Buttons::ATTACK | Buttons::THROW)),
@@ -170,19 +203,20 @@ fn through_whole_map_gather(w: GameWorld, cmd: MoveCmd) -> (Outcome, Nanos) {
         let mut events = execute_move(env, ctx, 0, SHOOTER, &walk, &mut stats, &mut 0).events;
 
         let w = env.world;
+        let buttons = Buttons(cmd.buttons.0);
+        let region = full_region(policy, w, &w.store.snapshot(SHOOTER), buttons);
         let mut work = WorkCounters::new();
         let (mut nodes, mut raw, mut everyone) = (Vec::new(), Vec::new(), Vec::new());
-        w.tree.nodes_overlapping(&w.map.bounds, &mut nodes);
+        w.tree.nodes_overlapping(&region, &mut nodes);
         for &node in &nodes {
             raw.clear();
             w.links.extend_into(node, 0, &mut raw);
             work.candidates += raw.len() as u64;
             everyone.extend(raw.iter().map(|&id| id as EntityId).filter(|&id| {
                 let e = w.store.snapshot(id);
-                e.active && e.abs_box().intersects(&w.map.bounds)
+                e.active && e.abs_box().intersects(&region)
             }));
         }
-        let buttons = Buttons(cmd.buttons.0);
         if buttons.has(Buttons::ATTACK) {
             if let Some(hit) = run_hitscan(w, 0, SHOOTER, &everyone, &mut work) {
                 events.push(GameEvent {
@@ -203,10 +237,12 @@ fn through_whole_map_gather(w: GameWorld, cmd: MoveCmd) -> (Outcome, Nanos) {
     })
 }
 
-#[test]
-fn sized_gathers_play_the_same_game_as_the_whole_map_gather() {
+/// Run the 240 seeded worlds under `policy` against the full-region
+/// reference. Returns the link entries the sized gathers examined, world
+/// by world, and the full region's total.
+fn seeded_worlds_match_the_full_region_gather(policy: Option<LockPolicy>) -> (Vec<Nanos>, u64) {
     let (mut hits, mut launches) = (0u32, 0u32);
-    let (mut sized_total, mut whole_total) = (0u64, 0u64);
+    let (mut sized_by_world, mut full_total) = (Vec::new(), 0u64);
     let maps = maps();
     for seed in 0..240u64 {
         let (world, cmd) = seeded_world(seed, &maps);
@@ -214,17 +250,18 @@ fn sized_gathers_play_the_same_game_as_the_whole_map_gather() {
         assert_eq!(world.world_hash(), twin.world_hash(), "seed {seed}: twins");
         assert_eq!(cmd, twin_cmd);
 
-        let (got, sized) = through_execute_move(world, cmd);
-        let (want, whole) = through_whole_map_gather(twin, cmd);
-        assert_eq!(got.events, want.events, "seed {seed}: events ({cmd:?})");
-        assert_eq!(got.hash, want.hash, "seed {seed}: world hash ({cmd:?})");
-        assert_eq!(got.entities, want.entities, "seed {seed}: entities");
+        let (got, sized) = through_execute_move(policy, world, cmd);
+        let (want, full) = through_full_region_gather(policy, twin, cmd);
+        let case = format!("{policy:?}, seed {seed}");
+        assert_eq!(got.events, want.events, "{case}: events ({cmd:?})");
+        assert_eq!(got.hash, want.hash, "{case}: world hash ({cmd:?})");
+        assert_eq!(got.entities, want.entities, "{case}: entities");
         assert!(
-            sized <= whole,
-            "seed {seed}: the sized gather examined {sized} link entries, the whole map has {whole}"
+            sized <= full,
+            "{case}: the sized gather examined {sized} link entries, the full region has {full}"
         );
-        sized_total += sized;
-        whole_total += whole;
+        sized_by_world.push(sized);
+        full_total += full;
         hits += got
             .events
             .iter()
@@ -237,12 +274,50 @@ fn sized_gathers_play_the_same_game_as_the_whole_map_gather() {
             .count() as u32;
     }
     // The worlds must exercise what they compare.
-    assert!(hits >= 20, "only {hits} beams found a victim");
-    assert!(launches >= 60, "only {launches} projectiles launched");
+    assert!(hits >= 20, "{policy:?}: only {hits} beams found a victim");
     assert!(
-        sized_total * 2 < whole_total,
-        "sized gathers examined {sized_total} link entries against {whole_total}: nothing shrank"
+        launches >= 60,
+        "{policy:?}: only {launches} projectiles launched"
     );
+    (sized_by_world, full_total)
+}
+
+#[test]
+fn sized_gathers_play_the_same_game_as_the_whole_map_gather() {
+    let (sized, whole) = seeded_worlds_match_the_full_region_gather(None);
+    let sized: Nanos = sized.iter().sum();
+    assert!(
+        sized * 2 < whole,
+        "sized gathers examined {sized} link entries against {whole}: nothing shrank"
+    );
+}
+
+/// A locking policy decides what a hitscan locks, not what it queries:
+/// under each, the seeded worlds examine fewer link entries than their
+/// full lock regions hold — under `Optimized` and `OnePass`, whose
+/// throws also query what they lock, exactly the entries the lock-free
+/// frame examines, world by world.
+#[test]
+fn locked_hitscans_query_only_their_line_of_fire() {
+    let (lock_free, _) = seeded_worlds_match_the_full_region_gather(None);
+    for policy in [
+        LockPolicy::Baseline,
+        LockPolicy::Optimized,
+        LockPolicy::OnePass,
+    ] {
+        let (sized, full) = seeded_worlds_match_the_full_region_gather(Some(policy));
+        if policy != LockPolicy::Baseline {
+            assert_eq!(
+                sized, lock_free,
+                "{policy:?}: the query depends on the policy"
+            );
+        }
+        let sized: Nanos = sized.iter().sum();
+        assert!(
+            sized < full,
+            "{policy:?}: sized gathers examined {sized} link entries against {full}: nothing shrank"
+        );
+    }
 }
 
 /// A hall, the shooter looking due east at its far wall, and one victim
@@ -270,7 +345,7 @@ fn victim_at_the_wall(gap: f32) -> (GameWorld, MoveCmd) {
         buttons: Buttons(0),
         ..cmd
     };
-    let (after, _) = through_execute_move(trial, walk);
+    let (after, _) = through_execute_move(None, trial, walk);
     let me = after.entities[SHOOTER as usize];
     let scratch = build();
     let beam = Beam::trace(&scratch, &me, &mut WorkCounters::new());
@@ -296,13 +371,16 @@ fn victim_at_the_wall(gap: f32) -> (GameWorld, MoveCmd) {
 
 #[test]
 fn a_victim_one_unit_before_the_wall_is_hit_and_one_just_behind_it_is_not() {
-    for (gap, hit) in [(1.0, true), (-1.0, false)] {
+    for (policy, gap, hit) in [None, Some(LockPolicy::Optimized)]
+        .into_iter()
+        .flat_map(|p| [(p, 1.0, true), (p, -1.0, false)])
+    {
         let (world, cmd) = victim_at_the_wall(gap);
         let (twin, _) = victim_at_the_wall(gap);
-        let (got, sized) = through_execute_move(world, cmd);
-        let (want, whole) = through_whole_map_gather(twin, cmd);
-        assert_eq!(got, want, "gap {gap}");
-        assert!(sized <= whole);
+        let (got, sized) = through_execute_move(policy, world, cmd);
+        let (want, full) = through_full_region_gather(policy, twin, cmd);
+        assert_eq!(got, want, "{policy:?}, gap {gap}");
+        assert!(sized <= full);
         let hits: Vec<_> = got
             .events
             .iter()
@@ -312,11 +390,14 @@ fn a_victim_one_unit_before_the_wall_is_hit_and_one_just_behind_it_is_not() {
             assert_eq!(
                 hits.len(),
                 1,
-                "gap {gap}: the victim stands before the wall"
+                "{policy:?}, gap {gap}: the victim stands before the wall"
             );
             assert_eq!((hits[0].a, hits[0].b), (0, 1));
         } else {
-            assert!(hits.is_empty(), "gap {gap}: the wall shields the victim");
+            assert!(
+                hits.is_empty(),
+                "{policy:?}, gap {gap}: the wall shields the victim"
+            );
         }
     }
 }

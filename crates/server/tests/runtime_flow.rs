@@ -5,13 +5,13 @@
 use std::sync::{Arc, Mutex};
 
 use parquake_bsp::mapgen::MapGenConfig;
-use parquake_fabric::{Fabric, FabricKind};
+use parquake_fabric::{Fabric, FabricKind, Nanos};
 use parquake_interest::InterestStats;
-use parquake_metrics::ThreadStats;
-use parquake_protocol::{ClientMessage, Decode, MoveCmd, ServerMessage};
+use parquake_metrics::{FrameSample, ThreadStats};
+use parquake_protocol::{ClientMessage, Decode, Encode, MoveCmd, ServerMessage};
 use parquake_server::clients::SlotState;
 use parquake_server::runtime::ServerShared;
-use parquake_server::{Assignment, LockPolicy, ServerConfig, ServerKind};
+use parquake_server::{spawn_server, Assignment, CostModel, LockPolicy, ServerConfig, ServerKind};
 use parquake_sim::GameWorld;
 
 fn make_shared(
@@ -613,5 +613,106 @@ fn mixed_legacy_and_trailered_clients_share_a_server() {
     assert!(
         p.perturb >= 1,
         "the 3..4 gap must bump the perturbation epoch"
+    );
+}
+
+/// The §5.2 batching window of a 2-thread parallel server.
+const WINDOW_NS: Nanos = 10_000_000;
+/// When the clients of [`batched_frame`] send their moves.
+const MOVES_AT: Nanos = 50_000_000;
+
+/// A 2-thread parallel server with a 10 ms batching window, under a
+/// cost model that charges nothing: a frame's duration is then exactly
+/// the time its master spent waiting for joiners. Client 0 plays on
+/// thread 0's port and client 1 on thread 1's; both connect (twice: the
+/// first Connect claims the slot, the second starts the frame whose
+/// world update spawns the player). At `MOVES_AT` client 0 moves and,
+/// when `both`, client 1 moves at the same instant. Returns the frame
+/// that ran those moves.
+fn batched_frame(both: bool) -> FrameSample {
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let map = Arc::new(MapGenConfig::small_arena(9).generate());
+    let world = Arc::new(GameWorld::new(map, 4, 4));
+    let kind = ServerKind::Parallel {
+        threads: 2,
+        locking: LockPolicy::Optimized,
+    };
+    let cfg = ServerConfig {
+        cost: CostModel::default().scaled(0.0),
+        frame_batch_ns: WINDOW_NS,
+        ..ServerConfig::new(kind, 2 * MOVES_AT)
+    };
+    let handle = spawn_server(&fabric, cfg, world);
+    let server = handle.ports.clone();
+    let clients = [fabric.alloc_port(), fabric.alloc_port()];
+    fabric.spawn(
+        "clients",
+        None,
+        Box::new(move |ctx| {
+            let send =
+                |i: usize, msg: ClientMessage| ctx.send(clients[i], server[i], msg.to_bytes());
+            for at in [0, 2 * WINDOW_NS] {
+                ctx.sleep_until(at);
+                for i in 0..2 {
+                    let client_id = i as u32;
+                    send(
+                        i,
+                        ClientMessage::Connect {
+                            client_id,
+                            arena: 0,
+                        },
+                    );
+                }
+            }
+            ctx.sleep_until(MOVES_AT);
+            for i in 0..if both { 2 } else { 1 } {
+                let cmd = MoveCmd::idle(1, 30);
+                send(
+                    i,
+                    ClientMessage::Move {
+                        client_id: i as u32,
+                        cmd,
+                    },
+                );
+            }
+        }),
+    );
+    fabric.run();
+    let results = handle.results.lock().unwrap();
+    let frame = results
+        .timeline
+        .samples()
+        .iter()
+        .find(|s| s.start_ns >= MOVES_AT)
+        .copied()
+        .expect("the moves ran a frame");
+    assert_eq!(frame.requests, 1 + both as u32, "every move executed");
+    frame
+}
+
+/// Both threads have a move: the window closes the moment the second
+/// one joins, and the world update starts then.
+#[test]
+fn the_batching_window_closes_when_the_last_thread_joins() {
+    let frame = batched_frame(true);
+    assert_eq!(frame.participants, 2);
+    assert!(
+        frame.duration_ns <= 1_000_000,
+        "both threads joined at once, yet the master waited {} µs of its {} ms window",
+        frame.duration_ns / 1_000,
+        WINDOW_NS / 1_000_000
+    );
+}
+
+/// Only thread 0 has a move: thread 1 never joins, so the window runs
+/// to its deadline before the world update starts.
+#[test]
+fn the_batching_window_runs_to_its_deadline_while_a_thread_is_missing() {
+    let frame = batched_frame(false);
+    assert_eq!(frame.participants, 1);
+    assert!(
+        frame.duration_ns >= WINDOW_NS,
+        "the frame began {} µs after the master woke, inside its window",
+        frame.duration_ns / 1_000
     );
 }
