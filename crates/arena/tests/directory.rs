@@ -2,7 +2,6 @@
 //! through the front door, the admission policy spreads them, the pool
 //! multiplexes arena frames, and every arena's books balance.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
@@ -57,9 +56,8 @@ fn run(
         "lock witness flagged the directory: {:?}",
         report.violations
     );
-    let per_arena = swarm.per_arena.lock().unwrap().clone();
-    let connected = swarm.connected.load(Ordering::Relaxed);
-    (handle, per_arena, connected)
+    let bots = swarm.report();
+    (handle, bots.per_arena, bots.connected)
 }
 
 #[test]
@@ -191,8 +189,7 @@ fn single_pooled_arena_matches_the_sequential_server() {
         swarm_cfg.drivers = 4;
         let swarm = spawn_swarm(&fabric, &swarm_cfg, &server.ports, |_| 0);
         fabric.run();
-        let received = swarm.stats.lock().unwrap().received;
-        (world.world_hash(), received)
+        (world.world_hash(), swarm.report().stats.received)
     };
 
     let pooled_outcome = {
@@ -207,8 +204,7 @@ fn single_pooled_arena_matches_the_sequential_server() {
         swarm_cfg.drivers = 4;
         let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, |_| (0, 0));
         fabric.run();
-        let received = swarm.stats.lock().unwrap().received;
-        (handle.worlds[0].world_hash(), received)
+        (handle.worlds[0].world_hash(), swarm.report().stats.received)
     };
 
     assert_eq!(

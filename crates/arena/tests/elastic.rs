@@ -3,7 +3,6 @@
 //! pressure) and back down to zero (empty arenas linger, then reap),
 //! with the population identity closing across the whole run.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
@@ -53,7 +52,7 @@ fn directory_spawns_under_pressure_and_reaps_after_drain() {
         report.violations
     );
     assert_eq!(
-        swarm.connected.load(Ordering::Relaxed),
+        swarm.report().connected,
         20,
         "every bot should complete its handshake"
     );

@@ -5,7 +5,6 @@
 //! directory empties a spawned arena instead of waiting its clients
 //! out.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
@@ -45,6 +44,7 @@ fn skewed_load_is_levelled_by_live_handoffs() {
 
     let sup = handle.supervisor.lock().unwrap().clone();
     let adm = handle.admission.lock().unwrap().clone();
+    let bots = swarm.report();
     assert!(sup.migrations >= 1, "no handoffs: {sup:?}");
     assert_eq!(
         sup.migrate_hash_mismatch, 0,
@@ -53,17 +53,17 @@ fn skewed_load_is_levelled_by_live_handoffs() {
     // The clients followed the re-ack: bots observed cross-arena acks
     // and arena 1 actually served them afterwards.
     assert!(
-        swarm.rehomed.load(Ordering::Relaxed) >= 1,
+        bots.rehomed >= 1,
         "no bot rode a re-ack to arena 1 (migrations {})",
         sup.migrations
     );
     let replies_a1 = handle.results[1].lock().unwrap().merged().replies;
     assert!(replies_a1 > 0, "arena 1 never served a migrated client");
     // The books survived every rebooking.
-    assert_eq!(swarm.connected.load(Ordering::Relaxed), 8);
+    assert_eq!(bots.connected, 8);
     assert!(adm.population_closed(), "identity open: {adm:?}");
     assert_eq!(adm.placed, 8, "{adm:?}");
-    assert!(swarm.stats.lock().unwrap().received > 0);
+    assert!(bots.stats.received > 0);
 }
 
 /// Deterministic world-hash identity across one scripted handoff: two
@@ -95,8 +95,7 @@ fn handoffs_are_deterministic_and_hash_identical() {
         fabric.run();
         let sup = handle.supervisor.lock().unwrap().clone();
         let hashes: Vec<u64> = handle.worlds.iter().map(|w| w.world_hash()).collect();
-        let received = swarm.stats.lock().unwrap().received;
-        (sup, hashes, received)
+        (sup, hashes, swarm.report().stats.received)
     };
     let (sup_a, hashes_a, recv_a) = run(2);
     let (sup_b, hashes_b, recv_b) = run(2);

@@ -9,7 +9,6 @@ use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::FaultConfig;
 use parquake_fabric::FabricKind;
 use parquake_metrics::SupervisorStats;
-use std::sync::atomic::Ordering;
 
 const SEND_NS: u64 = 4_000_000_000;
 
@@ -51,12 +50,13 @@ fn run(cfg: ArenaDirectoryConfig, players: u32) -> Outcome {
         ((c % arenas) as u16, 0)
     });
     fabric.run();
+    let bots = swarm.report();
     let out = Outcome {
         sup: handle.supervisor.lock().unwrap().clone(),
         adm: handle.admission.lock().unwrap().clone(),
-        received: swarm.stats.lock().unwrap().received,
-        connected: swarm.connected.load(Ordering::Relaxed),
-        restarts_observed: swarm.restarts_observed.load(Ordering::Relaxed),
+        received: bots.stats.received,
+        connected: bots.connected,
+        restarts_observed: bots.restarts_observed,
         world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
     };
     out

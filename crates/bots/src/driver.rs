@@ -6,7 +6,6 @@
 //! client frame regardless of replies (the paper's worst-case,
 //! always-active workload) and collect response statistics.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
@@ -109,69 +108,110 @@ impl BotSwarmConfig {
     }
 }
 
-/// A spawned swarm; stats are filled when the fabric run completes.
+/// A spawned swarm. Its drivers each merge what they measured into one
+/// sink as their last act, so [`BotSwarm::report`] is final once the
+/// fabric run has completed.
 pub struct BotSwarm {
-    /// Aggregated response statistics across all bots.
-    pub stats: Arc<Mutex<ResponseStats>>,
-    /// Connection counter: bots that got a ConnectAck. Atomic — a
-    /// plain tally needs no guard, so it stays off the waiver list.
-    pub connected: Arc<AtomicU32>,
-    /// Response statistics split by the arena each reply came from
-    /// (index = arena id). Single-arena swarms have one entry.
-    pub per_arena: Arc<Mutex<Vec<ResponseStats>>>,
-    /// Unsolicited `ConnectAck`s heard while already connected — the
-    /// signature of a supervised arena restored from checkpoint
-    /// re-announcing its slots after recovery. Atomic, like
-    /// `connected`.
-    pub restarts_observed: Arc<AtomicU64>,
-    /// Unsolicited `ConnectAck`s that moved a connected bot to a
-    /// *different* arena — the destination world of a live migration
-    /// re-acking the handed-off slot. Atomic, like `connected`.
-    pub rehomed: Arc<AtomicU64>,
-    /// Merged prediction/reconciliation statistics (all zeros when the
-    /// swarm runs without [`BotSwarmConfig::predict`]).
-    pub prediction: Arc<Mutex<parquake_metrics::PredictionStats>>,
-    /// Ring entries still unacked across all bots at shutdown — the
-    /// `in_flight` term that closes the prediction ledger.
-    pub predict_in_flight: Arc<AtomicU64>,
     /// The fabric port of each spawned driver, in client-block order:
     /// entry `d` is the source (and reply) address of the `d`-th
     /// contiguous block of clients. Shorter than
     /// [`BotSwarmConfig::drivers`] when there are fewer players than
     /// drivers; empty for a swarm of zero.
     pub driver_ports: Vec<PortId>,
+    /// `swarm.stats.lock()`: the response totals, read from the sink.
+    pub stats: StatsView,
+    /// `swarm.connected.load(_)`: the connection count, read from the
+    /// sink.
+    pub connected: ConnectedView,
+    sink: Arc<Mutex<SwarmReport>>,
 }
 
 /// Everything a swarm measured, as plain values.
 #[derive(Clone, Debug, Default)]
 pub struct SwarmReport {
+    /// Aggregated response statistics across all bots.
     pub stats: ResponseStats,
+    /// Bots that got a ConnectAck, each counted once however often it
+    /// reconnected.
     pub connected: u32,
+    /// Response statistics split by the arena each reply came from
+    /// (index = arena id). Single-arena swarms have one entry.
     pub per_arena: Vec<ResponseStats>,
+    /// Unsolicited `ConnectAck`s heard while already connected — the
+    /// signature of a supervised arena restored from checkpoint
+    /// re-announcing its slots after recovery.
     pub restarts_observed: u64,
+    /// Unsolicited `ConnectAck`s that moved a connected bot to a
+    /// *different* arena — the destination world of a live migration
+    /// re-acking the handed-off slot.
     pub rehomed: u64,
+    /// Merged prediction/reconciliation statistics (all zeros when the
+    /// swarm runs without [`BotSwarmConfig::predict`]).
     pub prediction: parquake_metrics::PredictionStats,
+    /// Ring entries still unacked across all bots at shutdown — the
+    /// `in_flight` term that closes the prediction ledger.
     pub predict_in_flight: u64,
 }
 
-impl BotSwarm {
-    /// Read every sink. Host-side, after `fabric.run()` returned: the
-    /// drivers merge into the sinks as their last act, so the values
-    /// are final only once no task is alive.
-    pub fn report(&self) -> SwarmReport {
-        fn read<T: Clone>(sink: &Mutex<T>) -> T {
-            let guard = sink.lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side read of a swarm sink after fabric.run() returned, no tasks alive)
-            guard.clone()
-        }
+impl SwarmReport {
+    /// An empty report for a swarm addressing `arenas` arenas.
+    fn new(arenas: usize) -> SwarmReport {
         SwarmReport {
-            stats: read(&self.stats),
-            connected: self.connected.load(Ordering::Relaxed),
-            per_arena: read(&self.per_arena),
-            restarts_observed: self.restarts_observed.load(Ordering::Relaxed),
-            rehomed: self.rehomed.load(Ordering::Relaxed),
-            prediction: read(&self.prediction),
-            predict_in_flight: self.predict_in_flight.load(Ordering::Relaxed),
+            per_arena: vec![ResponseStats::new(); arenas],
+            ..SwarmReport::default()
         }
+    }
+
+    /// Fold another driver's report into this one.
+    pub fn merge(&mut self, o: &SwarmReport) {
+        self.stats.merge(&o.stats);
+        self.connected += o.connected;
+        if self.per_arena.len() < o.per_arena.len() {
+            self.per_arena
+                .resize(o.per_arena.len(), ResponseStats::new());
+        }
+        for (agg, mine) in self.per_arena.iter_mut().zip(&o.per_arena) {
+            agg.merge(mine);
+        }
+        self.restarts_observed += o.restarts_observed;
+        self.rehomed += o.rehomed;
+        self.prediction.merge(&o.prediction);
+        self.predict_in_flight += o.predict_in_flight;
+    }
+}
+
+/// The swarm's one host-side sink, read whole. Host-side, after
+/// `fabric.run()` returned: the drivers merge into it as their last
+/// act, so the copy is final only once no task is alive.
+fn read(sink: &Mutex<SwarmReport>) -> SwarmReport {
+    let report = sink.lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side read of the swarm sink after fabric.run() returned, no tasks alive)
+    report.clone()
+}
+
+impl BotSwarm {
+    /// Everything the swarm measured. Call after `fabric.run()`.
+    pub fn report(&self) -> SwarmReport {
+        read(&self.sink)
+    }
+}
+
+/// [`BotSwarm::stats`]: the shape `Arc<Mutex<ResponseStats>>` had, for
+/// callers written against it. New code reads [`BotSwarm::report`].
+pub struct StatsView(Arc<Mutex<SwarmReport>>);
+
+impl StatsView {
+    pub fn lock(&self) -> Result<ResponseStats, std::convert::Infallible> {
+        Ok(read(&self.0).stats)
+    }
+}
+
+/// [`BotSwarm::connected`]: the shape `Arc<AtomicU32>` had, for
+/// callers written against it. New code reads [`BotSwarm::report`].
+pub struct ConnectedView(Arc<Mutex<SwarmReport>>);
+
+impl ConnectedView {
+    pub fn load(&self, _order: std::sync::atomic::Ordering) -> u32 {
+        read(&self.0).connected
     }
 }
 
@@ -236,16 +276,7 @@ pub fn spawn_swarm_multi(
         !topology.arena_ports.is_empty() && topology.arena_ports.iter().all(|p| !p.is_empty()),
         "swarm topology needs at least one arena with at least one port"
     );
-    let stats = Arc::new(Mutex::new(ResponseStats::new()));
-    let connected = Arc::new(AtomicU32::new(0));
-    let per_arena = Arc::new(Mutex::new(vec![
-        ResponseStats::new();
-        topology.arena_ports.len()
-    ]));
-    let restarts_observed = Arc::new(AtomicU64::new(0));
-    let rehomed_observed = Arc::new(AtomicU64::new(0));
-    let prediction = Arc::new(Mutex::new(parquake_metrics::PredictionStats::new()));
-    let predict_in_flight = Arc::new(AtomicU64::new(0));
+    let sink = Arc::new(Mutex::new(SwarmReport::new(topology.arena_ports.len())));
     let drivers = cfg.drivers.clamp(1, cfg.players.max(1));
     let per = cfg.players.div_ceil(drivers);
     let mut driver_ports = Vec::with_capacity(drivers as usize);
@@ -273,64 +304,31 @@ pub fn spawn_swarm_multi(
             })
             .collect();
         let cfg = cfg.clone();
-        let stats = stats.clone();
-        let connected = connected.clone();
-        let per_arena = per_arena.clone();
-        let restarts = restarts_observed.clone();
-        let rehomed = rehomed_observed.clone();
-        let pred = prediction.clone();
-        let pred_inflight = predict_in_flight.clone();
+        let sink = sink.clone();
         fabric.spawn(
             &format!("bots-{d}"),
             None, // client machines: off the modelled server CPUs
             Box::new(move |ctx| {
-                drive(
-                    ctx,
-                    port,
-                    lo,
-                    hi,
-                    &topology,
-                    init,
-                    &cfg,
-                    &stats,
-                    &connected,
-                    &per_arena,
-                    &restarts,
-                    &rehomed,
-                    &pred,
-                    &pred_inflight,
-                );
+                drive(ctx, port, lo..hi, &topology, init, &cfg, &sink);
             }),
         );
     }
     BotSwarm {
-        stats,
-        connected,
-        per_arena,
-        restarts_observed,
-        rehomed: rehomed_observed,
-        prediction,
-        predict_in_flight,
         driver_ports,
+        stats: StatsView(sink.clone()),
+        connected: ConnectedView(sink.clone()),
+        sink,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive(
     ctx: &TaskCtx,
     port: PortId,
-    lo: u32,
-    hi: u32,
+    clients: std::ops::Range<u32>,
     topology: &SwarmTopology,
     init: Vec<(u16, usize)>,
     cfg: &BotSwarmConfig,
-    stats_out: &Mutex<ResponseStats>,
-    connected_out: &AtomicU32,
-    per_arena_out: &Mutex<Vec<ResponseStats>>,
-    restarts_out: &AtomicU64,
-    rehomed_out: &AtomicU64,
-    prediction_out: &Mutex<parquake_metrics::PredictionStats>,
-    predict_in_flight_out: &AtomicU64,
+    sink: &Mutex<SwarmReport>,
 ) {
     /// First Connect-retry interval; doubles per unanswered retry.
     const RETRY_MIN: Nanos = 100_000_000;
@@ -340,6 +338,7 @@ fn drive(
     /// session died (server timeout, heavy loss) and reconnects.
     const STARVATION: Nanos = 1_000_000_000;
 
+    let (lo, hi) = (clients.start, clients.end);
     let n = (hi - lo) as usize;
     let frame_ns = CLIENT_FRAME_MS as Nanos * 1_000_000;
     let mut bots: Vec<BotMind> = (lo..hi)
@@ -380,11 +379,7 @@ fn drive(
     let mut next_at: Vec<Nanos> = (0..n)
         .map(|i| join_at[i] + (i as Nanos * frame_ns) / n as Nanos)
         .collect();
-    let mut stats = ResponseStats::new();
-    let mut arena_stats = vec![ResponseStats::new(); topology.arena_ports.len()];
-    let mut connected = 0u32;
-    let mut restarts = 0u64;
-    let mut rehomed = 0u64;
+    let mut rep = SwarmReport::new(topology.arena_ports.len());
 
     loop {
         let now = ctx.now();
@@ -453,8 +448,8 @@ fn drive(
                     cmd.predict_ack = Some(p.trailer_ack());
                     p.predict(&cmd);
                 }
-                stats.note_sent();
-                arena_stats[cur_arena[i]].note_sent();
+                rep.stats.note_sent();
+                rep.per_arena[cur_arena[i]].note_sent();
                 let msg = ClientMessage::Move {
                     client_id: lo + i as u32,
                     cmd,
@@ -538,7 +533,7 @@ fn drive(
                             }
                             if !ever_acked[i] {
                                 ever_acked[i] = true;
-                                connected += 1;
+                                rep.connected += 1;
                             }
                             // Start moving on the next tick.
                             next_at[i] = ctx.now();
@@ -555,9 +550,9 @@ fn drive(
                             let a = arena as usize;
                             if a < topology.arena_ports.len() {
                                 if a != cur_arena[i] {
-                                    rehomed += 1;
+                                    rep.rehomed += 1;
                                 } else {
-                                    restarts += 1;
+                                    rep.restarts_observed += 1;
                                 }
                                 cur_arena[i] = a;
                                 if let Some(t) =
@@ -569,7 +564,7 @@ fn drive(
                                         cur_thread[i].min(topology.arena_ports[a].len() - 1);
                                 }
                             } else {
-                                restarts += 1;
+                                rep.restarts_observed += 1;
                             }
                             last_heard[i] = ctx.now();
                         }
@@ -595,8 +590,8 @@ fn drive(
                             // are strictly increasing per client.
                             let fresh = seq as i64 > last_rx_seq[i];
                             if fresh && sent_at_echo > 0 && now >= sent_at_echo {
-                                stats.note_reply(now - sent_at_echo);
-                                arena_stats[cur_arena[i]].note_reply(now - sent_at_echo);
+                                rep.stats.note_reply(now - sent_at_echo);
+                                rep.per_arena[cur_arena[i]].note_reply(now - sent_at_echo);
                             }
                             if fresh {
                                 if let (Some(p), Some(rp)) =
@@ -630,32 +625,15 @@ fn drive(
         }
     }
 
-    // Host-side swarm aggregates, written once per driver at task
-    // end; no fabric task ever blocks on these sinks.
-    stats_out
-        .lock() // lockcheck: allow(raw-sync: host-side swarm stats sink, merged once at task end)
-        .unwrap_or_else(PoisonError::into_inner)
-        .merge(&stats);
-    connected_out.fetch_add(connected, Ordering::Relaxed);
-    restarts_out.fetch_add(restarts, Ordering::Relaxed);
-    rehomed_out.fetch_add(rehomed, Ordering::Relaxed);
-    let mut pred = parquake_metrics::PredictionStats::new();
-    let mut in_flight = 0u64;
     for p in predictors.iter().flatten() {
-        pred.merge(&p.stats);
-        in_flight += p.in_flight();
+        rep.prediction.merge(&p.stats);
+        rep.predict_in_flight += p.in_flight();
     }
-    prediction_out
-        .lock() // lockcheck: allow(raw-sync: host-side swarm stats sink, merged once at task end)
+    // The swarm's one host-side sink, merged once per driver at task
+    // end; no fabric task ever blocks on it.
+    sink.lock() // lockcheck: allow(raw-sync: host-side swarm sink, merged once per driver at task end)
         .unwrap_or_else(PoisonError::into_inner)
-        .merge(&pred);
-    predict_in_flight_out.fetch_add(in_flight, Ordering::Relaxed);
-    let mut per = per_arena_out
-        .lock() // lockcheck: allow(raw-sync: host-side per-arena stats sink, merged once at task end)
-        .unwrap_or_else(PoisonError::into_inner);
-    for (agg, mine) in per.iter_mut().zip(&arena_stats) {
-        agg.merge(mine);
-    }
+        .merge(&rep);
 }
 
 #[cfg(test)]
@@ -717,8 +695,9 @@ mod tests {
         let swarm = spawn_swarm(&fabric, &cfg, &[server_port], |_c| 0);
         fabric.run();
 
-        assert_eq!(swarm.connected.load(Ordering::Relaxed), 10);
-        let stats = swarm.stats.lock().unwrap();
+        let report = swarm.report();
+        assert_eq!(report.connected, 10);
+        let stats = &report.stats;
         // 10 bots for ~2 s at 30 ms cadence ≈ 600+ moves.
         assert!(stats.sent > 400, "sent only {}", stats.sent);
         assert!(stats.received > 400, "received only {}", stats.received);
@@ -813,7 +792,7 @@ mod tests {
         };
         let swarm = spawn_swarm(&fabric, &cfg, &[port_a, port_b], |_c| 0);
         fabric.run();
-        assert_eq!(swarm.connected.load(Ordering::Relaxed), 2);
+        assert_eq!(swarm.report().connected, 2);
         // After the first redirect, all further moves land on B.
         let at_b = *moves_at_b.lock().unwrap();
         assert!(
@@ -924,12 +903,12 @@ mod tests {
         };
         let swarm = spawn_swarm_multi(&fabric, &cfg, &topology, |_c| (0, 0));
         fabric.run();
+        let report = swarm.report();
         assert_eq!(
-            swarm.rehomed.load(Ordering::Relaxed),
-            1,
+            report.rehomed, 1,
             "the cross-arena re-ack was not counted as a re-homing"
         );
-        assert_eq!(swarm.restarts_observed.load(Ordering::Relaxed), 0);
+        assert_eq!(report.restarts_observed, 0);
         let at_b = *moves_at_b.lock().unwrap();
         assert!(
             at_b > 10,
@@ -1008,7 +987,7 @@ mod tests {
             };
             let swarm = spawn_swarm(&fabric, &cfg, &[server_port], |_c| 0);
             fabric.run();
-            let s = swarm.stats.lock().unwrap();
+            let s = swarm.report().stats;
             (s.sent, s.received, s.latency_sum_ns)
         };
         assert_eq!(run(), run());

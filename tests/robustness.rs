@@ -1,7 +1,6 @@
 //! Failure injection: the server must shrug off hostile or broken
 //! clients the way the original dropped malformed datagrams.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parquake::bots::{spawn_swarm, BotSwarmConfig};
@@ -69,8 +68,9 @@ fn garbage_datagrams_are_dropped_not_fatal() {
     );
     fabric.run();
     // Every honest bot still connected and got replies.
-    assert_eq!(swarm.connected.load(Ordering::Relaxed), 8);
-    assert!(swarm.stats.lock().unwrap().received > 200);
+    let bots = swarm.report();
+    assert_eq!(bots.connected, 8);
+    assert!(bots.stats.received > 200);
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn truncated_and_mutated_real_messages_are_survivable() {
         }),
     );
     fabric.run();
-    assert_eq!(swarm.connected.load(Ordering::Relaxed), 4);
+    assert_eq!(swarm.report().connected, 4);
 }
 
 #[test]
