@@ -1224,7 +1224,6 @@ fn pool_worker_scan(
                     }
                     let g = cell.guard();
                     g.panics_caught += 1;
-                    cell.frame().stats.panics_caught += 1;
                     pool.enter(ctx);
                     let st = pool.state();
                     st.claimed[k] = false;

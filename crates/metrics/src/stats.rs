@@ -27,12 +27,6 @@ pub struct ThreadStats {
     pub queue_dropped: u64,
     /// Client slots reclaimed by the inactivity timeout.
     pub timeouts: u64,
-    /// Lifecycle notifications (connect accepted / disconnect /
-    /// reclaim / reject) sent to a directory control port.
-    pub lifecycle_sent: u64,
-    /// Frame panics caught by the supervision wrapper (the frame's
-    /// effects are abandoned; the arena is fenced or restored).
-    pub panics_caught: u64,
     /// Moves discarded as duplicates of an already-applied input
     /// sequence (predicting clients only; WAN duplication/reordering).
     pub inputs_deduped: u64,
@@ -60,8 +54,6 @@ impl ThreadStats {
         self.connect_rejected += other.connect_rejected;
         self.queue_dropped += other.queue_dropped;
         self.timeouts += other.timeouts;
-        self.lifecycle_sent += other.lifecycle_sent;
-        self.panics_caught += other.panics_caught;
         self.inputs_deduped += other.inputs_deduped;
         self.input_gaps += other.input_gaps;
         self.reply_sizes.merge(&other.reply_sizes);
@@ -536,8 +528,6 @@ mod tests {
         b.connect_rejected = 1;
         b.queue_dropped = 4;
         b.timeouts = 1;
-        b.lifecycle_sent = 6;
-        b.panics_caught = 2;
         b.inputs_deduped = 7;
         b.input_gaps = 3;
         a.merge(&b);
@@ -549,8 +539,6 @@ mod tests {
         assert_eq!(a.connect_rejected, 1);
         assert_eq!(a.queue_dropped, 4);
         assert_eq!(a.timeouts, 1);
-        assert_eq!(a.lifecycle_sent, 6);
-        assert_eq!(a.panics_caught, 2);
         assert_eq!(a.inputs_deduped, 7);
         assert_eq!(a.input_gaps, 3);
     }

@@ -210,16 +210,9 @@ impl ServerShared {
     /// port, if one is configured. Sent uncharged — the notice models
     /// an in-process queue append, not network traffic — so enabling
     /// lifecycle reporting never perturbs game-path timing.
-    pub fn notify(
-        &self,
-        ctx: &TaskCtx,
-        from: PortId,
-        stats: &mut ThreadStats,
-        event: LifecycleEvent,
-    ) {
+    pub fn notify(&self, ctx: &TaskCtx, from: PortId, event: LifecycleEvent) {
         if let Some(dir) = self.lifecycle {
             ctx.send(from, dir, event.to_bytes());
-            stats.lifecycle_sent += 1;
         }
     }
 
@@ -272,7 +265,6 @@ impl ServerShared {
                     self.notify(
                         ctx,
                         port,
-                        stats,
                         LifecycleEvent::Disconnected {
                             arena: self.arena_id,
                             client_id,
@@ -297,7 +289,6 @@ impl ServerShared {
                     self.notify(
                         ctx,
                         port,
-                        stats,
                         LifecycleEvent::Reclaimed {
                             arena: self.arena_id,
                             client_id,
@@ -462,7 +453,6 @@ impl ServerShared {
                     self.notify(
                         ctx,
                         from,
-                        stats,
                         LifecycleEvent::Connected {
                             arena: self.arena_id,
                             client_id,
@@ -478,7 +468,6 @@ impl ServerShared {
                     self.notify(
                         ctx,
                         from,
-                        stats,
                         LifecycleEvent::Rejected {
                             arena: self.arena_id,
                             client_id,
