@@ -219,6 +219,50 @@ pub struct PoolReport {
     pub idle_timeouts_by_worker: Vec<u64>,
 }
 
+/// Everything a directory run measured, as plain values. Read once,
+/// host-side, through [`ArenaHandle::report`] after `fabric.run()`.
+#[derive(Clone, Debug, Default)]
+pub struct DirectoryReport {
+    /// Per-arena server results, one per provisioned cell (a reaped
+    /// arena's as of its reap).
+    pub results: Vec<ServerResults>,
+    /// Front-door routing counters.
+    pub admission: AdmissionStats,
+    /// Pool accounting (`Sequential` arenas only).
+    pub pool: Option<PoolReport>,
+    /// Spawn/reap accounting.
+    pub elastic: ElasticStats,
+    /// Supervision accounting (panics caught, restores, checkpoints,
+    /// shedding, migrations). Restore and checkpoint counters stay zero
+    /// when `supervision` is off.
+    pub supervisor: SupervisorStats,
+}
+
+/// Where a directory run's numbers land, host-side. Every arena's
+/// `ServerResults` go through the server crate's own sink
+/// (`publish_single`, or a dedicated runtime's threads): the last pool
+/// worker publishes them at exit, an elastic reap at reap time. The
+/// rest of the [`DirectoryReport`] is one sink with two writers, each
+/// writing once at task exit: the director (admission, elastic, its
+/// supervision counters) and the last pool worker (pool accounting,
+/// the workers' supervision counters).
+#[derive(Clone)]
+struct Sink {
+    results: Vec<Arc<Mutex<ServerResults>>>,
+    rest: Arc<Mutex<DirectoryReport>>,
+}
+
+impl Sink {
+    /// Fold one writer's half into the report. Poison-tolerant: the
+    /// report is a plain snapshot with no invariant to corrupt, and a
+    /// panic elsewhere must not take the directory's report down with
+    /// it — supervision's whole point.
+    fn publish(&self, write: impl FnOnce(&mut DirectoryReport)) {
+        // lockcheck: allow(raw-sync: host-side report sink, each writer folds in once at task exit)
+        write(&mut self.rest.lock().unwrap_or_else(PoisonError::into_inner));
+    }
+}
+
 /// A spawned (not yet running) directory.
 pub struct ArenaHandle {
     /// The front door: clients send `Connect` here.
@@ -229,25 +273,47 @@ pub struct ArenaHandle {
     /// routing tables built over this vector tolerate arena birth and
     /// death mid-run.
     pub arena_ports: Vec<Vec<PortId>>,
-    /// Per-arena server results, filled when the run ends (or at reap
-    /// time for reaped arenas).
-    pub results: Vec<Arc<Mutex<ServerResults>>>,
     /// The arenas' worlds (final-state inspection, world hashes).
     pub worlds: Vec<Arc<GameWorld>>,
-    /// Front-door routing counters, filled when the run ends.
-    pub admission: Arc<Mutex<AdmissionStats>>,
-    /// Pool accounting (`Sequential` arenas only), filled when the run
-    /// ends.
-    pub pool: Option<Arc<Mutex<PoolReport>>>,
-    /// Spawn/reap accounting, filled when the run ends.
-    pub elastic: Arc<Mutex<ElasticStats>>,
-    /// Supervision accounting (panics caught, restores, checkpoints,
-    /// shedding), filled when the run ends. All-zero when
-    /// `supervision` is off.
-    pub supervisor: Arc<Mutex<SupervisorStats>>,
     /// The director's lifecycle control port: every arena runtime
     /// reports slot churn here (tests inject synthetic notices).
     pub lifecycle_port: PortId,
+    sink: Sink,
+}
+
+impl ArenaHandle {
+    /// The run's numbers. Call after `fabric.run()` returned: every
+    /// writer has exited by then.
+    pub fn report(&self) -> DirectoryReport {
+        DirectoryReport {
+            results: self.sink.results.iter().map(|r| snapshot(r)).collect(),
+            ..snapshot(&self.sink.rest)
+        }
+    }
+}
+
+/// Clone what a sink holds, poison-tolerant like its writers.
+fn snapshot<T: Clone>(sink: &Mutex<T>) -> T {
+    // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
+    sink.lock().unwrap_or_else(PoisonError::into_inner).clone()
+}
+
+/// Fill in what a config leaves to the directory, once, so every task
+/// runs on the same values: the elastic ceiling is at least the boot
+/// fleet, a spread trigger below 2 is 2 (moving a client across a
+/// spread of 1 just swaps which arena is hotter), and maintenance
+/// frames default to 50 ms whenever the truth of "occupancy is zero"
+/// matters (an elastic fleet, or inactivity reclaims configured).
+fn normalise(mut cfg: ArenaDirectoryConfig) -> ArenaDirectoryConfig {
+    cfg.max_arenas = cfg.max_arenas.max(cfg.arenas);
+    if cfg.migrate_spread > 0 {
+        cfg.migrate_spread = cfg.migrate_spread.max(2);
+    }
+    if cfg.maintenance_ns == 0 && (cfg.max_arenas > cfg.arenas || cfg.server.client_timeout_ns > 0)
+    {
+        cfg.maintenance_ns = 50_000_000;
+    }
+    cfg
 }
 
 /// Spawn the directory onto `fabric`: all arena runtimes (live and
@@ -256,11 +322,10 @@ pub struct ArenaHandle {
 pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> ArenaHandle {
     assert!(cfg.arenas >= 1, "directory needs at least one arena");
     assert_eq!(cfg.validate(), Ok(()));
-    let boot = cfg.arenas as usize;
-    let max_arenas = (cfg.max_arenas as usize).max(boot);
+    let cfg = normalise(cfg);
     let lifecycle_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
     let map = Arc::new(cfg.map.generate());
-    let worlds: Vec<Arc<GameWorld>> = (0..max_arenas)
+    let worlds: Vec<Arc<GameWorld>> = (0..cfg.max_arenas)
         .map(|_| {
             Arc::new(GameWorld::new(
                 map.clone(),
@@ -270,12 +335,11 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         })
         .collect();
 
-    let supervisor = Arc::new(Mutex::new(SupervisorStats::default()));
-    let (arena_ports, results, pool_parts, pool_report) = match cfg.server.kind {
+    let rest = Arc::new(Mutex::new(DirectoryReport::default()));
+    let (arena_ports, sink, pool) = match cfg.server.kind {
         ServerKind::Sequential => {
-            let (ports, results, parts, report) =
-                spawn_pool(fabric, &cfg, &worlds, lifecycle_port, &supervisor);
-            (ports, results, Some(parts), Some(report))
+            let (ports, sink, parts) = spawn_pool(fabric, &cfg, &worlds, lifecycle_port, rest);
+            (ports, sink, Some(parts))
         }
         ServerKind::Parallel { .. } => {
             let mut ports = Vec::new();
@@ -292,42 +356,18 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
                 ports.push(p);
                 results.push(r);
             }
-            (ports, results, None, None)
+            (ports, Sink { results, rest }, None)
         }
     };
 
-    let admission = Arc::new(Mutex::new(AdmissionStats::default()));
-    let elastic = Arc::new(Mutex::new(ElasticStats::default()));
     let front_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
-    // LRU bound on the director's book: 4× the directory's total
-    // player capacity.
-    let book_cap = (max_arenas * cfg.slots_per_arena as usize)
-        .saturating_mul(4)
-        .max(64);
     let env = DirectorEnv {
+        cfg,
         front: front_port,
         lifecycle: lifecycle_port,
         arena_ports: arena_ports.clone(),
-        policy: cfg.policy,
-        capacity: cfg.slots_per_arena as u32,
-        cost: cfg.server.cost.clone(),
-        end_time: cfg.server.end_time,
-        boot,
-        linger_ns: cfg.linger_ns,
-        book_cap,
-        pool: pool_parts,
-        results: results.clone(),
-        out: admission.clone(),
-        elastic_out: elastic.clone(),
-        supervised: cfg.supervision,
-        supervisor_out: supervisor.clone(),
-        migrate_spread: if cfg.migrate_spread > 0 {
-            cfg.migrate_spread.max(2)
-        } else {
-            0
-        },
-        migrate_drain: cfg.migrate_drain,
-        tap: cfg.lifecycle_tap,
+        pool,
+        sink: sink.clone(),
     };
     fabric.spawn(
         "arena-director",
@@ -338,13 +378,9 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
     ArenaHandle {
         front_port,
         arena_ports,
-        results,
         worlds,
-        admission,
-        pool: pool_report,
-        elastic,
-        supervisor,
         lifecycle_port,
+        sink,
     }
 }
 
@@ -355,28 +391,15 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
 /// Everything the director task needs, bundled so the closure stays
 /// one move.
 pub(crate) struct DirectorEnv {
+    /// The config the directory was built from, normalised.
+    pub(crate) cfg: ArenaDirectoryConfig,
     pub(crate) front: PortId,
     lifecycle: PortId,
     arena_ports: Vec<Vec<PortId>>,
-    policy: AdmissionPolicy,
-    pub(crate) capacity: u32,
-    cost: parquake_server::CostModel,
-    end_time: Nanos,
-    /// Arenas live at boot (never reaped).
-    pub(crate) boot: usize,
-    linger_ns: Nanos,
-    book_cap: usize,
     /// Pool internals for spawn/reap and supervised restore (pooled
     /// scheduling only).
     pub(crate) pool: Option<PoolParts>,
-    results: Vec<Arc<Mutex<ServerResults>>>,
-    out: Arc<Mutex<AdmissionStats>>,
-    elastic_out: Arc<Mutex<ElasticStats>>,
-    pub(crate) supervised: bool,
-    supervisor_out: Arc<Mutex<SupervisorStats>>,
-    pub(crate) migrate_spread: u32,
-    pub(crate) migrate_drain: bool,
-    pub(crate) tap: Option<PortId>,
+    sink: Sink,
 }
 
 /// The director's mutable state.
@@ -411,21 +434,26 @@ pub(crate) struct Director {
 const NOTICE_POLL_NS: Nanos = 2_000_000;
 
 fn director(ctx: &TaskCtx, env: &DirectorEnv) {
+    let cfg = &env.cfg;
     let n = env.arena_ports.len();
+    let boot = cfg.arenas as usize;
+    let slots = cfg.slots_per_arena as usize;
     let mut d = Director {
         stats: AdmissionStats {
             per_arena: vec![0; n],
             forwarded_per_arena: vec![0; n],
             ..AdmissionStats::default()
         },
-        ledger: Ledger::new(n, env.book_cap),
+        // LRU bound on the book: 4× the directory's total player
+        // capacity.
+        ledger: Ledger::new(n, (n * slots).saturating_mul(4).max(64)),
         next_thread: vec![0usize; n],
-        live: (0..n).map(|k| k < env.boot).collect(),
+        live: (0..n).map(|k| k < boot).collect(),
         empty_since: vec![None; n],
         elastic: ElasticStats {
-            boot: env.boot as u32,
+            boot: boot as u32,
             max_arenas: n as u32,
-            peak_live: env.boot as u32,
+            peak_live: boot as u32,
             ..ElasticStats::default()
         },
         sup: SupervisorStats::default(),
@@ -434,7 +462,7 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
 
     loop {
         let now = ctx.now();
-        if now >= env.end_time {
+        if now >= cfg.server.end_time {
             break;
         }
         // The front door is the main wait; lifecycle notices and linger
@@ -444,18 +472,18 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
         if let Some(t) = ctx.fabric().port_next_delivery(env.lifecycle) {
             deadline = deadline.min(t.max(now + 1));
         }
-        for k in env.boot..n {
+        for k in boot..n {
             if let Some(t0) = d.empty_since[k] {
-                deadline = deadline.min((t0 + env.linger_ns).max(now + 1));
+                deadline = deadline.min((t0 + cfg.linger_ns).max(now + 1));
             }
         }
-        if env.migrate_spread > 0 || env.migrate_drain {
+        if cfg.migrate_spread > 0 || cfg.migrate_drain {
             deadline = deadline.min(d.next_migrate_at.max(now + 1));
         }
-        let deadline = deadline.min(env.end_time).max(now + 1);
+        let deadline = deadline.min(cfg.server.end_time).max(now + 1);
         ctx.wait_readable(env.front, Some(deadline));
         while let Some(raw) = ctx.try_recv(env.front) {
-            ctx.charge(env.cost.recv);
+            ctx.charge(cfg.server.cost.recv);
             handle_front(ctx, env, &mut d, raw.from, &raw.payload);
         }
         // Notices are drained uncharged: they model an in-process
@@ -464,7 +492,7 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
         // stream the ledger does.
         while let Some(raw) = ctx.try_recv(env.lifecycle) {
             handle_notice(&mut d, &raw.payload);
-            if let Some(tap) = env.tap {
+            if let Some(tap) = cfg.lifecycle_tap {
                 ctx.send(env.front, tap, raw.payload.clone());
             }
         }
@@ -478,18 +506,11 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
     d.stats.resident = d.ledger.resident();
     d.stats.book_evicted = d.ledger.evicted;
     d.elastic.live_at_end = d.live.iter().filter(|&&l| l).count() as u32;
-    // End-of-run publishes tolerate poisoning: these mutexes guard
-    // plain result snapshots (no invariants to corrupt), and a
-    // panicking reader elsewhere must not take the directory's report
-    // down with it — supervision's whole point.
-    *env.out.lock().unwrap_or_else(PoisonError::into_inner) = d.stats; // lockcheck: allow(raw-sync: host-side result snapshot, written once at run end)
-    *env.elastic_out
-        .lock() // lockcheck: allow(raw-sync: host-side result snapshot, written once at run end)
-        .unwrap_or_else(PoisonError::into_inner) = d.elastic;
-    env.supervisor_out
-        .lock() // lockcheck: allow(raw-sync: host-side supervision counters, merged at run end)
-        .unwrap_or_else(PoisonError::into_inner)
-        .merge(&d.sup);
+    env.sink.publish(|r| {
+        r.admission = d.stats;
+        r.elastic = d.elastic;
+        r.supervisor.merge(&d.sup);
+    });
 }
 
 fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId, payload: &[u8]) {
@@ -511,32 +532,29 @@ fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId
             };
             match placed {
                 Some((k, t)) if k < env.arena_ports.len() => {
-                    // Forward the raw datagram, preserving the client's
-                    // source port: the arena acks (and replies)
-                    // straight to the client. The arena id in the
-                    // payload has served its purpose — the runtime
-                    // ignores it and acks with its own id.
-                    let t = t.min(env.arena_ports[k].len() - 1);
-                    ctx.send(from, env.arena_ports[k][t], payload.to_vec());
+                    // The arena id in the payload has served its
+                    // purpose — the runtime ignores it and acks with
+                    // its own id.
+                    forward(ctx, env, d, from, payload, k, t);
                     d.stats.routed += 1;
                     d.stats.per_arena[k] += 1;
-                    d.stats.forwarded_per_arena[k] += 1;
                 }
                 _ => d.stats.rejected_full += 1,
             }
         }
         ClientMessage::Disconnect { client_id } => {
             match d.ledger.remove(client_id, Departure::FrontDoor) {
-                // Forward to the *home thread's* port: under static
-                // assignment the client's slot lives in the
-                // connect-time thread's block, and other threads never
-                // scan it.
                 Some(p) if (p.arena as usize) < env.arena_ports.len() => {
-                    let k = p.arena as usize;
-                    let t = (p.thread as usize).min(env.arena_ports[k].len() - 1);
-                    ctx.send(from, env.arena_ports[k][t], payload.to_vec());
+                    forward(
+                        ctx,
+                        env,
+                        d,
+                        from,
+                        payload,
+                        p.arena as usize,
+                        p.thread as usize,
+                    );
                     d.stats.forwarded_other += 1;
-                    d.stats.forwarded_per_arena[k] += 1;
                 }
                 Some(_) => {}
                 None => d.stats.dropped_unknown += 1,
@@ -544,18 +562,41 @@ fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId
         }
         ClientMessage::Move { client_id, .. } => match d.ledger.touch(client_id) {
             // A stray move from a client ignoring its ack's arena id:
-            // forward to its placement's home thread so the session
-            // still works, if degraded.
+            // forward it so the session still works, if degraded.
             Some(p) if (p.arena as usize) < env.arena_ports.len() => {
-                let k = p.arena as usize;
-                let t = (p.thread as usize).min(env.arena_ports[k].len() - 1);
-                ctx.send(from, env.arena_ports[k][t], payload.to_vec());
+                forward(
+                    ctx,
+                    env,
+                    d,
+                    from,
+                    payload,
+                    p.arena as usize,
+                    p.thread as usize,
+                );
                 d.stats.forwarded_other += 1;
-                d.stats.forwarded_per_arena[k] += 1;
             }
             _ => d.stats.dropped_unknown += 1,
         },
     }
+}
+
+/// Forward a client's raw datagram to thread `t` of arena `k`,
+/// preserving its source port so the arena answers the client
+/// directly. The thread is the placement's *home* thread: under static
+/// assignment the client's slot lives in the connect-time thread's
+/// block, and other threads never scan it.
+fn forward(
+    ctx: &TaskCtx,
+    env: &DirectorEnv,
+    d: &mut Director,
+    from: PortId,
+    payload: &[u8],
+    k: usize,
+    t: usize,
+) {
+    let t = t.min(env.arena_ports[k].len() - 1);
+    ctx.send(from, env.arena_ports[k][t], payload.to_vec());
+    d.stats.forwarded_per_arena[k] += 1;
 }
 
 /// Place a never-before-seen client: policy first, then — if every
@@ -579,10 +620,10 @@ fn place_fresh(
 
 impl Director {
     fn policy_place(&self, env: &DirectorEnv, requested: u16) -> Option<usize> {
-        env.policy.place(
+        env.cfg.policy.place(
             requested,
             self.ledger.occupancy(),
-            env.capacity,
+            env.cfg.slots_per_arena as u32,
             &self.live,
             crate::migrate::planned(env, self),
         )
@@ -701,13 +742,13 @@ fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
         return;
     };
     let now = ctx.now();
-    for k in env.boot..d.live.len() {
+    for k in env.cfg.arenas as usize..d.live.len() {
         if !d.live[k] || d.ledger.occupancy()[k] > 0 {
             d.empty_since[k] = None;
             continue;
         }
         let since = *d.empty_since[k].get_or_insert(now);
-        if now.saturating_sub(since) < env.linger_ns {
+        if now.saturating_sub(since) < env.cfg.linger_ns {
             continue;
         }
         parts.pool.enter(ctx);
@@ -731,7 +772,7 @@ fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
         // cell again, so its frame state is safe to snapshot here.
         let cell = &parts.cells[k];
         cell.shared
-            .publish_single(ctx, cell.frame(), &env.results[k]);
+            .publish_single(ctx, cell.frame(), &env.sink.results[k]);
         parts.pool.exit(ctx);
         d.live[k] = false;
         d.empty_since[k] = None;
@@ -891,13 +932,6 @@ pub(crate) struct PoolParts {
     pub(crate) cells: Arc<Vec<Arc<ArenaCell>>>,
 }
 
-type PoolSpawn = (
-    Vec<Vec<PortId>>,
-    Vec<Arc<Mutex<ServerResults>>>,
-    PoolParts,
-    Arc<Mutex<PoolReport>>,
-);
-
 /// The modelled select timeout of an idle pooled worker on
 /// `VirtualSmp`: it re-scans for runnable arenas at least this often.
 /// Unused on fabrics that wake the pool on delivery
@@ -918,15 +952,15 @@ const CHECKPOINT_DEPTH: usize = 4;
 /// first claim, so restore always has a target.
 pub const CHECKPOINT_INTERVAL: u32 = 64;
 
-/// Per-run knobs every pool worker shares (one allocation, cloned
-/// `Arc` per worker).
+/// What every pool worker shares (one allocation, cloned `Arc` per
+/// worker).
 struct PoolRunCfg {
-    end_time: Nanos,
+    /// The config the directory was built from, normalised.
+    cfg: ArenaDirectoryConfig,
     /// Whether idle waits need the [`POLL_NS`] bound: the fabric does
     /// not wake the pool on delivery.
     poll: bool,
-    maintenance_ns: Nanos,
-    supervised: bool,
+    sink: Sink,
 }
 
 fn spawn_pool(
@@ -934,23 +968,12 @@ fn spawn_pool(
     cfg: &ArenaDirectoryConfig,
     worlds: &[Arc<GameWorld>],
     lifecycle_port: PortId,
-    supervisor: &Arc<Mutex<SupervisorStats>>,
-) -> PoolSpawn {
+    rest: Arc<Mutex<DirectoryReport>>,
+) -> (Vec<Vec<PortId>>, Sink, PoolParts) {
     let workers = cfg.workers;
     assert!(workers >= 1, "pool needs at least one worker");
     let n = worlds.len();
     let boot = cfg.arenas as usize;
-    // Maintenance frames keep session-holding arenas ticking without
-    // input so despawns, reclaims and their notices cannot stall; on
-    // automatically whenever the truth of "occupancy is zero" matters
-    // (elastic fleet or inactivity reclaims configured).
-    let maintenance_ns = if cfg.maintenance_ns > 0 {
-        cfg.maintenance_ns
-    } else if n > boot || cfg.server.client_timeout_ns > 0 {
-        50_000_000
-    } else {
-        0
-    };
     let mut cells = Vec::with_capacity(n);
     let mut ports = Vec::with_capacity(n);
     let mut results = Vec::with_capacity(n);
@@ -1019,7 +1042,6 @@ fn spawn_pool(
             idle_timeouts_by_worker: vec![0; workers as usize],
         }),
     });
-    let report = Arc::new(Mutex::new(PoolReport::default()));
     // Event-driven idling: ask the fabric to ring the pool condvar on
     // every delivery to an arena port (the degenerate pool blocks on
     // its one port directly and has no use for it). Rule: never send
@@ -1029,45 +1051,30 @@ fn spawn_pool(
     // hold no fabric lock. One waiter is woken per delivery; the only
     // non-worker waiter, `migrate::capture_fence`, waits solely while a
     // worker holds a claim, and every claim release broadcasts.
-    let degenerate = is_degenerate_pool(n, workers, maintenance_ns, cfg.supervision);
+    let degenerate = is_degenerate_pool(n, workers, cfg.maintenance_ns, cfg.supervision);
     let delivery_wakes = !degenerate
         && cells
             .iter()
             .all(|c| fabric.wake_on_delivery(c.port, pool.lock, pool.cond));
 
+    let sink = Sink { results, rest };
     let rcfg = Arc::new(PoolRunCfg {
-        end_time: cfg.server.end_time,
+        cfg: cfg.clone(),
         poll: !delivery_wakes,
-        maintenance_ns,
-        supervised: cfg.supervision,
+        sink: sink.clone(),
     });
     let cells = Arc::new(cells);
     for w in 0..workers {
         let cells = cells.clone();
         let pool = pool.clone();
-        let report = report.clone();
-        let results = results.clone();
         let rcfg = rcfg.clone();
-        let supervisor = supervisor.clone();
         fabric.spawn(
             &format!("arena-pool-{w}"),
             Some(w),
-            Box::new(move |ctx| {
-                pool_worker(
-                    ctx,
-                    w,
-                    workers,
-                    &cells,
-                    &pool,
-                    &rcfg,
-                    &results,
-                    &report,
-                    &supervisor,
-                )
-            }),
+            Box::new(move |ctx| pool_worker(ctx, w, &cells, &pool, &rcfg)),
         );
     }
-    (ports, results, PoolParts { pool, cells }, report)
+    (ports, sink, PoolParts { pool, cells })
 }
 
 /// A 1×1 pool with nothing to tick and nothing to supervise runs the
@@ -1081,18 +1088,8 @@ fn is_degenerate_pool(
     arenas == 1 && workers == 1 && maintenance_ns == 0 && !supervised
 }
 
-#[allow(clippy::too_many_arguments)]
-fn pool_worker(
-    ctx: &TaskCtx,
-    w: u32,
-    workers: u32,
-    cells: &[Arc<ArenaCell>],
-    pool: &Pool,
-    rcfg: &PoolRunCfg,
-    results: &[Arc<Mutex<ServerResults>>],
-    report: &Mutex<PoolReport>,
-    supervisor: &Mutex<SupervisorStats>,
-) {
+fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcfg: &PoolRunCfg) {
+    let cfg = &rcfg.cfg;
     let n = cells.len();
     // A 1×1 pool with no maintenance ticking and no supervision runs
     // the sequential server's select loop itself: no scheduling lock,
@@ -1101,7 +1098,7 @@ fn pool_worker(
     // wrapper, checkpoints and watchdog claim accounting all live in
     // the scan path.
     let mut degenerate_frames = 0u64;
-    if is_degenerate_pool(n, workers, rcfg.maintenance_ns, rcfg.supervised) {
+    if is_degenerate_pool(n, cfg.workers, cfg.maintenance_ns, cfg.supervision) {
         let f = cells[0].frame();
         let before = f.frame_no;
         cells[0].shared.run_single_loop(ctx, f);
@@ -1111,8 +1108,8 @@ fn pool_worker(
     }
 
     // Exit protocol: the last worker out publishes per-arena results
-    // and the pool report. Claim flags are all clear by then, so the
-    // frame cells are safe to read.
+    // and the pool's half of the report. Claim flags are all clear by
+    // then, so the frame cells are safe to read.
     pool.enter(ctx);
     let st = pool.state();
     if degenerate_frames > 0 {
@@ -1120,34 +1117,33 @@ fn pool_worker(
         st.frames_by_arena[0] += degenerate_frames;
     }
     st.exited += 1;
-    let last = st.exited == workers;
-    if last {
-        for (cell, result) in cells.iter().zip(results) {
+    if st.exited == cfg.workers {
+        for (cell, result) in cells.iter().zip(&rcfg.sink.results) {
             cell.shared.publish_single(ctx, cell.frame(), result);
         }
-        let mut rep = report.lock().unwrap_or_else(PoisonError::into_inner); // lockcheck: allow(raw-sync: host-side pool report, last worker publishes alone)
-        rep.frames_by_worker = st.frames_by_worker.clone();
-        rep.frames_by_arena = st.frames_by_arena.clone();
-        rep.idle_ns_by_worker = st.idle_ns_by_worker.clone();
-        rep.idle_timeouts_by_worker = st.idle_timeouts_by_worker.clone();
-        if rcfg.supervised {
-            // Fold worker-side guard counters into the directory's
-            // supervision report; the director contributes the
-            // restore/watchdog side separately via `merge`.
-            let mut sup = SupervisorStats::default();
-            for cell in cells.iter() {
-                let g = cell.guard();
-                sup.panics_caught += g.panics_caught;
-                sup.checkpoints_taken += g.ring.taken;
-                sup.checkpoint_bytes += g.ring.bytes;
-                sup.shed_frames += g.shed_frames;
-                sup.coalesced_moves += g.coalesced_moves;
+        rcfg.sink.publish(|r| {
+            r.pool = Some(PoolReport {
+                frames_by_worker: st.frames_by_worker.clone(),
+                frames_by_arena: st.frames_by_arena.clone(),
+                idle_ns_by_worker: st.idle_ns_by_worker.clone(),
+                idle_timeouts_by_worker: st.idle_timeouts_by_worker.clone(),
+            });
+            if cfg.supervision {
+                // Fold worker-side guard counters into the directory's
+                // supervision report; the director contributes the
+                // restore/watchdog side at its own exit.
+                let mut sup = SupervisorStats::default();
+                for cell in cells.iter() {
+                    let g = cell.guard();
+                    sup.panics_caught += g.panics_caught;
+                    sup.checkpoints_taken += g.ring.taken;
+                    sup.checkpoint_bytes += g.ring.bytes;
+                    sup.shed_frames += g.shed_frames;
+                    sup.coalesced_moves += g.coalesced_moves;
+                }
+                r.supervisor.merge(&sup);
             }
-            supervisor
-                .lock() // lockcheck: allow(raw-sync: host-side supervision counters, merged at run end)
-                .unwrap_or_else(PoisonError::into_inner)
-                .merge(&sup);
-        }
+        });
     }
     pool.exit(ctx);
 }
@@ -1167,7 +1163,7 @@ fn pool_worker_scan(
     let n = cells.len();
     loop {
         let now = ctx.now();
-        if now >= rcfg.end_time {
+        if now >= rcfg.cfg.server.end_time {
             break;
         }
         pool.enter(ctx);
@@ -1185,9 +1181,9 @@ fn pool_worker_scan(
                 }
                 let input =
                     matches!(ctx.fabric().port_next_delivery(cells[k].port), Some(t) if t <= now);
-                let maint = rcfg.maintenance_ns > 0
+                let maint = rcfg.cfg.maintenance_ns > 0
                     && st.sessions[k]
-                    && now >= st.last_frame[k] + rcfg.maintenance_ns;
+                    && now >= st.last_frame[k] + rcfg.cfg.maintenance_ns;
                 if input || maint {
                     pick = Some(k);
                     break;
@@ -1203,7 +1199,7 @@ fn pool_worker_scan(
             Some(k) => {
                 pool.exit(ctx);
                 let cell = &cells[k];
-                let panicked = if rcfg.supervised {
+                let panicked = if rcfg.cfg.supervision {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         run_arena_frame_supervised(ctx, cell)
                     }))
@@ -1241,7 +1237,7 @@ fn pool_worker_scan(
                     (0..shared.clients.capacity())
                         .any(|i| shared.clients.slot(i).state != SlotState::Empty)
                 };
-                let stretch = if rcfg.supervised {
+                let stretch = if rcfg.cfg.supervision {
                     cell.guard().stretch
                 } else {
                     1
@@ -1282,11 +1278,9 @@ fn pool_worker_scan(
                 // end of the run — and, only where deliveries do not
                 // ring it, the poll bound; then rescan.
                 let st = pool.state();
-                let mut deadline = if rcfg.poll {
-                    now + POLL_NS
-                } else {
-                    rcfg.end_time
-                };
+                let end_time = rcfg.cfg.server.end_time;
+                let maintenance_ns = rcfg.cfg.maintenance_ns;
+                let mut deadline = if rcfg.poll { now + POLL_NS } else { end_time };
                 for (k, cell) in cells.iter().enumerate() {
                     if st.claimed[k] || st.fenced[k] || !st.live[k] {
                         continue;
@@ -1294,12 +1288,12 @@ fn pool_worker_scan(
                     if let Some(t) = ctx.fabric().port_next_delivery(cell.port) {
                         deadline = deadline.min(st.next_due[k].max(t));
                     }
-                    if rcfg.maintenance_ns > 0 && st.sessions[k] {
-                        deadline = deadline
-                            .min(st.next_due[k].max(st.last_frame[k] + rcfg.maintenance_ns));
+                    if maintenance_ns > 0 && st.sessions[k] {
+                        deadline =
+                            deadline.min(st.next_due[k].max(st.last_frame[k] + maintenance_ns));
                     }
                 }
-                let deadline = deadline.min(rcfg.end_time).max(now + 1);
+                let deadline = deadline.min(end_time).max(now + 1);
                 let (waited, timed_out) = ctx.cond_wait_until(pool.cond, pool.lock, deadline);
                 let st = pool.state();
                 st.idle_ns_by_worker[w as usize] += waited;

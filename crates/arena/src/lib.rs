@@ -70,7 +70,7 @@ pub mod supervisor;
 pub use admission::{AdmissionPolicy, AdmissionStats};
 pub use checkpoint::{Checkpoint, CheckpointRing};
 pub use directory::{
-    spawn_directory, ArenaDirectoryConfig, ArenaHandle, InjectedPanic, PoolReport,
+    spawn_directory, ArenaDirectoryConfig, ArenaHandle, DirectoryReport, InjectedPanic, PoolReport,
     CHECKPOINT_INTERVAL,
 };
 pub use ledger::{Departure, Ledger, Placement};

@@ -89,7 +89,7 @@ const FENCE_WAIT_NS: u64 = 250_000_000;
 /// director loop; no-op unless the directory is pooled and migration
 /// is configured.
 pub(crate) fn rebalance(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
-    if env.migrate_spread == 0 && !env.migrate_drain {
+    if env.cfg.migrate_spread == 0 && !env.cfg.migrate_drain {
         return;
     }
     let Some(parts) = env.pool.as_ref() else {
@@ -118,30 +118,31 @@ pub(crate) fn planned(env: &DirectorEnv, d: &Director) -> Option<usize> {
 /// The drain trigger: smallest-population non-boot live arena whose
 /// residents all fit elsewhere.
 fn pick_drain(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
-    if !env.migrate_drain {
+    if !env.cfg.migrate_drain {
         return None;
     }
+    let capacity = env.cfg.slots_per_arena as u32;
     let occ = d.ledger.occupancy();
-    let src = (env.boot..occ.len())
+    let src = (env.cfg.arenas as usize..occ.len())
         .filter(|&k| d.live[k] && occ[k] > 0)
         .min_by_key(|&k| (occ[k], k))?;
     let free_elsewhere: u64 = occ
         .iter()
         .enumerate()
         .filter(|&(k, _)| k != src && d.live[k])
-        .map(|(_, &o)| env.capacity.saturating_sub(o) as u64)
+        .map(|(_, &o)| capacity.saturating_sub(o) as u64)
         .sum();
     if free_elsewhere < occ[src] as u64 {
         return None;
     }
-    let dst = rebalance_target(src, occ, env.capacity, &d.live)?;
+    let dst = rebalance_target(src, occ, capacity, &d.live)?;
     Some((src, dst))
 }
 
 /// The spread trigger: hottest live arena vs the coldest open landing
 /// spot, when the gap has reached the configured spread.
 fn pick_spread(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
-    if env.migrate_spread == 0 {
+    if env.cfg.migrate_spread == 0 {
         return None;
     }
     let occ = d.ledger.occupancy();
@@ -151,8 +152,8 @@ fn pick_spread(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
         .filter(|&(k, &o)| d.live[k] && o > 0)
         .max_by_key(|&(k, &o)| (o, std::cmp::Reverse(k)))
         .map(|(k, _)| k)?;
-    let dst = rebalance_target(src, occ, env.capacity, &d.live)?;
-    if occ[src].saturating_sub(occ[dst]) >= env.migrate_spread {
+    let dst = rebalance_target(src, occ, env.cfg.slots_per_arena as u32, &d.live)?;
+    if occ[src].saturating_sub(occ[dst]) >= env.cfg.migrate_spread {
         Some((src, dst))
     } else {
         None
@@ -348,7 +349,7 @@ fn handoff(
             arena: dst as u16,
             kind: SupervisorEventKind::Migrated,
         });
-        if let Some(tap) = env.tap {
+        if let Some(tap) = env.cfg.lifecycle_tap {
             let ev = LifecycleEvent::Migrated {
                 from_arena: src as u16,
                 to_arena: dst as u16,

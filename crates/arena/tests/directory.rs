@@ -66,7 +66,8 @@ fn pooled_directory_serves_every_arena() {
     let (handle, per_arena, connected) = run(cfg, 24);
 
     assert_eq!(connected, 24, "every bot should complete its handshake");
-    let adm = handle.admission.lock().unwrap().clone();
+    let report = handle.report();
+    let adm = &report.admission;
     assert_eq!(adm.per_arena.iter().sum::<u64>(), adm.routed);
     assert_eq!(adm.rejected_full, 0);
     assert_eq!(adm.dropped_unknown, 0);
@@ -74,7 +75,7 @@ fn pooled_directory_serves_every_arena() {
     assert!(adm.explicit_requests > 0);
     for (k, swarm) in per_arena.iter().enumerate().take(3) {
         assert!(adm.per_arena[k] > 0, "arena {k} got no connects");
-        let r = handle.results[k].lock().unwrap().clone();
+        let r = &report.results[k];
         assert!(r.frame_count > 0, "arena {k} ran no frames");
         assert!(swarm.received > 0, "arena {k} clients saw no replies");
         // Frames are the sequential body: exactly one participant.
@@ -82,14 +83,12 @@ fn pooled_directory_serves_every_arena() {
     }
     // Pool accounting: frames per arena and per worker sum to the same
     // total, and both workers took part.
-    let pool = handle.pool.as_ref().unwrap().lock().unwrap().clone();
+    let pool = report.pool.as_ref().unwrap();
     assert_eq!(
         pool.frames_by_arena.iter().sum::<u64>(),
         pool.frames_by_worker.iter().sum::<u64>()
     );
-    let total: u64 = (0..3)
-        .map(|k| handle.results[k].lock().unwrap().frame_count)
-        .sum();
+    let total: u64 = report.results.iter().map(|r| r.frame_count).sum();
     assert_eq!(pool.frames_by_arena.iter().sum::<u64>(), total);
     assert!(pool.frames_by_worker.iter().all(|&f| f > 0));
     // The virtual fabric rings no pool condvar on delivery: idle
@@ -107,9 +106,10 @@ fn dedicated_directory_runs_parallel_runtimes_per_arena() {
     };
     let (handle, per_arena, connected) = run(cfg, 16);
     assert_eq!(connected, 16);
-    assert!(handle.pool.is_none(), "a Parallel template spawns no pool");
+    let report = handle.report();
+    assert!(report.pool.is_none(), "a Parallel template spawns no pool");
     for (k, swarm) in per_arena.iter().enumerate().take(2) {
-        let r = handle.results[k].lock().unwrap().clone();
+        let r = &report.results[k];
         assert_eq!(r.threads.len(), 2, "arena {k} should run 2 threads");
         assert!(r.frame_count > 0);
         assert!(swarm.received > 0);
@@ -164,7 +164,8 @@ fn fill_first_packs_the_first_arena() {
     cfg.policy = AdmissionPolicy::FillFirst;
     let (handle, _, connected) = run(cfg, 8);
     assert_eq!(connected, 8);
-    let adm = handle.admission.lock().unwrap().clone();
+    let report = handle.report();
+    let adm = &report.admission;
     // All 8 fit in arena 0's 32 slots: arena 1 gets nothing.
     assert!(adm.per_arena[0] > 0);
     assert_eq!(adm.per_arena[1], 0);

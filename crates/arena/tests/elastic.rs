@@ -57,7 +57,8 @@ fn directory_spawns_under_pressure_and_reaps_after_drain() {
         "every bot should complete its handshake"
     );
 
-    let elastic = handle.elastic.lock().unwrap().clone();
+    let report = handle.report();
+    let elastic = &report.elastic;
     assert!(elastic.spawned >= 1, "no arena spawned: {elastic:?}");
     assert!(elastic.reaped >= 1, "no arena reaped: {elastic:?}");
     assert!(elastic.peak_live >= 2, "{elastic:?}");
@@ -69,7 +70,7 @@ fn directory_spawns_under_pressure_and_reaps_after_drain() {
     // Every spawned arena actually ran frames, and reaped arenas
     // published their results.
     for e in &elastic.events {
-        let r = handle.results[e.arena as usize].lock().unwrap().clone();
+        let r = &report.results[e.arena as usize];
         assert!(
             r.frame_count > 0,
             "arena {} {:?} but ran no frames",
@@ -85,7 +86,7 @@ fn directory_spawns_under_pressure_and_reaps_after_drain() {
     // Truthful occupancy across the whole ramp: nobody was turned away
     // while the ceiling had headroom, and the books balance to an
     // empty directory after the drain.
-    let adm = handle.admission.lock().unwrap().clone();
+    let adm = &report.admission;
     assert_eq!(adm.rejected_full, 0, "{adm:?}");
     assert!(adm.population_closed(), "identity open: {adm:?}");
     assert_eq!(adm.resident, 0, "residents after full drain: {adm:?}");

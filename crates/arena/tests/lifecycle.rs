@@ -90,7 +90,7 @@ fn occupancy_converges_after_at_arena_disconnect() {
         acks.contains(&3),
         "reconnect should land in the freed slot, acks: {acks:?}"
     );
-    let adm = handle.admission.lock().unwrap().clone();
+    let adm = handle.report().admission;
     assert_eq!(adm.rejected_full, 0, "occupancy drifted: {adm:?}");
     assert!(
         adm.notice_disconnected >= 1,
@@ -139,7 +139,7 @@ fn reclaim_notice_evicts_the_book_entry() {
         acks.contains(&2),
         "sticky book leak: the reclaimed client still occupies the only slot, acks: {acks:?}"
     );
-    let adm = handle.admission.lock().unwrap().clone();
+    let adm = handle.report().admission;
     assert_eq!(adm.rejected_full, 0, "{adm:?}");
     assert!(adm.notice_reclaimed >= 1, "no Reclaimed notice: {adm:?}");
     assert!(adm.population_closed(), "identity open: {adm:?}");

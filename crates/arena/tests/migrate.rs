@@ -42,8 +42,9 @@ fn skewed_load_is_levelled_by_live_handoffs() {
     let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, move |_| (0, 0));
     fabric.run();
 
-    let sup = handle.supervisor.lock().unwrap().clone();
-    let adm = handle.admission.lock().unwrap().clone();
+    let report = handle.report();
+    let sup = &report.supervisor;
+    let adm = &report.admission;
     let bots = swarm.report();
     assert!(sup.migrations >= 1, "no handoffs: {sup:?}");
     assert_eq!(
@@ -57,7 +58,7 @@ fn skewed_load_is_levelled_by_live_handoffs() {
         "no bot rode a re-ack to arena 1 (migrations {})",
         sup.migrations
     );
-    let replies_a1 = handle.results[1].lock().unwrap().merged().replies;
+    let replies_a1 = report.results[1].merged().replies;
     assert!(replies_a1 > 0, "arena 1 never served a migrated client");
     // The books survived every rebooking.
     assert_eq!(bots.connected, 8);
@@ -93,7 +94,7 @@ fn handoffs_are_deterministic_and_hash_identical() {
         swarm_cfg.drivers = 2;
         let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, move |_| (0, 0));
         fabric.run();
-        let sup = handle.supervisor.lock().unwrap().clone();
+        let sup = handle.report().supervisor;
         let hashes: Vec<u64> = handle.worlds.iter().map(|w| w.world_hash()).collect();
         (sup, hashes, swarm.report().stats.received)
     };
@@ -183,9 +184,10 @@ fn drain_before_reap_empties_the_spawned_arena() {
         acks.contains(&1) && acks.contains(&2) && acks.contains(&3),
         "setup acks: {acks:?}"
     );
-    let sup = handle.supervisor.lock().unwrap().clone();
-    let ela = handle.elastic.lock().unwrap().clone();
-    let adm = handle.admission.lock().unwrap().clone();
+    let report = handle.report();
+    let sup = &report.supervisor;
+    let ela = &report.elastic;
+    let adm = &report.admission;
     assert!(ela.spawned >= 1, "overflow never spawned an arena: {ela:?}");
     assert!(
         sup.drain_migrations >= 1,

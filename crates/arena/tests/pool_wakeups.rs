@@ -120,7 +120,7 @@ fn injected_moves_wake_the_pool_without_a_poll_clock() {
         MOVES as u64,
         "every injected move must be answered"
     );
-    let pool = handle.pool.as_ref().unwrap().lock().unwrap().clone();
+    let pool = handle.report().pool.unwrap();
     // Every move arrived alone, milliseconds after the previous frame
     // finished: each one got a frame of its own.
     let frames: u64 = pool.frames_by_arena.iter().sum();

@@ -51,9 +51,10 @@ fn run(cfg: ArenaDirectoryConfig, players: u32) -> Outcome {
     });
     fabric.run();
     let bots = swarm.report();
+    let report = handle.report();
     let out = Outcome {
-        sup: handle.supervisor.lock().unwrap().clone(),
-        adm: handle.admission.lock().unwrap().clone(),
+        sup: report.supervisor,
+        adm: report.admission,
         received: bots.stats.received,
         connected: bots.connected,
         restarts_observed: bots.restarts_observed,

@@ -8,10 +8,10 @@
 
 use std::sync::Arc;
 
-use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig, PoolReport};
-use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmRamp, SwarmTopology};
+use parquake_arena::{spawn_directory, ArenaDirectoryConfig, DirectoryReport};
+use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmRamp, SwarmReport, SwarmTopology};
 use parquake_fabric::{FabricKind, LockWitness, Nanos};
-use parquake_metrics::{rollup, ArenaLoad, ElasticStats, SupervisorStats, WitnessReport};
+use parquake_metrics::{rollup, ArenaLoad, WitnessReport};
 use parquake_server::{ServerConfig, ServerKind};
 
 use crate::experiment::DRAIN_NS;
@@ -71,31 +71,18 @@ pub struct ArenaOutcome {
     pub per_arena: Vec<ArenaLoad>,
     /// The machine-level rollup of `per_arena`.
     pub aggregate: ArenaLoad,
-    /// Front-door routing counters.
-    pub admission: AdmissionStats,
-    /// Pool accounting (pooled scheduling only).
-    pub pool: Option<PoolReport>,
-    /// Bots that completed the connection handshake.
-    pub connected: u32,
     /// The measured window (bots' send window).
     pub duration_ns: Nanos,
     /// Final world hash per arena (determinism checks).
     pub world_hashes: Vec<u64>,
     /// Lock-discipline witness report (present when `checking` was on).
     pub witness: Option<WitnessReport>,
-    /// Elastic spawn/reap accounting (boot fleet only ⇒ no events).
-    pub elastic: ElasticStats,
-    /// Supervision accounting (all-zero when supervision is off).
-    pub supervisor: SupervisorStats,
-    /// Bots that followed a cross-arena re-ack to a new world (client
-    /// side of `supervisor.migrations`).
-    pub rehomed: u64,
-    /// Merged client prediction/reconciliation statistics (all zeros
-    /// when `predict` was off).
-    pub prediction: parquake_metrics::PredictionStats,
-    /// Unacked inputs still in client rings at shutdown — the
-    /// `in_flight` term of the prediction ledger.
-    pub predict_in_flight: u64,
+    /// What the directory measured: per-arena results, admission,
+    /// pool, elastic and supervision accounting.
+    pub directory: DirectoryReport,
+    /// What the bots measured: connects, response statistics,
+    /// re-acks followed, prediction.
+    pub bots: SwarmReport,
 }
 
 impl ArenaOutcome {
@@ -161,13 +148,15 @@ impl ArenaExperiment {
 
         fabric.run();
 
-        let admission = handle.admission.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
+        let directory = handle.report();
         let bots = swarm.report();
         // Cover every arena cell the directory provisioned — an
         // elastic run has result rows past the boot fleet.
-        let per_arena: Vec<ArenaLoad> = (0..handle.results.len())
-            .map(|k| {
-                let r = handle.results[k].lock().unwrap(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
+        let per_arena: Vec<ArenaLoad> = directory
+            .results
+            .iter()
+            .enumerate()
+            .map(|(k, r)| {
                 let m = r.merged();
                 ArenaLoad {
                     arena: k as u16,
@@ -175,29 +164,20 @@ impl ArenaExperiment {
                     replies: m.replies,
                     requests: m.requests,
                     datagrams: m.datagrams,
-                    admitted: admission.per_arena.get(k).copied().unwrap_or(0),
+                    admitted: directory.admission.per_arena.get(k).copied().unwrap_or(0),
                     response: bots.per_arena.get(k).cloned().unwrap_or_default(),
                 }
             })
             .collect();
-        let aggregate = rollup(&per_arena);
-        let elastic = handle.elastic.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-        let supervisor = handle.supervisor.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
 
         ArenaOutcome {
-            aggregate,
+            aggregate: rollup(&per_arena),
             per_arena,
-            pool: handle.pool.as_ref().map(|p| p.lock().unwrap().clone()), // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-            admission,
-            connected: bots.connected,
             duration_ns: cfg.duration_ns(),
             world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
             witness: witness.map(|w| w.report()),
-            elastic,
-            supervisor,
-            rehomed: bots.rehomed,
-            prediction: bots.prediction,
-            predict_in_flight: bots.predict_in_flight,
+            directory,
+            bots,
         }
     }
 }
@@ -218,7 +198,7 @@ mod tests {
     #[test]
     fn multi_arena_run_accounts_cleanly() {
         let out = ArenaExperiment::new(quick(24, 3, 2)).run();
-        assert_eq!(out.connected, 24);
+        assert_eq!(out.bots.connected, 24);
         assert_eq!(out.per_arena.len(), 3);
         // Every arena served its share.
         for a in &out.per_arena {
@@ -228,8 +208,9 @@ mod tests {
         // The rollup is the sum of the parts.
         let replies: u64 = out.per_arena.iter().map(|a| a.replies).sum();
         assert_eq!(out.aggregate.replies, replies);
-        assert_eq!(out.admission.routed, out.admission.per_arena.iter().sum());
-        assert_eq!(out.admission.rejected_full, 0);
+        let adm = &out.directory.admission;
+        assert_eq!(adm.routed, adm.per_arena.iter().sum());
+        assert_eq!(adm.rejected_full, 0);
         // The witness watched the pool lock and stayed happy.
         let report = out.witness.expect("checking was on");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -254,19 +235,19 @@ mod tests {
         let mut cfg = quick(12, 1, 2);
         cfg.predict = true;
         let out = ArenaExperiment::new(cfg).run();
-        assert_eq!(out.connected, 12);
-        let p = &out.prediction;
+        assert_eq!(out.bots.connected, 12);
+        let p = &out.bots.prediction;
         assert!(p.predicted > 200, "predicted only {}", p.predicted);
         assert!(p.reconciled > 0);
         assert!(p.oracle_checks > 0, "oracle never armed");
         assert_eq!(p.oracle_mismatches, 0, "prediction kernel diverged");
         assert!(
-            p.closed(out.predict_in_flight),
+            p.closed(out.bots.predict_in_flight),
             "ledger leak: predicted {} != judged {} + dropped {} + in flight {}",
             p.predicted,
             p.judged,
             p.dropped,
-            out.predict_in_flight
+            out.bots.predict_in_flight
         );
     }
 
@@ -276,8 +257,8 @@ mod tests {
     #[test]
     fn legacy_swarm_reports_zero_prediction_stats() {
         let out = ArenaExperiment::new(quick(8, 1, 2)).run();
-        assert_eq!(out.prediction.predicted, 0);
-        assert_eq!(out.predict_in_flight, 0);
+        assert_eq!(out.bots.prediction.predicted, 0);
+        assert_eq!(out.bots.predict_in_flight, 0);
     }
 
     /// The run length is stated once, as the server template's

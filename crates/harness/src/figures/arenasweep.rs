@@ -58,6 +58,7 @@ pub fn run(opts: &SweepOpts) -> String {
         .iter()
         .map(|(arenas, o)| {
             let idle: u64 = o
+                .directory
                 .pool
                 .as_ref()
                 .map(|p| p.idle_ns_by_worker.iter().sum())
@@ -67,7 +68,7 @@ pub fn run(opts: &SweepOpts) -> String {
                 format!("pool{WORKERS} {arenas}x{}", total / arenas),
                 f(o.response_rate(), 0),
                 f(o.avg_response_ms(), 1),
-                o.connected.to_string(),
+                o.bots.connected.to_string(),
                 o.aggregate.frames.to_string(),
                 f(busy * 100.0, 1),
             ]
@@ -101,10 +102,10 @@ pub fn run(opts: &SweepOpts) -> String {
             "-- per-arena detail, 4x{} (admission: {} routed, {} sticky, \
              {} explicit, {} rejected) --\n",
             total / 4,
-            o.admission.routed,
-            o.admission.sticky,
-            o.admission.explicit_requests,
-            o.admission.rejected_full,
+            o.directory.admission.routed,
+            o.directory.admission.sticky,
+            o.directory.admission.explicit_requests,
+            o.directory.admission.rejected_full,
         ));
         let mut detail: Vec<Vec<String>> = o
             .per_arena
@@ -139,7 +140,7 @@ pub fn run(opts: &SweepOpts) -> String {
             ],
             &detail,
         ));
-        if let Some(p) = &o.pool {
+        if let Some(p) = &o.directory.pool {
             s.push_str(&format!(
                 "pool frames by worker: {:?}; by arena: {:?}\n",
                 p.frames_by_worker, p.frames_by_arena

@@ -192,7 +192,7 @@ pub fn run_at(profile: &ChaosProfile, predict: bool, opts: &SweepOpts) -> ArenaO
 /// clients, never-invalidated predictions for predicting ones.
 pub fn effective_response_rate(o: &ArenaOutcome, predict: bool) -> f64 {
     if predict {
-        o.prediction.effective_inputs() as f64 / (o.duration_ns as f64 / 1e9)
+        o.bots.prediction.effective_inputs() as f64 / (o.duration_ns as f64 / 1e9)
     } else {
         o.response_rate()
     }
@@ -219,7 +219,7 @@ pub fn run(opts: &SweepOpts) -> String {
                     harsh_rates.0 = eff;
                 }
             }
-            let p = &o.prediction;
+            let p = &o.bots.prediction;
             rows.push(vec![
                 profile.name.to_string(),
                 if predict { "on" } else { "off" }.to_string(),
@@ -240,8 +240,8 @@ pub fn run(opts: &SweepOpts) -> String {
                 } else {
                     "-".into()
                 },
-                o.supervisor.panics_caught.to_string(),
-                o.connected.to_string(),
+                o.directory.supervisor.panics_caught.to_string(),
+                o.bots.connected.to_string(),
             ]);
         }
     }
@@ -306,23 +306,29 @@ mod tests {
         let off = run_at(&profile, false, &opts);
         let on = run_at(&profile, true, &opts);
 
-        assert!(off.supervisor.panics_caught >= 1, "lottery never fired");
-        assert!(on.supervisor.panics_caught >= 1, "lottery never fired");
         assert!(
-            on.prediction.oracle_checks > 0,
+            off.directory.supervisor.panics_caught >= 1,
+            "lottery never fired"
+        );
+        assert!(
+            on.directory.supervisor.panics_caught >= 1,
+            "lottery never fired"
+        );
+        assert!(
+            on.bots.prediction.oracle_checks > 0,
             "oracle never armed: {:?}",
-            on.prediction
+            on.bots.prediction
         );
         assert_eq!(
-            on.prediction.oracle_mismatches, 0,
+            on.bots.prediction.oracle_mismatches, 0,
             "prediction diverged from the server: {:?}",
-            on.prediction
+            on.bots.prediction
         );
         assert!(
-            on.prediction.closed(on.predict_in_flight),
+            on.bots.prediction.closed(on.bots.predict_in_flight),
             "prediction ledger must close: {:?} + in flight {}",
-            on.prediction,
-            on.predict_in_flight
+            on.bots.prediction,
+            on.bots.predict_in_flight
         );
 
         let rate_off = effective_response_rate(&off, false);
@@ -342,11 +348,19 @@ mod tests {
     #[test]
     fn clean_profile_oracle_is_armed_and_silent() {
         let o = run_at(&PROFILES[0], true, &ci_opts());
-        assert_eq!(o.connected, PLAYERS);
-        assert!(o.prediction.oracle_checks > 0, "{:?}", o.prediction);
-        assert_eq!(o.prediction.oracle_mismatches, 0, "{:?}", o.prediction);
-        assert!(o.prediction.closed(o.predict_in_flight));
-        assert!(o.supervisor.panics_caught == 0);
+        assert_eq!(o.bots.connected, PLAYERS);
+        assert!(
+            o.bots.prediction.oracle_checks > 0,
+            "{:?}",
+            o.bots.prediction
+        );
+        assert_eq!(
+            o.bots.prediction.oracle_mismatches, 0,
+            "{:?}",
+            o.bots.prediction
+        );
+        assert!(o.bots.prediction.closed(o.bots.predict_in_flight));
+        assert!(o.directory.supervisor.panics_caught == 0);
     }
 
     /// The whole stack — bursty loss, jitter, delay floor, one-way
@@ -360,11 +374,23 @@ mod tests {
         let b = run_at(&profile, true, &opts);
         assert_eq!(a.world_hashes, b.world_hashes);
         assert_eq!(a.aggregate.replies, b.aggregate.replies);
-        assert_eq!(a.supervisor.panics_caught, b.supervisor.panics_caught);
-        assert_eq!(a.prediction.predicted, b.prediction.predicted);
-        assert_eq!(a.prediction.mispredictions, b.prediction.mispredictions);
-        assert_eq!(a.prediction.oracle_checks, b.prediction.oracle_checks);
-        assert_eq!(a.prediction.depth.counts, b.prediction.depth.counts);
-        assert_eq!(a.predict_in_flight, b.predict_in_flight);
+        assert_eq!(
+            a.directory.supervisor.panics_caught,
+            b.directory.supervisor.panics_caught
+        );
+        assert_eq!(a.bots.prediction.predicted, b.bots.prediction.predicted);
+        assert_eq!(
+            a.bots.prediction.mispredictions,
+            b.bots.prediction.mispredictions
+        );
+        assert_eq!(
+            a.bots.prediction.oracle_checks,
+            b.bots.prediction.oracle_checks
+        );
+        assert_eq!(
+            a.bots.prediction.depth.counts,
+            b.bots.prediction.depth.counts
+        );
+        assert_eq!(a.bots.predict_in_flight, b.bots.predict_in_flight);
     }
 }

@@ -68,7 +68,7 @@ pub fn run(opts: &SweepOpts) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(rate, o)| {
-            let sup = &o.supervisor;
+            let sup = &o.directory.supervisor;
             vec![
                 format!("{:.2}%", rate * 100.0),
                 f(o.response_rate(), 0),
@@ -81,7 +81,7 @@ pub fn run(opts: &SweepOpts) -> String {
                 sup.restarts.to_string(),
                 f(sup.avg_recovery_ms(), 2),
                 sup.replayed_placements.to_string(),
-                o.connected.to_string(),
+                o.bots.connected.to_string(),
             ]
         })
         .collect();
@@ -101,7 +101,7 @@ pub fn run(opts: &SweepOpts) -> String {
     s.push('\n');
 
     for (rate, o) in &rows {
-        let adm = &o.admission;
+        let adm = &o.directory.admission;
         s.push_str(&format!(
             "crash {:>5.2}%: population identity placed {} == departed {} + \
              resident {} ({}); checkpoints {} ({} KiB)\n",
@@ -114,8 +114,8 @@ pub fn run(opts: &SweepOpts) -> String {
             } else {
                 "OPEN"
             },
-            o.supervisor.checkpoints_taken,
-            o.supervisor.checkpoint_bytes / 1024,
+            o.directory.supervisor.checkpoints_taken,
+            o.directory.supervisor.checkpoint_bytes / 1024,
         ));
     }
 
@@ -153,18 +153,21 @@ mod tests {
 
         // The run completing at all is the zero-directory-crash bar:
         // a leaked panic would abort the whole fabric.
-        assert!(hit.supervisor.panics_caught >= 1, "lottery never fired");
         assert!(
-            hit.supervisor.restarts >= hit.supervisor.panics_caught,
+            hit.directory.supervisor.panics_caught >= 1,
+            "lottery never fired"
+        );
+        assert!(
+            hit.directory.supervisor.restarts >= hit.directory.supervisor.panics_caught,
             "every crash must be restored: {:?}",
-            hit.supervisor
+            hit.directory.supervisor
         );
         assert!(
-            hit.admission.population_closed(),
+            hit.directory.admission.population_closed(),
             "population identity must close across every restart: {:?}",
-            hit.admission
+            hit.directory.admission
         );
-        assert_eq!(hit.connected, PLAYERS, "clients must ride through");
+        assert_eq!(hit.bots.connected, PLAYERS, "clients must ride through");
 
         let retention = hit.response_rate() / base.response_rate();
         assert!(
@@ -179,11 +182,11 @@ mod tests {
     #[test]
     fn fault_free_supervised_baseline_is_quiet() {
         let base = run_at(0.0, &ci_opts());
-        assert_eq!(base.supervisor.panics_caught, 0);
-        assert_eq!(base.supervisor.restarts, 0);
-        assert!(base.supervisor.checkpoints_taken > 0);
-        assert_eq!(base.connected, PLAYERS);
-        assert!(base.admission.population_closed());
+        assert_eq!(base.directory.supervisor.panics_caught, 0);
+        assert_eq!(base.directory.supervisor.restarts, 0);
+        assert!(base.directory.supervisor.checkpoints_taken > 0);
+        assert_eq!(base.bots.connected, PLAYERS);
+        assert!(base.directory.admission.population_closed());
     }
 
     #[test]
@@ -191,8 +194,14 @@ mod tests {
         let opts = ci_opts();
         let a = run_at(0.005, &opts);
         let b = run_at(0.005, &opts);
-        assert_eq!(a.supervisor.panics_caught, b.supervisor.panics_caught);
-        assert_eq!(a.supervisor.restarts, b.supervisor.restarts);
+        assert_eq!(
+            a.directory.supervisor.panics_caught,
+            b.directory.supervisor.panics_caught
+        );
+        assert_eq!(
+            a.directory.supervisor.restarts,
+            b.directory.supervisor.restarts
+        );
         assert_eq!(a.world_hashes, b.world_hashes);
         assert_eq!(a.aggregate.replies, b.aggregate.replies);
     }

@@ -54,7 +54,7 @@ pub fn run_ramp(opts: &SweepOpts) -> ArenaOutcome {
 /// Run the ramp and render the report.
 pub fn run(opts: &SweepOpts) -> String {
     let o = run_ramp(opts);
-    let e = &o.elastic;
+    let e = &o.directory.elastic;
 
     let mut s = format!(
         "== Elasticity (extension): {PLAYERS} players ramped over a \
@@ -92,7 +92,7 @@ pub fn run(opts: &SweepOpts) -> String {
         ));
     }
 
-    let adm = &o.admission;
+    let adm = &o.directory.admission;
     s.push_str(&format!(
         "\npopulation identity: placed {} == departed {} + resident {} ({}); \
          rejected_full {}\n",
@@ -138,7 +138,7 @@ mod tests {
             ..SweepOpts::default()
         };
         let o = run_ramp(&opts);
-        let e = &o.elastic;
+        let e = &o.directory.elastic;
         assert!(e.spawned >= 1, "{e:?}");
         assert!(e.reaped >= 1, "{e:?}");
         assert!(e.peak_live >= 2, "{e:?}");
@@ -150,9 +150,17 @@ mod tests {
         assert!(e.live_at(o.duration_ns) < e.live_at(mid_hold), "{e:?}");
         // Truthful occupancy: nobody rejected below the ceiling, books
         // balanced at the end.
-        assert_eq!(o.admission.rejected_full, 0, "{:?}", o.admission);
-        assert!(o.admission.population_closed(), "{:?}", o.admission);
-        assert_eq!(o.connected, PLAYERS);
+        assert_eq!(
+            o.directory.admission.rejected_full, 0,
+            "{:?}",
+            o.directory.admission
+        );
+        assert!(
+            o.directory.admission.population_closed(),
+            "{:?}",
+            o.directory.admission
+        );
+        assert_eq!(o.bots.connected, PLAYERS);
     }
 
     #[test]
@@ -165,6 +173,9 @@ mod tests {
         let b = run_ramp(&opts);
         assert_eq!(a.world_hashes, b.world_hashes);
         assert_eq!(a.aggregate.replies, b.aggregate.replies);
-        assert_eq!(a.elastic.events.len(), b.elastic.events.len());
+        assert_eq!(
+            a.directory.elastic.events.len(),
+            b.directory.elastic.events.len()
+        );
     }
 }

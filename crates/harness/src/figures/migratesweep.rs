@@ -80,8 +80,8 @@ pub fn run(opts: &SweepOpts) -> String {
             label.to_string(),
             o.aggregate.replies.to_string(),
             f(o.response_rate(), 1),
-            o.supervisor.migrations.to_string(),
-            o.rehomed.to_string(),
+            o.directory.supervisor.migrations.to_string(),
+            o.bots.rehomed.to_string(),
         ];
         r.extend(
             o.per_arena
@@ -108,14 +108,14 @@ pub fn run(opts: &SweepOpts) -> String {
     s.push_str(&format!(
         "handoffs: {} migrated ({} by drain), {} aborted, {} hash mismatches; \
          {} clients re-homed\n",
-        live.supervisor.migrations,
-        live.supervisor.drain_migrations,
-        live.supervisor.migrate_aborted,
-        live.supervisor.migrate_hash_mismatch,
-        live.rehomed,
+        live.directory.supervisor.migrations,
+        live.directory.supervisor.drain_migrations,
+        live.directory.supervisor.migrate_aborted,
+        live.directory.supervisor.migrate_hash_mismatch,
+        live.bots.rehomed,
     ));
     for (tag, o) in [("baseline", &base), ("migrate", &live)] {
-        let adm = &o.admission;
+        let adm = &o.directory.admission;
         s.push_str(&format!(
             "{tag}: population identity placed {} == departed {} + resident {} ({}); \
              {} migrated notices\n",
@@ -157,21 +157,37 @@ mod tests {
         let base = run_at(0, &opts);
         let live = run_at(SPREAD, &opts);
         // Baseline really is skewed: nothing migrated, nobody re-homed.
-        assert_eq!(base.supervisor.migrations, 0, "{:?}", base.supervisor);
-        assert_eq!(base.rehomed, 0);
-        assert_eq!(base.connected, PLAYERS);
-        // Migration run moved slots and the clients followed.
-        assert!(live.supervisor.migrations >= 1, "{:?}", live.supervisor);
-        assert!(live.rehomed >= 1, "rehomed {}", live.rehomed);
         assert_eq!(
-            live.supervisor.migrate_hash_mismatch, 0,
+            base.directory.supervisor.migrations, 0,
             "{:?}",
-            live.supervisor
+            base.directory.supervisor
         );
-        assert_eq!(live.connected, PLAYERS);
+        assert_eq!(base.bots.rehomed, 0);
+        assert_eq!(base.bots.connected, PLAYERS);
+        // Migration run moved slots and the clients followed.
+        assert!(
+            live.directory.supervisor.migrations >= 1,
+            "{:?}",
+            live.directory.supervisor
+        );
+        assert!(live.bots.rehomed >= 1, "rehomed {}", live.bots.rehomed);
+        assert_eq!(
+            live.directory.supervisor.migrate_hash_mismatch, 0,
+            "{:?}",
+            live.directory.supervisor
+        );
+        assert_eq!(live.bots.connected, PLAYERS);
         // The books close on both sides of every handoff.
-        assert!(base.admission.population_closed(), "{:?}", base.admission);
-        assert!(live.admission.population_closed(), "{:?}", live.admission);
+        assert!(
+            base.directory.admission.population_closed(),
+            "{:?}",
+            base.directory.admission
+        );
+        assert!(
+            live.directory.admission.population_closed(),
+            "{:?}",
+            live.directory.admission
+        );
         // The premise of the bar below: arena 0 alone is overloaded by
         // the rule on `PLAYERS`. If this trips, moves got cheaper —
         // climb the ladder, do not lower the bar.
@@ -202,7 +218,10 @@ mod tests {
         let b = run_at(SPREAD, &opts);
         assert_eq!(a.world_hashes, b.world_hashes);
         assert_eq!(a.aggregate.replies, b.aggregate.replies);
-        assert_eq!(a.supervisor.migrations, b.supervisor.migrations);
-        assert_eq!(a.rehomed, b.rehomed);
+        assert_eq!(
+            a.directory.supervisor.migrations,
+            b.directory.supervisor.migrations
+        );
+        assert_eq!(a.bots.rehomed, b.bots.rehomed);
     }
 }

@@ -54,7 +54,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parquake_arena::{spawn_directory, AdmissionStats, ArenaDirectoryConfig, ArenaHandle};
+use parquake_arena::{
+    spawn_directory, AdmissionStats, ArenaDirectoryConfig, ArenaHandle, DirectoryReport,
+};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, PredictMap, SwarmRamp, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FaultLottery};
@@ -995,8 +997,8 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     Ok(build_report(&fabric, &handle, shard_lanes, &pump_to_arena))
 }
 
-/// Read the directory's sinks and the ports' counters into the layered
-/// report. Host-side, after the run: no task is alive.
+/// Read the directory's report and the ports' counters into the
+/// layered report. Host-side, after the run: no task is alive.
 fn build_report(
     fabric: &Arc<dyn Fabric>,
     handle: &ArenaHandle,
@@ -1004,14 +1006,18 @@ fn build_report(
     pump_to_arena: &[u64],
 ) -> UdpArenaReport {
     let agg = GatewayLane::aggregate(&shard_lanes);
-    let admission = handle.admission.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
-    let elastic = handle.elastic.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
-    let supervisor = handle.supervisor.lock().unwrap().clone(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
+    let DirectoryReport {
+        results,
+        admission,
+        elastic,
+        supervisor,
+        ..
+    } = handle.report();
     let mut lanes = Vec::with_capacity(pump_to_arena.len());
     let mut lanes_missing_counters: Vec<u16> = Vec::new();
     let mut interest = InterestStats::default();
     for (k, &pump_forwarded) in pump_to_arena.iter().enumerate() {
-        let r = handle.results[k].lock().unwrap(); // lockcheck: allow(raw-sync: host-side read after the run joined, no tasks alive)
+        let r = &results[k];
         let m = r.merged();
         interest.merge(&r.interest);
         // A provisioned cell absent from the director's tables is a
