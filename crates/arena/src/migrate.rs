@@ -364,10 +364,10 @@ fn handoff(
 
 /// The fenced transfer proper: capsule out of the source world,
 /// validate-before-mutate into the destination world, then (only
-/// then) clear the source entity and slot and install the
-/// destination slot with `needs_ack` set — the destination's next
-/// reply phase re-acks the client unprompted with the new arena id,
-/// exactly the crash-recovery rebind path.
+/// then) install the destination slot with `needs_ack` set and clear
+/// the source entity and slot — the destination's next reply phase
+/// re-acks the client unprompted with the new arena id, exactly the
+/// crash-recovery rebind path.
 fn transfer(
     ctx: &TaskCtx,
     cell_s: &crate::directory::ArenaCell,
@@ -399,31 +399,25 @@ fn transfer(
     ctx.charge(((capsule.len() as u64) >> 6).max(1_000));
 
     let s_slot = cell_s.shared.clients.slot(s_idx);
-    let reply_port = s_slot.reply_port;
-    let last_seq = s_slot.last_seq;
-    let last_sent_at = s_slot.last_sent_at;
-    cell_s.shared.world.despawn_player(s_idx as u16);
-    s_slot.state = SlotState::Empty;
-    s_slot.leaving = false;
-    s_slot.needs_ack = false;
-    s_slot.requests_this_frame = 0;
-    s_slot.events.clear();
-    s_slot.baseline.clear();
-
     let t_slot = cell_d.shared.clients.slot(t_idx);
+    t_slot.vacate();
     t_slot.state = SlotState::Active;
     t_slot.client_id = cid;
-    t_slot.reply_port = reply_port;
-    t_slot.owner = 0;
-    t_slot.desired_thread = 0;
+    t_slot.reply_port = s_slot.reply_port;
     t_slot.needs_ack = true;
-    t_slot.leaving = false;
-    t_slot.requests_this_frame = 0;
-    t_slot.last_seq = last_seq;
-    t_slot.last_sent_at = last_sent_at;
+    t_slot.last_seq = s_slot.last_seq;
+    t_slot.last_sent_at = s_slot.last_sent_at;
     t_slot.last_active = ctx.now();
-    t_slot.events.clear();
-    t_slot.baseline.clear();
+    // Prediction continuity, by the checkpoint-restore rule: the opt-in
+    // and the input ack travel, the perturbation epoch moves past the
+    // source's (the client's divergence oracle stands down until it
+    // re-adopts server state in the new world), and the shadow re-seeds
+    // from the destination's authoritative state on the next move.
+    t_slot.predicts = s_slot.predicts;
+    t_slot.input_ack = s_slot.input_ack;
+    t_slot.input_perturb = s_slot.input_perturb.wrapping_add(1);
+    cell_s.shared.world.despawn_player(s_idx as u16);
+    s_slot.vacate();
     Some(())
 }
 

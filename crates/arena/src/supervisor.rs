@@ -207,12 +207,7 @@ fn wipe_resurrected_slot(cell: &crate::directory::ArenaCell, cid: u32) {
         let slot = clients.slot(idx);
         if slot.state != SlotState::Empty && slot.client_id == cid {
             cell.shared.world.despawn_player(idx as u16);
-            slot.state = SlotState::Empty;
-            slot.leaving = false;
-            slot.needs_ack = false;
-            slot.requests_this_frame = 0;
-            slot.events.clear();
-            slot.baseline.clear();
+            slot.vacate();
             return;
         }
     }

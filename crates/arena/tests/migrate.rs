@@ -11,7 +11,7 @@ use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::{FabricKind, Nanos, PortId, TaskCtx};
-use parquake_protocol::{ClientMessage, Decode, Encode, ServerMessage};
+use parquake_protocol::{ClientMessage, Decode, Encode, MoveCmd, ServerMessage};
 use parquake_server::{ServerConfig, ServerKind};
 
 const SEND_NS: u64 = 4_000_000_000;
@@ -200,4 +200,154 @@ fn drain_before_reap_empties_the_spawned_arena() {
     );
     assert!(adm.population_closed(), "identity open: {adm:?}");
     assert_eq!(adm.resident, 2, "clients 2 and 3 remain: {adm:?}");
+}
+
+/// What a scripted predicting client heard, in arrival order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Heard {
+    Ack {
+        arena: u16,
+    },
+    Reply {
+        seq: u32,
+        input_ack: u32,
+        perturb: u32,
+    },
+}
+
+/// A predicting client keeps its prediction state across a handoff,
+/// by the checkpoint-restore rule: the destination slot carries the
+/// opt-in and the input ack (a duplicate of an input the source
+/// already applied is dropped at the destination, not executed twice),
+/// and its perturbation epoch moves past the source's (the client's
+/// divergence oracle stands down in the new world).
+#[test]
+fn a_migrated_predicting_slot_keeps_its_input_ack_and_moves_its_epoch_on() {
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let mut server = ServerConfig::new(ServerKind::Sequential, 2_000_000_000);
+    server.checking = false;
+    server.client_timeout_ns = 60_000_000_000;
+    let cfg = ArenaDirectoryConfig {
+        policy: AdmissionPolicy::Explicit,
+        workers: 1,
+        map: MapGenConfig::small_arena(11),
+        maintenance_ns: 20_000_000,
+        migrate_spread: 2,
+        ..ArenaDirectoryConfig::new(2, 8, server)
+    };
+    let handle = spawn_directory(&fabric, cfg);
+    let front = handle.front_port;
+    let arena_ports: Vec<PortId> = handle.arena_ports.iter().map(|p| p[0]).collect();
+    let ports = [fabric.alloc_port(), fabric.alloc_port()];
+    let heard = Arc::new(Mutex::new(vec![Vec::new(), Vec::new()]));
+    let heard_task = heard.clone();
+    fabric.spawn(
+        "script",
+        None,
+        Box::new(move |ctx| {
+            let connect = |i: usize| {
+                let msg = ClientMessage::Connect {
+                    client_id: i as u32 + 1,
+                    arena: 0,
+                };
+                ctx.send(ports[i], front, msg.to_bytes());
+            };
+            connect(0);
+            let mut arena = [None::<u16>; 2];
+            let mut seq = [0u32; 2];
+            let mut ack = [0u32; 2];
+            let mut resent = [false; 2];
+            let mut tick = ctx.now();
+            while tick < 1_500_000_000 {
+                tick += 30_000_000;
+                ctx.sleep_until(tick);
+                // Client 2 asks for arena 0 too once client 1 has
+                // predicted for a while: a spread of 2, so the director
+                // hands client 1 (lowest id) over to arena 1.
+                if arena[1].is_none() && tick >= 600_000_000 {
+                    connect(1);
+                }
+                for (i, &port) in ports.iter().enumerate() {
+                    while let Some(raw) = ctx.try_recv(port) {
+                        let got = match ServerMessage::from_bytes(&raw.payload) {
+                            Ok(ServerMessage::ConnectAck { arena: a, .. }) => {
+                                arena[i] = Some(a);
+                                Heard::Ack { arena: a }
+                            }
+                            Ok(ServerMessage::Reply {
+                                seq,
+                                predict: Some(p),
+                                ..
+                            }) => {
+                                ack[i] = p.input_ack;
+                                Heard::Reply {
+                                    seq,
+                                    input_ack: p.input_ack,
+                                    perturb: p.perturb,
+                                }
+                            }
+                            _ => continue,
+                        };
+                        heard_task.lock().unwrap()[i].push(got);
+                    }
+                    let Some(a) = arena[i] else { continue };
+                    // Once rehomed, replay the client's very first
+                    // input once — a network duplicate the source
+                    // applied long ago.
+                    let replay = a != 0 && !resent[i];
+                    resent[i] |= replay;
+                    if !replay {
+                        seq[i] += 1;
+                    }
+                    let cmd = MoveCmd {
+                        predict_ack: Some(ack[i]),
+                        ..MoveCmd::idle(if replay { 1 } else { seq[i] }, 30)
+                    };
+                    let mv = ClientMessage::Move {
+                        client_id: i as u32 + 1,
+                        cmd,
+                    };
+                    ctx.send(port, arena_ports[a as usize], mv.to_bytes());
+                }
+            }
+        }),
+    );
+    fabric.run();
+
+    let report = handle.report();
+    assert!(report.supervisor.migrations >= 1, "{:?}", report.supervisor);
+    assert_eq!(report.supervisor.migrate_hash_mismatch, 0);
+    let heard = heard.lock().unwrap()[0].clone();
+    let rehome = heard
+        .iter()
+        .position(|h| *h == Heard::Ack { arena: 1 })
+        .expect("client 1 was handed over to arena 1");
+    let replies = |hs: &[Heard]| -> Vec<(u32, u32, u32)> {
+        hs.iter()
+            .filter_map(|h| match *h {
+                Heard::Reply {
+                    seq,
+                    input_ack,
+                    perturb,
+                } => Some((seq, input_ack, perturb)),
+                Heard::Ack { .. } => None,
+            })
+            .collect()
+    };
+    let (before, after) = (replies(&heard[..rehome]), replies(&heard[rehome..]));
+    let &(_, src_ack, src_perturb) = before.last().expect("replies from arena 0");
+    let &(seq, dst_ack, dst_perturb) = after.first().expect("replies from arena 1");
+    assert!(
+        dst_perturb > src_perturb,
+        "the epoch must move past the source's: {src_perturb} → {dst_perturb}"
+    );
+    assert!(
+        dst_ack > src_ack && seq > 1,
+        "the input ack carries on (ack {src_ack} → {dst_ack}, first echo seq {seq})"
+    );
+    assert_eq!(
+        report.results[1].merged().inputs_deduped,
+        1,
+        "arena 1 drops the replayed input as a duplicate"
+    );
 }

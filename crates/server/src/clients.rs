@@ -114,6 +114,23 @@ impl Slot {
         }
     }
 
+    /// Empty the slot: every field goes back to [`Slot::empty`]'s
+    /// value, so the next client installed here inherits nothing from
+    /// the last one — no delta baseline, prediction opt-in, input ack
+    /// or sequence echo. The event ring and the baseline map keep their
+    /// allocations.
+    pub fn vacate(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        let mut baseline = std::mem::take(&mut self.baseline);
+        events.clear();
+        baseline.clear();
+        *self = Slot {
+            events,
+            baseline,
+            ..Slot::empty()
+        };
+    }
+
     /// Queue one frame's broadcast events, dropping the oldest on
     /// overflow: the queue ends up holding what pushing `batch` one
     /// event at a time against the cap would leave, but the front is

@@ -259,9 +259,7 @@ impl ServerShared {
                 SlotState::Active if slot.leaving => {
                     let client_id = slot.client_id;
                     self.world.despawn_player(idx as u16);
-                    slot.state = SlotState::Empty;
-                    slot.leaving = false;
-                    slot.events.clear();
+                    slot.vacate();
                     self.notify(
                         ctx,
                         port,
@@ -282,9 +280,7 @@ impl ServerShared {
                     ctx.charge(self.cost.reply_base / 2);
                     ctx.send(port, slot.reply_port, bye.to_bytes());
                     self.world.despawn_player(idx as u16);
-                    slot.state = SlotState::Empty;
-                    slot.leaving = false;
-                    slot.events.clear();
+                    slot.vacate();
                     stats.timeouts += 1;
                     self.notify(
                         ctx,
@@ -443,6 +439,7 @@ impl ServerShared {
                     .find(|&idx| self.clients.slot(idx).state == SlotState::Empty);
                 if let Some(idx) = fresh {
                     let slot = self.clients.slot(idx);
+                    slot.vacate();
                     slot.client_id = client_id;
                     slot.reply_port = from_port;
                     slot.state = SlotState::Pending;
@@ -917,17 +914,7 @@ impl ServerShared {
             .map(|idx| self.clients.slot(idx).input_perturb)
             .collect();
         for idx in 0..self.clients.capacity() {
-            let s = self.clients.slot(idx);
-            s.state = SlotState::Empty;
-            s.leaving = false;
-            s.needs_ack = false;
-            s.requests_this_frame = 0;
-            s.events.clear();
-            s.baseline.clear();
-            s.predicts = false;
-            s.input_ack = 0;
-            s.input_perturb = 0;
-            s.predict_shadow = None;
+            self.clients.slot(idx).vacate();
         }
         for snap in snaps {
             let idx = snap.idx as usize;
@@ -941,7 +928,6 @@ impl ServerShared {
             s.owner = snap.owner;
             s.desired_thread = snap.desired_thread;
             s.last_seq = snap.last_seq;
-            s.last_sent_at = 0;
             s.last_active = now;
             s.needs_ack = snap.state == SlotState::Active;
             // Prediction continuity across a restore: the restored
@@ -955,7 +941,6 @@ impl ServerShared {
             s.predicts = snap.predicts;
             s.input_ack = snap.input_ack;
             s.input_perturb = snap.input_perturb.max(live_perturb[idx]).wrapping_add(1);
-            s.predict_shadow = None;
         }
     }
 }
@@ -1143,6 +1128,36 @@ mod tests {
             self.handle(thread, ClientMessage::Move { client_id, cmd })
         }
 
+        /// [`Session::turn`] from a predicting client: the move carries
+        /// the input-seq trailer.
+        fn predicted_turn(&mut self, thread: u32, client_id: u32, seq: u32, yaw: f32) -> bool {
+            let cmd = parquake_protocol::MoveCmd {
+                yaw,
+                predict_ack: Some(0),
+                ..parquake_protocol::MoveCmd::idle(seq, 30)
+            };
+            self.handle(thread, ClientMessage::Move { client_id, cmd })
+        }
+
+        /// The reply `client_id` would get now: entity updates (deltas
+        /// against its baseline when `delta`), seq echo and trailer.
+        fn reply_to(&mut self, client_id: u32, delta: bool) -> ServerMessage {
+            let idx = self.slot_of(client_id);
+            let mut work = WorkCounters::new();
+            let slot = self.s.clients.slot(idx);
+            build_reply(
+                &self.s.world,
+                idx as u16,
+                slot,
+                self.frame,
+                0,
+                delta,
+                Vec::new(),
+                None,
+                &mut work,
+            )
+        }
+
         fn slot_of(&self, client_id: u32) -> usize {
             (0..self.s.clients.capacity())
                 .find(|&i| {
@@ -1166,13 +1181,21 @@ mod tests {
         threads: u32,
         script: impl FnOnce(&mut Session<'_>) + Send + 'static,
     ) {
-        let fabric = FabricKind::VirtualSmp(Default::default()).build();
-        let map = Arc::new(MapGenConfig::small_arena(1).generate());
-        let world = Arc::new(GameWorld::new(map, 4, 32));
         let cfg = ServerConfig {
             assignment,
             ..ServerConfig::new(ServerKind::Sequential, 1_000_000_000)
         };
+        in_session_with(cfg, threads, script);
+    }
+
+    fn in_session_with(
+        cfg: ServerConfig,
+        threads: u32,
+        script: impl FnOnce(&mut Session<'_>) + Send + 'static,
+    ) {
+        let fabric = FabricKind::VirtualSmp(Default::default()).build();
+        let map = Arc::new(MapGenConfig::small_arena(1).generate());
+        let world = Arc::new(GameWorld::new(map, 4, 32));
         let s = ServerShared::new(&fabric, &cfg, world, threads, None);
         fabric.spawn(
             "session",
@@ -1293,6 +1316,65 @@ mod tests {
             t.hint_of(A).store(63, Ordering::Relaxed);
             assert!(t.turn(0, A, 31, 34.0));
             assert_eq!(t.yaw_of(slot), 34.0);
+        });
+    }
+
+    /// A vacated slot keeps nothing of its last client: B, admitted
+    /// into the slot A predicted in up to seq 50, starts its own input
+    /// sequence at 1 — and that move executes instead of counting as a
+    /// duplicate of A's.
+    #[test]
+    fn a_predicting_newcomer_in_a_reused_slot_starts_its_own_sequence() {
+        in_session(Assignment::Static, 1, |t| {
+            t.connect(0, A);
+            let old = t.slot_of(A);
+            for seq in 1..=50 {
+                assert!(t.predicted_turn(0, A, seq, seq as f32));
+            }
+            t.disconnect(0, A);
+            t.connect(0, B);
+            assert_eq!(t.slot_of(B), old, "B is admitted into A's old slot");
+            assert!(t.predicted_turn(0, B, 1, 90.0), "B's first move executes");
+            assert_eq!(t.yaw_of(old), 90.0);
+            assert_eq!(t.stats.inputs_deduped, 0);
+            let slot = t.s.clients.slot(old);
+            assert_eq!((slot.input_ack, slot.input_perturb), (1, 0));
+        });
+    }
+
+    /// A delta-compressed client admitted into a reused slot must get
+    /// its whole visible set in its first reply: the previous
+    /// occupant's baseline would leave out every entity it had already
+    /// seen unchanged.
+    #[test]
+    fn a_delta_client_in_a_reused_slot_gets_its_whole_view_first() {
+        let cfg = ServerConfig {
+            delta_compression: true,
+            ..ServerConfig::new(ServerKind::Sequential, 1_000_000_000)
+        };
+        in_session_with(cfg, 1, |t| {
+            const C: u32 = 300;
+            t.connect(0, C);
+            t.connect(0, A);
+            let old = t.slot_of(A);
+            assert!(t.turn(0, A, 1, 10.0));
+            let ServerMessage::Reply { entities, .. } = t.reply_to(A, true) else {
+                unreachable!()
+            };
+            assert!(!entities.is_empty(), "A sees something to baseline");
+            t.disconnect(0, A);
+            t.connect(0, B);
+            assert_eq!(t.slot_of(B), old, "B is admitted into A's old slot");
+            assert!(t.turn(0, B, 1, 20.0));
+            let ServerMessage::Reply { entities: full, .. } = t.reply_to(B, false) else {
+                unreachable!()
+            };
+            let ServerMessage::Reply { entities, seq, .. } = t.reply_to(B, true) else {
+                unreachable!()
+            };
+            assert!(full.len() <= parquake_protocol::MAX_ADDITIONS_PER_REPLY);
+            assert_eq!(entities, full, "B's first delta reply is its whole view");
+            assert_eq!(seq, 1, "and echoes B's own seq");
         });
     }
 
