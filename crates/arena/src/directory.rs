@@ -72,7 +72,7 @@ use parquake_sim::GameWorld;
 
 use crate::admission::{AdmissionPolicy, AdmissionStats};
 use crate::checkpoint::{Checkpoint, CheckpointRing};
-use crate::ledger::{Departure, Ledger};
+use crate::ledger::{Departure, Ledger, Placement};
 
 /// Configuration for [`spawn_directory`].
 #[derive(Clone, Debug)]
@@ -282,20 +282,20 @@ pub struct ArenaHandle {
 }
 
 impl ArenaHandle {
-    /// The run's numbers. Call after `fabric.run()` returned: every
-    /// writer has exited by then.
-    pub fn report(&self) -> DirectoryReport {
+    /// The run's numbers, moved out of the sinks. Call after
+    /// `fabric.run()` returned: every writer has exited by then.
+    pub fn report(self) -> DirectoryReport {
         DirectoryReport {
-            results: self.sink.results.iter().map(|r| snapshot(r)).collect(),
-            ..snapshot(&self.sink.rest)
+            results: self.sink.results.iter().map(|r| take(r)).collect(),
+            ..take(&self.sink.rest)
         }
     }
 }
 
-/// Clone what a sink holds, poison-tolerant like its writers.
-fn snapshot<T: Clone>(sink: &Mutex<T>) -> T {
+/// Move out what a sink holds, poison-tolerant like its writers.
+fn take<T: Default>(sink: &Mutex<T>) -> T {
     // lockcheck: allow(raw-sync: host-side read after fabric.run() returned, no tasks alive)
-    sink.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Fill in what a config leaves to the directory, once, so every task
@@ -526,7 +526,7 @@ fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId
             let placed = match d.ledger.touch(client_id) {
                 Some(p) => {
                     d.stats.sticky += 1;
-                    Some((p.arena as usize, p.thread as usize))
+                    Some(home(p))
                 }
                 None => place_fresh(ctx, env, d, client_id, arena),
             };
@@ -535,7 +535,7 @@ fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId
                     // The arena id in the payload has served its
                     // purpose — the runtime ignores it and acks with
                     // its own id.
-                    forward(ctx, env, d, from, payload, k, t);
+                    forward(ctx, env, d, from, payload, (k, t));
                     d.stats.routed += 1;
                     d.stats.per_arena[k] += 1;
                 }
@@ -543,41 +543,30 @@ fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId
             }
         }
         ClientMessage::Disconnect { client_id } => {
-            match d.ledger.remove(client_id, Departure::FrontDoor) {
-                Some(p) if (p.arena as usize) < env.arena_ports.len() => {
-                    forward(
-                        ctx,
-                        env,
-                        d,
-                        from,
-                        payload,
-                        p.arena as usize,
-                        p.thread as usize,
-                    );
+            match d.ledger.remove(client_id, Departure::FrontDoor).map(home) {
+                Some((k, t)) if k < env.arena_ports.len() => {
+                    forward(ctx, env, d, from, payload, (k, t));
                     d.stats.forwarded_other += 1;
                 }
                 Some(_) => {}
                 None => d.stats.dropped_unknown += 1,
             }
         }
-        ClientMessage::Move { client_id, .. } => match d.ledger.touch(client_id) {
+        ClientMessage::Move { client_id, .. } => match d.ledger.touch(client_id).map(home) {
             // A stray move from a client ignoring its ack's arena id:
             // forward it so the session still works, if degraded.
-            Some(p) if (p.arena as usize) < env.arena_ports.len() => {
-                forward(
-                    ctx,
-                    env,
-                    d,
-                    from,
-                    payload,
-                    p.arena as usize,
-                    p.thread as usize,
-                );
+            Some((k, t)) if k < env.arena_ports.len() => {
+                forward(ctx, env, d, from, payload, (k, t));
                 d.stats.forwarded_other += 1;
             }
             _ => d.stats.dropped_unknown += 1,
         },
     }
+}
+
+/// A placement's (arena, home thread).
+fn home(p: Placement) -> (usize, usize) {
+    (p.arena as usize, p.thread as usize)
 }
 
 /// Forward a client's raw datagram to thread `t` of arena `k`,
@@ -591,8 +580,7 @@ fn forward(
     d: &mut Director,
     from: PortId,
     payload: &[u8],
-    k: usize,
-    t: usize,
+    (k, t): (usize, usize),
 ) {
     let t = t.min(env.arena_ports[k].len() - 1);
     ctx.send(from, env.arena_ports[k][t], payload.to_vec());

@@ -24,7 +24,10 @@
 //! * Per-arena observability: every arena publishes its own
 //!   [`parquake_server::ServerResults`]; the pool publishes frame and
 //!   idle accounting per worker and per arena; admission publishes
-//!   routing counters. `parquake_metrics::arena` rolls these up.
+//!   routing counters. The host reads all of it once, after the run,
+//!   as one [`directory::DirectoryReport`] from
+//!   [`directory::ArenaHandle::report`]; `parquake_metrics::arena`
+//!   rolls the per-arena rows up.
 //! * **Truthful occupancy** ([`ledger::Ledger`]): arena runtimes report
 //!   lifecycle events (connect accepted / disconnect / inactivity
 //!   reclaim / reject) to the director over a control port, so the

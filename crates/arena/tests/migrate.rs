@@ -94,8 +94,8 @@ fn handoffs_are_deterministic_and_hash_identical() {
         swarm_cfg.drivers = 2;
         let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, move |_| (0, 0));
         fabric.run();
-        let sup = handle.report().supervisor;
         let hashes: Vec<u64> = handle.worlds.iter().map(|w| w.world_hash()).collect();
+        let sup = handle.report().supervisor;
         (sup, hashes, swarm.report().stats.received)
     };
     let (sup_a, hashes_a, recv_a) = run(2);

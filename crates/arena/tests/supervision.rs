@@ -51,16 +51,16 @@ fn run(cfg: ArenaDirectoryConfig, players: u32) -> Outcome {
     });
     fabric.run();
     let bots = swarm.report();
+    let world_hashes = handle.worlds.iter().map(|w| w.world_hash()).collect();
     let report = handle.report();
-    let out = Outcome {
+    Outcome {
         sup: report.supervisor,
         adm: report.admission,
         received: bots.stats.received,
         connected: bots.connected,
         restarts_observed: bots.restarts_observed,
-        world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
-    };
-    out
+        world_hashes,
+    }
 }
 
 #[test]

@@ -148,6 +148,7 @@ impl ArenaExperiment {
 
         fabric.run();
 
+        let world_hashes = handle.worlds.iter().map(|w| w.world_hash()).collect();
         let directory = handle.report();
         let bots = swarm.report();
         // Cover every arena cell the directory provisioned — an
@@ -174,7 +175,7 @@ impl ArenaExperiment {
             aggregate: rollup(&per_arena),
             per_arena,
             duration_ns: cfg.duration_ns(),
-            world_hashes: handle.worlds.iter().map(|w| w.world_hash()).collect(),
+            world_hashes,
             witness: witness.map(|w| w.report()),
             directory,
             bots,

@@ -994,18 +994,19 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     for out in out_lanes.try_iter() {
         shard_lanes[out.shard].absorb(&out);
     }
-    Ok(build_report(&fabric, &handle, shard_lanes, &pump_to_arena))
+    Ok(build_report(&fabric, handle, shard_lanes, &pump_to_arena))
 }
 
 /// Read the directory's report and the ports' counters into the
 /// layered report. Host-side, after the run: no task is alive.
 fn build_report(
     fabric: &Arc<dyn Fabric>,
-    handle: &ArenaHandle,
+    handle: ArenaHandle,
     shard_lanes: Vec<GatewayLane>,
     pump_to_arena: &[u64],
 ) -> UdpArenaReport {
     let agg = GatewayLane::aggregate(&shard_lanes);
+    let (front_port, arena_ports) = (handle.front_port, handle.arena_ports.clone());
     let DirectoryReport {
         results,
         admission,
@@ -1029,14 +1030,12 @@ fn build_report(
             lanes_missing_counters.push(k as u16);
         }
         let (queue_dropped, pending_at_shutdown) =
-            handle.arena_ports[k]
-                .iter()
-                .fold((0u64, 0u64), |(d, p), &port| {
-                    (
-                        d + fabric.port_dropped(port),
-                        p + fabric.port_pending(port) as u64,
-                    )
-                });
+            arena_ports[k].iter().fold((0u64, 0u64), |(d, p), &port| {
+                (
+                    d + fabric.port_dropped(port),
+                    p + fabric.port_pending(port) as u64,
+                )
+            });
         lanes.push(ArenaLane {
             pump_forwarded,
             director_forwarded: director_forwarded.unwrap_or(0),
@@ -1058,8 +1057,8 @@ fn build_report(
         forwarded: agg.forwarded,
         to_front: agg.to_front,
         front_drained: admission.drained(),
-        front_queue_dropped: fabric.port_dropped(handle.front_port),
-        front_pending: fabric.port_pending(handle.front_port) as u64,
+        front_queue_dropped: fabric.port_dropped(front_port),
+        front_pending: fabric.port_pending(front_port) as u64,
         datagrams_out: agg.datagrams_out,
         replies_unroutable: agg.replies_unroutable,
         shards: shard_lanes,
