@@ -122,16 +122,13 @@ pub struct ArenaDirectoryConfig {
     /// frame behind `catch_unwind` so a panic fates only that arena,
     /// checkpoint periodically, watchdog stuck frames, and restore
     /// fated arenas from their last checkpoint with a ledger replay.
-    /// Off by default — the unsupervised 1×1 pooled path stays
-    /// byte-identical to the sequential server.
-    pub supervision: bool,
-    /// Deterministic frame-fault injection for supervised arenas: a
-    /// seeded per-arena lottery fires panics and/or stuck stalls
-    /// inside claimed frames (see
-    /// [`parquake_fabric::fault::FrameLottery`]). `None` = no
-    /// injection. Ignored when `supervision` is off — uncaught
-    /// injected panics would take down the whole fabric.
-    pub frame_faults: Option<FaultConfig>,
+    /// `Some(f)` also deals every arena a seeded frame lottery drawn
+    /// from `f` ([`parquake_fabric::fault::FrameLottery`]: panics
+    /// and/or stuck stalls inside claimed frames);
+    /// `Some(FaultConfig::none())` supervises without injecting.
+    /// `None` (the default) is unsupervised — the 1×1 pooled path
+    /// stays byte-identical to the sequential server.
+    pub supervision: Option<FaultConfig>,
     /// Live rebalance (pooled scheduling only): when the occupancy
     /// spread between the hottest and coldest live arena reaches this
     /// many clients, the director migrates one slot off the hottest
@@ -167,8 +164,7 @@ impl ArenaDirectoryConfig {
             max_arenas: 0,
             linger_ns: 500_000_000,
             maintenance_ns: 0,
-            supervision: false,
-            frame_faults: None,
+            supervision: None,
             migrate_spread: 0,
             migrate_drain: false,
             lifecycle_tap: None,
@@ -179,27 +175,33 @@ impl ArenaDirectoryConfig {
     /// the pool's claim table; a `Parallel` template gives every arena
     /// dedicated threads instead, so asking for both is refused rather
     /// than silently dropped. So is a thread count a parallel arena
-    /// cannot run: its per-frame participant mask is one `u64`.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    /// cannot run: its per-frame participant mask is one `u64`. And so
+    /// is a supervision lottery [`FaultConfig::validate`] refuses (a
+    /// frame-fault rate outside `0.0..=1.0`).
+    pub fn validate(&self) -> Result<(), String> {
         if let ServerKind::Parallel { threads, .. } = self.server.kind {
             if !(1..=64).contains(&threads) {
                 return Err(
-                    "threads must be 1..=64: a parallel arena tracks its frame's participants \
-                     in one 64-bit mask",
+                    "threads must be 1..=64: a parallel arena tracks its frame's \
+                     participants in one 64-bit mask"
+                        .into(),
                 );
             }
         }
         let pool_only = self.max_arenas > self.arenas
-            || self.supervision
+            || self.supervision.is_some()
             || self.migrate_spread > 0
             || self.migrate_drain;
         if pool_only && matches!(self.server.kind, ServerKind::Parallel { .. }) {
             return Err(
                 "threads > 1 gives every arena dedicated threads; elasticity (max_arenas), \
-                 supervision (crash_rate) and live migration need the worker pool (threads 1)",
+                 supervision and live migration need the worker pool (threads 1)"
+                    .into(),
             );
         }
-        Ok(())
+        self.supervision
+            .as_ref()
+            .map_or(Ok(()), FaultConfig::validate)
     }
 }
 
@@ -234,7 +236,7 @@ pub struct DirectoryReport {
     pub elastic: ElasticStats,
     /// Supervision accounting (panics caught, restores, checkpoints,
     /// shedding, migrations). Restore and checkpoint counters stay zero
-    /// when `supervision` is off.
+    /// when `supervision` is `None`.
     pub supervisor: SupervisorStats,
 }
 
@@ -979,14 +981,11 @@ fn spawn_pool(
         // The per-arena fault lottery is salted with the arena id so
         // each arena's fate stream is independent of worker
         // interleaving — crash sweeps replay bit-for-bit.
-        let lottery = if cfg.supervision {
-            cfg.frame_faults
-                .as_ref()
-                .filter(|fc| fc.frame_faults_enabled())
-                .map(|fc| FrameLottery::new(fc, k as u64))
-        } else {
-            None
-        };
+        let lottery = cfg
+            .supervision
+            .as_ref()
+            .filter(|fc| fc.frame_faults_enabled())
+            .map(|fc| FrameLottery::new(fc, k as u64));
         if lottery.is_some() {
             install_quiet_panic_hook();
         }
@@ -1039,7 +1038,7 @@ fn spawn_pool(
     // hold no fabric lock. One waiter is woken per delivery; the only
     // non-worker waiter, `migrate::capture_fence`, waits solely while a
     // worker holds a claim, and every claim release broadcasts.
-    let degenerate = is_degenerate_pool(n, workers, cfg.maintenance_ns, cfg.supervision);
+    let degenerate = is_degenerate_pool(n, cfg);
     let delivery_wakes = !degenerate
         && cells
             .iter()
@@ -1067,13 +1066,8 @@ fn spawn_pool(
 
 /// A 1×1 pool with nothing to tick and nothing to supervise runs the
 /// sequential server's select loop instead of the scan.
-fn is_degenerate_pool(
-    arenas: usize,
-    workers: u32,
-    maintenance_ns: Nanos,
-    supervised: bool,
-) -> bool {
-    arenas == 1 && workers == 1 && maintenance_ns == 0 && !supervised
+fn is_degenerate_pool(arenas: usize, cfg: &ArenaDirectoryConfig) -> bool {
+    arenas == 1 && cfg.workers == 1 && cfg.maintenance_ns == 0 && cfg.supervision.is_none()
 }
 
 fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcfg: &PoolRunCfg) {
@@ -1086,7 +1080,7 @@ fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcf
     // wrapper, checkpoints and watchdog claim accounting all live in
     // the scan path.
     let mut degenerate_frames = 0u64;
-    if is_degenerate_pool(n, cfg.workers, cfg.maintenance_ns, cfg.supervision) {
+    if is_degenerate_pool(n, cfg) {
         let f = cells[0].frame();
         let before = f.frame_no;
         cells[0].shared.run_single_loop(ctx, f);
@@ -1116,7 +1110,7 @@ fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcf
                 idle_ns_by_worker: st.idle_ns_by_worker.clone(),
                 idle_timeouts_by_worker: st.idle_timeouts_by_worker.clone(),
             });
-            if cfg.supervision {
+            if cfg.supervision.is_some() {
                 // Fold worker-side guard counters into the directory's
                 // supervision report; the director contributes the
                 // restore/watchdog side at its own exit.
@@ -1187,7 +1181,7 @@ fn pool_worker_scan(
             Some(k) => {
                 pool.exit(ctx);
                 let cell = &cells[k];
-                let panicked = if rcfg.cfg.supervision {
+                let panicked = if rcfg.cfg.supervision.is_some() {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         run_arena_frame_supervised(ctx, cell)
                     }))
@@ -1225,7 +1219,7 @@ fn pool_worker_scan(
                     (0..shared.clients.capacity())
                         .any(|i| shared.clients.slot(i).state != SlotState::Empty)
                 };
-                let stretch = if rcfg.cfg.supervision {
+                let stretch = if rcfg.cfg.supervision.is_some() {
                     cell.guard().stretch
                 } else {
                     1

@@ -45,7 +45,7 @@ const WATCHDOG_NS: Nanos = 250_000_000;
 /// fated arena. Called from the director loop; no-op unless the
 /// directory is pooled and supervised.
 pub(crate) fn supervise(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
-    if !env.cfg.supervision {
+    if env.cfg.supervision.is_none() {
         return;
     }
     let Some(parts) = env.pool.as_ref() else {

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use parquake_arena::{spawn_directory, AdmissionPolicy, ArenaDirectoryConfig};
 use parquake_bots::{spawn_swarm_multi, BotSwarmConfig, SwarmTopology};
 use parquake_bsp::mapgen::MapGenConfig;
+use parquake_fabric::fault::FaultConfig;
 use parquake_fabric::{FabricKind, LockWitness};
 use parquake_server::{LockPolicy, ServerConfig, ServerKind};
 
@@ -139,7 +140,7 @@ fn parallel_template_refuses_what_only_the_pool_can_do() {
     type Ask = fn(&mut ArenaDirectoryConfig);
     let pool_only: [(&str, Ask); 4] = [
         ("max_arenas", |c| c.max_arenas = 4),
-        ("supervision", |c| c.supervision = true),
+        ("supervision", |c| c.supervision = Some(FaultConfig::none())),
         ("migrate_spread", |c| c.migrate_spread = 4),
         ("migrate_drain", |c| c.migrate_drain = true),
     ];
@@ -156,6 +157,25 @@ fn parallel_template_refuses_what_only_the_pool_can_do() {
     let mut fixed = parallel();
     fixed.max_arenas = 2;
     assert_eq!(fixed.validate(), Ok(()));
+}
+
+#[test]
+fn frame_fault_rates_outside_a_probability_are_refused() {
+    // Unvalidated, 7.0 panicked every frame and NaN never fired.
+    type Set = fn(&mut FaultConfig);
+    let bad: [(&str, Set); 3] = [
+        ("panic_per_frame", |f| f.panic_per_frame = 7.0),
+        ("panic_per_frame", |f| f.panic_per_frame = f32::NAN),
+        ("stuck_per_frame", |f| f.stuck_per_frame = -0.5),
+    ];
+    for (field, set) in bad {
+        let mut faults = FaultConfig::none();
+        set(&mut faults);
+        let mut cfg = directory_cfg(2, 8, 1);
+        cfg.supervision = Some(faults);
+        let refusal = cfg.validate().expect_err(field);
+        assert!(refusal.contains(field), "{field}: {refusal}");
+    }
 }
 
 #[test]

@@ -23,8 +23,7 @@ fn one_report_shows_every_writer() {
         map: MapGenConfig::small_arena(11),
         max_arenas: 3,
         linger_ns: 400_000_000,
-        supervision: true,
-        frame_faults: Some(FaultConfig {
+        supervision: Some(FaultConfig {
             panic_per_frame: 0.01,
             seed: 0x5EED,
             ..FaultConfig::none()

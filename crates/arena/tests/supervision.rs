@@ -22,7 +22,7 @@ fn supervised_cfg(arenas: u32, slots: u16, workers: u32) -> ArenaDirectoryConfig
         policy: AdmissionPolicy::Explicit,
         workers,
         map: MapGenConfig::small_arena(11),
-        supervision: true,
+        supervision: Some(FaultConfig::none()),
         ..ArenaDirectoryConfig::new(arenas, slots, server)
     }
 }
@@ -66,7 +66,7 @@ fn run(cfg: ArenaDirectoryConfig, players: u32) -> Outcome {
 #[test]
 fn injected_panics_are_caught_and_arenas_restored() {
     let mut cfg = supervised_cfg(2, 8, 2);
-    cfg.frame_faults = Some(FaultConfig {
+    cfg.supervision = Some(FaultConfig {
         panic_per_frame: 0.02,
         seed: 0xC0FFEE,
         ..FaultConfig::none()
@@ -104,7 +104,7 @@ fn injected_panics_are_caught_and_arenas_restored() {
 #[test]
 fn stalls_past_the_watchdog_are_condemned_and_restored() {
     let mut cfg = supervised_cfg(2, 8, 2);
-    cfg.frame_faults = Some(FaultConfig {
+    cfg.supervision = Some(FaultConfig {
         stuck_per_frame: 0.01,
         stuck_ns: 400_000_000, // well past WATCHDOG_NS
         seed: 0xBAD_CAFE,
@@ -129,7 +129,7 @@ fn short_stalls_degrade_gracefully_with_move_coalescing() {
     // shed frames coalesce the queued moves per client instead of
     // dropping them.
     let mut cfg = supervised_cfg(1, 8, 1);
-    cfg.frame_faults = Some(FaultConfig {
+    cfg.supervision = Some(FaultConfig {
         stuck_per_frame: 0.5,
         // Past the 30 ms event-driven deadline, far below WATCHDOG_NS.
         stuck_ns: 45_000_000,
@@ -158,7 +158,7 @@ fn short_stalls_degrade_gracefully_with_move_coalescing() {
 fn supervised_crash_runs_replay_deterministically() {
     let mk = || {
         let mut cfg = supervised_cfg(2, 8, 2);
-        cfg.frame_faults = Some(FaultConfig {
+        cfg.supervision = Some(FaultConfig {
             panic_per_frame: 0.02,
             seed: 0xD1CE,
             ..FaultConfig::none()
@@ -194,7 +194,7 @@ fn supervision_without_faults_only_checkpoints() {
 #[test]
 fn unsupervised_directories_report_zero_supervision_activity() {
     let mut cfg = supervised_cfg(2, 8, 2);
-    cfg.supervision = false;
+    cfg.supervision = None;
     let out = run(cfg, 12);
     let s = &out.sup;
     assert_eq!(

@@ -85,7 +85,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// No faults at all (every datagram passes untouched).
-    pub fn none() -> FaultConfig {
+    pub const fn none() -> FaultConfig {
         FaultConfig {
             drop: 0.0,
             duplicate: 0.0,
@@ -105,7 +105,7 @@ impl FaultConfig {
     }
 
     /// Pure seeded loss at probability `p`, no duplication or delay.
-    pub fn loss(p: f32, seed: u64) -> FaultConfig {
+    pub const fn loss(p: f32, seed: u64) -> FaultConfig {
         FaultConfig {
             drop: p,
             seed,
@@ -115,13 +115,21 @@ impl FaultConfig {
 
     /// Clustered loss: average rate `p`, mean burst length `burst_len`
     /// datagrams (Gilbert–Elliott), no other faults.
-    pub fn bursty(p: f32, burst_len: f32, seed: u64) -> FaultConfig {
+    pub const fn bursty(p: f32, burst_len: f32, seed: u64) -> FaultConfig {
         FaultConfig {
             burst_loss: p,
             burst_len,
             seed,
             ..FaultConfig::none()
         }
+    }
+
+    /// The [`NAMED`] profile called `name`.
+    pub fn named(name: &str) -> Option<FaultConfig> {
+        NAMED
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, f)| f.clone())
     }
 
     /// Does this config never alter a datagram? (Deliberately ignores
@@ -158,32 +166,32 @@ impl FaultConfig {
             // A NaN is in no range.
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!(
-                    "fault config: {name} ({p}) must be a probability in 0.0..=1.0"
+                    "invalid fault profile: {name} ({p}) must be a probability in 0.0..=1.0"
                 ));
             }
         }
         if !self.burst_len.is_finite() {
             return Err(format!(
-                "fault config: burst_len ({}) must be finite",
+                "invalid fault profile: burst_len ({}) must be finite",
                 self.burst_len
             ));
         }
         if self.min_delay_ns > self.max_delay_ns {
             return Err(format!(
-                "fault config: min_delay_ns ({}) > max_delay_ns ({})",
+                "invalid fault profile: min_delay_ns ({}) > max_delay_ns ({})",
                 self.min_delay_ns, self.max_delay_ns
             ));
         }
         if self.burst_loss > 0.0 {
             if self.burst_loss >= 1.0 {
                 return Err(format!(
-                    "fault config: burst_loss ({}) must be < 1.0",
+                    "invalid fault profile: burst_loss ({}) must be < 1.0",
                     self.burst_loss
                 ));
             }
             if self.burst_len < 1.0 {
                 return Err(format!(
-                    "fault config: burst_len ({}) must be >= 1 when burst_loss > 0",
+                    "invalid fault profile: burst_len ({}) must be >= 1 when burst_loss > 0",
                     self.burst_len
                 ));
             }
@@ -191,6 +199,29 @@ impl FaultConfig {
         Ok(())
     }
 }
+
+/// Named network profiles (`udpd --fault NAME`), seed included, so a
+/// run's faults are one word: `lossy` is independent drop, duplicate
+/// and delay; `wan` is Gilbert–Elliott bursty loss with per-copy
+/// jitter.
+pub const NAMED: [(&str, FaultConfig); 2] = [
+    (
+        "lossy",
+        FaultConfig {
+            duplicate: 0.04,
+            delay: 0.04,
+            max_delay_ns: 20_000_000,
+            ..FaultConfig::loss(0.08, 7)
+        },
+    ),
+    (
+        "wan",
+        FaultConfig {
+            jitter_ns: 20_000_000,
+            ..FaultConfig::bursty(0.05, 4.0, 7)
+        },
+    ),
+];
 
 impl Default for FaultConfig {
     fn default() -> Self {
@@ -567,6 +598,35 @@ mod tests {
         edges.duplicate = 1.0;
         edges.panic_per_frame = 1.0;
         assert!(edges.validate().is_ok());
+    }
+
+    #[test]
+    fn named_profiles_are_the_smoke_mixes() {
+        // `lossy` = `--loss 0.08 --dup 0.04 --delay 0.04 --delay-ms 20
+        // --fault-seed 7`; `wan` = `--burst-loss 0.05 --burst-len 4
+        // --jitter-ms 20 --fault-seed 7`.
+        let lossy = FaultConfig {
+            drop: 0.08,
+            duplicate: 0.04,
+            delay: 0.04,
+            max_delay_ns: 20_000_000,
+            seed: 7,
+            ..FaultConfig::none()
+        };
+        let wan = FaultConfig {
+            burst_loss: 0.05,
+            burst_len: 4.0,
+            jitter_ns: 20_000_000,
+            seed: 7,
+            ..FaultConfig::none()
+        };
+        assert_eq!(FaultConfig::named("lossy"), Some(lossy));
+        assert_eq!(FaultConfig::named("wan"), Some(wan));
+        assert_eq!(FaultConfig::named("nosuch"), None);
+        for (name, f) in &NAMED {
+            assert_eq!(f.validate(), Ok(()), "{name}");
+            assert!(!f.is_noop(), "{name}");
+        }
     }
 
     #[test]

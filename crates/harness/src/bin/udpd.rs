@@ -3,9 +3,7 @@
 //! ```text
 //! udpd [--port 27500] [--players 32] [--secs 5]
 //!      [--arenas 1] [--threads 1] [--workers 2]
-//!      [--loss P] [--dup P] [--delay P] [--delay-ms MS] [--min-delay-ms MS]
-//!      [--burst-loss P] [--burst-len N] [--jitter-ms MS]
-//!      [--fault-seed N] [--timeout-secs S]
+//!      [--fault lossy|wan] [--timeout-secs S]
 //!      [--interest scan|sweep|sweep-oracle]
 //!      [--max-arenas M] [--linger-ms MS]
 //!      [--crash-rate P] [--crash-seed N]
@@ -26,14 +24,13 @@
 //! pool features, so `--threads T` combined with `--max-arenas`,
 //! `--crash-rate` or `--migrate-*` is refused (exit 2).
 //!
-//! The `--loss/--dup/--delay` probabilities (0.0–1.0) enable seeded
-//! fault injection on the inbound path; `--min-delay-ms` floors the
-//! delay draw, `--burst-loss`/`--burst-len` add Gilbert–Elliott bursty
-//! loss (loss probability inside a burst, mean burst length), and
-//! `--jitter-ms` adds a uniform per-copy jitter that reorders
-//! deliveries. The composed profile is validated at startup (exit 2 on
-//! an inconsistent one). `--timeout-secs` sets the server-side
-//! inactivity reclaim (0 disables it).
+//! `--fault NAME` turns on seeded fault injection on the inbound path
+//! with a named profile from `parquake_fabric::fault::NAMED` (seed 7):
+//! `lossy` drops 8 %, duplicates 4 % and delays 4 % of datagrams by up
+//! to 20 ms; `wan` adds Gilbert–Elliott bursty loss (5 %, mean burst 4
+//! datagrams) and up to 20 ms of per-copy jitter, which reorders.
+//! `--timeout-secs` sets the server-side inactivity reclaim (0
+//! disables it).
 //! `--interest sweep` (the default) computes visible-entity sets with
 //! the batch DDM sweep and prints its pair-accounting identity; `scan`
 //! selects the paper's per-client scans, and `sweep-oracle` shadows
@@ -41,10 +38,10 @@
 //! `--max-arenas M` (M > N) makes the directory elastic: it spawns
 //! arenas under admission pressure up to M and reaps arenas whose
 //! occupancy stays zero past `--linger-ms` (default 500).
-//! `--crash-rate P` turns supervision on and injects a seeded
-//! per-frame panic lottery with probability P per arena frame; every
-//! crash is caught, the arena restored from its last checkpoint, and
-//! the supervisor's accounting printed at shutdown.
+//! `--crash-rate P` turns supervision on and injects a per-frame panic
+//! lottery (seeded by `--crash-seed`) with probability P per arena
+//! frame; every crash is caught, the arena restored from its last
+//! checkpoint, and the supervisor's accounting printed at shutdown.
 //! `--migrate-spread N` turns on cross-arena live migration: whenever
 //! the hottest live arena holds at least N more clients than the
 //! coldest open one, the director hands one slot off per tick.
@@ -62,7 +59,7 @@
 
 use std::time::Duration;
 
-use parquake_fabric::fault::FaultConfig;
+use parquake_fabric::fault::{FaultConfig, NAMED};
 use parquake_harness::cli::Args;
 use parquake_harness::udp_arena::{run_udp_arena_server, UdpArenaOpts};
 use parquake_server::InterestMode;
@@ -81,22 +78,19 @@ fn main() {
         ..UdpArenaOpts::default()
     };
     let mut args = Args::from_env("udpd");
-    let ms_to_ns = |args: &mut Args| args.value::<u64>("a number").saturating_mul(1_000_000);
+    let profiles = NAMED.map(|(name, _)| name).join("|");
+    let (mut crash_rate, mut crash_seed) = (0.0f32, 0xC4A5_5EED);
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
             "--port" => opts.port = args.value("a number"),
             "--threads" => opts.threads = args.value("a number"),
             "--players" => opts.slots_per_arena = args.value("a number"),
             "--secs" => opts.duration = Duration::from_secs(args.value("a number")),
-            "--loss" => opts.fault.drop = args.value("0.0-1.0"),
-            "--dup" => opts.fault.duplicate = args.value("0.0-1.0"),
-            "--delay" => opts.fault.delay = args.value("0.0-1.0"),
-            "--delay-ms" => opts.fault.max_delay_ns = ms_to_ns(&mut args),
-            "--min-delay-ms" => opts.fault.min_delay_ns = ms_to_ns(&mut args),
-            "--burst-loss" => opts.fault.burst_loss = args.value("0.0-1.0"),
-            "--burst-len" => opts.fault.burst_len = args.value(">= 1.0"),
-            "--jitter-ms" => opts.fault.jitter_ns = ms_to_ns(&mut args),
-            "--fault-seed" => opts.fault.seed = args.value("a number"),
+            "--fault" => {
+                let name: String = args.value(&profiles);
+                opts.fault = FaultConfig::named(&name)
+                    .unwrap_or_else(|| args.die(&format!("--fault needs {profiles}")));
+            }
             "--timeout-secs" => opts.client_timeout = Duration::from_secs(args.value("a number")),
             "--interest" => {
                 let mode: String = args.value("scan|sweep|sweep-oracle");
@@ -107,8 +101,8 @@ fn main() {
             "--workers" => opts.workers = args.value("a number"),
             "--max-arenas" => opts.max_arenas = args.value("a number"),
             "--linger-ms" => opts.linger = Duration::from_millis(args.value("a number")),
-            "--crash-rate" => opts.crash_rate = args.value("0.0-1.0"),
-            "--crash-seed" => opts.crash_seed = args.value("a number"),
+            "--crash-rate" => crash_rate = args.value("0.0-1.0"),
+            "--crash-seed" => crash_seed = args.value("a number"),
             "--migrate-spread" => opts.migrate_spread = args.value("a number"),
             "--migrate-drain" => opts.migrate_drain = true,
             "--gateway-shards" => opts.gateway_shards = args.value("a number"),
@@ -117,16 +111,14 @@ fn main() {
     }
     opts.arenas = opts.arenas.max(1);
     opts.workers = opts.workers.max(1);
-    // Reject impossible fault profiles (a probability outside 0..=1 —
-    // the crash rate is one — min > max delay, burst length < 1) before
-    // any socket is bound.
-    let profile = FaultConfig {
-        panic_per_frame: opts.crash_rate,
-        ..opts.fault.clone()
-    };
-    if let Err(e) = profile.validate() {
-        args.die(&format!("invalid fault profile — {e}"));
-    }
+    // Any crash rate but 0 supervises; one outside 0..=1 (NaN
+    // included) is refused with the rest of the options, before any
+    // socket is bound.
+    opts.supervision = (crash_rate != 0.0).then(|| FaultConfig {
+        panic_per_frame: crash_rate,
+        seed: crash_seed,
+        ..FaultConfig::none()
+    });
     println!(
         "udpd: {} arenas x {} slots on 127.0.0.1:{} (one socket), {}, {}s",
         opts.arenas,
@@ -177,11 +169,11 @@ fn main() {
             opts.linger.as_millis()
         );
     }
-    if opts.crash_rate > 0.0 {
+    if let Some(f) = &opts.supervision {
         println!(
             "udpd: supervision on — crash lottery {:.2}%/frame, seed {:#x}",
-            opts.crash_rate * 100.0,
-            opts.crash_seed
+            f.panic_per_frame * 100.0,
+            f.seed
         );
     }
     if opts.migrate_spread > 0 || opts.migrate_drain {
@@ -288,7 +280,7 @@ fn main() {
             ev.live
         );
     }
-    if opts.crash_rate > 0.0 {
+    if opts.supervision.is_some() {
         let s = &report.supervisor;
         println!(
             "udpd: supervisor — caught {} panics, condemned {} stuck, \

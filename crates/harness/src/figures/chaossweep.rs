@@ -46,75 +46,59 @@ pub const WORKERS: u32 = 2;
 pub const CHAOS_SEED: u64 = 0xC4A0_55EE;
 
 /// One combined WAN profile.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ChaosProfile {
     pub name: &'static str,
-    /// Gilbert–Elliott bursty loss rate (0 = off) and mean burst
-    /// length in datagrams.
-    pub burst_loss: f32,
-    pub burst_len: f32,
-    /// Per-copy jitter bound in ms (0 = off); jitter reorders.
-    pub jitter_ms: u64,
-    /// Delay lottery: probability and floored bounds in ms.
-    pub delay: f32,
-    pub min_delay_ms: u64,
-    pub max_delay_ms: u64,
-    /// Extra one-way (server→client) lag in ms — asymmetric downlink.
-    pub oneway_ms: u64,
+    /// The WAN-edge datagram lottery: bursty loss, jitter (which
+    /// reorders), floored delay and one-way server→client lag. Its
+    /// seed is set per run by [`ChaosProfile::net_fault`].
+    pub net: FaultConfig,
     /// Supervised per-frame panic lottery (0 = no crashes).
     pub crash_rate: f32,
     /// Run the elastic population ramp (join/leave churn).
     pub ramp: bool,
 }
 
+/// Every copy delayed 20–60 ms plus up to 20 ms of per-copy jitter,
+/// and 30 ms of one-way downlink lag.
+const JITTER_DELAY: FaultConfig = FaultConfig {
+    jitter_ns: 20_000_000,
+    delay: 1.0,
+    min_delay_ns: 20_000_000,
+    max_delay_ns: 60_000_000,
+    oneway_delay_ns: 30_000_000,
+    oneway_dir: FaultDir::ServerToClient,
+    ..FaultConfig::none()
+};
+
 /// The swept profiles, mildest to harshest. The last entry is "the
 /// internet on a bad day": every knob at once.
 pub const PROFILES: [ChaosProfile; 4] = [
     ChaosProfile {
         name: "clean",
-        burst_loss: 0.0,
-        burst_len: 1.0,
-        jitter_ms: 0,
-        delay: 0.0,
-        min_delay_ms: 0,
-        max_delay_ms: 0,
-        oneway_ms: 0,
+        net: FaultConfig::none(),
         crash_rate: 0.0,
         ramp: false,
     },
     ChaosProfile {
         name: "bursty-loss",
-        burst_loss: 0.05,
-        burst_len: 4.0,
-        jitter_ms: 0,
-        delay: 0.0,
-        min_delay_ms: 0,
-        max_delay_ms: 0,
-        oneway_ms: 0,
+        net: FaultConfig::bursty(0.05, 4.0, 0),
         crash_rate: 0.0,
         ramp: false,
     },
     ChaosProfile {
         name: "jitter-delay",
-        burst_loss: 0.0,
-        burst_len: 1.0,
-        jitter_ms: 20,
-        delay: 1.0,
-        min_delay_ms: 20,
-        max_delay_ms: 60,
-        oneway_ms: 30,
+        net: JITTER_DELAY,
         crash_rate: 0.0,
         ramp: false,
     },
     ChaosProfile {
         name: "full-wan",
-        burst_loss: 0.12,
-        burst_len: 4.0,
-        jitter_ms: 20,
-        delay: 1.0,
-        min_delay_ms: 20,
-        max_delay_ms: 60,
-        oneway_ms: 30,
+        net: FaultConfig {
+            burst_loss: 0.12,
+            burst_len: 4.0,
+            ..JITTER_DELAY
+        },
         crash_rate: 0.01,
         ramp: true,
     },
@@ -122,28 +106,16 @@ pub const PROFILES: [ChaosProfile; 4] = [
 
 /// The harshest profile (the acceptance bar's subject).
 pub fn harshest() -> ChaosProfile {
-    PROFILES[PROFILES.len() - 1]
+    PROFILES[PROFILES.len() - 1].clone()
 }
 
 impl ChaosProfile {
-    /// The WAN-edge datagram lottery for this profile (`None` = clean
-    /// network).
+    /// The WAN-edge datagram lottery for this profile, seeded from the
+    /// run's `seed` (`None` = clean network).
     pub fn net_fault(&self, seed: u64) -> Option<FaultConfig> {
-        let quiet = self.burst_loss == 0.0
-            && self.jitter_ms == 0
-            && self.delay == 0.0
-            && self.oneway_ms == 0;
-        (!quiet).then(|| FaultConfig {
-            burst_loss: self.burst_loss,
-            burst_len: self.burst_len,
-            jitter_ns: self.jitter_ms * 1_000_000,
-            delay: self.delay,
-            min_delay_ns: self.min_delay_ms * 1_000_000,
-            max_delay_ns: self.max_delay_ms * 1_000_000,
-            oneway_delay_ns: self.oneway_ms * 1_000_000,
-            oneway_dir: FaultDir::ServerToClient,
+        (!self.net.is_noop()).then(|| FaultConfig {
             seed: seed ^ CHAOS_SEED,
-            ..FaultConfig::none()
+            ..self.net.clone()
         })
     }
 }
@@ -173,8 +145,7 @@ pub fn run_at(profile: &ChaosProfile, predict: bool, opts: &SweepOpts) -> ArenaO
     dir.map = MapGenConfig::small_arena(opts.seed);
     dir.areanode_depth = opts.depth;
     dir.slots_per_arena = SLOTS;
-    dir.supervision = true;
-    dir.frame_faults = (profile.crash_rate > 0.0).then(|| FaultConfig {
+    dir.supervision = Some(FaultConfig {
         panic_per_frame: profile.crash_rate,
         seed: opts.seed ^ 0xC4A5_5EED,
         ..FaultConfig::none()

@@ -41,8 +41,7 @@ pub fn run_at(crash_rate: f64, opts: &SweepOpts) -> ArenaOutcome {
     dir.map = MapGenConfig::small_arena(opts.seed);
     dir.areanode_depth = opts.depth;
     dir.slots_per_arena = SLOTS;
-    dir.supervision = true;
-    dir.frame_faults = (crash_rate > 0.0).then(|| FaultConfig {
+    dir.supervision = Some(FaultConfig {
         panic_per_frame: crash_rate as f32,
         seed: opts.seed ^ 0xC4A5_5EED,
         ..FaultConfig::none()

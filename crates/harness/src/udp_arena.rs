@@ -213,11 +213,10 @@ pub struct UdpArenaOpts {
     /// How long an elastic arena's occupancy must stay zero before it
     /// is reaped.
     pub linger: Duration,
-    /// Per-frame panic lottery probability; > 0 turns supervision on
-    /// (checkpoint/restore + watchdog) and injects crashes.
-    pub crash_rate: f32,
-    /// Seed for the per-arena frame-fault lottery.
-    pub crash_seed: u64,
+    /// Arena supervision (checkpoint/restore + watchdog) and its
+    /// per-frame fault lottery, handed to the directory as is (see
+    /// [`ArenaDirectoryConfig::supervision`]); `None` = unsupervised.
+    pub supervision: Option<FaultConfig>,
     /// Live-migration spread threshold: when the hottest live arena
     /// holds at least this many more clients than the coldest open
     /// one, the director migrates one slot per tick (0 = off).
@@ -243,8 +242,7 @@ impl Default for UdpArenaOpts {
             interest: InterestMode::Sweep,
             max_arenas: 0,
             linger: Duration::from_millis(500),
-            crash_rate: 0.0,
-            crash_seed: 0xC4A5_5EED,
+            supervision: None,
             migrate_spread: 0,
             migrate_drain: false,
         }
@@ -340,7 +338,9 @@ pub struct UdpArenaReport {
     pub admission: AdmissionStats,
     /// Elastic spawn/reap accounting (fixed fleet ⇒ no events).
     pub elastic: parquake_metrics::ElasticStats,
-    /// Supervision accounting (all-zero when `crash_rate` was 0).
+    /// Supervision and migration accounting. With `supervision`
+    /// `None` only the migration counters (and `Migrated` events) can
+    /// be nonzero.
     pub supervisor: parquake_metrics::SupervisorStats,
     /// Interest-matching accounting merged over every arena (all zero
     /// under [`InterestMode::Scan`]).
@@ -888,7 +888,8 @@ fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<Vec<UdpSocket
 
 /// Run the arena directory behind `gateway_shards` pump pairs on one
 /// real UDP port until `opts.duration` elapses. Returns the layered
-/// traffic report. Fails with `InvalidInput` on an option combination
+/// traffic report. Fails with `InvalidInput` on a network fault
+/// profile [`FaultConfig::validate`] refuses or an option combination
 /// [`ArenaDirectoryConfig::validate`] refuses, and with the bind error
 /// when the port cannot be had.
 pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaReport> {
@@ -917,19 +918,15 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         map: opts.map.clone(),
         max_arenas: opts.max_arenas,
         linger_ns: opts.linger.as_nanos() as Nanos,
-        supervision: opts.crash_rate > 0.0,
-        frame_faults: (opts.crash_rate > 0.0).then(|| FaultConfig {
-            panic_per_frame: opts.crash_rate,
-            seed: opts.crash_seed,
-            ..FaultConfig::none()
-        }),
+        supervision: opts.supervision.clone(),
         migrate_spread: opts.migrate_spread,
         migrate_drain: opts.migrate_drain,
         lifecycle_tap: Some(gw_ports[0]),
         ..ArenaDirectoryConfig::new(opts.arenas, opts.slots_per_arena, server)
     };
-    dir_cfg
+    opts.fault
         .validate()
+        .and_then(|()| dir_cfg.validate())
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     // Before the worlds are built: a port that cannot be had fails at
     // once, and what arrives during set-up waits in the socket.

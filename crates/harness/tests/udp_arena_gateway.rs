@@ -88,6 +88,18 @@ fn drive(
 }
 
 #[test]
+fn an_impossible_network_profile_is_invalid_input() {
+    // Pre-fix: the gateway bound its socket and spawned the directory,
+    // then panicked in `FaultLottery::new`.
+    let mut opts = two_arenas(Duration::from_millis(200));
+    opts.port = 0;
+    opts.fault.drop = 1.5;
+    let err = run_udp_arena_server(&opts).expect_err("drop 1.5 served");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("drop"), "{err}");
+}
+
+#[test]
 fn one_shard_gateway_reports_one_lane_that_is_the_totals() {
     let fault = FaultConfig {
         drop: 0.05,

@@ -61,19 +61,26 @@ fn more_threads_than_the_participant_mask_holds_is_a_usage_error() {
 
 #[test]
 fn out_of_range_fault_probabilities_are_refused() {
-    // Pre-fix: all four started a server (`"nan".parse::<f32>()` is
-    // `Ok`, and a NaN or negative rate silently turned its fault off).
-    for (flag, value, field) in [
-        ("--loss", "1.5", "drop"),
-        ("--dup", "-0.2", "duplicate"),
-        ("--delay", "nan", "delay"),
-        ("--crash-rate", "7", "panic_per_frame"),
-    ] {
-        let (code, stderr) = run(&["--secs", "1", flag, value]);
-        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+    // Pre-fix: these started a server (`"nan".parse::<f32>()` is `Ok`,
+    // and a NaN or negative rate silently turned the lottery off).
+    for value in ["7", "-0.2", "nan"] {
+        let (code, stderr) = run(&["--secs", "1", "--crash-rate", value]);
+        assert_eq!(code, Some(2), "{value}: {stderr}");
         assert!(stderr.contains("invalid fault profile"), "{stderr}");
-        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("panic_per_frame"), "{value}: {stderr}");
     }
+}
+
+#[test]
+fn faults_are_named_profiles_not_knobs() {
+    let (code, stderr) = run(&["--secs", "1", "--fault", "nosuch"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    for name in ["lossy", "wan"] {
+        assert!(stderr.contains(name), "usage omits {name}: {stderr}");
+    }
+    let (code, stderr) = run(&["--secs", "1", "--loss", "0.1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option --loss"), "{stderr}");
 }
 
 #[test]
