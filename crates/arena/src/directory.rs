@@ -13,10 +13,12 @@
 //!
 //! * **Pooled** (`Sequential`) — every arena is a single-threaded
 //!   runtime (the paper's §2.1 frame body, verbatim); W workers pull
-//!   *whole frames* from whichever arena has work. The pool lock only
-//!   guards the claim table — no worker ever holds it during a frame,
-//!   and no worker ever touches two arenas at once, so the per-world
-//!   locking discipline (and its witness) is untouched.
+//!   *whole frames* from whichever arena has work. Every arena has one
+//!   schedule record in the pool (`crate::pool`: its life, its claim,
+//!   a pending migration fence, its pacing); the pool lock guards only
+//!   those records — no worker ever holds it during a frame, and no
+//!   worker ever touches two arenas at once, so the per-world locking
+//!   discipline (and its witness) is untouched.
 //! * **Dedicated** (`Parallel`) — every arena is a full `spawn_server`
 //!   runtime with its own threads; assignment schemes and region
 //!   locking run unchanged inside each arena. The directory only adds
@@ -34,45 +36,41 @@
 //! port the director drains between front-door batches. On that
 //! corrected bookkeeping sits **elasticity** (pooled scheduling only):
 //! `max_arenas` cells are pre-provisioned cold (the fabric requires all
-//! allocation before `run()`), admission pressure brings one live
-//! (spawning = flipping its claim-table liveness bit), and a live
-//! non-boot arena whose occupancy stays zero past `linger_ns` is
-//! reaped — its claim slot masked, its `ServerResults` published.
-//! The elastic state machine per cell is thus
-//! `cold → live → lingering → reaped (→ live again under pressure)`.
+//! allocation before `run()`), admission pressure *spawns* one, and a
+//! live non-boot arena whose occupancy stays zero past `linger_ns` is
+//! *reaped* — turned cold again, its `ServerResults` published.
 //!
 //! **Supervision** (off by default) hardens the pooled shape: every
-//! claimed frame runs behind `catch_unwind` so a panic fates only its
-//! arena (`healthy → crashed`), workers checkpoint each arena's world
-//! and slot table into a per-arena ring, a director-side watchdog
-//! condemns arenas whose claimed frame overruns (`healthy → stuck`),
-//! and [`crate::supervisor`] restores fated arenas from their last
-//! checkpoint and replays the ledger (`→ restoring → live`). Sustained
-//! frame overruns degrade gracefully: the arena's effective frame
-//! interval stretches and queued moves are coalesced per client
-//! instead of dropped.
+//! claimed frame runs behind `catch_unwind` so a panic *crashes* only
+//! its arena, workers checkpoint each arena's world and slot table
+//! into a per-arena ring, a director-side watchdog *condemns* arenas
+//! whose claimed frame overruns, and [`crate::supervisor`] restores
+//! fated arenas from their last checkpoint and replays the ledger.
+//! Sustained frame overruns degrade gracefully: the arena's effective
+//! frame interval stretches and queued moves are coalesced per client
+//! instead of dropped. Spawn, reap, crash, condemn and restore are
+//! transitions of the schedule record; DESIGN.md §8 tabulates them.
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Once, PoisonError};
 
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FrameFault, FrameLottery};
-use parquake_fabric::{CondId, Fabric, LockId, Nanos, PortId, TaskCtx};
+use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
 use parquake_metrics::{
-    Bucket, ElasticEvent, ElasticEventKind, ElasticStats, LockClass, SupervisorStats, ThreadStats,
+    Bucket, ElasticEvent, ElasticEventKind, ElasticStats, SupervisorStats, ThreadStats,
 };
 use parquake_protocol::{ClientMessage, Decode};
-use parquake_server::clients::SlotState;
-use parquake_server::runtime::{FrameState, ServerShared, REQUEST_QUEUE_CAP};
+use parquake_server::runtime::{ServerShared, REQUEST_QUEUE_CAP};
 use parquake_server::{
     spawn_server, LifecycleEvent, ServerConfig, ServerHandle, ServerKind, ServerResults,
 };
 use parquake_sim::GameWorld;
 
 use crate::admission::{AdmissionPolicy, AdmissionStats};
-use crate::checkpoint::{Checkpoint, CheckpointRing};
+use crate::checkpoint::Checkpoint;
 use crate::ledger::{Departure, Ledger, Placement};
+use crate::pool::{ArenaCell, ArenaGuard, Pool};
 
 /// Configuration for [`spawn_directory`].
 #[derive(Clone, Debug)]
@@ -340,8 +338,8 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
     let rest = Arc::new(Mutex::new(DirectoryReport::default()));
     let (arena_ports, sink, pool) = match cfg.server.kind {
         ServerKind::Sequential => {
-            let (ports, sink, parts) = spawn_pool(fabric, &cfg, &worlds, lifecycle_port, rest);
-            (ports, sink, Some(parts))
+            let (ports, sink, pool) = spawn_pool(fabric, &cfg, &worlds, lifecycle_port, rest);
+            (ports, sink, Some(pool))
         }
         ServerKind::Parallel { .. } => {
             let mut ports = Vec::new();
@@ -398,9 +396,9 @@ pub(crate) struct DirectorEnv {
     pub(crate) front: PortId,
     lifecycle: PortId,
     arena_ports: Vec<Vec<PortId>>,
-    /// Pool internals for spawn/reap and supervised restore (pooled
-    /// scheduling only).
-    pub(crate) pool: Option<PoolParts>,
+    /// The worker pool, for spawn/reap, supervised restore and
+    /// migration (pooled scheduling only).
+    pub(crate) pool: Option<Arc<Pool>>,
     sink: Sink,
 }
 
@@ -609,6 +607,21 @@ fn place_fresh(
 }
 
 impl Director {
+    /// Mirror a spawn or reap of arena `k` at `at` in `live` and the
+    /// elastic timeline; returns how many arenas are live now.
+    fn mirror(&mut self, at: Nanos, k: usize, kind: ElasticEventKind) -> u32 {
+        self.live[k] = kind == ElasticEventKind::Spawned;
+        self.empty_since[k] = None;
+        let live = self.live.iter().filter(|&&l| l).count() as u32;
+        self.elastic.events.push(ElasticEvent {
+            at,
+            arena: k as u16,
+            kind,
+            live,
+        });
+        live
+    }
+
     fn policy_place(&self, env: &DirectorEnv, requested: u16) -> Option<usize> {
         env.cfg.policy.place(
             requested,
@@ -695,40 +708,23 @@ fn handle_notice(d: &mut Director, payload: &[u8]) {
 
 /// Bring a cold cell live under admission pressure (pooled only).
 fn elastic_spawn(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) -> Option<usize> {
-    let parts = env.pool.as_ref()?;
+    let pool = env.pool.as_ref()?;
     let k = d.live.iter().position(|&l| !l)?;
-    parts.pool.enter(ctx);
-    {
-        let st = parts.pool.state();
-        st.live[k] = true;
-        st.next_due[k] = 0;
-        st.sessions[k] = false;
-        st.last_frame[k] = ctx.now();
-        ctx.cond_broadcast(parts.pool.cond);
-    }
-    parts.pool.exit(ctx);
-    d.live[k] = true;
-    d.empty_since[k] = None;
+    pool.with(ctx, |t| t.spawn(k, ctx.now()));
     d.elastic.spawned += 1;
-    let live_now = d.live.iter().filter(|&&l| l).count() as u32;
+    let live_now = d.mirror(ctx.now(), k, ElasticEventKind::Spawned);
     d.elastic.peak_live = d.elastic.peak_live.max(live_now);
-    d.elastic.events.push(ElasticEvent {
-        at: ctx.now(),
-        arena: k as u16,
-        kind: ElasticEventKind::Spawned,
-        live: live_now,
-    });
     Some(k)
 }
 
 /// Reap live non-boot arenas whose occupancy has sat at zero past the
-/// linger window (pooled only). A reaped cell's claim slot is masked
-/// so workers skip it, and its results are published immediately; the
-/// cell can be reborn by [`elastic_spawn`] (its world state is
+/// linger window (pooled only). A reaped cell turns cold so workers
+/// skip it, and its results are published immediately; the cell can
+/// be reborn by [`elastic_spawn`] (its world state is
 /// retained — players were already despawned for occupancy to reach
 /// zero, and a fresh population simply spawns into the aged world).
 fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
-    let Some(parts) = env.pool.as_ref() else {
+    let Some(pool) = env.pool.as_ref() else {
         return;
     };
     let now = ctx.now();
@@ -741,194 +737,24 @@ fn elastic_reap(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
         if now.saturating_sub(since) < env.cfg.linger_ns {
             continue;
         }
-        parts.pool.enter(ctx);
-        let st = parts.pool.state();
-        if st.claimed[k] {
-            // Mid-frame (a last maintenance frame, most likely): leave
-            // the linger clock running and retry next tick.
-            parts.pool.exit(ctx);
-            continue;
-        }
-        if st.fate[k] != ArenaFate::Healthy {
-            // Crashed or condemned: the supervisor owns this cell's
-            // next transition (restore). Reaping it would fork the
-            // liveness mirror.
-            parts.pool.exit(ctx);
-            continue;
-        }
-        st.live[k] = false;
-        st.sessions[k] = false;
-        // Claim flag clear + liveness masked: no worker will touch the
-        // cell again, so its frame state is safe to snapshot here.
-        let cell = &parts.cells[k];
-        cell.shared
-            .publish_single(ctx, cell.frame(), &env.sink.results[k]);
-        parts.pool.exit(ctx);
-        d.live[k] = false;
-        d.empty_since[k] = None;
-        d.elastic.reaped += 1;
-        let live_now = d.live.iter().filter(|&&l| l).count() as u32;
-        d.elastic.events.push(ElasticEvent {
-            at: now,
-            arena: k as u16,
-            kind: ElasticEventKind::Reaped,
-            live: live_now,
+        // Mid-frame (a last maintenance frame, most likely): leave the
+        // linger clock running and retry next tick. Crashed or
+        // condemned: the supervisor owns the cell's next transition.
+        let reaped = pool.reap(ctx, k, |cell| {
+            cell.shared
+                .publish_single(ctx, cell.frame(), &env.sink.results[k]);
         });
+        if !reaped {
+            continue;
+        }
+        d.elastic.reaped += 1;
+        d.mirror(now, k, ElasticEventKind::Reaped);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Shared worker pool
 // ---------------------------------------------------------------------------
-
-/// One arena's runtime state inside the pool. `frame` and `guard` are
-/// mutated only by the worker that currently holds the arena's claim
-/// flag (the director takes the claim as a fence while restoring).
-pub(crate) struct ArenaCell {
-    pub(crate) shared: Arc<ServerShared>,
-    port: PortId,
-    frame: UnsafeCell<FrameState>,
-    /// Supervision state: checkpoint ring, fault lottery, overload
-    /// stretch. Claim-protected exactly like `frame`.
-    guard: UnsafeCell<ArenaGuard>,
-}
-
-/// Claim-protected supervision state of one arena.
-pub(crate) struct ArenaGuard {
-    /// Restore points, newest last.
-    pub(crate) ring: CheckpointRing,
-    /// Deterministic per-arena fault lottery (`None` = no injection).
-    lottery: Option<FrameLottery>,
-    /// Effective frame-interval multiplier (1 = real time, up to 8
-    /// under sustained overrun).
-    stretch: u32,
-    /// Consecutive frames that overran the deadline.
-    overruns: u32,
-    /// Worker-side counters, merged into the directory's
-    /// `SupervisorStats` by the last exiting worker.
-    pub(crate) panics_caught: u64,
-    shed_frames: u64,
-    pub(crate) coalesced_moves: u64,
-}
-
-/// What the supervisor believes about one arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ArenaFate {
-    /// Running normally (or cold/reaped — fate only matters live).
-    Healthy,
-    /// A claimed frame panicked; the arena is fenced off (liveness
-    /// masked, claim clear) awaiting restore.
-    Crashed { at: Nanos },
-    /// The watchdog caught a claimed frame overrunning; the claim is
-    /// still held by the stuck worker, restore happens at release.
-    Condemned { at: Nanos },
-}
-
-// SAFETY: `frame` and `guard` are accessed only between claim (set
-// under the pool lock) and release by the claiming worker, by the
-// director after masking liveness with the claim flag clear (reap) or
-// after taking the claim itself as a restore fence, or by the last
-// exiting worker after every claim flag is clear.
-unsafe impl Sync for ArenaCell {}
-unsafe impl Send for ArenaCell {}
-
-impl ArenaCell {
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) fn frame(&self) -> &mut FrameState {
-        // SAFETY: see type-level invariant.
-        unsafe { &mut *self.frame.get() }
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) fn guard(&self) -> &mut ArenaGuard {
-        // SAFETY: see type-level invariant.
-        unsafe { &mut *self.guard.get() }
-    }
-}
-
-pub(crate) struct PoolState {
-    /// Arena k is currently being run by some worker (or fenced by the
-    /// director during a restore).
-    pub(crate) claimed: Vec<bool>,
-    /// Arena k has a migration fence pending: workers must not take
-    /// new claims on it, so the director can capture it at the current
-    /// frame's boundary instead of racing a saturated arena that is
-    /// claimed essentially all the time (see [`crate::migrate`]).
-    pub(crate) fenced: Vec<bool>,
-    /// Arena k accepts frames (cold, reaped and fated cells are
-    /// masked; only the director flips these, except a crashing worker
-    /// masking its own arena).
-    pub(crate) live: Vec<bool>,
-    /// Arena k had non-empty player slots after its last frame
-    /// (written by the frame's worker while still owning the claim,
-    /// read by the maintenance-due scan).
-    pub(crate) sessions: Vec<bool>,
-    /// When arena k's last frame finished (maintenance pacing).
-    pub(crate) last_frame: Vec<Nanos>,
-    /// Earliest time arena k may start its next frame: now, unless
-    /// sustained overruns stretched it (supervised arenas only).
-    pub(crate) next_due: Vec<Nanos>,
-    /// When arena k's current claim was taken (watchdog clock).
-    pub(crate) claim_started: Vec<Nanos>,
-    /// Supervision fate per arena.
-    pub(crate) fate: Vec<ArenaFate>,
-    /// Round-robin scan start, for fairness across arenas.
-    rotor: usize,
-    /// Workers that have left the loop.
-    exited: u32,
-    frames_by_worker: Vec<u64>,
-    frames_by_arena: Vec<u64>,
-    idle_ns_by_worker: Vec<Nanos>,
-    idle_timeouts_by_worker: Vec<u64>,
-}
-
-/// Pool scheduling state, guarded by the fabric lock `lock`. The lock
-/// sits in the control layer (like the parallel server's frame-control
-/// lock): it is never held while running a frame, so it can never rank
-/// under a region lock.
-pub(crate) struct Pool {
-    pub(crate) lock: LockId,
-    pub(crate) cond: CondId,
-    state: UnsafeCell<PoolState>,
-}
-
-// SAFETY: `state` is only accessed while holding the fabric `lock`.
-unsafe impl Sync for Pool {}
-unsafe impl Send for Pool {}
-
-impl Pool {
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) fn state(&self) -> &mut PoolState {
-        // SAFETY: see type-level invariant.
-        unsafe { &mut *self.state.get() }
-    }
-
-    /// Enter the pool-scheduling critical section.
-    // lockcheck: acquire-site
-    pub(crate) fn enter(&self, ctx: &TaskCtx) {
-        ctx.lock(self.lock);
-    }
-
-    /// Leave the pool-scheduling critical section.
-    // lockcheck: acquire-site
-    pub(crate) fn exit(&self, ctx: &TaskCtx) {
-        ctx.unlock(self.lock);
-    }
-}
-
-/// The pool internals the director needs for spawn/reap and restore.
-pub(crate) struct PoolParts {
-    pub(crate) pool: Arc<Pool>,
-    pub(crate) cells: Arc<Vec<Arc<ArenaCell>>>,
-}
-
-/// The modelled select timeout of an idle pooled worker on
-/// `VirtualSmp`: it re-scans for runnable arenas at least this often.
-/// Unused on fabrics that wake the pool on delivery
-/// ([`Fabric::wake_on_delivery`], i.e. `RealFabric`) — there an idle
-/// worker sleeps until a datagram, a pool event or a deadline the pool
-/// itself owes (overload pacing, maintenance, end of run).
-const POLL_NS: Nanos = 1_000_000;
 
 /// A frame running longer than this (one client tick) counts as an
 /// overrun for the graceful-degradation stretch, and is the unit a
@@ -942,28 +768,15 @@ const CHECKPOINT_DEPTH: usize = 4;
 /// first claim, so restore always has a target.
 pub const CHECKPOINT_INTERVAL: u32 = 64;
 
-/// What every pool worker shares (one allocation, cloned `Arc` per
-/// worker).
-struct PoolRunCfg {
-    /// The config the directory was built from, normalised.
-    cfg: ArenaDirectoryConfig,
-    /// Whether idle waits need the [`POLL_NS`] bound: the fabric does
-    /// not wake the pool on delivery.
-    poll: bool,
-    sink: Sink,
-}
-
 fn spawn_pool(
     fabric: &Arc<dyn Fabric>,
     cfg: &ArenaDirectoryConfig,
     worlds: &[Arc<GameWorld>],
     lifecycle_port: PortId,
     rest: Arc<Mutex<DirectoryReport>>,
-) -> (Vec<Vec<PortId>>, Sink, PoolParts) {
-    let workers = cfg.workers;
-    assert!(workers >= 1, "pool needs at least one worker");
+) -> (Vec<Vec<PortId>>, Sink, Arc<Pool>) {
+    assert!(cfg.workers >= 1, "pool needs at least one worker");
     let n = worlds.len();
-    let boot = cfg.arenas as usize;
     let mut cells = Vec::with_capacity(n);
     let mut ports = Vec::with_capacity(n);
     let mut results = Vec::with_capacity(n);
@@ -989,79 +802,22 @@ fn spawn_pool(
         if lottery.is_some() {
             install_quiet_panic_hook();
         }
-        cells.push(Arc::new(ArenaCell {
-            port: shared.ports[0],
-            shared,
-            frame: UnsafeCell::new(FrameState::default()),
-            guard: UnsafeCell::new(ArenaGuard {
-                ring: CheckpointRing::new(CHECKPOINT_DEPTH),
-                lottery,
-                stretch: 1,
-                overruns: 0,
-                panics_caught: 0,
-                shed_frames: 0,
-                coalesced_moves: 0,
-            }),
-        }));
+        cells.push(ArenaCell::new(shared, lottery, CHECKPOINT_DEPTH));
     }
 
-    let pool_lock = fabric.alloc_lock();
-    if let Some(w) = fabric.witness() {
-        w.classify(pool_lock, LockClass::Ctrl);
-    }
-    let pool = Arc::new(Pool {
-        lock: pool_lock,
-        cond: fabric.alloc_cond(),
-        state: UnsafeCell::new(PoolState {
-            claimed: vec![false; n],
-            fenced: vec![false; n],
-            live: (0..n).map(|k| k < boot).collect(),
-            sessions: vec![false; n],
-            last_frame: vec![0; n],
-            next_due: vec![0; n],
-            claim_started: vec![0; n],
-            fate: vec![ArenaFate::Healthy; n],
-            rotor: 0,
-            exited: 0,
-            frames_by_worker: vec![0; workers as usize],
-            frames_by_arena: vec![0; n],
-            idle_ns_by_worker: vec![0; workers as usize],
-            idle_timeouts_by_worker: vec![0; workers as usize],
-        }),
-    });
-    // Event-driven idling: ask the fabric to ring the pool condvar on
-    // every delivery to an arena port (the degenerate pool blocks on
-    // its one port directly and has no use for it). Rule: never send
-    // to an arena port between `pool.enter` and `pool.exit` — the
-    // delivery passes through the pool lock, which is not re-entrant.
-    // The director forwards outside that section and the gateway pumps
-    // hold no fabric lock. One waiter is woken per delivery; the only
-    // non-worker waiter, `migrate::capture_fence`, waits solely while a
-    // worker holds a claim, and every claim release broadcasts.
-    let degenerate = is_degenerate_pool(n, cfg);
-    let delivery_wakes = !degenerate
-        && cells
-            .iter()
-            .all(|c| fabric.wake_on_delivery(c.port, pool.lock, pool.cond));
-
+    // Event-driven idling, except for the degenerate pool: it blocks
+    // on its one port directly.
+    let pool = Arc::new(Pool::new(fabric, cells, cfg, !is_degenerate_pool(n, cfg)));
     let sink = Sink { results, rest };
-    let rcfg = Arc::new(PoolRunCfg {
-        cfg: cfg.clone(),
-        poll: !delivery_wakes,
-        sink: sink.clone(),
-    });
-    let cells = Arc::new(cells);
-    for w in 0..workers {
-        let cells = cells.clone();
-        let pool = pool.clone();
-        let rcfg = rcfg.clone();
+    for w in 0..cfg.workers {
+        let (pool, sink) = (pool.clone(), sink.clone());
         fabric.spawn(
             &format!("arena-pool-{w}"),
             Some(w),
-            Box::new(move |ctx| pool_worker(ctx, w, &cells, &pool, &rcfg)),
+            Box::new(move |ctx| pool_worker(ctx, w, &pool, &sink)),
         );
     }
-    (ports, sink, PoolParts { pool, cells })
+    (ports, sink, pool)
 }
 
 /// A 1×1 pool with nothing to tick and nothing to supervise runs the
@@ -1070,9 +826,9 @@ fn is_degenerate_pool(arenas: usize, cfg: &ArenaDirectoryConfig) -> bool {
     arenas == 1 && cfg.workers == 1 && cfg.maintenance_ns == 0 && cfg.supervision.is_none()
 }
 
-fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcfg: &PoolRunCfg) {
-    let cfg = &rcfg.cfg;
-    let n = cells.len();
+fn pool_worker(ctx: &TaskCtx, w: u32, pool: &Pool, sink: &Sink) {
+    let cfg = &pool.cfg;
+    let cells = &pool.cells;
     // A 1×1 pool with no maintenance ticking and no supervision runs
     // the sequential server's select loop itself: no scheduling lock,
     // no polling, so a default single-arena directory *is*
@@ -1080,42 +836,30 @@ fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcf
     // wrapper, checkpoints and watchdog claim accounting all live in
     // the scan path.
     let mut degenerate_frames = 0u64;
-    if is_degenerate_pool(n, cfg) {
+    if is_degenerate_pool(cells.len(), cfg) {
         let f = cells[0].frame();
         let before = f.frame_no;
         cells[0].shared.run_single_loop(ctx, f);
         degenerate_frames = (f.frame_no - before) as u64;
     } else {
-        pool_worker_scan(ctx, w, cells, pool, rcfg);
+        pool_worker_scan(ctx, w, pool);
     }
 
     // Exit protocol: the last worker out publishes per-arena results
-    // and the pool's half of the report. Claim flags are all clear by
-    // then, so the frame cells are safe to read.
-    pool.enter(ctx);
-    let st = pool.state();
-    if degenerate_frames > 0 {
-        st.frames_by_worker[0] += degenerate_frames;
-        st.frames_by_arena[0] += degenerate_frames;
-    }
-    st.exited += 1;
-    if st.exited == cfg.workers {
-        for (cell, result) in cells.iter().zip(&rcfg.sink.results) {
+    // and the pool's half of the report. Every claim is free by then,
+    // so the frame cells are safe to read.
+    pool.leave(ctx, w, degenerate_frames, |report| {
+        for (cell, result) in cells.iter().zip(&sink.results) {
             cell.shared.publish_single(ctx, cell.frame(), result);
         }
-        rcfg.sink.publish(|r| {
-            r.pool = Some(PoolReport {
-                frames_by_worker: st.frames_by_worker.clone(),
-                frames_by_arena: st.frames_by_arena.clone(),
-                idle_ns_by_worker: st.idle_ns_by_worker.clone(),
-                idle_timeouts_by_worker: st.idle_timeouts_by_worker.clone(),
-            });
+        sink.publish(|r| {
+            r.pool = Some(report);
             if cfg.supervision.is_some() {
                 // Fold worker-side guard counters into the directory's
                 // supervision report; the director contributes the
                 // restore/watchdog side at its own exit.
                 let mut sup = SupervisorStats::default();
-                for cell in cells.iter() {
+                for cell in cells {
                     let g = cell.guard();
                     sup.panics_caught += g.panics_caught;
                     sup.checkpoints_taken += g.ring.taken;
@@ -1126,163 +870,53 @@ fn pool_worker(ctx: &TaskCtx, w: u32, cells: &[Arc<ArenaCell>], pool: &Pool, rcf
                 r.supervisor.merge(&sup);
             }
         });
-    }
-    pool.exit(ctx);
+    });
 }
 
-/// The general pool scheduling loop: claim a due arena under the pool
-/// lock, run its frame unlocked, release, repeat. Supervised frames
-/// run behind `catch_unwind`: a panic fates only the panicking arena
-/// (claim cleared, liveness masked, fate `Crashed`) and the worker
-/// moves on to other arenas.
-fn pool_worker_scan(
-    ctx: &TaskCtx,
-    w: u32,
-    cells: &[Arc<ArenaCell>],
-    pool: &Pool,
-    rcfg: &PoolRunCfg,
-) {
-    let n = cells.len();
+/// The general pool scheduling loop: claim a due arena, run its frame
+/// outside the pool lock, release, repeat. Supervised frames run
+/// behind `catch_unwind`: a panic fates only the panicking arena and
+/// the worker moves on to other arenas.
+fn pool_worker_scan(ctx: &TaskCtx, w: u32, pool: &Pool) {
+    let supervised = pool.cfg.supervision.is_some();
     loop {
         let now = ctx.now();
-        if now >= rcfg.cfg.server.end_time {
+        if now >= pool.cfg.server.end_time {
             break;
         }
-        pool.enter(ctx);
-        // Scan from the rotor for an unclaimed live arena that is due
-        // and has either input waiting or a maintenance frame owed.
-        // `port_next_delivery` peeks without claiming the port, so the
-        // scan is safe for ports the frame body will drain later.
-        let mut pick = None;
-        {
-            let st = pool.state();
-            for i in 0..n {
-                let k = (st.rotor + i) % n;
-                if st.claimed[k] || st.fenced[k] || !st.live[k] || st.next_due[k] > now {
-                    continue;
-                }
-                let input =
-                    matches!(ctx.fabric().port_next_delivery(cells[k].port), Some(t) if t <= now);
-                let maint = rcfg.cfg.maintenance_ns > 0
-                    && st.sessions[k]
-                    && now >= st.last_frame[k] + rcfg.cfg.maintenance_ns;
-                if input || maint {
-                    pick = Some(k);
-                    break;
-                }
+        let Some(k) = pool.claim(ctx, w, now) else {
+            continue;
+        };
+        let cell = &pool.cells[k];
+        let panicked = if supervised {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_arena_frame_supervised(ctx, cell)
+            }))
+            .is_err()
+        } else {
+            run_arena_frame(ctx, cell, None);
+            false
+        };
+        if panicked {
+            // Still owning the claim: count on the cell, then fate the
+            // arena. Any fabric lock the frame still held is leaked for
+            // good — report it to the witness so the run fails on it.
+            if let Some(wit) = ctx.fabric().witness() {
+                wit.on_unwind(ctx.id(), ctx.now());
             }
-            if let Some(k) = pick {
-                st.claimed[k] = true;
-                st.claim_started[k] = now;
-                st.rotor = (k + 1) % n;
-            }
+            cell.guard().panics_caught += 1;
+            pool.with(ctx, |t| t.crash(k, ctx.now()));
+            continue;
         }
-        match pick {
-            Some(k) => {
-                pool.exit(ctx);
-                let cell = &cells[k];
-                let panicked = if rcfg.cfg.supervision.is_some() {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_arena_frame_supervised(ctx, cell)
-                    }))
-                    .is_err()
-                } else {
-                    run_arena_frame(ctx, cell, None);
-                    false
-                };
-                if panicked {
-                    // Still owning the claim: count on the cell, then
-                    // fate the arena. The world may be mid-mutation —
-                    // nothing touches it again until the director
-                    // restores from the last checkpoint. Any fabric
-                    // lock the frame still held is leaked for good —
-                    // report it to the witness so the run fails on it.
-                    if let Some(wit) = ctx.fabric().witness() {
-                        wit.on_unwind(ctx.id(), ctx.now());
-                    }
-                    let g = cell.guard();
-                    g.panics_caught += 1;
-                    pool.enter(ctx);
-                    let st = pool.state();
-                    st.claimed[k] = false;
-                    st.live[k] = false;
-                    st.fate[k] = ArenaFate::Crashed { at: ctx.now() };
-                    ctx.cond_broadcast(pool.cond);
-                    pool.exit(ctx);
-                    continue;
-                }
-                // Still owning the claim: record whether the arena has
-                // resident sessions, for the maintenance-due scan, and
-                // read the overload stretch for pacing.
-                let has_sessions = {
-                    let shared = &cell.shared;
-                    (0..shared.clients.capacity())
-                        .any(|i| shared.clients.slot(i).state != SlotState::Empty)
-                };
-                let stretch = if rcfg.cfg.supervision.is_some() {
-                    cell.guard().stretch
-                } else {
-                    1
-                };
-                pool.enter(ctx);
-                let st = pool.state();
-                st.claimed[k] = false;
-                if matches!(st.fate[k], ArenaFate::Condemned { .. }) {
-                    // The watchdog condemned this frame while it ran:
-                    // leave the arena dead (liveness was masked at
-                    // condemn time); the director restores it from
-                    // checkpoint now that the claim is clear.
-                } else {
-                    // Frames are event-driven; graceful degradation
-                    // paces a stretched arena at `stretch ×` the frame
-                    // deadline.
-                    let gap = if stretch > 1 {
-                        FRAME_DEADLINE_NS * stretch as u64
-                    } else {
-                        0
-                    };
-                    st.next_due[k] = ctx.now() + gap;
-                    st.last_frame[k] = ctx.now();
-                    st.sessions[k] = has_sessions;
-                }
-                st.frames_by_worker[w as usize] += 1;
-                st.frames_by_arena[k] += 1;
-                // The arena is consumable again (it may already have
-                // fresh input): wake idle workers to rescan.
-                ctx.cond_broadcast(pool.cond);
-                pool.exit(ctx);
-            }
-            None => {
-                // Nothing runnable: sleep until the earliest moment an
-                // arena could become runnable without anyone ringing
-                // the condvar — queued input reaching its pacing or
-                // delivery time, a maintenance frame coming due, the
-                // end of the run — and, only where deliveries do not
-                // ring it, the poll bound; then rescan.
-                let st = pool.state();
-                let end_time = rcfg.cfg.server.end_time;
-                let maintenance_ns = rcfg.cfg.maintenance_ns;
-                let mut deadline = if rcfg.poll { now + POLL_NS } else { end_time };
-                for (k, cell) in cells.iter().enumerate() {
-                    if st.claimed[k] || st.fenced[k] || !st.live[k] {
-                        continue;
-                    }
-                    if let Some(t) = ctx.fabric().port_next_delivery(cell.port) {
-                        deadline = deadline.min(st.next_due[k].max(t));
-                    }
-                    if maintenance_ns > 0 && st.sessions[k] {
-                        deadline =
-                            deadline.min(st.next_due[k].max(st.last_frame[k] + maintenance_ns));
-                    }
-                }
-                let deadline = deadline.min(end_time).max(now + 1);
-                let (waited, timed_out) = ctx.cond_wait_until(pool.cond, pool.lock, deadline);
-                let st = pool.state();
-                st.idle_ns_by_worker[w as usize] += waited;
-                st.idle_timeouts_by_worker[w as usize] += timed_out as u64;
-                pool.exit(ctx);
-            }
-        }
+        // Frames are event-driven; graceful degradation paces a
+        // stretched arena at `stretch ×` the frame deadline.
+        let stretch = if supervised { cell.guard().stretch } else { 1 };
+        let gap = if stretch > 1 {
+            FRAME_DEADLINE_NS * stretch as u64
+        } else {
+            0
+        };
+        pool.release(ctx, w, k, gap, cell.shared.clients.occupied());
     }
 }
 

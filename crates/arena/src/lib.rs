@@ -37,8 +37,14 @@
 //!   pre-provisions cold arena cells and brings one live when every
 //!   live arena is full (spawn under admission pressure); an arena
 //!   whose occupancy stays zero past a linger window is drained and
-//!   reaped (its `ServerResults` published, its claim slot masked).
+//!   reaped (its `ServerResults` published, its cell cold again).
 //!   Spawn/reap transitions land in `parquake_metrics::ElasticStats`.
+//! * **One schedule record per pooled arena** (`pool`, private): its
+//!   life (cold, live, crashed, condemned), who holds its claim (a
+//!   worker or the director), a pending migration fence and its
+//!   pacing. Workers, the director, the supervisor and migration change
+//!   it only through named transitions under the pool lock; DESIGN.md
+//!   §8 tabulates them with the record's five invariants.
 //! * **Supervision** (opt-in): pooled frames run behind `catch_unwind`
 //!   so a panic fates only its arena; workers checkpoint each arena's
 //!   world + slot table ([`checkpoint::CheckpointRing`]); the
@@ -50,7 +56,7 @@
 //!   of dropping input. Accounting lands in
 //!   `parquake_metrics::SupervisorStats`.
 //! * **Live migration** ([`migrate`], opt-in): the director fences a
-//!   hot arena's slot with the same claim flag the supervisor uses,
+//!   hot arena's slot with the same claim the supervisor takes,
 //!   carries the player across in a validated `sim::snapshot` capsule,
 //!   rebooks the [`ledger::Ledger`] in place (the population identity
 //!   never opens), emits a `Migrated` lifecycle notice, and lets the
@@ -68,6 +74,7 @@ pub mod checkpoint;
 pub mod directory;
 pub mod ledger;
 pub mod migrate;
+mod pool;
 pub mod supervisor;
 
 pub use admission::{AdmissionPolicy, AdmissionStats};

@@ -68,7 +68,8 @@ use parquake_protocol::Encode;
 use parquake_server::clients::SlotState;
 use parquake_server::LifecycleEvent;
 
-use crate::directory::{drain_requests_coalesced, ArenaFate, Director, DirectorEnv, PoolParts};
+use crate::directory::{drain_requests_coalesced, Director, DirectorEnv};
+use crate::pool::{ArenaCell, Pool};
 
 /// Most slots one captured fence may hand off. Small enough that a
 /// batch is a blip next to a frame, large enough that leveling a badly
@@ -92,7 +93,7 @@ pub(crate) fn rebalance(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
     if env.cfg.migrate_spread == 0 && !env.cfg.migrate_drain {
         return;
     }
-    let Some(parts) = env.pool.as_ref() else {
+    let Some(pool) = env.pool.as_ref() else {
         return;
     };
     let now = ctx.now();
@@ -101,9 +102,9 @@ pub(crate) fn rebalance(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
     }
     d.next_migrate_at = now + MIGRATE_INTERVAL_NS;
     if let Some((src, dst)) = pick_drain(env, d) {
-        handoff(ctx, env, d, parts, src, dst, true);
+        handoff(ctx, env, d, pool, src, dst, true);
     } else if let Some((src, dst)) = pick_spread(env, d) {
-        handoff(ctx, env, d, parts, src, dst, false);
+        handoff(ctx, env, d, pool, src, dst, false);
     }
 }
 
@@ -175,57 +176,6 @@ fn rebalance_target(src: usize, occupancy: &[u32], capacity: u32, live: &[bool])
         .map(|(k, _)| k)
 }
 
-/// Capture both cells at their frame boundaries: mark them
-/// fence-pending so no worker takes a new claim, then wait on the pool
-/// condvar until the in-flight frames release. Returns `false` (with
-/// the fence cleared and nothing mutated) if either cell dies or the
-/// wait times out.
-fn capture_fence(ctx: &TaskCtx, parts: &PoolParts, src: usize, dst: usize) -> bool {
-    let deadline = ctx.now() + FENCE_WAIT_NS;
-    parts.pool.enter(ctx);
-    let healthy = |st: &crate::directory::PoolState, k: usize| {
-        st.live[k] && st.fate[k] == ArenaFate::Healthy && !st.fenced[k]
-    };
-    {
-        let st = parts.pool.state();
-        if !healthy(st, src) || !healthy(st, dst) {
-            parts.pool.exit(ctx);
-            return false;
-        }
-        st.fenced[src] = true;
-        st.fenced[dst] = true;
-    }
-    loop {
-        let st = parts.pool.state();
-        // A cell can be condemned or crash while we wait (its claim is
-        // cleared as it dies) — re-check fate, not just the claims.
-        let alive = |k: usize| st.live[k] && st.fate[k] == ArenaFate::Healthy;
-        if !alive(src) || !alive(dst) || ctx.now() >= deadline {
-            st.fenced[src] = false;
-            st.fenced[dst] = false;
-            ctx.cond_broadcast(parts.pool.cond);
-            parts.pool.exit(ctx);
-            return false;
-        }
-        if !st.claimed[src] && !st.claimed[dst] {
-            break;
-        }
-        ctx.cond_wait_until(parts.pool.cond, parts.pool.lock, deadline);
-    }
-    {
-        let now = ctx.now();
-        let st = parts.pool.state();
-        st.claimed[src] = true;
-        st.claimed[dst] = true;
-        st.claim_started[src] = now;
-        st.claim_started[dst] = now;
-        st.fenced[src] = false;
-        st.fenced[dst] = false;
-    }
-    parts.pool.exit(ctx);
-    true
-}
-
 /// Execute one fenced handoff of up to [`MIGRATE_BATCH`] residents of
 /// `src` into `dst`. A failed capture or a fence that finds nothing
 /// migratable counts one `migrate_aborted`; per-slot transfer failures
@@ -234,7 +184,7 @@ fn handoff(
     ctx: &TaskCtx,
     env: &DirectorEnv,
     d: &mut Director,
-    parts: &PoolParts,
+    pool: &Pool,
     src: usize,
     dst: usize,
     drain: bool,
@@ -260,13 +210,15 @@ fn handoff(
         return;
     }
 
-    if !capture_fence(ctx, parts, src, dst) {
+    // The fence is two-phase: no new claims on either cell, then a wait
+    // for the in-flight frames to release theirs.
+    if !pool.capture(ctx, [src, dst], ctx.now() + FENCE_WAIT_NS) {
         d.sup.migrate_aborted += 1;
         return;
     }
 
-    let cell_s = &parts.cells[src];
-    let cell_d = &parts.cells[dst];
+    let cell_s = &pool.cells[src];
+    let cell_d = &pool.cells[dst];
 
     // Quiesce the source's inbound queue before reading the victims:
     // queued moves are coalesced per client then drained, so each
@@ -313,21 +265,10 @@ fn handoff(
 
     // Unfence both cells; on success reset pacing so the destination
     // frames (and re-acks) promptly even with no input queued.
-    parts.pool.enter(ctx);
-    {
-        let st = parts.pool.state();
-        st.claimed[src] = false;
-        st.claimed[dst] = false;
-        if !moved.is_empty() {
-            st.next_due[src] = 0;
-            st.next_due[dst] = 0;
-            st.sessions[dst] = true;
-            st.sessions[src] =
-                (0..s_clients.capacity()).any(|i| s_clients.slot(i).state != SlotState::Empty);
-        }
-        ctx.cond_broadcast(parts.pool.cond);
-    }
-    parts.pool.exit(ctx);
+    let src_sessions = s_clients.occupied();
+    pool.with(ctx, |t| {
+        t.end_migration([src, dst], !moved.is_empty(), src_sessions)
+    });
 
     if moved.is_empty() {
         d.sup.migrate_aborted += 1;
@@ -370,8 +311,8 @@ fn handoff(
 /// crash-recovery rebind path.
 fn transfer(
     ctx: &TaskCtx,
-    cell_s: &crate::directory::ArenaCell,
-    cell_d: &crate::directory::ArenaCell,
+    cell_s: &ArenaCell,
+    cell_d: &ArenaCell,
     d: &mut Director,
     cid: u32,
     s_idx: usize,

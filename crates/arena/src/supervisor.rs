@@ -1,22 +1,16 @@
 //! The director-side arena supervisor: watchdog + checkpoint restore.
 //!
-//! Fate machine per pooled arena (see DESIGN.md §9):
-//!
-//! ```text
-//!            frame panics (caught)          claim released
-//! healthy ──────────────────────► crashed ───────────────┐
-//!    │                                                    │
-//!    │ claimed frame overruns WATCHDOG_NS                 ▼
-//!    └──────────────────────────► condemned ────► restoring ──► live
-//!                                  (stuck)     (claim fenced by
-//!                                                the director)
-//! ```
+//! A failed arena runs through the crashed and condemned rows of the
+//! pool's lifecycle table (`crate::pool`, DESIGN.md §8): a caught panic
+//! crashes it, the watchdog condemns a frame that overruns
+//! `WATCHDOG_NS`, and the supervisor fences the fated cell, restores
+//! it and marks the restore done.
 //!
 //! The supervisor runs inside the director's loop, between front-door
 //! batches. It never races a worker: crashed arenas already released
-//! their claim, condemned arenas are restored only after the stuck
-//! frame returns its claim, and the restore itself happens *with the
-//! claim flag set* — the same fence workers use — so no worker can
+//! their claim, condemned arenas are fenced only after the stuck frame
+//! returns its claim, and the restore itself runs *with the director
+//! holding the claim* — the same claim workers take — so no worker can
 //! touch the cell mid-restore. Restoration rewinds the arena's world
 //! and slot table to the newest checkpoint, then replays the ledger:
 //! placements the checkpoint never saw depart (a synthetic notice),
@@ -32,13 +26,14 @@ use parquake_fabric::{Nanos, TaskCtx};
 use parquake_metrics::{SupervisorEvent, SupervisorEventKind};
 use parquake_server::clients::SlotState;
 
-use crate::directory::{ArenaFate, Director, DirectorEnv, PoolParts};
+use crate::directory::{Director, DirectorEnv};
 use crate::ledger::Departure;
+use crate::pool::{ArenaCell, Fate, Pool};
 
 /// The watchdog condemns an arena whose claimed frame has been running
 /// longer than this. A stuck frame cannot be preempted — the watchdog
-/// fences the arena (liveness masked, fate condemned) and the restore
-/// happens once the frame returns its claim.
+/// condemns the arena (no longer schedulable) and the restore happens
+/// once the frame returns its claim.
 const WATCHDOG_NS: Nanos = 250_000_000;
 
 /// One supervision pass: watchdog sweep, then restore every restorable
@@ -48,38 +43,30 @@ pub(crate) fn supervise(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
     if env.cfg.supervision.is_none() {
         return;
     }
-    let Some(parts) = env.pool.as_ref() else {
+    let Some(pool) = env.pool.as_ref() else {
         return;
     };
     let now = ctx.now();
-    let n = parts.cells.len();
     let mut to_restore: Vec<(usize, Nanos)> = Vec::new();
-    parts.pool.enter(ctx);
-    {
-        let st = parts.pool.state();
-        for k in 0..n {
-            match st.fate[k] {
-                // Watchdog: a claimed frame running past the bound
-                // cannot be preempted — condemn the arena (mask
-                // liveness, mark stuck) so the releasing worker leaves
-                // it dead and restore happens below, on a later pass,
-                // once the claim clears.
-                ArenaFate::Healthy
-                    if st.claimed[k] && now.saturating_sub(st.claim_started[k]) > WATCHDOG_NS =>
-                {
-                    st.fate[k] = ArenaFate::Condemned { at: now };
-                    st.live[k] = false;
-                    d.sup.stuck_detected += 1;
-                    d.sup.events.push(SupervisorEvent {
-                        at: now,
-                        arena: k as u16,
-                        kind: SupervisorEventKind::Stuck,
-                    });
-                }
-                ArenaFate::Crashed { at } if !st.claimed[k] => {
-                    // Fence the cell with the claim flag so the
-                    // restore can run outside the pool lock.
-                    st.claimed[k] = true;
+    pool.with(ctx, |t| {
+        for k in 0..pool.cells.len() {
+            // Watchdog: a claimed frame running past the bound cannot
+            // be preempted — condemn the arena so the releasing worker
+            // leaves it fated; it is fenced and restored on a later
+            // pass, once the claim clears.
+            if t.condemn(k, now, WATCHDOG_NS) {
+                d.sup.stuck_detected += 1;
+                d.sup.events.push(SupervisorEvent {
+                    at: now,
+                    arena: k as u16,
+                    kind: SupervisorEventKind::Stuck,
+                });
+                continue;
+            }
+            // A fated arena whose claim is free is fenced now, so the
+            // restore can run outside the pool lock.
+            match t.fence_fated(k) {
+                Some(Fate::Crashed { at }) => {
                     d.sup.events.push(SupervisorEvent {
                         at,
                         arena: k as u16,
@@ -87,26 +74,22 @@ pub(crate) fn supervise(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director) {
                     });
                     to_restore.push((k, at));
                 }
-                ArenaFate::Condemned { at } if !st.claimed[k] => {
-                    st.claimed[k] = true;
-                    to_restore.push((k, at));
-                }
-                _ => {}
+                Some(Fate::Condemned { at }) => to_restore.push((k, at)),
+                None => {}
             }
         }
-    }
-    parts.pool.exit(ctx);
+    });
 
     for (k, failed_at) in to_restore {
-        restore_arena(ctx, d, parts, k, failed_at);
+        restore_arena(ctx, d, pool, k, failed_at);
     }
 }
 
 /// Rewind arena `k` to its newest checkpoint and bring it back live.
-/// The caller has fenced the cell (claim flag set), so the cell is
-/// exclusively the director's until the flag clears.
-fn restore_arena(ctx: &TaskCtx, d: &mut Director, parts: &PoolParts, k: usize, failed_at: Nanos) {
-    let cell = &parts.cells[k];
+/// The caller has fenced the cell (the director holds its claim), so
+/// the cell is exclusively the director's until the restore is done.
+fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_at: Nanos) {
+    let cell = &pool.cells[k];
     let g = cell.guard();
     let now0 = ctx.now();
     // (client_id, connect-time thread) of every checkpointed session,
@@ -151,7 +134,6 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, parts: &PoolParts, k: usize, f
         .iter()
         .map(|&(id, _)| id)
         .collect();
-    let mut wiped = 0usize;
     for &(cid, thread) in &resident {
         if booked.contains(&cid) {
             continue;
@@ -165,7 +147,6 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, parts: &PoolParts, k: usize, f
             Some(p) if p.arena != arena => {
                 wipe_resurrected_slot(cell, cid);
                 d.sup.stale_restored_slots += 1;
-                wiped += 1;
             }
             // Checkpointed but lost from the book (LRU eviction, or an
             // interleaved departure notice): the restored slot is the
@@ -180,18 +161,8 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, parts: &PoolParts, k: usize, f
     // Back live: drop the fence, reset pacing so queued traffic (which
     // kept accumulating on the arena's bounded port throughout) drains
     // immediately, and wake the workers.
-    parts.pool.enter(ctx);
-    {
-        let st = parts.pool.state();
-        st.fate[k] = ArenaFate::Healthy;
-        st.claimed[k] = false;
-        st.live[k] = true;
-        st.next_due[k] = 0;
-        st.last_frame[k] = ctx.now();
-        st.sessions[k] = resident.len() > wiped;
-        ctx.cond_broadcast(parts.pool.cond);
-    }
-    parts.pool.exit(ctx);
+    let sessions = cell.shared.clients.occupied();
+    pool.with(ctx, |t| t.restored(k, ctx.now(), sessions));
 
     let now = ctx.now();
     d.sup
@@ -201,7 +172,7 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, parts: &PoolParts, k: usize, f
 /// A restored slot whose client the ledger shows booked at another
 /// arena is stale — despawn its entity and clear the slot so the
 /// session lives only where the book says it does.
-fn wipe_resurrected_slot(cell: &crate::directory::ArenaCell, cid: u32) {
+fn wipe_resurrected_slot(cell: &ArenaCell, cid: u32) {
     let clients = &cell.shared.clients;
     for idx in 0..clients.capacity() {
         let slot = clients.slot(idx);

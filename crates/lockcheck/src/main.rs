@@ -330,7 +330,7 @@ fn frame_path(path: &str) -> bool {
     match krate {
         "sim" => true,
         "server" => matches!(file, "exec.rs" | "par.rs" | "seq.rs" | "runtime.rs"),
-        "arena" => matches!(file, "directory.rs" | "supervisor.rs"),
+        "arena" => matches!(file, "directory.rs" | "pool.rs" | "supervisor.rs"),
         _ => false,
     }
 }

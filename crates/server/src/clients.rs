@@ -177,6 +177,11 @@ impl ClientTable {
         self.slots.len()
     }
 
+    /// Whether any slot still holds a session (is not `Empty`).
+    pub fn occupied(&self) -> bool {
+        (0..self.capacity()).any(|i| self.slot(i).state != SlotState::Empty)
+    }
+
     /// Access a slot. The caller must hold the right to access it under
     /// the phase protocol (owning thread in its phases, master during
     /// the world phase, or the slot's fabric lock for `events`).
