@@ -97,22 +97,37 @@ fn main() {
         args.die(&format!("unknown subcommand {cmd}"));
     }
 
-    let mut opts = SweepOpts::default();
+    // `--quick` is a preset: it applies first, wherever it appears, and
+    // the explicit flags override it.
+    let mut quick = false;
+    let (mut duration, mut players, mut seed) = (None, None, None);
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--quick" => opts = SweepOpts::quick(),
-            "--duration" => opts.duration_secs = args.value("a number"),
+            "--quick" => quick = true,
+            "--duration" => duration = Some(args.value("a number")),
             "--players" => {
-                opts.players = args
-                    .value::<String>("a list")
-                    .split(',')
-                    .map(|p| p.parse().unwrap_or_else(|_| args.die("bad player count")))
-                    .collect();
+                players = Some(
+                    args.value::<String>("a list")
+                        .split(',')
+                        .map(|p| p.parse().unwrap_or_else(|_| args.die("bad player count")))
+                        .collect(),
+                );
             }
-            "--seed" => opts.seed = args.value("a number"),
+            "--seed" => seed = Some(args.value("a number")),
             other => args.die(&format!("unknown option {other}")),
         }
     }
+    let base = if quick {
+        SweepOpts::quick()
+    } else {
+        SweepOpts::default()
+    };
+    let opts = SweepOpts {
+        duration_secs: duration.unwrap_or(base.duration_secs),
+        players: players.unwrap_or(base.players),
+        seed: seed.unwrap_or(base.seed),
+        ..base
+    };
 
     let t0 = std::time::Instant::now();
     for (name, _, run) in picked {

@@ -351,7 +351,7 @@ fn main() {
     println!(
         "udpd: population identity — placed {} == departed {} + resident {} — \
          accounting {} ({} connected, {} disconnected, {} reclaimed, \
-         {} migrated notices)",
+         {} rejected, {} migrated notices)",
         adm.placed,
         adm.departed,
         adm.resident,
@@ -359,6 +359,7 @@ fn main() {
         adm.notice_connected,
         adm.notice_disconnected,
         adm.notice_reclaimed,
+        adm.notice_rejected,
         adm.notice_migrated
     );
     let all_closed = report.accounting_closed() && population_closes && ist.pairs_closed();

@@ -105,3 +105,24 @@ fn repro_value_flag_given_last_is_a_usage_error() {
     assert!(stderr.contains("--duration needs a number"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn repro_quick_is_a_preset_the_explicit_flags_override() {
+    // Pre-fix: `--quick` replaced the whole option set, so a `--seed`,
+    // `--duration` or `--players` given before it was silently lost.
+    let stdout = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let flags = ["--seed", "5", "--duration", "0.3", "--players", "16"];
+    let mut before = vec!["timeline"];
+    before.extend_from_slice(&flags);
+    before.push("--quick");
+    let mut after = vec!["timeline", "--quick"];
+    after.extend_from_slice(&flags);
+    assert_eq!(stdout(&before), stdout(&after));
+}

@@ -220,10 +220,6 @@ pub struct LockStats {
     /// Σ over requests of the leaf count of the tree at the time
     /// (denominator for "% of world locked per request").
     pub leaf_capacity: u64,
-    /// Time blocked on the global state buffer lock.
-    pub global_buffer_ns: Nanos,
-    /// Time blocked on per-player reply buffer locks.
-    pub reply_buffer_ns: Nanos,
 }
 
 impl LockStats {
@@ -236,8 +232,6 @@ impl LockStats {
         self.distinct_leaves += o.distinct_leaves;
         self.leaf_lock_events += o.leaf_lock_events;
         self.leaf_capacity += o.leaf_capacity;
-        self.global_buffer_ns += o.global_buffer_ns;
-        self.reply_buffer_ns += o.reply_buffer_ns;
     }
 
     /// Total object-lock wait time.

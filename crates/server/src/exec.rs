@@ -164,11 +164,11 @@ impl RegionLocks {
         ctx.unlock(self.node_lock(node));
     }
 
-    /// Acquire the global state-buffer lock. Returns the blocked time.
+    /// Acquire the global state-buffer lock.
     // lockcheck: acquire-site
     #[inline]
-    pub fn acquire_global(&self, ctx: &TaskCtx) -> Nanos {
-        ctx.lock(self.global_lock)
+    pub fn acquire_global(&self, ctx: &TaskCtx) {
+        ctx.lock(self.global_lock);
     }
 
     /// Release the global state-buffer lock.
@@ -178,12 +178,11 @@ impl RegionLocks {
         ctx.unlock(self.global_lock)
     }
 
-    /// Acquire one client's reply-buffer lock. Returns the blocked
-    /// time.
+    /// Acquire one client's reply-buffer lock.
     // lockcheck: acquire-site
     #[inline]
-    pub fn acquire_client(&self, ctx: &TaskCtx, slot: usize) -> Nanos {
-        ctx.lock(self.client_locks[slot])
+    pub fn acquire_client(&self, ctx: &TaskCtx, slot: usize) {
+        ctx.lock(self.client_locks[slot]);
     }
 
     /// Release a client's reply-buffer lock.

@@ -176,21 +176,19 @@ impl ServerShared {
     }
 
     /// Append events to the global state buffer under its lock.
-    pub fn push_global_events(&self, ctx: &TaskCtx, stats: &mut ThreadStats, events: &[GameEvent]) {
+    pub fn push_global_events(&self, ctx: &TaskCtx, events: &[GameEvent]) {
         if events.is_empty() {
             return;
         }
-        let waited = self.locks.acquire_global(ctx);
-        stats.lock.global_buffer_ns += waited;
+        self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
         unsafe { (*self.global_events.get()).extend_from_slice(events) };
         self.locks.release_global(ctx);
     }
 
     /// Snapshot the global buffer (reply phase).
-    pub fn read_global_events(&self, ctx: &TaskCtx, stats: &mut ThreadStats) -> Vec<GameEvent> {
-        let waited = self.locks.acquire_global(ctx);
-        stats.lock.global_buffer_ns += waited;
+    pub fn read_global_events(&self, ctx: &TaskCtx, _stats: &mut ThreadStats) -> Vec<GameEvent> {
+        self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
         let copy = unsafe { (*self.global_events.get()).clone() };
         self.locks.release_global(ctx);
@@ -198,9 +196,8 @@ impl ServerShared {
     }
 
     /// Clear the global buffer (frame end, master only, under lock).
-    pub fn clear_global_events(&self, ctx: &TaskCtx, stats: &mut ThreadStats) {
-        let waited = self.locks.acquire_global(ctx);
-        stats.lock.global_buffer_ns += waited;
+    pub fn clear_global_events(&self, ctx: &TaskCtx, _stats: &mut ThreadStats) {
+        self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
         unsafe { (*self.global_events.get()).clear() };
         self.locks.release_global(ctx);
@@ -317,7 +314,7 @@ impl ServerShared {
         }
 
         ctx.charge(self.cost.world_base + self.cost.work_ns(&work));
-        self.push_global_events(ctx, stats, &events);
+        self.push_global_events(ctx, &events);
         self.set_checking(true);
     }
 
@@ -516,15 +513,14 @@ impl ServerShared {
                     stats,
                     frame_leaf_mask,
                 );
-                self.push_global_events(ctx, stats, &outcome.events);
+                self.push_global_events(ctx, &outcome.events);
                 // Slot bookkeeping: under dynamic assignment two
                 // threads can transiently process one client's
                 // moves in the same frame (port switch window),
                 // so serialize on the slot's buffer lock.
                 let dynamic = self.dynamic_assignment();
                 if dynamic {
-                    let waited = self.locks.acquire_client(ctx, idx);
-                    stats.lock.reply_buffer_ns += waited;
+                    self.locks.acquire_client(ctx, idx);
                 }
                 let slot = self.clients.slot(idx);
                 slot.requests_this_frame += 1;
@@ -795,8 +791,7 @@ impl ServerShared {
             }
             // Update the slot's message buffer from the global buffer.
             if !global.is_empty() {
-                let waited = self.locks.acquire_client(ctx, idx);
-                stats.lock.reply_buffer_ns += waited;
+                self.locks.acquire_client(ctx, idx);
                 self.clients.slot(idx).push_events(global);
                 ctx.charge(self.cost.event_append * global.len() as u64);
                 self.locks.release_client(ctx, idx);
@@ -832,8 +827,7 @@ impl ServerShared {
             }
             let mut work = WorkCounters::new();
             let reply = {
-                let waited = self.locks.acquire_client(ctx, idx);
-                stats.lock.reply_buffer_ns += waited;
+                self.locks.acquire_client(ctx, idx);
                 let slot = self.clients.slot(idx);
                 let take = slot.events.len().min(MAX_EVENTS_PER_REPLY);
                 let events: Vec<GameEvent> = slot.events.drain(..take).collect();

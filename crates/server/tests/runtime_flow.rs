@@ -492,7 +492,7 @@ fn global_event_buffer_roundtrip() {
             b: 2,
             pos: Vec3::ZERO,
         };
-        sh.push_global_events(ctx, &mut stats, &[ev, ev, ev]);
+        sh.push_global_events(ctx, &[ev, ev, ev]);
         let read = sh.read_global_events(ctx, &mut stats).len();
         sh.clear_global_events(ctx, &mut stats);
         (read, sh.read_global_events(ctx, &mut stats).len())
