@@ -65,6 +65,12 @@ impl CheckpointRing {
         self.ring.push_back(cp);
     }
 
+    /// Drop every retained checkpoint; `taken` and `bytes` stay
+    /// cumulative.
+    pub fn clear(&mut self) {
+        self.ring.clear();
+    }
+
     /// The newest checkpoint — the restore point.
     pub fn latest(&self) -> Option<&Checkpoint> {
         self.ring.back()
@@ -106,6 +112,10 @@ mod tests {
         assert_eq!(r.latest().unwrap().frame_no, 3);
         assert_eq!(r.taken, 3);
         assert_eq!(r.bytes, 60);
+        // A reap drops the restore points, not the cumulative counts.
+        r.clear();
+        assert!(r.is_empty());
+        assert_eq!((r.taken, r.bytes), (3, 60));
     }
 
     #[test]

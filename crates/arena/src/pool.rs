@@ -575,13 +575,19 @@ impl Pool {
 
     /// Director: reap live arena `k` unless a frame holds it or it is
     /// fated; `publish` reads its final frame state while no worker can
-    /// claim it.
+    /// claim it. The cell's next life starts with no restore point and
+    /// no overload stretch from this one, so its first claim
+    /// checkpoints.
     pub(crate) fn reap(&self, ctx: &TaskCtx, k: usize, publish: impl FnOnce(&ArenaCell)) -> bool {
         self.enter(ctx);
         let reaped = self.state().table.reap(k);
         if reaped {
             let cell = &self.cells[k];
             publish(cell);
+            let g = cell.guard();
+            g.ring.clear();
+            g.stretch = 1;
+            g.overruns = 0;
         }
         self.exit(ctx);
         reaped
