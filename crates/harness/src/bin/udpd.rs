@@ -34,7 +34,8 @@
 //! `--interest sweep` (the default) computes visible-entity sets with
 //! the batch DDM sweep and prints its pair-accounting identity; `scan`
 //! selects the paper's per-client scans, and `sweep-oracle` shadows
-//! every reply with the scan and prints the mismatch count.
+//! every reply with the scan and every index refresh with a
+//! from-scratch build, and prints both mismatch counts.
 //! `--max-arenas M` (M > N) makes the directory elastic: it spawns
 //! arenas under admission pressure up to M and reaps arenas whose
 //! occupancy stays zero past `--linger-ms` (default 500).
@@ -345,6 +346,16 @@ fn main() {
                 " — SWEEP DIVERGED FROM SCAN"
             }
         );
+        println!(
+            "udpd: index oracle — {} refreshes rebuilt, {} index mismatches{}",
+            ist.frames,
+            ist.index_mismatches,
+            if ist.index_mismatches == 0 {
+                " — refresh == build"
+            } else {
+                " — REFRESH DIVERGED FROM BUILD"
+            }
+        );
     }
     let adm = &report.admission;
     let population_closes = adm.placed == adm.departed + adm.resident;
@@ -364,7 +375,7 @@ fn main() {
     );
     let all_closed = report.accounting_closed() && population_closes && ist.pairs_closed();
     println!("udpd: overall accounting {}", closes(all_closed));
-    if !all_closed || ist.oracle_mismatches > 0 {
+    if !all_closed || ist.oracle_mismatches > 0 || ist.index_mismatches > 0 {
         std::process::exit(1);
     }
 }

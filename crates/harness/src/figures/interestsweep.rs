@@ -196,6 +196,8 @@ mod tests {
         let oist = &oracle.server.interest;
         assert!(oist.oracle_checked > 0, "{oist:?}");
         assert_eq!(oist.oracle_mismatches, 0, "{oist:?}");
+        // Every refreshed index equals one built from scratch.
+        assert_eq!(oist.index_mismatches, 0, "{oist:?}");
         // Schedule-identical: the shadow scan costs no virtual time.
         assert_eq!(oracle.world_hash, sweep.world_hash);
         assert_eq!(

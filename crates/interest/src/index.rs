@@ -1,10 +1,16 @@
-//! The shared per-frame entity index: every active entity snapshotted
-//! once, in id order, with its reply payload and room precomputed, plus
-//! one bucket of entities per room.
+//! The shared entity index: every active entity snapshotted in id
+//! order, with its reply payload and room precomputed, plus one bucket
+//! of entities per room.
 //!
-//! Building the index costs one O(capacity) walk and one stable
-//! counting pass over the rooms the walk already computed — no
-//! comparison sort — paid once per frame and shared by every viewer.
+//! The index lives across frames and is brought up to date by
+//! [`EntityIndex::refresh`], which walks the store's row stamps and
+//! re-snapshots only the entities written since the last refresh: an
+//! entity that turned active or inactive is merged into or out of the
+//! id-ordered list, and the room buckets are recounted — one stable
+//! counting pass, no comparison sort — only when the active set changed
+//! or an entity changed room. [`EntityIndex::build`] is a refresh of an
+//! empty index, so both share one fill path.
+//!
 //! A bucket lists its room's entities as ascending positions in the
 //! id-ordered `entities` array, so the union of any set of buckets,
 //! read in ascending position, is in the order the per-client scan
@@ -14,10 +20,10 @@
 use parquake_bsp::rooms::RoomId;
 use parquake_math::Vec3;
 use parquake_protocol::EntityUpdate;
-use parquake_sim::{EntityId, GameWorld, WorkCounters};
+use parquake_sim::{Entity, EntityId, GameWorld, WorkCounters};
 
-/// One active entity, snapshotted at index-build time.
-#[derive(Clone, Copy, Debug)]
+/// One active entity, snapshotted when its row stamp last moved.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexedEntity {
     pub id: EntityId,
     pub pos: Vec3,
@@ -28,66 +34,171 @@ pub struct IndexedEntity {
     pub update: EntityUpdate,
 }
 
-/// The per-frame index all viewers match against.
+impl IndexedEntity {
+    fn of(world: &GameWorld, id: EntityId, e: &Entity) -> IndexedEntity {
+        IndexedEntity {
+            id,
+            pos: e.pos,
+            room: world.map.rooms.room_of(e.pos),
+            update: EntityUpdate {
+                id: e.id,
+                kind: e.wire_kind(),
+                state: e.wire_state(),
+                pos: e.pos,
+                yaw: e.yaw,
+            },
+        }
+    }
+}
+
+/// The index all viewers match against. Two indexes compare equal when
+/// they hold the same entities and buckets — what the matcher reads —
+/// whatever their refresh history.
 #[derive(Clone, Debug, Default)]
 pub struct EntityIndex {
     /// Active entities in ascending id order (the scan's order).
-    pub entities: Vec<IndexedEntity>,
+    entities: Vec<IndexedEntity>,
     /// CSR room buckets: room `r` owns
     /// `room_slots[room_start[r]..room_start[r + 1]]`.
     room_start: Vec<u32>,
     /// Positions into `entities`, grouped by room, ascending inside a
     /// room.
     room_slots: Vec<u32>,
+    /// [`parquake_sim::EntityStore::id`] of the store last read (0 =
+    /// none yet), and the stamp each of its rows had then.
+    store: u64,
+    stamps: Vec<u32>,
+    /// Refresh scratch: entities turning active (ascending id),
+    /// positions of entities turning inactive (ascending), and the
+    /// buffer the merge writes into.
+    arriving: Vec<IndexedEntity>,
+    leaving: Vec<u32>,
+    spare: Vec<IndexedEntity>,
+}
+
+impl PartialEq for EntityIndex {
+    fn eq(&self, other: &EntityIndex) -> bool {
+        self.entities == other.entities
+            && self.room_start == other.room_start
+            && self.room_slots == other.room_slots
+    }
 }
 
 impl EntityIndex {
-    /// Snapshot every active entity and bucket the snapshots by room.
-    /// Charged to the caller as `interest_steps`: one step per store
-    /// slot walked, one per entity bucketed.
+    /// Snapshot every active entity and bucket the snapshots by room:
+    /// the refresh of an empty index. Charged as [`EntityIndex::refresh`]
+    /// charges.
     pub fn build(world: &GameWorld, work: &mut WorkCounters) -> EntityIndex {
-        let rooms = &world.map.rooms;
-        let cap = world.store.capacity();
-        let mut entities = Vec::with_capacity(cap);
-        let mut room_start = vec![0u32; rooms.room_count() + 1];
+        let mut index = EntityIndex::default();
+        index.refresh(world, work);
+        index
+    }
+
+    /// Bring the index up to date with `world`: re-snapshot every entity
+    /// whose row stamp moved since the last refresh (every entity, the
+    /// first time a store is read), merge entities that turned active or
+    /// inactive into or out of the id-ordered list, and recount the room
+    /// buckets if the active set changed or an entity changed room.
+    /// Charged to the caller as `interest_steps`: one step per store
+    /// slot walked, one per entity indexed — what a from-scratch build
+    /// of the same index costs.
+    pub fn refresh(&mut self, world: &GameWorld, work: &mut WorkCounters) {
+        let store = &world.store;
+        let cap = store.capacity();
+        let first = self.store != store.id();
+        if first {
+            self.store = store.id();
+            self.entities.clear();
+            self.stamps.clear();
+            self.stamps.resize(cap, 0);
+        }
+        let mut regroup = first;
         for id in 0..cap as EntityId {
-            let e = world.store.snapshot(id);
-            if !e.active {
+            let stamp = store.row(id).stamp();
+            if !first && stamp == self.stamps[id as usize] {
                 continue;
             }
-            let room = rooms.room_of(e.pos);
-            room_start[room as usize + 1] += 1;
-            entities.push(IndexedEntity {
-                id,
-                pos: e.pos,
-                room,
-                update: EntityUpdate {
-                    id: e.id,
-                    kind: e.wire_kind(),
-                    state: e.wire_state(),
-                    pos: e.pos,
-                    yaw: e.yaw,
-                },
-            });
+            self.stamps[id as usize] = stamp;
+            let e = store.snapshot(id);
+            match (self.entities.binary_search_by_key(&id, |x| x.id), e.active) {
+                (Ok(at), true) => {
+                    let now = IndexedEntity::of(world, id, &e);
+                    regroup |= now.room != self.entities[at].room;
+                    self.entities[at] = now;
+                }
+                (Ok(at), false) => self.leaving.push(at as u32),
+                (Err(_), true) => self.arriving.push(IndexedEntity::of(world, id, &e)),
+                (Err(_), false) => {}
+            }
         }
-        work.interest_steps += (cap + entities.len()) as u64;
-        // Counting sort by room: sizes → bucket starts, then a stable
-        // scatter (ascending slots stay ascending inside a bucket).
-        for r in 1..room_start.len() {
-            room_start[r] += room_start[r - 1];
+        if !self.arriving.is_empty() || !self.leaving.is_empty() {
+            self.merge();
+            regroup = true;
         }
-        let mut next = room_start.clone();
-        let mut room_slots = vec![0u32; entities.len()];
-        for (slot, e) in entities.iter().enumerate() {
-            let at = &mut next[e.room as usize];
-            room_slots[*at as usize] = slot as u32;
+        if regroup {
+            self.regroup(world.map.rooms.room_count());
+        }
+        work.interest_steps += (cap + self.entities.len()) as u64;
+    }
+
+    /// Merge `arriving` into, and `leaving` out of, the id-ordered
+    /// entity list in one pass.
+    fn merge(&mut self) {
+        let EntityIndex {
+            entities,
+            arriving,
+            leaving,
+            spare,
+            ..
+        } = self;
+        spare.clear();
+        spare.reserve(entities.len() + arriving.len());
+        let mut incoming = arriving.iter().peekable();
+        let mut outgoing = leaving.iter().peekable();
+        for (at, e) in entities.iter().enumerate() {
+            if outgoing.next_if_eq(&&(at as u32)).is_some() {
+                continue;
+            }
+            while let Some(a) = incoming.next_if(|a| a.id < e.id) {
+                spare.push(*a);
+            }
+            spare.push(*e);
+        }
+        spare.extend(incoming);
+        std::mem::swap(entities, spare);
+        arriving.clear();
+        leaving.clear();
+    }
+
+    /// Counting sort of the entity positions by room: sizes → bucket
+    /// starts, then a stable scatter (ascending positions stay ascending
+    /// inside a bucket) that advances each start to its bucket's end,
+    /// and a shift that turns the ends back into starts.
+    fn regroup(&mut self, rooms: usize) {
+        let starts = &mut self.room_start;
+        starts.clear();
+        starts.resize(rooms + 1, 0);
+        for e in &self.entities {
+            starts[e.room as usize + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        self.room_slots.clear();
+        self.room_slots.resize(self.entities.len(), 0);
+        for (slot, e) in self.entities.iter().enumerate() {
+            let at = &mut starts[e.room as usize];
+            self.room_slots[*at as usize] = slot as u32;
             *at += 1;
         }
-        EntityIndex {
-            entities,
-            room_start,
-            room_slots,
-        }
+        starts.copy_within(0..rooms, 1);
+        starts[0] = 0;
+    }
+
+    /// Active entities in ascending id order.
+    #[inline]
+    pub fn entities(&self) -> &[IndexedEntity] {
+        &self.entities
     }
 
     /// Positions into `entities` of the entities standing in `room`,
@@ -139,7 +250,7 @@ mod tests {
         let active: Vec<EntityId> = (0..w.store.capacity() as EntityId)
             .filter(|&id| w.store.snapshot(id).active)
             .collect();
-        let indexed: Vec<EntityId> = idx.entities.iter().map(|e| e.id).collect();
+        let indexed: Vec<EntityId> = idx.entities().iter().map(|e| e.id).collect();
         assert_eq!(indexed, active);
         assert!(work.interest_steps > 0, "index build must charge steps");
     }
@@ -158,7 +269,7 @@ mod tests {
             let bucket = idx.bucket(room);
             assert!(bucket.windows(2).all(|p| p[0] < p[1]), "room {room}");
             for &slot in bucket {
-                assert_eq!(idx.entities[slot as usize].room, room);
+                assert_eq!(idx.entities()[slot as usize].room, room);
                 seen[slot as usize] += 1;
             }
         }

@@ -6,9 +6,10 @@
 //! scan with region-to-region matching in the sense of the DDM
 //! literature (Marzolla et al.): a viewer's subscription region is the
 //! set of rooms its room sees (the map's PVS), an entity's update
-//! region is the room it stands in. Once per frame the server builds
+//! region is the room it stands in. Once per frame the server refreshes
 //! one shared [`EntityIndex`] (active entities in id order, bucketed
-//! by room in one counting pass); [`match_viewers`] then groups the
+//! by room; only the entities written since the last frame are
+//! re-snapshotted); [`match_viewers`] then groups the
 //! viewers by room, gathers one candidate list per *occupied* room
 //! from the buckets its PVS row names, and runs the scan's own
 //! self-skip, distance cut and nearest-first truncation over that
@@ -16,14 +17,15 @@
 //! applied to whole rooms instead of pairs, so the output is
 //! byte-identical to the scan — provable on demand via
 //! [`InterestMode::SweepOracle`], which shadows every reply with an
-//! uncharged brute-force scan and counts mismatches (zero expected,
+//! uncharged brute-force scan and every index refresh with an uncharged
+//! from-scratch build, and counts mismatches of each (zero expected,
 //! asserted in tests and the `interestsweep` figure).
 //!
 //! "Sweep" names this batch matcher throughout (mode, flag value,
 //! figure); the flag value is what command lines and CI already pass.
 //!
-//! The matcher parallelizes trivially: the index is built once (by the
-//! thread releasing the intra-frame barrier, in the parallel server)
+//! The matcher parallelizes trivially: the index is refreshed once (by
+//! the thread releasing the intra-frame barrier, in the parallel server)
 //! and each worker matches only the viewers it owns.
 
 pub mod index;
@@ -43,8 +45,9 @@ pub enum InterestMode {
     /// candidate list per occupied room, a short walk per client.
     Sweep,
     /// Sweep, plus an uncharged brute-force scan shadowing every reply
-    /// and counting mismatches (zero expected). Charges exactly what
-    /// `Sweep` charges, so runs are schedule-identical to `Sweep`.
+    /// and an uncharged from-scratch index build shadowing every
+    /// refresh, counting mismatches (zero expected). Charges exactly
+    /// what `Sweep` charges, so runs are schedule-identical to `Sweep`.
     SweepOracle,
 }
 
@@ -95,9 +98,9 @@ impl InterestMode {
 // lockcheck: identity(pairs_tested + pairs_skipped == pairs_total)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InterestStats {
-    /// Entity indexes actually built: frames in which at least one
-    /// client is owed a reply (connect-only, ack-only and maintenance
-    /// frames build none).
+    /// Entity index refreshes: frames in which at least one client is
+    /// owed a reply (connect-only, ack-only and maintenance frames
+    /// refresh none).
     pub frames: u64,
     /// Viewers matched (Σ per match pass).
     pub viewers: u64,
@@ -117,6 +120,9 @@ pub struct InterestStats {
     /// Oracle comparisons where sweep and scan disagreed (zero
     /// expected).
     pub oracle_mismatches: u64,
+    /// Refreshed indexes the oracle found different from an index built
+    /// from scratch off the same world (zero expected).
+    pub index_mismatches: u64,
 }
 
 impl InterestStats {
@@ -129,6 +135,7 @@ impl InterestStats {
         self.pairs_skipped += o.pairs_skipped;
         self.oracle_checked += o.oracle_checked;
         self.oracle_mismatches += o.oracle_mismatches;
+        self.index_mismatches += o.index_mismatches;
     }
 
     /// The pair-accounting identity: every candidate pair was either
@@ -187,10 +194,12 @@ mod tests {
             pairs_skipped: 4,
             oracle_checked: 1,
             oracle_mismatches: 0,
+            index_mismatches: 1,
         };
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.frames, 2);
+        assert_eq!(a.index_mismatches, 2);
         assert_eq!(a.pairs_total, 12);
         assert!(a.pairs_closed());
     }

@@ -156,7 +156,7 @@ pub fn match_viewers(
         // Entity to entity, inside the hit only.
         let start = updates.len();
         for &slot in &cand {
-            let ent = &index.entities[slot as usize];
+            let ent = &index.entities()[slot as usize];
             if ent.id == vid {
                 continue;
             }

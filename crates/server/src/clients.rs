@@ -17,7 +17,7 @@
 
 use std::cell::UnsafeCell;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use parquake_fabric::{Nanos, PortId};
 use parquake_protocol::{EntityUpdate, GameEvent};
@@ -68,9 +68,12 @@ pub struct Slot {
     /// the back and each reply takes from the front, neither shifting
     /// what stays queued.
     pub events: VecDeque<GameEvent>,
-    /// Last entity state acked to this client (delta compression
-    /// baseline; owner-thread access only, reply phase).
-    pub baseline: HashMap<u16, EntityUpdate>,
+    /// Last entity state acked to this client, sorted by id (delta
+    /// compression baseline; owner-thread access only, reply phase).
+    pub baseline: Vec<EntityUpdate>,
+    /// Reply scratch: which `baseline` entries the reply being built
+    /// still sees.
+    pub(crate) in_view: Vec<bool>,
     /// Whether this client opted into prediction (its `Move`s carry the
     /// input-seq trailer). Sticky once seen; replies to the slot then
     /// carry the reconciliation trailer.
@@ -106,7 +109,8 @@ impl Slot {
             last_sent_at: 0,
             last_active: 0,
             events: VecDeque::new(),
-            baseline: HashMap::new(),
+            baseline: Vec::new(),
+            in_view: Vec::new(),
             predicts: false,
             input_ack: 0,
             input_perturb: 0,
@@ -117,16 +121,18 @@ impl Slot {
     /// Empty the slot: every field goes back to [`Slot::empty`]'s
     /// value, so the next client installed here inherits nothing from
     /// the last one — no delta baseline, prediction opt-in, input ack
-    /// or sequence echo. The event ring and the baseline map keep their
+    /// or sequence echo. The event ring and the baseline keep their
     /// allocations.
     pub fn vacate(&mut self) {
         let mut events = std::mem::take(&mut self.events);
         let mut baseline = std::mem::take(&mut self.baseline);
+        let in_view = std::mem::take(&mut self.in_view);
         events.clear();
         baseline.clear();
         *self = Slot {
             events,
             baseline,
+            in_view,
             ..Slot::empty()
         };
     }

@@ -51,7 +51,7 @@ struct CtrlState {
     /// writes only its own entry during the request phase).
     frame_reqs: Vec<u32>,
     frame_masks: Vec<u64>,
-    /// This frame's shared interest index, built once by the thread
+    /// This frame's shared interest index, refreshed once by the thread
     /// that releases the intra-frame barrier (sweep modes only) and
     /// cloned by every participant on its way into the reply phase.
     entity_index: Option<Arc<EntityIndex>>,
@@ -304,7 +304,7 @@ fn worker(
             if st.req_done == st.participants {
                 // Barrier releaser: every participant has drained its
                 // queue, so entity positions are quiescent until the
-                // frame ends. Build this frame's shared interest index
+                // frame ends. Refresh this frame's shared interest index
                 // now, before the broadcast, so peers only ever observe
                 // it fully formed under the ctrl lock (sweep modes
                 // only; `None` otherwise).
@@ -367,6 +367,9 @@ fn worker(
             }
         }
         stats.breakdown.add(Bucket::Reply, ctx.now() - t0);
+        // Let go of the index before the frame can end: the next
+        // frame's refresh then finds it unshared and updates it in place.
+        drop(entity_index);
 
         // ---- Frame end -------------------------------------------------------
         ctrl.enter(ctx);
@@ -411,8 +414,8 @@ fn worker(
             });
 
             shared.clear_global_events(ctx, &mut stats);
-            // Drop the frame's index so its memory is not pinned while
-            // the server idles between frames.
+            // Drop the frame's index: every participant has dropped its
+            // own, so the next refresh does not copy it.
             ctrl.state().entity_index = None;
             ctrl.state().in_frame = false;
             ctx.cond_broadcast(ctrl.frame_end_cv);

@@ -77,6 +77,12 @@ pub struct ServerShared {
     rng: UnsafeCell<Pcg32>,
     /// Time of the previous world update (master-only).
     last_world: UnsafeCell<Nanos>,
+    /// The entity index, kept across frames and refreshed by whichever
+    /// thread builds the frame's index (the single thread, or the
+    /// parallel server's barrier releaser while every peer is parked).
+    /// Empty while a refresh runs, so a refresh that panics leaves
+    /// nothing behind and the next frame builds from scratch.
+    entity_index: UnsafeCell<Option<Arc<EntityIndex>>>,
     /// Where each client's last `Move` was routed: slot index by
     /// `client_id` modulo the table size (a power of two). Only ever a
     /// hint — `slot_for_move` checks the slot it names before using it —
@@ -87,7 +93,7 @@ pub struct ServerShared {
 
 // SAFETY: interior state is guarded by the fabric global lock
 // (global_events) or by the single-master phase protocol (rng,
-// last_world).
+// last_world, entity_index).
 unsafe impl Sync for ServerShared {}
 unsafe impl Send for ServerShared {}
 
@@ -125,6 +131,7 @@ impl ServerShared {
             global_events: UnsafeCell::new(Vec::new()),
             rng: UnsafeCell::new(Pcg32::new(0x5EB0_0715, 99)),
             last_world: UnsafeCell::new(0),
+            entity_index: UnsafeCell::new(None),
             route_hint: (0..(2 * slots).next_power_of_two())
                 .map(|_| AtomicU32::new(0))
                 .collect(),
@@ -711,15 +718,18 @@ impl ServerShared {
         r.interest = f.interest.clone();
     }
 
-    /// Build this frame's shared entity index for the batch interest
-    /// sweep, charging the build to the calling thread. Returns `None`
-    /// under [`InterestMode::Scan`], and when no client is owed a
-    /// reply this frame (connect-only, ack-only and maintenance
-    /// frames): nothing would read the index. Must run *after* the
-    /// request phase (positions quiescent, and every slot's request
-    /// count final — in the parallel server the caller releases the
-    /// intra-frame barrier, so every other thread is parked) and
-    /// before any reply is built.
+    /// Bring the shared entity index up to date for this frame's batch
+    /// interest sweep, charging the refresh to the calling thread.
+    /// Returns `None` under [`InterestMode::Scan`], and when no client
+    /// is owed a reply this frame (connect-only, ack-only and
+    /// maintenance frames): nothing would read the index. Must run
+    /// *after* the request phase (positions quiescent, and every slot's
+    /// request count final — in the parallel server the caller
+    /// releases the intra-frame barrier, so every other thread is
+    /// parked) and before any reply is built. The caller should drop
+    /// the returned index before the next frame's call, or the refresh
+    /// copies it first. Under [`InterestMode::SweepOracle`] the refresh
+    /// is compared with an uncharged from-scratch build.
     pub fn build_interest_index(
         &self,
         ctx: &TaskCtx,
@@ -729,11 +739,22 @@ impl ServerShared {
         if !self.interest.uses_sweep() || !owed() {
             return None;
         }
+        // SAFETY: one thread at a time builds a frame's index (see the
+        // field), and the cell is not borrowed past this call.
+        let cell = unsafe { &mut *self.entity_index.get() };
+        let mut index = cell.take().unwrap_or_default();
         let mut work = WorkCounters::new();
-        let index = EntityIndex::build(&self.world, &mut work);
+        Arc::make_mut(&mut index).refresh(&self.world, &mut work);
         ctx.charge(self.cost.work_ns(&work));
         istats.frames += 1;
-        Some(Arc::new(index))
+        if self.interest.oracle() {
+            let fresh = EntityIndex::build(&self.world, &mut WorkCounters::new());
+            if *index != fresh {
+                istats.index_mismatches += 1;
+            }
+        }
+        *cell = Some(Arc::clone(&index));
+        Some(index)
     }
 
     /// Is slot `idx` owed a reply this frame — Active, with at least

@@ -58,40 +58,51 @@ pub fn build_reply(
     };
 
     let (entities, removed) = if delta {
+        let Slot {
+            baseline, in_view, ..
+        } = slot;
+        in_view.clear();
+        in_view.resize(baseline.len(), false);
+        // Changed and added entities, in visible order, marking every
+        // baseline entry still in view.
         let mut out = Vec::new();
         let mut additions = 0usize;
         for u in &visible {
-            match slot.baseline.get(&u.id) {
-                Some(prev) if !changed(prev, u) => {}
-                Some(_) => {
-                    out.push(*u);
-                    slot.baseline.insert(u.id, *u);
-                }
-                None => {
-                    // A fresh arrival: windowed. Overflow additions are
-                    // NOT baselined, so the next reply re-offers them.
-                    if additions < MAX_ADDITIONS_PER_REPLY {
-                        additions += 1;
+            match baseline.binary_search_by_key(&u.id, |b| b.id) {
+                Ok(at) => {
+                    in_view[at] = true;
+                    if changed(&baseline[at], u) {
                         out.push(*u);
-                        slot.baseline.insert(u.id, *u);
+                        baseline[at] = *u;
                     }
                 }
+                // A fresh arrival: windowed. Overflow additions are NOT
+                // baselined, so the next reply re-offers them.
+                Err(_) if additions < MAX_ADDITIONS_PER_REPLY => {
+                    additions += 1;
+                    out.push(*u);
+                }
+                Err(_) => {}
             }
         }
-        let visible_ids: std::collections::HashSet<u16> = visible.iter().map(|u| u.id).collect();
-        // Entities that left the visible set, lowest ids first: the
-        // window must not depend on the baseline map's iteration order,
-        // which differs between two runs of one seed.
-        let mut removed: Vec<u16> = slot
-            .baseline
-            .keys()
-            .copied()
-            .filter(|id| !visible_ids.contains(id))
-            .collect();
-        removed.sort_unstable();
-        removed.truncate(MAX_REMOVALS_PER_REPLY);
-        for id in &removed {
-            slot.baseline.remove(id);
+        // Entities that left the view, lowest ids first — the
+        // baseline's own order — windowed: the overflow stays baselined
+        // and is removed by a later reply.
+        let mut removed: Vec<u16> = Vec::new();
+        let mut at = 0;
+        baseline.retain(|b| {
+            let keep = in_view[at] || removed.len() == MAX_REMOVALS_PER_REPLY;
+            at += 1;
+            if !keep {
+                removed.push(b.id);
+            }
+            keep
+        });
+        // Baseline the admitted arrivals: the updates not found there.
+        for u in &out {
+            if let Err(at) = baseline.binary_search_by_key(&u.id, |b| b.id) {
+                baseline.insert(at, *u);
+            }
         }
         // Only the actually-encoded updates cost reply time.
         work.encoded_entities = work.encoded_entities - visible.len() as u64
@@ -227,9 +238,9 @@ mod tests {
         let (world, table) = delta_world();
         let slot = table.slot(0);
         let ghosts: HashSet<u16> = (1000..1000 + MAX_REMOVALS_PER_REPLY as u16 + 40).collect();
-        for &id in &ghosts {
-            slot.baseline.insert(id, ghost(id));
-        }
+        slot.baseline = (1000..1000 + MAX_REMOVALS_PER_REPLY as u16 + 40)
+            .map(ghost)
+            .collect();
         let mut work = WorkCounters::new();
 
         let (_, removed1) = reply_parts(build_reply(
@@ -280,29 +291,20 @@ mod tests {
         assert!(removed3.is_empty());
     }
 
-    /// Which removals go first must be a function of the baseline's
-    /// *contents*: two clients holding the same 100 departed entities
-    /// hear about the same 64 — the lowest ids — first and the other 36
-    /// next. (Taking the window in `HashMap` iteration order made two
-    /// runs of one seed disagree.)
+    /// Which removals go first is a function of the baseline's
+    /// *contents*: a client holding 100 departed entities hears about
+    /// the lowest 64 ids first and the other 36 next.
     #[test]
-    fn removal_window_is_the_lowest_ids_whatever_the_map_order() {
+    fn removal_window_is_the_lowest_ids() {
         let (world, table) = delta_world();
-        table.slot(1).client_id = 7;
         let ghosts: Vec<u16> = (1000..1100).collect();
-        // Same contents, opposite insertion orders, two hash seeds.
-        for &id in &ghosts {
-            table.slot(0).baseline.insert(id, ghost(id));
-        }
-        for &id in ghosts.iter().rev() {
-            table.slot(1).baseline.insert(id, ghost(id));
-        }
+        table.slot(0).baseline = ghosts.iter().map(|&id| ghost(id)).collect();
         let mut work = WorkCounters::new();
-        let mut reply = |slot: usize, frame: u32| {
+        let mut reply = |frame: u32| {
             reply_parts(build_reply(
                 &world,
                 0,
-                table.slot(slot),
+                table.slot(0),
                 frame,
                 0,
                 true,
@@ -312,12 +314,8 @@ mod tests {
             ))
             .1
         };
-        let (first0, first1) = (reply(0, 1), reply(1, 1));
-        assert_eq!(first0, ghosts[..MAX_REMOVALS_PER_REPLY]);
-        assert_eq!(first1, first0);
-        let (second0, second1) = (reply(0, 2), reply(1, 2));
-        assert_eq!(second0, ghosts[MAX_REMOVALS_PER_REPLY..]);
-        assert_eq!(second1, second0);
+        assert_eq!(reply(1), ghosts[..MAX_REMOVALS_PER_REPLY]);
+        assert_eq!(reply(2), ghosts[MAX_REMOVALS_PER_REPLY..]);
     }
 
     /// A crowd world where far more entities are visible than the
@@ -513,13 +511,7 @@ mod tests {
             &mut work,
         ));
         assert!(!sent1.is_empty(), "first delta reply seeds the baseline");
-        for u in &sent1 {
-            assert_eq!(
-                slot.baseline.get(&u.id),
-                Some(u),
-                "baseline == what was sent"
-            );
-        }
+        assert_eq!(slot.baseline, sent1, "baseline == what was sent");
         let baseline_after_first = slot.baseline.clone();
 
         // Nothing moved: the second reply must resend nothing and the

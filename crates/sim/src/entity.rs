@@ -12,7 +12,7 @@
 //! locks, and releases them when the locks drop).
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use parquake_areanode::NodeId;
 use parquake_math::{Aabb, Vec3};
@@ -158,26 +158,33 @@ impl Entity {
     }
 }
 
-/// What a broad-phase test asks of an entity, packed: the absolute box
-/// and two bits. Gathers, sweeps and the hitscan walk read rows — 28
-/// contiguous bytes each — and copy the full [`Entity`] only for the
-/// survivors.
+/// What a broad-phase test asks of an entity, packed: the absolute box,
+/// three bits and a change stamp. Gathers, sweeps and the hitscan walk
+/// read rows — 32 contiguous bytes each — and copy the full [`Entity`]
+/// only for the survivors; the world phase's item-respawn scan reads
+/// the taken bit, and the interest index re-snapshots only the rows
+/// whose stamp moved since it last looked.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Row {
     /// [`Entity::abs_box`].
     pub bounds: Aabb,
     flags: u32,
+    stamp: u32,
 }
 
 impl Row {
     const ACTIVE: u32 = 1;
     const LIVE_PLAYER: u32 = 2;
+    const TAKEN: u32 = 4;
 
-    fn of(e: &Entity) -> Row {
+    fn of(e: &Entity, stamp: u32) -> Row {
+        let taken = matches!(e.class, EntityClass::Item { taken: true, .. });
         Row {
             bounds: e.abs_box(),
             flags: (u32::from(e.active) * Row::ACTIVE)
-                | (u32::from(e.is_live_player()) * Row::LIVE_PLAYER),
+                | (u32::from(e.is_live_player()) * Row::LIVE_PLAYER)
+                | (u32::from(taken) * Row::TAKEN),
+            stamp,
         }
     }
 
@@ -192,6 +199,20 @@ impl Row {
     pub fn live_player(&self) -> bool {
         self.flags & Row::LIVE_PLAYER != 0
     }
+
+    /// Is this an item waiting to respawn?
+    #[inline]
+    pub fn taken(&self) -> bool {
+        self.flags & Row::TAKEN != 0
+    }
+
+    /// Bumped (wrapping) by every write to the entity: two reads of a
+    /// slot with equal stamps saw the same entity, unless 2³² writes
+    /// fell between them.
+    #[inline]
+    pub fn stamp(&self) -> u32 {
+        self.stamp
+    }
 }
 
 struct Slot {
@@ -199,12 +220,19 @@ struct Slot {
     owner: AtomicU32,
 }
 
+/// Source of [`EntityStore::id`]s.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Fixed-capacity entity storage with dynamic access-protocol checks.
 pub struct EntityStore {
+    /// Unique per store in the process: row stamps are per store, so a
+    /// reader that remembers stamps remembers which store they came from.
+    id: u64,
     slots: Vec<Slot>,
-    /// One [`Row`] per slot, rewritten by [`EntityStore::init`] and
-    /// [`EntityStore::with_mut`] — the only two writers of an entity —
-    /// and so under the very protocol that guards the slot.
+    /// One [`Row`] per slot, rewritten (and its stamp bumped) by
+    /// [`EntityStore::init`] and [`EntityStore::with_mut`] — the only
+    /// two writers of an entity — and so under the very protocol that
+    /// guards the slot.
     rows: Vec<UnsafeCell<Row>>,
     checking: AtomicBool,
 }
@@ -233,6 +261,7 @@ impl EntityStore {
             active: false,
         };
         EntityStore {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             slots: (0..capacity)
                 .map(|i| Slot {
                     ent: UnsafeCell::new(placeholder(i)),
@@ -240,7 +269,7 @@ impl EntityStore {
                 })
                 .collect(),
             rows: (0..capacity)
-                .map(|i| UnsafeCell::new(Row::of(&placeholder(i))))
+                .map(|i| UnsafeCell::new(Row::of(&placeholder(i), 0)))
                 .collect(),
             checking: AtomicBool::new(false),
         }
@@ -248,6 +277,11 @@ impl EntityStore {
 
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// This store's process-unique identity (see [`Row::stamp`]).
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Toggle access-protocol checking (the parallel server enables it
@@ -324,7 +358,7 @@ impl EntityStore {
         let ent = unsafe { &mut *self.slots[id as usize].ent.get() };
         let r = f(ent);
         // SAFETY: the exclusivity that covers the entity covers its row.
-        unsafe { *self.rows[id as usize].get() = Row::of(ent) };
+        unsafe { self.rewrite_row(id, ent) };
         r
     }
 
@@ -335,8 +369,18 @@ impl EntityStore {
         // SAFETY: single-threaded by contract.
         unsafe {
             *self.slots[id as usize].ent.get() = ent;
-            *self.rows[id as usize].get() = Row::of(&ent);
+            self.rewrite_row(id, &ent);
         }
+    }
+
+    /// Re-derive `id`'s row from `ent`, bumping its stamp.
+    ///
+    /// # Safety
+    /// The caller has exclusive access to slot `id`.
+    unsafe fn rewrite_row(&self, id: EntityId, ent: &Entity) {
+        // SAFETY: exclusive by the caller's contract.
+        let row = unsafe { &mut *self.rows[id as usize].get() };
+        *row = Row::of(ent, row.stamp.wrapping_add(1));
     }
 
     /// Iterate ids of active entities (snapshot-based).
@@ -386,7 +430,7 @@ mod tests {
 
     #[test]
     fn row_is_packed_and_follows_every_write() {
-        assert!(std::mem::size_of::<Row>() <= 32);
+        assert_eq!(std::mem::size_of::<Row>(), 32);
         let store = EntityStore::new(4);
         assert!(!store.row(1).active());
         store.init(1, player(1));
@@ -399,9 +443,36 @@ mod tests {
                 *dead = true;
             }
         });
-        let row = store.row(1);
-        assert_eq!(row.bounds, store.snapshot(1).abs_box());
-        assert!(row.active() && !row.live_player());
+        let after = store.row(1);
+        assert_eq!(after.bounds, store.snapshot(1).abs_box());
+        assert!(after.active() && !after.live_player());
+        assert_ne!(after.stamp(), row.stamp(), "with_mut bumps the stamp");
+        store.init(1, store.snapshot(1));
+        assert_ne!(store.row(1).stamp(), after.stamp(), "init bumps the stamp");
+    }
+
+    #[test]
+    fn taken_bit_follows_the_item_class() {
+        let store = EntityStore::new(2);
+        let item = |taken| Entity {
+            class: EntityClass::Item {
+                class: ItemClass::Health,
+                respawn_at: 0,
+                taken,
+            },
+            ..player(0)
+        };
+        store.init(0, item(false));
+        assert!(!store.row(0).taken());
+        store.init(0, item(true));
+        assert!(store.row(0).taken());
+        store.init(1, player(1));
+        assert!(!store.row(1).taken());
+    }
+
+    #[test]
+    fn every_store_has_its_own_id() {
+        assert_ne!(EntityStore::new(1).id(), EntityStore::new(1).id());
     }
 
     #[test]

@@ -131,8 +131,11 @@ pub fn run_world_phase(
         }
     }
 
-    // Item respawns.
+    // Item respawns: only taken items hold a respawn time.
     for id in world.item_ids() {
+        if !world.store.row(id).taken() {
+            continue;
+        }
         let e = world.store.snapshot(id);
         if let EntityClass::Item {
             respawn_at,
