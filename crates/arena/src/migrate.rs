@@ -136,8 +136,32 @@ fn pick_drain(env: &DirectorEnv, d: &Director) -> Option<(usize, usize)> {
     if free_elsewhere < occ[src] as u64 {
         return None;
     }
-    let dst = rebalance_target(src, occ, capacity, &d.live)?;
+    let dst = drain_target(src, occ, capacity, &d.live, env.cfg.arenas as usize)?;
     Some((src, dst))
+}
+
+/// Choose where a drain of `src` lands: the fullest open live arena
+/// among the `boot` arenas and the arenas that still hold clients
+/// (lowest index on ties). An emptied non-boot arena is never a
+/// landing spot: filling it would make it the next drain's source, and
+/// two such arenas would trade their last clients every tick. Each
+/// drain therefore moves clients home or onto an arena at least as full
+/// as `src`, so drains stop once the spawned arenas are consolidated.
+fn drain_target(
+    src: usize,
+    occupancy: &[u32],
+    capacity: u32,
+    live: &[bool],
+    boot: usize,
+) -> Option<usize> {
+    occupancy
+        .iter()
+        .enumerate()
+        .filter(|&(k, &o)| {
+            k != src && live.get(k).copied().unwrap_or(false) && o < capacity && (k < boot || o > 0)
+        })
+        .max_by_key(|&(k, &o)| (o, std::cmp::Reverse(k)))
+        .map(|(k, _)| k)
 }
 
 /// The spread trigger: hottest live arena vs the coldest open landing
@@ -378,5 +402,22 @@ mod tests {
         let live = &[true, false, true];
         assert_eq!(rebalance_target(0, &[6, 0, 4], 8, live), Some(2));
         assert_eq!(rebalance_target(0, &[6, 0, 8], 8, live), None);
+    }
+
+    #[test]
+    fn a_drain_lands_home_or_on_the_fullest_occupied_arena() {
+        const LIVE4: &[bool] = &[true, true, true, true];
+        // Boot arena 0 has room: the drain of arena 2 goes home even
+        // though arena 3 is emptier.
+        assert_eq!(drain_target(2, &[5, 0, 1, 0], 8, LIVE4, 1), Some(0));
+        // Boot arena full: the fullest occupied spawned arena takes it.
+        assert_eq!(drain_target(2, &[8, 3, 1, 6], 8, LIVE4, 1), Some(3));
+        // Boot arena full and the only other spawned arena emptied:
+        // nowhere to go — landing there would start a ping-pong.
+        assert_eq!(drain_target(2, &[8, 0, 1], 8, LIVE3, 1), None);
+        // Full and dead arenas are skipped; ties go to the lowest index.
+        assert_eq!(drain_target(3, &[8, 4, 4, 1], 8, LIVE4, 1), Some(1));
+        let live = &[true, false, true, true];
+        assert_eq!(drain_target(3, &[8, 4, 8, 1], 8, live, 1), None);
     }
 }

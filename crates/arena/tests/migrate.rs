@@ -202,6 +202,78 @@ fn drain_before_reap_empties_the_spawned_arena() {
     assert_eq!(adm.resident, 2, "clients 2 and 3 remain: {adm:?}");
 }
 
+/// Two spawned arenas down to one client each, with the boot arena
+/// full: the drain must consolidate them once and stop. (Landing a
+/// drain on the coldest arena — the other emptied one — made the pair
+/// trade their last clients every rebalance tick, so neither was ever
+/// reaped.)
+#[test]
+fn two_emptied_spawned_arenas_consolidate_instead_of_trading_clients() {
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let mut server = ServerConfig::new(ServerKind::Sequential, SEND_NS + 500_000_000);
+    server.checking = false;
+    server.client_timeout_ns = 60_000_000_000; // nobody is reclaimed
+    let cfg = ArenaDirectoryConfig {
+        policy: AdmissionPolicy::FillFirst,
+        workers: 1,
+        map: MapGenConfig::small_arena(11),
+        maintenance_ns: 20_000_000,
+        max_arenas: 3,
+        linger_ns: 200_000_000,
+        migrate_drain: true,
+        ..ArenaDirectoryConfig::new(1, 2, server)
+    };
+    let handle = spawn_directory(&fabric, cfg);
+    let front = handle.front_port;
+    let arena_ports = handle.arena_ports.clone();
+    let port = fabric.alloc_port();
+    let acked = Arc::new(Mutex::new(Vec::new()));
+    let acked_task = acked.clone();
+    fabric.spawn(
+        "script",
+        None,
+        Box::new(move |ctx| {
+            let connect = |ctx: &TaskCtx, id: u32| {
+                let msg = ClientMessage::Connect {
+                    client_id: id,
+                    arena: 0,
+                };
+                ctx.send(port, front, msg.to_bytes());
+            };
+            // Boot arena 0 takes clients 1 and 2, spawned arena 1
+            // clients 3 and 4, spawned arena 2 client 5.
+            for (id, until) in [(1, 300), (2, 600), (3, 900), (4, 1_200), (5, 1_500)] {
+                connect(ctx, id);
+                drain_acks_until(ctx, port, until * 1_000_000, &acked_task);
+            }
+            // Client 4 leaves: arenas 1 and 2 hold one client each.
+            let bye = ClientMessage::Disconnect { client_id: 4 };
+            ctx.send(port, arena_ports[1][0], bye.to_bytes());
+            drain_acks_until(ctx, port, SEND_NS - 200_000_000, &acked_task);
+        }),
+    );
+    fabric.run();
+
+    let acks = acked.lock().unwrap().clone();
+    assert!((1..=5).all(|id| acks.contains(&id)), "setup acks: {acks:?}");
+    let report = handle.report();
+    let sup = &report.supervisor;
+    let ela = &report.elastic;
+    let adm = &report.admission;
+    assert_eq!(ela.spawned, 2, "{ela:?}");
+    assert!(
+        (1..=2).contains(&sup.drain_migrations),
+        "one consolidating drain expected, got {}",
+        sup.drain_migrations
+    );
+    assert!(
+        ela.reaped >= 1,
+        "the emptied arena was never reaped: {ela:?}"
+    );
+    assert!(adm.population_closed(), "identity open: {adm:?}");
+    assert_eq!(adm.resident, 4, "{adm:?}");
+}
+
 /// What a scripted predicting client heard, in arrival order.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Heard {
