@@ -109,26 +109,34 @@ impl EntityIndex {
         if first {
             self.store = store.id();
             self.entities.clear();
+            self.arriving.reserve(cap);
             self.stamps.clear();
             self.stamps.resize(cap, 0);
         }
         let mut regroup = first;
+        // Ids ascend here as they do in `entities`, so one cursor finds
+        // every changed entity's entry: `entities[..at]` hold lower ids.
+        let mut at = 0;
         for id in 0..cap as EntityId {
             let stamp = store.row(id).stamp();
             if !first && stamp == self.stamps[id as usize] {
                 continue;
             }
             self.stamps[id as usize] = stamp;
+            while self.entities.get(at).is_some_and(|x| x.id < id) {
+                at += 1;
+            }
+            let listed = self.entities.get(at).is_some_and(|x| x.id == id);
             let e = store.snapshot(id);
-            match (self.entities.binary_search_by_key(&id, |x| x.id), e.active) {
-                (Ok(at), true) => {
+            match (listed, e.active) {
+                (true, true) => {
                     let now = IndexedEntity::of(world, id, &e);
                     regroup |= now.room != self.entities[at].room;
                     self.entities[at] = now;
                 }
-                (Ok(at), false) => self.leaving.push(at as u32),
-                (Err(_), true) => self.arriving.push(IndexedEntity::of(world, id, &e)),
-                (Err(_), false) => {}
+                (true, false) => self.leaving.push(at as u32),
+                (false, true) => self.arriving.push(IndexedEntity::of(world, id, &e)),
+                (false, false) => {}
             }
         }
         if !self.arriving.is_empty() || !self.leaving.is_empty() {
@@ -151,6 +159,11 @@ impl EntityIndex {
             spare,
             ..
         } = self;
+        if entities.is_empty() {
+            // A first fill: the arrivals are the list.
+            std::mem::swap(entities, arriving);
+            return;
+        }
         spare.clear();
         spare.reserve(entities.len() + arriving.len());
         let mut incoming = arriving.iter().peekable();
