@@ -293,14 +293,12 @@ pub fn spawn_swarm_multi(
         // datagrams and leave intra-server traffic pristine.
         fabric.mark_wan_port(port);
         let topology = topology.clone();
-        let init: Vec<(u16, usize)> = (lo..hi)
+        // Stagger bots across the client frame so requests arrive
+        // asynchronously (the paper's fine-grain imbalance source).
+        let bots: Vec<Bot> = (lo..hi)
             .map(|c| {
-                let (arena, thread) = initial(c);
-                let arena = (arena as usize).min(topology.arena_ports.len() - 1) as u16;
-                (
-                    arena,
-                    thread.min(topology.arena_ports[arena as usize].len() - 1),
-                )
+                let stagger = ((c - lo) as Nanos * FRAME_NS) / (hi - lo) as Nanos;
+                Bot::new(c, stagger, cfg, &topology, initial(c))
             })
             .collect();
         let cfg = cfg.clone();
@@ -309,7 +307,7 @@ pub fn spawn_swarm_multi(
             &format!("bots-{d}"),
             None, // client machines: off the modelled server CPUs
             Box::new(move |ctx| {
-                drive(ctx, port, lo..hi, &topology, init, &cfg, &sink);
+                drive(ctx, port, bots, &topology, &cfg, &sink);
             }),
         );
     }
@@ -321,311 +319,345 @@ pub fn spawn_swarm_multi(
     }
 }
 
+/// Client frame length in nanoseconds.
+const FRAME_NS: Nanos = CLIENT_FRAME_MS as Nanos * 1_000_000;
+/// First Connect-retry interval; doubles per unanswered retry.
+const RETRY_MIN: Nanos = 100_000_000;
+/// Backoff ceiling for Connect retries.
+const RETRY_MAX: Nanos = 1_600_000_000;
+/// A playing bot that hears nothing for longer than this assumes its
+/// session died (server timeout, heavy loss) and reconnects.
+const STARVATION: Nanos = 1_000_000_000;
+
+/// Where a bot's session stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Link {
+    /// Not acked: a Connect goes out each turn, `backoff` after the
+    /// previous one (exponential, so lost acks are re-requested quickly
+    /// without flooding a dead link).
+    Connecting { backoff: Nanos },
+    /// Acked and moving; `last_heard` feeds the starvation watchdog.
+    Playing { last_heard: Nanos },
+    /// The bot's play window closed. Terminal.
+    Left,
+}
+
+/// One simulated client. Its session changes only through the named
+/// transitions: [`Bot::tick`] (leave, starve, Connect or Move),
+/// [`Bot::ack`], and [`Bot::hear`]'s reply and bye.
+struct Bot {
+    id: u32,
+    mind: BotMind,
+    /// Prediction state machine when the swarm predicts.
+    predictor: Option<Predictor>,
+    /// The arena asked for at Connect time.
+    requested: u16,
+    /// The arena and thread addressed now, updated from acks and
+    /// replies.
+    arena: usize,
+    thread: usize,
+    link: Link,
+    /// Highest reply seq heard this session (-1 = none yet): the fault
+    /// fabric can duplicate datagrams, and a stale copy must not count
+    /// twice. A starved, dropped or departed bot still hears its old
+    /// session's replies, so the window outlives the link state; only
+    /// an ack starts it over.
+    seen: i64,
+    /// Connection-counted once, however often the bot reconnects.
+    ever_acked: bool,
+    /// End of the play window (the population ramp).
+    leave_at: Nanos,
+    next_at: Nanos,
+}
+
+impl Bot {
+    /// Client `id`, addressing `(arena, thread)` (clamped into the
+    /// topology), first acting `stagger` into its play window.
+    fn new(
+        id: u32,
+        stagger: Nanos,
+        cfg: &BotSwarmConfig,
+        topology: &SwarmTopology,
+        (arena, thread): (u16, usize),
+    ) -> Bot {
+        let arena = (arena as usize).min(topology.arena_ports.len() - 1);
+        let (join_at, leave_at) = cfg
+            .ramp
+            .map_or((0, Nanos::MAX), |r| r.window(id, cfg.players));
+        Bot {
+            id,
+            mind: BotMind::new(id, cfg.seed, cfg.behavior.clone()),
+            predictor: cfg
+                .predict
+                .as_ref()
+                .map(|m| Predictor::new(m.0.clone(), parquake_math::Vec3::ZERO)),
+            requested: arena as u16,
+            arena,
+            thread: thread.min(topology.arena_ports[arena].len() - 1),
+            link: Link::Connecting { backoff: RETRY_MIN },
+            seen: -1,
+            ever_acked: false,
+            leave_at,
+            next_at: join_at + stagger,
+        }
+    }
+
+    fn home(&self, topology: &SwarmTopology) -> PortId {
+        topology.arena_ports[self.arena][self.thread]
+    }
+
+    /// The bot's turn at `now`: what it sends and where, if anything.
+    fn tick(
+        &mut self,
+        now: Nanos,
+        cfg: &BotSwarmConfig,
+        topology: &SwarmTopology,
+        rep: &mut SwarmReport,
+    ) -> Option<(PortId, ClientMessage)> {
+        let client_id = self.id;
+        if self.link != Link::Left && now >= self.leave_at {
+            // The window closed: say goodbye (if ever acked) and go
+            // quiet. Alternate the leave path: even bots disconnect
+            // through the front door (the director's book removal), odd
+            // bots at their arena directly (the lifecycle-notice
+            // reconciliation path).
+            self.link = Link::Left;
+            self.next_at = cfg.send_until;
+            let to = match topology.connect_port {
+                Some(front) if client_id % 2 == 0 => front,
+                _ => self.home(topology),
+            };
+            return self
+                .ever_acked
+                .then_some((to, ClientMessage::Disconnect { client_id }));
+        }
+        if self.next_at > now {
+            return None;
+        }
+        let backoff = match self.link {
+            Link::Left => return None,
+            Link::Playing { last_heard } if now.saturating_sub(last_heard) <= STARVATION => {
+                let msg = self.play(now, cfg, rep);
+                return Some((self.home(topology), msg));
+            }
+            // Starvation watchdog: a session that stops producing
+            // replies (lost acked state, server-side timeout) falls back
+            // to the Connect handshake instead of wedging.
+            Link::Playing { .. } => RETRY_MIN,
+            Link::Connecting { backoff } => backoff,
+        };
+        self.link = Link::Connecting {
+            backoff: (backoff * 2).min(RETRY_MAX),
+        };
+        self.next_at = now + backoff;
+        // Connects go through the admission front door when the
+        // topology has one; otherwise straight to the home port.
+        let to = topology.connect_port.unwrap_or(self.home(topology));
+        let arena = self.requested;
+        Some((to, ClientMessage::Connect { client_id, arena }))
+    }
+
+    /// This client frame's Move, paced one frame on at the
+    /// always-active cadence with asynchronous jitter.
+    fn play(&mut self, now: Nanos, cfg: &BotSwarmConfig, rep: &mut SwarmReport) -> ClientMessage {
+        let mut cmd = self.mind.think(now, CLIENT_FRAME_MS);
+        if let Some(p) = self.predictor.as_mut() {
+            // Opt in on the wire and act on the input locally, a full
+            // round trip before the server confirms it.
+            cmd.predict_ack = Some(p.trailer_ack());
+            p.predict(&cmd);
+        }
+        rep.stats.note_sent();
+        rep.per_arena[self.arena].note_sent();
+        let jitter = if cfg.jitter_ns > 0 {
+            let j = self.mind.rng.next_u32() as Nanos % (2 * cfg.jitter_ns);
+            j as i64 - cfg.jitter_ns as i64
+        } else {
+            0
+        };
+        self.next_at = (self.next_at as i64 + FRAME_NS as i64 + jitter) as Nanos;
+        if self.next_at <= now {
+            self.next_at = now + FRAME_NS / 2;
+        }
+        ClientMessage::Move {
+            client_id: self.id,
+            cmd,
+        }
+    }
+
+    /// A `ConnectAck` naming `arena`, sent from port `from`.
+    fn ack(
+        &mut self,
+        arena: u16,
+        spawn: parquake_math::Vec3,
+        from: PortId,
+        now: Nanos,
+        topology: &SwarmTopology,
+        rep: &mut SwarmReport,
+    ) {
+        match self.link {
+            Link::Connecting { .. } => {
+                // A (re-)Connect was acked: the session's reply-seq
+                // space starts over, so the duplicate-suppression window
+                // must too — otherwise every reply of the new session
+                // reads as a stale copy and the response accounting
+                // starves after a reconnect.
+                self.link = Link::Playing { last_heard: now };
+                self.seen = -1;
+                if let Some(p) = self.predictor.as_mut() {
+                    p.reset(spawn);
+                }
+                self.address(arena, from, topology);
+                if !self.ever_acked {
+                    self.ever_acked = true;
+                    rep.connected += 1;
+                }
+                // Start moving on the next tick.
+                self.next_at = now;
+            }
+            Link::Playing { .. } => {
+                // Unsolicited: a supervised arena restored from its
+                // checkpoint re-announcing the slot, or a live
+                // migration's destination claiming the session. Re-home
+                // either way — after a handoff the old address is a
+                // despawned slot and moves sent there vanish until the
+                // starvation watchdog gives up.
+                if self.address(arena, from, topology) {
+                    rep.rehomed += 1;
+                } else {
+                    rep.restarts_observed += 1;
+                }
+                self.link = Link::Playing { last_heard: now };
+            }
+            Link::Left => {}
+        }
+    }
+
+    /// Address the arena an ack names — the admission policy's or the
+    /// migration's placement — at the thread whose port sent it: a
+    /// directory may have claimed the slot in any thread's home block.
+    /// An arena past the table is ignored. True when the bot moved to a
+    /// different arena.
+    fn address(&mut self, arena: u16, from: PortId, topology: &SwarmTopology) -> bool {
+        let a = arena as usize;
+        let Some(ports) = topology.arena_ports.get(a) else {
+            return false;
+        };
+        let moved = a != self.arena;
+        self.arena = a;
+        self.thread = ports
+            .iter()
+            .position(|&p| p == from)
+            .unwrap_or(self.thread.min(ports.len() - 1));
+        moved
+    }
+
+    /// Hear one server message from port `from`: an ack, a reply or a
+    /// bye.
+    fn hear(
+        &mut self,
+        msg: ServerMessage,
+        from: PortId,
+        now: Nanos,
+        topology: &SwarmTopology,
+        rep: &mut SwarmReport,
+    ) {
+        match msg {
+            ServerMessage::ConnectAck { arena, spawn, .. } => {
+                self.ack(arena, spawn, from, now, topology, rep);
+            }
+            ServerMessage::Reply {
+                seq,
+                sent_at_echo,
+                assigned_thread,
+                origin,
+                delta,
+                entities,
+                removed,
+                predict,
+                ..
+            } => {
+                if let Link::Playing { last_heard } = &mut self.link {
+                    *last_heard = now;
+                }
+                // Count each reply once: seq echoes are strictly
+                // increasing per session.
+                let fresh = seq as i64 > self.seen;
+                if fresh && sent_at_echo > 0 && now >= sent_at_echo {
+                    rep.stats.note_reply(now - sent_at_echo);
+                    rep.per_arena[self.arena].note_reply(now - sent_at_echo);
+                }
+                if let (true, Some(p), Some(rp)) = (fresh, self.predictor.as_mut(), &predict) {
+                    p.reconcile(origin, rp);
+                }
+                self.seen = self.seen.max(seq as i64);
+                // Follow server steering (dynamic region-affine
+                // assignment) within the bot's current arena.
+                let t = assigned_thread as usize;
+                if t < topology.arena_ports[self.arena].len() {
+                    self.thread = t;
+                }
+                self.mind.observe_update(origin, delta, &entities, &removed);
+            }
+            // The server reclaimed the slot: rejoin from scratch.
+            ServerMessage::Bye { .. } => {
+                if let Link::Playing { .. } = self.link {
+                    self.link = Link::Connecting { backoff: RETRY_MIN };
+                    self.next_at = now;
+                }
+            }
+        }
+    }
+}
+
+/// One driver task: its bots act in client order, each at its own
+/// schedule, and replies are drained while the driver sleeps.
 fn drive(
     ctx: &TaskCtx,
     port: PortId,
-    clients: std::ops::Range<u32>,
+    mut bots: Vec<Bot>,
     topology: &SwarmTopology,
-    init: Vec<(u16, usize)>,
     cfg: &BotSwarmConfig,
     sink: &Mutex<SwarmReport>,
 ) {
-    /// First Connect-retry interval; doubles per unanswered retry.
-    const RETRY_MIN: Nanos = 100_000_000;
-    /// Backoff ceiling for Connect retries.
-    const RETRY_MAX: Nanos = 1_600_000_000;
-    /// An acked bot that hears nothing for this long assumes its
-    /// session died (server timeout, heavy loss) and reconnects.
-    const STARVATION: Nanos = 1_000_000_000;
-
-    let (lo, hi) = (clients.start, clients.end);
-    let n = (hi - lo) as usize;
-    let frame_ns = CLIENT_FRAME_MS as Nanos * 1_000_000;
-    let mut bots: Vec<BotMind> = (lo..hi)
-        .map(|c| BotMind::new(c, cfg.seed, cfg.behavior.clone()))
-        .collect();
-    // One prediction state machine per bot when the swarm predicts.
-    let mut predictors: Vec<Option<Predictor>> = (0..n)
-        .map(|_| {
-            cfg.predict
-                .as_ref()
-                .map(|m| Predictor::new(m.0.clone(), parquake_math::Vec3::ZERO))
-        })
-        .collect();
-    // The arena each bot asks for at Connect time (fixed) and the
-    // arena/thread it currently addresses (updated from acks/replies).
-    let requested: Vec<u16> = init.iter().map(|&(a, _)| a).collect();
-    let mut cur_arena: Vec<usize> = init.iter().map(|&(a, _)| a as usize).collect();
-    let mut cur_thread: Vec<usize> = init.iter().map(|&(_, t)| t).collect();
-    let mut acked = vec![false; n];
-    // Connection-count each bot only once, however often it reconnects.
-    let mut ever_acked = vec![false; n];
-    let mut backoff = vec![RETRY_MIN; n];
-    let mut last_heard: Vec<Nanos> = vec![0; n];
-    // Highest reply seq seen per bot: the fault fabric can duplicate
-    // datagrams, and a stale copy must not count twice (-1 = none yet).
-    let mut last_rx_seq = vec![-1i64; n];
-    // Per-bot play window (the population ramp; no ramp = everyone
-    // plays start to finish).
-    let (join_at, leave_at): (Vec<Nanos>, Vec<Nanos>) = (lo..hi)
-        .map(|c| match &cfg.ramp {
-            None => (0, Nanos::MAX),
-            Some(r) => r.window(c, cfg.players),
-        })
-        .unzip();
-    let mut left = vec![false; n];
-    // Stagger bots across the client frame so requests arrive
-    // asynchronously (the paper's fine-grain imbalance source).
-    let mut next_at: Vec<Nanos> = (0..n)
-        .map(|i| join_at[i] + (i as Nanos * frame_ns) / n as Nanos)
-        .collect();
+    let first = bots.first().map_or(0, |b| b.id);
     let mut rep = SwarmReport::new(topology.arena_ports.len());
-
     loop {
         let now = ctx.now();
         if now >= cfg.send_until {
             break;
         }
-        // Act on every bot whose schedule has come.
-        for i in 0..n {
-            if left[i] {
-                continue;
-            }
-            if now >= leave_at[i] {
-                // The bot's window closed: say goodbye and go quiet.
-                left[i] = true;
-                next_at[i] = cfg.send_until;
-                if ever_acked[i] {
-                    ctx.charge(THINK_COST_NS);
-                    let msg = ClientMessage::Disconnect {
-                        client_id: lo + i as u32,
-                    };
-                    // Alternate the leave path: even bots disconnect
-                    // through the front door (the director's book
-                    // removal), odd bots at their arena directly (the
-                    // lifecycle-notice reconciliation path).
-                    let at_arena = topology.arena_ports[cur_arena[i]][cur_thread[i]];
-                    let to = match topology.connect_port {
-                        Some(front) if (lo + i as u32) % 2 == 0 => front,
-                        _ => at_arena,
-                    };
-                    ctx.send(port, to, msg.to_bytes());
-                }
-                continue;
-            }
-            if next_at[i] > now {
-                continue;
-            }
-            // Starvation watchdog: a session that stops producing
-            // replies (lost ack'd state, server-side timeout) falls
-            // back to the Connect handshake instead of wedging.
-            if acked[i] && now.saturating_sub(last_heard[i]) > STARVATION {
-                acked[i] = false;
-                backoff[i] = RETRY_MIN;
-            }
-            if !acked[i] {
+        for bot in &mut bots {
+            if let Some((to, msg)) = bot.tick(now, cfg, topology, &mut rep) {
                 ctx.charge(THINK_COST_NS);
-                let msg = ClientMessage::Connect {
-                    client_id: lo + i as u32,
-                    arena: requested[i],
-                };
-                // Connects go through the admission front door when the
-                // topology has one; otherwise straight to the home port.
-                let to = topology
-                    .connect_port
-                    .unwrap_or(topology.arena_ports[cur_arena[i]][cur_thread[i]]);
                 ctx.send(port, to, msg.to_bytes());
-                // Exponential backoff on the ack retry: lost acks are
-                // re-requested quickly without flooding a dead link.
-                next_at[i] = now + backoff[i];
-                backoff[i] = (backoff[i] * 2).min(RETRY_MAX);
-            } else {
-                ctx.charge(THINK_COST_NS);
-                let mut cmd = bots[i].think(now, CLIENT_FRAME_MS);
-                if let Some(p) = predictors[i].as_mut() {
-                    // Opt in on the wire and act on the input locally,
-                    // a full round trip before the server confirms it.
-                    cmd.predict_ack = Some(p.trailer_ack());
-                    p.predict(&cmd);
-                }
-                rep.stats.note_sent();
-                rep.per_arena[cur_arena[i]].note_sent();
-                let msg = ClientMessage::Move {
-                    client_id: lo + i as u32,
-                    cmd,
-                };
-                ctx.send(
-                    port,
-                    topology.arena_ports[cur_arena[i]][cur_thread[i]],
-                    msg.to_bytes(),
-                );
-                // Always-active cadence with asynchronous jitter.
-                let jitter = if cfg.jitter_ns > 0 {
-                    let j = bots[i].rng.next_u32() as Nanos % (2 * cfg.jitter_ns);
-                    j as i64 - cfg.jitter_ns as i64
-                } else {
-                    0
-                };
-                next_at[i] = (next_at[i] as i64 + frame_ns as i64 + jitter) as Nanos;
-                if next_at[i] <= now {
-                    next_at[i] = now + frame_ns / 2;
-                }
             }
         }
         // Sleep until the next bot action (or leave), draining replies
         // meanwhile.
-        let wake = (0..n)
-            .filter(|&i| !left[i])
-            .map(|i| next_at[i].min(leave_at[i]))
+        let wake = bots
+            .iter()
+            .filter(|b| b.link != Link::Left)
+            .map(|b| b.next_at.min(b.leave_at))
             .min()
             .unwrap_or(cfg.send_until);
         let deadline = wake.min(cfg.send_until);
-        loop {
-            let now = ctx.now();
-            if now >= deadline {
-                break;
-            }
-            if !ctx.wait_readable(port, Some(deadline)) {
-                break;
-            }
+        while ctx.now() < deadline && ctx.wait_readable(port, Some(deadline)) {
             while let Some(raw) = ctx.try_recv(port) {
                 let Ok(msg) = ServerMessage::from_bytes(&raw.payload) else {
                     continue;
                 };
-                match msg {
-                    ServerMessage::ConnectAck {
-                        client_id,
-                        arena,
-                        spawn,
-                    } => {
-                        let i = client_id.wrapping_sub(lo) as usize;
-                        if i < n && !acked[i] && !left[i] {
-                            acked[i] = true;
-                            backoff[i] = RETRY_MIN;
-                            last_heard[i] = ctx.now();
-                            // A (re-)Connect was acked: the session's
-                            // reply-seq space starts over, so the
-                            // duplicate-suppression window must too —
-                            // otherwise every reply of the new session
-                            // reads as a stale copy and the response
-                            // accounting starves after a reconnect.
-                            last_rx_seq[i] = -1;
-                            if let Some(p) = predictors[i].as_mut() {
-                                p.reset(spawn);
-                            }
-                            // The ack's arena id is the admission
-                            // policy's placement: address that arena's
-                            // ports from now on. The ack's source port
-                            // further identifies the serving thread —
-                            // a directory may have claimed our slot in
-                            // any thread's home block.
-                            let a = arena as usize;
-                            if a < topology.arena_ports.len() {
-                                cur_arena[i] = a;
-                                if let Some(t) =
-                                    topology.arena_ports[a].iter().position(|&p| p == raw.from)
-                                {
-                                    cur_thread[i] = t;
-                                } else {
-                                    cur_thread[i] =
-                                        cur_thread[i].min(topology.arena_ports[a].len() - 1);
-                                }
-                            }
-                            if !ever_acked[i] {
-                                ever_acked[i] = true;
-                                rep.connected += 1;
-                            }
-                            // Start moving on the next tick.
-                            next_at[i] = ctx.now();
-                        } else if i < n && acked[i] && !left[i] {
-                            // Unsolicited ack while already connected:
-                            // either a supervised arena restored from
-                            // its checkpoint re-announcing the slot, or
-                            // a live migration's destination claiming
-                            // the session. Re-home to the announced
-                            // arena either way — after a handoff the
-                            // old address is a despawned slot and moves
-                            // sent there vanish until the starvation
-                            // watchdog gives up.
-                            let a = arena as usize;
-                            if a < topology.arena_ports.len() {
-                                if a != cur_arena[i] {
-                                    rep.rehomed += 1;
-                                } else {
-                                    rep.restarts_observed += 1;
-                                }
-                                cur_arena[i] = a;
-                                if let Some(t) =
-                                    topology.arena_ports[a].iter().position(|&p| p == raw.from)
-                                {
-                                    cur_thread[i] = t;
-                                } else {
-                                    cur_thread[i] =
-                                        cur_thread[i].min(topology.arena_ports[a].len() - 1);
-                                }
-                            } else {
-                                rep.restarts_observed += 1;
-                            }
-                            last_heard[i] = ctx.now();
-                        }
-                    }
-                    ServerMessage::Reply {
-                        client_id,
-                        seq,
-                        sent_at_echo,
-                        assigned_thread,
-                        origin,
-                        delta,
-                        entities,
-                        removed,
-                        predict,
-                        ..
-                    } => {
-                        let i = client_id.wrapping_sub(lo) as usize;
-                        if i < n {
-                            let now = ctx.now();
-                            last_heard[i] = now;
-                            // Count each reply once: the fault fabric
-                            // can duplicate datagrams, and seq echoes
-                            // are strictly increasing per client.
-                            let fresh = seq as i64 > last_rx_seq[i];
-                            if fresh && sent_at_echo > 0 && now >= sent_at_echo {
-                                rep.stats.note_reply(now - sent_at_echo);
-                                rep.per_arena[cur_arena[i]].note_reply(now - sent_at_echo);
-                            }
-                            if fresh {
-                                if let (Some(p), Some(rp)) =
-                                    (predictors[i].as_mut(), predict.as_ref())
-                                {
-                                    p.reconcile(origin, rp);
-                                }
-                            }
-                            last_rx_seq[i] = last_rx_seq[i].max(seq as i64);
-                            // Follow server steering (dynamic
-                            // region-affine assignment) within the
-                            // bot's current arena.
-                            let t = assigned_thread as usize;
-                            if t < topology.arena_ports[cur_arena[i]].len() {
-                                cur_thread[i] = t;
-                            }
-                            bots[i].observe_update(origin, delta, &entities, &removed);
-                        }
-                    }
-                    ServerMessage::Bye { client_id } => {
-                        // Server reclaimed the slot: rejoin from scratch.
-                        let i = client_id.wrapping_sub(lo) as usize;
-                        if i < n && acked[i] && !left[i] {
-                            acked[i] = false;
-                            backoff[i] = RETRY_MIN;
-                            next_at[i] = ctx.now();
-                        }
-                    }
+                let (ServerMessage::ConnectAck { client_id, .. }
+                | ServerMessage::Reply { client_id, .. }
+                | ServerMessage::Bye { client_id }) = msg;
+                if let Some(bot) = bots.get_mut(client_id.wrapping_sub(first) as usize) {
+                    bot.hear(msg, raw.from, ctx.now(), topology, &mut rep);
                 }
             }
         }
     }
 
-    for p in predictors.iter().flatten() {
+    for p in bots.iter().filter_map(|b| b.predictor.as_ref()) {
         rep.prediction.merge(&p.stats);
         rep.predict_in_flight += p.in_flight();
     }
@@ -640,6 +672,8 @@ fn drive(
 mod tests {
     use super::*;
     use parquake_fabric::FabricKind;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// A stub server that acks every connect and echoes every move.
     fn stub_server(fabric: &Arc<dyn Fabric>, port: PortId, until: Nanos) {
@@ -991,5 +1025,297 @@ mod tests {
             (s.sent, s.received, s.latency_sum_ns)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The session rules as `drive` kept them in parallel vectors
+    /// before the record existed, restated over plain fields for one
+    /// bot: the reference [`Bot`] must match step for step.
+    struct Plain {
+        id: u32,
+        mind: BotMind,
+        requested: u16,
+        cur_arena: usize,
+        cur_thread: usize,
+        acked: bool,
+        ever_acked: bool,
+        backoff: Nanos,
+        last_heard: Nanos,
+        last_rx_seq: i64,
+        leave_at: Nanos,
+        left: bool,
+        next_at: Nanos,
+        rep: SwarmReport,
+    }
+
+    impl Plain {
+        fn tick(
+            &mut self,
+            now: Nanos,
+            cfg: &BotSwarmConfig,
+            topo: &SwarmTopology,
+        ) -> Option<(PortId, ClientMessage)> {
+            let client_id = self.id;
+            let home = topo.arena_ports[self.cur_arena][self.cur_thread];
+            if self.left {
+                return None;
+            }
+            if now >= self.leave_at {
+                self.left = true;
+                self.next_at = cfg.send_until;
+                let to = match topo.connect_port {
+                    Some(front) if client_id % 2 == 0 => front,
+                    _ => home,
+                };
+                return self
+                    .ever_acked
+                    .then_some((to, ClientMessage::Disconnect { client_id }));
+            }
+            if self.next_at > now {
+                return None;
+            }
+            if self.acked && now.saturating_sub(self.last_heard) > STARVATION {
+                self.acked = false;
+                self.backoff = RETRY_MIN;
+            }
+            if !self.acked {
+                let to = topo.connect_port.unwrap_or(home);
+                self.next_at = now + self.backoff;
+                self.backoff = (self.backoff * 2).min(RETRY_MAX);
+                let arena = self.requested;
+                return Some((to, ClientMessage::Connect { client_id, arena }));
+            }
+            let cmd = self.mind.think(now, CLIENT_FRAME_MS);
+            self.rep.stats.note_sent();
+            self.rep.per_arena[self.cur_arena].note_sent();
+            let j = self.mind.rng.next_u32() as Nanos % (2 * cfg.jitter_ns);
+            let jitter = j as i64 - cfg.jitter_ns as i64;
+            self.next_at = (self.next_at as i64 + FRAME_NS as i64 + jitter) as Nanos;
+            if self.next_at <= now {
+                self.next_at = now + FRAME_NS / 2;
+            }
+            Some((home, ClientMessage::Move { client_id, cmd }))
+        }
+
+        fn readdress(&mut self, a: usize, from: PortId, topo: &SwarmTopology) {
+            self.cur_arena = a;
+            if let Some(t) = topo.arena_ports[a].iter().position(|&p| p == from) {
+                self.cur_thread = t;
+            } else {
+                self.cur_thread = self.cur_thread.min(topo.arena_ports[a].len() - 1);
+            }
+        }
+
+        fn ack(&mut self, arena: u16, from: PortId, now: Nanos, topo: &SwarmTopology) {
+            let a = arena as usize;
+            if !self.acked && !self.left {
+                self.acked = true;
+                self.backoff = RETRY_MIN;
+                self.last_heard = now;
+                self.last_rx_seq = -1;
+                if a < topo.arena_ports.len() {
+                    self.readdress(a, from, topo);
+                }
+                if !self.ever_acked {
+                    self.ever_acked = true;
+                    self.rep.connected += 1;
+                }
+                self.next_at = now;
+            } else if self.acked && !self.left {
+                if a < topo.arena_ports.len() {
+                    if a != self.cur_arena {
+                        self.rep.rehomed += 1;
+                    } else {
+                        self.rep.restarts_observed += 1;
+                    }
+                    self.readdress(a, from, topo);
+                } else {
+                    self.rep.restarts_observed += 1;
+                }
+                self.last_heard = now;
+            }
+        }
+
+        fn reply(&mut self, seq: u32, echo: Nanos, thread: u8, now: Nanos, topo: &SwarmTopology) {
+            self.last_heard = now;
+            let fresh = seq as i64 > self.last_rx_seq;
+            if fresh && echo > 0 && now >= echo {
+                self.rep.stats.note_reply(now - echo);
+                self.rep.per_arena[self.cur_arena].note_reply(now - echo);
+            }
+            self.last_rx_seq = self.last_rx_seq.max(seq as i64);
+            let t = thread as usize;
+            if t < topo.arena_ports[self.cur_arena].len() {
+                self.cur_thread = t;
+            }
+            self.mind.observe_update(reply_origin(seq), false, &[], &[]);
+        }
+
+        fn bye(&mut self, now: Nanos) {
+            if self.acked && !self.left {
+                self.acked = false;
+                self.backoff = RETRY_MIN;
+                self.next_at = now;
+            }
+        }
+    }
+
+    fn reply_origin(seq: u32) -> parquake_math::Vec3 {
+        parquake_math::Vec3::new(seq as f32, -(seq as f32), 24.0)
+    }
+
+    /// The record and the plain fields agree.
+    fn agree(bot: &Bot, p: &Plain, rep: &SwarmReport) -> Result<(), TestCaseError> {
+        match bot.link {
+            Link::Connecting { backoff } => {
+                prop_assert!(
+                    !p.acked && !p.left,
+                    "connecting, plain {} {}",
+                    p.acked,
+                    p.left
+                );
+                prop_assert_eq!(backoff, p.backoff);
+            }
+            Link::Playing { last_heard } => {
+                prop_assert!(p.acked && !p.left, "playing, plain {} {}", p.acked, p.left);
+                prop_assert_eq!(last_heard, p.last_heard);
+            }
+            Link::Left => prop_assert!(p.left, "left, plain still in session"),
+        }
+        prop_assert_eq!(bot.seen, p.last_rx_seq);
+        prop_assert_eq!((bot.arena, bot.thread), (p.cur_arena, p.cur_thread));
+        prop_assert_eq!((bot.next_at, bot.ever_acked), (p.next_at, p.ever_acked));
+        let counts = |r: &SwarmReport| {
+            let arenas: Vec<_> = r.per_arena.iter().map(|s| (s.sent, s.received)).collect();
+            let tallies = (r.connected, r.rehomed, r.restarts_observed);
+            (
+                tallies,
+                r.stats.sent,
+                r.stats.received,
+                r.stats.latency_sum_ns,
+                arenas,
+            )
+        };
+        prop_assert_eq!(counts(rep), counts(&p.rep));
+        Ok(())
+    }
+
+    /// Gaps before a tick, from back-to-back to past `STARVATION`.
+    const GAPS: [Nanos; 7] = [
+        0,
+        1,
+        7_000_000,
+        FRAME_NS,
+        100_000_000,
+        400_000_000,
+        1_200_000_000,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Ticks, acks (solicited or not, naming the current arena,
+        /// another one or one past the table), replies duplicated and
+        /// reordered, byes, and silences around `STARVATION` leave the
+        /// record where the plain-field rules leave them, and both send
+        /// the same message to the same port at every tick.
+        #[test]
+        fn the_session_record_follows_the_plain_rules(
+            id in 6u32..8,
+            front in any::<bool>(),
+            initial in (0u16..4, 0usize..4),
+            stagger in 0..FRAME_NS,
+            leave_at in prop_oneof![Just(Nanos::MAX), 0..20_000_000_000u64],
+            steps in prop::collection::vec(
+                (0u8..9, any::<u8>(), any::<u8>(), any::<u8>()),
+                0..200,
+            ),
+        ) {
+            let topo = SwarmTopology {
+                arena_ports: vec![vec![10, 11], vec![20], vec![30, 31, 32]],
+                connect_port: front.then_some(99),
+            };
+            // Every arena's ports, and one no arena owns.
+            let ports = [10, 11, 20, 30, 31, 32, 55];
+            let cfg = BotSwarmConfig::new(8, 400_000_000_000);
+            let mut bot = Bot::new(id, stagger, &cfg, &topo, initial);
+            bot.leave_at = leave_at;
+            let mut p = Plain {
+                id,
+                mind: BotMind::new(id, cfg.seed, cfg.behavior.clone()),
+                requested: bot.requested,
+                cur_arena: bot.arena,
+                cur_thread: bot.thread,
+                acked: false,
+                ever_acked: false,
+                backoff: RETRY_MIN,
+                last_heard: 0,
+                last_rx_seq: -1,
+                leave_at,
+                left: false,
+                next_at: stagger,
+                rep: SwarmReport::new(topo.arena_ports.len()),
+            };
+            let mut rep = SwarmReport::new(topo.arena_ports.len());
+            let mut now: Nanos = 0;
+            let mut last_reply = None;
+            agree(&bot, &p, &rep)?;
+            for (kind, a, b, c) in steps {
+                match kind {
+                    0..=3 => {
+                        now += GAPS[c as usize % GAPS.len()];
+                        if kind == 3 && p.acked && !p.left {
+                            // Silence one short of, exactly at, or one
+                            // past the watchdog's limit.
+                            let limit = p.last_heard + STARVATION + a as Nanos % 3;
+                            now = now.max(limit - 1);
+                        }
+                        let sent = bot.tick(now, &cfg, &topo, &mut rep);
+                        prop_assert_eq!(sent, p.tick(now, &cfg, &topo));
+                    }
+                    4 => {
+                        now += c as Nanos % 3 * 1_000_000;
+                        let cur = p.cur_arena as u16;
+                        let arena = [cur, (cur + 1) % 3, 7][a as usize % 3];
+                        let from = ports[b as usize % ports.len()];
+                        let spawn = parquake_math::Vec3::ZERO;
+                        let ack = ServerMessage::ConnectAck { client_id: id, spawn, arena };
+                        bot.hear(ack, from, now, &topo, &mut rep);
+                        p.ack(arena, from, now, &topo);
+                    }
+                    5 | 6 => {
+                        now += c as Nanos % 3 * 1_000_000;
+                        // A new reply (seqs drawn out of order), or the
+                        // last one again.
+                        let echo = [0, now.saturating_sub(2_000_000), now + 1][b as usize % 3];
+                        let (seq, echo, thread) = match last_reply {
+                            Some(old) if kind == 6 => old,
+                            _ => (a as u32 % 16, echo, c % 4),
+                        };
+                        last_reply = Some((seq, echo, thread));
+                        let reply = ServerMessage::Reply {
+                            client_id: id,
+                            seq,
+                            sent_at_echo: echo,
+                            frame: 0,
+                            assigned_thread: thread,
+                            origin: reply_origin(seq),
+                            delta: false,
+                            entities: vec![],
+                            removed: vec![],
+                            events: vec![],
+                            predict: None,
+                        };
+                        bot.hear(reply, ports[0], now, &topo, &mut rep);
+                        p.reply(seq, echo, thread, now, &topo);
+                    }
+                    _ => {
+                        let bye = ServerMessage::Bye { client_id: id };
+                        bot.hear(bye, ports[0], now, &topo, &mut rep);
+                        p.bye(now);
+                    }
+                }
+                agree(&bot, &p, &rep)?;
+            }
+        }
     }
 }
