@@ -253,16 +253,15 @@ impl ServerShared {
         for idx in 0..self.clients.capacity() {
             let slot = self.clients.slot(idx);
             match slot.state {
-                SlotState::Pending => {
-                    self.world.spawn_player(idx as u16, slot.client_id, rng);
-                    slot.state = SlotState::Active;
-                    slot.needs_ack = true;
-                    slot.leaving = false;
-                    slot.last_active = now;
-                }
-                SlotState::Active if slot.leaving => {
+                SlotState::Pending | SlotState::Active if slot.leaving => {
+                    // A Disconnect met the slot. A Pending one is
+                    // vacated before it ever spawns: its Connect and
+                    // Disconnect shared one drain, and the director
+                    // heard `Connected` for it.
                     let client_id = slot.client_id;
-                    self.world.despawn_player(idx as u16);
+                    if slot.state == SlotState::Active {
+                        self.world.despawn_player(idx as u16);
+                    }
                     slot.vacate();
                     self.notify(
                         ctx,
@@ -272,6 +271,12 @@ impl ServerShared {
                             client_id,
                         },
                     );
+                }
+                SlotState::Pending => {
+                    self.world.spawn_player(idx as u16, slot.client_id, rng);
+                    slot.state = SlotState::Active;
+                    slot.needs_ack = true;
+                    slot.last_active = now;
                 }
                 SlotState::Active
                     if self.client_timeout_ns > 0
@@ -480,7 +485,7 @@ impl ServerShared {
             ClientMessage::Disconnect { client_id } => {
                 for idx in 0..self.clients.capacity() {
                     let slot = self.clients.slot(idx);
-                    if slot.state == SlotState::Active && slot.client_id == client_id {
+                    if slot.state != SlotState::Empty && slot.client_id == client_id {
                         slot.leaving = true;
                     }
                 }

@@ -11,7 +11,9 @@ use parquake_metrics::{FrameSample, ThreadStats};
 use parquake_protocol::{ClientMessage, Decode, Encode, MoveCmd, ServerMessage};
 use parquake_server::clients::SlotState;
 use parquake_server::runtime::ServerShared;
-use parquake_server::{spawn_server, Assignment, CostModel, LockPolicy, ServerConfig, ServerKind};
+use parquake_server::{
+    spawn_server, Assignment, CostModel, LifecycleEvent, LockPolicy, ServerConfig, ServerKind,
+};
 use parquake_sim::GameWorld;
 
 fn make_shared(
@@ -431,6 +433,67 @@ fn silent_client_is_reclaimed_with_bye() {
     assert_eq!(state, SlotState::Empty);
     assert_eq!(timeouts, 1);
     assert!(got_bye, "no Bye datagram reached the client");
+}
+
+#[test]
+fn a_disconnect_queued_behind_its_connect_spawns_no_ghost() {
+    // A sequential server with a lifecycle listener and no inactivity
+    // timeout (the virtual default), so a ghost would stay forever.
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let map = Arc::new(MapGenConfig::small_arena(9).generate());
+    let world = Arc::new(GameWorld::new(map, 4, 8));
+    let notices = fabric.alloc_port();
+    let cfg = ServerConfig {
+        checking: false,
+        lifecycle_port: Some(notices),
+        ..ServerConfig::new(ServerKind::Sequential, 10_000_000_000)
+    };
+    let sh = Arc::new(ServerShared::new(&fabric, &cfg, world, 1, None));
+    let client_port = fabric.alloc_port();
+    let (states, live, heard) = in_task(&fabric, move |ctx| {
+        let mut stats = ThreadStats::new();
+        let mut mask = 0u64;
+        // One drain holds both datagrams: the slot is still Pending
+        // when the Disconnect meets it.
+        for msg in [
+            ClientMessage::Connect {
+                client_id: 7,
+                arena: 0,
+            },
+            ClientMessage::Disconnect { client_id: 7 },
+        ] {
+            sh.handle_message(ctx, ctx.now(), 0, client_port, msg, &mut stats, &mut mask);
+        }
+        sh.run_world_update(ctx, sh.ports[0], &mut stats, 1);
+        sh.run_world_update(ctx, sh.ports[0], &mut stats, 2);
+        ctx.sleep_until(ctx.now() + 2_000_000);
+        let mut heard = Vec::new();
+        while let Some(m) = ctx.try_recv(notices) {
+            heard.push(LifecycleEvent::from_bytes(&m.payload).unwrap());
+        }
+        let slots = sh.clients.capacity();
+        let states: Vec<SlotState> = (0..slots).map(|i| sh.clients.slot(i).state).collect();
+        let live = (0..slots as u16)
+            .filter(|&i| sh.world.store.snapshot(i).active)
+            .count();
+        (states, live, heard)
+    });
+    assert!(states.iter().all(|&s| s == SlotState::Empty), "{states:?}");
+    assert_eq!(live, 0, "a ghost player spawned");
+    assert_eq!(
+        heard,
+        vec![
+            LifecycleEvent::Connected {
+                arena: 0,
+                client_id: 7,
+                thread: 0
+            },
+            LifecycleEvent::Disconnected {
+                arena: 0,
+                client_id: 7
+            },
+        ]
+    );
 }
 
 #[test]
