@@ -16,8 +16,7 @@ pub enum AdmissionPolicy {
     /// idle worlds).
     FillFirst,
     /// Honour the client's explicitly requested arena when it is in
-    /// range and has room; otherwise fall back to fill-first. Clients
-    /// without the arena extension request arena 0.
+    /// range and has room; otherwise fall back to fill-first.
     Explicit,
 }
 

@@ -19,8 +19,7 @@
 //!     each arena.
 //! * [`admission::AdmissionPolicy`] routes `Connect`s arriving at the
 //!   directory's **front door** to an arena: fill-first, or
-//!   honouring an explicit arena request carried by the protocol's
-//!   backward-compatible arena-id extension (absent ⇒ arena 0).
+//!   honouring the arena id every `Connect` carries.
 //! * Per-arena observability: every arena publishes its own
 //!   [`parquake_server::ServerResults`]; the pool publishes frame and
 //!   idle accounting per worker and per arena; admission publishes

@@ -17,18 +17,11 @@ pub mod tags;
 pub mod types;
 
 pub use codec::{CodecError, Decode, Encode};
-pub use tags::{ARENA_EXT_TAG, PREDICT_EXT_TAG};
+pub use tags::PREDICT_EXT_TAG;
 pub use types::{
     Buttons, ClientMessage, EntityKind, EntityUpdate, GameEvent, GameEventKind, MoveCmd,
     ReplyPredict, ServerMessage,
 };
-
-/// Protocol version byte; bumped on incompatible changes.
-pub const PROTOCOL_VERSION: u8 = 1;
-
-/// Wire size of the arena extension when present (see
-/// [`tags::ARENA_EXT_TAG`] for the format).
-pub const ARENA_EXT_WIRE_BYTES: usize = 1 + 2;
 
 /// Wire size of the `Move` prediction extension when present:
 /// tag + ack (see [`tags::PREDICT_EXT_TAG`]).
@@ -72,14 +65,15 @@ pub const GAME_EVENT_WIRE_BYTES: usize = 1 + 2 + 2 + 12;
 /// Fixed part of a `Reply`: tag + client_id + seq + sent_at_echo +
 /// frame + assigned_thread + origin + delta flag.
 const REPLY_HEADER_WIRE_BYTES: usize = 1 + 4 + 4 + 8 + 4 + 1 + 12 + 1;
-/// Encoded size of a `Connect` (arena 0), `Disconnect` or `Bye`:
-/// tag + client_id.
+/// Encoded size of a `Disconnect` or `Bye`: tag + client_id.
 const ID_ONLY_WIRE_BYTES: usize = 1 + 4;
+/// Encoded size of a `Connect`: tag + client_id + arena.
+const CONNECT_WIRE_BYTES: usize = 1 + 4 + 2;
 /// Encoded size of a legacy `Move`: tag + client_id + seq + sent_at +
 /// two angles + three impulses + buttons + msec.
 const MOVE_WIRE_BYTES: usize = 1 + 4 + 4 + 8 + 2 * 4 + 3 * 4 + 1 + 1;
-/// Encoded size of a `ConnectAck` (arena 0): tag + client_id + spawn.
-const CONNECT_ACK_WIRE_BYTES: usize = 1 + 4 + 12;
+/// Encoded size of a `ConnectAck`: tag + client_id + spawn + arena.
+const CONNECT_ACK_WIRE_BYTES: usize = 1 + 4 + 12 + 2;
 
 /// Worst-case encoded *legacy* `Reply`: header plus the three
 /// length-prefixed lists at their caps (no prediction trailer).

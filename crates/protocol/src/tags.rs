@@ -20,7 +20,7 @@
 //!   ([`crate::types::ClientMessage`] tags live far from these so a
 //!   misdelivered datagram decodes to a clean `BadTag` instead of a
 //!   plausible message).
-//! * **0xA7** — the arena-id extension trailer, deliberately distinct
+//! * **0xA8** — the prediction extension trailer, deliberately distinct
 //!   from every message tag so a stray extension can never be mistaken
 //!   for a message.
 
@@ -48,13 +48,6 @@ pub const TAG_RECLAIMED: u8 = 202;
 pub const TAG_REJECTED: u8 = 203;
 /// Lifecycle: the director moved a live slot to another arena.
 pub const TAG_MIGRATED: u8 = 204;
-
-/// Tag byte opening the optional arena-id extension that may trail a
-/// `Connect` or `ConnectAck`. The extension is `[ARENA_EXT_TAG, arena:
-/// u16 LE]` and is emitted only for a non-zero arena, so default
-/// (arena-0) traffic stays byte-identical to the pre-extension format
-/// and an absent extension decodes as arena 0.
-pub const ARENA_EXT_TAG: u8 = 0xA7;
 
 /// Tag byte opening the optional prediction extension that may trail a
 /// `Move` or `Reply`. On a `Move` it is `[PREDICT_EXT_TAG, ack: u32
@@ -84,7 +77,6 @@ mod tests {
             ("TAG_RECLAIMED", TAG_RECLAIMED),
             ("TAG_REJECTED", TAG_REJECTED),
             ("TAG_MIGRATED", TAG_MIGRATED),
-            ("ARENA_EXT_TAG", ARENA_EXT_TAG),
             ("PREDICT_EXT_TAG", PREDICT_EXT_TAG),
         ];
         for (i, (na, a)) in tags.iter().enumerate() {

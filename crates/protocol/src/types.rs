@@ -4,7 +4,7 @@ use crate::codec::{
     get_f32, get_u16, get_u32, get_u64, get_u8, get_vec3, CodecError, Decode, Encode, Fixed,
 };
 use crate::{
-    ARENA_EXT_WIRE_BYTES, CONNECT_ACK_WIRE_BYTES, ENTITY_UPDATE_WIRE_BYTES, GAME_EVENT_WIRE_BYTES,
+    CONNECT_ACK_WIRE_BYTES, CONNECT_WIRE_BYTES, ENTITY_UPDATE_WIRE_BYTES, GAME_EVENT_WIRE_BYTES,
     ID_ONLY_WIRE_BYTES, MAX_ENTITIES_PER_REPLY, MAX_EVENTS_PER_REPLY, MAX_MOVE_MSEC,
     MAX_REMOVALS_PER_REPLY, MOVE_PREDICT_EXT_WIRE_BYTES, MOVE_WIRE_BYTES, REPLY_HEADER_WIRE_BYTES,
     REPLY_PREDICT_EXT_WIRE_BYTES,
@@ -101,9 +101,7 @@ impl MoveCmd {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientMessage {
     /// Join the session. `arena` selects a world instance on multi-arena
-    /// servers; it rides in an optional trailing extension (see
-    /// [`crate::ARENA_EXT_TAG`]) so arena-0 traffic is byte-identical to
-    /// the pre-extension wire format.
+    /// servers (0 lets a fill-first admission policy choose).
     Connect { client_id: u32, arena: u16 },
     /// A move command from `client_id`.
     Move { client_id: u32, cmd: MoveCmd },
@@ -112,42 +110,6 @@ pub enum ClientMessage {
 }
 
 use crate::tags::{TAG_CONNECT, TAG_DISCONNECT, TAG_MOVE};
-
-/// Append the optional arena extension. Canonical form: arena 0 encodes
-/// as *nothing*, so default traffic matches the pre-extension format
-/// byte for byte and old decoders keep accepting it.
-fn put_arena_ext(out: &mut Vec<u8>, arena: u16) {
-    if arena != 0 {
-        Fixed::<ARENA_EXT_WIRE_BYTES>::new()
-            .u8(crate::ARENA_EXT_TAG)
-            .u16(arena)
-            .finish(out);
-    }
-}
-
-/// Wire size of the arena extension for `arena` (canonical: none at 0).
-fn arena_ext_len(arena: u16) -> usize {
-    if arena != 0 {
-        ARENA_EXT_WIRE_BYTES
-    } else {
-        0
-    }
-}
-
-/// Consume the optional arena extension if — and only if — the next
-/// byte is [`crate::ARENA_EXT_TAG`]. An absent extension means arena 0
-/// (backward compatibility); a present-but-truncated one is a
-/// [`CodecError::Truncated`]; any other leftover is not consumed, so
-/// `from_bytes` reports it as [`CodecError::TrailingBytes`] exactly as
-/// before the extension existed.
-fn get_arena_ext(buf: &mut &[u8]) -> Result<u16, CodecError> {
-    if buf.first() == Some(&crate::ARENA_EXT_TAG) {
-        let _ = get_u8(buf)?;
-        get_u16(buf)
-    } else {
-        Ok(0)
-    }
-}
 
 /// Authoritative reconciliation state a predicting client rolls back
 /// to; rides the optional [`crate::PREDICT_EXT_TAG`] trailer of a
@@ -182,9 +144,9 @@ fn put_move_predict_ext(out: &mut Vec<u8>, ack: Option<u32>) {
 }
 
 /// Consume the optional `Move` prediction trailer iff the next byte is
-/// [`crate::PREDICT_EXT_TAG`]. Same contract as [`get_arena_ext`]:
-/// absent ⇒ legacy (`None`), truncated ⇒ error, other leftovers are
-/// reported as trailing bytes by `from_bytes`.
+/// [`crate::PREDICT_EXT_TAG`]: absent ⇒ legacy (`None`), truncated ⇒
+/// error, and any other leftover is not consumed, so `from_bytes`
+/// reports it as [`CodecError::TrailingBytes`].
 fn get_move_predict_ext(buf: &mut &[u8]) -> Result<Option<u32>, CodecError> {
     if buf.first() == Some(&crate::PREDICT_EXT_TAG) {
         let _ = get_u8(buf)?;
@@ -227,7 +189,7 @@ fn get_reply_predict_ext(buf: &mut &[u8]) -> Result<Option<ReplyPredict>, CodecE
 impl Encode for ClientMessage {
     fn wire_len(&self) -> usize {
         match self {
-            ClientMessage::Connect { arena, .. } => ID_ONLY_WIRE_BYTES + arena_ext_len(*arena),
+            ClientMessage::Connect { .. } => CONNECT_WIRE_BYTES,
             ClientMessage::Move { cmd, .. } => {
                 MOVE_WIRE_BYTES + cmd.predict_ack.map_or(0, |_| MOVE_PREDICT_EXT_WIRE_BYTES)
             }
@@ -239,8 +201,11 @@ impl Encode for ClientMessage {
         out.reserve(self.wire_len());
         match self {
             ClientMessage::Connect { client_id, arena } => {
-                put_id_only(out, TAG_CONNECT, *client_id);
-                put_arena_ext(out, *arena);
+                Fixed::<CONNECT_WIRE_BYTES>::new()
+                    .u8(TAG_CONNECT)
+                    .u32(*client_id)
+                    .u16(*arena)
+                    .finish(out);
             }
             ClientMessage::Move { client_id, cmd } => {
                 Fixed::<MOVE_WIRE_BYTES>::new()
@@ -278,7 +243,7 @@ impl Decode for ClientMessage {
         match get_u8(buf)? {
             TAG_CONNECT => Ok(ClientMessage::Connect {
                 client_id: get_u32(buf)?,
-                arena: get_arena_ext(buf)?,
+                arena: get_u16(buf)?,
             }),
             TAG_MOVE => Ok(ClientMessage::Move {
                 client_id: get_u32(buf)?,
@@ -446,8 +411,7 @@ impl Decode for GameEvent {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerMessage {
     /// Connection accepted; here is your spawn position. `arena` names
-    /// the world instance the admission policy placed the client in
-    /// (same optional-extension encoding as `Connect`; 0 when absent).
+    /// the world instance the admission policy placed the client in.
     ConnectAck {
         client_id: u32,
         spawn: Vec3,
@@ -477,8 +441,8 @@ pub enum ServerMessage {
         removed: Vec<u16>,
         /// Broadcast events since the last reply.
         events: Vec<GameEvent>,
-        /// Reconciliation trailer for predicting clients (same
-        /// optional-extension encoding as `arena`; `None` for legacy
+        /// Reconciliation trailer for predicting clients (the optional
+        /// [`crate::PREDICT_EXT_TAG`] extension; `None` for legacy
         /// clients keeps the wire byte-identical).
         predict: Option<ReplyPredict>,
     },
@@ -491,9 +455,7 @@ use crate::tags::{TAG_ACK, TAG_BYE, TAG_REPLY};
 impl Encode for ServerMessage {
     fn wire_len(&self) -> usize {
         match self {
-            ServerMessage::ConnectAck { arena, .. } => {
-                CONNECT_ACK_WIRE_BYTES + arena_ext_len(*arena)
-            }
+            ServerMessage::ConnectAck { .. } => CONNECT_ACK_WIRE_BYTES,
             ServerMessage::Reply {
                 entities,
                 removed,
@@ -523,8 +485,8 @@ impl Encode for ServerMessage {
                     .u8(TAG_ACK)
                     .u32(*client_id)
                     .vec3(*spawn)
+                    .u16(*arena)
                     .finish(out);
-                put_arena_ext(out, *arena);
             }
             ServerMessage::Reply {
                 client_id,
@@ -587,7 +549,7 @@ impl Decode for ServerMessage {
             TAG_ACK => Ok(ServerMessage::ConnectAck {
                 client_id: get_u32(buf)?,
                 spawn: get_vec3(buf)?,
-                arena: get_arena_ext(buf)?,
+                arena: get_u16(buf)?,
             }),
             TAG_REPLY => {
                 let client_id = get_u32(buf)?;
@@ -794,47 +756,6 @@ mod tests {
         bytes.push(0);
         assert_eq!(
             ClientMessage::from_bytes(&bytes),
-            Err(CodecError::TrailingBytes(1))
-        );
-    }
-
-    #[test]
-    fn arena_extension_is_canonical_and_backward_compatible() {
-        // Arena 0 encodes to exactly the pre-extension bytes.
-        let old_wire = vec![1u8, 9, 0, 0, 0]; // TAG_CONNECT, client 9 LE
-        assert_eq!(
-            ClientMessage::Connect {
-                client_id: 9,
-                arena: 0
-            }
-            .to_bytes(),
-            old_wire
-        );
-        // The pre-extension format decodes to arena 0.
-        assert_eq!(
-            ClientMessage::from_bytes(&old_wire).unwrap(),
-            ClientMessage::Connect {
-                client_id: 9,
-                arena: 0
-            }
-        );
-        // A non-zero arena adds exactly tag + u16.
-        let mut ext_wire = old_wire.clone();
-        ext_wire.extend_from_slice(&[crate::ARENA_EXT_TAG, 5, 0]);
-        assert_eq!(
-            ClientMessage::from_bytes(&ext_wire).unwrap(),
-            ClientMessage::Connect {
-                client_id: 9,
-                arena: 5
-            }
-        );
-        // Truncated extension: rejected, not silently arena 0.
-        assert!(ClientMessage::from_bytes(&ext_wire[..ext_wire.len() - 1]).is_err());
-        // Bytes after a complete extension are still trailing garbage.
-        let mut over = ext_wire.clone();
-        over.push(7);
-        assert_eq!(
-            ClientMessage::from_bytes(&over),
             Err(CodecError::TrailingBytes(1))
         );
     }

@@ -3,8 +3,8 @@
 use parquake_math::vec3::vec3;
 use parquake_protocol::{
     Buttons, ClientMessage, Decode, Encode, EntityKind, EntityUpdate, GameEvent, GameEventKind,
-    MoveCmd, ReplyPredict, ServerMessage, ARENA_EXT_TAG, ARENA_EXT_WIRE_BYTES,
-    MOVE_PREDICT_EXT_WIRE_BYTES, PREDICT_EXT_TAG, REPLY_PREDICT_EXT_WIRE_BYTES,
+    MoveCmd, ReplyPredict, ServerMessage, MOVE_PREDICT_EXT_WIRE_BYTES, PREDICT_EXT_TAG,
+    REPLY_PREDICT_EXT_WIRE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -19,15 +19,8 @@ mod field_by_field {
     };
     use parquake_protocol::{
         ClientMessage, EntityKind, EntityUpdate, GameEvent, GameEventKind, ServerMessage,
-        ARENA_EXT_TAG, PREDICT_EXT_TAG,
+        PREDICT_EXT_TAG,
     };
-
-    fn put_arena_ext(out: &mut Vec<u8>, arena: u16) {
-        if arena != 0 {
-            put_u8(out, ARENA_EXT_TAG);
-            put_u16(out, arena);
-        }
-    }
 
     fn put_entity(out: &mut Vec<u8>, e: &EntityUpdate) {
         put_u16(out, e.id);
@@ -72,7 +65,7 @@ mod field_by_field {
             ClientMessage::Connect { client_id, arena } => {
                 put_u8(out, TAG_CONNECT);
                 put_u32(out, *client_id);
-                put_arena_ext(out, *arena);
+                put_u16(out, *arena);
             }
             ClientMessage::Move { client_id, cmd } => {
                 put_u8(out, TAG_MOVE);
@@ -113,7 +106,7 @@ mod field_by_field {
                 put_f32(out, spawn.x);
                 put_f32(out, spawn.y);
                 put_f32(out, spawn.z);
-                put_arena_ext(out, *arena);
+                put_u16(out, *arena);
             }
             ServerMessage::Reply {
                 client_id,
@@ -167,13 +160,6 @@ mod field_by_field {
         }
         v
     }
-}
-
-/// Is this trailer exactly one well-formed arena extension? Appended to
-/// an extension-less `Connect`/`ConnectAck` it forms a valid new-format
-/// message rather than trailing garbage.
-fn is_arena_ext(trailer: &[u8]) -> bool {
-    trailer.len() == ARENA_EXT_WIRE_BYTES && trailer[0] == ARENA_EXT_TAG
 }
 
 /// Is this trailer exactly one well-formed `Move` prediction extension?
@@ -246,10 +232,9 @@ fn arb_move() -> impl Strategy<Value = MoveCmd> {
         )
 }
 
-/// Arena ids, with 0 (the canonical no-extension encoding) always in
-/// the mix.
+/// Arena ids, with both ends of the range always in the mix.
 fn arb_arena() -> impl Strategy<Value = u16> {
-    prop_oneof![Just(0u16), any::<u16>()]
+    prop_oneof![Just(0u16), Just(u16::MAX), any::<u16>()]
 }
 
 fn arb_client_msg() -> impl Strategy<Value = ClientMessage> {
@@ -424,6 +409,25 @@ proptest! {
         }
     }
 
+    /// The arena id is a plain field: every strict prefix of a
+    /// `Connect` or `ConnectAck`, down to the tag, fails to decode.
+    #[test]
+    fn truncated_connects_are_rejected(
+        client_id in any::<u32>(),
+        arena in arb_arena(),
+        x in -4096.0f32..4096.0,
+    ) {
+        let connect = ClientMessage::Connect { client_id, arena }.to_bytes();
+        for cut in 0..connect.len() {
+            prop_assert!(ClientMessage::from_bytes(&connect[..cut]).is_err());
+        }
+        let spawn = vec3(x, -x, x);
+        let ack = ServerMessage::ConnectAck { client_id, spawn, arena }.to_bytes();
+        for cut in 0..ack.len() {
+            prop_assert!(ServerMessage::from_bytes(&ack[..cut]).is_err());
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected(
         msg in arb_client_msg(),
@@ -431,20 +435,18 @@ proptest! {
     ) {
         // The wire format is length-exact: any trailing garbage after a
         // valid message must fail decode, never be silently ignored.
-        // The exceptions are the optional extensions themselves: a
-        // trailer that *is* a well-formed extension on an extension-less
-        // message is by definition a valid new-format message.
+        // The exception is the optional prediction extension itself: a
+        // trailer that *is* a well-formed one on a legacy `Move` is by
+        // definition a valid predicting-client message.
         let mut bytes = msg.to_bytes();
         bytes.extend_from_slice(&trailer);
-        let completes_ext = (matches!(msg, ClientMessage::Connect { arena: 0, .. })
-            && is_arena_ext(&trailer))
-            || (matches!(
-                msg,
-                ClientMessage::Move {
-                    cmd: MoveCmd { predict_ack: None, .. },
-                    ..
-                }
-            ) && is_move_predict_ext(&trailer));
+        let completes_ext = matches!(
+            msg,
+            ClientMessage::Move {
+                cmd: MoveCmd { predict_ack: None, .. },
+                ..
+            }
+        ) && is_move_predict_ext(&trailer);
         if completes_ext {
             prop_assert!(ClientMessage::from_bytes(&bytes).is_ok());
         } else {
@@ -461,10 +463,8 @@ proptest! {
     ) {
         let mut bytes = msg.to_bytes();
         bytes.extend_from_slice(&trailer);
-        let completes_ext = (matches!(msg, ServerMessage::ConnectAck { arena: 0, .. })
-            && is_arena_ext(&trailer))
-            || (matches!(msg, ServerMessage::Reply { predict: None, .. })
-                && is_reply_predict_ext(&trailer));
+        let completes_ext = matches!(msg, ServerMessage::Reply { predict: None, .. })
+            && is_reply_predict_ext(&trailer);
         if completes_ext {
             prop_assert!(ServerMessage::from_bytes(&bytes).is_ok());
         } else {
