@@ -163,12 +163,6 @@ impl RoomGraph {
         self.vis[row + b as usize / 64] & (1u64 << (b as usize % 64)) != 0
     }
 
-    /// Are two world positions mutually visible?
-    #[inline]
-    pub fn positions_visible(&self, a: Vec3, b: Vec3) -> bool {
-        self.rooms_visible(self.room_of(a), self.room_of(b))
-    }
-
     /// Rooms adjacent through doors.
     pub fn neighbors(&self, room: RoomId) -> &[RoomId] {
         &self.adj[room as usize]
@@ -281,7 +275,8 @@ mod tests {
         let bounds = Aabb::new(vec3(-100.0, -100.0, 0.0), vec3(100.0, 100.0, 100.0));
         let g = RoomGraph::single_room(bounds);
         assert_eq!(g.room_count(), 1);
-        assert!(g.positions_visible(vec3(-90.0, -90.0, 0.0), vec3(90.0, 90.0, 0.0)));
+        let corners = [vec3(-90.0, -90.0, 0.0), vec3(90.0, 90.0, 0.0)].map(|p| g.room_of(p));
+        assert_eq!(corners, [0, 0]);
         assert_eq!(g.visible_rooms(0).collect::<Vec<_>>(), [0]);
     }
 

@@ -264,11 +264,6 @@ pub fn player_hull() -> Aabb {
     Aabb::new(vec3(-16.0, -16.0, -24.0), vec3(16.0, 16.0, 32.0))
 }
 
-/// The pickup-item hull (Quake's 32×32×56 trigger volume, simplified).
-pub fn item_hull() -> Aabb {
-    Aabb::new(vec3(-16.0, -16.0, 0.0), vec3(16.0, 16.0, 56.0))
-}
-
 /// Small projectile hull.
 pub fn projectile_hull() -> Aabb {
     Aabb::new(vec3(-4.0, -4.0, -4.0), vec3(4.0, 4.0, 4.0))
@@ -440,7 +435,7 @@ mod tests {
     fn standard_hulls_sane() {
         assert!(player_hull().contains_point(Vec3::ZERO));
         assert_eq!(player_hull().size(), vec3(32.0, 32.0, 56.0));
-        assert!(projectile_hull().volume() < item_hull().volume());
+        assert!(projectile_hull().volume() < player_hull().volume());
     }
 
     #[test]

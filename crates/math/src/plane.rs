@@ -134,17 +134,6 @@ impl Plane {
         }
     }
 
-    /// Intersect the segment `a → b` with the plane. Returns the fraction
-    /// `t` where it crosses, if the endpoints are on opposite sides.
-    pub fn segment_crossing(&self, a: Vec3, b: Vec3) -> Option<f32> {
-        let da = self.point_dist(a);
-        let db = self.point_dist(b);
-        if (da >= 0.0) == (db >= 0.0) {
-            return None;
-        }
-        Some(da / (da - db))
-    }
-
     /// Reflect (clip) a velocity off the plane with `overbounce` factor
     /// (1.0 = slide, 2.0 = full bounce) — Quake's `ClipVelocity`.
     pub fn clip_velocity(&self, v: Vec3, overbounce: f32) -> Vec3 {
@@ -210,18 +199,6 @@ mod tests {
         assert_eq!(p.box_side(&b2), Side::Back);
         let b3 = Aabb::centered(Vec3::ZERO, Vec3::splat(1.0));
         assert_eq!(p.box_side(&b3), Side::Both);
-    }
-
-    #[test]
-    fn segment_crossing_fraction() {
-        let p = floor_plane(0.0);
-        let t = p
-            .segment_crossing(vec3(0.0, 0.0, 10.0), vec3(0.0, 0.0, -10.0))
-            .unwrap();
-        assert!((t - 0.5).abs() < 1e-6);
-        assert!(p
-            .segment_crossing(vec3(0.0, 0.0, 10.0), vec3(0.0, 0.0, 5.0))
-            .is_none());
     }
 
     #[test]

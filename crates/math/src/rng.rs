@@ -65,13 +65,6 @@ impl Pcg32 {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_i32(&mut self, lo: i32, hi: i32) -> i32 {
-        assert!(lo <= hi);
-        let span = (hi as i64 - lo as i64 + 1) as u32;
-        lo.wrapping_add(self.below(span) as i32)
-    }
-
     /// Uniform float in `[0, 1)`.
     #[inline]
     pub fn unit_f32(&mut self) -> f32 {
@@ -94,19 +87,6 @@ impl Pcg32 {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
         &items[self.below(items.len() as u32) as usize]
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u32 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Derive an independent child generator (for e.g. per-bot streams).
-    pub fn fork(&mut self, stream: u64) -> Pcg32 {
-        Pcg32::new(self.next_u64(), stream)
     }
 }
 
@@ -171,40 +151,6 @@ mod tests {
             let v = rng.unit_f32();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn range_i32_inclusive_bounds() {
-        let mut rng = Pcg32::seeded(11);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = rng.range_i32(-3, 3);
-            assert!((-3..=3).contains(&v));
-            saw_lo |= v == -3;
-            saw_hi |= v == 3;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Pcg32::seeded(77);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = Pcg32::seeded(100);
-        let mut child = parent.fork(3);
-        let a: Vec<u32> = (0..16).map(|_| parent.next_u32()).collect();
-        let b: Vec<u32> = (0..16).map(|_| child.next_u32()).collect();
-        assert_ne!(a, b);
     }
 
     #[test]

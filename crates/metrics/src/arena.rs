@@ -40,14 +40,6 @@ impl ArenaLoad {
     pub fn avg_response_ms(&self) -> f64 {
         self.response.avg_latency_ms()
     }
-
-    /// Server frames per second.
-    pub fn frame_rate(&self, duration_ns: Nanos) -> f64 {
-        if duration_ns == 0 {
-            return 0.0;
-        }
-        self.frames as f64 / ns_to_secs(duration_ns)
-    }
 }
 
 /// What an elastic-directory event did to the live-arena set.
@@ -198,7 +190,6 @@ mod tests {
     fn rates_divide_by_the_window() {
         let a = load(0, 500, 1);
         assert!((a.response_rate(10_000_000_000) - 50.0).abs() < 1e-9);
-        assert!((a.frame_rate(10_000_000_000) - 10.0).abs() < 1e-9);
         assert_eq!(a.response_rate(0), 0.0);
     }
 }

@@ -279,7 +279,7 @@ impl LockStats {
 }
 
 /// Client-side response statistics (response rate / response time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ResponseStats {
     /// Requests sent.
     pub sent: u64,
@@ -287,24 +287,6 @@ pub struct ResponseStats {
     pub received: u64,
     /// Σ response time.
     pub latency_sum_ns: Nanos,
-    pub latency_min_ns: Nanos,
-    pub latency_max_ns: Nanos,
-    /// Log₂ histogram of response times: bucket i counts responses in
-    /// `[2^i, 2^(i+1))` microseconds.
-    pub histogram: [u64; 24],
-}
-
-impl Default for ResponseStats {
-    fn default() -> Self {
-        ResponseStats {
-            sent: 0,
-            received: 0,
-            latency_sum_ns: 0,
-            latency_min_ns: Nanos::MAX,
-            latency_max_ns: 0,
-            histogram: [0; 24],
-        }
-    }
 }
 
 impl ResponseStats {
@@ -319,11 +301,6 @@ impl ResponseStats {
     pub fn note_reply(&mut self, latency_ns: Nanos) {
         self.received += 1;
         self.latency_sum_ns += latency_ns;
-        self.latency_min_ns = self.latency_min_ns.min(latency_ns);
-        self.latency_max_ns = self.latency_max_ns.max(latency_ns);
-        let us = (latency_ns / 1000).max(1);
-        let bucket = (63 - us.leading_zeros()) as usize;
-        self.histogram[bucket.min(23)] += 1;
     }
 
     /// Average response time in milliseconds.
@@ -344,35 +321,10 @@ impl ResponseStats {
         }
     }
 
-    /// Approximate response-time percentile (from the log2 histogram;
-    /// resolution is one octave). `p` in [0, 1]. Returns milliseconds.
-    pub fn approx_percentile_ms(&self, p: f64) -> f64 {
-        if self.received == 0 {
-            return 0.0;
-        }
-        let target = (self.received as f64 * p.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (bucket, &count) in self.histogram.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                // Bucket spans [2^b, 2^(b+1)) microseconds; report the
-                // geometric midpoint.
-                let lo = (1u64 << bucket) as f64;
-                return lo * 1.5 / 1000.0;
-            }
-        }
-        crate::ns_to_ms(self.latency_max_ns)
-    }
-
     pub fn merge(&mut self, o: &ResponseStats) {
         self.sent += o.sent;
         self.received += o.received;
         self.latency_sum_ns += o.latency_sum_ns;
-        self.latency_min_ns = self.latency_min_ns.min(o.latency_min_ns);
-        self.latency_max_ns = self.latency_max_ns.max(o.latency_max_ns);
-        for i in 0..self.histogram.len() {
-            self.histogram[i] += o.histogram[i];
-        }
     }
 }
 
@@ -478,15 +430,6 @@ impl FrameStats {
             0.0
         } else {
             100.0 * self.leaves_touched_sum as f64 / (self.frames * self.leaf_count) as f64
-        }
-    }
-
-    /// Average requests per frame across all threads.
-    pub fn avg_requests_per_frame(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.requests_sum as f64 / self.frames as f64
         }
     }
 
@@ -608,37 +551,8 @@ mod tests {
         assert_eq!(r.sent, 2);
         assert_eq!(r.received, 2);
         assert_eq!(r.avg_latency_ms(), 3.0);
-        assert_eq!(r.latency_min_ns, 2_000_000);
-        assert_eq!(r.latency_max_ns, 4_000_000);
         // 2 s run: 1 reply per second.
         assert_eq!(r.response_rate(2_000_000_000), 1.0);
-    }
-
-    #[test]
-    fn response_histogram_buckets() {
-        let mut r = ResponseStats::new();
-        r.note_reply(1_000); // 1 us → bucket 0
-        r.note_reply(3_000); // 3 us → bucket 1
-        r.note_reply(1_000_000); // 1000 us → bucket 9 (512..1024)
-        assert_eq!(r.histogram[0], 1);
-        assert_eq!(r.histogram[1], 1);
-        assert_eq!(r.histogram[9], 1);
-    }
-
-    #[test]
-    fn percentiles_from_histogram() {
-        let mut r = ResponseStats::new();
-        for _ in 0..90 {
-            r.note_reply(1_000_000); // 1 ms → bucket 9
-        }
-        for _ in 0..10 {
-            r.note_reply(64_000_000); // 64 ms → bucket 15
-        }
-        let p50 = r.approx_percentile_ms(0.5);
-        assert!((0.5..3.0).contains(&p50), "p50 = {p50}");
-        let p99 = r.approx_percentile_ms(0.99);
-        assert!(p99 > 40.0, "p99 = {p99}");
-        assert_eq!(ResponseStats::new().approx_percentile_ms(0.5), 0.0);
     }
 
     #[test]
@@ -651,8 +565,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.received, 2);
         assert_eq!(a.sent, 1);
-        assert_eq!(a.latency_min_ns, 1000);
-        assert_eq!(a.latency_max_ns, 9000);
+        assert_eq!(a.latency_sum_ns, 10_000);
     }
 
     #[test]
@@ -662,7 +575,6 @@ mod tests {
         f.note_frame_requests(&[4, 4, 4]);
         f.frames = 2;
         assert_eq!(f.mean_imbalance(), 1.5);
-        assert_eq!(f.avg_requests_per_frame(), 11.0);
         // imbalances are 3 and 0: variance = (9+0)/2 - 2.25 = 2.25
         assert!((f.stddev_imbalance() - 1.5).abs() < 1e-9);
     }
