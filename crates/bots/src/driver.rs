@@ -9,6 +9,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
+use parquake_math::Vec3;
 use parquake_metrics::ResponseStats;
 use parquake_protocol::{ClientMessage, Decode, Encode, ServerMessage};
 
@@ -343,8 +344,8 @@ enum Link {
 }
 
 /// One simulated client. Its session changes only through the named
-/// transitions: [`Bot::tick`] (leave, starve, Connect or Move),
-/// [`Bot::ack`], and [`Bot::hear`]'s reply and bye.
+/// transitions: [`Bot::tick`] (leave, starve, Connect or Move) and
+/// [`Bot::hear`]'s ack, reply and bye.
 struct Bot {
     id: u32,
     mind: BotMind,
@@ -390,7 +391,7 @@ impl Bot {
             predictor: cfg
                 .predict
                 .as_ref()
-                .map(|m| Predictor::new(m.0.clone(), parquake_math::Vec3::ZERO)),
+                .map(|m| Predictor::new(m.0.clone(), Vec3::ZERO)),
             requested: arena as u16,
             arena,
             thread: thread.min(topology.arena_ports[arena].len() - 1),
@@ -485,54 +486,6 @@ impl Bot {
         }
     }
 
-    /// A `ConnectAck` naming `arena`, sent from port `from`.
-    fn ack(
-        &mut self,
-        arena: u16,
-        spawn: parquake_math::Vec3,
-        from: PortId,
-        now: Nanos,
-        topology: &SwarmTopology,
-        rep: &mut SwarmReport,
-    ) {
-        match self.link {
-            Link::Connecting { .. } => {
-                // A (re-)Connect was acked: the session's reply-seq
-                // space starts over, so the duplicate-suppression window
-                // must too — otherwise every reply of the new session
-                // reads as a stale copy and the response accounting
-                // starves after a reconnect.
-                self.link = Link::Playing { last_heard: now };
-                self.seen = -1;
-                if let Some(p) = self.predictor.as_mut() {
-                    p.reset(spawn);
-                }
-                self.address(arena, from, topology);
-                if !self.ever_acked {
-                    self.ever_acked = true;
-                    rep.connected += 1;
-                }
-                // Start moving on the next tick.
-                self.next_at = now;
-            }
-            Link::Playing { .. } => {
-                // Unsolicited: a supervised arena restored from its
-                // checkpoint re-announcing the slot, or a live
-                // migration's destination claiming the session. Re-home
-                // either way — after a handoff the old address is a
-                // despawned slot and moves sent there vanish until the
-                // starvation watchdog gives up.
-                if self.address(arena, from, topology) {
-                    rep.rehomed += 1;
-                } else {
-                    rep.restarts_observed += 1;
-                }
-                self.link = Link::Playing { last_heard: now };
-            }
-            Link::Left => {}
-        }
-    }
-
     /// Address the arena an ack names — the admission policy's or the
     /// migration's placement — at the thread whose port sent it: a
     /// directory may have claimed the slot in any thread's home block.
@@ -552,8 +505,9 @@ impl Bot {
         moved
     }
 
-    /// Hear one server message from port `from`: an ack, a reply or a
-    /// bye.
+    /// Hear one server message from port `from`. Each arm is one
+    /// transition; a departed bot ignores acks, and a bye matters only
+    /// while playing.
     fn hear(
         &mut self,
         msg: ServerMessage,
@@ -562,21 +516,54 @@ impl Bot {
         topology: &SwarmTopology,
         rep: &mut SwarmReport,
     ) {
-        match msg {
-            ServerMessage::ConnectAck { arena, spawn, .. } => {
-                self.ack(arena, spawn, from, now, topology, rep);
+        match (msg, self.link) {
+            // Solicited ack: a (re-)Connect was acked. The session's
+            // reply-seq space starts over, so the duplicate-suppression
+            // window must too — otherwise every reply of the new session
+            // reads as a stale copy and the response accounting starves
+            // after a reconnect.
+            (ServerMessage::ConnectAck { arena, spawn, .. }, Link::Connecting { .. }) => {
+                self.link = Link::Playing { last_heard: now };
+                self.seen = -1;
+                if let Some(p) = self.predictor.as_mut() {
+                    p.reset(spawn);
+                }
+                self.address(arena, from, topology);
+                if !self.ever_acked {
+                    self.ever_acked = true;
+                    rep.connected += 1;
+                }
+                // Start moving on the next tick.
+                self.next_at = now;
             }
-            ServerMessage::Reply {
-                seq,
-                sent_at_echo,
-                assigned_thread,
-                origin,
-                delta,
-                entities,
-                removed,
-                predict,
-                ..
-            } => {
+            // Unsolicited ack: a supervised arena restored from its
+            // checkpoint re-announcing the slot, or a live migration's
+            // destination claiming the session. Re-home either way —
+            // after a handoff the old address is a despawned slot and
+            // moves sent there vanish until the starvation watchdog
+            // gives up.
+            (ServerMessage::ConnectAck { arena, .. }, Link::Playing { .. }) => {
+                if self.address(arena, from, topology) {
+                    rep.rehomed += 1;
+                } else {
+                    rep.restarts_observed += 1;
+                }
+                self.link = Link::Playing { last_heard: now };
+            }
+            (
+                ServerMessage::Reply {
+                    seq,
+                    sent_at_echo,
+                    assigned_thread,
+                    origin,
+                    delta,
+                    entities,
+                    removed,
+                    predict,
+                    ..
+                },
+                _,
+            ) => {
                 if let Link::Playing { last_heard } = &mut self.link {
                     *last_heard = now;
                 }
@@ -600,12 +587,11 @@ impl Bot {
                 self.mind.observe_update(origin, delta, &entities, &removed);
             }
             // The server reclaimed the slot: rejoin from scratch.
-            ServerMessage::Bye { .. } => {
-                if let Link::Playing { .. } = self.link {
-                    self.link = Link::Connecting { backoff: RETRY_MIN };
-                    self.next_at = now;
-                }
+            (ServerMessage::Bye { .. }, Link::Playing { .. }) => {
+                self.link = Link::Connecting { backoff: RETRY_MIN };
+                self.next_at = now;
             }
+            _ => {}
         }
     }
 }
@@ -687,7 +673,7 @@ mod tests {
                             Ok(ClientMessage::Connect { client_id, .. }) => {
                                 let ack = ServerMessage::ConnectAck {
                                     client_id,
-                                    spawn: parquake_math::Vec3::ZERO,
+                                    spawn: Vec3::ZERO,
                                     arena: 0,
                                 };
                                 ctx.send(port, raw.from, ack.to_bytes());
@@ -699,7 +685,7 @@ mod tests {
                                     sent_at_echo: cmd.sent_at,
                                     frame: 0,
                                     assigned_thread: 0,
-                                    origin: parquake_math::Vec3::ZERO,
+                                    origin: Vec3::ZERO,
                                     delta: false,
                                     entities: vec![],
                                     removed: vec![],
@@ -761,7 +747,7 @@ mod tests {
                             Ok(ClientMessage::Connect { client_id, .. }) => {
                                 let ack = ServerMessage::ConnectAck {
                                     client_id,
-                                    spawn: parquake_math::Vec3::ZERO,
+                                    spawn: Vec3::ZERO,
                                     arena: 0,
                                 };
                                 ctx.send(port_a, raw.from, ack.to_bytes());
@@ -773,7 +759,7 @@ mod tests {
                                     sent_at_echo: cmd.sent_at,
                                     frame: 0,
                                     assigned_thread: 1, // go to B
-                                    origin: parquake_math::Vec3::ZERO,
+                                    origin: Vec3::ZERO,
                                     delta: false,
                                     entities: vec![],
                                     removed: vec![],
@@ -806,7 +792,7 @@ mod tests {
                                 sent_at_echo: cmd.sent_at,
                                 frame: 0,
                                 assigned_thread: 1, // stay here
-                                origin: parquake_math::Vec3::ZERO,
+                                origin: Vec3::ZERO,
                                 delta: false,
                                 entities: vec![],
                                 removed: vec![],
@@ -859,7 +845,7 @@ mod tests {
                             Ok(ClientMessage::Connect { client_id, .. }) => {
                                 let ack = ServerMessage::ConnectAck {
                                     client_id,
-                                    spawn: parquake_math::Vec3::ZERO,
+                                    spawn: Vec3::ZERO,
                                     arena: 0,
                                 };
                                 ctx.send(port_a, raw.from, ack.to_bytes());
@@ -872,7 +858,7 @@ mod tests {
                                     sent_at_echo: cmd.sent_at,
                                     frame: 0,
                                     assigned_thread: 0,
-                                    origin: parquake_math::Vec3::ZERO,
+                                    origin: Vec3::ZERO,
                                     delta: false,
                                     entities: vec![],
                                     removed: vec![],
@@ -884,7 +870,7 @@ mod tests {
                                     migrated = true;
                                     let ack = ServerMessage::ConnectAck {
                                         client_id,
-                                        spawn: parquake_math::Vec3::ZERO,
+                                        spawn: Vec3::ZERO,
                                         arena: 1,
                                     };
                                     ctx.send(port_a, raw.from, ack.to_bytes());
@@ -913,7 +899,7 @@ mod tests {
                                 sent_at_echo: cmd.sent_at,
                                 frame: 0,
                                 assigned_thread: 0,
-                                origin: parquake_math::Vec3::ZERO,
+                                origin: Vec3::ZERO,
                                 delta: false,
                                 entities: vec![],
                                 removed: vec![],
@@ -1159,8 +1145,8 @@ mod tests {
         }
     }
 
-    fn reply_origin(seq: u32) -> parquake_math::Vec3 {
-        parquake_math::Vec3::new(seq as f32, -(seq as f32), 24.0)
+    fn reply_origin(seq: u32) -> Vec3 {
+        Vec3::new(seq as f32, -(seq as f32), 24.0)
     }
 
     /// The record and the plain fields agree.
@@ -1277,7 +1263,7 @@ mod tests {
                         let cur = p.cur_arena as u16;
                         let arena = [cur, (cur + 1) % 3, 7][a as usize % 3];
                         let from = ports[b as usize % ports.len()];
-                        let spawn = parquake_math::Vec3::ZERO;
+                        let spawn = Vec3::ZERO;
                         let ack = ServerMessage::ConnectAck { client_id: id, spawn, arena };
                         bot.hear(ack, from, now, &topo, &mut rep);
                         p.ack(arena, from, now, &topo);
