@@ -48,7 +48,8 @@
 //! * **surface** — the committed `surface.budget` counts what a user or
 //!   a caller can set: CLI flags per binary, `pub` fields per budgeted
 //!   `*Config`/`*Opts` struct, variants per mode enum, workspace
-//!   packages and examples. A count that drifts in EITHER direction
+//!   packages and examples, and the production lines of each crate. A
+//!   count that drifts in EITHER direction
 //!   fails, so a new flag, field, mode or package is paid for in the
 //!   budget's diff and a removed one is ratcheted down. A budgeted
 //!   field that nothing outside its defining file sets has no consumer:
@@ -1116,10 +1117,26 @@ fn check_workspace(
 /// tree has no such item: `flags <bin>` counts the `"--flag"` patterns
 /// of the match arms of `crates/harness/src/bin/<bin>.rs` (each side of
 /// a `|` is a flag), `fields <Struct>` the `pub` fields and
-/// `variants <Enum>` the variants of that `pub` type. The type kinds
-/// lean on the layout `cargo fmt --check` enforces: the members of a
-/// top-level type sit at one indent and its closing brace at none.
+/// `variants <Enum>` the variants of that `pub` type, and `lines
+/// <crate>` the lines of `crates/<crate>/src/**/*.rs` above each file's
+/// first top-level `#[cfg(test)]` that keep code once comments are
+/// stripped. The type kinds lean on the layout `cargo fmt --check`
+/// enforces: the members of a top-level type sit at one indent and its
+/// closing brace at none.
 fn surface_count(kind: &str, name: &str, files: &[(String, String)]) -> Option<usize> {
+    if kind == "lines" {
+        let dir = format!("crates/{name}/src/");
+        let mut sources = files.iter().filter(|(p, _)| p.starts_with(&dir)).peekable();
+        sources.peek()?;
+        let code = |text: &str| {
+            strip_source(text)
+                .lines()
+                .take_while(|l| !l.starts_with("#[cfg(test)]"))
+                .filter(|l| !l.trim().is_empty())
+                .count()
+        };
+        return Some(sources.map(|(_, text)| code(text)).sum());
+    }
     if kind == "flags" {
         let path = format!("crates/harness/src/bin/{name}.rs");
         let (_, text) = files.iter().find(|(p, _)| *p == path)?;
@@ -1166,7 +1183,7 @@ fn check_surface(
     };
     let Some(budget) = budget else {
         let msg = "surface budget file is missing — commit one line per item: \
-                   `<flags|fields|variants|members|examples> <name> <count>`";
+                   `<flags|fields|variants|members|examples|lines> <name> <count>`";
         return vec![at_budget(1, msg.into())];
     };
     let mut out = Vec::new();
@@ -1483,7 +1500,9 @@ const WS_FIXTURES: &[WsFixture] = &[
 
 /// The tree every surface fixture measures: a binary with three flags
 /// (two share an arm), a two-field options struct and a two-variant
-/// mode enum; with it go three packages and one example.
+/// mode enum in a crate of eight production lines (a comment, a blank
+/// line and a test module around them); with it go three packages and
+/// one example.
 const SURFACE_TREE: &[(&str, &str)] = &[
     (
         "crates/harness/src/bin/udpd.rs",
@@ -1491,7 +1510,7 @@ const SURFACE_TREE: &[(&str, &str)] = &[
     ),
     (
         "crates/demo/src/lib.rs",
-        "pub struct DemoOpts {\n    pub port: u16,\n    pub secs: u64,\n}\npub enum DemoMode {\n    Scan,\n    Sweep { depth: u32 },\n}\n",
+        "// Demo options.\npub struct DemoOpts {\n    pub port: u16,\n    pub secs: u64,\n}\n\npub enum DemoMode {\n    Scan,\n    Sweep { depth: u32 },\n}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
     ),
 ];
 
@@ -1499,12 +1518,15 @@ const SURFACE_TREE: &[(&str, &str)] = &[
 /// `surface.budget` line of every violation it must draw, in order.
 #[rustfmt::skip] // a table: one row per fixture
 const SURFACE_FIXTURES: &[(&str, Option<&str>, &[usize])] = &[
-    ("balanced", Some("# comment\nflags udpd 3\nfields DemoOpts 2 # why\n\nvariants DemoMode 2\nmembers workspace 3\nexamples root 1\n"), &[]),
+    ("balanced", Some("# comment\nflags udpd 3\nfields DemoOpts 2 # why\n\nvariants DemoMode 2\nmembers workspace 3\nexamples root 1\nlines demo 8\n"), &[]),
     ("budget-missing", None, &[1]),
     ("flag-added-without-a-bump", Some("flags udpd 2\n"), &[1]),
     ("field-removed-without-a-ratchet", Some("flags udpd 3\nfields DemoOpts 3\n"), &[2]),
     ("unknown-struct", Some("fields GhostOpts 1\n"), &[1]),
     ("packages-and-examples-drift", Some("members workspace 2\nexamples root 2\n"), &[1, 2]),
+    ("lines-one-too-high", Some("lines demo 9\n"), &[1]),
+    ("lines-one-too-low", Some("lines demo 7\n"), &[1]),
+    ("lines-of-an-unknown-crate", Some("lines ghost 0\n"), &[1]),
     ("unknown-kind-or-no-count", Some("waive DemoOpts.port 1\nvariants DemoMode\n"), &[1, 2]),
 ];
 
