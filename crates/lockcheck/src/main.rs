@@ -49,11 +49,11 @@
 //!   a caller can set: CLI flags per binary, `pub` fields per budgeted
 //!   `*Config`/`*Opts` struct, variants per mode enum, workspace
 //!   packages and examples, and the production lines of each crate. A
-//!   count that drifts in EITHER direction
-//!   fails, so a new flag, field, mode or package is paid for in the
-//!   budget's diff and a removed one is ratcheted down. A budgeted
-//!   field that nothing outside its defining file sets has no consumer:
-//!   it is deleted, or waived in the budget with a reason.
+//!   count that drifts in EITHER direction fails, so a new flag, field,
+//!   mode or package is paid for in the budget's diff and a removed one
+//!   is ratcheted down. A budgeted field that nothing outside its
+//!   defining file sets has no consumer: it is deleted, or waived in the
+//!   budget with a reason.
 //!
 //! The scanner is a hand-rolled token-level pass: it strips comments,
 //! strings and char literals (so quoted or commented `ctx.lock(` never
