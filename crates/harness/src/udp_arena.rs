@@ -15,13 +15,15 @@
 //! and either way the gateway routes each `Move` to the port of the
 //! thread the client was dealt to.
 //!
-//! What the gateway knows of a client is one [`Session`] — reply
-//! address, last arrival, booked placement — in the one
-//! [`StripedBook`] of the [`Router`] every pump shares. An admitted
-//! `Connect` opens the session *before* it is forwarded and nothing
-//! removes it, so every payload a server emits for a client finds its
-//! address; one that does not is counted `replies_unroutable` on the
-//! spot. A datagram takes **one** stripe lock: in
+//! What the gateway knows of a client is one session — reply address,
+//! last arrival, booked placement — in the one striped session book of
+//! the [`Router`] every pump shares; the private `session` module holds
+//! its lifetime. An admitted `Connect` opens the session *before* it is
+//! forwarded, and only a session with no placement that has been silent
+//! for a rebind grace is ever evicted, so every payload a server emits
+//! for a client it serves finds its address; one that does not is
+//! counted `replies_unroutable` on the spot. A datagram takes **one**
+//! stripe lock: in
 //! [`Router::inbound`] (admission, and the booked arena **and** dealt
 //! thread; the shard's seeded fault lottery — drop, duplicate, delay,
 //! client→server only — then deals the admitted datagram its fate) or
@@ -47,11 +49,10 @@
 //! arena `pump_forwarded + director_forwarded == processed +
 //! queue_dropped + pending_at_shutdown`.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parquake_arena::{
@@ -68,6 +69,10 @@ use parquake_protocol::{ClientMessage, Decode, ServerMessage, MAX_DATAGRAM};
 use parquake_server::{InterestMode, LockPolicy, ServerConfig, ServerKind};
 
 use crate::mmsg;
+
+mod session;
+use session::SessionBook;
+pub use session::Transition;
 
 /// How long an inbound pump sleeps in `recv_from` when nothing is
 /// pending — the poll cadence for the shutdown deadline.
@@ -398,86 +403,10 @@ pub struct GwPlacement {
     pub thread: u16,
 }
 
-/// Everything the gateway knows of one client. Only an admitted
-/// `Connect` opens one and nothing removes it: with its placement
-/// evicted it still says where the client's replies go.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Session {
-    /// The bound endpoint: replies go here, requests must come from
-    /// here.
-    pub(crate) addr: SocketAddr,
-    /// Last admitted arrival — what the rebind grace is measured from.
-    pub(crate) last_seen: Instant,
-    /// Where `Move`/`Disconnect` datagrams go; `None` until the first
-    /// ack (or lifecycle notice) books it, and again after a `Bye`.
-    pub(crate) placement: Option<GwPlacement>,
-}
-
-impl Session {
-    /// The admission policy: may a datagram from `from` pass as this
-    /// session's? If so the bound address and arrival time are brought
-    /// up to date.
-    ///
-    /// * `Connect` from the bound address refreshes it (handshake
-    ///   retry); from a *different* address it rebinds only once the
-    ///   bound endpoint has been silent for `rebind_grace` (NAT
-    ///   rebinding), else it is rejected — a live session cannot be
-    ///   hijacked by guessing its client id. A rebind keeps the
-    ///   placement.
-    /// * `Move`/`Disconnect` must come from the bound address.
-    fn admit(
-        &mut self,
-        is_connect: bool,
-        from: SocketAddr,
-        now: Instant,
-        rebind_grace: Duration,
-    ) -> bool {
-        let rebind = is_connect && now.duration_since(self.last_seen) >= rebind_grace;
-        if self.addr != from && !rebind {
-            return false;
-        }
-        self.addr = from;
-        self.last_seen = now;
-        true
-    }
-}
-
-/// A placement change derived from one outbound payload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BookOp {
-    /// Bind (or rebind) the client's placement.
-    Insert(u32, GwPlacement),
-    /// The session is over server-side: forget the placement.
-    Remove(u32),
-    /// Evict only a booking *at that arena* — a late notice from an
-    /// old placement must not kill a newer one elsewhere.
-    RemoveIfArena(u32, u16),
-}
-
-impl BookOp {
-    /// The client the op concerns (the striping key).
-    pub fn client_id(&self) -> u32 {
-        match *self {
-            BookOp::Insert(cid, _) | BookOp::Remove(cid) | BookOp::RemoveIfArena(cid, _) => cid,
-        }
-    }
-
-    /// Apply to that client's session.
-    pub(crate) fn apply(&self, session: &mut Session) {
-        match *self {
-            BookOp::Insert(_, p) => session.placement = Some(p),
-            BookOp::Remove(_) => session.placement = None,
-            BookOp::RemoveIfArena(_, arena) => {
-                if session.placement.map(|p| p.arena) == Some(arena) {
-                    session.placement = None;
-                }
-            }
-        }
-    }
-}
-
-/// Classify one outbound fabric payload: does it go on the wire (and
-/// to which client), and how does it change that client's placement?
+/// Classify one outbound fabric payload: the client it concerns, the
+/// transition it applies to that client's session (`None` for a
+/// `Reply`), and whether it goes on the wire (server messages do,
+/// lifecycle notices are booked and never sent). `None` for garbage.
 ///
 /// `from_pos` is the payload's fabric source resolved to an
 /// `(arena, thread)` position when it came from an arena thread's
@@ -488,45 +417,36 @@ impl BookOp {
 pub fn classify_outbound(
     payload: &[u8],
     from_pos: Option<(u16, u16)>,
-) -> (Option<u32>, Option<BookOp>) {
+) -> Option<(u32, Option<Transition>, bool)> {
     use parquake_server::LifecycleEvent::{self, *};
-    match ServerMessage::from_bytes(payload) {
+    Some(match ServerMessage::from_bytes(payload) {
         Ok(ServerMessage::ConnectAck {
             client_id, arena, ..
         }) => {
-            let thread = match from_pos {
-                Some((a, t)) if a == arena => t,
-                _ => 0,
-            };
+            let thread = from_pos.filter(|&(a, _)| a == arena).map_or(0, |(_, t)| t);
             (
-                Some(client_id),
-                Some(BookOp::Insert(client_id, GwPlacement { arena, thread })),
+                client_id,
+                Some(Transition::Book(GwPlacement { arena, thread })),
+                true,
             )
         }
-        Ok(ServerMessage::Bye { client_id }) => (Some(client_id), Some(BookOp::Remove(client_id))),
-        Ok(ServerMessage::Reply { client_id, .. }) => (Some(client_id), None),
+        Ok(ServerMessage::Bye { client_id }) => (client_id, Some(Transition::Bye), true),
+        Ok(ServerMessage::Reply { client_id, .. }) => (client_id, None, true),
         Err(_) => {
-            let op = match LifecycleEvent::from_bytes(payload) {
-                Ok(Connected {
-                    arena,
-                    client_id,
-                    thread,
-                })
-                | Ok(Migrated {
-                    to_arena: arena,
-                    client_id,
-                    thread,
-                    ..
-                }) => Some(BookOp::Insert(client_id, GwPlacement { arena, thread })),
-                Ok(Disconnected { arena, client_id })
-                | Ok(Reclaimed {
-                    arena, client_id, ..
-                }) => Some(BookOp::RemoveIfArena(client_id, arena)),
-                Ok(Rejected { .. }) | Err(_) => None,
+            let ev = LifecycleEvent::from_bytes(payload).ok()?;
+            let transition = match ev {
+                Connected { thread, .. } | Migrated { thread, .. } => {
+                    Transition::Book(GwPlacement {
+                        arena: ev.arena(),
+                        thread,
+                    })
+                }
+                Disconnected { .. } | Reclaimed { .. } => Transition::EndAt(ev.arena()),
+                Rejected { .. } => Transition::Refuse,
             };
-            (None, op)
+            (ev.client_id(), Some(transition), false)
         }
-    }
+    })
 }
 
 /// Resolve a placed client's Move/Disconnect destination: the arena
@@ -540,32 +460,6 @@ pub(crate) fn route_move(
     let ports = arena_ports.get(p.arena as usize)?;
     let t = (p.thread as usize).min(ports.len().checked_sub(1)?);
     Some((p.arena as usize, ports[t]))
-}
-
-/// A client-keyed map split over `max(4, shards)` stripes so gateway
-/// pumps on different shards almost never contend on one lock, while
-/// every shard still sees every entry (a Connect admitted on shard 0
-/// routes the reply leaving through shard 1).
-pub(crate) struct StripedBook<T> {
-    stripes: Vec<Mutex<HashMap<u32, T>>>,
-}
-
-impl<T> StripedBook<T> {
-    pub(crate) fn new(stripes: usize) -> StripedBook<T> {
-        let n = stripes.max(4).next_power_of_two();
-        StripedBook {
-            stripes: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    /// Run `f` under the client's stripe lock (Fibonacci-hashed onto a
-    /// power-of-two stripe count).
-    pub(crate) fn with<R>(&self, cid: u32, f: impl FnOnce(&mut HashMap<u32, T>) -> R) -> R {
-        let h = (cid.wrapping_mul(0x9E37_79B9) >> 16) as usize;
-        let stripe = &self.stripes[h & (self.stripes.len() - 1)];
-        let mut sessions = stripe.lock().expect("a pump panicked holding this stripe"); // lockcheck: allow(raw-sync: striped gateway book shared with OS-thread pumps outside the fabric)
-        f(&mut sessions)
-    }
 }
 
 /// The arena cell of a datagram bound for the directory's front door.
@@ -583,8 +477,7 @@ pub(crate) struct Router {
     /// The inverse, for learning the dealt thread from a `ConnectAck`'s
     /// fabric source.
     port_pos: HashMap<PortId, (u16, u16)>,
-    rebind_grace: Duration,
-    book: StripedBook<Session>,
+    book: SessionBook,
 }
 
 impl Router {
@@ -608,8 +501,7 @@ impl Router {
             front,
             arena_ports,
             port_pos,
-            rebind_grace,
-            book: StripedBook::new(stripes),
+            book: SessionBook::new(stripes, rebind_grace),
         }
     }
 
@@ -633,22 +525,7 @@ impl Router {
                 (client_id, false)
             }
         };
-        let admitted = self.book.with(cid, |sessions| {
-            let session = match sessions.entry(cid) {
-                Entry::Occupied(o) => o.into_mut(),
-                // Only a `Connect` opens a session.
-                Entry::Vacant(v) if is_connect => v.insert(Session {
-                    addr: from,
-                    last_seen: now,
-                    placement: None,
-                }),
-                Entry::Vacant(_) => return None,
-            };
-            session
-                .admit(is_connect, from, now, self.rebind_grace)
-                .then_some(session.placement)
-        });
-        let Some(placement) = admitted else {
+        let Some(placement) = self.book.admit(cid, is_connect, from, now) else {
             lane.spoof_rejected += 1;
             return None;
         };
@@ -667,27 +544,21 @@ impl Router {
     /// address it goes to. `None` for a lifecycle notice (booked, never
     /// sent), for garbage, and — counted `replies_unroutable` in `lane`
     /// — for a client with no session, for whom nothing is booked
-    /// either: no `Connect` of its was admitted, so no `Move` can be.
+    /// either: no `Connect` of its was admitted, or it was evicted
+    /// unplaced and silent, so no `Move` can be routed.
     pub(crate) fn outbound(
         &self,
         lane: &mut GatewayLane,
         payload: &[u8],
         from: PortId,
     ) -> Option<SocketAddr> {
-        let (fwd, op) = classify_outbound(payload, self.port_pos.get(&from).copied());
-        let cid = fwd.or(op.map(|op| op.client_id()))?;
-        let addr = self.book.with(cid, |sessions| {
-            let session = sessions.get_mut(&cid)?;
-            if let Some(op) = op {
-                op.apply(session);
-            }
-            Some(session.addr)
-        });
-        fwd?;
-        if addr.is_none() {
+        let (cid, transition, forward) =
+            classify_outbound(payload, self.port_pos.get(&from).copied())?;
+        let addr = self.book.outbound(cid, transition);
+        if forward && addr.is_none() {
             lane.replies_unroutable += 1;
         }
-        addr
+        addr.filter(|_| forward)
     }
 }
 
@@ -1322,14 +1193,12 @@ mod tests {
         (router, GatewayLane::default())
     }
 
-    fn session(router: &Router, cid: u32) -> Option<Session> {
-        router
-            .book
-            .with(cid, |sessions| sessions.get(&cid).copied())
+    fn session(router: &Router, cid: u32) -> Option<session::Session> {
+        router.book.get(cid)
     }
 
     fn placement(router: &Router, cid: u32) -> Option<GwPlacement> {
-        session(router, cid).and_then(|s| s.placement)
+        session(router, cid).and_then(|s| s.placement())
     }
 
     #[test]
@@ -1341,14 +1210,14 @@ mod tests {
             router.inbound(&mut lane, &connect(7), addr(4000), t0),
             front
         );
-        assert_eq!(session(&router, 7).unwrap().addr, addr(4000));
+        assert_eq!(session(&router, 7).unwrap().addr(), addr(4000));
         // Handshake retry from the same endpoint refreshes.
         let t1 = t0 + GRACE / 4;
         assert_eq!(
             router.inbound(&mut lane, &connect(7), addr(4000), t1),
             front
         );
-        assert_eq!(session(&router, 7).unwrap().last_seen, t1);
+        assert_eq!(session(&router, 7).unwrap().last_seen(), t1);
         assert_eq!(lane, GatewayLane::default());
     }
 
@@ -1380,9 +1249,9 @@ mod tests {
             .inbound(&mut lane, &connect(7), addr(5000), t0 + GRACE)
             .unwrap();
         let s = session(&router, 7).unwrap();
-        assert_eq!(s.addr, addr(5000));
+        assert_eq!(s.addr(), addr(5000));
         // The session moved house, not arena.
-        assert_eq!(s.placement.map(|p| p.arena), Some(1));
+        assert_eq!(s.placement().map(|p| p.arena), Some(1));
     }
 
     #[test]
@@ -1406,7 +1275,7 @@ mod tests {
         let late = t0 + GRACE * 2;
         assert_eq!(router.inbound(&mut lane, &mv(7), addr(5000), late), None);
         assert_eq!(lane.spoof_rejected, 2);
-        assert_eq!(session(&router, 7).unwrap().addr, addr(4000));
+        assert_eq!(session(&router, 7).unwrap().addr(), addr(4000));
     }
 
     #[test]
@@ -1562,7 +1431,7 @@ mod tests {
         };
         assert_eq!(router.outbound(&mut lane, &reclaim.to_bytes(), 0), None);
         assert_eq!(placement(&router, 7), None);
-        assert_eq!(session(&router, 7).map(|s| s.addr), sent);
+        assert_eq!(session(&router, 7).map(|s| s.addr()), sent);
 
         // A *late* notice from an old placement must not kill a newer
         // booking elsewhere.
@@ -1700,8 +1569,11 @@ mod tests {
             },
             end_time,
         );
+        // The small map the gateway serves by default: the directory's
+        // own default world takes most of the run to build in debug.
         let dir_cfg = ArenaDirectoryConfig {
             lifecycle_tap: Some(gw),
+            map: MapGenConfig::small_arena(1),
             ..ArenaDirectoryConfig::new(1, 8, server)
         };
         let handle = spawn_directory(&fabric, dir_cfg);
@@ -1812,23 +1684,89 @@ mod tests {
 
     #[test]
     fn striped_book_is_coherent_across_stripes() {
-        let book: StripedBook<u64> = StripedBook::new(4);
+        let book = SessionBook::new(4, GRACE);
+        let now = Instant::now();
+        let home = |cid: u32| (addr(4000 + (cid % 7) as u16), (cid % 3) as u16);
         for cid in 0..256u32 {
-            book.with(cid, |m| m.insert(cid, u64::from(cid) * 3));
+            let (from, arena) = home(cid);
+            assert_eq!(book.admit(cid, true, from, now), Some(None));
+            let booked = Transition::Book(GwPlacement { arena, thread: 0 });
+            assert_eq!(book.outbound(cid, Some(booked)), Some(from));
         }
         for cid in 0..256u32 {
+            let (from, arena) = home(cid);
+            let s = book.get(cid).expect("session lost");
             assert_eq!(
-                book.with(cid, |m| m.get(&cid).copied()),
-                Some(u64::from(cid) * 3)
+                (s.addr(), s.placement().map(|p| p.arena)),
+                (from, Some(arena))
             );
         }
-        assert_eq!(book.with(9999, |m| m.get(&9999).copied()), None);
+        assert_eq!(book.get(9999), None);
         // Spread sanity: 256 sequential ids should not all hash to one
         // stripe.
-        let used = (0..book.stripes.len())
-            .filter(|&s| !book.stripes[s].lock().unwrap().is_empty()) // lockcheck: allow(raw-sync: single-threaded test inspection of the striped book)
-            .count();
-        assert!(used > 1, "all 256 clients landed on one stripe");
+        assert!(
+            book.stripes_used() > 1,
+            "all 256 clients landed on one stripe"
+        );
+    }
+
+    /// A source minting client ids — 200 000 Connects, 50 µs apart, so
+    /// 20 000 per grace — is swept as it goes: the book never holds
+    /// more than twice the sessions one grace can keep alive plus each
+    /// stripe's sweep floor, and every placed client and every
+    /// unplaced one still retrying its Connect keeps its session.
+    #[test]
+    fn a_connect_flood_is_swept_and_spares_live_sessions() {
+        let (router, mut lane) = two_by_two();
+        let t0 = Instant::now();
+        let (placed, retrying) = (0..100u32, 100..110u32);
+        for cid in 0..110 {
+            router
+                .inbound(&mut lane, &connect(cid), addr(4000), t0)
+                .unwrap();
+        }
+        for cid in placed.clone() {
+            router.outbound(&mut lane, &ack(cid, 1), 20).unwrap();
+        }
+        let gap = Duration::from_micros(50);
+        let per_grace = (GRACE.as_micros() / gap.as_micros()) as usize;
+        let bound = 2 * (per_grace + 110) + 4 * 64;
+        let mut peak = 0;
+        for i in 1..=200_000u32 {
+            let now = t0 + gap * i;
+            // Every 10 ms the unplaced clients retry, each finding the
+            // session it had.
+            if i % 200 == 0 {
+                for cid in retrying.clone() {
+                    assert!(
+                        session(&router, cid).is_some(),
+                        "retrying client {cid} was evicted"
+                    );
+                    router
+                        .inbound(&mut lane, &connect(cid), addr(4000), now)
+                        .unwrap();
+                }
+            }
+            router
+                .inbound(&mut lane, &connect(1_000 + i), addr(5000), now)
+                .unwrap();
+            peak = peak.max(router.book.len());
+        }
+        assert!(
+            peak <= bound,
+            "the book peaked at {peak} sessions, bound {bound}"
+        );
+        for cid in placed {
+            assert_eq!(
+                placement(&router, cid),
+                Some(GwPlacement {
+                    arena: 1,
+                    thread: 0
+                }),
+                "placed client {cid} lost its session"
+            );
+        }
+        assert_eq!(lane, GatewayLane::default());
     }
 
     #[test]
@@ -1975,24 +1913,26 @@ mod tests {
         }
 
         /// Any interleaving of Connects, Moves, Disconnects, acks,
-        /// replies, `Bye`s and lifecycle notices over a few clients,
-        /// endpoints and arenas leaves the book, and the lane, exactly
-        /// where the rules say: a Move is forwarded iff it comes from
-        /// the bound address *and* a routable placement is booked; a
-        /// rebind waits out the grace and keeps the placement; an
-        /// eviction notice clears only a placement at its own arena;
-        /// and a session, once opened, never goes away.
+        /// replies, `Bye`s and lifecycle notices over a few busy
+        /// clients and a crowd wide enough to fill every stripe past its
+        /// sweep floor leaves the book, and the lane, exactly where the
+        /// rules say: a Move is forwarded iff it comes from the bound
+        /// address *and* a routable placement is booked; a rebind waits
+        /// out the grace and keeps the placement; an end-at notice
+        /// clears only a placement at its own arena; and a session goes
+        /// away only when a sweep evicts it, placement-less and silent
+        /// for one grace.
         #[test]
         fn session_book_follows_the_rules_under_any_interleaving(
             steps in prop::collection::vec(
-                (0u8..10, 0u32..3, 0u16..3, 0u16..3, 0u16..2, 0u64..700),
-                0..120,
+                (0u8..12, prop_oneof![0u32..3, 0u32..1024, 0u32..1024], 0u16..3, 0u16..3, 0u16..2, 0u64..700),
+                1000..2400,
             ),
         ) {
             let (router, mut lane) = two_by_two();
             let ports = [[10, 11], [20, 21]];
             // The rules, restated over a plain map and a second lane.
-            let mut model: HashMap<u32, Session> = HashMap::new();
+            let mut model: HashMap<u32, Known> = HashMap::new();
             let mut want = GatewayLane::default();
             let mut now = Instant::now();
             for (kind, cid, endpoint, arena, thread, dt_ms) in steps {
@@ -2004,20 +1944,20 @@ mod tests {
                     want.replies_unroutable += u64::from(known.is_none());
                     known.map(|s| s.addr)
                 };
-                let place = |model: &mut HashMap<u32, Session>, p: Option<GwPlacement>| {
+                let place = |model: &mut HashMap<u32, Known>, p: Option<GwPlacement>| {
                     if let Some(s) = model.get_mut(&cid) {
                         s.placement = p;
                     }
                 };
                 match kind {
-                    0 | 1 => {
+                    0..=3 => {
                         let admitted = known.map_or(true, |s| {
                             s.addr == from || now.duration_since(s.last_seen) >= GRACE
                         });
                         let got = router.inbound(&mut lane, &connect(cid), from, now);
                         if admitted {
                             prop_assert_eq!(got, Some((FRONT, FRONT_PORT)));
-                            model.insert(cid, Session {
+                            model.insert(cid, Known {
                                 addr: from,
                                 last_seen: now,
                                 placement: known.and_then(|s| s.placement),
@@ -2026,9 +1966,13 @@ mod tests {
                             prop_assert_eq!(got, None);
                             want.spoof_rejected += 1;
                         }
+                        // An open may have swept its stripe.
+                        if known.is_none() && router.book.len() != model.len() {
+                            follow_evictions(&router, &mut model, now)?;
+                        }
                     }
-                    2..=4 => {
-                        let msg = if kind == 4 {
+                    4..=6 => {
+                        let msg = if kind == 6 {
                             ClientMessage::Disconnect { client_id: cid }
                         } else {
                             mv(cid)
@@ -2050,7 +1994,7 @@ mod tests {
                         };
                         prop_assert_eq!(router.inbound(&mut lane, &msg, from, now), dest);
                     }
-                    5 => {
+                    7 => {
                         // An ack leaving thread `thread` of arena
                         // `endpoint`'s port (arena 2 has none: 0).
                         let source = ports.get(endpoint as usize).map_or(0, |p| p[thread as usize]);
@@ -2059,16 +2003,16 @@ mod tests {
                         let thread = if endpoint == arena && arena < 2 { thread } else { 0 };
                         place(&mut model, Some(GwPlacement { arena, thread }));
                     }
-                    6 => {
+                    8 => {
                         let got = router.outbound(&mut lane, &reply(cid), 0);
                         prop_assert_eq!(got, sent(&mut want));
                     }
-                    7 => {
+                    9 => {
                         let bye = ServerMessage::Bye { client_id: cid }.to_bytes();
                         prop_assert_eq!(router.outbound(&mut lane, &bye, 0), sent(&mut want));
                         place(&mut model, None);
                     }
-                    8 => {
+                    10 => {
                         let notice = if thread == 0 {
                             LifecycleEvent::Connected { arena, client_id: cid, thread: endpoint }
                         } else {
@@ -2083,21 +2027,68 @@ mod tests {
                         place(&mut model, Some(GwPlacement { arena, thread: endpoint }));
                     }
                     _ => {
-                        let notice = if thread == 0 {
-                            LifecycleEvent::Disconnected { arena, client_id: cid }
-                        } else {
-                            LifecycleEvent::Reclaimed { arena, client_id: cid, at: 1 }
+                        let notice = match thread {
+                            0 if endpoint == 0 => LifecycleEvent::Rejected { arena, client_id: cid },
+                            0 => LifecycleEvent::Disconnected { arena, client_id: cid },
+                            _ => LifecycleEvent::Reclaimed { arena, client_id: cid, at: 1 },
                         };
                         prop_assert_eq!(router.outbound(&mut lane, &notice.to_bytes(), 0), None);
-                        if known.and_then(|s| s.placement).map(|p| p.arena) == Some(arena) {
+                        let ends = !matches!(notice, LifecycleEvent::Rejected { .. });
+                        if ends && known.and_then(|s| s.placement).map(|p| p.arena) == Some(arena) {
                             place(&mut model, None);
                         }
                     }
                 }
-                for cid in 0..3u32 {
-                    prop_assert_eq!(session(&router, cid), model.get(&cid).copied());
-                }
+                prop_assert_eq!(session(&router, cid).map(Known::of), model.get(&cid).copied());
+                prop_assert_eq!(router.book.len(), model.len());
                 prop_assert_eq!(&lane, &want);
+            }
+            for (&id, &k) in &model {
+                prop_assert_eq!(session(&router, id).map(Known::of), Some(k));
+            }
+        }
+    }
+
+    /// Follow the router's evictions where the rule allows them —
+    /// placement-less and silent for one grace — and match every other
+    /// session field for field.
+    fn follow_evictions(
+        router: &Router,
+        model: &mut HashMap<u32, Known>,
+        now: Instant,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let ids: Vec<u32> = model.keys().copied().collect();
+        for id in ids {
+            match session(router, id) {
+                Some(s) => prop_assert_eq!(Known::of(s), model[&id]),
+                None => {
+                    let k = model.remove(&id).unwrap();
+                    prop_assert!(
+                        k.placement.is_none() && now.duration_since(k.last_seen) >= GRACE,
+                        "client {} evicted against the rule: {:?}",
+                        id,
+                        k
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The property test's model of one session.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Known {
+        addr: SocketAddr,
+        last_seen: Instant,
+        placement: Option<GwPlacement>,
+    }
+
+    impl Known {
+        fn of(s: session::Session) -> Known {
+            Known {
+                addr: s.addr(),
+                last_seen: s.last_seen(),
+                placement: s.placement(),
             }
         }
     }
