@@ -58,7 +58,7 @@ use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FrameFault, FrameLottery};
 use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
 use parquake_metrics::{
-    Bucket, ElasticEvent, ElasticEventKind, ElasticStats, SupervisorStats, ThreadStats,
+    ElasticEvent, ElasticEventKind, ElasticStats, SupervisorStats, ThreadStats,
 };
 use parquake_protocol::{ClientMessage, Decode};
 use parquake_server::runtime::{ServerShared, REQUEST_QUEUE_CAP};
@@ -1043,37 +1043,19 @@ pub(crate) fn drain_requests_coalesced(
     coalesced_out: &mut u64,
 ) -> u32 {
     let shared = &cell.shared;
-    let port = cell.port;
     let mut batch: Vec<(PortId, ClientMessage)> = Vec::new();
-    loop {
-        let t0 = ctx.now();
-        let Some(raw) = ctx.try_recv(port) else {
-            break;
-        };
-        ctx.charge(shared.cost.recv);
-        stats.datagrams += 1;
-        let decoded = ClientMessage::from_bytes(&raw.payload);
-        stats.breakdown.add(Bucket::Receive, ctx.now() - t0);
-        match decoded {
-            Ok(msg) => batch.push((raw.from, msg)),
-            Err(_) => stats.decode_rejected += 1,
-        }
-    }
     let mut newest: HashMap<u32, usize> = HashMap::new();
-    for (i, (_, msg)) in batch.iter().enumerate() {
+    shared.receive_requests(ctx, cell.port, stats, |_, _, from, msg| {
         if let ClientMessage::Move { client_id, .. } = msg {
-            newest.insert(*client_id, i);
+            newest.insert(client_id, batch.len());
         }
-    }
+        batch.push((from, msg));
+    });
     let mut moves = 0u32;
     for (i, (from, msg)) in batch.into_iter().enumerate() {
-        if let ClientMessage::Move { client_id, .. } = &msg {
-            if newest.get(client_id) != Some(&i) {
-                *coalesced_out += 1;
-                continue;
-            }
-        }
-        if shared.handle_message(ctx, ctx.now(), 0, from, msg, stats, frame_leaf_mask) {
+        if matches!(msg, ClientMessage::Move { client_id, .. } if newest[&client_id] != i) {
+            *coalesced_out += 1;
+        } else if shared.handle_message(ctx, ctx.now(), 0, from, msg, stats, frame_leaf_mask) {
             moves += 1;
         }
     }

@@ -575,17 +575,18 @@ impl ServerShared {
         }
     }
 
-    /// Drain and process this thread's request queue (the Rx/E loop).
-    /// Returns the number of move requests processed.
-    pub fn drain_requests(
+    /// The receive half of the Rx/E loop: take each datagram queued on
+    /// `port`, charge and count it, decode it, and hand the request to
+    /// `each` with its receive time before the next one is taken.
+    /// Malformed datagrams are dropped, like the original server — but
+    /// counted, so the gateway's accounting identity can close.
+    pub fn receive_requests(
         &self,
         ctx: &TaskCtx,
-        thread: u32,
         port: PortId,
         stats: &mut ThreadStats,
-        frame_leaf_mask: &mut u64,
-    ) -> u32 {
-        let mut moves = 0u32;
+        mut each: impl FnMut(&mut ThreadStats, Nanos, PortId, ClientMessage),
+    ) {
         loop {
             let t0 = ctx.now();
             let Some(raw) = ctx.try_recv(port) else {
@@ -597,25 +598,28 @@ impl ServerShared {
             let received = ctx.now();
             stats.breakdown.add(Bucket::Receive, received - t0);
             match decoded {
-                Ok(msg) => {
-                    if self.handle_message(
-                        ctx,
-                        received,
-                        thread,
-                        raw.from,
-                        msg,
-                        stats,
-                        frame_leaf_mask,
-                    ) {
-                        moves += 1;
-                    }
-                }
-                // Malformed datagrams are dropped, like the original
-                // server — but counted, so the gateway's accounting
-                // identity can close.
+                Ok(msg) => each(stats, received, raw.from, msg),
                 Err(_) => stats.decode_rejected += 1,
             }
         }
+    }
+
+    /// Drain and process this thread's request queue (the Rx/E loop).
+    /// Returns the number of move requests processed.
+    pub fn drain_requests(
+        &self,
+        ctx: &TaskCtx,
+        thread: u32,
+        port: PortId,
+        stats: &mut ThreadStats,
+        frame_leaf_mask: &mut u64,
+    ) -> u32 {
+        let mut moves = 0u32;
+        self.receive_requests(ctx, port, stats, |stats, received, from, msg| {
+            if self.handle_message(ctx, received, thread, from, msg, stats, frame_leaf_mask) {
+                moves += 1;
+            }
+        });
         moves
     }
 
