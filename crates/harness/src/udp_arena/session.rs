@@ -218,8 +218,9 @@ impl SessionBook {
 
     /// Sessions held, over every stripe.
     pub(crate) fn len(&self) -> usize {
-        (0..self.stripes.len())
-            .map(|s| self.stripes[s].lock().unwrap().sessions.len()) // lockcheck: allow(raw-sync: single-threaded test inspection of the session book)
+        self.stripes
+            .iter()
+            .map(|s| s.lock().unwrap().sessions.len()) // lockcheck: allow(raw-sync: single-threaded test inspection of the session book)
             .sum()
     }
 
