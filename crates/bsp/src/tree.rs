@@ -7,6 +7,13 @@
 //! it is either fully covered by some intersecting brush (solid) or
 //! intersects no brush at all (empty).
 //!
+//! A node scores every candidate face with `3·crossing + |front − back|`
+//! over its live brushes and splits on the first lowest score. The scores
+//! come from the live brushes' faces sorted once per node and axis, so a
+//! node with `n` live brushes costs O(n log n), not the O(6n²) of a pass
+//! over every brush per candidate; the test module keeps that pass as
+//! the reference the trees must match node for node.
+//!
 //! One tree is compiled per clip hull (point / player / projectile) from
 //! brushes inflated by the hull's Minkowski extents, mirroring Quake's
 //! hull scheme so swept-box traces reduce to point traces.
@@ -100,8 +107,9 @@ impl BspTree {
             .fold(bounds, |acc, b| acc.union(b))
             .inflated(Vec3::splat(1.0));
         let mut nodes = Vec::new();
+        let mut faces = Default::default();
         let refs: Vec<usize> = (0..inflated.len()).collect();
-        let root = build(&mut nodes, &inflated, refs, region, fill);
+        let root = build(&mut nodes, &inflated, &mut faces, refs, region, fill);
         BspTree {
             nodes,
             root,
@@ -165,9 +173,11 @@ impl BspTree {
 
 /// Recursively partition `region` over the brushes listed in `live`
 /// (indices into `brushes`), appending interior nodes to `nodes`.
+/// `faces` is scratch space shared by every node of one compile.
 fn build(
     nodes: &mut Vec<Node>,
     brushes: &[Aabb],
+    faces: &mut [AxisFaces; 3],
     live: Vec<usize>,
     region: Aabb,
     fill: Contents,
@@ -182,7 +192,11 @@ fn build(
         return NodeRef::Leaf(Contents::Empty);
     }
 
-    // Candidate split planes: brush faces strictly inside the region.
+    for (ai, f) in faces.iter_mut().enumerate() {
+        f.fill(brushes, &live, ai);
+    }
+    // Candidate split planes: brush faces strictly inside the region,
+    // in live order × X, Y, Z × min, max; the first lowest score wins.
     let mut best: Option<(AxisPlane, i64)> = None;
     for &i in &live {
         let b = &brushes[i];
@@ -190,10 +204,9 @@ fn build(
             let ai = axis.index();
             for v in [b.min[ai], b.max[ai]] {
                 if v > region.min[ai] + FACE_EPS && v < region.max[ai] - FACE_EPS {
-                    let plane = AxisPlane::new(axis, v);
-                    let score = score_plane(&plane, brushes, &live);
+                    let score = faces[ai].score(v);
                     if best.map(|(_, s)| score < s).unwrap_or(true) {
-                        best = Some((plane, score));
+                        best = Some((AxisPlane::new(axis, v), score));
                     }
                 }
             }
@@ -219,8 +232,8 @@ fn build(
         front: NodeRef::Leaf(Contents::Empty),
         back: NodeRef::Leaf(Contents::Empty),
     });
-    let front = build(nodes, brushes, live.clone(), front_region, fill);
-    let back = build(nodes, brushes, live, back_region, fill);
+    let front = build(nodes, brushes, faces, live.clone(), front_region, fill);
+    let back = build(nodes, brushes, faces, live, back_region, fill);
     nodes[my_idx as usize].front = front;
     nodes[my_idx as usize].back = back;
     NodeRef::Node(my_idx)
@@ -231,30 +244,61 @@ fn strictly_overlaps(b: &Aabb, r: &Aabb) -> bool {
     (0..3).all(|i| b.min[i] < r.max[i] - FACE_EPS && b.max[i] > r.min[i] + FACE_EPS)
 }
 
-/// Lower is better: penalize brushes crossing the plane (they go to both
-/// children) and imbalance between sides.
-fn score_plane(plane: &AxisPlane, brushes: &[Aabb], live: &[usize]) -> i64 {
-    let ai = plane.axis.index();
-    let mut front = 0i64;
-    let mut back = 0i64;
-    let mut cross = 0i64;
-    for &i in live {
-        let b = &brushes[i];
-        if b.min[ai] >= plane.dist {
-            front += 1;
-        } else if b.max[ai] <= plane.dist {
-            back += 1;
-        } else {
-            cross += 1;
+/// The live brushes' faces on one axis, each run sorted, so that a
+/// candidate plane is scored with binary searches instead of a pass over
+/// every brush.
+#[derive(Default)]
+struct AxisFaces {
+    mins: Vec<f32>,
+    maxs: Vec<f32>,
+    /// The coordinate of each brush that is flat on this axis (min = max).
+    flats: Vec<f32>,
+}
+
+impl AxisFaces {
+    fn fill(&mut self, brushes: &[Aabb], live: &[usize], ai: usize) {
+        self.mins.clear();
+        self.maxs.clear();
+        self.flats.clear();
+        for &i in live {
+            let (lo, hi) = (brushes[i].min[ai], brushes[i].max[ai]);
+            self.mins.push(lo);
+            self.maxs.push(hi);
+            if lo == hi {
+                self.flats.push(lo);
+            }
         }
+        // `total_cmp` orders -0.0 before 0.0, which `<` and `<=` treat as
+        // equal, so both searches below still split each run in two.
+        self.mins.sort_unstable_by(f32::total_cmp);
+        self.maxs.sort_unstable_by(f32::total_cmp);
+        self.flats.sort_unstable_by(f32::total_cmp);
     }
-    cross * 3 + (front - back).abs()
+
+    /// Lower is better: penalize brushes crossing the plane at `v` (they
+    /// go to both children) and imbalance between sides. A brush is in
+    /// front if `min >= v`, else behind if `max <= v`, else crossing; so,
+    /// as `min <= max`, only a brush flat at `v` meets both tests, and it
+    /// counts in front.
+    fn score(&self, v: f32) -> i64 {
+        let below = |run: &[f32]| run.partition_point(|&x| x < v);
+        let at_most = |run: &[f32]| run.partition_point(|&x| x <= v);
+        let n = self.mins.len();
+        let front = n - below(&self.mins);
+        let flat_at_v = at_most(&self.flats) - below(&self.flats);
+        let back = at_most(&self.maxs) - flat_at_v;
+        let cross = (n - front - back) as i64;
+        cross * 3 + (front as i64 - back as i64).abs()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapgen::MapGenConfig;
+    use crate::BspWorld;
     use parquake_math::vec3::vec3;
+    use parquake_math::Pcg32;
 
     fn world(brushes: &[Brush]) -> BspTree {
         let bounds = Aabb::new(vec3(-100.0, -100.0, -100.0), vec3(100.0, 100.0, 100.0));
@@ -369,6 +413,249 @@ mod tests {
                 (p[i] - b.bounds.min[i]).abs() < 1e-3 || (p[i] - b.bounds.max[i]).abs() < 1e-3
             })
         })
+    }
+
+    /// The compiler as it was before planes were scored from sorted
+    /// faces: every candidate rescored by a pass over every live brush.
+    fn reference_build(
+        nodes: &mut Vec<Node>,
+        brushes: &[Aabb],
+        live: Vec<usize>,
+        region: Aabb,
+    ) -> NodeRef {
+        let live: Vec<usize> = live
+            .into_iter()
+            .filter(|&i| strictly_overlaps(&brushes[i], &region))
+            .collect();
+        if live.is_empty() {
+            return NodeRef::Leaf(Contents::Empty);
+        }
+        let mut best: Option<(AxisPlane, i64)> = None;
+        for &i in &live {
+            let b = &brushes[i];
+            for axis in [Axis::X, Axis::Y, Axis::Z] {
+                let ai = axis.index();
+                for v in [b.min[ai], b.max[ai]] {
+                    if v > region.min[ai] + FACE_EPS && v < region.max[ai] - FACE_EPS {
+                        let plane = AxisPlane::new(axis, v);
+                        let score = score_plane(&plane, brushes, &live);
+                        if best.map(|(_, s)| score < s).unwrap_or(true) {
+                            best = Some((plane, score));
+                        }
+                    }
+                }
+            }
+        }
+        let Some((plane, _)) = best else {
+            return NodeRef::Leaf(Contents::Solid);
+        };
+        let ai = plane.axis.index();
+        let mut front_region = region;
+        front_region.min[ai] = plane.dist;
+        let mut back_region = region;
+        back_region.max[ai] = plane.dist;
+        let my_idx = nodes.len() as u32;
+        nodes.push(Node {
+            plane,
+            front: NodeRef::Leaf(Contents::Empty),
+            back: NodeRef::Leaf(Contents::Empty),
+        });
+        let front = reference_build(nodes, brushes, live.clone(), front_region);
+        let back = reference_build(nodes, brushes, live, back_region);
+        nodes[my_idx as usize].front = front;
+        nodes[my_idx as usize].back = back;
+        NodeRef::Node(my_idx)
+    }
+
+    fn score_plane(plane: &AxisPlane, brushes: &[Aabb], live: &[usize]) -> i64 {
+        let ai = plane.axis.index();
+        let mut front = 0i64;
+        let mut back = 0i64;
+        let mut cross = 0i64;
+        for &i in live {
+            let b = &brushes[i];
+            if b.min[ai] >= plane.dist {
+                front += 1;
+            } else if b.max[ai] <= plane.dist {
+                back += 1;
+            } else {
+                cross += 1;
+            }
+        }
+        cross * 3 + (front - back).abs()
+    }
+
+    /// Every node as `(axis, dist bits, front, back)`, plus the root.
+    fn shape(nodes: &[Node], root: NodeRef) -> (NodeRef, Vec<(usize, u32, NodeRef, NodeRef)>) {
+        let rows = nodes
+            .iter()
+            .map(|n| {
+                (
+                    n.plane.axis.index(),
+                    n.plane.dist.to_bits(),
+                    n.front,
+                    n.back,
+                )
+            })
+            .collect();
+        (root, rows)
+    }
+
+    /// A random box soup on a coarse grid, so that faces coincide and
+    /// scores tie often, with flat boxes, duplicates and ±0.0 faces.
+    fn box_soup(rng: &mut Pcg32) -> Vec<Aabb> {
+        let coord = |rng: &mut Pcg32| match rng.below(8) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => (rng.below(9) as f32 - 4.0) * 8.0,
+        };
+        let mut boxes: Vec<Aabb> = Vec::new();
+        for _ in 0..1 + rng.below(200) {
+            if !boxes.is_empty() && rng.chance(0.1) {
+                boxes.push(*rng.pick(&boxes));
+                continue;
+            }
+            let mut min = Vec3::ZERO;
+            let mut max = Vec3::ZERO;
+            for ai in 0..3 {
+                let (a, b) = (coord(rng), coord(rng));
+                let flat = rng.chance(0.15);
+                min[ai] = if flat || a <= b { a } else { b };
+                max[ai] = if flat {
+                    min[ai]
+                } else if a <= b {
+                    b
+                } else {
+                    a
+                };
+            }
+            boxes.push(Aabb { min, max });
+        }
+        boxes
+    }
+
+    #[test]
+    fn sorted_scoring_builds_the_reference_tree() {
+        let mut rng = Pcg32::seeded(0xB5B);
+        let cases = if cfg!(debug_assertions) { 300 } else { 3000 };
+        for case in 0..cases {
+            let boxes = box_soup(&mut rng);
+            let region = Aabb::new(Vec3::splat(-40.0), Vec3::splat(40.0));
+            let live: Vec<usize> = (0..boxes.len()).collect();
+            let mut want = Vec::new();
+            let want_root = reference_build(&mut want, &boxes, live.clone(), region);
+            let mut got = Vec::new();
+            let got_root = build(
+                &mut got,
+                &boxes,
+                &mut Default::default(),
+                live,
+                region,
+                Contents::Solid,
+            );
+            assert_eq!(
+                shape(&got, got_root),
+                shape(&want, want_root),
+                "case {case}: {} boxes",
+                boxes.len()
+            );
+        }
+    }
+
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn fnv1a_child(hash: &mut u64, r: NodeRef) {
+        match r {
+            NodeRef::Node(i) => {
+                fnv1a(hash, &[0]);
+                fnv1a(hash, &i.to_le_bytes());
+            }
+            NodeRef::Leaf(c) => fnv1a(hash, &[1, c as u8]),
+        }
+    }
+
+    /// FNV-1a over every node (axis, `dist` bits, children) of the four
+    /// hulls.
+    fn fingerprint(world: &BspWorld) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for t in [
+            &world.hull_point,
+            &world.hull_player,
+            &world.hull_projectile,
+            &world.hull_water,
+        ] {
+            fnv1a_child(&mut h, t.root);
+            for n in &t.nodes {
+                fnv1a(&mut h, &[n.plane.axis.index() as u8]);
+                fnv1a(&mut h, &n.plane.dist.to_bits().to_le_bytes());
+                fnv1a_child(&mut h, n.front);
+                fnv1a_child(&mut h, n.back);
+            }
+        }
+        h
+    }
+
+    /// The hulls of the maps the figures and the benchmark run on, as
+    /// the brush-pass compiler built them.
+    #[test]
+    fn real_maps_compile_to_the_pinned_trees() {
+        const SEED: u64 = 0x6D_6D_31;
+        let mut maps = vec![
+            (
+                MapGenConfig {
+                    grid_w: 18,
+                    grid_h: 18,
+                    items_per_room: 3,
+                    teleporter_pairs: 8,
+                    ..MapGenConfig::large_arena(SEED)
+                },
+                0x5087_bfb0_be31_a8d9,
+            ),
+            (MapGenConfig::large_arena(SEED), 0xf06e_6391_a486_54dd),
+            (MapGenConfig::small_arena(SEED), 0xf0dd_d51d_5d86_c5e9),
+            (MapGenConfig::flooded_arena(SEED), 0x0be2_d71b_781b_633e),
+        ];
+        let per_seed: [[u64; 3]; 5] = [
+            [
+                0x4d83_8c31_8d09_852a,
+                0xcf11_073b_be8f_cf52,
+                0xe712_0578_288d_73e7,
+            ],
+            [
+                0x4d83_8c31_8d09_852a,
+                0x2c2c_0222_d5e3_b739,
+                0x624b_9977_c611_0335,
+            ],
+            [
+                0x4d83_8c31_8d09_852a,
+                0x2121_f436_6d05_af4f,
+                0x4792_318d_40d5_4cd9,
+            ],
+            [
+                0x4d83_8c31_8d09_852a,
+                0x5dce_2960_e99a_79b8,
+                0x854d_a6ce_8d5d_8fe5,
+            ],
+            [
+                0x4d83_8c31_8d09_852a,
+                0x1c20_97da_0341_5b19,
+                0xf6e6_4782_d4af_d167,
+            ],
+        ];
+        for (seed, [hall, large, small]) in (0..).zip(per_seed) {
+            maps.push((MapGenConfig::open_hall(seed), hall));
+            maps.push((MapGenConfig::large_arena(seed), large));
+            maps.push((MapGenConfig::small_arena(seed), small));
+        }
+        for (cfg, want) in maps {
+            let world = cfg.generate();
+            assert_eq!(fingerprint(&world), want, "{cfg:?}");
+        }
     }
 
     #[test]
