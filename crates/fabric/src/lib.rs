@@ -86,8 +86,9 @@ pub trait Fabric: Send + Sync {
     /// `None` when the queue is empty. A value at or before the
     /// caller's clock means a `try_recv` would succeed now; a future
     /// value means the message is still in flight (virtual link
-    /// latency or fault delay). Real fabrics deliver immediately, so
-    /// any queued message reports time 0. Pool schedulers use this to
+    /// latency or fault delay). The real fabric reports time 0 for a
+    /// queued message and the due time of a held one (a copy handed in
+    /// with a fault delay). Pool schedulers use this to
     /// tell "work is ready" apart from "work is on the wire" without
     /// claiming the port.
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos>;
@@ -380,6 +381,45 @@ mod shared_tests {
         assert_eq!(counter.load(Ordering::Relaxed), 2);
     }
 
+    /// The floor of the delay both fabrics hold a copy for below.
+    const DELAY: Nanos = 20_000_000;
+
+    /// Both fabrics must deliver a delayed copy no earlier than its due
+    /// time: `send` hands one copy, delayed by at least [`DELAY`], from
+    /// the first port to the second.
+    fn delayed_contract(
+        fabric: Arc<dyn Fabric>,
+        send: impl FnOnce(&TaskCtx, PortId, PortId) + Send + 'static,
+    ) {
+        let src = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        fabric.spawn(
+            "receiver",
+            Some(0),
+            Box::new(move |ctx| {
+                let t0 = ctx.now();
+                send(ctx, src, port);
+                let due = ctx.fabric().port_next_delivery(port).expect("in flight");
+                assert!(due >= t0 + DELAY, "due {due} before {}", t0 + DELAY);
+                assert_eq!(ctx.fabric().port_pending(port), 1);
+                // Receives come up empty and waits time out until the
+                // due time, and not after it.
+                let msg = loop {
+                    let before = ctx.now();
+                    if let Some(m) = ctx.try_recv(port) {
+                        break m;
+                    }
+                    assert!(before < due, "due at {due}, not received at {before}");
+                    let readable = ctx.wait_readable(port, Some(before + DELAY / 4));
+                    assert!(!readable || ctx.now() >= due, "readable before {due}");
+                };
+                assert!(ctx.now() >= due, "received before its due time");
+                assert_eq!(msg.payload, vec![5]);
+            }),
+        );
+        fabric.run();
+    }
+
     #[test]
     fn real_fabric_contract() {
         contract(FabricKind::Real.build());
@@ -388,5 +428,30 @@ mod shared_tests {
     #[test]
     fn virtual_fabric_contract() {
         contract(FabricKind::VirtualSmp(VirtualSmpConfig::default()).build());
+    }
+
+    #[test]
+    fn real_fabric_holds_a_delayed_copy_until_due() {
+        let (real, fabric) = real::RealFabric::new_arc_pair();
+        delayed_contract(fabric, move |_, src, port| {
+            real.send_external_delayed(src, port, vec![5], DELAY)
+        });
+    }
+
+    #[test]
+    fn virtual_fabric_holds_a_delayed_copy_until_due() {
+        let fault = fault::FaultConfig {
+            delay: 1.0,
+            min_delay_ns: DELAY,
+            max_delay_ns: 2 * DELAY,
+            ..fault::FaultConfig::none()
+        };
+        let cfg = VirtualSmpConfig {
+            fault: Some(fault),
+            ..VirtualSmpConfig::default()
+        };
+        delayed_contract(FabricKind::VirtualSmp(cfg).build(), |ctx, src, port| {
+            ctx.send(src, port, vec![5])
+        });
     }
 }

@@ -5,10 +5,16 @@
 //! `charge()` is a no-op: on wall-clock time the code that ran is the
 //! cost, and the modelled 2003 Xeon lives only on
 //! [`crate::virt::VirtualSmp`]. Nothing here wakes on a timer of its
-//! own — a blocked task resumes on a delivery, a signal or the
-//! deadline its caller passed. Condition variables may wake spuriously
-//! (as pthreads allows); all callers must re-check predicates in a
-//! loop.
+//! own — a blocked task resumes on a delivery, a signal, the deadline
+//! its caller passed or the due time of a held copy. Condition
+//! variables may wake spuriously (as pthreads allows); all callers must
+//! re-check predicates in a loop.
+//!
+//! A port delivers as a [`crate::virt::VirtualSmp`] port does: a copy
+//! handed in with a delay ([`RealFabric::send_external_delayed`], the
+//! gateway's fault-delayed datagrams) is held until its due time on the
+//! fabric's clock, and no receive sees it earlier. While a port holds
+//! nothing, no call on it reads the clock.
 //!
 //! A primitive nobody waits on costs no system call. Fabric locks are
 //! the stand-in's `RawMutex` lock word (two atomic operations per
@@ -39,6 +45,8 @@ struct CondImpl {
 
 struct PortQueue {
     q: VecDeque<Message>,
+    /// Delayed copies not yet due, by due time (ties in hand-off order).
+    held: VecDeque<(Nanos, Message)>,
     /// Maximum queued messages (`usize::MAX` = unbounded).
     cap: usize,
     /// Messages discarded by the bounded-queue drop policy.
@@ -48,15 +56,48 @@ struct PortQueue {
 }
 
 impl PortQueue {
-    /// Enqueue with the drop-oldest overflow policy. Returns whether a
-    /// task is parked on the port and must be notified.
+    /// Enqueue a message sent now, behind the held copies that came due
+    /// before it. Returns whether a task is parked on the port and must
+    /// be notified.
     fn push(&mut self, msg: Message) -> bool {
+        self.release(|| msg.sent_at);
+        self.enqueue(msg);
+        self.parked > 0
+    }
+
+    /// Enqueue with the drop-oldest overflow policy.
+    fn enqueue(&mut self, msg: Message) {
         if self.q.len() >= self.cap {
             self.q.pop_front();
             self.dropped += 1;
         }
         self.q.push_back(msg);
+    }
+
+    /// Hold `msg` until `due`. Returns whether a task is parked on the
+    /// port: it must wake to wait for the new due time instead.
+    fn hold(&mut self, due: Nanos, msg: Message) -> bool {
+        let at = self.held.partition_point(|&(d, _)| d <= due);
+        self.held.insert(at, (due, msg));
         self.parked > 0
+    }
+
+    /// Enqueue every held copy due by the time `now` returns, calling
+    /// it only when something is held. Returns the earliest due time
+    /// still held.
+    fn release(&mut self, now: impl FnOnce() -> Nanos) -> Option<Nanos> {
+        if self.held.is_empty() {
+            return None;
+        }
+        let now = now();
+        while let Some(&(due, _)) = self.held.front() {
+            if due > now {
+                return Some(due);
+            }
+            let (_, msg) = self.held.pop_front().expect("front exists");
+            self.enqueue(msg);
+        }
+        None
     }
 }
 
@@ -193,9 +234,27 @@ impl RealFabric {
         let p = self.ports.get(to);
         let parked = p.q.lock().push(Message {
             from,
-            sent_at: self.epoch.elapsed().as_nanos() as Nanos,
+            sent_at: self.clock(),
             payload,
         });
+        p.ring(parked);
+    }
+
+    /// As [`RealFabric::send_external`], but the port holds the
+    /// datagram for `delay` on the fabric's clock: `try_recv` and
+    /// `wait_readable` see it no earlier, `port_next_delivery` names
+    /// its due time, `port_pending` counts it, and a watcher is rung so
+    /// it can sleep until then. Gateway pumps hand fault-delayed copies
+    /// in this way.
+    pub fn send_external_delayed(&self, from: PortId, to: PortId, payload: Vec<u8>, delay: Nanos) {
+        let p = self.ports.get(to);
+        let sent_at = self.clock();
+        let msg = Message {
+            from,
+            sent_at,
+            payload,
+        };
+        let parked = p.q.lock().hold(sent_at + delay, msg);
         p.ring(parked);
     }
 
@@ -211,7 +270,7 @@ impl RealFabric {
         payloads: impl IntoIterator<Item = Vec<u8>>,
     ) {
         let p = self.ports.get(to);
-        let sent_at = self.epoch.elapsed().as_nanos() as Nanos;
+        let sent_at = self.clock();
         let mut q = p.q.lock();
         let mut any = false;
         let mut parked = false;
@@ -231,6 +290,10 @@ impl RealFabric {
 
     fn abs_instant(&self, t: Nanos) -> Instant {
         self.epoch + Duration::from_nanos(t)
+    }
+
+    fn clock(&self) -> Nanos {
+        self.epoch.elapsed().as_nanos() as Nanos
     }
 }
 
@@ -265,6 +328,7 @@ impl Fabric for RealFabric {
         self.ports.push(PortImpl {
             q: Mutex::new(PortQueue {
                 q: VecDeque::new(),
+                held: VecDeque::new(),
                 cap: capacity,
                 dropped: 0,
                 parked: 0,
@@ -279,14 +343,18 @@ impl Fabric for RealFabric {
     }
 
     fn port_pending(&self, port: PortId) -> usize {
-        self.ports.get(port).q.lock().q.len()
+        let p = self.ports.get(port);
+        let q = p.q.lock();
+        q.q.len() + q.held.len()
     }
 
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos> {
-        // Real-fabric sends deliver immediately: anything queued is
-        // already receivable.
-        if self.ports.get(port).q.lock().q.is_empty() {
-            None
+        // Anything queued is receivable now; otherwise the earliest
+        // held copy is (a due time already past means it is too).
+        let p = self.ports.get(port);
+        let q = p.q.lock();
+        if q.q.is_empty() {
+            q.held.front().map(|&(due, _)| due)
         } else {
             Some(0)
         }
@@ -359,7 +427,7 @@ impl Fabric for RealFabric {
     }
 
     fn now(&self, _task: TaskId) -> Nanos {
-        self.epoch.elapsed().as_nanos() as Nanos
+        self.clock()
     }
 
     fn charge(&self, _task: TaskId, _ns: Nanos) {}
@@ -461,30 +529,41 @@ impl Fabric for RealFabric {
     }
 
     fn try_recv(&self, _task: TaskId, port: PortId) -> Option<Message> {
-        self.ports.get(port).q.lock().q.pop_front()
+        let p = self.ports.get(port);
+        let mut q = p.q.lock();
+        q.release(|| self.clock());
+        q.q.pop_front()
     }
 
     fn wait_readable(&self, _task: TaskId, port: PortId, deadline: Option<Nanos>) -> bool {
         let p = self.ports.get(port);
         let mut q = p.q.lock();
-        while q.q.is_empty() {
+        let mut expired = false;
+        loop {
+            let held = q.release(|| self.clock());
+            if !q.q.is_empty() {
+                return true;
+            }
+            if expired {
+                return false;
+            }
+            // Wake at the deadline or when the earliest held copy is
+            // due, whichever comes first.
+            let wake = deadline.into_iter().chain(held).min();
             // Counted from before the queue mutex is released (by the
             // wait) until after it is held again: a delivery either is
             // in the queue already or sees this task counted.
             q.parked += 1;
-            let timed_out = match deadline {
-                Some(d) => p.cv.wait_until(&mut q, self.abs_instant(d)).timed_out(),
+            let timed_out = match wake {
+                Some(t) => p.cv.wait_until(&mut q, self.abs_instant(t)).timed_out(),
                 None => {
                     p.cv.wait(&mut q);
                     false
                 }
             };
             q.parked -= 1;
-            if timed_out {
-                return !q.q.is_empty();
-            }
+            expired = timed_out && wake == deadline;
         }
-        true
     }
 
     fn sleep_until(&self, task: TaskId, t: Nanos) {
@@ -851,6 +930,152 @@ mod tests {
         let injector = std::thread::spawn(move || {
             rx.recv().unwrap();
             real.send_external_batch(gw, port, std::iter::empty());
+        });
+        fabric.run();
+        injector.join().unwrap();
+    }
+
+    /// The delay the held-copy tests below hand their copies in with.
+    const HOLD: Nanos = 30_000_000; // 30 ms
+
+    /// A held copy is received no earlier than its due time. Until then
+    /// `port_next_delivery` names the due time and `port_pending`
+    /// counts the copy, and a wait whose deadline comes first times out.
+    #[test]
+    fn a_held_copy_is_never_received_before_its_due_time() {
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let src = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        fabric.spawn(
+            "receiver",
+            None,
+            Box::new(move |ctx| {
+                let t0 = ctx.now();
+                real.send_external_delayed(src, port, vec![1], HOLD);
+                let due = ctx.fabric().port_next_delivery(port).expect("a held copy");
+                assert!((t0 + HOLD..=ctx.now() + HOLD).contains(&due), "due {due}");
+                assert_eq!(ctx.fabric().port_pending(port), 1);
+                let readable = ctx.wait_readable(port, Some(t0 + HOLD / 3));
+                assert!(!readable || ctx.now() >= due, "readable before due");
+                let got = loop {
+                    if let Some(m) = ctx.try_recv(port) {
+                        break m;
+                    }
+                    assert!(ctx.now() < due + 1_000_000_000, "never released");
+                    std::thread::yield_now();
+                };
+                assert!(ctx.now() >= due, "received before its due time");
+                assert_eq!(got.payload, vec![1]);
+                assert_eq!(got.sent_at + HOLD, due);
+                assert_eq!(ctx.fabric().port_pending(port), 0);
+                assert_eq!(ctx.fabric().port_next_delivery(port), None);
+            }),
+        );
+        fabric.run();
+    }
+
+    /// A task parked in `wait_readable` before the copy is handed in —
+    /// with no deadline, or with one far past the due time — wakes to
+    /// receive it once it is due: not before, and not at the deadline.
+    #[test]
+    fn a_parked_reader_receives_a_held_copy_once_it_is_due() {
+        for deadline in [Some(2_000_000_000), None] {
+            let (real, fabric) = RealFabric::new_arc_pair();
+            let src = fabric.alloc_port();
+            let port = fabric.alloc_port();
+            fabric.spawn(
+                "reader",
+                None,
+                Box::new(move |ctx| {
+                    let d = deadline.map(|d: Nanos| ctx.now() + d);
+                    assert!(ctx.wait_readable(port, d), "deadline {deadline:?}");
+                    let woke = ctx.now();
+                    let m = ctx.try_recv(port).expect("readable port must yield");
+                    let due = m.sent_at + HOLD;
+                    assert!(woke >= due, "woke {} ns early", due - woke);
+                    assert!(woke < due + 500_000_000, "slept past the due time");
+                }),
+            );
+            let injector = std::thread::spawn(move || {
+                while real.ports.get(port).q.lock().parked == 0 {
+                    std::thread::yield_now();
+                }
+                real.send_external_delayed(src, port, vec![1], HOLD);
+            });
+            fabric.run();
+            injector.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_immediate_copy_sent_later_is_received_first() {
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let src = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        fabric.spawn(
+            "receiver",
+            None,
+            Box::new(move |ctx| {
+                let t0 = ctx.now();
+                real.send_external_delayed(src, port, vec![1], HOLD);
+                real.send_external(src, port, vec![2]);
+                if ctx.now() >= t0 + HOLD {
+                    eprintln!("skipping: the host stalled past the due time");
+                    return;
+                }
+                assert_eq!(ctx.fabric().port_next_delivery(port), Some(0));
+                assert_eq!(ctx.fabric().port_pending(port), 2);
+                assert_eq!(ctx.try_recv(port).unwrap().payload, vec![2]);
+                assert!(ctx.wait_readable(port, None));
+                let held = ctx.try_recv(port).unwrap();
+                assert_eq!(held.payload, vec![1]);
+                assert!(ctx.now() >= held.sent_at + HOLD);
+            }),
+        );
+        fabric.run();
+    }
+
+    /// A watcher sleeps until the due time `port_next_delivery` names
+    /// (as the arena pool does); the hand-off rings it, so a watcher
+    /// already asleep on a later deadline learns the new due time.
+    #[test]
+    fn a_watcher_sleeps_until_a_held_copy_is_due() {
+        let (real, fabric, gw, port, lock, cond) = watched_port();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        fabric.spawn(
+            "watcher",
+            None,
+            Box::new(move |ctx| {
+                ctx.lock(lock);
+                locked_tx.send(()).unwrap();
+                let far = ctx.now() + 2_000_000_000;
+                loop {
+                    let now = ctx.now();
+                    match ctx.fabric().port_next_delivery(port) {
+                        Some(due) if due <= now => break,
+                        next => {
+                            let until = next.unwrap_or(far);
+                            assert!(now < far, "the hand-off rang nobody");
+                            ctx.cond_wait_until(cond, lock, until);
+                        }
+                    }
+                }
+                ctx.unlock(lock);
+                let woke = ctx.now();
+                let m = ctx.try_recv(port).expect("a due copy must be received");
+                assert!(woke >= m.sent_at + HOLD);
+                assert!(woke < m.sent_at + HOLD + 500_000_000);
+            }),
+        );
+        let injector = std::thread::spawn(move || {
+            locked_rx.recv().unwrap();
+            // The watcher lets go of its lock only by waiting: past
+            // this, it sleeps on the far deadline.
+            let l = real.locks.get(lock);
+            l.lock();
+            // SAFETY: acquired on the line above.
+            unsafe { l.unlock() };
+            real.send_external_delayed(gw, port, vec![1], HOLD);
         });
         fabric.run();
         injector.join().unwrap();

@@ -30,6 +30,14 @@
 //! in [`Router::outbound`] (book the placement a `ConnectAck` or
 //! lifecycle notice names, read the address).
 //!
+//! An inbound pump is one blocking `recv_from` with a 10 ms idle
+//! timeout, then decode, route, draw the fates and hand every copy to
+//! the fabric. It schedules nothing: a fault-delayed copy goes in with
+//! its delay ([`RealFabric::send_external_delayed`]) and the
+//! destination port holds it until it is due, as a
+//! [`parquake_fabric::virt::VirtualSmp`] port does. Every pump and
+//! server task stops at the run's `end_time` on the fabric's clock.
+//!
 //! The gateway runs `gateway_shards` independent pump pairs. Each shard
 //! owns a socket bound to the *same* UDP port via `SO_REUSEPORT` (the
 //! kernel spreads client flows across shard sockets by 4-tuple hash),
@@ -74,108 +82,17 @@ mod session;
 use session::SessionBook;
 pub use session::Transition;
 
-/// How long an inbound pump sleeps in `recv_from` when nothing is
-/// pending — the poll cadence for the shutdown deadline.
+/// How long an inbound pump blocks in `recv_from` when nothing
+/// arrives — the poll cadence for the shutdown deadline.
 const PUMP_IDLE_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// How an inbound pump should wait for its next wakeup, given the
-/// earliest due time of its held (fault-delayed) datagrams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PumpWait {
-    /// Blocking `recv_from` with this read timeout.
-    Block(Duration),
-    /// Switch the socket nonblocking, try one `recv_from`, and sleep
-    /// this long if it comes up empty.
-    PollSleep(Duration),
-}
-
-/// Plan the pump's next wait so a held datagram is injected *at* its
-/// due time, not up to [`PUMP_IDLE_TIMEOUT`] after it.
-///
-/// `SO_RCVTIMEO` rounds up to scheduler ticks (observed ~5 ms worst
-/// case at HZ=250), so capping the read timeout alone still delivers
-/// milliseconds late. Instead: block only while the due time is
-/// comfortably far (stopping a tick-slack early), then close the final
-/// stretch with nonblocking reads paced by hrtimer sleeps, which hold
-/// sub-millisecond precision.
-fn pump_wait_plan(earliest_due: Option<Instant>, now: Instant) -> PumpWait {
-    /// Worst observed `SO_RCVTIMEO` overshoot plus margin.
-    const TICK_SLACK: Duration = Duration::from_millis(6);
-    /// Inside this window, poll: a blocking read could overshoot past
-    /// the due time.
-    const NEAR: Duration = Duration::from_millis(10);
-    /// Poll pace — short enough for ~ms delivery error, long enough
-    /// not to spin.
-    const STEP: Duration = Duration::from_micros(500);
-    /// `set_read_timeout(Some(ZERO))` is an error.
-    const FLOOR: Duration = Duration::from_millis(1);
-    match earliest_due {
-        None => PumpWait::Block(PUMP_IDLE_TIMEOUT),
-        Some(due) => {
-            let gap = due.saturating_duration_since(now);
-            if gap <= NEAR {
-                PumpWait::PollSleep(gap.min(STEP))
-            } else {
-                PumpWait::Block((gap - TICK_SLACK).clamp(FLOOR, PUMP_IDLE_TIMEOUT))
-            }
-        }
-    }
-}
-
-/// An inbound pump's socket plus its current blocking mode, so a mode
-/// or timeout switch costs a syscall only when the plan changes.
-struct PumpSock {
-    sock: UdpSocket,
-    /// Read timeout last set (`None` = not set by us yet).
-    timeout: Option<Duration>,
-    nonblocking: bool,
-}
-
-impl PumpSock {
-    fn new(sock: UdpSocket) -> PumpSock {
-        PumpSock {
-            sock,
-            timeout: None,
-            nonblocking: false,
-        }
-    }
-
-    /// Wait for one datagram as `plan` says. Returns it with the
-    /// instant it was in hand, read *after* the wait: the wait may
-    /// have blocked for up to [`PUMP_IDLE_TIMEOUT`], so a clock value
-    /// from before it is up to that stale — arrivals (a session's
-    /// `last_seen`, fault-delay due times) are stamped with this one.
-    fn recv(
-        &mut self,
-        plan: PumpWait,
-        buf: &mut [u8],
-    ) -> std::io::Result<(usize, SocketAddr, Instant)> {
-        let res = match plan {
-            PumpWait::Block(want) => {
-                if self.nonblocking {
-                    let _ = self.sock.set_nonblocking(false);
-                    self.nonblocking = false;
-                }
-                if self.timeout != Some(want) {
-                    let _ = self.sock.set_read_timeout(Some(want));
-                    self.timeout = Some(want);
-                }
-                self.sock.recv_from(buf)
-            }
-            PumpWait::PollSleep(nap) => {
-                if !self.nonblocking {
-                    let _ = self.sock.set_nonblocking(true);
-                    self.nonblocking = true;
-                }
-                let r = self.sock.recv_from(buf);
-                if r.is_err() && !nap.is_zero() {
-                    std::thread::sleep(nap);
-                }
-                r
-            }
-        };
-        res.map(|(n, from)| (n, from, Instant::now()))
-    }
+/// One blocking receive, returned with the instant the datagram was in
+/// hand. The instant is read *after* the wait, which may have lasted up
+/// to [`PUMP_IDLE_TIMEOUT`]: a clock value from before it is up to that
+/// stale, and a session's `last_seen` is stamped with this one.
+fn recv_stamped(sock: &UdpSocket, buf: &mut [u8]) -> std::io::Result<(usize, SocketAddr, Instant)> {
+    sock.recv_from(buf)
+        .map(|(n, from)| (n, from, Instant::now()))
 }
 
 /// Gateway options.
@@ -278,7 +195,8 @@ pub struct ArenaLane {
     pub processed: u64,
     /// Datagrams discarded by the arena ports' bounded-queue policy.
     pub queue_dropped: u64,
-    /// Datagrams still queued on the arena ports at shutdown.
+    /// Datagrams still queued (or held for a fault delay) on the arena
+    /// ports at shutdown.
     pub pending_at_shutdown: u64,
     /// Replies the arena generated.
     pub replies: u64,
@@ -607,9 +525,11 @@ impl OutboundPump {
 
 /// One shard's inbound pump: a plain OS thread demuxing the shard's
 /// socket to the front door and every arena. It owns everything it
-/// writes — lane, lottery, hold list, outbox; only the router is shared.
+/// writes — lane, lottery, outbox; only the router is shared. When a
+/// copy is delivered is the fabric's business: a fault-delayed copy is
+/// handed in with its delay, and the destination port holds it.
 struct InboundPump {
-    sock: PumpSock,
+    sock: UdpSocket,
     real: Arc<RealFabric>,
     /// The shard's gateway port: the fabric source of everything
     /// forwarded here, so the replies come back to this shard.
@@ -617,18 +537,16 @@ struct InboundPump {
     router: Arc<Router>,
     lottery: FaultLottery,
     lane: GatewayLane,
-    /// Copies staged per arena cell.
+    /// Copies forwarded per arena cell.
     to_arena: Vec<u64>,
-    /// Fault-delayed copies: (due, arena cell, port, payload).
-    held: Vec<(Instant, usize, PortId, Vec<u8>)>,
-    /// Copies staged this wakeup, flushed in per-port batches under
-    /// one queue lock each.
+    /// Copies due at once, staged this wakeup and flushed in per-port
+    /// batches under one queue lock each.
     outbox: Vec<(PortId, Vec<u8>)>,
 }
 
 impl InboundPump {
     /// One datagram off the socket: decode, admit and route, draw its
-    /// fault fate.
+    /// fault fate, and forward every copy.
     fn process(&mut self, payload: &[u8], from: SocketAddr, now: Instant) {
         self.lane.datagrams_in += 1;
         let Ok(msg) = ClientMessage::from_bytes(payload) else {
@@ -644,24 +562,20 @@ impl InboundPump {
             return;
         }
         self.lane.fault_duplicated += fates.len() as u64 - 1;
-        for extra in fates {
-            if extra == 0 {
-                self.stage(cell, port, payload.to_vec());
+        for delay in fates {
+            self.lane.forwarded += 1;
+            if cell == FRONT {
+                self.lane.to_front += 1;
             } else {
-                let due = now + Duration::from_nanos(extra);
-                self.held.push((due, cell, port, payload.to_vec()));
+                self.to_arena[cell] += 1;
+            }
+            if delay == 0 {
+                self.outbox.push((port, payload.to_vec()));
+            } else {
+                self.real
+                    .send_external_delayed(self.gw, port, payload.to_vec(), delay);
             }
         }
-    }
-
-    fn stage(&mut self, cell: usize, port: PortId, payload: Vec<u8>) {
-        self.lane.forwarded += 1;
-        if cell == FRONT {
-            self.lane.to_front += 1;
-        } else {
-            self.to_arena[cell] += 1;
-        }
-        self.outbox.push((port, payload));
     }
 
     /// Hand the outbox to the fabric, one batch per destination port.
@@ -675,53 +589,33 @@ impl InboundPump {
         }
     }
 
-    /// Pump until `deadline`; returns the lane and the per-cell count
-    /// of copies staged for each arena.
-    fn run(mut self, deadline: Instant) -> (GatewayLane, Vec<u64>) {
+    /// Pump until `end_time` on the fabric's clock, the deadline the
+    /// server tasks and outbound pumps stop at; returns the lane and
+    /// the per-cell count of copies forwarded to each arena.
+    fn run(mut self, end_time: Nanos) -> (GatewayLane, Vec<u64>) {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let mut buf = [0u8; MAX_DATAGRAM];
-        loop {
-            let now = Instant::now();
-            let mut i = 0;
-            while i < self.held.len() {
-                if self.held[i].0 <= now {
-                    let (_, cell, port, payload) = self.held.swap_remove(i);
-                    self.stage(cell, port, payload);
-                } else {
-                    i += 1;
-                }
-            }
-            self.flush();
-            if now >= deadline {
-                break;
-            }
-            // Wait so the earliest held due time is hit on the dot
-            // (block far out, poll the final stretch) instead of up to
-            // the idle timeout late.
-            let plan = pump_wait_plan(self.held.iter().map(|h| h.0).min(), now);
-            match self.sock.recv(plan, &mut buf) {
-                // `received`, not the pre-wait `now`, stamps the whole
-                // burst.
+        // Any task id: the real fabric has one clock.
+        while self.real.now(0) < end_time {
+            match recv_stamped(&self.sock, &mut buf) {
+                // `received` stamps the whole burst.
                 Ok((n, from, received)) => {
                     self.process(&buf[..n], from, received);
                     // Drain the rest of a burst in one batched syscall
                     // (no-op without mmsg capability).
-                    for (extra, from) in mmsg::recv_more(&self.sock.sock, mmsg::BATCH - 1) {
+                    for (extra, from) in mmsg::recv_more(&self.sock, mmsg::BATCH - 1) {
                         self.lane.batched_recvs += 1;
                         self.process(&extra, from, received);
                     }
+                    self.flush();
                 }
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                // The idle timeout, or a stop and continue of the
+                // process (Ctrl-Z, `fg`): signal(7) says a receive with
+                // a timeout set fails with `EINTR` then, handler or not.
+                Err(ref e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
                 Err(_) => break,
             }
         }
-        // Late delivery is legal UDP: flush held copies so the
-        // accounting identity closes exactly.
-        for (_, cell, port, payload) in std::mem::take(&mut self.held) {
-            self.stage(cell, port, payload);
-        }
-        self.flush();
         (self.lane, self.to_arena)
     }
 }
@@ -818,7 +712,6 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         rebind_grace,
     ));
 
-    let deadline = Instant::now() + opts.duration;
     let (done, out_lanes) = mpsc::channel();
     let mut pumps = Vec::with_capacity(shards);
     for (shard, (&gw, sock)) in gw_ports.iter().zip(&socks).enumerate() {
@@ -831,8 +724,10 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
             done: done.clone(),
         }
         .spawn(&fabric);
+        // The one receive timeout of the socket every clone shares.
+        sock.set_read_timeout(Some(PUMP_IDLE_TIMEOUT))?;
         let pump = InboundPump {
-            sock: PumpSock::new(sock.try_clone()?),
+            sock: sock.try_clone()?,
             real: real.clone(),
             gw,
             router: router.clone(),
@@ -842,10 +737,9 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
             }),
             lane: GatewayLane::new(shard),
             to_arena: vec![0; cells],
-            held: Vec::new(),
             outbox: Vec::new(),
         };
-        pumps.push(std::thread::spawn(move || pump.run(deadline)));
+        pumps.push(std::thread::spawn(move || pump.run(end_time)));
     }
 
     fabric.run();
@@ -1278,88 +1172,11 @@ mod tests {
         assert_eq!(session(&router, 7).unwrap().addr(), addr(4000));
     }
 
-    #[test]
-    fn wait_plan_tracks_the_earliest_due_time() {
-        let now = Instant::now();
-        // Nothing held: blocking read at the idle cadence.
-        assert_eq!(
-            pump_wait_plan(None, now),
-            PumpWait::Block(PUMP_IDLE_TIMEOUT)
-        );
-        // Due soon: poll, never risking a tick-rounded oversleep.
-        assert_eq!(
-            pump_wait_plan(Some(now + Duration::from_millis(3)), now),
-            PumpWait::PollSleep(Duration::from_micros(500))
-        );
-        // Due in under a poll step: nap only to the due time.
-        assert_eq!(
-            pump_wait_plan(Some(now + Duration::from_micros(80)), now),
-            PumpWait::PollSleep(Duration::from_micros(80))
-        );
-        // Already due: zero nap, the caller flushes immediately.
-        assert_eq!(
-            pump_wait_plan(Some(now), now),
-            PumpWait::PollSleep(Duration::ZERO)
-        );
-        // Due just past the poll window: block, but stop a tick-slack
-        // short of the due time.
-        assert_eq!(
-            pump_wait_plan(Some(now + Duration::from_millis(12)), now),
-            PumpWait::Block(Duration::from_millis(6))
-        );
-        // Far-off due time: never block longer than the idle cadence,
-        // and never ask for a zero timeout (that's an io error).
-        assert_eq!(
-            pump_wait_plan(Some(now + Duration::from_secs(1)), now),
-            PumpWait::Block(PUMP_IDLE_TIMEOUT)
-        );
-        match pump_wait_plan(
-            Some(now + Duration::from_millis(10) + Duration::from_micros(1)),
-            now,
-        ) {
-            PumpWait::Block(t) => assert!(t >= Duration::from_millis(1), "{t:?}"),
-            other => panic!("expected Block, got {other:?}"),
-        }
-    }
-
-    /// A fault-delayed datagram is injected within one poll step
-    /// (0.5 ms) of its due time, on a simulated clock: each
-    /// `Block(t)` wakes at `t + 6 ms`, the worst `SO_RCVTIMEO`
-    /// overshoot the plan's tick slack covers, and each `PollSleep(n)`
-    /// after exactly `n`. A pump that blocks a fixed 10 ms whatever the
-    /// due time lands 1 ms late from 15 ms out, and fails.
-    #[test]
-    fn delayed_fault_delivery_lands_within_a_poll_step() {
-        const OVERSHOOT: Duration = Duration::from_millis(6);
-        const STEP: Duration = Duration::from_micros(500);
-        let due = Instant::now() + Duration::from_secs(1);
-        // 15 ms out exercises both phases (block, then poll); the
-        // sweep around it covers every phase boundary.
-        for lead_us in (0..=40_000).step_by(100) {
-            let mut now = due - Duration::from_micros(lead_us);
-            let mut waits = 0;
-            while now < due {
-                now += match pump_wait_plan(Some(due), now) {
-                    PumpWait::Block(t) => t + OVERSHOOT,
-                    PumpWait::PollSleep(nap) => nap,
-                };
-                waits += 1;
-                assert!(
-                    waits < 1000,
-                    "{lead_us} µs out: the pump never wakes at its due time"
-                );
-            }
-            let late = now - due;
-            assert!(late <= STEP, "{lead_us} µs out: delivered {late:?} late");
-        }
-    }
-
-    /// The stamping side of the same bound. The pump reads the clock
-    /// at the top of its loop and may then block up to 10 ms in the
-    /// receive; stamping an arrival with that pre-wait clock made a
-    /// fault-delayed copy come due up to 10 ms early (and measured
-    /// rebind grace from a stale instant). The stamp is the one
-    /// `PumpSock::recv` takes after the wait.
+    /// The pump reads the clock at the top of its loop and may then
+    /// block up to 10 ms in the receive; stamping an arrival with that
+    /// pre-wait clock measured a session's rebind grace from a stale
+    /// instant. The stamp is the one `recv_stamped` takes after the
+    /// wait.
     #[test]
     fn arrival_after_silence_is_stamped_when_received() {
         let (Ok(rx), Ok(tx)) = (
@@ -1369,6 +1186,7 @@ mod tests {
             eprintln!("skipping: loopback UDP not permitted");
             return;
         };
+        rx.set_read_timeout(Some(PUMP_IDLE_TIMEOUT)).unwrap();
         let to = rx.local_addr().unwrap();
         let sender = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(8));
@@ -1376,19 +1194,14 @@ mod tests {
             tx.send_to(&[7], to).unwrap();
             sent
         });
-        let mut sock = PumpSock::new(rx);
         let mut buf = [0u8; 16];
         let received = loop {
-            // The pump's own order: clock, plan, wait (≥ 8 ms here).
-            let now = Instant::now();
-            if let Ok((_, _, received)) = sock.recv(pump_wait_plan(None, now), &mut buf) {
+            // The wait is ≥ 8 ms here.
+            if let Ok((_, _, received)) = recv_stamped(&rx, &mut buf) {
                 break received;
             }
         };
         let sent = sender.join().unwrap();
-        // Held copies come due at `stamp + drawn delay`, so a 5 ms
-        // draw is staged no earlier than 5 ms after the arrival iff
-        // the stamp is no earlier than the arrival.
         assert!(received >= sent, "stamped before the datagram existed");
     }
 

@@ -210,6 +210,37 @@ fn migrated_sessions_are_rehomed_whatever_arenas_the_client_asked_for() {
     assert!(report.accounting_closed(), "books open: {report:?}");
 }
 
+/// Every inbound copy is held 20–25 ms (delay on every datagram, no
+/// loss), so no reply can come back sooner than 20 ms after the move it
+/// echoes: the clients' mean round trip is at least that. Copies still
+/// held at shutdown are pending on their ports, so the books close.
+#[test]
+fn delayed_copies_arrive_no_earlier_than_their_delay() {
+    let fault = FaultConfig {
+        delay: 1.0,
+        min_delay_ns: 20_000_000,
+        max_delay_ns: 25_000_000,
+        seed: 0x5EED_0002,
+        ..FaultConfig::none()
+    };
+    let Some((addr, server)) = serve(UdpArenaOpts {
+        fault,
+        ..two_arenas(Duration::from_millis(1200))
+    }) else {
+        return;
+    };
+    let out = run_udp_clients(addr, 2, 12, Duration::from_millis(900), None, 1, None)
+        .expect("client run");
+    let report = server.join().expect("server thread").expect("server run");
+    assert!(report.accounting_closed(), "books open: {report:?}");
+    assert!(out.received > 0, "clients heard nothing back: {out:?}");
+    assert!(
+        out.avg_ms >= 20.0,
+        "mean round trip {:.2} ms under the 20 ms delay floor",
+        out.avg_ms
+    );
+}
+
 /// Fewer bots than sockets spawn fewer drivers than sockets were asked
 /// for — none at all for zero bots — and the bridge must not reach
 /// past the ones that exist.
