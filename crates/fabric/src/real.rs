@@ -85,11 +85,22 @@ impl PortQueue {
     /// Enqueue every held copy due by the time `now` returns, calling
     /// it only when something is held. Returns the earliest due time
     /// still held.
+    #[inline(always)]
     fn release(&mut self, now: impl FnOnce() -> Nanos) -> Option<Nanos> {
         if self.held.is_empty() {
-            return None;
+            None
+        } else {
+            self.release_due(now())
         }
-        let now = now();
+    }
+
+    /// The held-copy half of [`PortQueue::release`], kept out of line:
+    /// every send and receive on a port that holds nothing (all traffic
+    /// without a fault profile) then compiles to the emptiness check
+    /// alone, not to a copy of this loop.
+    #[cold]
+    #[inline(never)]
+    fn release_due(&mut self, now: Nanos) -> Option<Nanos> {
         while let Some(&(due, _)) = self.held.front() {
             if due > now {
                 return Some(due);
@@ -292,6 +303,7 @@ impl RealFabric {
         self.epoch + Duration::from_nanos(t)
     }
 
+    #[inline(always)]
     fn clock(&self) -> Nanos {
         self.epoch.elapsed().as_nanos() as Nanos
     }
