@@ -65,7 +65,7 @@
 use parquake_fabric::TaskCtx;
 use parquake_metrics::{SupervisorEvent, SupervisorEventKind};
 use parquake_protocol::Encode;
-use parquake_server::clients::SlotState;
+use parquake_server::runtime::SlotSnapshot;
 use parquake_server::LifecycleEvent;
 
 use crate::directory::{drain_requests_coalesced, Director, DirectorEnv};
@@ -260,7 +260,7 @@ fn handoff(
         cell_s.guard().coalesced_moves += coalesced;
     }
 
-    // Booked candidates with Active slots are the victims; free slots
+    // Booked candidates with movable slots are the victims; free slots
     // in the destination table are their landing spots.
     let s_clients = &cell_s.shared.clients;
     let d_clients = &cell_d.shared.clients;
@@ -270,19 +270,18 @@ fn handoff(
         if moved.len() >= want {
             break;
         }
-        let Some(s_idx) = (0..s_clients.capacity()).find(|&idx| {
-            let slot = s_clients.slot(idx);
-            slot.state == SlotState::Active && slot.client_id == cid
-        }) else {
+        let Some(capsule) = s_clients
+            .find(cid)
+            .map(|idx| SlotSnapshot::of(idx, s_clients.slot(idx)))
+            .filter(SlotSnapshot::movable)
+        else {
             continue;
         };
-        let Some(t_idx) = (next_landing..d_clients.capacity())
-            .find(|&idx| d_clients.slot(idx).state == SlotState::Empty)
-        else {
+        let Some(t_idx) = d_clients.first_empty(next_landing..d_clients.capacity()) else {
             break;
         };
         next_landing = t_idx + 1;
-        if transfer(ctx, cell_s, cell_d, d, cid, s_idx, t_idx).is_some() {
+        if transfer(ctx, cell_s, cell_d, d, &capsule, t_idx).is_some() {
             moved.push(cid);
         }
     }
@@ -327,23 +326,25 @@ fn handoff(
     d.empty_since[dst] = None;
 }
 
-/// The fenced transfer proper: capsule out of the source world,
+/// The fenced transfer proper: the player out of the source world,
 /// validate-before-mutate into the destination world, then (only
-/// then) install the destination slot with `needs_ack` set and clear
-/// the source entity and slot — the destination's next reply phase
+/// then) reinstate the session `capsule` at the destination slot and
+/// evict it from the source — the destination's next reply phase
 /// re-acks the client unprompted with the new arena id, exactly the
-/// crash-recovery rebind path.
+/// crash-recovery rebind path. Prediction continuity follows the same
+/// rule as a restore: the opt-in and the input ack travel, and the
+/// perturbation epoch moves on.
 fn transfer(
     ctx: &TaskCtx,
     cell_s: &ArenaCell,
     cell_d: &ArenaCell,
     d: &mut Director,
-    cid: u32,
-    s_idx: usize,
+    capsule: &SlotSnapshot,
     t_idx: usize,
 ) -> Option<()> {
+    let s_idx = capsule.idx as usize;
     let pre_hash = cell_s.shared.world.player_hash(s_idx as u16);
-    let capsule = cell_s
+    let player = cell_s
         .shared
         .world
         .snapshot_player_bytes(s_idx as u16)
@@ -351,38 +352,20 @@ fn transfer(
     cell_d
         .shared
         .world
-        .restore_player_bytes(t_idx as u16, &capsule)
+        .restore_player_bytes(t_idx as u16, &player)
         .ok()?;
     // Landed. The hash check is the world-hash-identity oracle: the
-    // capsule's bytes, rehashed at the destination slot, must equal
+    // player's bytes, rehashed at the destination slot, must equal
     // the source's pre-fence state.
     if cell_d.shared.world.player_hash(t_idx as u16) != pre_hash {
         d.sup.migrate_hash_mismatch += 1;
     }
     // Modelled cost: the serialize + deserialize memcpy, mirroring
     // checkpoint capture/restore.
-    ctx.charge(((capsule.len() as u64) >> 6).max(1_000));
+    ctx.charge(((player.len() as u64) >> 6).max(1_000));
 
-    let s_slot = cell_s.shared.clients.slot(s_idx);
-    let t_slot = cell_d.shared.clients.slot(t_idx);
-    t_slot.vacate();
-    t_slot.state = SlotState::Active;
-    t_slot.client_id = cid;
-    t_slot.reply_port = s_slot.reply_port;
-    t_slot.needs_ack = true;
-    t_slot.last_seq = s_slot.last_seq;
-    t_slot.last_sent_at = s_slot.last_sent_at;
-    t_slot.last_active = ctx.now();
-    // Prediction continuity, by the checkpoint-restore rule: the opt-in
-    // and the input ack travel, the perturbation epoch moves past the
-    // source's (the client's divergence oracle stands down until it
-    // re-adopts server state in the new world), and the shadow re-seeds
-    // from the destination's authoritative state on the next move.
-    t_slot.predicts = s_slot.predicts;
-    t_slot.input_ack = s_slot.input_ack;
-    t_slot.input_perturb = s_slot.input_perturb.wrapping_add(1);
-    cell_s.shared.world.despawn_player(s_idx as u16);
-    s_slot.vacate();
+    cell_d.shared.reinstate(t_idx, capsule, ctx.now());
+    cell_s.shared.evict(s_idx);
     Some(())
 }
 

@@ -24,11 +24,10 @@ use std::collections::HashSet;
 
 use parquake_fabric::{Nanos, TaskCtx};
 use parquake_metrics::{SupervisorEvent, SupervisorEventKind};
-use parquake_server::clients::SlotState;
 
 use crate::directory::{Director, DirectorEnv};
 use crate::ledger::Departure;
-use crate::pool::{ArenaCell, Fate, Pool};
+use crate::pool::{Fate, Pool};
 
 /// The watchdog condemns an arena whose claimed frame has been running
 /// longer than this. A stuck frame cannot be preempted — the watchdog
@@ -145,7 +144,9 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
             // slot instead of re-booking it, or the session would
             // exist in two worlds at once.
             Some(p) if p.arena != arena => {
-                wipe_resurrected_slot(cell, cid);
+                if let Some(idx) = cell.shared.clients.find(cid) {
+                    cell.shared.evict(idx);
+                }
                 d.sup.stale_restored_slots += 1;
             }
             // Checkpointed but lost from the book (LRU eviction, or an
@@ -167,19 +168,4 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
     let now = ctx.now();
     d.sup
         .note_restore(now, arena, now.saturating_sub(failed_at));
-}
-
-/// A restored slot whose client the ledger shows booked at another
-/// arena is stale — despawn its entity and clear the slot so the
-/// session lives only where the book says it does.
-fn wipe_resurrected_slot(cell: &ArenaCell, cid: u32) {
-    let clients = &cell.shared.clients;
-    for idx in 0..clients.capacity() {
-        let slot = clients.slot(idx);
-        if slot.state != SlotState::Empty && slot.client_id == cid {
-            cell.shared.world.despawn_player(idx as u16);
-            slot.vacate();
-            return;
-        }
-    }
 }

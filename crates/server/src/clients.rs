@@ -188,6 +188,23 @@ impl ClientTable {
         (0..self.capacity()).any(|i| self.slot(i).state != SlotState::Empty)
     }
 
+    /// The slot holding `client_id`'s session (Pending or Active). A
+    /// client holds at most one: a `Connect` re-acks the slot this
+    /// finds instead of claiming another.
+    pub fn find(&self, client_id: u32) -> Option<usize> {
+        (0..self.capacity()).find(|&i| {
+            let slot = self.slot(i);
+            slot.state != SlotState::Empty && slot.client_id == client_id
+        })
+    }
+
+    /// The first `Empty` slot in `range`.
+    pub fn first_empty(&self, range: std::ops::Range<usize>) -> Option<usize> {
+        range
+            .into_iter()
+            .find(|&i| self.slot(i).state == SlotState::Empty)
+    }
+
     /// Access a slot. The caller must hold the right to access it under
     /// the phase protocol (owning thread in its phases, master during
     /// the world phase, or the slot's fabric lock for `events`).

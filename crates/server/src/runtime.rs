@@ -17,7 +17,7 @@ use parquake_protocol::{
 use parquake_sim::worldphase::run_world_phase;
 use parquake_sim::{GameWorld, WorkCounters};
 
-use crate::clients::{ClientTable, SlotState};
+use crate::clients::{ClientTable, Slot, SlotState};
 use crate::cost::CostModel;
 use crate::exec::{execute_move_at, ExecEnv, RegionLocks};
 use crate::lifecycle::LifecycleEvent;
@@ -408,15 +408,7 @@ impl ServerShared {
             ClientMessage::Connect { client_id, .. } => {
                 // Re-ack an existing slot (anywhere, in case the client
                 // was steered) or claim a fresh one in the home block.
-                let mut existing = None;
-                for idx in 0..self.clients.capacity() {
-                    let slot = self.clients.slot(idx);
-                    if slot.state != SlotState::Empty && slot.client_id == client_id {
-                        existing = Some(idx);
-                        break;
-                    }
-                }
-                if let Some(idx) = existing {
+                if let Some(idx) = self.clients.find(client_id) {
                     let slot = self.clients.slot(idx);
                     if slot.reply_port == from_port {
                         // Retry from the same endpoint: refresh and
@@ -443,10 +435,7 @@ impl ServerShared {
                     }
                     return false;
                 }
-                let fresh = self
-                    .own_slots(thread)
-                    .find(|&idx| self.clients.slot(idx).state == SlotState::Empty);
-                if let Some(idx) = fresh {
+                if let Some(idx) = self.clients.first_empty(self.own_slots(thread)) {
                     let slot = self.clients.slot(idx);
                     slot.vacate();
                     slot.client_id = client_id;
@@ -483,11 +472,8 @@ impl ServerShared {
                 false
             }
             ClientMessage::Disconnect { client_id } => {
-                for idx in 0..self.clients.capacity() {
-                    let slot = self.clients.slot(idx);
-                    if slot.state != SlotState::Empty && slot.client_id == client_id {
-                        slot.leaving = true;
-                    }
+                if let Some(idx) = self.clients.find(client_id) {
+                    self.clients.slot(idx).leaving = true;
                 }
                 false
             }
@@ -891,90 +877,86 @@ impl ServerShared {
         }
     }
 
-    /// Capture the connection identity of every occupied slot for a
-    /// supervisor checkpoint. Quiescent contexts only (between frames,
-    /// under the pool claim) — same contract as the world snapshot.
+    /// The capsule of every occupied slot, for a supervisor checkpoint.
+    /// Quiescent contexts only (between frames, under the pool claim)
+    /// — same contract as the world snapshot.
     pub fn snapshot_slots(&self) -> Vec<SlotSnapshot> {
         (0..self.clients.capacity())
-            .filter_map(|idx| {
-                let s = self.clients.slot(idx);
-                (s.state != SlotState::Empty).then_some(SlotSnapshot {
-                    idx: idx as u32,
-                    state: s.state,
-                    client_id: s.client_id,
-                    reply_port: s.reply_port,
-                    owner: s.owner,
-                    desired_thread: s.desired_thread,
-                    last_seq: s.last_seq,
-                    predicts: s.predicts,
-                    input_ack: s.input_ack,
-                    input_perturb: s.input_perturb,
-                })
-            })
+            .filter(|&idx| self.clients.slot(idx).state != SlotState::Empty)
+            .map(|idx| SlotSnapshot::of(idx, self.clients.slot(idx)))
             .collect()
     }
 
-    /// Rebuild the slot table from a checkpoint. Every slot is cleared
-    /// first, then the snapshot entries are reinstated with:
-    ///
-    /// * `last_active = now` — restored clients get a fresh inactivity
-    ///   window instead of inheriting pre-crash silence,
-    /// * `needs_ack = true` for Active slots — the unsolicited
-    ///   ConnectAck both re-synchronizes the client and serves as the
-    ///   client-observable "your arena restarted" signal,
-    /// * an empty delta baseline — the next reply carries full state,
-    ///   since the client's acked view may postdate the checkpoint.
-    ///
-    /// Quiescent contexts only.
+    /// Rebuild the slot table from a checkpoint: every slot a capsule
+    /// names is [reinstated](ServerShared::reinstate) from it, every
+    /// other slot is vacated. Quiescent contexts only.
     pub fn restore_slots(&self, snaps: &[SlotSnapshot], now: Nanos) {
-        // Live pre-crash perturbation epochs, by slot index. The slot
-        // table survives the panic, and between the checkpoint and the
-        // crash the live epoch may have advanced past the snapshot's
-        // (collision bumps are not checkpointed). Reinstating from the
-        // snapshot alone could then reissue an epoch the client has
-        // already adopted, re-arming its divergence oracle against the
-        // rewound world.
-        let live_perturb: Vec<u32> = (0..self.clients.capacity())
-            .map(|idx| self.clients.slot(idx).input_perturb)
-            .collect();
         for idx in 0..self.clients.capacity() {
-            self.clients.slot(idx).vacate();
-        }
-        for snap in snaps {
-            let idx = snap.idx as usize;
-            if idx >= self.clients.capacity() {
-                continue;
+            match snaps.iter().find(|snap| snap.idx as usize == idx) {
+                Some(snap) => self.reinstate(idx, snap, now),
+                None => self.clients.slot(idx).vacate(),
             }
-            let s = self.clients.slot(idx);
-            s.state = snap.state;
-            s.client_id = snap.client_id;
-            s.reply_port = snap.reply_port;
-            s.owner = snap.owner;
-            s.desired_thread = snap.desired_thread;
-            s.last_seq = snap.last_seq;
-            s.last_active = now;
-            s.needs_ack = snap.state == SlotState::Active;
-            // Prediction continuity across a restore: the restored
-            // world state is NOT what pure input replay from the
-            // client's ring would produce, so the perturbation epoch
-            // is bumped past BOTH the checkpointed and the live
-            // pre-crash value (disarming the client's divergence
-            // oracle until it re-adopts server state) and the shadow
-            // is dropped — the next trailered move re-seeds it from
-            // the restored authoritative state.
-            s.predicts = snap.predicts;
-            s.input_ack = snap.input_ack;
-            s.input_perturb = snap.input_perturb.max(live_perturb[idx]).wrapping_add(1);
         }
+    }
+
+    /// Install a session capsule in slot `idx`: the one transition both
+    /// a checkpoint restore and a live migration use. The slot is
+    /// vacated, so the session arrives with an empty event queue and
+    /// delta baseline (the next reply carries full state, since the
+    /// client's acked view may postdate the capsule), then takes the
+    /// capsule's identity, and:
+    ///
+    /// * `last_active = now` — a fresh inactivity window instead of the
+    ///   silence before the crash or the fence,
+    /// * `needs_ack` for an Active session — the unsolicited ConnectAck
+    ///   re-synchronizes the client and tells it its arena restarted or
+    ///   changed,
+    /// * the perturbation epoch moves past both the capsule's and the
+    ///   slot's live value. The session's world state is not what pure
+    ///   input replay from the client's ring would produce, so the
+    ///   client's divergence oracle must stand down until it re-adopts
+    ///   server state; and the live value may be ahead of the capsule
+    ///   (a restored arena's slot kept counting after its checkpoint),
+    ///   so an epoch the client already adopted is never reissued. The
+    ///   shadow re-seeds from the authoritative state on the next
+    ///   trailered move.
+    ///
+    /// Quiescent contexts only (the caller holds the arena's claim).
+    pub fn reinstate(&self, idx: usize, snap: &SlotSnapshot, now: Nanos) {
+        let s = self.clients.slot(idx);
+        let live_perturb = s.input_perturb;
+        s.vacate();
+        s.state = snap.state;
+        s.client_id = snap.client_id;
+        s.reply_port = snap.reply_port;
+        s.owner = snap.owner;
+        s.desired_thread = snap.desired_thread;
+        s.last_seq = snap.last_seq;
+        s.predicts = snap.predicts;
+        s.input_ack = snap.input_ack;
+        s.input_perturb = snap.input_perturb.max(live_perturb).wrapping_add(1);
+        s.last_active = now;
+        s.needs_ack = snap.state == SlotState::Active;
+    }
+
+    /// End the session in slot `idx` with no notice to anyone: despawn
+    /// its player and vacate the slot. For a session that lives on
+    /// elsewhere — migrated away, or resurrected by a restore after it
+    /// migrated. Quiescent contexts only.
+    pub fn evict(&self, idx: usize) {
+        self.world.despawn_player(idx as u16);
+        self.clients.slot(idx).vacate();
     }
 }
 
-/// One occupied slot's connection identity, as stored in a supervisor
-/// checkpoint. Gameplay fields (event queue, delta baseline, per-frame
-/// counters) are deliberately absent: they are rebuilt on restore.
+/// The capsule of one slot's session: what a checkpoint stores and a
+/// live migration carries, installed by [`ServerShared::reinstate`].
+/// Per-session scratch (event queue, delta baseline, per-frame
+/// counters, the prediction shadow) is deliberately absent: it is
+/// rebuilt once the session is reinstated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotSnapshot {
-    /// Slot index in the client table.
+    /// Slot index in the client table the capsule was taken from.
     pub idx: u32,
     pub state: SlotState,
     pub client_id: u32,
@@ -982,12 +964,60 @@ pub struct SlotSnapshot {
     pub owner: u32,
     pub desired_thread: u32,
     pub last_seq: u32,
-    /// Prediction opt-in survives a restore; the restore path bumps
-    /// `input_perturb` so the client's divergence oracle stands down
-    /// until it re-adopts server state.
+    /// Prediction opt-in and input ack travel; `reinstate` moves the
+    /// perturbation epoch past this one.
     pub predicts: bool,
     pub input_ack: u32,
     pub input_perturb: u32,
+}
+
+impl SlotSnapshot {
+    /// The capsule of `slot`, found at index `idx`. Every field of
+    /// [`Slot`] is named here, so a new one does not compile until its
+    /// author says whether a restore or a migration carries it.
+    pub fn of(idx: usize, slot: &Slot) -> SlotSnapshot {
+        let Slot {
+            state,
+            client_id,
+            reply_port,
+            owner,
+            desired_thread,
+            // Re-derived: an Active session re-acks.
+            needs_ack: _,
+            leaving: _,
+            // Per-frame scratch, zero between frames.
+            requests_this_frame: _,
+            last_seq,
+            // Read only by the reply to a Move, which rewrites it first.
+            last_sent_at: _,
+            // Restarted at the reinstate.
+            last_active: _,
+            events: _,
+            baseline: _,
+            in_view: _,
+            predicts,
+            input_ack,
+            input_perturb,
+            predict_shadow: _,
+        } = *slot;
+        SlotSnapshot {
+            idx: idx as u32,
+            state,
+            client_id,
+            reply_port,
+            owner,
+            desired_thread,
+            last_seq,
+            predicts,
+            input_ack,
+            input_perturb,
+        }
+    }
+
+    /// Whether a migration may move this session: it is in the game.
+    pub fn movable(&self) -> bool {
+        self.state == SlotState::Active
+    }
 }
 
 #[cfg(test)]
