@@ -24,6 +24,7 @@ use std::collections::HashSet;
 
 use parquake_fabric::{Nanos, TaskCtx};
 use parquake_metrics::{SupervisorEvent, SupervisorEventKind};
+use parquake_server::runtime::SlotSnapshot;
 
 use crate::directory::{Director, DirectorEnv};
 use crate::ledger::Departure;
@@ -91,9 +92,8 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
     let cell = &pool.cells[k];
     let g = cell.guard();
     let now0 = ctx.now();
-    // (client_id, connect-time thread) of every checkpointed session,
-    // in slot order — deterministic replay.
-    let mut resident: Vec<(u32, u16)> = Vec::new();
+    // Every checkpointed session, in slot order — deterministic replay.
+    let mut resident: Vec<SlotSnapshot> = Vec::new();
     if let Some(cp) = g.ring.latest() {
         // The codec validates the whole image before mutating, so a
         // failed restore (impossible unless the ring is corrupt)
@@ -105,9 +105,7 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
         // Modelled cost: the deserializing memcpy, mirroring
         // checkpoint capture.
         ctx.charge((cp.world.len() as u64 >> 6).max(1_000));
-        for s in &cp.slots {
-            resident.push((s.client_id, s.owner as u16));
-        }
+        resident.clone_from(&cp.slots);
     } else {
         // Crashed before any checkpoint — unreachable from the pooled
         // path (the first claim checkpoints before the lottery), but
@@ -117,7 +115,7 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
 
     // Ledger replay: the book must agree with the restored slot table.
     let arena = k as u16;
-    let checkpointed: HashSet<u32> = resident.iter().map(|&(id, _)| id).collect();
+    let checkpointed: HashSet<u32> = resident.iter().map(|s| s.client_id).collect();
     for (cid, _) in d.ledger.booked_in(arena) {
         if !checkpointed.contains(&cid) {
             // Placed after the checkpoint: that session no longer
@@ -133,7 +131,8 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
         .iter()
         .map(|&(id, _)| id)
         .collect();
-    for &(cid, thread) in &resident {
+    for s in &resident {
+        let cid = s.client_id;
         if booked.contains(&cid) {
             continue;
         }
@@ -149,11 +148,15 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
                 }
                 d.sup.stale_restored_slots += 1;
             }
+            // Checkpointed with its Disconnect drained: the first frame
+            // after the restore vacates the slot and sends the notice,
+            // so a client the book already let go stays gone.
+            _ if s.leaving => {}
             // Checkpointed but lost from the book (LRU eviction, or an
             // interleaved departure notice): the restored slot is the
             // authority — re-book it.
             _ => {
-                d.ledger.place(cid, arena, thread);
+                d.ledger.place(cid, arena, s.owner as u16);
                 d.sup.replayed_placements += 1;
             }
         }

@@ -423,3 +423,120 @@ fn a_migrated_predicting_slot_keeps_its_input_ack_and_moves_its_epoch_on() {
         "arena 1 drops the replayed input as a duplicate"
     );
 }
+
+/// A slot whose `Disconnect` has been drained but not yet applied (the
+/// world phase of the arena's next frame vacates it) is not a
+/// migration victim. Client 1 leaves arena 0 while arena 0 sees no
+/// further traffic, so its slot stays Active and `leaving` until a
+/// maintenance frame; meanwhile client 3 leaves arena 1, which opens a
+/// spread of 2. The handoff must move client 2, and client 1's own
+/// `Disconnected` notice must end its booking. (Moving client 1
+/// installed it Active at arena 1, which re-acked a client that had
+/// left and kept it booked as a ghost player.)
+#[test]
+fn a_handoff_never_moves_a_slot_with_a_disconnect_pending() {
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let mut server = ServerConfig::new(ServerKind::Sequential, 3_000_000_000);
+    server.checking = false;
+    let cfg = ArenaDirectoryConfig {
+        policy: AdmissionPolicy::Explicit,
+        workers: 1,
+        map: MapGenConfig::small_arena(11),
+        // Slow maintenance: a drained Disconnect waits up to a second
+        // for the frame that applies it.
+        maintenance_ns: 1_000_000_000,
+        migrate_spread: 2,
+        ..ArenaDirectoryConfig::new(2, 4, server)
+    };
+    let handle = spawn_directory(&fabric, cfg);
+    let front = handle.front_port;
+    let arena_ports: Vec<PortId> = handle.arena_ports.iter().map(|p| p[0]).collect();
+    let ports = [
+        fabric.alloc_port(),
+        fabric.alloc_port(),
+        fabric.alloc_port(),
+    ];
+    // (client, arena) of every ConnectAck heard after client 1 left.
+    let late_acks = Arc::new(Mutex::new(Vec::new()));
+    let late_task = late_acks.clone();
+    fabric.spawn(
+        "script",
+        None,
+        Box::new(move |ctx| {
+            let send = |i: usize, to: PortId, msg: ClientMessage| {
+                ctx.send(ports[i], to, msg.to_bytes());
+            };
+            // Clients 3, 1, 2 ask for arenas 1, 0, 0: the spread never
+            // reaches 2 while they connect. Each retries until acked
+            // (a Pending slot spawns on the arena's next frame).
+            let wants = [0u16, 0, 1];
+            let mut acked = [false; 3];
+            let mut left = false;
+            let mut tick = 0;
+            while ctx.now() < 2_800_000_000 {
+                tick += 1;
+                for i in [2, 0, 1] {
+                    if !acked[i] && tick < 20 {
+                        let connect = ClientMessage::Connect {
+                            client_id: i as u32 + 1,
+                            arena: wants[i],
+                        };
+                        send(i, front, connect);
+                    }
+                }
+                match tick {
+                    // Client 1 leaves arena 0 and nothing else reaches it.
+                    20 => {
+                        assert!(acked.iter().all(|&a| a), "setup acks: {acked:?}");
+                        send(
+                            0,
+                            arena_ports[0],
+                            ClientMessage::Disconnect { client_id: 1 },
+                        );
+                        left = true;
+                    }
+                    // Client 3 leaves arena 1; the second datagram runs
+                    // the frame that applies it and tells the director.
+                    25 | 26 => {
+                        send(
+                            2,
+                            arena_ports[1],
+                            ClientMessage::Disconnect { client_id: 3 },
+                        );
+                    }
+                    _ => {}
+                }
+                ctx.sleep_until(ctx.now() + 20_000_000);
+                for (i, &port) in ports.iter().enumerate() {
+                    while let Some(raw) = ctx.try_recv(port) {
+                        if let Ok(ServerMessage::ConnectAck { arena, .. }) =
+                            ServerMessage::from_bytes(&raw.payload)
+                        {
+                            acked[i] = true;
+                            if left {
+                                late_task.lock().unwrap().push((i as u32 + 1, arena));
+                            }
+                        }
+                    }
+                }
+            }
+        }),
+    );
+    fabric.run();
+
+    let report = handle.report();
+    let sup = &report.supervisor;
+    let adm = &report.admission;
+    assert!(sup.migrations >= 1, "the spread never opened: {sup:?}");
+    let late = late_acks.lock().unwrap().clone();
+    assert!(
+        late.iter().all(|&(client, _)| client != 1),
+        "client 1 was re-acked after it left: {late:?}"
+    );
+    assert!(
+        late.contains(&(2, 1)),
+        "client 2 moved to arena 1: {late:?}"
+    );
+    assert!(adm.population_closed(), "identity open: {adm:?}");
+    assert_eq!(adm.resident, 1, "only client 2 stays: {adm:?}");
+}

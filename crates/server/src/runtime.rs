@@ -931,6 +931,7 @@ impl ServerShared {
         s.reply_port = snap.reply_port;
         s.owner = snap.owner;
         s.desired_thread = snap.desired_thread;
+        s.leaving = snap.leaving;
         s.last_seq = snap.last_seq;
         s.predicts = snap.predicts;
         s.input_ack = snap.input_ack;
@@ -963,6 +964,9 @@ pub struct SlotSnapshot {
     pub reply_port: PortId,
     pub owner: u32,
     pub desired_thread: u32,
+    /// A drained `Disconnect`: the first world phase after the
+    /// reinstate vacates the slot and sends the `Disconnected` notice.
+    pub leaving: bool,
     pub last_seq: u32,
     /// Prediction opt-in and input ack travel; `reinstate` moves the
     /// perturbation epoch past this one.
@@ -984,7 +988,7 @@ impl SlotSnapshot {
             desired_thread,
             // Re-derived: an Active session re-acks.
             needs_ack: _,
-            leaving: _,
+            leaving,
             // Per-frame scratch, zero between frames.
             requests_this_frame: _,
             last_seq,
@@ -1007,6 +1011,7 @@ impl SlotSnapshot {
             reply_port,
             owner,
             desired_thread,
+            leaving,
             last_seq,
             predicts,
             input_ack,
@@ -1014,9 +1019,12 @@ impl SlotSnapshot {
         }
     }
 
-    /// Whether a migration may move this session: it is in the game.
+    /// Whether a migration may move this session: it is in the game,
+    /// with no `Disconnect` pending. A leaving session stays for its
+    /// own arena's next world phase, which vacates it and sends the
+    /// `Disconnected` notice that ends its booking.
     pub fn movable(&self) -> bool {
-        self.state == SlotState::Active
+        self.state == SlotState::Active && !self.leaving
     }
 }
 
@@ -1026,6 +1034,7 @@ mod tests {
     use crate::ServerKind;
     use parquake_bsp::mapgen::MapGenConfig;
     use parquake_fabric::FabricKind;
+    use proptest::prelude::*;
 
     fn shared(threads: u32) -> (Arc<dyn Fabric>, ServerShared) {
         let fabric = FabricKind::VirtualSmp(Default::default()).build();
@@ -1117,6 +1126,122 @@ mod tests {
         assert!(!pending.needs_ack, "Pending acks on spawn, not restore");
 
         assert_eq!(s.clients.slot(6).state, SlotState::Empty, "impostor gone");
+    }
+
+    /// What one random slot holds: its state, eight counters and ids,
+    /// three flags, two clocks, queued events, baseline entries and
+    /// whether it has a prediction shadow.
+    type SlotFields = (
+        SlotState,
+        [u32; 8],
+        [bool; 3],
+        [u64; 2],
+        (usize, usize, bool),
+    );
+
+    fn slot_fields() -> impl Strategy<Value = SlotFields> {
+        let u = any::<u32>;
+        (
+            prop_oneof![
+                Just(SlotState::Empty),
+                Just(SlotState::Pending),
+                Just(SlotState::Active)
+            ],
+            (u(), u(), u(), u(), u(), u(), u(), u())
+                .prop_map(|(a, b, c, d, e, f, g, h)| [a, b, c, d, e, f, g, h]),
+            (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(a, b, c)| [a, b, c]),
+            (any::<u64>(), any::<u64>()).prop_map(|(a, b)| [a, b]),
+            (0usize..4, 0usize..4, any::<bool>()),
+        )
+    }
+
+    fn fill(slot: &mut Slot, f: &SlotFields) {
+        let &(state, [id, port, owner, desired, requests, seq, ack, perturb], flags, clocks, more) =
+            f;
+        let [needs_ack, leaving, predicts] = flags;
+        let (events, baseline, shadow) = more;
+        slot.vacate();
+        *slot = Slot {
+            state,
+            client_id: id,
+            reply_port: port,
+            owner,
+            desired_thread: desired,
+            needs_ack,
+            leaving,
+            requests_this_frame: requests,
+            last_seq: seq,
+            last_sent_at: clocks[0],
+            last_active: clocks[1],
+            events: (0..events)
+                .map(|a| parquake_protocol::GameEvent {
+                    kind: parquake_protocol::GameEventKind::Sound,
+                    a: a as u16,
+                    b: 0,
+                    pos: parquake_math::Vec3::ZERO,
+                })
+                .collect(),
+            baseline: (0..baseline)
+                .map(|id| parquake_protocol::EntityUpdate {
+                    id: id as u16,
+                    kind: parquake_protocol::EntityKind::Player,
+                    state: 0,
+                    pos: parquake_math::Vec3::ZERO,
+                    yaw: 0.0,
+                })
+                .collect(),
+            in_view: vec![true; baseline],
+            predicts,
+            input_ack: ack,
+            input_perturb: perturb,
+            predict_shadow: shadow.then_some((
+                parquake_math::Vec3::new(1.0, 2.0, 3.0),
+                parquake_math::Vec3::ZERO,
+                true,
+            )),
+        };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A capsule taken from any slot and reinstated over any other
+        /// keeps the session's identity, starts its per-session scratch
+        /// afresh and moves the perturbation epoch past both the
+        /// capsule's and the landing slot's.
+        #[test]
+        fn a_reinstated_capsule_keeps_the_identity_and_drops_the_scratch(
+            src in slot_fields(),
+            live in slot_fields(),
+            (from, to) in (0usize..32, 1usize..32).prop_map(|(from, gap)| (from, (from + gap) % 32)),
+            now in any::<Nanos>(),
+        ) {
+            static SHARED: std::sync::OnceLock<(Arc<dyn Fabric>, ServerShared)> =
+                std::sync::OnceLock::new();
+            let (_f, s) = SHARED.get_or_init(|| shared(1));
+            fill(s.clients.slot(from), &src);
+            fill(s.clients.slot(to), &live);
+            let capsule = SlotSnapshot::of(from, s.clients.slot(from));
+            prop_assert_eq!(capsule.idx as usize, from);
+            s.reinstate(to, &capsule, now);
+
+            let (want, got) = (s.clients.slot(from), s.clients.slot(to));
+            prop_assert_eq!(
+                (got.state, got.client_id, got.reply_port, got.owner, got.desired_thread),
+                (want.state, want.client_id, want.reply_port, want.owner, want.desired_thread)
+            );
+            prop_assert_eq!(
+                (got.leaving, got.last_seq, got.predicts, got.input_ack),
+                (want.leaving, want.last_seq, want.predicts, want.input_ack)
+            );
+            prop_assert_eq!(got.last_active, now);
+            prop_assert_eq!(got.needs_ack, want.state == SlotState::Active);
+            prop_assert!(got.events.is_empty() && got.baseline.is_empty());
+            prop_assert_eq!((got.requests_this_frame, got.last_sent_at), (0, 0));
+            prop_assert_eq!(got.predict_shadow, None);
+            let past_both = want.input_perturb.max(live.1[7]).wrapping_add(1);
+            prop_assert_eq!(got.input_perturb, past_both);
+        }
     }
 
     /// One scripted session against a `ServerShared`, run as the only

@@ -496,6 +496,72 @@ fn a_disconnect_queued_behind_its_connect_spawns_no_ghost() {
     );
 }
 
+/// A `Disconnect` drained in the frame that takes a checkpoint is part
+/// of that checkpoint: a restore from it brings the slot back leaving,
+/// and the next world phase vacates it with one `Disconnected` notice
+/// instead of playing a client that has left.
+#[test]
+fn a_restored_checkpoint_keeps_a_drained_disconnect() {
+    let fabric = FabricKind::VirtualSmp(Default::default()).build();
+    let map = Arc::new(MapGenConfig::small_arena(9).generate());
+    let world = Arc::new(GameWorld::new(map, 4, 8));
+    let notices = fabric.alloc_port();
+    let cfg = ServerConfig {
+        checking: false,
+        lifecycle_port: Some(notices),
+        ..ServerConfig::new(ServerKind::Sequential, 10_000_000_000)
+    };
+    let sh = Arc::new(ServerShared::new(&fabric, &cfg, world, 1, None));
+    let client_port = fabric.alloc_port();
+    let (state, live, heard) = in_task(&fabric, move |ctx| {
+        let mut stats = ThreadStats::new();
+        let mut mask = 0u64;
+        let connect = ClientMessage::Connect {
+            client_id: 7,
+            arena: 0,
+        };
+        sh.handle_message(
+            ctx,
+            ctx.now(),
+            0,
+            client_port,
+            connect,
+            &mut stats,
+            &mut mask,
+        );
+        sh.run_world_update(ctx, sh.ports[0], &mut stats, 1);
+        let bye = ClientMessage::Disconnect { client_id: 7 };
+        sh.handle_message(ctx, ctx.now(), 0, client_port, bye, &mut stats, &mut mask);
+        // The checkpoint is taken at the end of the frame that drained
+        // the Disconnect; the crash comes before the next world phase.
+        let checkpoint = sh.snapshot_slots();
+        sh.restore_slots(&checkpoint, ctx.now());
+        sh.run_world_update(ctx, sh.ports[0], &mut stats, 2);
+        ctx.sleep_until(ctx.now() + 2_000_000);
+        let mut heard = Vec::new();
+        while let Some(m) = ctx.try_recv(notices) {
+            let ev = LifecycleEvent::from_bytes(&m.payload).unwrap();
+            if matches!(ev, LifecycleEvent::Disconnected { .. }) {
+                heard.push(ev);
+            }
+        }
+        (
+            sh.clients.slot(0).state,
+            sh.world.store.snapshot(0).active,
+            heard,
+        )
+    });
+    assert_eq!(state, SlotState::Empty, "the restored slot played on");
+    assert!(!live, "the departed client's player is still in the world");
+    assert_eq!(
+        heard,
+        vec![LifecycleEvent::Disconnected {
+            arena: 0,
+            client_id: 7
+        }]
+    );
+}
+
 #[test]
 fn active_client_is_not_reclaimed_while_sending() {
     const TIMEOUT: u64 = 1_000_000_000;
