@@ -113,8 +113,7 @@ pub struct ArenaDirectoryConfig {
     /// (despawns, `Bye`s, lifecycle notices) cannot stall waiting for
     /// traffic that will never come. `0` = automatic: maintenance runs
     /// at 50 ms when the directory is elastic or reclaims are on,
-    /// and stays off otherwise (keeping the 1×1 degenerate path
-    /// byte-identical to the sequential server).
+    /// and stays off otherwise.
     pub maintenance_ns: Nanos,
     /// Supervise arena frames (pooled scheduling): run each claimed
     /// frame behind `catch_unwind` so a panic fates only that arena,
@@ -124,8 +123,7 @@ pub struct ArenaDirectoryConfig {
     /// from `f` ([`parquake_fabric::fault::FrameLottery`]: panics
     /// and/or stuck stalls inside claimed frames);
     /// `Some(FaultConfig::none())` supervises without injecting.
-    /// `None` (the default) is unsupervised — the 1×1 pooled path
-    /// stays byte-identical to the sequential server.
+    /// `None` (the default) is unsupervised.
     pub supervision: Option<FaultConfig>,
     /// Live rebalance (pooled scheduling only): when the occupancy
     /// spread between the hottest and coldest live arena reaches this
@@ -805,9 +803,7 @@ fn spawn_pool(
         cells.push(ArenaCell::new(shared, lottery, CHECKPOINT_DEPTH));
     }
 
-    // Event-driven idling, except for the degenerate pool: it blocks
-    // on its one port directly.
-    let pool = Arc::new(Pool::new(fabric, cells, cfg, !is_degenerate_pool(n, cfg)));
+    let pool = Arc::new(Pool::new(fabric, cells, cfg));
     let sink = Sink { results, rest };
     for w in 0..cfg.workers {
         let (pool, sink) = (pool.clone(), sink.clone());
@@ -820,35 +816,15 @@ fn spawn_pool(
     (ports, sink, pool)
 }
 
-/// A 1×1 pool with nothing to tick and nothing to supervise runs the
-/// sequential server's select loop instead of the scan.
-fn is_degenerate_pool(arenas: usize, cfg: &ArenaDirectoryConfig) -> bool {
-    arenas == 1 && cfg.workers == 1 && cfg.maintenance_ns == 0 && cfg.supervision.is_none()
-}
-
 fn pool_worker(ctx: &TaskCtx, w: u32, pool: &Pool, sink: &Sink) {
     let cfg = &pool.cfg;
     let cells = &pool.cells;
-    // A 1×1 pool with no maintenance ticking and no supervision runs
-    // the sequential server's select loop itself: no scheduling lock,
-    // no polling, so a default single-arena directory *is*
-    // `ServerKind::Sequential`. Supervision opts out: its catch_unwind
-    // wrapper, checkpoints and watchdog claim accounting all live in
-    // the scan path.
-    let mut degenerate_frames = 0u64;
-    if is_degenerate_pool(cells.len(), cfg) {
-        let f = cells[0].frame();
-        let before = f.frame_no;
-        cells[0].shared.run_single_loop(ctx, f);
-        degenerate_frames = (f.frame_no - before) as u64;
-    } else {
-        pool_worker_scan(ctx, w, pool);
-    }
+    pool_worker_scan(ctx, w, pool);
 
     // Exit protocol: the last worker out publishes per-arena results
     // and the pool's half of the report. Every claim is free by then,
     // so the frame cells are safe to read.
-    pool.leave(ctx, w, degenerate_frames, |report| {
+    pool.leave(ctx, |report| {
         for (cell, result) in cells.iter().zip(&sink.results) {
             cell.shared.publish_single(ctx, cell.frame(), result);
         }
@@ -873,7 +849,7 @@ fn pool_worker(ctx: &TaskCtx, w: u32, pool: &Pool, sink: &Sink) {
     });
 }
 
-/// The general pool scheduling loop: claim a due arena, run its frame
+/// The pool scheduling loop: claim a due arena, run its frame
 /// outside the pool lock, release, repeat. Supervised frames run
 /// behind `catch_unwind`: a panic fates only the panicking arena and
 /// the worker moves on to other arenas.

@@ -56,7 +56,9 @@
 //!   `parquake_metrics::SupervisorStats`.
 //! * **Live migration** ([`migrate`], opt-in): the director fences a
 //!   hot arena's slot with the same claim the supervisor takes,
-//!   carries the player across in a validated `sim::snapshot` capsule,
+//!   carries the player across in a validated `sim::snapshot` image and
+//!   the session in the slot capsule a checkpoint restore installs
+//!   (`ServerShared::reinstate`),
 //!   rebooks the [`ledger::Ledger`] in place (the population identity
 //!   never opens), emits a `Migrated` lifecycle notice, and lets the
 //!   destination re-ack unprompted so the client rides rebind grace
@@ -64,9 +66,9 @@
 //!   populations level; drain-before-reap empties lingering elastic
 //!   arenas instead of waiting their clients out.
 //!
-//! The layer is strictly additive: a 1-arena pooled directory runs the
-//! exact sequential frame body, and arena 0 traffic is byte-identical
-//! to the pre-arena wire format.
+//! The layer is strictly additive: every pooled arena frame is the
+//! sequential server's frame body (`ServerShared::run_single_frame`),
+//! and arena 0 traffic is byte-identical to the pre-arena wire format.
 
 pub mod admission;
 pub mod checkpoint;

@@ -365,9 +365,8 @@ pub(crate) struct ArenaGuard {
 // director between fencing and restore done, or between capture and
 // end of migration), by the director while reaping (under the pool
 // lock, the claim free and the cell turned cold, so no worker can
-// claim it), by the one worker of a degenerate pool (no claims, no
-// director transitions), or by the last exiting worker (every other
-// worker has left). `shared` and `port` are `Sync` on their own.
+// claim it), or by the last exiting worker (every other worker has
+// left). `shared` and `port` are `Sync` on their own.
 unsafe impl Sync for ArenaCell {}
 unsafe impl Send for ArenaCell {}
 
@@ -438,8 +437,8 @@ unsafe impl Sync for Pool {}
 unsafe impl Send for Pool {}
 
 impl Pool {
-    /// A pool over `cells`. With `delivery_wakes`, ask the fabric to
-    /// ring the pool condvar on every delivery to an arena port. Rule:
+    /// A pool over `cells`. It asks the fabric to ring the pool
+    /// condvar on every delivery to an arena port. Rule:
     /// never send to an arena port inside a pool critical section — the
     /// delivery passes through the pool lock, which is not re-entrant.
     /// The director forwards outside every section and the gateway
@@ -450,17 +449,15 @@ impl Pool {
         fabric: &Arc<dyn Fabric>,
         cells: Vec<ArenaCell>,
         cfg: &ArenaDirectoryConfig,
-        delivery_wakes: bool,
     ) -> Pool {
         let lock = fabric.alloc_lock();
         if let Some(w) = fabric.witness() {
             w.classify(lock, LockClass::Ctrl);
         }
         let cond = fabric.alloc_cond();
-        let poll = !(delivery_wakes
-            && cells
-                .iter()
-                .all(|c| fabric.wake_on_delivery(c.port, lock, cond)));
+        let poll = !cells
+            .iter()
+            .all(|c| fabric.wake_on_delivery(c.port, lock, cond));
         let (n, workers) = (cells.len(), cfg.workers as usize);
         let report = PoolReport {
             frames_by_worker: vec![0; workers],
@@ -558,14 +555,11 @@ impl Pool {
         self.exit(ctx);
     }
 
-    /// Worker `w` leaves the pool, booking `frames` it ran without
-    /// claims (the degenerate pool). The last worker out gets the
-    /// pool's report, every claim free.
-    pub(crate) fn leave(&self, ctx: &TaskCtx, w: u32, frames: u64, last: impl FnOnce(PoolReport)) {
+    /// A worker leaves the pool. The last worker out gets the pool's
+    /// report, every claim free.
+    pub(crate) fn leave(&self, ctx: &TaskCtx, last: impl FnOnce(PoolReport)) {
         self.enter(ctx);
         let st = self.state();
-        st.report.frames_by_worker[w as usize] += frames;
-        st.report.frames_by_arena[0] += frames;
         st.exited += 1;
         if st.exited == self.cfg.workers {
             last(std::mem::take(&mut st.report));

@@ -190,46 +190,3 @@ fn fill_first_packs_the_first_arena() {
     assert!(adm.per_arena[0] > 0);
     assert_eq!(adm.per_arena[1], 0);
 }
-
-#[test]
-fn single_pooled_arena_matches_the_sequential_server() {
-    // The acceptance bar: a 1-arena pooled directory is the sequential
-    // server — same frame body, same world, same results — so the
-    // default configuration's behaviour is unchanged.
-    use parquake_bots::spawn_swarm;
-    use parquake_server::spawn_server;
-
-    let seq_outcome = {
-        let fabric = FabricKind::VirtualSmp(Default::default()).build();
-        let map = Arc::new(MapGenConfig::small_arena(11).generate());
-        let world = Arc::new(parquake_sim::GameWorld::new(map, 4, 8));
-        let mut scfg = ServerConfig::new(ServerKind::Sequential, SEND_NS + 500_000_000);
-        scfg.checking = false;
-        let server = spawn_server(&fabric, scfg, world.clone());
-        let mut swarm_cfg = BotSwarmConfig::new(8, SEND_NS);
-        swarm_cfg.drivers = 4;
-        let swarm = spawn_swarm(&fabric, &swarm_cfg, &server.ports, |_| 0);
-        fabric.run();
-        (world.world_hash(), swarm.report().stats.received)
-    };
-
-    let pooled_outcome = {
-        let fabric = FabricKind::VirtualSmp(Default::default()).build();
-        let mut cfg = directory_cfg(1, 8, 1);
-        cfg.server.checking = false;
-        let handle = spawn_directory(&fabric, cfg);
-        // Address the arena directly (no front door), exactly like the
-        // classic swarm does.
-        let topology = SwarmTopology::single(&handle.arena_ports[0]);
-        let mut swarm_cfg = BotSwarmConfig::new(8, SEND_NS);
-        swarm_cfg.drivers = 4;
-        let swarm = spawn_swarm_multi(&fabric, &swarm_cfg, &topology, |_| (0, 0));
-        fabric.run();
-        (handle.worlds[0].world_hash(), swarm.report().stats.received)
-    };
-
-    assert_eq!(
-        seq_outcome, pooled_outcome,
-        "1-arena pooled directory must reproduce the sequential server exactly"
-    );
-}

@@ -613,8 +613,7 @@ impl ServerShared {
     /// world update, `drain` the request queue (it returns the moves
     /// processed), reply to everyone who sent a request, then the
     /// per-frame bookkeeping. The sequential server and the pooled
-    /// arena frame are this one body, which is what keeps a 1×1 pool
-    /// byte-identical to `ServerKind::Sequential`.
+    /// arena frame are this one body.
     pub fn run_single_frame(
         &self,
         ctx: &TaskCtx,
@@ -676,8 +675,7 @@ impl ServerShared {
 
     /// The select loop of a single-threaded runtime (paper §2.1):
     /// block until a request arrives or the run ends, book the wait as
-    /// idle time, run one frame. The sequential server's whole life,
-    /// and a 1×1 pool's.
+    /// idle time, run one frame. The sequential server's whole life.
     pub fn run_single_loop(&self, ctx: &TaskCtx, f: &mut FrameState) {
         let port = self.ports[0];
         loop {
