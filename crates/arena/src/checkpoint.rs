@@ -10,8 +10,9 @@
 //! claim, between frames — never mid-frame — so the world and the slot
 //! table are mutually consistent by construction: `world` is the exact
 //! byte image [`parquake_sim::GameWorld::snapshot_bytes`] produced at
-//! `frame_no`, and `slots` is the slot-table identity
-//! ([`parquake_server::runtime::SlotSnapshot`]) at the same instant.
+//! `frame_no`, and `slots` holds the session capsule
+//! ([`parquake_server::runtime::SlotSnapshot`]) of every occupied slot
+//! at the same instant.
 
 use std::collections::VecDeque;
 
@@ -29,7 +30,7 @@ pub struct Checkpoint {
     pub taken_at: Nanos,
     /// `GameWorld::snapshot_bytes` image.
     pub world: Vec<u8>,
-    /// Client slot identities (non-empty slots only).
+    /// Session capsules (occupied slots only).
     pub slots: Vec<SlotSnapshot>,
 }
 

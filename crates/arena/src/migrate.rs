@@ -59,7 +59,7 @@
 //! either arena's ring, so a later crash of the *source* can restore
 //! an image that still contains the migrated player. The supervisor's
 //! ledger replay detects this — the client is booked at another arena
-//! — wipes the resurrected slot instead of re-booking it, and counts
+//! — evicts the resurrected slot instead of re-booking it, and counts
 //! it as `stale_restored_slots` (see [`crate::supervisor`]).
 
 use parquake_fabric::TaskCtx;

@@ -430,9 +430,9 @@ fn a_migrated_predicting_slot_keeps_its_input_ack_and_moves_its_epoch_on() {
 /// further traffic, so its slot stays Active and `leaving` until a
 /// maintenance frame; meanwhile client 3 leaves arena 1, which opens a
 /// spread of 2. The handoff must move client 2, and client 1's own
-/// `Disconnected` notice must end its booking. (Moving client 1
-/// installed it Active at arena 1, which re-acked a client that had
-/// left and kept it booked as a ghost player.)
+/// `Disconnected` notice must end its booking: a handoff that moves
+/// client 1 installs it Active at arena 1, which re-acks a client that
+/// has left and keeps it booked as a ghost player.
 #[test]
 fn a_handoff_never_moves_a_slot_with_a_disconnect_pending() {
     let fabric = FabricKind::VirtualSmp(Default::default()).build();

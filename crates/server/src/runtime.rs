@@ -259,10 +259,7 @@ impl ServerShared {
                     // Disconnect shared one drain, and the director
                     // heard `Connected` for it.
                     let client_id = slot.client_id;
-                    if slot.state == SlotState::Active {
-                        self.world.despawn_player(idx as u16);
-                    }
-                    slot.vacate();
+                    self.evict(idx);
                     self.notify(
                         ctx,
                         port,
@@ -288,8 +285,7 @@ impl ServerShared {
                     let bye = ServerMessage::Bye { client_id };
                     ctx.charge(self.cost.reply_base / 2);
                     ctx.send(port, slot.reply_port, bye.to_bytes());
-                    self.world.despawn_player(idx as u16);
-                    slot.vacate();
+                    self.evict(idx);
                     stats.timeouts += 1;
                     self.notify(
                         ctx,
@@ -938,10 +934,10 @@ impl ServerShared {
         s.needs_ack = snap.state == SlotState::Active;
     }
 
-    /// End the session in slot `idx` with no notice to anyone: despawn
-    /// its player and vacate the slot. For a session that lives on
-    /// elsewhere — migrated away, or resurrected by a restore after it
-    /// migrated. Quiescent contexts only.
+    /// End the session in slot `idx`: despawn its player (a Pending
+    /// slot's never spawned) and vacate the slot. It sends nothing; a
+    /// caller that owes the client a `Bye` or the director a notice
+    /// sends it. Frame master or quiescent contexts only.
     pub fn evict(&self, idx: usize) {
         self.world.despawn_player(idx as u16);
         self.clients.slot(idx).vacate();
