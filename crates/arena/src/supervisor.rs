@@ -93,8 +93,7 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
     let g = cell.guard();
     let now0 = ctx.now();
     // Every checkpointed session, in slot order — deterministic replay.
-    let mut resident: Vec<SlotSnapshot> = Vec::new();
-    if let Some(cp) = g.ring.latest() {
+    let resident: Vec<SlotSnapshot> = if let Some(cp) = g.ring.latest() {
         // The codec validates the whole image before mutating, so a
         // failed restore (impossible unless the ring is corrupt)
         // leaves the crash state in place; the slot wipe below still
@@ -105,13 +104,14 @@ fn restore_arena(ctx: &TaskCtx, d: &mut Director, pool: &Pool, k: usize, failed_
         // Modelled cost: the deserializing memcpy, mirroring
         // checkpoint capture.
         ctx.charge((cp.world.len() as u64 >> 6).max(1_000));
-        resident.clone_from(&cp.slots);
+        cp.slots.clone()
     } else {
         // Crashed before any checkpoint — unreachable from the pooled
         // path (the first claim checkpoints before the lottery), but
         // quiesce to an empty slot table on the pristine world anyway.
         cell.shared.restore_slots(&[], now0);
-    }
+        Vec::new()
+    };
 
     // Ledger replay: the book must agree with the restored slot table.
     let arena = k as u16;
