@@ -56,9 +56,9 @@ use std::sync::{Arc, Mutex, Once, PoisonError};
 
 use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::fault::{FaultConfig, FrameFault, FrameLottery};
-use parquake_fabric::{Fabric, Nanos, PortId, TaskCtx};
+use parquake_fabric::{CondId, Fabric, LockId, Nanos, PortId, TaskCtx};
 use parquake_metrics::{
-    ElasticEvent, ElasticEventKind, ElasticStats, SupervisorStats, ThreadStats,
+    ElasticEvent, ElasticEventKind, ElasticStats, LockClass, SupervisorStats, ThreadStats,
 };
 use parquake_protocol::{ClientMessage, Decode};
 use parquake_server::runtime::{ServerShared, REQUEST_QUEUE_CAP};
@@ -142,7 +142,8 @@ pub struct ArenaDirectoryConfig {
     /// Mirror port for lifecycle notices: every notice the director
     /// drains — and every `Migrated` notice it emits — is also sent
     /// here, uncharged. The UDP gateway points this at its outbound
-    /// pump so its session book follows reclaims and migrations.
+    /// port (a sink) so its session book follows reclaims and
+    /// migrations.
     /// `None` (the default) = no mirror.
     pub lifecycle_tap: Option<PortId>,
 }
@@ -359,6 +360,20 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
     };
 
     let front_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
+    // The director's own wait, rung by deliveries to either of its
+    // ports: a control-layer lock like the pool's, never held while
+    // sending. A supervised director polls on every fabric, for its
+    // watchdog.
+    let lock = fabric.alloc_lock();
+    if let Some(w) = fabric.witness() {
+        w.classify(lock, LockClass::Ctrl);
+    }
+    let cond = fabric.alloc_cond();
+    let wake = (cfg.supervision.is_none()
+        && [front_port, lifecycle_port]
+            .into_iter()
+            .all(|p| fabric.wake_on_delivery(p, lock, cond)))
+    .then_some((lock, cond));
     let env = DirectorEnv {
         cfg,
         front: front_port,
@@ -366,6 +381,7 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         arena_ports: arena_ports.clone(),
         pool,
         sink: sink.clone(),
+        wake,
     };
     fabric.spawn(
         "arena-director",
@@ -398,6 +414,9 @@ pub(crate) struct DirectorEnv {
     /// migration (pooled scheduling only).
     pub(crate) pool: Option<Arc<Pool>>,
     sink: Sink,
+    /// The lock and condvar deliveries to `front` and `lifecycle` ring,
+    /// or `None`: the director polls ([`NOTICE_POLL_NS`]).
+    wake: Option<(LockId, CondId)>,
 }
 
 /// The director's mutable state.
@@ -426,9 +445,12 @@ pub(crate) struct Director {
     pub(crate) next_migrate_at: Nanos,
 }
 
-/// The director wakes at least this often to drain lifecycle notices
-/// and run elastic bookkeeping while the front door is quiet (one task
-/// cannot block on two ports).
+/// Where deliveries do not wake the director ([`Fabric::wake_on_delivery`]
+/// is `false`, i.e. `VirtualSmp`) it waits on the front door alone and
+/// wakes at least this often to drain lifecycle notices and run
+/// elastic bookkeeping (one task cannot block on two ports). A
+/// supervised director keeps this cadence on every fabric: its
+/// watchdog checks claimed frames on each pass.
 const NOTICE_POLL_NS: Nanos = 2_000_000;
 
 fn director(ctx: &TaskCtx, env: &DirectorEnv) {
@@ -463,12 +485,16 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
         if now >= cfg.server.end_time {
             break;
         }
-        // The front door is the main wait; lifecycle notices and linger
-        // expiries bound the sleep so they are drained/acted on even
-        // when no client traffic arrives.
-        let mut deadline = now + NOTICE_POLL_NS;
-        if let Some(t) = ctx.fabric().port_next_delivery(env.lifecycle) {
-            deadline = deadline.min(t.max(now + 1));
+        // Sleep until work arrives or a deadline the director owes:
+        // linger expiries, the next migration tick, the end of the run.
+        // A poll waits on the front door alone, so it is also bounded
+        // by the poll and by a held notice's due time.
+        let mut deadline = cfg.server.end_time;
+        if env.wake.is_none() {
+            deadline = now + NOTICE_POLL_NS;
+            if let Some(t) = ctx.fabric().port_next_delivery(env.lifecycle) {
+                deadline = deadline.min(t.max(now + 1));
+            }
         }
         for k in boot..n {
             if let Some(t0) = d.empty_since[k] {
@@ -479,7 +505,12 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
             deadline = deadline.min(d.next_migrate_at.max(now + 1));
         }
         let deadline = deadline.min(cfg.server.end_time).max(now + 1);
-        ctx.wait_readable(env.front, Some(deadline));
+        match env.wake {
+            Some((lock, cond)) => wait_for_work(ctx, env, lock, cond, deadline),
+            None => {
+                ctx.wait_readable(env.front, Some(deadline));
+            }
+        }
         while let Some(raw) = ctx.try_recv(env.front) {
             ctx.charge(cfg.server.cost.recv);
             handle_front(ctx, env, &mut d, raw.from, &raw.payload);
@@ -509,6 +540,27 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
         r.elastic = d.elastic;
         r.supervisor.merge(&d.sup);
     });
+}
+
+/// Sleep on the director's condvar until the front door or the control
+/// port has something receivable (a held copy counts from its due
+/// time), or until `deadline`. The ports are read under the director's
+/// lock, which every delivery to them passes through before it
+/// notifies, so no wake-up is lost.
+// lockcheck: acquire-site
+fn wait_for_work(ctx: &TaskCtx, env: &DirectorEnv, lock: LockId, cond: CondId, deadline: Nanos) {
+    ctx.lock(lock);
+    loop {
+        let next = [env.front, env.lifecycle]
+            .into_iter()
+            .filter_map(|p| ctx.fabric().port_next_delivery(p))
+            .fold(deadline, Nanos::min);
+        if next <= ctx.now() {
+            break;
+        }
+        ctx.cond_wait_until(cond, lock, next);
+    }
+    ctx.unlock(lock);
 }
 
 fn handle_front(ctx: &TaskCtx, env: &DirectorEnv, d: &mut Director, from: PortId, payload: &[u8]) {

@@ -85,6 +85,10 @@ struct Schedule {
     /// Earliest time its next frame may start: now, unless sustained
     /// overruns stretched it (supervised arenas only).
     next_due: Nanos,
+    /// A migration moved slots in or out: the arena owes one frame even
+    /// with no input queued and maintenance off, so the destination
+    /// re-acks its new clients and the source ends a leaving slot.
+    owed: bool,
 }
 
 impl Schedule {
@@ -127,6 +131,7 @@ impl ClaimTable {
             sessions: false,
             last_frame: 0,
             next_due: 0,
+            owed: false,
         };
         ClaimTable {
             arenas: (0..n).map(cell).collect(),
@@ -136,8 +141,8 @@ impl ClaimTable {
     }
 
     /// Worker: claim the first schedulable arena from the rotor that is
-    /// due and has input waiting (`input(k)`) or a maintenance frame
-    /// owed.
+    /// due and has input waiting (`input(k)`), a migration's frame owed
+    /// or a maintenance frame owed.
     fn claim_due(
         &mut self,
         now: Nanos,
@@ -151,17 +156,18 @@ impl ClaimTable {
                 return false;
             }
             let input = input(k);
-            input || (maint > 0 && a.sessions && now >= a.last_frame + maint)
+            input || a.owed || (maint > 0 && a.sessions && now >= a.last_frame + maint)
         })?;
         self.arenas[k].claim = Claim::Worker { since: now };
+        self.arenas[k].owed = false;
         self.rotor = (k + 1) % n;
         Some(k)
     }
 
     /// Worker: the earliest moment a schedulable arena could become
     /// runnable without a wake-up — queued input (`next_delivery(k)`)
-    /// reaching its pacing, or a maintenance frame coming due — or
-    /// `deadline`, if sooner.
+    /// or an owed frame reaching its pacing, or a maintenance frame
+    /// coming due — or `deadline`, if sooner.
     fn wake_deadline(
         &self,
         mut deadline: Nanos,
@@ -176,6 +182,9 @@ impl ClaimTable {
         {
             if let Some(t) = next_delivery(k) {
                 deadline = deadline.min(a.next_due.max(t));
+            }
+            if a.owed {
+                deadline = deadline.min(a.next_due);
             }
             if maint > 0 && a.sessions {
                 deadline = deadline.min(a.next_due.max(a.last_frame + maint));
@@ -231,6 +240,7 @@ impl ClaimTable {
         }
         a.life = Life::Cold;
         a.sessions = false;
+        a.owed = false;
         true
     }
 
@@ -309,9 +319,9 @@ impl ClaimTable {
     }
 
     /// Director: a migration from `src` to `dst` is over. When slots
-    /// `moved`, both arenas are due at once (the destination re-acks
-    /// its new clients) and `src_sessions` says whether the source
-    /// still holds any.
+    /// `moved`, both arenas owe a frame at once (the destination
+    /// re-acks its new clients, the source ends a leaving slot) and
+    /// `src_sessions` says whether the source still holds any.
     pub(crate) fn end_migration(
         &mut self,
         [src, dst]: [usize; 2],
@@ -323,6 +333,7 @@ impl ClaimTable {
             self.arenas[k].claim = Claim::Free;
             if moved {
                 self.arenas[k].next_due = 0;
+                self.arenas[k].owed = true;
             }
         }
         if moved {
@@ -639,6 +650,7 @@ mod tests {
         next_due: [Nanos; N],
         claim_started: [Nanos; N],
         fate: [Health; N],
+        owed: [bool; N],
         rotor: usize,
     }
 
@@ -653,6 +665,7 @@ mod tests {
                 next_due: [0; N],
                 claim_started: [0; N],
                 fate: [Health::Healthy; N],
+                owed: [false; N],
                 rotor: 0,
             }
         }
@@ -664,9 +677,10 @@ mod tests {
                     continue;
                 }
                 let maint = self.sessions[k] && now >= self.last_frame[k] + MAINT;
-                if input(k) || maint {
+                if input(k) || self.owed[k] || maint {
                     self.claimed[k] = true;
                     self.claim_started[k] = now;
+                    self.owed[k] = false;
                     self.rotor = (k + 1) % N;
                     return Some(k);
                 }
@@ -702,6 +716,7 @@ mod tests {
             }
             self.live[k] = false;
             self.sessions[k] = false;
+            self.owed[k] = false;
             true
         }
 
@@ -775,6 +790,8 @@ mod tests {
             if moved {
                 self.next_due[src] = 0;
                 self.next_due[dst] = 0;
+                self.owed[src] = true;
+                self.owed[dst] = true;
                 self.sessions[dst] = true;
                 self.sessions[src] = src_sessions;
             }
@@ -820,6 +837,7 @@ mod tests {
             prop_assert_eq!(a.sessions, p.sessions[k], "arena {}", k);
             prop_assert_eq!(a.last_frame, p.last_frame[k], "arena {}", k);
             prop_assert_eq!(a.next_due, p.next_due[k], "arena {}", k);
+            prop_assert_eq!(a.owed, p.owed[k], "arena {}", k);
         }
         Ok(())
     }

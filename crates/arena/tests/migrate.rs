@@ -435,6 +435,21 @@ fn a_migrated_predicting_slot_keeps_its_input_ack_and_moves_its_epoch_on() {
 /// has left and keeps it booked as a ghost player.
 #[test]
 fn a_handoff_never_moves_a_slot_with_a_disconnect_pending() {
+    // Slow maintenance: a drained Disconnect waits up to a second for
+    // the frame that applies it.
+    handoff_with_a_disconnect_pending(1_000_000_000);
+}
+
+/// The same script with maintenance frames off: only the frame a
+/// handoff owes both arenas re-acks client 2 at arena 1 and applies
+/// client 1's drained Disconnect at arena 0. Without it arena 1 never
+/// frames again, and client 2 hears nothing until it reconnects.
+#[test]
+fn a_handoff_with_maintenance_off_still_re_acks_the_moved_client() {
+    handoff_with_a_disconnect_pending(0);
+}
+
+fn handoff_with_a_disconnect_pending(maintenance_ns: u64) {
     let fabric = FabricKind::VirtualSmp(Default::default()).build();
     let mut server = ServerConfig::new(ServerKind::Sequential, 3_000_000_000);
     server.checking = false;
@@ -442,9 +457,7 @@ fn a_handoff_never_moves_a_slot_with_a_disconnect_pending() {
         policy: AdmissionPolicy::Explicit,
         workers: 1,
         map: MapGenConfig::small_arena(11),
-        // Slow maintenance: a drained Disconnect waits up to a second
-        // for the frame that applies it.
-        maintenance_ns: 1_000_000_000,
+        maintenance_ns,
         migrate_spread: 2,
         ..ArenaDirectoryConfig::new(2, 4, server)
     };

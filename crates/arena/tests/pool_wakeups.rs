@@ -1,7 +1,8 @@
-//! Pooled workers on the real fabric idle on events, not on a poll
-//! clock: a datagram injected from outside the fabric starts a frame,
-//! and the only idle waits that run into their deadline are the ones
-//! the end of the run owes.
+//! Pooled workers and the director on the real fabric idle on events,
+//! not on a poll clock: a datagram injected from outside the fabric
+//! starts a frame, the only idle waits that run into their deadline are
+//! the ones the end of the run owes, and a lifecycle notice or a
+//! `Connect` wakes a sleeping director.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -12,7 +13,7 @@ use parquake_bsp::mapgen::MapGenConfig;
 use parquake_fabric::real::RealFabric;
 use parquake_math::Pcg32;
 use parquake_protocol::{ClientMessage, Decode, Encode, MoveCmd, ServerMessage};
-use parquake_server::{ServerConfig, ServerKind};
+use parquake_server::{LifecycleEvent, ServerConfig, ServerKind};
 
 /// Counted from fabric creation, so it also covers map generation.
 const RUN_NS: u64 = 500_000_000;
@@ -135,5 +136,77 @@ fn injected_moves_wake_the_pool_without_a_poll_clock() {
         timeouts <= 2 + 3,
         "idle workers woke {timeouts} times on a timer: {:?}",
         pool.idle_timeouts_by_worker
+    );
+}
+
+/// The director sleeps until work arrives, not until its next poll or
+/// the end of the run: with `end_time` 10 s away and nothing else to
+/// do, a notice injected on the control port reaches the lifecycle tap
+/// within a second, and a `Connect` at the front door is still acked.
+#[test]
+fn a_sleeping_director_wakes_for_a_notice_and_a_connect() {
+    const END_NS: u64 = 10_000_000_000;
+    const WITHIN_NS: u64 = 1_000_000_000;
+    let (_real, fabric) = RealFabric::new_arc_pair();
+    let tap = fabric.alloc_port();
+    let server = ServerConfig::new(ServerKind::Sequential, END_NS);
+    let cfg = ArenaDirectoryConfig {
+        workers: 1,
+        map: MapGenConfig::small_arena(11),
+        lifecycle_tap: Some(tap),
+        ..ArenaDirectoryConfig::new(1, 4, server)
+    };
+    let handle = spawn_directory(&fabric, cfg);
+    let (front, lifecycle) = (handle.front_port, handle.lifecycle_port);
+    let me = fabric.alloc_port();
+    let (done_tx, done_rx) = mpsc::channel();
+    fabric.spawn(
+        "client",
+        None,
+        Box::new(move |ctx| {
+            // Long enough for the director to fall asleep.
+            ctx.sleep_until(ctx.now() + 100_000_000);
+            let notice = LifecycleEvent::Connected {
+                arena: 0,
+                client_id: 77,
+                thread: 0,
+            }
+            .to_bytes();
+            let sent = ctx.now();
+            ctx.send(me, lifecycle, notice.clone());
+            assert!(
+                ctx.wait_readable(tap, Some(sent + WITHIN_NS)),
+                "the notice did not reach the tap within 1 s"
+            );
+            assert_eq!(ctx.try_recv(tap).unwrap().payload, notice);
+
+            let connect = ClientMessage::Connect {
+                client_id: 5,
+                arena: 0,
+            };
+            let sent = ctx.now();
+            let acked = 'acked: loop {
+                if ctx.now() >= sent + WITHIN_NS {
+                    break false;
+                }
+                ctx.send(me, front, connect.to_bytes());
+                if ctx.wait_readable(me, Some(ctx.now() + 20_000_000)) {
+                    while let Some(raw) = ctx.try_recv(me) {
+                        if let Ok(ServerMessage::ConnectAck { client_id: 5, .. }) =
+                            ServerMessage::from_bytes(&raw.payload)
+                        {
+                            break 'acked true;
+                        }
+                    }
+                }
+            };
+            done_tx.send(acked).unwrap();
+        }),
+    );
+    fabric.run();
+    assert_eq!(
+        done_rx.try_recv(),
+        Ok(true),
+        "the Connect was not acked within 1 s"
     );
 }

@@ -16,6 +16,11 @@
 //! fabric's clock, and no receive sees it earlier. While a port holds
 //! nothing, no call on it reads the clock.
 //!
+//! A port may instead be a sink ([`RealFabric::sink_port`]): every
+//! delivery to it runs the sink's function on the sending thread and
+//! queues nothing, so nobody has to wake to forward it. The gateway
+//! sinks its reply ports into the shard sockets this way.
+//!
 //! A primitive nobody waits on costs no system call. Fabric locks are
 //! the stand-in's `RawMutex` lock word (two atomic operations per
 //! uncontended pair). A port counts, under its queue mutex, the tasks
@@ -118,7 +123,14 @@ struct PortImpl {
     /// Set by [`Fabric::wake_on_delivery`]: a scheduler's condvar to
     /// ring on every delivery, besides the port's own.
     watch: OnceLock<DeliveryWatch>,
+    /// Set by [`RealFabric::sink_port`]: takes every delivery instead
+    /// of the queue.
+    sink: OnceLock<PortSink>,
 }
+
+/// What a sunk port does with a delivery: `(from, payload)`, run on the
+/// sender's thread.
+type PortSink = Box<dyn Fn(PortId, Vec<u8>) + Send + Sync>;
 
 /// A condvar whose waiters watch a port they do not block on.
 struct DeliveryWatch {
@@ -243,6 +255,9 @@ impl RealFabric {
     /// so external producers are safe.
     pub fn send_external(&self, from: PortId, to: PortId, payload: Vec<u8>) {
         let p = self.ports.get(to);
+        if let Some(sink) = p.sink.get() {
+            return sink(from, payload);
+        }
         let parked = p.q.lock().push(Message {
             from,
             sent_at: self.clock(),
@@ -256,9 +271,14 @@ impl RealFabric {
     /// `wait_readable` see it no earlier, `port_next_delivery` names
     /// its due time, `port_pending` counts it, and a watcher is rung so
     /// it can sleep until then. Gateway pumps hand fault-delayed copies
-    /// in this way.
+    /// in this way. A sunk port holds nothing: handing it a delayed
+    /// copy panics.
     pub fn send_external_delayed(&self, from: PortId, to: PortId, payload: Vec<u8>, delay: Nanos) {
         let p = self.ports.get(to);
+        assert!(
+            p.sink.get().is_none(),
+            "port {to} is a sink and holds nothing"
+        );
         let sent_at = self.clock();
         let msg = Message {
             from,
@@ -281,6 +301,9 @@ impl RealFabric {
         payloads: impl IntoIterator<Item = Vec<u8>>,
     ) {
         let p = self.ports.get(to);
+        if let Some(sink) = p.sink.get() {
+            return payloads.into_iter().for_each(|payload| sink(from, payload));
+        }
         let sent_at = self.clock();
         let mut q = p.q.lock();
         let mut any = false;
@@ -297,6 +320,18 @@ impl RealFabric {
         if any {
             p.ring(parked);
         }
+    }
+
+    /// Make `port` a sink: from now on every delivery to it — a task's
+    /// `send`, `send_external`, `send_external_batch` — runs
+    /// `sink(from, payload)` on the sending thread and queues nothing,
+    /// so `try_recv` never yields and `port_pending` stays 0. Set-up
+    /// only, like every allocation: panics after `run()`, or if the
+    /// port already has a sink.
+    pub fn sink_port(&self, port: PortId, sink: impl Fn(PortId, Vec<u8>) + Send + Sync + 'static) {
+        assert!(!self.ports.is_frozen(), "sink after run()");
+        let fresh = self.ports.get(port).sink.set(Box::new(sink)).is_ok();
+        assert!(fresh, "port {port} already has a sink");
     }
 
     fn abs_instant(&self, t: Nanos) -> Instant {
@@ -347,6 +382,7 @@ impl Fabric for RealFabric {
             }),
             cv: Condvar::new(),
             watch: OnceLock::new(),
+            sink: OnceLock::new(),
         })
     }
 
@@ -532,6 +568,9 @@ impl Fabric for RealFabric {
 
     fn send(&self, task: TaskId, from: PortId, to: PortId, payload: Vec<u8>) {
         let p = self.ports.get(to);
+        if let Some(sink) = p.sink.get() {
+            return sink(from, payload);
+        }
         let parked = p.q.lock().push(Message {
             from,
             sent_at: self.now(task),
@@ -682,6 +721,67 @@ mod tests {
         for (i, payload) in seen.iter().enumerate() {
             assert_eq!(payload, &vec![i as u8], "batch order not preserved");
         }
+    }
+
+    /// A sunk port's deliveries run the sink on the thread that sent
+    /// them — a task's `send`, an outside thread's external sends —
+    /// and nothing is queued, pending or receivable.
+    #[test]
+    fn a_sunk_port_runs_its_sink_on_the_senders_thread() {
+        use std::thread::current;
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let src = fabric.alloc_port();
+        let port = fabric.alloc_port();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let s = seen.clone();
+        real.sink_port(port, move |from, payload| {
+            s.lock().unwrap().push((from, payload, current().id()));
+        });
+        let host = current().id();
+        real.send_external(src, port, vec![1]);
+        real.send_external_batch(src, port, [vec![2], vec![3]]);
+        let sender = seen.clone();
+        fabric.spawn(
+            "sender",
+            None,
+            Box::new(move |ctx| {
+                ctx.send(src, port, vec![4]);
+                // Already run, here, before `send` returned.
+                let last = sender.lock().unwrap().last().cloned();
+                assert_eq!(last, Some((src, vec![4], current().id())));
+                assert!(ctx.try_recv(port).is_none());
+                assert!(!ctx.wait_readable(port, Some(ctx.now() + 1_000_000)));
+                assert_eq!(ctx.fabric().port_pending(port), 0);
+                assert_eq!(ctx.fabric().port_next_delivery(port), None);
+            }),
+        );
+        fabric.run();
+        let seen = seen.lock().unwrap();
+        let payloads: Vec<u8> = seen.iter().map(|(_, p, _)| p[0]).collect();
+        assert_eq!(payloads, vec![1, 2, 3, 4], "in send order");
+        assert!(seen[..3]
+            .iter()
+            .all(|&(from, _, t)| from == src && t == host));
+        assert_ne!(seen[3].2, host, "the task's send ran on the task's thread");
+        assert_eq!(fabric.port_pending(port), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sink after run()")]
+    fn sinking_a_port_after_run_panics() {
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let port = fabric.alloc_port();
+        fabric.run();
+        real.sink_port(port, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a sink")]
+    fn sinking_a_port_twice_panics() {
+        let (real, fabric) = RealFabric::new_arc_pair();
+        let port = fabric.alloc_port();
+        real.sink_port(port, |_, _| {});
+        real.sink_port(port, |_, _| {});
     }
 
     #[test]

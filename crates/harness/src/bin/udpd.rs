@@ -48,10 +48,11 @@
 //! coldest open one, the director hands one slot off per tick.
 //! `--migrate-drain` additionally empties lingering elastic arenas
 //! slot by slot so the reaper finds them empty.
-//! `--gateway-shards S` runs S inbound/outbound pump pairs on the one
-//! UDP port via `SO_REUSEPORT` (kernel 4-tuple hash spreads client
-//! flows across the shard sockets; the report prints whether batched
-//! syscalls and reuseport are live). `S = 1` is the classic
+//! `--gateway-shards S` runs S shards, each a socket and its inbound
+//! pump, on the one UDP port via `SO_REUSEPORT` (kernel 4-tuple hash
+//! spreads client flows across the shard sockets; the report prints
+//! whether batched receives and reuseport are live). Replies leave
+//! from the thread that built them, one `send_to` each. `S = 1` is the classic
 //! single-pump gateway, fault lottery included.
 //!
 //! Exit status: 0 when every accounting identity closed and the
@@ -149,7 +150,7 @@ fn main() {
     if opts.gateway_shards > 1 {
         let cap = parquake_harness::mmsg::capability();
         println!(
-            "udpd: gateway sharding — {} pump pairs ({}, {})",
+            "udpd: gateway sharding — {} shards ({}, {})",
             opts.gateway_shards,
             if cap.reuseport {
                 "SO_REUSEPORT"
@@ -157,7 +158,7 @@ fn main() {
                 "shared-socket fallback"
             },
             if cap.mmsg {
-                "batched recvmmsg/sendmmsg"
+                "batched recvmmsg"
             } else {
                 "one-datagram syscalls"
             }
@@ -230,7 +231,7 @@ fn main() {
     );
     for lane in &report.shards {
         println!(
-            "udpd: shard{} — {} in, {} out ({} batched recvs, {} batched sends), \
+            "udpd: shard{} — {} in, {} out ({} batched recvs), \
              {} forwarded ({} to front), {} fault-dropped ({} dup copies), \
              {} decode-rejected, {} spoof-rejected, {} arena-unknown, \
              {} replies unroutable — identity {}",
@@ -238,7 +239,6 @@ fn main() {
             lane.datagrams_in,
             lane.datagrams_out,
             lane.batched_recvs,
-            lane.batched_sends,
             lane.forwarded,
             lane.to_front,
             lane.fault_dropped,

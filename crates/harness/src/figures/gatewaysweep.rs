@@ -1,5 +1,5 @@
 //! Gateway shard sweep (extension): one real UDP port, the same
-//! multi-arena fleet, served by 1/2/4 `SO_REUSEPORT` pump pairs.
+//! multi-arena fleet, served by 1/2/4 `SO_REUSEPORT` shards.
 //!
 //! The paper scales the world *inside* the server; this figure scales
 //! the front door. A single inbound pump is one thread doing one
@@ -9,8 +9,8 @@
 //! spreads client flows across them), gives every shard its own
 //! fault lottery and [`parquake_metrics::GatewayLane`], stripes the
 //! session book so shards almost never contend, and drains
-//! datagram bursts with `recvmmsg`/`sendmmsg` where the kernel offers
-//! them. At `--gateway-shards 1` the gateway is the classic
+//! datagram bursts with `recvmmsg` where the kernel offers it (replies
+//! leave one `send_to` each, from the thread that built them). At `--gateway-shards 1` the gateway is the classic
 //! single-pump build, byte-identical lottery included — the sweep's
 //! baseline row is exactly the pre-shard gateway.
 //!
@@ -41,7 +41,7 @@ pub const WORKERS: u32 = 4;
 /// socket from the previous point can never cross-talk.
 const BASE_PORT: u16 = 28500;
 
-/// One sweep point: serve the fleet behind `shards` pump pairs and
+/// One sweep point: serve the fleet behind `shards` shards and
 /// drive it with `players` bots spread over `max(shards, 2) * 2`
 /// client sockets (reuseport balances flows, not datagrams, so the
 /// driver must offer at least as many 4-tuples as there are shards).
@@ -113,11 +113,7 @@ pub fn run(opts: &SweepOpts) -> String {
                     speedup4 = rate / baseline;
                 }
                 let busy = report.shards.iter().filter(|l| l.datagrams_in > 0).count();
-                let batched = report
-                    .shards
-                    .iter()
-                    .map(|l| l.batched_recvs + l.batched_sends)
-                    .sum::<u64>();
+                let batched = report.shards.iter().map(|l| l.batched_recvs).sum::<u64>();
                 rows.push(vec![
                     format!("shards{shards}"),
                     sent.to_string(),
@@ -167,9 +163,9 @@ pub fn run(opts: &SweepOpts) -> String {
     s.push('\n');
     if cores >= 4 {
         s.push_str(&format!(
-            "4 shards serve {speedup4:.2}x the single-pump reply rate. Each pump\n\
-             pair owns a reuseport socket, a striped slice of the books, and a\n\
-             batched syscall path, so the front door scales with cores until\n\
+            "4 shards serve {speedup4:.2}x the single-pump reply rate. Each shard\n\
+             owns a reuseport socket, a striped slice of the books, and a\n\
+             batched receive path, so the front door scales with cores until\n\
              the arenas saturate.\n"
         ));
     } else {

@@ -4,7 +4,7 @@
 //! ```text
 //!   UDP 127.0.0.1:port ×N (SO_REUSEPORT) ─(pump-in s)─► Connect ──► front port
 //!                                                       Move/Disc ─► arena[k][thread]
-//!   gateway fabric port[s] ◄── replies of shard-s-forwarded traffic ─(pump-out s)─► socket s
+//!   socket s ◄─(send_to, on the sending thread)─ gateway port[s] (a sink) ◄── replies
 //! ```
 //!
 //! The paper's server binds one UDP port per thread so each thread has
@@ -17,7 +17,7 @@
 //!
 //! What the gateway knows of a client is one session — reply address,
 //! last arrival, booked placement — in the one striped session book of
-//! the [`Router`] every pump shares; the private `session` module holds
+//! the [`Router`] every pump and sink shares; the private `session` module holds
 //! its lifetime. An admitted `Connect` opens the session *before* it is
 //! forwarded, and only a session with no placement that has been silent
 //! for a rebind grace is ever evicted, so every payload a server emits
@@ -28,7 +28,14 @@
 //! thread; the shard's seeded fault lottery — drop, duplicate, delay,
 //! client→server only — then deals the admitted datagram its fate) or
 //! in [`Router::outbound`] (book the placement a `ConnectAck` or
-//! lifecycle notice names, read the address).
+//! lifecycle notice names, read the address). The paper's server
+//! sends a reply from the thread that built it (§2.1), and so does this
+//! gateway: each shard's gateway port is a sink
+//! ([`RealFabric::sink_port`]) that runs `Router::outbound` and one
+//! `send_to` on the thread that sent the payload — a pool worker, a
+//! server thread, or the director mirroring a lifecycle notice — so a
+//! payload's sender books it in send order and no task wakes to
+//! forward it.
 //!
 //! An inbound pump is one blocking `recv_from` with a 10 ms idle
 //! timeout, then decode, route, draw the fates and hand every copy to
@@ -38,18 +45,19 @@
 //! [`parquake_fabric::virt::VirtualSmp`] port does. Every pump and
 //! server task stops at the run's `end_time` on the fabric's clock.
 //!
-//! The gateway runs `gateway_shards` independent pump pairs. Each shard
+//! The gateway runs `gateway_shards` independent shards. Each shard
 //! owns a socket bound to the *same* UDP port via `SO_REUSEPORT` (the
 //! kernel spreads client flows across shard sockets by 4-tuple hash),
-//! its lottery (shard 0 keeps the configured seed so a 1-shard gateway
-//! replays the exact pre-shard lottery; other shards salt it) and a
-//! [`parquake_metrics::GatewayLane`], so no counter is ever shared
-//! between pumps. Where batched syscalls are available (see
-//! [`crate::mmsg`]), a pump drains datagram bursts with one `recvmmsg`,
-//! forwards them into the fabric under one queue lock
-//! ([`parquake_fabric::real::RealFabric::send_external_batch`]), and
-//! writes reply bursts with one `sendmmsg`; everywhere else the same
-//! loops degrade to one-datagram std I/O.
+//! one inbound pump, its lottery (shard 0 keeps the configured seed so
+//! a 1-shard gateway replays the exact pre-shard lottery; other shards
+//! salt it) and a [`parquake_metrics::GatewayLane`] the pump alone
+//! writes; the shard's two outbound counters are atomics every sending
+//! thread bumps. Where batched syscalls are available (see
+//! [`crate::mmsg`]), a pump drains datagram bursts with one `recvmmsg`
+//! and forwards them into the fabric under one queue lock
+//! ([`parquake_fabric::real::RealFabric::send_external_batch`]);
+//! elsewhere it degrades to one-datagram std I/O. Replies leave one
+//! `send_to` each.
 //!
 //! Accounting closes at every layer and at every width: each shard's
 //! [`GatewayLane`] closes on its own, the aggregate of the shard lanes
@@ -60,7 +68,7 @@
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parquake_arena::{
@@ -100,8 +108,9 @@ fn recv_stamped(sock: &UdpSocket, buf: &mut [u8]) -> std::io::Result<(usize, Soc
 pub struct UdpArenaOpts {
     /// The single UDP port every arena is served on.
     pub port: u16,
-    /// Inbound/outbound pump pairs sharing that port (1 = the classic
-    /// single-pump gateway, byte-identical fault lottery included).
+    /// Shards — a socket and its inbound pump — sharing that port (1 =
+    /// the classic single-pump gateway, byte-identical fault lottery
+    /// included).
     pub gateway_shards: u32,
     /// Number of arenas.
     pub arenas: u32,
@@ -246,7 +255,7 @@ pub struct UdpArenaReport {
     pub datagrams_out: u64,
     /// Client-bound payloads whose client has no session.
     pub replies_unroutable: u64,
-    /// Per-shard gateway lanes (one per pump pair); their aggregate
+    /// Per-shard gateway lanes (one per shard); their aggregate
     /// must reproduce the totals above.
     pub shards: Vec<GatewayLane>,
     /// Per-arena traffic lanes (one per provisioned cell — an elastic
@@ -383,8 +392,8 @@ pub(crate) fn route_move(
 /// The arena cell of a datagram bound for the directory's front door.
 const FRONT: usize = usize::MAX;
 
-/// What the gateway's pumps share: the session book and the port
-/// tables it is read against. Each of its two methods takes one stripe
+/// What the gateway's pumps and sinks share: the session book and the
+/// port tables it is read against. Each of its two methods takes one stripe
 /// lock per datagram — the gateway's two critical sections.
 pub(crate) struct Router {
     /// The directory's front door: every admitted `Connect` goes here.
@@ -457,16 +466,16 @@ impl Router {
         dest
     }
 
-    /// Classify one payload off a gateway port (`from` = its fabric
+    /// Classify one payload sent to a gateway port (`from` = its fabric
     /// source), book what it says about its client, and return the
     /// address it goes to. `None` for a lifecycle notice (booked, never
-    /// sent), for garbage, and — counted `replies_unroutable` in `lane`
-    /// — for a client with no session, for whom nothing is booked
-    /// either: no `Connect` of its was admitted, or it was evicted
-    /// unplaced and silent, so no `Move` can be routed.
+    /// sent), for garbage, and — counted in `unroutable` — for a client
+    /// with no session, for whom nothing is booked either: no `Connect`
+    /// of its was admitted, or it was evicted unplaced and silent, so
+    /// no `Move` can be routed.
     pub(crate) fn outbound(
         &self,
-        lane: &mut GatewayLane,
+        unroutable: &AtomicU64,
         payload: &[u8],
         from: PortId,
     ) -> Option<SocketAddr> {
@@ -474,52 +483,54 @@ impl Router {
             classify_outbound(payload, self.port_pos.get(&from).copied())?;
         let addr = self.book.outbound(cid, transition);
         if forward && addr.is_none() {
-            lane.replies_unroutable += 1;
+            unroutable.fetch_add(1, Ordering::Relaxed);
         }
         addr.filter(|_| forward)
     }
 }
 
-/// One shard's outbound pump: a fabric task draining the shard's
-/// gateway port to its socket — drain, classify, book, `sendmmsg`.
-pub(crate) struct OutboundPump {
-    pub(crate) shard: usize,
-    /// The gateway fabric port carrying this shard's replies.
-    pub(crate) gw: PortId,
+/// One shard's outbound half: the shard's gateway port is sunk into it
+/// ([`RealFabric::sink_port`]), so a payload leaves from the thread that
+/// sent it — classify, book, one `send_to` — and no task wakes to
+/// forward it. Its counters are bumped by every such thread.
+struct ShardOut {
     /// This shard's UDP socket (replies leave from the server port).
-    pub(crate) sock: UdpSocket,
-    pub(crate) router: Arc<Router>,
-    pub(crate) end_time: Nanos,
-    /// Where the task hands in its half of the shard's lane (datagrams
-    /// out, unroutable replies, batched sends) as it exits.
-    pub(crate) done: mpsc::Sender<GatewayLane>,
+    sock: UdpSocket,
+    router: Arc<Router>,
+    datagrams_out: AtomicU64,
+    replies_unroutable: AtomicU64,
 }
 
-impl OutboundPump {
-    pub(crate) fn spawn(self, fabric: &Arc<dyn Fabric>) {
-        fabric.spawn(
-            &format!("udp-arena-out{}", self.shard),
-            None,
-            Box::new(move |ctx| {
-                let mut lane = GatewayLane::new(self.shard);
-                // What one wakeup drains leaves in one batched write.
-                let mut outbox: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
-                while ctx.wait_readable(self.gw, Some(self.end_time)) {
-                    while let Some(msg) = ctx.try_recv(self.gw) {
-                        if let Some(addr) = self.router.outbound(&mut lane, &msg.payload, msg.from)
-                        {
-                            outbox.push((msg.payload, addr));
-                        }
-                    }
-                    let (sent, batched) = mmsg::send_batch(&self.sock, &outbox);
-                    outbox.clear();
-                    lane.datagrams_out += sent;
-                    lane.batched_sends += batched;
-                }
-                // The host may already have given up on the run.
-                let _ = self.done.send(lane);
-            }),
-        );
+impl ShardOut {
+    /// Sink `gw` into `sock`. Set-up only: before `real.run()`.
+    fn install(real: &RealFabric, gw: PortId, sock: UdpSocket, router: Arc<Router>) -> Arc<Self> {
+        let out = Arc::new(ShardOut {
+            sock,
+            router,
+            datagrams_out: AtomicU64::new(0),
+            replies_unroutable: AtomicU64::new(0),
+        });
+        let sink = out.clone();
+        real.sink_port(gw, move |from, payload| sink.deliver(from, &payload));
+        out
+    }
+
+    fn deliver(&self, from: PortId, payload: &[u8]) {
+        let Some(addr) = self
+            .router
+            .outbound(&self.replies_unroutable, payload, from)
+        else {
+            return;
+        };
+        if self.sock.send_to(payload, addr).is_ok() {
+            self.datagrams_out.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Fold the outbound counters into the shard's lane, after the run.
+    fn fold_into(&self, lane: &mut GatewayLane) {
+        lane.datagrams_out += self.datagrams_out.load(Ordering::Relaxed);
+        lane.replies_unroutable += self.replies_unroutable.load(Ordering::Relaxed);
     }
 }
 
@@ -590,7 +601,7 @@ impl InboundPump {
     }
 
     /// Pump until `end_time` on the fabric's clock, the deadline the
-    /// server tasks and outbound pumps stop at; returns the lane and
+    /// server tasks stop at; returns the lane and
     /// the per-cell count of copies forwarded to each arena.
     fn run(mut self, end_time: Nanos) -> (GatewayLane, Vec<u64>) {
         use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
@@ -651,7 +662,7 @@ fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<Vec<UdpSocket
     Ok(std::iter::once(first).chain(clones).collect())
 }
 
-/// Run the arena directory behind `gateway_shards` pump pairs on one
+/// Run the arena directory behind `gateway_shards` shards on one
 /// real UDP port until `opts.duration` elapses. Returns the layered
 /// traffic report. Fails with `InvalidInput` on a network fault
 /// profile [`FaultConfig::validate`] refuses or an option combination
@@ -712,18 +723,15 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         rebind_grace,
     ));
 
-    let (done, out_lanes) = mpsc::channel();
+    let mut outs = Vec::with_capacity(shards);
     let mut pumps = Vec::with_capacity(shards);
     for (shard, (&gw, sock)) in gw_ports.iter().zip(&socks).enumerate() {
-        OutboundPump {
-            shard,
+        outs.push(ShardOut::install(
+            &real,
             gw,
-            sock: sock.try_clone()?,
-            router: router.clone(),
-            end_time,
-            done: done.clone(),
-        }
-        .spawn(&fabric);
+            sock.try_clone()?,
+            router.clone(),
+        ));
         // The one receive timeout of the socket every clone shares.
         sock.set_read_timeout(Some(PUMP_IDLE_TIMEOUT))?;
         let pump = InboundPump {
@@ -752,9 +760,9 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         }
         shard_lanes.push(lane);
     }
-    // Every outbound task has exited and handed in its half-lane.
-    for out in out_lanes.try_iter() {
-        shard_lanes[out.shard].absorb(&out);
+    // No task is left to send through a sink.
+    for (lane, out) in shard_lanes.iter_mut().zip(&outs) {
+        out.fold_into(lane);
     }
     Ok(build_report(&fabric, handle, shard_lanes, &pump_to_arena))
 }
@@ -874,8 +882,8 @@ const CLIENT_STOP_POLL: Duration = Duration::from_millis(50);
 /// bridged to sockets for `duration` (DESIGN.md §7):
 ///
 /// ```text
-///   driver d ──► egress port ─(one fabric task)─► socket d ──► server
-///   driver d ◄── driver port d ◄─(one OS thread per socket)── socket d
+///   driver d ──► egress port ─(a sink: send_to on d's thread)─► socket d ──► server
+///   driver d ◄── driver port d ◄───(one OS thread per socket)─── socket d
 /// ```
 ///
 /// Behind the egress port sits a single server address, so every arena
@@ -937,8 +945,8 @@ pub fn run_udp_clients(
         })
         .collect::<std::io::Result<_>>()?;
 
-    // Outbound: one fabric task drains the egress port onto the socket
-    // of the driver each payload came from.
+    // Outbound: the egress port is sunk into the sockets, so a
+    // driver's payload leaves on its own socket from its own thread.
     let sent = Arc::new(AtomicU64::new(0));
     {
         let out_socks: Vec<UdpSocket> = socks
@@ -947,24 +955,14 @@ pub fn run_udp_clients(
             .collect::<std::io::Result<_>>()?;
         let driver_ports = swarm.driver_ports.clone();
         let sent = sent.clone();
-        fabric.spawn(
-            "udp-client-out",
-            None,
-            Box::new(move |ctx| {
-                // A payload a driver hands over on its very last tick
-                // may miss the wire; it is then not counted as sent.
-                while ctx.wait_readable(egress, Some(end_time)) {
-                    while let Some(raw) = ctx.try_recv(egress) {
-                        let Some(d) = driver_ports.iter().position(|&p| p == raw.from) else {
-                            continue;
-                        };
-                        if out_socks[d].send_to(&raw.payload, server).is_ok() {
-                            sent.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }),
-        );
+        real.sink_port(egress, move |from, payload| {
+            let Some(d) = driver_ports.iter().position(|&p| p == from) else {
+                return;
+            };
+            if out_socks[d].send_to(&payload, server).is_ok() {
+                sent.fetch_add(1, Ordering::Relaxed);
+            }
+        });
     }
 
     // Inbound: one plain OS thread per socket, injecting into its
@@ -1095,6 +1093,20 @@ mod tests {
         session(router, cid).and_then(|s| s.placement())
     }
 
+    /// [`Router::outbound`], counting an unroutable payload in `lane`
+    /// as a shard's sink does.
+    fn outbound(
+        router: &Router,
+        lane: &mut GatewayLane,
+        payload: &[u8],
+        from: PortId,
+    ) -> Option<SocketAddr> {
+        let unroutable = AtomicU64::new(0);
+        let addr = router.outbound(&unroutable, payload, from);
+        lane.replies_unroutable += unroutable.into_inner();
+        addr
+    }
+
     #[test]
     fn connect_learns_and_refreshes_address() {
         let (router, mut lane) = two_by_two();
@@ -1138,7 +1150,7 @@ mod tests {
         router
             .inbound(&mut lane, &connect(7), addr(4000), t0)
             .unwrap();
-        router.outbound(&mut lane, &ack(7, 1), 20).unwrap();
+        outbound(&router, &mut lane, &ack(7, 1), 20).unwrap();
         router
             .inbound(&mut lane, &connect(7), addr(5000), t0 + GRACE)
             .unwrap();
@@ -1159,7 +1171,7 @@ mod tests {
         router
             .inbound(&mut lane, &connect(7), addr(4000), t0)
             .unwrap();
-        router.outbound(&mut lane, &ack(7, 0), 10).unwrap();
+        outbound(&router, &mut lane, &ack(7, 0), 10).unwrap();
         assert_eq!(
             router.inbound(&mut lane, &mv(7), addr(4000), t0),
             Some((0, 10))
@@ -1227,7 +1239,7 @@ mod tests {
         let sent = Some(addr(4000));
 
         // ConnectAck installs the placement and is forwarded.
-        assert_eq!(router.outbound(&mut lane, &ack(7, 1), 0), sent);
+        assert_eq!(outbound(&router, &mut lane, &ack(7, 1), 0), sent);
         assert_eq!(placement(&router, 7).map(|p| p.arena), Some(1));
 
         // A Reclaimed notice from the placed arena evicts the placement
@@ -1239,18 +1251,18 @@ mod tests {
             client_id: 7,
             at: 123,
         };
-        assert_eq!(router.outbound(&mut lane, &reclaim.to_bytes(), 0), None);
+        assert_eq!(outbound(&router, &mut lane, &reclaim.to_bytes(), 0), None);
         assert_eq!(placement(&router, 7), None);
         assert_eq!(session(&router, 7).map(|s| s.addr()), sent);
 
         // A *late* notice from an old placement must not kill a newer
         // booking elsewhere.
-        assert_eq!(router.outbound(&mut lane, &ack(7, 2), 0), sent);
+        assert_eq!(outbound(&router, &mut lane, &ack(7, 2), 0), sent);
         let stale = LifecycleEvent::Disconnected {
             arena: 1,
             client_id: 7,
         };
-        assert_eq!(router.outbound(&mut lane, &stale.to_bytes(), 0), None);
+        assert_eq!(outbound(&router, &mut lane, &stale.to_bytes(), 0), None);
         assert_eq!(
             placement(&router, 7).map(|p| p.arena),
             Some(2),
@@ -1265,7 +1277,7 @@ mod tests {
             client_id: 7,
             thread: 1,
         };
-        assert_eq!(router.outbound(&mut lane, &mig.to_bytes(), 0), None);
+        assert_eq!(outbound(&router, &mut lane, &mig.to_bytes(), 0), None);
         assert_eq!(
             placement(&router, 7),
             Some(GwPlacement {
@@ -1282,7 +1294,7 @@ mod tests {
             client_id: 8,
             thread: 1,
         };
-        assert_eq!(router.outbound(&mut lane, &joined.to_bytes(), 0), None);
+        assert_eq!(outbound(&router, &mut lane, &joined.to_bytes(), 0), None);
         assert_eq!(
             placement(&router, 8),
             Some(GwPlacement {
@@ -1291,17 +1303,17 @@ mod tests {
             })
         );
         let bye = ServerMessage::Bye { client_id: 8 }.to_bytes();
-        assert_eq!(router.outbound(&mut lane, &bye, 0), sent);
+        assert_eq!(outbound(&router, &mut lane, &bye, 0), sent);
         assert_eq!(placement(&router, 8), None);
 
         // Garbage decodes to neither family: ignored, book untouched.
-        assert_eq!(router.outbound(&mut lane, &[0xFF, 1, 2, 3], 0), None);
+        assert_eq!(outbound(&router, &mut lane, &[0xFF, 1, 2, 3], 0), None);
         assert!(placement(&router, 7).is_some());
         assert_eq!(lane, GatewayLane::default(), "nothing above is a refusal");
 
         // Nothing is booked, and nothing sent, for a client no Connect
         // was admitted for.
-        assert_eq!(router.outbound(&mut lane, &ack(9, 1), 0), None);
+        assert_eq!(outbound(&router, &mut lane, &ack(9, 1), 0), None);
         assert_eq!(lane.replies_unroutable, 1);
         assert_eq!(session(&router, 9), None);
     }
@@ -1323,7 +1335,7 @@ mod tests {
 
         // The ack for client 7 leaves arena 1 from thread 1's request
         // port: the gateway must learn (arena 1, thread 1)…
-        assert_eq!(router.outbound(&mut lane, &ack(7, 1), 21), Some(from));
+        assert_eq!(outbound(&router, &mut lane, &ack(7, 1), 21), Some(from));
         assert_eq!(
             placement(&router, 7),
             Some(GwPlacement {
@@ -1340,7 +1352,7 @@ mod tests {
         // An ack whose fabric source is NOT one of the named arena's
         // ports (a re-ack relayed oddly) falls back to thread 0 rather
         // than trusting a foreign thread index.
-        assert_eq!(router.outbound(&mut lane, &ack(8, 1), 11), Some(from));
+        assert_eq!(outbound(&router, &mut lane, &ack(8, 1), 11), Some(from));
         assert_eq!(router.inbound(&mut lane, &mv(8), from, now), Some((1, 20)));
 
         // Pooled arenas have one port: any learned thread clamps to it.
@@ -1415,7 +1427,7 @@ mod tests {
                         continue;
                     }
                     while let Some(msg) = ctx.try_recv(gw) {
-                        task_router.outbound(&mut lane, &msg.payload, msg.from);
+                        outbound(&task_router, &mut lane, &msg.payload, msg.from);
                     }
                 }
             }),
@@ -1442,11 +1454,14 @@ mod tests {
     }
 
     /// A payload for a client with no session is counted
-    /// `replies_unroutable` when it is drained — nothing is retained —
-    /// and the pump goes straight on to the next payload.
+    /// `replies_unroutable` when it is sent — nothing is retained — and
+    /// a routable one leaves on the shard socket before `send` returns.
     #[test]
     fn reply_for_a_client_with_no_session_is_unroutable_at_once() {
-        let Ok(client_sock) = UdpSocket::bind("127.0.0.1:0") else {
+        let (Ok(client_sock), Ok(shard_sock)) = (
+            UdpSocket::bind("127.0.0.1:0"),
+            UdpSocket::bind("127.0.0.1:0"),
+        ) else {
             eprintln!("skipping: loopback UDP not permitted");
             return;
         };
@@ -1465,30 +1480,23 @@ mod tests {
                 Instant::now(),
             )
             .unwrap();
-        let (done, lanes) = mpsc::channel();
-        OutboundPump {
-            shard: 0,
-            gw,
-            sock: UdpSocket::bind("127.0.0.1:0").unwrap(),
-            router,
-            end_time: 150_000_000, // 150ms
-            done,
-        }
-        .spawn(&fabric);
-        // Client 42 never connected; client 7's reply queues behind
-        // its.
+        let out = ShardOut::install(&real, gw, shard_sock, router);
+        // Client 42 never connected; client 7's reply follows its.
         real.send_external(gw, gw, reply(42));
+        let mut lane = GatewayLane::new(0);
+        out.fold_into(&mut lane);
+        assert_eq!((lane.replies_unroutable, lane.datagrams_out), (1, 0));
         real.send_external(gw, gw, reply(7));
-        fabric.run();
+        assert_eq!(fabric.port_pending(gw), 0, "a sink queues nothing");
 
         let mut buf = [0u8; MAX_DATAGRAM];
         let (n, _) = client_sock
             .recv_from(&mut buf)
             .expect("routable reply not sent");
         assert_eq!(buf[..n], reply(7)[..]);
-        let lane = lanes.try_recv().expect("outbound pump handed in no lane");
-        assert_eq!(lane.replies_unroutable, 1);
-        assert_eq!(lane.datagrams_out, 1);
+        let mut lane = GatewayLane::new(0);
+        out.fold_into(&mut lane);
+        assert_eq!((lane.replies_unroutable, lane.datagrams_out), (1, 1));
         assert!(lane.accounting_closed(), "{lane:?}");
     }
 
@@ -1536,7 +1544,7 @@ mod tests {
                 .unwrap();
         }
         for cid in placed.clone() {
-            router.outbound(&mut lane, &ack(cid, 1), 20).unwrap();
+            outbound(&router, &mut lane, &ack(cid, 1), 20).unwrap();
         }
         let gap = Duration::from_micros(50);
         let per_grace = (GRACE.as_micros() / gap.as_micros()) as usize;
@@ -1808,18 +1816,18 @@ mod tests {
                         // An ack leaving thread `thread` of arena
                         // `endpoint`'s port (arena 2 has none: 0).
                         let source = ports.get(endpoint as usize).map_or(0, |p| p[thread as usize]);
-                        let got = router.outbound(&mut lane, &ack(cid, arena), source);
+                        let got = outbound(&router, &mut lane, &ack(cid, arena), source);
                         prop_assert_eq!(got, sent(&mut want));
                         let thread = if endpoint == arena && arena < 2 { thread } else { 0 };
                         place(&mut model, Some(GwPlacement { arena, thread }));
                     }
                     8 => {
-                        let got = router.outbound(&mut lane, &reply(cid), 0);
+                        let got = outbound(&router, &mut lane, &reply(cid), 0);
                         prop_assert_eq!(got, sent(&mut want));
                     }
                     9 => {
                         let bye = ServerMessage::Bye { client_id: cid }.to_bytes();
-                        prop_assert_eq!(router.outbound(&mut lane, &bye, 0), sent(&mut want));
+                        prop_assert_eq!(outbound(&router, &mut lane, &bye, 0), sent(&mut want));
                         place(&mut model, None);
                     }
                     10 => {
@@ -1833,7 +1841,7 @@ mod tests {
                                 thread: endpoint,
                             }
                         };
-                        prop_assert_eq!(router.outbound(&mut lane, &notice.to_bytes(), 0), None);
+                        prop_assert_eq!(outbound(&router, &mut lane, &notice.to_bytes(), 0), None);
                         place(&mut model, Some(GwPlacement { arena, thread: endpoint }));
                     }
                     _ => {
@@ -1842,7 +1850,7 @@ mod tests {
                             0 => LifecycleEvent::Disconnected { arena, client_id: cid },
                             _ => LifecycleEvent::Reclaimed { arena, client_id: cid, at: 1 },
                         };
-                        prop_assert_eq!(router.outbound(&mut lane, &notice.to_bytes(), 0), None);
+                        prop_assert_eq!(outbound(&router, &mut lane, &notice.to_bytes(), 0), None);
                         let ends = !matches!(notice, LifecycleEvent::Rejected { .. });
                         if ends && known.and_then(|s| s.placement).map(|p| p.arena) == Some(arena) {
                             place(&mut model, None);

@@ -38,10 +38,12 @@ pub struct GatewayLane {
     /// Datagrams received via a batched `recvmmsg` (beyond the one
     /// blocking read that triggered the batch).
     pub batched_recvs: u64,
-    /// Datagrams sent via a batched `sendmmsg`.
+    /// Datagrams sent via a batched `sendmmsg`. Reads 0: a reply
+    /// leaves with one `send_to` from the thread that built it. Kept
+    /// for the readers that compute datagrams per send call.
     pub batched_sends: u64,
-    /// Replies written back to client sockets by this shard's
-    /// outbound pump.
+    /// Replies written back to client sockets through this shard's
+    /// socket, by whichever thread sent them.
     pub datagrams_out: u64,
     /// Client-bound payloads whose client has no session in the
     /// gateway's book (nothing is retained: counted when drained).
