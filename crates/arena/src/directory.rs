@@ -30,6 +30,12 @@
 //! arena replies straight to the client and the directory is off the
 //! data path after admission.
 //!
+//! The director sleeps on its own condvar, on either fabric, until a
+//! delivery to the front door or the control port rings it
+//! ([`Fabric::wake_on_delivery`]) or a deadline it owes comes: a linger
+//! expiry, the next migration tick, a supervision pass, the end of the
+//! run.
+//!
 //! The director's population [`Ledger`] is kept truthful by
 //! **lifecycle notices**: each arena runtime reports connect
 //! accepts, disconnects, inactivity reclaims and rejects on a control
@@ -212,9 +218,10 @@ pub struct PoolReport {
     /// Time each worker spent waiting for a runnable arena.
     pub idle_ns_by_worker: Vec<Nanos>,
     /// Idle waits of each worker that ended by their deadline rather
-    /// than by a wake-up (with delivery wake-ups: owed pacing,
-    /// maintenance and end-of-run deadlines only; without: mostly the
-    /// 1 ms `POLL_NS` bound).
+    /// than by a wake-up: overload pacing, an owed or maintenance
+    /// frame, the end of the run, or the delivery time of a copy the
+    /// worker was woken for while it was still in flight (a fault delay
+    /// or held copy on either fabric, link latency on the virtual one).
     pub idle_timeouts_by_worker: Vec<u64>,
 }
 
@@ -362,18 +369,15 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
     let front_port = fabric.alloc_bounded_port(REQUEST_QUEUE_CAP);
     // The director's own wait, rung by deliveries to either of its
     // ports: a control-layer lock like the pool's, never held while
-    // sending. A supervised director polls on every fabric, for its
-    // watchdog.
+    // sending.
     let lock = fabric.alloc_lock();
     if let Some(w) = fabric.witness() {
         w.classify(lock, LockClass::Ctrl);
     }
     let cond = fabric.alloc_cond();
-    let wake = (cfg.supervision.is_none()
-        && [front_port, lifecycle_port]
-            .into_iter()
-            .all(|p| fabric.wake_on_delivery(p, lock, cond)))
-    .then_some((lock, cond));
+    for port in [front_port, lifecycle_port] {
+        fabric.wake_on_delivery(port, lock, cond);
+    }
     let env = DirectorEnv {
         cfg,
         front: front_port,
@@ -381,7 +385,7 @@ pub fn spawn_directory(fabric: &Arc<dyn Fabric>, cfg: ArenaDirectoryConfig) -> A
         arena_ports: arena_ports.clone(),
         pool,
         sink: sink.clone(),
-        wake,
+        wake: (lock, cond),
     };
     fabric.spawn(
         "arena-director",
@@ -414,9 +418,8 @@ pub(crate) struct DirectorEnv {
     /// migration (pooled scheduling only).
     pub(crate) pool: Option<Arc<Pool>>,
     sink: Sink,
-    /// The lock and condvar deliveries to `front` and `lifecycle` ring,
-    /// or `None`: the director polls ([`NOTICE_POLL_NS`]).
-    wake: Option<(LockId, CondId)>,
+    /// The lock and condvar deliveries to `front` and `lifecycle` ring.
+    wake: (LockId, CondId),
 }
 
 /// The director's mutable state.
@@ -445,13 +448,9 @@ pub(crate) struct Director {
     pub(crate) next_migrate_at: Nanos,
 }
 
-/// Where deliveries do not wake the director ([`Fabric::wake_on_delivery`]
-/// is `false`, i.e. `VirtualSmp`) it waits on the front door alone and
-/// wakes at least this often to drain lifecycle notices and run
-/// elastic bookkeeping (one task cannot block on two ports). A
-/// supervised director keeps this cadence on every fabric: its
-/// watchdog checks claimed frames on each pass.
-const NOTICE_POLL_NS: Nanos = 2_000_000;
+/// A supervised director owes a supervision pass (watchdog sweep,
+/// restores) at least this often, whether or not work arrives.
+const SUPERVISION_PASS_NS: Nanos = 2_000_000;
 
 fn director(ctx: &TaskCtx, env: &DirectorEnv) {
     let cfg = &env.cfg;
@@ -486,15 +485,11 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
             break;
         }
         // Sleep until work arrives or a deadline the director owes:
-        // linger expiries, the next migration tick, the end of the run.
-        // A poll waits on the front door alone, so it is also bounded
-        // by the poll and by a held notice's due time.
+        // linger expiries, the next migration tick, a supervision pass,
+        // the end of the run.
         let mut deadline = cfg.server.end_time;
-        if env.wake.is_none() {
-            deadline = now + NOTICE_POLL_NS;
-            if let Some(t) = ctx.fabric().port_next_delivery(env.lifecycle) {
-                deadline = deadline.min(t.max(now + 1));
-            }
+        if cfg.supervision.is_some() {
+            deadline = now + SUPERVISION_PASS_NS;
         }
         for k in boot..n {
             if let Some(t0) = d.empty_since[k] {
@@ -505,12 +500,7 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
             deadline = deadline.min(d.next_migrate_at.max(now + 1));
         }
         let deadline = deadline.min(cfg.server.end_time).max(now + 1);
-        match env.wake {
-            Some((lock, cond)) => wait_for_work(ctx, env, lock, cond, deadline),
-            None => {
-                ctx.wait_readable(env.front, Some(deadline));
-            }
-        }
+        wait_for_work(ctx, env, deadline);
         while let Some(raw) = ctx.try_recv(env.front) {
             ctx.charge(cfg.server.cost.recv);
             handle_front(ctx, env, &mut d, raw.from, &raw.payload);
@@ -543,12 +533,13 @@ fn director(ctx: &TaskCtx, env: &DirectorEnv) {
 }
 
 /// Sleep on the director's condvar until the front door or the control
-/// port has something receivable (a held copy counts from its due
-/// time), or until `deadline`. The ports are read under the director's
-/// lock, which every delivery to them passes through before it
-/// notifies, so no wake-up is lost.
+/// port has something receivable (a copy in flight counts from its
+/// delivery time), or until `deadline`. The ports are read under the
+/// director's lock and nothing is charged before the wait, so no
+/// wake-up is lost ([`Fabric::wake_on_delivery`]).
 // lockcheck: acquire-site
-fn wait_for_work(ctx: &TaskCtx, env: &DirectorEnv, lock: LockId, cond: CondId, deadline: Nanos) {
+fn wait_for_work(ctx: &TaskCtx, env: &DirectorEnv, deadline: Nanos) {
+    let (lock, cond) = env.wake;
     ctx.lock(lock);
     loop {
         let next = [env.front, env.lifecycle]

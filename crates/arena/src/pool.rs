@@ -16,6 +16,13 @@
 //!    schedulable.
 //! 4. Reap and fence never take a claimed or fated cell.
 //! 5. Restore starts only after the claim is free.
+//!
+//! An idle worker sleeps on the pool condvar, on either fabric, until
+//! a delivery to an arena port rings it ([`Fabric::wake_on_delivery`]),
+//! a transition may have made an arena schedulable, or the earliest
+//! deadline the pool owes itself comes: an in-flight copy's delivery,
+//! overload pacing, an owed or maintenance frame, the end of the run.
+//! No clock wakes it.
 
 use std::cell::UnsafeCell;
 use std::sync::Arc;
@@ -27,14 +34,6 @@ use parquake_server::runtime::{FrameState, ServerShared};
 
 use crate::checkpoint::CheckpointRing;
 use crate::directory::{ArenaDirectoryConfig, PoolReport};
-
-/// The modelled select timeout of an idle pooled worker on
-/// `VirtualSmp`: it re-scans for runnable arenas at least this often.
-/// Unused on fabrics that wake the pool on delivery
-/// ([`Fabric::wake_on_delivery`], i.e. `RealFabric`) — there an idle
-/// worker sleeps until a datagram, a pool event or a deadline the pool
-/// itself owes (overload pacing, maintenance, end of run).
-const POLL_NS: Nanos = 1_000_000;
 
 /// How an arena failed; it awaits restore.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -435,9 +434,6 @@ pub(crate) struct Pool {
     lock: LockId,
     cond: CondId,
     pub(crate) cells: Vec<ArenaCell>,
-    /// Whether idle waits need the [`POLL_NS`] bound: the fabric does
-    /// not wake the pool on delivery.
-    poll: bool,
     state: UnsafeCell<PoolState>,
 }
 
@@ -466,9 +462,9 @@ impl Pool {
             w.classify(lock, LockClass::Ctrl);
         }
         let cond = fabric.alloc_cond();
-        let poll = !cells
-            .iter()
-            .all(|c| fabric.wake_on_delivery(c.port, lock, cond));
+        for c in &cells {
+            fabric.wake_on_delivery(c.port, lock, cond);
+        }
         let (n, workers) = (cells.len(), cfg.workers as usize);
         let report = PoolReport {
             frames_by_worker: vec![0; workers],
@@ -482,7 +478,6 @@ impl Pool {
             lock,
             cond,
             cells,
-            poll,
             state: UnsafeCell::new(PoolState {
                 table,
                 report,
@@ -524,9 +519,9 @@ impl Pool {
     }
 
     /// Worker `w`: claim a due arena, or, with nothing runnable, sleep
-    /// until the earliest moment one could become runnable without a
-    /// wake-up (or, only where deliveries do not ring the condvar, the
-    /// poll bound) and return `None` to rescan.
+    /// until a delivery or a pool event wakes it, or until the earliest
+    /// moment an arena could become runnable without one, and return
+    /// `None` to rescan.
     pub(crate) fn claim(&self, ctx: &TaskCtx, w: u32, now: Nanos) -> Option<usize> {
         let (maint, end) = (self.cfg.maintenance_ns, self.cfg.server.end_time);
         self.enter(ctx);
@@ -540,11 +535,9 @@ impl Pool {
             |k| matches!(next_delivery(k), Some(t) if t <= now),
         );
         if pick.is_none() {
-            let bound = if self.poll { now + POLL_NS } else { end };
             let deadline = st
                 .table
-                .wake_deadline(bound, maint, next_delivery)
-                .min(end)
+                .wake_deadline(end, maint, next_delivery)
                 .max(now + 1);
             let (waited, timed_out) = ctx.cond_wait_until(self.cond, self.lock, deadline);
             let report = &mut self.state().report;

@@ -92,20 +92,21 @@ pub trait Fabric: Send + Sync {
     /// tell "work is ready" apart from "work is on the wire" without
     /// claiming the port.
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos>;
-    /// Ask that every delivery to `port` also wake the waiters of
+    /// Ask that every delivery to `port` also wake one waiter of
     /// `cond`, for schedulers that sleep on one condition variable
-    /// while watching many ports. Returns whether the fabric does so;
-    /// at `false` (the default) the caller must bound its waits
-    /// itself. When `true`, a task that found `port` empty while
-    /// holding `lock` and then waits on `cond` with `lock` cannot miss
-    /// a delivery: the delivering side passes through `lock` before it
-    /// notifies. `lock` is not re-entrant, so nothing may send to a
-    /// watched port while holding it. Must be called before `run`, at
-    /// most once per port.
-    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) -> bool {
-        let _ = (port, lock, cond);
-        false
-    }
+    /// while watching many ports. The waiter is woken when the copy is
+    /// handed in; a copy still in flight (link latency, a fault delay,
+    /// a held copy) is the waiter's to sleep until, through
+    /// [`Fabric::port_next_delivery`], so a wait that ends at its
+    /// delivery time ends timed out. A task that found `port` empty
+    /// while holding `lock` and then waits on `cond` with `lock`
+    /// cannot miss a delivery: on the real fabric the delivering side
+    /// passes through `lock` before it notifies; on the virtual one no
+    /// other task runs between the check and the wait, as long as the
+    /// watcher charges nothing in between. `lock` is not re-entrant,
+    /// so nothing may send to a watched port while holding it. Must be
+    /// called before `run`, at most once per port.
+    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId);
 
     /// Register a task. `server_cpu` pins the task onto the modelled
     /// server's CPU topology (used by the virtual HT model); `None`

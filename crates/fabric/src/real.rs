@@ -408,14 +408,13 @@ impl Fabric for RealFabric {
         }
     }
 
-    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) -> bool {
+    fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) {
         let watch = DeliveryWatch {
             lock: self.locks.get(lock).into_owned(),
             cond: self.conds.get(cond).into_owned(),
         };
         let fresh = self.ports.get(port).watch.set(watch).is_ok();
         assert!(fresh, "port {port} is already watched");
-        true
     }
 
     fn spawn(&self, name: &str, _server_cpu: Option<u32>, body: TaskBody) -> TaskId {
@@ -864,7 +863,7 @@ mod tests {
         let port = fabric.alloc_port();
         let lock = fabric.alloc_lock();
         let cond = fabric.alloc_cond();
-        assert!(fabric.wake_on_delivery(port, lock, cond));
+        fabric.wake_on_delivery(port, lock, cond);
         (real, fabric, gw, port, lock, cond)
     }
 

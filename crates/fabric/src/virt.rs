@@ -101,6 +101,9 @@ struct PortState {
     /// of the modelled wide-area path, used to scope fault injection
     /// when [`VirtualSmpConfig::fault_wan_only`] is set.
     wan: bool,
+    /// Set by [`Fabric::wake_on_delivery`]: a condvar whose first
+    /// waiter every send to this port signals.
+    watch: Option<CondId>,
 }
 
 impl PortState {
@@ -110,6 +113,7 @@ impl PortState {
             cap,
             dropped: 0,
             wan: false,
+            watch: None,
         }
     }
 }
@@ -389,6 +393,21 @@ impl VirtualSmp {
         task.status = Status::Runnable;
     }
 
+    /// Wake the first waiter of `cond` at `at`: it leaves the queue and
+    /// starts reacquiring its lock. Returns whether anyone waited.
+    fn signal_one(g: &mut MutexGuard<'_, Shared>, cond: CondId, at: Nanos) -> bool {
+        let Some(w) = g.conds[cond as usize].waiters.pop_front() else {
+            return false;
+        };
+        let relock = match g.tasks[w as usize].status.clone() {
+            Status::CondWait { relock, .. } => relock,
+            s => unreachable!("cond waiter in state {s:?}"),
+        };
+        g.tasks[w as usize].clock = g.tasks[w as usize].clock.max(at);
+        Self::start_relock(g, w, relock);
+        true
+    }
+
     /// Release `lock` at time `at`, handing it directly to one waiter if
     /// any are queued. FIFO by default; a nonzero schedule seed picks
     /// the successor pseudo-randomly (all waiters are blocked with no
@@ -463,6 +482,14 @@ impl Fabric for VirtualSmp {
             .queue
             .front()
             .map(|d| d.deliver_at)
+    }
+
+    fn wake_on_delivery(&self, port: PortId, _lock: LockId, cond: CondId) {
+        // No task runs between a watcher's check of the port and its
+        // wait, so the lock needs no pass-through here.
+        let watch = &mut self.state.lock().ports[port as usize].watch;
+        assert!(watch.is_none(), "port {port} is already watched");
+        *watch = Some(cond);
     }
 
     fn spawn(&self, name: &str, server_cpu: Option<u32>, body: TaskBody) -> TaskId {
@@ -655,27 +682,13 @@ impl Fabric for VirtualSmp {
     fn cond_signal(&self, task: TaskId, cond: CondId) {
         let mut g = self.sync_point(task);
         let my_clock = g.tasks[task as usize].clock;
-        if let Some(w) = g.conds[cond as usize].waiters.pop_front() {
-            let relock = match g.tasks[w as usize].status.clone() {
-                Status::CondWait { relock, .. } => relock,
-                s => unreachable!("cond waiter in state {s:?}"),
-            };
-            g.tasks[w as usize].clock = g.tasks[w as usize].clock.max(my_clock);
-            Self::start_relock(&mut g, w, relock);
-        }
+        Self::signal_one(&mut g, cond, my_clock);
     }
 
     fn cond_broadcast(&self, task: TaskId, cond: CondId) {
         let mut g = self.sync_point(task);
         let my_clock = g.tasks[task as usize].clock;
-        while let Some(w) = g.conds[cond as usize].waiters.pop_front() {
-            let relock = match g.tasks[w as usize].status.clone() {
-                Status::CondWait { relock, .. } => relock,
-                s => unreachable!("cond waiter in state {s:?}"),
-            };
-            g.tasks[w as usize].clock = g.tasks[w as usize].clock.max(my_clock);
-            Self::start_relock(&mut g, w, relock);
-        }
+        while Self::signal_one(&mut g, cond, my_clock) {}
     }
 
     fn send(&self, task: TaskId, from: PortId, to: PortId, mut payload: Vec<u8>) {
@@ -738,7 +751,11 @@ impl Fabric for VirtualSmp {
             );
         }
         // A task blocked on this port will be picked up by the wake-key
-        // computation; no explicit wakeup needed.
+        // computation; a watcher is signalled at the send instant and
+        // sleeps until the copy is due.
+        if let Some(cond) = g.ports[to as usize].watch.filter(|_| copies > 0) {
+            Self::signal_one(&mut g, cond, sent_at);
+        }
     }
 
     fn try_recv(&self, task: TaskId, port: PortId) -> Option<Message> {
@@ -981,6 +998,91 @@ mod tests {
         );
         f.run();
         assert_eq!(out.load(Ordering::Relaxed), 1);
+    }
+
+    /// Three tasks wait on a condvar that watches a port, as a pool's
+    /// idle workers do; a sender hands the port one copy at 500 and one
+    /// at 1000, each delivered 1000 later. Waiters 0 and 1 re-check the
+    /// port after every wake and then wait until its next delivery;
+    /// waiter 2 waits for its deadline only. Each wake logs `(waiter,
+    /// time, timed out, payload received)`.
+    fn watched_port_run(seed: u64) -> Vec<(u64, Nanos, bool, Option<u8>)> {
+        let f = FabricKind::VirtualSmp(VirtualSmpConfig {
+            hyperthreading: false,
+            link_latency_ns: 1000,
+            schedule_seed: seed,
+            ..VirtualSmpConfig::default()
+        })
+        .build();
+        let (l, c) = (f.alloc_lock(), f.alloc_cond());
+        let (src, p) = (f.alloc_port(), f.alloc_port());
+        f.wake_on_delivery(p, l, c);
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        for id in 0..3u64 {
+            let log = log.clone();
+            f.spawn(
+                &format!("w{id}"),
+                None,
+                Box::new(move |ctx| {
+                    ctx.charge(id + 1); // queue on the condvar in id order
+                    ctx.lock(l);
+                    let mut deadline = 5_000;
+                    loop {
+                        let (_, timed_out) = ctx.cond_wait_until(c, l, deadline);
+                        let got = ctx.try_recv(p).map(|m| m.payload[0]);
+                        log.lock().unwrap().push((id, ctx.now(), timed_out, got));
+                        if got.is_some() || id == 2 {
+                            break;
+                        }
+                        deadline = ctx.fabric().port_next_delivery(p).unwrap_or(5_000);
+                    }
+                    ctx.unlock(l);
+                }),
+            );
+        }
+        f.spawn(
+            "sender",
+            None,
+            Box::new(move |ctx| {
+                for i in 1..=2u8 {
+                    ctx.charge(500);
+                    ctx.send(src, p, vec![i]);
+                }
+            }),
+        );
+        f.run();
+        let v = log.lock().unwrap().clone();
+        v
+    }
+
+    #[test]
+    fn a_send_to_a_watched_port_wakes_one_waiter_at_the_send_instant() {
+        assert_eq!(
+            watched_port_run(0),
+            vec![
+                // Each send wakes the first waiter, and only it, when
+                // the copy is handed in; the copy is still in flight.
+                (0, 500, false, None),
+                (1, 1000, false, None),
+                // Waiting until the port's next delivery ends at the
+                // delivery instant, timed out.
+                (0, 1500, true, Some(1)),
+                (1, 1500, true, None),
+                (1, 2000, true, Some(2)),
+                // Nothing signals the third waiter: its deadline
+                // expires.
+                (2, 5000, true, None),
+            ]
+        );
+    }
+
+    #[test]
+    fn seeded_watched_port_runs_replay_identically() {
+        for seed in 1..=8 {
+            let run = watched_port_run(seed);
+            assert_eq!(run.len(), 6, "seed {seed}: {run:?}");
+            assert_eq!(run, watched_port_run(seed), "seed {seed} must replay");
+        }
     }
 
     #[test]
