@@ -81,7 +81,7 @@ use parquake_fabric::real::RealFabric;
 use parquake_fabric::{Fabric, Nanos, PortId};
 use parquake_interest::InterestStats;
 use parquake_metrics::GatewayLane;
-use parquake_protocol::{ClientMessage, Decode, ServerMessage, MAX_DATAGRAM};
+use parquake_protocol::{ClientMessage, CodecError, Decode, ServerHeader, MAX_DATAGRAM};
 use parquake_server::{InterestMode, LockPolicy, ServerConfig, ServerKind};
 
 use crate::mmsg;
@@ -335,6 +335,13 @@ pub struct GwPlacement {
 /// `Reply`), and whether it goes on the wire (server messages do,
 /// lifecycle notices are booked and never sent). `None` for garbage.
 ///
+/// A server message is classified from its header alone
+/// ([`ServerHeader::peek`]); a lifecycle notice is decoded only when
+/// the tag is no server message's. So a `Reply` cut inside its lists
+/// still goes on the wire, where the client's decoder drops it; a
+/// payload cut inside a reply's fixed part, or any cut `ConnectAck` or
+/// `Bye`, is garbage.
+///
 /// `from_pos` is the payload's fabric source resolved to an
 /// `(arena, thread)` position when it came from an arena thread's
 /// request port. A `ConnectAck` whose source thread belongs to the
@@ -346,10 +353,8 @@ pub fn classify_outbound(
     from_pos: Option<(u16, u16)>,
 ) -> Option<(u32, Option<Transition>, bool)> {
     use parquake_server::LifecycleEvent::{self, *};
-    Some(match ServerMessage::from_bytes(payload) {
-        Ok(ServerMessage::ConnectAck {
-            client_id, arena, ..
-        }) => {
+    Some(match ServerHeader::peek(payload) {
+        Ok(ServerHeader::ConnectAck { client_id, arena }) => {
             let thread = from_pos.filter(|&(a, _)| a == arena).map_or(0, |(_, t)| t);
             (
                 client_id,
@@ -357,9 +362,9 @@ pub fn classify_outbound(
                 true,
             )
         }
-        Ok(ServerMessage::Bye { client_id }) => (client_id, Some(Transition::Bye), true),
-        Ok(ServerMessage::Reply { client_id, .. }) => (client_id, None, true),
-        Err(_) => {
+        Ok(ServerHeader::Bye { client_id }) => (client_id, Some(Transition::Bye), true),
+        Ok(ServerHeader::Reply { client_id }) => (client_id, None, true),
+        Err(CodecError::BadTag(..)) => {
             let ev = LifecycleEvent::from_bytes(payload).ok()?;
             let transition = match ev {
                 Connected { thread, .. } | Migrated { thread, .. } => {
@@ -373,6 +378,7 @@ pub fn classify_outbound(
             };
             (ev.client_id(), Some(transition), false)
         }
+        Err(_) => return None,
     })
 }
 
@@ -1014,7 +1020,7 @@ pub fn run_udp_clients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parquake_protocol::Encode;
+    use parquake_protocol::{Encode, ServerMessage};
     use parquake_server::LifecycleEvent;
     use proptest::prelude::*;
 
@@ -1907,6 +1913,175 @@ mod tests {
                 addr: s.addr(),
                 last_seen: s.last_seen(),
                 placement: s.placement(),
+            }
+        }
+    }
+
+    /// `classify_outbound` as it was before it read headers: decode the
+    /// whole `ServerMessage`, and a `LifecycleEvent` when that fails.
+    fn classify_by_decode(
+        payload: &[u8],
+        from_pos: Option<(u16, u16)>,
+    ) -> Option<(u32, Option<Transition>, bool)> {
+        use parquake_server::LifecycleEvent::*;
+        Some(match ServerMessage::from_bytes(payload) {
+            Ok(ServerMessage::ConnectAck {
+                client_id, arena, ..
+            }) => {
+                let thread = from_pos.filter(|&(a, _)| a == arena).map_or(0, |(_, t)| t);
+                let book = Transition::Book(GwPlacement { arena, thread });
+                (client_id, Some(book), true)
+            }
+            Ok(ServerMessage::Bye { client_id }) => (client_id, Some(Transition::Bye), true),
+            Ok(ServerMessage::Reply { client_id, .. }) => (client_id, None, true),
+            Err(_) => {
+                let ev = LifecycleEvent::from_bytes(payload).ok()?;
+                let transition = match ev {
+                    Connected { thread, .. } | Migrated { thread, .. } => {
+                        Transition::Book(GwPlacement {
+                            arena: ev.arena(),
+                            thread,
+                        })
+                    }
+                    Disconnected { .. } | Reclaimed { .. } => Transition::EndAt(ev.arena()),
+                    Rejected { .. } => Transition::Refuse,
+                };
+                (ev.client_id(), Some(transition), false)
+            }
+        })
+    }
+
+    /// One encoded payload of every `ServerMessage` and `LifecycleEvent`
+    /// variant, with random fields (arenas often small, so acks often
+    /// come from their own arena).
+    fn arb_outbound() -> impl Strategy<Value = Vec<u8>> {
+        use parquake_protocol::{EntityKind, EntityUpdate, GameEvent, GameEventKind};
+        let id = any::<u32>;
+        let arena = || prop_oneof![0u16..4, any::<u16>()];
+        let reply = (
+            id(),
+            any::<bool>(),
+            0usize..70,
+            0usize..70,
+            0usize..34,
+            any::<bool>(),
+        )
+            .prop_map(|(client_id, delta, n_ent, n_rm, n_ev, predicts)| {
+                ServerMessage::Reply {
+                    client_id,
+                    seq: client_id ^ 5,
+                    sent_at_echo: 9,
+                    frame: 3,
+                    assigned_thread: 1,
+                    origin: parquake_math::Vec3::ZERO,
+                    delta,
+                    entities: (0..n_ent.min(64) as u16)
+                        .map(|id| EntityUpdate {
+                            id,
+                            kind: EntityKind::Player,
+                            state: 1,
+                            pos: parquake_math::Vec3::ZERO,
+                            yaw: 0.0,
+                        })
+                        .collect(),
+                    removed: (0..n_rm.min(64) as u16).collect(),
+                    events: (0..n_ev.min(32) as u16)
+                        .map(|a| GameEvent {
+                            kind: GameEventKind::Hit,
+                            a,
+                            b: a,
+                            pos: parquake_math::Vec3::ZERO,
+                        })
+                        .collect(),
+                    predict: predicts.then_some(parquake_protocol::ReplyPredict {
+                        input_ack: 1,
+                        perturb: 2,
+                        vel: parquake_math::Vec3::ZERO,
+                        on_ground: true,
+                    }),
+                }
+                .to_bytes()
+            });
+        prop_oneof![
+            (id(), arena()).prop_map(|(cid, a)| ack(cid, a)),
+            reply,
+            id().prop_map(|client_id| ServerMessage::Bye { client_id }.to_bytes()),
+            (id(), arena(), 0u16..4).prop_map(|(client_id, arena, thread)| {
+                LifecycleEvent::Connected {
+                    arena,
+                    client_id,
+                    thread,
+                }
+                .to_bytes()
+            }),
+            (id(), arena()).prop_map(|(client_id, arena)| {
+                LifecycleEvent::Disconnected { arena, client_id }.to_bytes()
+            }),
+            (id(), arena(), any::<u64>()).prop_map(|(client_id, arena, at)| {
+                LifecycleEvent::Reclaimed {
+                    arena,
+                    client_id,
+                    at,
+                }
+                .to_bytes()
+            }),
+            (id(), arena()).prop_map(|(client_id, arena)| {
+                LifecycleEvent::Rejected { arena, client_id }.to_bytes()
+            }),
+            (id(), arena(), arena(), 0u16..4).prop_map(
+                |(client_id, from_arena, to_arena, thread)| {
+                    LifecycleEvent::Migrated {
+                        from_arena,
+                        to_arena,
+                        client_id,
+                        thread,
+                    }
+                    .to_bytes()
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Reading the header classifies every well-formed payload as
+        /// the full decode did, from any source position.
+        #[test]
+        fn header_classification_equals_full_decode_classification(
+            payload in arb_outbound(),
+            from_pos in prop_oneof![Just(None), (0u16..4, 0u16..4).prop_map(Some)],
+        ) {
+            prop_assert_eq!(
+                classify_outbound(&payload, from_pos),
+                classify_by_decode(&payload, from_pos)
+            );
+        }
+
+        /// A cut or lengthened payload: an ack, a bye, a notice or a
+        /// reply's fixed part is garbage, as before; a reply cut inside
+        /// its lists, or with bytes after its end, is still a reply to
+        /// its client, where the full decode refused it.
+        #[test]
+        fn an_edited_payload_is_garbage_unless_a_reply_keeps_its_fixed_part(
+            payload in arb_outbound(),
+            frac in 0.0f64..1.0,
+            extra in prop::collection::vec(any::<u8>(), 0..8),
+        ) {
+            let mut cut = payload[..(payload.len() as f64 * frac) as usize].to_vec();
+            if !extra.is_empty() {
+                cut = [&payload[..], &extra[..]].concat();
+            }
+            let cut = &cut[..];
+            let header = classify_outbound(cut, None);
+            let fixed_reply = cut.first() == Some(&parquake_protocol::tags::TAG_REPLY)
+                && cut.len() >= reply(0).len();
+            if fixed_reply {
+                let client_id = u32::from_le_bytes(cut[1..5].try_into().unwrap());
+                prop_assert_eq!(header, Some((client_id, None, true)));
+            } else {
+                prop_assert_eq!(header, None);
+                prop_assert_eq!(classify_by_decode(cut, None), None);
             }
         }
     }

@@ -100,11 +100,17 @@ impl<const N: usize> Fixed<N> {
         self.f32(v.x).f32(v.y).f32(v.z)
     }
 
+    /// The `N` bytes; every one of them must have been written.
+    #[inline]
+    pub(crate) fn bytes(self) -> [u8; N] {
+        debug_assert_eq!(self.at, N, "fixed run not filled");
+        self.buf
+    }
+
     /// Append the `N` bytes; every one of them must have been written.
     #[inline]
     pub(crate) fn finish(self, out: &mut Vec<u8>) {
-        debug_assert_eq!(self.at, N, "fixed run not filled");
-        out.extend_from_slice(&self.buf);
+        out.extend_from_slice(&self.bytes());
     }
 }
 

@@ -20,7 +20,7 @@ pub use codec::{CodecError, Decode, Encode};
 pub use tags::PREDICT_EXT_TAG;
 pub use types::{
     Buttons, ClientMessage, EntityKind, EntityUpdate, GameEvent, GameEventKind, MoveCmd,
-    ReplyPredict, ServerMessage,
+    ReplyPredict, ReplyView, ServerHeader, ServerMessage,
 };
 
 /// Wire size of the `Move` prediction extension when present:

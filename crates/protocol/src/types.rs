@@ -381,18 +381,26 @@ pub struct GameEvent {
     pub pos: Vec3,
 }
 
+impl GameEvent {
+    /// The event's wire bytes. A run of these, back to back, is what a
+    /// [`ReplyView`] carries as its events.
+    pub fn wire(&self) -> [u8; GAME_EVENT_WIRE_BYTES] {
+        Fixed::<GAME_EVENT_WIRE_BYTES>::new()
+            .u8(self.kind.to_u8())
+            .u16(self.a)
+            .u16(self.b)
+            .vec3(self.pos)
+            .bytes()
+    }
+}
+
 impl Encode for GameEvent {
     fn wire_len(&self) -> usize {
         GAME_EVENT_WIRE_BYTES
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        Fixed::<GAME_EVENT_WIRE_BYTES>::new()
-            .u8(self.kind.to_u8())
-            .u16(self.a)
-            .u16(self.b)
-            .vec3(self.pos)
-            .finish(out);
+        out.extend_from_slice(&self.wire());
     }
 }
 
@@ -452,6 +460,91 @@ pub enum ServerMessage {
 
 use crate::tags::{TAG_ACK, TAG_BYE, TAG_REPLY};
 
+/// A `Reply` whose lists are borrowed and whose events arrive already
+/// encoded: the one encoder of a `Reply`. The server writes each reply
+/// straight from its interest set, delta output and event log through
+/// this view; [`ServerMessage::Reply`] encodes by lending its fields to
+/// one. Lists longer than their caps are cut to them, as the owned
+/// message always was.
+#[derive(Clone, Copy, Debug)]
+pub struct ReplyView<'a> {
+    pub client_id: u32,
+    pub seq: u32,
+    pub sent_at_echo: u64,
+    pub frame: u32,
+    pub assigned_thread: u8,
+    pub origin: Vec3,
+    pub delta: bool,
+    pub entities: &'a [EntityUpdate],
+    pub removed: &'a [u16],
+    /// Whole events in wire form ([`GameEvent::wire`]), back to back.
+    pub events: &'a [u8],
+    pub predict: Option<ReplyPredict>,
+}
+
+/// Wire bytes of the most events one reply carries.
+const MAX_EVENT_RUN_BYTES: usize = MAX_EVENTS_PER_REPLY * GAME_EVENT_WIRE_BYTES;
+
+/// Wire length of a `Reply` with lists of these lengths (before the
+/// caps cut them) and, if `predict`, the trailer.
+fn reply_wire_len(entities: usize, removed: usize, events: usize, predict: bool) -> usize {
+    REPLY_HEADER_WIRE_BYTES
+        + (1 + entities.min(MAX_ENTITIES_PER_REPLY) * ENTITY_UPDATE_WIRE_BYTES)
+        + (1 + removed.min(MAX_REMOVALS_PER_REPLY) * 2)
+        + (1 + events.min(MAX_EVENTS_PER_REPLY) * GAME_EVENT_WIRE_BYTES)
+        + usize::from(predict) * REPLY_PREDICT_EXT_WIRE_BYTES
+}
+
+impl Encode for ReplyView<'_> {
+    fn wire_len(&self) -> usize {
+        reply_wire_len(
+            self.entities.len(),
+            self.removed.len(),
+            self.events.len() / GAME_EVENT_WIRE_BYTES,
+            self.predict.is_some(),
+        )
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_len());
+        let start = out.len();
+        debug_assert!(self.entities.len() <= MAX_ENTITIES_PER_REPLY);
+        let entities = &self.entities[..self.entities.len().min(MAX_ENTITIES_PER_REPLY)];
+        // The header and the first list's length prefix.
+        Fixed::<{ REPLY_HEADER_WIRE_BYTES + 1 }>::new()
+            .u8(TAG_REPLY)
+            .u32(self.client_id)
+            .u32(self.seq)
+            .u64(self.sent_at_echo)
+            .u32(self.frame)
+            .u8(self.assigned_thread)
+            .vec3(self.origin)
+            .u8(u8::from(self.delta))
+            .u8(entities.len() as u8)
+            .finish(out);
+        for e in entities {
+            e.encode(out);
+        }
+        debug_assert!(self.removed.len() <= MAX_REMOVALS_PER_REPLY);
+        let removed = &self.removed[..self.removed.len().min(MAX_REMOVALS_PER_REPLY)];
+        out.push(removed.len() as u8);
+        for r in removed {
+            out.extend_from_slice(&r.to_le_bytes());
+        }
+        debug_assert!(self.events.len() <= MAX_EVENT_RUN_BYTES);
+        debug_assert_eq!(self.events.len() % GAME_EVENT_WIRE_BYTES, 0);
+        let events = &self.events[..self.events.len().min(MAX_EVENT_RUN_BYTES)];
+        out.push((events.len() / GAME_EVENT_WIRE_BYTES) as u8);
+        out.extend_from_slice(events);
+        put_reply_predict_ext(out, &self.predict);
+        debug_assert!(
+            out.len() - start <= crate::MAX_DATAGRAM,
+            "encoded Reply exceeds MAX_DATAGRAM ({} bytes)",
+            out.len() - start
+        );
+    }
+}
+
 impl Encode for ServerMessage {
     fn wire_len(&self) -> usize {
         match self {
@@ -462,13 +555,12 @@ impl Encode for ServerMessage {
                 events,
                 predict,
                 ..
-            } => {
-                REPLY_HEADER_WIRE_BYTES
-                    + (1 + entities.len().min(MAX_ENTITIES_PER_REPLY) * ENTITY_UPDATE_WIRE_BYTES)
-                    + (1 + removed.len().min(MAX_REMOVALS_PER_REPLY) * 2)
-                    + (1 + events.len().min(MAX_EVENTS_PER_REPLY) * GAME_EVENT_WIRE_BYTES)
-                    + predict.map_or(0, |_| REPLY_PREDICT_EXT_WIRE_BYTES)
-            }
+            } => reply_wire_len(
+                entities.len(),
+                removed.len(),
+                events.len(),
+                predict.is_some(),
+            ),
             ServerMessage::Bye { .. } => ID_ONLY_WIRE_BYTES,
         }
     }
@@ -501,42 +593,28 @@ impl Encode for ServerMessage {
                 events,
                 predict,
             } => {
-                let start = out.len();
-                debug_assert!(entities.len() <= MAX_ENTITIES_PER_REPLY);
-                let entities = &entities[..entities.len().min(MAX_ENTITIES_PER_REPLY)];
-                // The header and the first list's length prefix.
-                Fixed::<{ REPLY_HEADER_WIRE_BYTES + 1 }>::new()
-                    .u8(TAG_REPLY)
-                    .u32(*client_id)
-                    .u32(*seq)
-                    .u64(*sent_at_echo)
-                    .u32(*frame)
-                    .u8(*assigned_thread)
-                    .vec3(*origin)
-                    .u8(u8::from(*delta))
-                    .u8(entities.len() as u8)
-                    .finish(out);
-                for e in entities {
-                    e.encode(out);
-                }
-                debug_assert!(removed.len() <= MAX_REMOVALS_PER_REPLY);
-                let removed = &removed[..removed.len().min(MAX_REMOVALS_PER_REPLY)];
-                out.push(removed.len() as u8);
-                for r in removed {
-                    out.extend_from_slice(&r.to_le_bytes());
-                }
+                // Lend the fields to the one encoder, the events
+                // encoded into a stack buffer first.
                 debug_assert!(events.len() <= MAX_EVENTS_PER_REPLY);
                 let events = &events[..events.len().min(MAX_EVENTS_PER_REPLY)];
-                out.push(events.len() as u8);
-                for e in events {
-                    e.encode(out);
+                let mut run = [0u8; MAX_EVENT_RUN_BYTES];
+                for (at, e) in run.chunks_exact_mut(GAME_EVENT_WIRE_BYTES).zip(events) {
+                    at.copy_from_slice(&e.wire());
                 }
-                put_reply_predict_ext(out, predict);
-                debug_assert!(
-                    out.len() - start <= crate::MAX_DATAGRAM,
-                    "encoded Reply exceeds MAX_DATAGRAM ({} bytes)",
-                    out.len() - start
-                );
+                ReplyView {
+                    client_id: *client_id,
+                    seq: *seq,
+                    sent_at_echo: *sent_at_echo,
+                    frame: *frame,
+                    assigned_thread: *assigned_thread,
+                    origin: *origin,
+                    delta: *delta,
+                    entities,
+                    removed,
+                    events: &run[..events.len() * GAME_EVENT_WIRE_BYTES],
+                    predict: *predict,
+                }
+                .encode(out);
             }
             ServerMessage::Bye { client_id } => put_id_only(out, TAG_BYE, *client_id),
         }
@@ -603,6 +681,49 @@ impl Decode for ServerMessage {
             }),
             t => Err(CodecError::BadTag("server message", t)),
         }
+    }
+}
+
+/// What a server message's header says: its variant and client id, and
+/// a `ConnectAck`'s arena. Read by a router that forwards the payload
+/// without needing its body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServerHeader {
+    ConnectAck { client_id: u32, arena: u16 },
+    Reply { client_id: u32 },
+    Bye { client_id: u32 },
+}
+
+impl ServerHeader {
+    /// Read `payload`'s header. A `ConnectAck` or `Bye` must be exactly
+    /// its wire size, as `ServerMessage::from_bytes` demands. A `Reply`
+    /// must hold its fixed part (header and the three list counts);
+    /// its lists and trailer are not read, so a `Reply` cut inside them
+    /// passes here though it would fail a full decode.
+    pub fn peek(payload: &[u8]) -> Result<ServerHeader, CodecError> {
+        let mut buf = payload;
+        let tag = get_u8(&mut buf)?;
+        let (len, exact) = match tag {
+            TAG_ACK => (CONNECT_ACK_WIRE_BYTES, true),
+            TAG_REPLY => (REPLY_HEADER_WIRE_BYTES + 3, false),
+            TAG_BYE => (ID_ONLY_WIRE_BYTES, true),
+            t => return Err(CodecError::BadTag("server message", t)),
+        };
+        if payload.len() < len {
+            return Err(CodecError::Truncated);
+        }
+        if exact && payload.len() > len {
+            return Err(CodecError::TrailingBytes(payload.len() - len));
+        }
+        let client_id = get_u32(&mut buf)?;
+        Ok(match tag {
+            TAG_ACK => ServerHeader::ConnectAck {
+                client_id,
+                arena: u16::from_le_bytes([payload[len - 2], payload[len - 1]]),
+            },
+            TAG_REPLY => ServerHeader::Reply { client_id },
+            _ => ServerHeader::Bye { client_id },
+        })
     }
 }
 

@@ -3,7 +3,8 @@
 use parquake_math::vec3::vec3;
 use parquake_protocol::{
     Buttons, ClientMessage, Decode, Encode, EntityKind, EntityUpdate, GameEvent, GameEventKind,
-    MoveCmd, ReplyPredict, ServerMessage, MOVE_PREDICT_EXT_WIRE_BYTES, PREDICT_EXT_TAG,
+    MoveCmd, ReplyPredict, ReplyView, ServerMessage, MAX_ENTITIES_PER_REPLY, MAX_EVENTS_PER_REPLY,
+    MAX_REMOVALS_PER_REPLY, MOVE_PREDICT_EXT_WIRE_BYTES, PREDICT_EXT_TAG,
     REPLY_PREDICT_EXT_WIRE_BYTES,
 };
 use proptest::prelude::*;
@@ -293,6 +294,47 @@ fn arb_event() -> impl Strategy<Value = GameEvent> {
         })
 }
 
+/// A `Reply` with every list anywhere from empty to its cap, delta on
+/// or off, with or without the prediction trailer.
+fn arb_reply() -> impl Strategy<Value = ServerMessage> {
+    (
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u8>(),
+        ),
+        (-4096.0f32..4096.0, any::<bool>()),
+        prop::collection::vec(arb_entity(), 0..=MAX_ENTITIES_PER_REPLY),
+        prop::collection::vec(any::<u16>(), 0..=MAX_REMOVALS_PER_REPLY),
+        prop::collection::vec(arb_event(), 0..=MAX_EVENTS_PER_REPLY),
+        arb_reply_predict(),
+    )
+        .prop_map(
+            |(
+                (client_id, seq, sent_at_echo, frame, assigned_thread),
+                (x, delta),
+                entities,
+                removed,
+                events,
+                predict,
+            )| ServerMessage::Reply {
+                client_id,
+                seq,
+                sent_at_echo,
+                frame,
+                assigned_thread,
+                origin: vec3(x, -x, 3.0),
+                delta,
+                entities,
+                removed,
+                events,
+                predict,
+            },
+        )
+}
+
 fn arb_server_msg() -> impl Strategy<Value = ServerMessage> {
     prop_oneof![
         (any::<u32>(), -100.0f32..100.0, arb_arena()).prop_map(|(client_id, x, arena)| {
@@ -302,48 +344,58 @@ fn arb_server_msg() -> impl Strategy<Value = ServerMessage> {
                 arena,
             }
         }),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u64>(),
-            any::<u32>(),
-            any::<u8>(),
-            any::<bool>(),
-            prop::collection::vec(arb_entity(), 0..64),
-            prop::collection::vec(any::<u16>(), 0..64),
-            prop::collection::vec(arb_event(), 0..32),
-            arb_reply_predict(),
-        )
-            .prop_map(
-                |(
-                    client_id,
-                    seq,
-                    sent_at_echo,
-                    frame,
-                    assigned_thread,
-                    delta,
-                    entities,
-                    removed,
-                    events,
-                    predict,
-                )| {
-                    ServerMessage::Reply {
-                        client_id,
-                        seq,
-                        sent_at_echo,
-                        frame,
-                        assigned_thread,
-                        origin: vec3(1.0, 2.0, 3.0),
-                        delta,
-                        entities,
-                        removed,
-                        events,
-                        predict,
-                    }
-                }
-            ),
+        arb_reply(),
         any::<u32>().prop_map(|client_id| ServerMessage::Bye { client_id }),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 }))]
+
+    /// The borrowed view, its events handed over as one run of wire
+    /// bytes as the server's event log holds them, writes exactly the
+    /// bytes the owned message wrote before the two shared an encoder,
+    /// announces their number, allocates no more, and decodes to the
+    /// message it was lent from.
+    #[test]
+    fn a_reply_view_writes_the_owned_replys_bytes(msg in arb_reply()) {
+        let ServerMessage::Reply {
+            client_id,
+            seq,
+            sent_at_echo,
+            frame,
+            assigned_thread,
+            origin,
+            delta,
+            ref entities,
+            ref removed,
+            ref events,
+            predict,
+        } = msg
+        else {
+            unreachable!("arb_reply makes replies")
+        };
+        let run: Vec<u8> = events.iter().flat_map(GameEvent::wire).collect();
+        let view = ReplyView {
+            client_id,
+            seq,
+            sent_at_echo,
+            frame,
+            assigned_thread,
+            origin,
+            delta,
+            entities,
+            removed,
+            events: &run,
+            predict,
+        };
+        let bytes = view.to_bytes();
+        prop_assert_eq!(&bytes, &field_by_field::server(&msg));
+        prop_assert_eq!(bytes.len(), view.wire_len());
+        prop_assert_eq!(bytes.capacity(), bytes.len());
+        prop_assert_eq!(&bytes, &msg.to_bytes());
+        prop_assert_eq!(ServerMessage::from_bytes(&bytes).unwrap(), msg);
+    }
 }
 
 proptest! {

@@ -7,24 +7,93 @@
 //!   request and reply phases,
 //! * the frame master transitions `Pending → Active` and applies
 //!   disconnects during the world phase, when every other thread is
-//!   barred from the slot by the phase invariants,
-//! * the broadcast-event queue (`events`) is additionally protected by
-//!   a per-slot fabric lock, because the master may append to slots of
-//!   non-participating threads during the reply phase (paper §3.3).
+//!   barred from the slot by the phase invariants.
+//!
+//! A slot's broadcast events are not copied into the slot: every slot
+//! reads the server's one [`EventLog`] through its own cursor.
 //!
 //! As elsewhere, this protocol is invisible to the borrow checker, so
 //! slots live in `UnsafeCell`s behind a minimal API.
 
 use std::cell::UnsafeCell;
 
-use std::collections::VecDeque;
-
 use parquake_fabric::{Nanos, PortId};
-use parquake_protocol::{EntityUpdate, GameEvent};
+use parquake_protocol::{EntityUpdate, GameEvent, GAME_EVENT_WIRE_BYTES, MAX_EVENTS_PER_REPLY};
 
-/// Cap on queued broadcast events per client (oldest dropped first),
+/// Cap on a client's unsent broadcast events (oldest dropped first),
 /// mirroring the original's bounded reliable-message buffers.
 pub const MAX_PENDING_EVENTS: usize = 128;
+
+/// The server's broadcast events, oldest first: the current frame's
+/// global state buffer (paper §3.3) and as many events of earlier
+/// frames as a client's window can still reach. Each event is kept
+/// decoded and as its wire bytes, encoded once when appended, so a
+/// reply copies its events as one run of bytes.
+///
+/// Positions are sequence numbers counted from the first event ever
+/// appended. A slot's cursor is the position of the first event it has
+/// not been sent. The window rule ([`EventLog::window`]) makes the log
+/// read exactly like a per-slot queue capped at
+/// [`MAX_PENDING_EVENTS`] that drops its oldest event on overflow.
+#[derive(Debug, Default)]
+pub(crate) struct EventLog {
+    /// Position of `events[0]`.
+    base: u64,
+    /// Position of the current frame's first event.
+    frame_start: u64,
+    events: Vec<GameEvent>,
+    /// `events` in wire form, [`GAME_EVENT_WIRE_BYTES`] each.
+    wire: Vec<u8>,
+}
+
+impl EventLog {
+    /// Position one past the newest event.
+    pub fn head(&self) -> u64 {
+        self.base + self.events.len() as u64
+    }
+
+    /// Position of the current frame's first event: the cursor of a
+    /// session that joins the frame, which owes it every event of the
+    /// frame, those appended before it joined included.
+    pub fn frame_start(&self) -> u64 {
+        self.frame_start
+    }
+
+    /// Append events to the current frame.
+    pub fn append(&mut self, batch: &[GameEvent]) {
+        self.events.extend_from_slice(batch);
+        self.wire.extend(batch.iter().flat_map(|e| e.wire()));
+    }
+
+    /// The current frame's events.
+    pub fn frame(&self) -> &[GameEvent] {
+        &self.events[(self.frame_start - self.base) as usize..]
+    }
+
+    /// End the frame: the next event opens the next frame. Events no
+    /// window can reach any more are dropped; the newest
+    /// [`MAX_PENDING_EVENTS`] stay.
+    pub fn end_frame(&mut self) {
+        self.frame_start = self.head();
+        let stale = self.events.len().saturating_sub(MAX_PENDING_EVENTS);
+        self.events.drain(..stale);
+        self.wire.drain(..stale * GAME_EVENT_WIRE_BYTES);
+        self.base += stale as u64;
+    }
+
+    /// The events a reply to a slot at `cursor` carries, in wire form,
+    /// and the slot's cursor after it. The window starts at the cursor,
+    /// or at the oldest of the newest [`MAX_PENDING_EVENTS`] if the
+    /// cursor fell further behind, and holds at most
+    /// [`MAX_EVENTS_PER_REPLY`] events.
+    pub fn window(&self, cursor: u64) -> (&[u8], u64) {
+        let head = self.head();
+        let start = cursor.max(head.saturating_sub(MAX_PENDING_EVENTS as u64));
+        let end = (start + MAX_EVENTS_PER_REPLY as u64).min(head);
+        let byte = |at: u64| (at - self.base) as usize * GAME_EVENT_WIRE_BYTES;
+        (&self.wire[byte(start)..byte(end)], end)
+    }
+}
 
 /// Connection state of a slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,11 +132,10 @@ pub struct Slot {
     /// Fabric time of the last datagram accepted from this client
     /// (Connect or Move); drives the inactivity timeout.
     pub last_active: Nanos,
-    /// Queued broadcast events, oldest first (guarded by the slot's
-    /// fabric lock). A ring: the reply phase appends a frame's batch at
-    /// the back and each reply takes from the front, neither shifting
-    /// what stays queued.
-    pub events: VecDeque<GameEvent>,
+    /// [`EventLog`] position of the first broadcast event this client
+    /// has not been sent (owner-thread access only, reply phase; set
+    /// when the session becomes Active or is reinstated).
+    pub event_cursor: u64,
     /// Last entity state acked to this client, sorted by id (delta
     /// compression baseline; owner-thread access only, reply phase).
     pub baseline: Vec<EntityUpdate>,
@@ -108,7 +176,7 @@ impl Slot {
             last_seq: 0,
             last_sent_at: 0,
             last_active: 0,
-            events: VecDeque::new(),
+            event_cursor: 0,
             baseline: Vec::new(),
             in_view: Vec::new(),
             predicts: false,
@@ -121,42 +189,16 @@ impl Slot {
     /// Empty the slot: every field goes back to [`Slot::empty`]'s
     /// value, so the next client installed here inherits nothing from
     /// the last one — no delta baseline, prediction opt-in, input ack
-    /// or sequence echo. The event ring and the baseline keep their
-    /// allocations.
+    /// or sequence echo. The baseline keeps its allocation.
     pub fn vacate(&mut self) {
-        let mut events = std::mem::take(&mut self.events);
         let mut baseline = std::mem::take(&mut self.baseline);
         let in_view = std::mem::take(&mut self.in_view);
-        events.clear();
         baseline.clear();
         *self = Slot {
-            events,
             baseline,
             in_view,
             ..Slot::empty()
         };
-    }
-
-    /// Queue one frame's broadcast events, dropping the oldest on
-    /// overflow: the queue ends up holding what pushing `batch` one
-    /// event at a time against the cap would leave, but the front is
-    /// trimmed once and the batch copied once.
-    pub fn push_events(&mut self, batch: &[GameEvent]) {
-        // Only the newest MAX_PENDING_EVENTS of the batch can survive.
-        let batch = &batch[batch.len().saturating_sub(MAX_PENDING_EVENTS)..];
-        let overflow = (self.events.len() + batch.len()).saturating_sub(MAX_PENDING_EVENTS);
-        self.events.drain(..overflow);
-        // Grow like a `Vec` would, but never past the cap: doubling
-        // towards it overshoots (a ring of 120 asked for 128 becomes
-        // 240), on every slot of a full server.
-        let needed = self.events.len() + batch.len();
-        if self.events.capacity() < needed {
-            let target = needed
-                .max(2 * self.events.capacity())
-                .min(MAX_PENDING_EVENTS);
-            self.events.reserve_exact(target - self.events.len());
-        }
-        self.events.extend(batch);
     }
 }
 
@@ -165,8 +207,8 @@ pub struct ClientTable {
     slots: Vec<UnsafeCell<Slot>>,
 }
 
-// SAFETY: access is serialized by the frame-phase protocol and the
-// per-slot fabric locks described in the module docs.
+// SAFETY: access is serialized by the frame-phase protocol described
+// in the module docs.
 unsafe impl Sync for ClientTable {}
 unsafe impl Send for ClientTable {}
 
@@ -207,7 +249,7 @@ impl ClientTable {
 
     /// Access a slot. The caller must hold the right to access it under
     /// the phase protocol (owning thread in its phases, master during
-    /// the world phase, or the slot's fabric lock for `events`).
+    /// the world phase).
     #[allow(clippy::mut_from_ref)]
     pub fn slot(&self, idx: usize) -> &mut Slot {
         // SAFETY: protocol — see module docs.
@@ -252,20 +294,28 @@ mod tests {
         assert_eq!(t.slot(1).state, SlotState::Empty);
     }
 
-    #[test]
-    fn event_queue_caps_and_drops_oldest() {
-        let t = ClientTable::new(1);
-        let s = t.slot(0);
-        for i in 0..(MAX_PENDING_EVENTS + 10) {
-            s.push_events(&[ev(i as u16)]);
-        }
-        assert_eq!(s.events.len(), MAX_PENDING_EVENTS);
-        // The first ten were dropped.
-        assert_eq!(s.events[0].a, 10);
+    /// Wire bytes of `events`, back to back.
+    fn wire(events: &[GameEvent]) -> Vec<u8> {
+        events.iter().flat_map(GameEvent::wire).collect()
     }
 
-    /// The queue discipline `push_events` replaced: one event at a
-    /// time, shifting the whole queue down to drop the oldest.
+    #[test]
+    fn a_lagging_cursor_reads_the_newest_events_only() {
+        let mut log = EventLog::default();
+        let batch: Vec<GameEvent> = (0..MAX_PENDING_EVENTS + 10).map(|i| ev(i as u16)).collect();
+        log.append(&batch);
+        let (run, next) = log.window(0);
+        // The first ten were dropped.
+        assert_eq!(run, wire(&batch[10..10 + MAX_EVENTS_PER_REPLY]));
+        assert_eq!(next, 10 + MAX_EVENTS_PER_REPLY as u64);
+        log.end_frame();
+        assert_eq!(log.frame(), &[] as &[GameEvent]);
+        assert_eq!(log.window(next).0, wire(&batch[next as usize..][..32]));
+    }
+
+    /// The per-slot queue the log replaced: one frame's batch pushed
+    /// one event at a time, shifting the whole queue down to drop the
+    /// oldest.
     fn push_one_by_one(queue: &mut Vec<GameEvent>, batch: &[GameEvent]) {
         for &ev in batch {
             if queue.len() >= MAX_PENDING_EVENTS {
@@ -275,39 +325,34 @@ mod tests {
         }
     }
 
-    /// A batch leaves the queue exactly as the same events pushed one
-    /// by one would, for queues below, at and above the point where
+    /// A reply reads from the log what it took from the front of the
+    /// bounded queue, for queues below, at and above the point where
     /// the cap bites, for batches smaller and larger than the cap, and
-    /// across consecutive batches with replies draining in between.
+    /// across consecutive frames with a reply in between.
     #[test]
-    fn batched_push_equals_one_by_one() {
+    fn the_window_reads_what_the_bounded_queue_held() {
         let cap = MAX_PENDING_EVENTS;
         for queued in [0, 1, cap - 67, cap - 1, cap] {
             for batch_len in [0, 1, 66, 67, 68, cap - 1, cap, cap + 1, 3 * cap] {
-                let t = ClientTable::new(1);
-                let slot = t.slot(0);
+                let mut log = EventLog::default();
+                let mut cursor = log.frame_start();
                 let mut reference = Vec::new();
                 let mut next = 0u16;
-                let mut batch = |n: usize| -> Vec<GameEvent> {
-                    (0..n)
+                for n in [queued, batch_len, 5, batch_len] {
+                    let b: Vec<GameEvent> = (0..n)
                         .map(|_| {
                             next += 1;
                             ev(next)
                         })
-                        .collect()
-                };
-                for n in [queued, batch_len, 5, batch_len] {
-                    let b = batch(n);
-                    slot.push_events(&b);
+                        .collect();
+                    log.append(&b);
                     push_one_by_one(&mut reference, &b);
-                    assert!(
-                        slot.events.iter().eq(reference.iter()),
-                        "queued {queued}, batch {batch_len}"
-                    );
-                    assert!(slot.events.len() <= cap);
-                    // A reply takes some from the front.
-                    let take = slot.events.len().min(32);
-                    assert!(slot.events.drain(..take).eq(reference.drain(..take)));
+                    let take = reference.len().min(MAX_EVENTS_PER_REPLY);
+                    let (run, after) = log.window(cursor);
+                    let taken: Vec<GameEvent> = reference.drain(..take).collect();
+                    assert_eq!(run, wire(&taken), "queued {queued}, batch {batch_len}");
+                    cursor = after;
+                    log.end_frame();
                 }
             }
         }

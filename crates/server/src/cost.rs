@@ -59,7 +59,9 @@ pub struct CostModel {
     pub world_base: Nanos,
     /// Select/wakeup syscall overhead per frame participation.
     pub select_op: Nanos,
-    /// Appending one broadcast event to a client's message buffer.
+    /// Appending one broadcast event to a client's message buffer, as
+    /// the paper's server does for every Active client each frame. The
+    /// server's event log makes no such copy; the charge models it.
     pub event_append: Nanos,
     /// Per-object synchronization bookkeeping while holding region
     /// locks (claim/ownership tracking; parallel builds only). Grows

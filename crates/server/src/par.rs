@@ -17,8 +17,9 @@
 //!    locking policy.
 //! 3. Participants wait for each other at the intra-frame barrier
 //!    (*intra-frame wait*), then run the reply phase. The master also
-//!    distributes the global state buffer to clients of threads that
-//!    did not participate.
+//!    pays for distributing the global state buffer to clients of
+//!    threads that did not participate; those clients read it from the
+//!    server's event log when they next get a reply.
 //! 4. The master waits for all participants to finish replying, clears
 //!    the global state buffer, and signals frame end.
 
@@ -345,10 +346,11 @@ fn worker(
             &mut istats,
         );
         if is_master {
-            // The master updates the message buffers of clients whose
-            // threads are not part of this frame (paper §3.3). Those
-            // clients sent no requests this frame, so no replies are
-            // built for them and the interest frame is irrelevant.
+            // The master pays for updating the message buffers of
+            // clients whose threads are not part of this frame (paper
+            // §3.3); the events wait in the log for their next reply.
+            // Those clients sent no requests this frame, so no replies
+            // are built for them and the interest frame is irrelevant.
             for other in 0..shared.threads {
                 if participant_mask & (1 << other) == 0 {
                     let theirs = shared.owned_slots(other);

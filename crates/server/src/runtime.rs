@@ -11,17 +11,15 @@ use parquake_interest::oracle::{oracle_agrees, OracleScratch};
 use parquake_interest::{match_viewers, EntityIndex, InterestFrame, InterestMode, InterestStats};
 use parquake_math::Pcg32;
 use parquake_metrics::{Bucket, FrameSample, FrameStats, ThreadStats, Timeline};
-use parquake_protocol::{
-    ClientMessage, Decode, Encode, GameEvent, ServerMessage, MAX_EVENTS_PER_REPLY,
-};
+use parquake_protocol::{ClientMessage, Decode, Encode, GameEvent, ServerMessage};
 use parquake_sim::worldphase::run_world_phase;
 use parquake_sim::{GameWorld, WorkCounters};
 
-use crate::clients::{ClientTable, Slot, SlotState};
+use crate::clients::{ClientTable, EventLog, Slot, SlotState};
 use crate::cost::CostModel;
 use crate::exec::{execute_move_at, ExecEnv, RegionLocks};
 use crate::lifecycle::LifecycleEvent;
-use crate::visibility_reply::build_reply;
+use crate::visibility_reply::{reply_view, ReplyScratch};
 use crate::{Assignment, LockPolicy, ServerConfig, ServerResults};
 
 /// Bound on each thread's inbound request queue. On overflow the
@@ -69,10 +67,13 @@ pub struct ServerShared {
     pub threads: u32,
     pub slots_per_thread: u32,
     pub ports: Vec<PortId>,
-    /// The global state buffer (paper §3.3): broadcast events appended
-    /// during the world and request phases; guarded by
-    /// `locks.global_lock`.
-    global_events: UnsafeCell<Vec<GameEvent>>,
+    /// The broadcast event log, whose current frame is the global state
+    /// buffer (paper §3.3): appended during the world and request
+    /// phases and ended at frame end, under `locks.global_lock`; read
+    /// without it in the reply phase, when nobody writes it, and by the
+    /// master or a quiescent context to place a joining session's
+    /// cursor.
+    events: UnsafeCell<EventLog>,
     /// World-phase RNG; only the frame master touches it.
     rng: UnsafeCell<Pcg32>,
     /// Time of the previous world update (master-only).
@@ -92,8 +93,8 @@ pub struct ServerShared {
 }
 
 // SAFETY: interior state is guarded by the fabric global lock
-// (global_events) or by the single-master phase protocol (rng,
-// last_world, entity_index).
+// (events, whose readers rely on the phase protocol too) or by the
+// single-master phase protocol (rng, last_world, entity_index).
 unsafe impl Sync for ServerShared {}
 unsafe impl Send for ServerShared {}
 
@@ -128,7 +129,7 @@ impl ServerShared {
             threads,
             slots_per_thread: (slots as u32).div_ceil(threads),
             ports,
-            global_events: UnsafeCell::new(Vec::new()),
+            events: UnsafeCell::new(EventLog::default()),
             rng: UnsafeCell::new(Pcg32::new(0x5EB0_0715, 99)),
             last_world: UnsafeCell::new(0),
             entity_index: UnsafeCell::new(None),
@@ -189,25 +190,50 @@ impl ServerShared {
         }
         self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
-        unsafe { (*self.global_events.get()).extend_from_slice(events) };
+        unsafe { (*self.events.get()).append(events) };
         self.locks.release_global(ctx);
     }
 
-    /// Snapshot the global buffer (reply phase).
+    /// Snapshot the global buffer: this frame's events (reply phase).
     pub fn read_global_events(&self, ctx: &TaskCtx, _stats: &mut ThreadStats) -> Vec<GameEvent> {
         self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
-        let copy = unsafe { (*self.global_events.get()).clone() };
+        let copy = unsafe { (*self.events.get()).frame().to_vec() };
         self.locks.release_global(ctx);
         copy
     }
 
-    /// Clear the global buffer (frame end, master only, under lock).
+    /// Clear the global buffer: end the log's frame (frame end, master
+    /// only, under lock).
     pub fn clear_global_events(&self, ctx: &TaskCtx, _stats: &mut ThreadStats) {
         self.locks.acquire_global(ctx);
         // SAFETY: global_lock held.
-        unsafe { (*self.global_events.get()).clear() };
+        unsafe { (*self.events.get()).end_frame() };
         self.locks.release_global(ctx);
+    }
+
+    /// Point slot `idx`'s event cursor at the current frame's first
+    /// event. A session that becomes Active or is reinstated during a
+    /// frame is owed every event of that frame, those appended before
+    /// it joined included. Frame master or quiescent contexts only.
+    fn join_frame_events(&self, idx: usize) {
+        // SAFETY: the master's world phase and quiescent contexts run
+        // while no thread appends to the log or ends its frame.
+        let start = unsafe { (*self.events.get()).frame_start() };
+        self.clients.slot(idx).event_cursor = start;
+    }
+
+    /// The events slot `idx`'s reply carries, in wire form: the log's
+    /// window at the slot's cursor, which moves past them. The slot's
+    /// owner, reply phase.
+    fn take_events(&self, idx: usize) -> &[u8] {
+        // SAFETY: nobody appends to the log or ends its frame while a
+        // reply phase runs, so shared reads are sound.
+        let log = unsafe { &*self.events.get() };
+        let slot = self.clients.slot(idx);
+        let (run, next) = log.window(slot.event_cursor);
+        slot.event_cursor = next;
+        run
     }
 
     /// Fire-and-forget a lifecycle notice at the directory control
@@ -274,6 +300,7 @@ impl ServerShared {
                     slot.state = SlotState::Active;
                     slot.needs_ack = true;
                     slot.last_active = now;
+                    self.join_frame_events(idx);
                 }
                 SlotState::Active
                     if self.client_timeout_ns > 0
@@ -775,11 +802,17 @@ impl ServerShared {
         frame
     }
 
-    /// Distribute the global state buffer into the message buffers of
-    /// the slots in `range` (under per-player buffer locks), then send
-    /// replies/acks for slots that need them. `frame` is the server
-    /// frame number. `interest` carries this frame's precomputed
-    /// interest sets (the sweep modes); `None` scans per client.
+    /// The reply phase for `slots`: send acks, and replies
+    /// to the slots that sent a request, each encoded once straight
+    /// into its datagram with its window of the event log. `global` is
+    /// this frame's global state buffer (`read_global_events`); the
+    /// paper's server copies it into every Active slot's message buffer
+    /// here, and that copy's modelled cost is charged per Active slot
+    /// though no copy is made. `send_replies: false` charges only —
+    /// the master's pass over slots of threads outside the frame.
+    /// `frame` is the server frame number. `interest` carries this
+    /// frame's precomputed interest sets (the sweep modes); `None`
+    /// scans per client.
     #[allow(clippy::too_many_arguments)]
     pub fn reply_for_slots(
         &self,
@@ -794,17 +827,14 @@ impl ServerShared {
         istats: &mut InterestStats,
     ) {
         let mut oracle_scratch = OracleScratch::default();
+        let mut scratch = ReplyScratch::default();
         for &idx in slots {
             let slot_state = self.clients.slot(idx).state;
             if slot_state != SlotState::Active {
                 continue;
             }
-            // Update the slot's message buffer from the global buffer.
             if !global.is_empty() {
-                self.locks.acquire_client(ctx, idx);
-                self.clients.slot(idx).push_events(global);
                 ctx.charge(self.cost.event_append * global.len() as u64);
-                self.locks.release_client(ctx, idx);
             }
             if !send_replies {
                 continue;
@@ -835,36 +865,29 @@ impl ServerShared {
                     }
                 }
             }
+            let events = self.take_events(idx);
+            let slot = self.clients.slot(idx);
+            let steer = slot.desired_thread.min(u8::MAX as u32) as u8;
             let mut work = WorkCounters::new();
-            let reply = {
-                self.locks.acquire_client(ctx, idx);
-                let slot = self.clients.slot(idx);
-                let take = slot.events.len().min(MAX_EVENTS_PER_REPLY);
-                let events: Vec<GameEvent> = slot.events.drain(..take).collect();
-                self.locks.release_client(ctx, idx);
-                let steer = slot.desired_thread.min(u8::MAX as u32) as u8;
-                build_reply(
-                    &self.world,
-                    idx as u16,
-                    slot,
-                    frame,
-                    steer,
-                    self.delta_compression,
-                    events,
-                    pre,
-                    &mut work,
-                )
-            };
-            if let ServerMessage::Reply { ref entities, .. } = reply {
-                stats.reply_sizes.note(entities.len());
-            }
+            let reply = reply_view(
+                &self.world,
+                idx as u16,
+                slot,
+                frame,
+                steer,
+                self.delta_compression,
+                events,
+                pre,
+                &mut scratch,
+                &mut work,
+            );
+            stats.reply_sizes.note(reply.entities.len());
             let bytes = reply.to_bytes();
             ctx.charge(
                 self.cost.work_ns(&work)
                     + self.cost.reply_base
                     + self.cost.reply_byte * bytes.len() as u64,
             );
-            let slot = self.clients.slot(idx);
             ctx.send(port, slot.reply_port, bytes);
             slot.requests_this_frame = 0;
             stats.replies += 1;
@@ -895,11 +918,14 @@ impl ServerShared {
 
     /// Install a session capsule in slot `idx`: the one transition both
     /// a checkpoint restore and a live migration use. The slot is
-    /// vacated, so the session arrives with an empty event queue and
-    /// delta baseline (the next reply carries full state, since the
-    /// client's acked view may postdate the capsule), then takes the
-    /// capsule's identity, and:
+    /// vacated, so the session arrives with an empty delta baseline
+    /// (the next reply carries full state, since the client's acked
+    /// view may postdate the capsule), then takes the capsule's
+    /// identity, and:
     ///
+    /// * its event cursor at the current frame's first event, as for a
+    ///   session the world phase activates: it is owed the frame's
+    ///   events, never earlier ones,
     /// * `last_active = now` — a fresh inactivity window instead of the
     ///   silence before the crash or the fence,
     /// * `needs_ack` for an Active session — the unsolicited ConnectAck
@@ -932,6 +958,7 @@ impl ServerShared {
         s.input_perturb = snap.input_perturb.max(live_perturb).wrapping_add(1);
         s.last_active = now;
         s.needs_ack = snap.state == SlotState::Active;
+        self.join_frame_events(idx);
     }
 
     /// End the session in slot `idx`: despawn its player (a Pending
@@ -946,7 +973,7 @@ impl ServerShared {
 
 /// The capsule of one slot's session: what a checkpoint stores and a
 /// live migration carries, installed by [`ServerShared::reinstate`].
-/// Per-session scratch (event queue, delta baseline, per-frame
+/// Per-session scratch (event cursor, delta baseline, per-frame
 /// counters, the prediction shadow) is deliberately absent: it is
 /// rebuilt once the session is reinstated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -990,7 +1017,8 @@ impl SlotSnapshot {
             last_sent_at: _,
             // Restarted at the reinstate.
             last_active: _,
-            events: _,
+            // At the frame start of the landing server's log.
+            event_cursor: _,
             baseline: _,
             in_view: _,
             predicts,
@@ -1025,9 +1053,12 @@ impl SlotSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clients::MAX_PENDING_EVENTS;
+    use crate::visibility_reply::build_reply;
     use crate::ServerKind;
     use parquake_bsp::mapgen::MapGenConfig;
     use parquake_fabric::FabricKind;
+    use parquake_protocol::MAX_EVENTS_PER_REPLY;
     use proptest::prelude::*;
 
     fn shared(threads: u32) -> (Arc<dyn Fabric>, ServerShared) {
@@ -1037,6 +1068,23 @@ mod tests {
         let cfg = ServerConfig::new(ServerKind::Sequential, 1_000_000_000);
         let s = ServerShared::new(&fabric, &cfg, world, threads, None);
         (fabric, s)
+    }
+
+    /// The server's event log, as its frame master or a quiescent
+    /// context sees it.
+    #[allow(clippy::mut_from_ref)]
+    fn log_of(s: &ServerShared) -> &mut EventLog {
+        // SAFETY: the tests touch a server from one thread at a time.
+        unsafe { &mut *s.events.get() }
+    }
+
+    fn sound(a: u16) -> GameEvent {
+        GameEvent {
+            kind: parquake_protocol::GameEventKind::Sound,
+            a,
+            b: 0,
+            pos: parquake_math::Vec3::ZERO,
+        }
     }
 
     #[test]
@@ -1070,12 +1118,7 @@ mod tests {
                 parquake_math::Vec3::ZERO,
                 true,
             ));
-            slot.events.push_back(parquake_protocol::GameEvent {
-                kind: parquake_protocol::GameEventKind::Sound,
-                a: 1,
-                b: 2,
-                pos: parquake_math::Vec3::ZERO,
-            });
+            slot.event_cursor = 99;
         }
         {
             let slot = s.clients.slot(20);
@@ -1093,6 +1136,11 @@ mod tests {
         s.clients.slot(3).state = SlotState::Empty;
         s.clients.slot(3).input_perturb = 9;
         s.clients.slot(6).state = SlotState::Active;
+        // The restore lands mid-frame: three events of an earlier
+        // frame, two of this one.
+        log_of(&s).append(&[sound(1); 3]);
+        log_of(&s).end_frame();
+        log_of(&s).append(&[sound(2); 2]);
         s.restore_slots(&snaps, 1_000);
 
         let slot = s.clients.slot(3);
@@ -1103,7 +1151,7 @@ mod tests {
         assert_eq!(slot.last_seq, 41);
         assert_eq!(slot.last_active, 1_000, "fresh inactivity window");
         assert!(slot.needs_ack, "restored Active slots re-ack");
-        assert!(slot.events.is_empty(), "queued events are rebuilt");
+        assert_eq!(slot.event_cursor, 3, "owed this frame's events, no more");
         assert!(slot.baseline.is_empty(), "delta baseline reset");
         assert!(slot.predicts, "prediction opt-in survives restore");
         assert_eq!(slot.input_ack, 41);
@@ -1123,15 +1171,9 @@ mod tests {
     }
 
     /// What one random slot holds: its state, eight counters and ids,
-    /// three flags, two clocks, queued events, baseline entries and
+    /// three flags, two clocks, its event cursor, baseline entries and
     /// whether it has a prediction shadow.
-    type SlotFields = (
-        SlotState,
-        [u32; 8],
-        [bool; 3],
-        [u64; 2],
-        (usize, usize, bool),
-    );
+    type SlotFields = (SlotState, [u32; 8], [bool; 3], [u64; 2], (u64, usize, bool));
 
     fn slot_fields() -> impl Strategy<Value = SlotFields> {
         let u = any::<u32>;
@@ -1145,7 +1187,7 @@ mod tests {
                 .prop_map(|(a, b, c, d, e, f, g, h)| [a, b, c, d, e, f, g, h]),
             (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(a, b, c)| [a, b, c]),
             (any::<u64>(), any::<u64>()).prop_map(|(a, b)| [a, b]),
-            (0usize..4, 0usize..4, any::<bool>()),
+            (0u64..400, 0usize..4, any::<bool>()),
         )
     }
 
@@ -1153,7 +1195,7 @@ mod tests {
         let &(state, [id, port, owner, desired, requests, seq, ack, perturb], flags, clocks, more) =
             f;
         let [needs_ack, leaving, predicts] = flags;
-        let (events, baseline, shadow) = more;
+        let (event_cursor, baseline, shadow) = more;
         slot.vacate();
         *slot = Slot {
             state,
@@ -1167,14 +1209,7 @@ mod tests {
             last_seq: seq,
             last_sent_at: clocks[0],
             last_active: clocks[1],
-            events: (0..events)
-                .map(|a| parquake_protocol::GameEvent {
-                    kind: parquake_protocol::GameEventKind::Sound,
-                    a: a as u16,
-                    b: 0,
-                    pos: parquake_math::Vec3::ZERO,
-                })
-                .collect(),
+            event_cursor,
             baseline: (0..baseline)
                 .map(|id| parquake_protocol::EntityUpdate {
                     id: id as u16,
@@ -1209,10 +1244,18 @@ mod tests {
             live in slot_fields(),
             (from, to) in (0usize..32, 1usize..32).prop_map(|(from, gap)| (from, (from + gap) % 32)),
             now in any::<Nanos>(),
+            (earlier, this_frame) in (0usize..300, 0usize..300),
         ) {
             static SHARED: std::sync::OnceLock<(Arc<dyn Fabric>, ServerShared)> =
                 std::sync::OnceLock::new();
             let (_f, s) = SHARED.get_or_init(|| shared(1));
+            // The capsule lands after `this_frame` events of the
+            // current frame were appended.
+            let log = log_of(s);
+            *log = EventLog::default();
+            log.append(&vec![sound(1); earlier]);
+            log.end_frame();
+            log.append(&vec![sound(2); this_frame]);
             fill(s.clients.slot(from), &src);
             fill(s.clients.slot(to), &live);
             let capsule = SlotSnapshot::of(from, s.clients.slot(from));
@@ -1230,11 +1273,121 @@ mod tests {
             );
             prop_assert_eq!(got.last_active, now);
             prop_assert_eq!(got.needs_ack, want.state == SlotState::Active);
-            prop_assert!(got.events.is_empty() && got.baseline.is_empty());
+            prop_assert_eq!(got.event_cursor, earlier as u64);
+            prop_assert!(got.baseline.is_empty());
             prop_assert_eq!((got.requests_this_frame, got.last_sent_at), (0, 0));
             prop_assert_eq!(got.predict_shadow, None);
             let past_both = want.input_perturb.max(live.1[7]).wrapping_add(1);
             prop_assert_eq!(got.input_perturb, past_both);
+        }
+    }
+
+    /// One step of a frame's world and request phases, as the event log
+    /// sees it.
+    #[derive(Clone, Copy, Debug)]
+    enum LogStep {
+        /// A phase appends this many events.
+        Push(usize),
+        /// The world phase activates the slot (its Connect was drained
+        /// the frame before).
+        Activate(usize),
+        /// A migrated or restored session's capsule lands on the slot.
+        Reinstate(usize),
+        /// The world phase evicts the slot's session.
+        Vacate(usize),
+    }
+
+    /// Slots the log property test drives.
+    const LOG_SLOTS: usize = 6;
+
+    fn log_step() -> impl Strategy<Value = LogStep> {
+        prop_oneof![
+            (0usize..40).prop_map(LogStep::Push),
+            (100usize..300).prop_map(LogStep::Push),
+            (0..LOG_SLOTS).prop_map(LogStep::Activate),
+            (0..LOG_SLOTS).prop_map(LogStep::Reinstate),
+            (0..LOG_SLOTS).prop_map(LogStep::Vacate),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 1024 }))]
+
+        /// Every reply reads from the one log exactly the events the
+        /// per-slot queue it replaced would have handed it: each Active
+        /// slot queued the whole frame's batch in the reply phase,
+        /// capped at `MAX_PENDING_EVENTS` by dropping the oldest, and a
+        /// reply took up to `MAX_EVENTS_PER_REPLY` from the front. Slots
+        /// activate, are reinstated and are vacated between a frame's
+        /// appends; batches run past the cap; which Active slots reply
+        /// is random, so a reply carries 0–32 events.
+        #[test]
+        fn replies_read_the_log_as_they_read_the_bounded_queue(
+            frames in prop::collection::vec(
+                (prop::collection::vec(log_step(), 0..8), any::<u8>()),
+                1..14,
+            ),
+        ) {
+            static SHARED: std::sync::OnceLock<(Arc<dyn Fabric>, ServerShared)> =
+                std::sync::OnceLock::new();
+            let (_f, s) = SHARED.get_or_init(|| shared(1));
+            *log_of(s) = EventLog::default();
+            for idx in 0..LOG_SLOTS {
+                s.clients.slot(idx).vacate();
+            }
+            let mut queues: Vec<Option<Vec<GameEvent>>> = vec![None; LOG_SLOTS];
+            let mut next = 0u32;
+            for (steps, replies) in frames {
+                let mut batch = Vec::new();
+                for step in steps {
+                    match step {
+                        LogStep::Push(n) => {
+                            let events: Vec<GameEvent> = (0..n)
+                                .map(|_| {
+                                    next += 1;
+                                    GameEvent { b: (next >> 16) as u16, ..sound(next as u16) }
+                                })
+                                .collect();
+                            log_of(s).append(&events);
+                            batch.extend(events);
+                        }
+                        LogStep::Activate(idx) if queues[idx].is_none() => {
+                            // `run_world_update`'s Pending → Active.
+                            s.clients.slot(idx).state = SlotState::Active;
+                            s.join_frame_events(idx);
+                            queues[idx] = Some(Vec::new());
+                        }
+                        LogStep::Activate(_) => {}
+                        LogStep::Reinstate(idx) => {
+                            let capsule = SlotSnapshot {
+                                state: SlotState::Active,
+                                ..SlotSnapshot::of(idx, s.clients.slot(idx))
+                            };
+                            s.reinstate(idx, &capsule, 0);
+                            queues[idx] = Some(Vec::new());
+                        }
+                        LogStep::Vacate(idx) => {
+                            s.clients.slot(idx).vacate();
+                            queues[idx] = None;
+                        }
+                    }
+                }
+                for (idx, queue) in queues.iter_mut().enumerate() {
+                    let Some(queue) = queue else { continue };
+                    for &ev in &batch {
+                        if queue.len() >= MAX_PENDING_EVENTS {
+                            queue.remove(0);
+                        }
+                        queue.push(ev);
+                    }
+                    if replies & (1 << idx) != 0 {
+                        let take = queue.len().min(MAX_EVENTS_PER_REPLY);
+                        let want: Vec<u8> = queue.drain(..take).flat_map(|e| e.wire()).collect();
+                        prop_assert_eq!(s.take_events(idx), &want[..], "slot {}", idx);
+                    }
+                }
+                log_of(s).end_frame();
+            }
         }
     }
 

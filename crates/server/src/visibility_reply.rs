@@ -1,9 +1,12 @@
-//! Reply construction: visibility-scoped entity updates plus queued
-//! broadcast events, one [`ServerMessage::Reply`] per requesting client
-//! per frame (paper §2.1).
+//! Reply construction: visibility-scoped entity updates plus broadcast
+//! events, one `Reply` per requesting client per frame (paper §2.1).
+//! The server encodes each reply straight into its datagram from a
+//! [`reply_view`]; [`build_reply`] makes the same reply as an owned
+//! [`ServerMessage`] from the same view.
 
 use parquake_protocol::{
-    EntityUpdate, GameEvent, ServerMessage, MAX_ADDITIONS_PER_REPLY, MAX_REMOVALS_PER_REPLY,
+    EntityUpdate, GameEvent, ReplyPredict, ReplyView, ServerMessage, MAX_ADDITIONS_PER_REPLY,
+    MAX_REMOVALS_PER_REPLY,
 };
 use parquake_sim::visibility::build_reply_entities;
 use parquake_sim::{GameWorld, WorkCounters};
@@ -18,46 +21,65 @@ fn changed(prev: &EntityUpdate, cur: &EntityUpdate) -> bool {
         || (prev.yaw - cur.yaw).abs() > 1.0
 }
 
-/// Build the reply for `slot_idx`'s client. `assigned_thread` tells the
-/// client which server thread (port) to address next. When `delta` is
-/// set, only entities that changed since the client's baseline are
-/// included, plus removal notices — QuakeWorld-style delta compression
-/// (the slot's baseline is updated in place). Newly appearing entities
-/// are windowed at [`MAX_ADDITIONS_PER_REPLY`]; the overflow stays out
-/// of the baseline and is re-offered in the next reply, mirroring the
-/// removal window.
+/// Buffers [`reply_view`] reuses from one reply to the next.
+#[derive(Default)]
+pub struct ReplyScratch {
+    /// The scanned visible set, when no interest set was precomputed.
+    visible: Vec<EntityUpdate>,
+    dist: Vec<(f32, EntityUpdate)>,
+    /// A delta reply's changed and added entities, and its removals.
+    entities: Vec<EntityUpdate>,
+    removed: Vec<u16>,
+}
+
+/// The reply for `slot_idx`'s client, carrying `events` (whole events
+/// in wire form, see [`GameEvent::wire`]), as a view over `precomputed`
+/// or `scratch`: the core both the reply phase, which encodes the view
+/// straight into its datagram, and [`build_reply`] use.
+/// `assigned_thread` tells the client which server thread (port) to
+/// address next. When `delta` is set, only entities that changed since
+/// the client's baseline are included, plus removal notices —
+/// QuakeWorld-style delta compression (the slot's baseline is updated
+/// in place). Newly appearing entities are windowed at
+/// [`MAX_ADDITIONS_PER_REPLY`]; the overflow stays out of the baseline
+/// and is re-offered in the next reply, mirroring the removal window.
 ///
 /// `precomputed` is the viewer's interest set from the batch DDM
 /// sweep, byte-identical to what the per-client scan would produce;
 /// `None` runs the scan here (the paper's behaviour).
 #[allow(clippy::too_many_arguments)]
-pub fn build_reply(
+pub fn reply_view<'a>(
     world: &GameWorld,
     slot_idx: u16,
     slot: &mut Slot,
     frame: u32,
     assigned_thread: u8,
     delta: bool,
-    events: Vec<GameEvent>,
-    precomputed: Option<&[EntityUpdate]>,
+    events: &'a [u8],
+    precomputed: Option<&'a [EntityUpdate]>,
+    scratch: &'a mut ReplyScratch,
     work: &mut WorkCounters,
-) -> ServerMessage {
-    let visible = match precomputed {
+) -> ReplyView<'a> {
+    let ReplyScratch {
+        visible: scanned,
+        dist,
+        entities: out,
+        removed,
+    } = scratch;
+    let visible: &[EntityUpdate] = match precomputed {
         Some(set) => {
             // The sweep already paid the matching cost in bulk; the
             // per-reply encode charge stays identical to the scan's.
             work.encoded_entities += set.len() as u64;
-            set.to_vec()
+            set
         }
         None => {
-            let mut visible = Vec::new();
-            let mut scratch = Vec::new();
-            build_reply_entities(world, slot_idx, &mut visible, &mut scratch, work);
-            visible
+            build_reply_entities(world, slot_idx, scanned, dist, work);
+            scanned
         }
     };
 
-    let (entities, removed) = if delta {
+    let (entities, removed): (&[EntityUpdate], &[u16]) = if delta {
         let Slot {
             baseline, in_view, ..
         } = slot;
@@ -65,9 +87,9 @@ pub fn build_reply(
         in_view.resize(baseline.len(), false);
         // Changed and added entities, in visible order, marking every
         // baseline entry still in view.
-        let mut out = Vec::new();
+        out.clear();
         let mut additions = 0usize;
-        for u in &visible {
+        for u in visible {
             match baseline.binary_search_by_key(&u.id, |b| b.id) {
                 Ok(at) => {
                     in_view[at] = true;
@@ -88,7 +110,7 @@ pub fn build_reply(
         // Entities that left the view, lowest ids first — the
         // baseline's own order — windowed: the overflow stays baselined
         // and is removed by a later reply.
-        let mut removed: Vec<u16> = Vec::new();
+        removed.clear();
         let mut at = 0;
         baseline.retain(|b| {
             let keep = in_view[at] || removed.len() == MAX_REMOVALS_PER_REPLY;
@@ -99,7 +121,7 @@ pub fn build_reply(
             keep
         });
         // Baseline the admitted arrivals: the updates not found there.
-        for u in &out {
+        for u in out.iter() {
             if let Err(at) = baseline.binary_search_by_key(&u.id, |b| b.id) {
                 baseline.insert(at, *u);
             }
@@ -110,7 +132,7 @@ pub fn build_reply(
             + removed.len() as u64 / 4;
         (out, removed)
     } else {
-        (visible, Vec::new())
+        (visible, &[])
     };
 
     let me = world.store.snapshot(slot_idx);
@@ -128,7 +150,7 @@ pub fn build_reply(
             }
         }
         slot.predict_shadow = Some(actual);
-        Some(parquake_protocol::ReplyPredict {
+        Some(ReplyPredict {
             input_ack: slot.input_ack,
             perturb: slot.input_perturb,
             vel: me.vel,
@@ -137,7 +159,7 @@ pub fn build_reply(
     } else {
         None
     };
-    ServerMessage::Reply {
+    ReplyView {
         client_id: slot.client_id,
         seq: slot.last_seq,
         sent_at_echo: slot.last_sent_at,
@@ -152,13 +174,55 @@ pub fn build_reply(
     }
 }
 
+/// Build the reply for `slot_idx`'s client as an owned message: the
+/// reply [`reply_view`] makes, with `events` as its events.
+#[allow(clippy::too_many_arguments)]
+pub fn build_reply(
+    world: &GameWorld,
+    slot_idx: u16,
+    slot: &mut Slot,
+    frame: u32,
+    assigned_thread: u8,
+    delta: bool,
+    events: Vec<GameEvent>,
+    precomputed: Option<&[EntityUpdate]>,
+    work: &mut WorkCounters,
+) -> ServerMessage {
+    let mut scratch = ReplyScratch::default();
+    let view = reply_view(
+        world,
+        slot_idx,
+        slot,
+        frame,
+        assigned_thread,
+        delta,
+        &[],
+        precomputed,
+        &mut scratch,
+        work,
+    );
+    ServerMessage::Reply {
+        client_id: view.client_id,
+        seq: view.seq,
+        sent_at_echo: view.sent_at_echo,
+        frame,
+        assigned_thread,
+        origin: view.origin,
+        delta,
+        entities: view.entities.to_vec(),
+        removed: view.removed.to_vec(),
+        events,
+        predict: view.predict,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clients::ClientTable;
     use parquake_bsp::mapgen::MapGenConfig;
     use parquake_math::Pcg32;
-    use parquake_protocol::EntityKind;
+    use parquake_protocol::{Encode, EntityKind, MAX_EVENTS_PER_REPLY};
     use std::sync::Arc;
 
     #[test]
@@ -446,7 +510,6 @@ mod tests {
     /// byte-identical reply and identical encode accounting.
     #[test]
     fn precomputed_interest_sets_build_identical_replies() {
-        use parquake_protocol::Encode;
         let (world, table) = delta_world();
         for idx in [0usize, 1] {
             let s = table.slot(idx);
@@ -489,6 +552,96 @@ mod tests {
         }
         assert_eq!(w_scan.encoded_entities, w_pre.encoded_entities);
         assert_eq!(table.slot(0).baseline, table.slot(1).baseline);
+    }
+
+    /// The view the server encodes straight into its datagram writes the
+    /// `build_reply` message's bytes, reply after reply: with the scan
+    /// and with a precomputed set, delta off and on (arrivals windowed,
+    /// an entity moving, then leaving), with and without the prediction
+    /// trailer, carrying 0–32 events. Both leave the slot and the
+    /// encode accounting alike.
+    #[test]
+    fn encoded_replies_are_the_built_replies_bytes() {
+        use parquake_protocol::{Decode, GameEventKind};
+        let events: Vec<GameEvent> = (0..MAX_EVENTS_PER_REPLY as u16)
+            .map(|a| GameEvent {
+                kind: GameEventKind::Hit,
+                a,
+                b: a + 1,
+                pos: parquake_math::Vec3::new(1.0, 2.0, a as f32),
+            })
+            .collect();
+        let mut scratch = ReplyScratch::default();
+        for delta in [false, true] {
+            for predicts in [false, true] {
+                for precompute in [false, true] {
+                    let (world, built) = crowd_world();
+                    let (_, encoded) = crowd_world();
+                    for table in [&built, &encoded] {
+                        let s = table.slot(0);
+                        (s.last_seq, s.last_sent_at, s.predicts) = (42, 1234, predicts);
+                        s.input_ack = 41;
+                    }
+                    let (mut w_built, mut w_encoded) = (WorkCounters::new(), WorkCounters::new());
+                    for frame in 1..=4u32 {
+                        // The nearest neighbour moves, then leaves.
+                        match frame {
+                            3 => world.store.with_mut(1, 0, |e| e.pos.x += 2.0),
+                            4 => world.store.with_mut(1, 0, |e| e.active = false),
+                            _ => {}
+                        }
+                        let set = precompute.then(|| {
+                            let (mut v, mut d) = (Vec::new(), Vec::new());
+                            build_reply_entities(
+                                &world,
+                                0,
+                                &mut v,
+                                &mut d,
+                                &mut WorkCounters::new(),
+                            );
+                            v
+                        });
+                        let events = &events[..(frame as usize * 11).min(events.len())];
+                        let run: Vec<u8> = events.iter().flat_map(GameEvent::wire).collect();
+                        let msg = build_reply(
+                            &world,
+                            0,
+                            built.slot(0),
+                            frame,
+                            3,
+                            delta,
+                            events.to_vec(),
+                            set.as_deref(),
+                            &mut w_built,
+                        );
+                        let view = reply_view(
+                            &world,
+                            0,
+                            encoded.slot(0),
+                            frame,
+                            3,
+                            delta,
+                            &run,
+                            set.as_deref(),
+                            &mut scratch,
+                            &mut w_encoded,
+                        );
+                        let (bytes, n) = (view.to_bytes(), view.entities.len());
+                        assert_eq!(
+                            bytes,
+                            msg.to_bytes(),
+                            "delta {delta} predicts {predicts} frame {frame}"
+                        );
+                        assert_eq!(bytes.capacity(), bytes.len());
+                        assert_eq!(ServerMessage::from_bytes(&bytes).unwrap(), msg);
+                        assert_eq!(n, reply_parts(msg).0.len());
+                    }
+                    assert_eq!(w_built.encoded_entities, w_encoded.encoded_entities);
+                    assert_eq!(built.slot(0).baseline, encoded.slot(0).baseline);
+                    assert_eq!(built.slot(0).input_perturb, encoded.slot(0).input_perturb);
+                }
+            }
+        }
     }
 
     /// An unchanged entity is sent once and then suppressed: the first

@@ -3,8 +3,9 @@
 //! A counting `#[global_allocator]` (per-thread counters, so the test
 //! harness's other threads cannot leak into a measurement) holds two
 //! lines: a full-state reply costs at most two heap allocations from
-//! interest set to wire bytes, and one `match_viewers` call allocates
-//! the same number of buffers however many viewers it matches.
+//! interest set to wire bytes (one when the server encodes it straight
+//! into its datagram), and one `match_viewers` call allocates the same
+//! number of buffers however many viewers it matches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,9 +15,12 @@ use parquake_bsp::mapgen::MapGenConfig;
 use parquake_interest::{match_viewers, EntityIndex, InterestStats};
 use parquake_math::vec3::vec3;
 use parquake_math::Pcg32;
-use parquake_protocol::{Decode, Encode, ServerMessage, MAX_ENTITIES_PER_REPLY};
+use parquake_protocol::{
+    Decode, Encode, GameEvent, GameEventKind, ServerMessage, MAX_ENTITIES_PER_REPLY,
+    MAX_EVENTS_PER_REPLY,
+};
 use parquake_server::clients::ClientTable;
-use parquake_server::visibility_reply::build_reply;
+use parquake_server::visibility_reply::{build_reply, reply_view, ReplyScratch};
 use parquake_sim::{EntityId, GameWorld, WorkCounters};
 
 thread_local! {
@@ -115,6 +119,66 @@ fn a_full_state_reply_costs_at_most_two_allocations() {
     match ServerMessage::from_bytes(&bytes).expect("own encoding decodes") {
         ServerMessage::Reply { entities, .. } => assert_eq!(entities, set),
         other => panic!("not a reply: {other:?}"),
+    }
+}
+
+/// The reply phase's own path: a reply encoded straight into its
+/// datagram allocates the payload and nothing else, whether it carries
+/// the interest set whole or a delta against the slot's baseline (once
+/// the reused scratch and the slot's baseline have grown).
+#[test]
+fn an_encoded_reply_costs_one_allocation() {
+    let world = crowd();
+    let index = EntityIndex::build(&world, &mut WorkCounters::new());
+    let frame = match_viewers(
+        &world,
+        &index,
+        &[0],
+        &mut WorkCounters::new(),
+        &mut InterestStats::default(),
+    );
+    let set = frame.get(0).expect("viewer 0 matched");
+    let events: Vec<u8> = (0..MAX_EVENTS_PER_REPLY as u16)
+        .flat_map(|a| {
+            GameEvent {
+                kind: GameEventKind::Sound,
+                a,
+                b: 0,
+                pos: vec3(0.0, 0.0, 0.0),
+            }
+            .wire()
+        })
+        .collect();
+    let table = ClientTable::new(200);
+    let mut scratch = ReplyScratch::default();
+    let mut work = WorkCounters::new();
+    for delta in [false, true] {
+        let mut reply = |frame: u32| {
+            reply_view(
+                &world,
+                0,
+                table.slot(0),
+                frame,
+                0,
+                delta,
+                &events,
+                Some(set),
+                &mut scratch,
+                &mut work,
+            )
+            .to_bytes()
+        };
+        // Until the baseline holds the whole view (two windows of
+        // arrivals), the slot's own buffers still grow.
+        for frame in 1..=3 {
+            reply(frame);
+        }
+        let (allocs, bytes) = allocs_in(|| reply(4));
+        assert_eq!(
+            allocs, 1,
+            "{allocs} allocations for one encoded reply (delta {delta})"
+        );
+        assert_eq!(bytes.capacity(), bytes.len(), "payload carries slack");
     }
 }
 
