@@ -249,9 +249,9 @@ pub struct FaultStats {
 }
 
 /// The seeded per-datagram lottery. Single-owner: the virtual fabric
-/// holds one, and so does each of the real gateway's inbound pumps (so
-/// cross-run determinism holds on the virtual fabric only — on real
-/// sockets the order datagrams reach a pump is the kernel's).
+/// holds one, and so does the real gateway's inbound pump (so cross-run
+/// determinism holds on the virtual fabric only — on a real socket the
+/// order datagrams reach the pump is the kernel's).
 #[derive(Clone, Debug)]
 pub struct FaultLottery {
     cfg: FaultConfig,

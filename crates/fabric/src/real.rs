@@ -19,7 +19,7 @@
 //! A port may instead be a sink ([`RealFabric::sink_port`]): every
 //! delivery to it runs the sink's function on the sending thread and
 //! queues nothing, so nobody has to wake to forward it. The gateway
-//! sinks its reply ports into the shard sockets this way.
+//! sinks its reply port into its socket this way.
 //!
 //! A primitive nobody waits on costs no system call. Fabric locks are
 //! the stand-in's `RawMutex` lock word (two atomic operations per

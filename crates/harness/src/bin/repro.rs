@@ -16,8 +16,7 @@
 use parquake_harness::cli::Args;
 use parquake_harness::figures::{
     arenasweep, batching, chaossweep, common::SweepOpts, crashsweep, delta, dynassign, elasticity,
-    fig4, fig5, fig6, fig7, gatewaysweep, interestsweep, losssweep, migratesweep, onepass, table1,
-    waitstats,
+    fig4, fig5, fig6, fig7, interestsweep, losssweep, migratesweep, onepass, table1, waitstats,
 };
 
 /// A subcommand: name, what it regenerates, how.
@@ -44,7 +43,6 @@ const FIGURES: &[Figure] = &[
     ("chaossweep", "client prediction under combined WAN fault profiles (extension)", chaossweep::run),
     ("migratesweep", "live migration recovering a skewed fleet (extension)", migratesweep::run),
     ("interestsweep", "batch DDM interest matching vs per-client scans (extension)", interestsweep::run),
-    ("gatewaysweep", "sharded UDP gateway over loopback sockets (extension)", gatewaysweep::run),
     (TIMELINE, "per-frame CSV dump for one configuration", timeline),
 ];
 

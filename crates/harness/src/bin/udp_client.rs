@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! udp_client [--server 127.0.0.1:27500] [--players 8] [--secs 5]
-//!            [--arenas 1] [--ramp] [--sockets M] [--predict]
+//!            [--arenas 1] [--ramp] [--predict]
 //! ```
 //!
 //! The bots are the swarm of the virtual-time figures — `BotMind`
@@ -12,12 +12,8 @@
 //! on connect and reply traffic is tallied per arena. `--ramp` staggers
 //! joins over the first 30% of the run, holds, then drains everyone
 //! (with `Disconnect`s) over the next 20% — leaving a quiet tail that
-//! lets an elastic gateway reap its spawned arenas. `--sockets M` deals
-//! the bots to M client sockets in contiguous blocks (bots
-//! `[0, ⌈P/M⌉)` on the first, and so on; fewer sockets when there are
-//! fewer bots) — a sharded `SO_REUSEPORT` gateway balances flows by
-//! 4-tuple hash, so driving S server shards needs at least S client
-//! sockets (one socket pins every bot to one shard).
+//! lets an elastic gateway reap its spawned arenas. Every bot sends and
+//! receives through one client socket.
 //! `--predict` turns on client-side prediction: every bot runs the
 //! movement kernel locally against the default `udpd` map, opts into
 //! the Move/Reply prediction trailer, and reconciles against each
@@ -76,7 +72,6 @@ fn main() {
     let mut secs = 5u64;
     let mut arenas = 1u32;
     let mut ramp = false;
-    let mut sockets = 1u32;
     let mut predict = false;
     let mut args = Args::from_env("udp_client");
     while let Some(flag) = args.next_flag() {
@@ -86,7 +81,6 @@ fn main() {
             "--secs" => secs = args.value("a number"),
             "--arenas" => arenas = args.value("a number"),
             "--ramp" => ramp = true,
-            "--sockets" => sockets = args.value("a number"),
             "--predict" => predict = true,
             other => args.die(&format!("unknown option {other}")),
         }
@@ -104,7 +98,7 @@ fn main() {
             duration.mul_f64(0.2),
         )
     });
-    match run_udp_clients(server, arenas, players, duration, windows, sockets, map) {
+    match run_udp_clients(server, arenas, players, duration, windows, map) {
         Ok(out) => {
             println!(
                 "udp_client: sent {}, received {}, avg response {:.2} ms",

@@ -8,7 +8,6 @@
 //!      [--max-arenas M] [--linger-ms MS]
 //!      [--crash-rate P] [--crash-seed N]
 //!      [--migrate-spread N] [--migrate-drain]
-//!      [--gateway-shards S]
 //! ```
 //!
 //! `--arenas N` worlds of `--players` slots each are served behind ONE
@@ -48,12 +47,9 @@
 //! coldest open one, the director hands one slot off per tick.
 //! `--migrate-drain` additionally empties lingering elastic arenas
 //! slot by slot so the reaper finds them empty.
-//! `--gateway-shards S` runs S shards, each a socket and its inbound
-//! pump, on the one UDP port via `SO_REUSEPORT` (kernel 4-tuple hash
-//! spreads client flows across the shard sockets; the report prints
-//! whether batched receives and reuseport are live). Replies leave
-//! from the thread that built them, one `send_to` each. `S = 1` is the classic
-//! single-pump gateway, fault lottery included.
+//! One inbound pump reads the socket; replies leave from the thread
+//! that built them, one `send_to` each. The report's gateway line
+//! shows how many datagrams the pump drained in batched receives.
 //!
 //! Exit status: 0 when every accounting identity closed and the
 //! interest oracle (if armed) stayed silent, 1 when one did not or the
@@ -107,7 +103,6 @@ fn main() {
             "--crash-seed" => crash_seed = args.value("a number"),
             "--migrate-spread" => opts.migrate_spread = args.value("a number"),
             "--migrate-drain" => opts.migrate_drain = true,
-            "--gateway-shards" => opts.gateway_shards = args.value("a number"),
             other => args.die(&format!("unknown option {other}")),
         }
     }
@@ -144,23 +139,6 @@ fn main() {
                 " (per-reply scan shadow oracle)"
             } else {
                 ""
-            }
-        );
-    }
-    if opts.gateway_shards > 1 {
-        let cap = parquake_harness::mmsg::capability();
-        println!(
-            "udpd: gateway sharding — {} shards ({}, {})",
-            opts.gateway_shards,
-            if cap.reuseport {
-                "SO_REUSEPORT"
-            } else {
-                "shared-socket fallback"
-            },
-            if cap.mmsg {
-                "batched recvmmsg"
-            } else {
-                "one-datagram syscalls"
             }
         );
     }
@@ -229,27 +207,14 @@ fn main() {
         report.spoof_rejected,
         report.arena_unknown
     );
-    for lane in &report.shards {
-        println!(
-            "udpd: shard{} — {} in, {} out ({} batched recvs), \
-             {} forwarded ({} to front), {} fault-dropped ({} dup copies), \
-             {} decode-rejected, {} spoof-rejected, {} arena-unknown, \
-             {} replies unroutable — identity {}",
-            lane.shard,
-            lane.datagrams_in,
-            lane.datagrams_out,
-            lane.batched_recvs,
-            lane.forwarded,
-            lane.to_front,
-            lane.fault_dropped,
-            lane.fault_duplicated,
-            lane.decode_rejected,
-            lane.spoof_rejected,
-            lane.arena_unknown,
-            lane.replies_unroutable,
-            closes(lane.accounting_closed())
-        );
-    }
+    let lane = &report.shards[0];
+    println!(
+        "udpd: gateway — {} out ({} batched recvs), {} replies unroutable — identity {}",
+        lane.datagrams_out,
+        lane.batched_recvs,
+        lane.replies_unroutable,
+        closes(lane.accounting_closed())
+    );
     for (k, lane) in report.lanes.iter().enumerate() {
         println!(
             "udpd: arena{} — {} admitted, {} replies over {} frames; \

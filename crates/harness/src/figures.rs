@@ -12,7 +12,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod gatewaysweep;
 pub mod interestsweep;
 pub mod losssweep;
 pub mod migratesweep;

@@ -1,19 +1,14 @@
-//! Batched UDP syscalls and `SO_REUSEPORT` sharding, no libc.
+//! Batched UDP syscalls, no libc.
 //!
 //! The workspace vendors every external dependency as an offline
-//! stand-in, so there is no libc crate to lean on for `recvmmsg(2)`,
-//! `sendmmsg(2)`, or `setsockopt(SO_REUSEPORT)` — std exposes none of
-//! them. On x86-64 Linux this module issues the raw syscalls directly
+//! stand-in, so there is no libc crate to lean on for `recvmmsg(2)` or
+//! `sendmmsg(2)` — std exposes neither. On x86-64 Linux this module issues the raw syscalls directly
 //! (`core::arch::asm!`); everywhere else, and whenever the one-time
 //! [`capability`] probe finds a syscall filtered (seccomp) or absent,
 //! the callers fall back to portable one-datagram `std::net` I/O.
 //!
-//! The contract with the gateway pumps:
+//! The contract with the gateway pump:
 //!
-//! * [`bind_reuseport`] — bind another UDP socket to an already-bound
-//!   port so the kernel spreads inbound flows across shard sockets by
-//!   4-tuple hash. Fails cleanly where unsupported; the gateway then
-//!   shares one socket between pumps (portable fallback).
 //! * [`recv_more`] — after a blocking `recv_from` got one datagram,
 //!   drain up to `BATCH - 1` more in a single `recvmmsg` without
 //!   blocking. Falls back to returning nothing (the caller's next
@@ -22,7 +17,7 @@
 //!   with as few `sendmmsg` calls as possible; falls back to a
 //!   `send_to` loop.
 
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::OnceLock;
 
 use parquake_protocol::MAX_DATAGRAM;
@@ -35,28 +30,13 @@ pub const BATCH: usize = 16;
 pub struct BatchCapability {
     /// `recvmmsg`/`sendmmsg` are callable (not ENOSYS/seccomp-filtered).
     pub mmsg: bool,
-    /// `SO_REUSEPORT` can be set on a fresh UDP socket.
-    pub reuseport: bool,
 }
 
 static CAPABILITY: OnceLock<BatchCapability> = OnceLock::new();
 
-/// Probe (once) and report the batching/sharding capabilities.
+/// Probe (once) and report the batching capability.
 pub fn capability() -> BatchCapability {
     *CAPABILITY.get_or_init(sys::probe)
-}
-
-/// Bind a UDP socket to `ip:port` with `SO_REUSEPORT` set, so several
-/// shard sockets can share one port. Errors when the platform (or the
-/// probe) says no — callers must fall back to socket sharing.
-pub fn bind_reuseport(ip: Ipv4Addr, port: u16) -> std::io::Result<UdpSocket> {
-    if !capability().reuseport {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "SO_REUSEPORT unavailable on this platform",
-        ));
-    }
-    sys::bind_reuseport(ip, port)
 }
 
 /// Drain up to `max` additional datagrams without blocking, batched in
@@ -100,20 +80,12 @@ mod sys {
 
     use super::{BatchCapability, BATCH, MAX_DATAGRAM};
     use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::os::fd::AsRawFd;
 
-    const SYS_CLOSE: usize = 3;
-    const SYS_SOCKET: usize = 41;
-    const SYS_BIND: usize = 49;
-    const SYS_SETSOCKOPT: usize = 54;
     const SYS_RECVMMSG: usize = 299;
     const SYS_SENDMMSG: usize = 307;
 
     const AF_INET: usize = 2;
-    const SOCK_DGRAM: usize = 2;
-    const SOCK_CLOEXEC: usize = 0x80000;
-    const SOL_SOCKET: usize = 1;
-    const SO_REUSEPORT: usize = 15;
     const MSG_DONTWAIT: usize = 0x40;
     const EAGAIN: isize = -11;
     const EWOULDBLOCK: isize = EAGAIN;
@@ -195,7 +167,7 @@ mod sys {
     /// Probe what the kernel/sandbox permits: an `EAGAIN` from an empty
     /// nonblocking `recvmmsg` proves the syscall exists and is allowed;
     /// `ENOSYS`/`EPERM` (seccomp) mean the portable path must carry the
-    /// traffic. `SO_REUSEPORT` is probed by actually setting it.
+    /// traffic.
     pub(super) fn probe() -> BatchCapability {
         let mmsg = match UdpSocket::bind("127.0.0.1:0") {
             Ok(sock) => {
@@ -231,66 +203,7 @@ mod sys {
             }
             Err(_) => false,
         };
-        // SAFETY: plain socket/setsockopt/close on a private fd.
-        let reuseport = unsafe {
-            let fd = syscall5(SYS_SOCKET, AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0, 0, 0);
-            if fd < 0 {
-                false
-            } else {
-                let one: u32 = 1;
-                let r = syscall5(
-                    SYS_SETSOCKOPT,
-                    fd as usize,
-                    SOL_SOCKET,
-                    SO_REUSEPORT,
-                    (&one as *const u32) as usize,
-                    4,
-                );
-                syscall5(SYS_CLOSE, fd as usize, 0, 0, 0, 0);
-                r == 0
-            }
-        };
-        BatchCapability { mmsg, reuseport }
-    }
-
-    pub(super) fn bind_reuseport(ip: Ipv4Addr, port: u16) -> std::io::Result<UdpSocket> {
-        let err = |r: isize| std::io::Error::from_raw_os_error(-r as i32);
-        // SAFETY: socket/setsockopt/bind with valid pointers; the fd is
-        // either handed to UdpSocket (which owns it) or closed on the
-        // error paths.
-        unsafe {
-            let fd = syscall5(SYS_SOCKET, AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0, 0, 0);
-            if fd < 0 {
-                return Err(err(fd));
-            }
-            let one: u32 = 1;
-            let r = syscall5(
-                SYS_SETSOCKOPT,
-                fd as usize,
-                SOL_SOCKET,
-                SO_REUSEPORT,
-                (&one as *const u32) as usize,
-                4,
-            );
-            if r < 0 {
-                syscall5(SYS_CLOSE, fd as usize, 0, 0, 0, 0);
-                return Err(err(r));
-            }
-            let addr = SockaddrIn::new(ip, port);
-            let r = syscall5(
-                SYS_BIND,
-                fd as usize,
-                (&addr as *const SockaddrIn) as usize,
-                std::mem::size_of::<SockaddrIn>(),
-                0,
-                0,
-            );
-            if r < 0 {
-                syscall5(SYS_CLOSE, fd as usize, 0, 0, 0, 0);
-                return Err(err(r));
-            }
-            Ok(UdpSocket::from_raw_fd(fd as i32))
-        }
+        BatchCapability { mmsg }
     }
 
     pub(super) fn recv_more(sock: &UdpSocket, max: usize) -> Vec<(Vec<u8>, SocketAddr)> {
@@ -407,21 +320,14 @@ mod sys {
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod sys {
-    //! Portable stand-in: no batching, no reuseport. The public entry
-    //! points all degrade to one-datagram std I/O.
+    //! Portable stand-in: no batching. The public entry points all
+    //! degrade to one-datagram std I/O.
 
     use super::BatchCapability;
-    use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+    use std::net::{SocketAddr, UdpSocket};
 
     pub(super) fn probe() -> BatchCapability {
         BatchCapability::default()
-    }
-
-    pub(super) fn bind_reuseport(_ip: Ipv4Addr, _port: u16) -> std::io::Result<UdpSocket> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "SO_REUSEPORT needs the x86-64 Linux syscall path",
-        ))
     }
 
     pub(super) fn recv_more(_sock: &UdpSocket, _max: usize) -> Vec<(Vec<u8>, SocketAddr)> {
@@ -451,7 +357,6 @@ mod tests {
         let first = capability();
         let second = capability();
         assert_eq!(first.mmsg, second.mmsg);
-        assert_eq!(first.reuseport, second.reuseport);
     }
 
     #[test]
@@ -518,21 +423,5 @@ mod tests {
             return;
         };
         assert!(recv_more(&rx, BATCH).is_empty());
-    }
-
-    #[test]
-    fn reuseport_sockets_share_one_port() {
-        if !capability().reuseport {
-            eprintln!("skipping: SO_REUSEPORT not available");
-            return;
-        }
-        let ip = std::net::Ipv4Addr::LOCALHOST;
-        let a = bind_reuseport(ip, 0).expect("first reuseport bind");
-        let port = a.local_addr().unwrap().port();
-        let b = bind_reuseport(ip, port).expect("second bind on the same port");
-        assert_eq!(b.local_addr().unwrap().port(), port);
-        // A plain (non-reuseport) bind on the same port must still be
-        // refused — the flag is per-socket, not a free-for-all.
-        assert!(UdpSocket::bind(("127.0.0.1", port)).is_err());
     }
 }

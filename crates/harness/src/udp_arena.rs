@@ -1,10 +1,10 @@
-//! The real-network UDP gateway: one port, every arena and every
+//! The real-network UDP gateway: one socket, every arena and every
 //! server thread behind it.
 //!
 //! ```text
-//!   UDP 127.0.0.1:port ×N (SO_REUSEPORT) ─(pump-in s)─► Connect ──► front port
-//!                                                       Move/Disc ─► arena[k][thread]
-//!   socket s ◄─(send_to, on the sending thread)─ gateway port[s] (a sink) ◄── replies
+//!   UDP 127.0.0.1:port ─(inbound pump)─► Connect ──► front port
+//!                                        Move/Disc ─► arena[k][thread]
+//!   socket ◄─(send_to, on the sending thread)─ gateway port (a sink) ◄── replies
 //! ```
 //!
 //! The paper's server binds one UDP port per thread so each thread has
@@ -17,7 +17,7 @@
 //!
 //! What the gateway knows of a client is one session — reply address,
 //! last arrival, booked placement — in the one striped session book of
-//! the [`Router`] every pump and sink shares; the private `session` module holds
+//! the [`Router`] the pump and the sink share; the private `session` module holds
 //! its lifetime. An admitted `Connect` opens the session *before* it is
 //! forwarded, and only a session with no placement that has been silent
 //! for a rebind grace is ever evicted, so every payload a server emits
@@ -25,48 +25,38 @@
 //! counted `replies_unroutable` on the spot. A datagram takes **one**
 //! stripe lock: in
 //! [`Router::inbound`] (admission, and the booked arena **and** dealt
-//! thread; the shard's seeded fault lottery — drop, duplicate, delay,
+//! thread; the pump's seeded fault lottery — drop, duplicate, delay,
 //! client→server only — then deals the admitted datagram its fate) or
 //! in [`Router::outbound`] (book the placement a `ConnectAck` or
 //! lifecycle notice names, read the address). The paper's server
 //! sends a reply from the thread that built it (§2.1), and so does this
-//! gateway: each shard's gateway port is a sink
+//! gateway: its fabric port is a sink
 //! ([`RealFabric::sink_port`]) that runs `Router::outbound` and one
 //! `send_to` on the thread that sent the payload — a pool worker, a
 //! server thread, or the director mirroring a lifecycle notice — so a
 //! payload's sender books it in send order and no task wakes to
 //! forward it.
 //!
-//! An inbound pump is one blocking `recv_from` with a 10 ms idle
+//! The inbound pump is one blocking `recv_from` with a 10 ms idle
 //! timeout, then decode, route, draw the fates and hand every copy to
 //! the fabric. It schedules nothing: a fault-delayed copy goes in with
 //! its delay ([`RealFabric::send_external_delayed`]) and the
 //! destination port holds it until it is due, as a
-//! [`parquake_fabric::virt::VirtualSmp`] port does. Every pump and
-//! server task stops at the run's `end_time` on the fabric's clock.
+//! [`parquake_fabric::virt::VirtualSmp`] port does. Where batched
+//! syscalls are available (see [`crate::mmsg`]), the pump drains the
+//! rest of a burst with one `recvmmsg` and forwards it into the fabric
+//! under one queue lock per port
+//! ([`parquake_fabric::real::RealFabric::send_external_batch`]). The
+//! pump and every server task stop at the run's `end_time` on the
+//! fabric's clock.
 //!
-//! The gateway runs `gateway_shards` independent shards. Each shard
-//! owns a socket bound to the *same* UDP port via `SO_REUSEPORT` (the
-//! kernel spreads client flows across shard sockets by 4-tuple hash),
-//! one inbound pump, its lottery (shard 0 keeps the configured seed so
-//! a 1-shard gateway replays the exact pre-shard lottery; other shards
-//! salt it) and a [`parquake_metrics::GatewayLane`] the pump alone
-//! writes; the shard's two outbound counters are atomics every sending
-//! thread bumps. Where batched syscalls are available (see
-//! [`crate::mmsg`]), a pump drains datagram bursts with one `recvmmsg`
-//! and forwards them into the fabric under one queue lock
-//! ([`parquake_fabric::real::RealFabric::send_external_batch`]);
-//! elsewhere it degrades to one-datagram std I/O. Replies leave one
-//! `send_to` each.
-//!
-//! Accounting closes at every layer and at every width: each shard's
-//! [`GatewayLane`] closes on its own, the aggregate of the shard lanes
-//! must equal the report's totals, the front door balances, and per
-//! arena `pump_forwarded + director_forwarded == processed +
+//! Accounting closes at every layer: the pump's [`GatewayLane`] closes
+//! on its own and is the report's totals, the front door balances, and
+//! per arena `pump_forwarded + director_forwarded == processed +
 //! queue_dropped + pending_at_shutdown`.
 
 use std::collections::HashMap;
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,9 +98,8 @@ fn recv_stamped(sock: &UdpSocket, buf: &mut [u8]) -> std::io::Result<(usize, Soc
 pub struct UdpArenaOpts {
     /// The single UDP port every arena is served on.
     pub port: u16,
-    /// Shards — a socket and its inbound pump — sharing that port (1 =
-    /// the classic single-pump gateway, byte-identical fault lottery
-    /// included).
+    /// Must be 1: the gateway is one socket and one inbound pump, and
+    /// [`run_udp_arena_server`] refuses any other value.
     pub gateway_shards: u32,
     /// Number of arenas.
     pub arenas: u32,
@@ -180,23 +169,11 @@ impl Default for UdpArenaOpts {
     }
 }
 
-/// The fault seed shard `shard` runs: shard 0 keeps the configured
-/// seed (a 1-shard gateway replays the exact pre-shard lottery);
-/// every other shard salts it so shards draw independent sequences.
-pub(crate) fn shard_fault_seed(base: u64, shard: usize) -> u64 {
-    if shard == 0 {
-        base
-    } else {
-        base ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
 /// One arena's traffic lane through the gateway.
 // lockcheck: identity(pump_forwarded + director_forwarded == processed + queue_dropped + pending_at_shutdown)
 #[derive(Clone, Debug, Default)]
 pub struct ArenaLane {
-    /// Datagrams the pumps (all shards) routed straight to this
-    /// arena's ports.
+    /// Datagrams the pump routed straight to this arena's ports.
     pub pump_forwarded: u64,
     /// Datagrams the director forwarded to this arena's ports.
     pub director_forwarded: u64,
@@ -225,10 +202,10 @@ impl ArenaLane {
 }
 
 /// Summary returned when the arena gateway shuts down.
-// lockcheck: identity(datagrams_in == decode_rejected + spoof_rejected + arena_unknown + fault_dropped + delivered, per-shard and per-lane closure)
+// lockcheck: identity(datagrams_in == decode_rejected + spoof_rejected + arena_unknown + fault_dropped + delivered, gateway-lane and per-arena-lane closure)
 #[derive(Clone, Debug, Default)]
 pub struct UdpArenaReport {
-    /// Datagrams read off the shard sockets (all shards).
+    /// Datagrams read off the socket.
     pub datagrams_in: u64,
     /// Inbound datagrams that failed protocol decode.
     pub decode_rejected: u64,
@@ -251,12 +228,13 @@ pub struct UdpArenaReport {
     pub front_queue_dropped: u64,
     /// Front-door datagrams still queued at shutdown.
     pub front_pending: u64,
-    /// Datagrams written to the shard sockets.
+    /// Datagrams written to the socket.
     pub datagrams_out: u64,
     /// Client-bound payloads whose client has no session.
     pub replies_unroutable: u64,
-    /// Per-shard gateway lanes (one per shard); their aggregate
-    /// must reproduce the totals above.
+    /// The gateway's one lane, which must reproduce the totals above.
+    /// A one-element `Vec` because the benchmark package reads it as
+    /// one.
     pub shards: Vec<GatewayLane>,
     /// Per-arena traffic lanes (one per provisioned cell — an elastic
     /// gateway has lanes past the boot fleet).
@@ -280,9 +258,8 @@ pub struct UdpArenaReport {
 }
 
 impl UdpArenaReport {
-    /// Close the books at every layer and width: each shard's gateway
-    /// lane, the aggregate of the shard lanes against the totals, the
-    /// front door, and each arena's lane.
+    /// Close the books at every layer: the gateway lane on its own and
+    /// against the totals, the front door, and each arena's lane.
     pub fn accounting_closed(&self) -> bool {
         let delivered = self.forwarded - self.fault_duplicated;
         let gateway = self.datagrams_in
@@ -293,27 +270,26 @@ impl UdpArenaReport {
                 + delivered;
         let front =
             self.to_front == self.front_drained + self.front_queue_dropped + self.front_pending;
-        // Per-shard closure, and the shard lanes must *sum* to the
-        // totals — a datagram counted on a shard but lost from the
-        // aggregate (or vice versa) opens the report. Reports built
-        // without shard lanes (unit-test fixtures) skip this layer.
-        let shards = self.shards.is_empty() || {
-            let agg = GatewayLane::aggregate(&self.shards);
-            self.shards.iter().all(|l| l.accounting_closed())
-                && agg.datagrams_in == self.datagrams_in
-                && agg.decode_rejected == self.decode_rejected
-                && agg.spoof_rejected == self.spoof_rejected
-                && agg.arena_unknown == self.arena_unknown
-                && agg.fault_dropped == self.fault_dropped
-                && agg.fault_duplicated == self.fault_duplicated
-                && agg.forwarded == self.forwarded
-                && agg.to_front == self.to_front
-                && agg.datagrams_out == self.datagrams_out
-                && agg.replies_unroutable == self.replies_unroutable
-        };
+        // The lane closes on its own and must *be* the totals — a
+        // datagram counted on the lane but lost from the totals (or
+        // vice versa) opens the report. Reports built without the lane
+        // (unit-test fixtures) skip this layer.
+        let lane = self.shards.iter().all(|l| {
+            l.accounting_closed()
+                && l.datagrams_in == self.datagrams_in
+                && l.decode_rejected == self.decode_rejected
+                && l.spoof_rejected == self.spoof_rejected
+                && l.arena_unknown == self.arena_unknown
+                && l.fault_dropped == self.fault_dropped
+                && l.fault_duplicated == self.fault_duplicated
+                && l.forwarded == self.forwarded
+                && l.to_front == self.to_front
+                && l.datagrams_out == self.datagrams_out
+                && l.replies_unroutable == self.replies_unroutable
+        });
         gateway
             && front
-            && shards
+            && lane
             && self.lanes_missing_counters.is_empty()
             && self.lanes.iter().all(|l| l.accounting_closed())
     }
@@ -417,7 +393,6 @@ impl Router {
     pub(crate) fn new(
         front: PortId,
         arena_ports: Vec<Vec<PortId>>,
-        stripes: usize,
         rebind_grace: Duration,
     ) -> Router {
         let port_pos = arena_ports
@@ -434,7 +409,7 @@ impl Router {
             front,
             arena_ports,
             port_pos,
-            book: SessionBook::new(stripes, rebind_grace),
+            book: SessionBook::new(rebind_grace),
         }
     }
 
@@ -495,22 +470,22 @@ impl Router {
     }
 }
 
-/// One shard's outbound half: the shard's gateway port is sunk into it
+/// The gateway's outbound half: its fabric port is sunk into it
 /// ([`RealFabric::sink_port`]), so a payload leaves from the thread that
 /// sent it — classify, book, one `send_to` — and no task wakes to
 /// forward it. Its counters are bumped by every such thread.
-struct ShardOut {
-    /// This shard's UDP socket (replies leave from the server port).
+struct GatewaySink {
+    /// The gateway's UDP socket (replies leave from the server port).
     sock: UdpSocket,
     router: Arc<Router>,
     datagrams_out: AtomicU64,
     replies_unroutable: AtomicU64,
 }
 
-impl ShardOut {
+impl GatewaySink {
     /// Sink `gw` into `sock`. Set-up only: before `real.run()`.
     fn install(real: &RealFabric, gw: PortId, sock: UdpSocket, router: Arc<Router>) -> Arc<Self> {
-        let out = Arc::new(ShardOut {
+        let out = Arc::new(GatewaySink {
             sock,
             router,
             datagrams_out: AtomicU64::new(0),
@@ -533,23 +508,23 @@ impl ShardOut {
         }
     }
 
-    /// Fold the outbound counters into the shard's lane, after the run.
+    /// Fold the outbound counters into the pump's lane, after the run.
     fn fold_into(&self, lane: &mut GatewayLane) {
         lane.datagrams_out += self.datagrams_out.load(Ordering::Relaxed);
         lane.replies_unroutable += self.replies_unroutable.load(Ordering::Relaxed);
     }
 }
 
-/// One shard's inbound pump: a plain OS thread demuxing the shard's
-/// socket to the front door and every arena. It owns everything it
+/// The gateway's inbound pump: a plain OS thread demuxing the socket
+/// to the front door and every arena. It owns everything it
 /// writes — lane, lottery, outbox; only the router is shared. When a
 /// copy is delivered is the fabric's business: a fault-delayed copy is
 /// handed in with its delay, and the destination port holds it.
 struct InboundPump {
     sock: UdpSocket,
     real: Arc<RealFabric>,
-    /// The shard's gateway port: the fabric source of everything
-    /// forwarded here, so the replies come back to this shard.
+    /// The gateway's fabric port: the source of everything forwarded
+    /// here, so the replies come back to the sink.
     gw: PortId,
     router: Arc<Router>,
     lottery: FaultLottery,
@@ -637,43 +612,12 @@ impl InboundPump {
     }
 }
 
-/// Bind the shard sockets for one gateway port: `SO_REUSEPORT` siblings
-/// where the host has it, else (and at one shard) one plain socket every
-/// pump shares via `try_clone`, the kernel waking one blocked reader
-/// per datagram.
-fn bind_shard_sockets(port: u16, shards: usize) -> std::io::Result<Vec<UdpSocket>> {
-    if shards > 1 && mmsg::capability().reuseport {
-        // All sockets on the port must carry the flag (a plain bind
-        // blocks later reuseport binds), so the first one is bound
-        // through the raw path too.
-        let bound = (|| {
-            let first = mmsg::bind_reuseport(Ipv4Addr::LOCALHOST, port).ok()?;
-            let bound_port = first.local_addr().ok()?.port();
-            let mut socks = vec![first];
-            for _ in 1..shards {
-                socks.push(mmsg::bind_reuseport(Ipv4Addr::LOCALHOST, bound_port).ok()?);
-            }
-            Some(socks)
-        })();
-        if let Some(socks) = bound {
-            return Ok(socks);
-        }
-        // A partial failure dropped every socket above; fall through to
-        // the shared-socket fallback on a fresh plain bind.
-    }
-    let first = UdpSocket::bind(("127.0.0.1", port))?;
-    let clones: Vec<UdpSocket> = (1..shards)
-        .map(|_| first.try_clone())
-        .collect::<std::io::Result<_>>()?;
-    Ok(std::iter::once(first).chain(clones).collect())
-}
-
-/// Run the arena directory behind `gateway_shards` shards on one
-/// real UDP port until `opts.duration` elapses. Returns the layered
-/// traffic report. Fails with `InvalidInput` on a network fault
-/// profile [`FaultConfig::validate`] refuses or an option combination
-/// [`ArenaDirectoryConfig::validate`] refuses, and with the bind error
-/// when the port cannot be had.
+/// Run the arena directory behind one gateway socket on one real UDP
+/// port until `opts.duration` elapses. Returns the layered traffic
+/// report. Fails with `InvalidInput` on a `gateway_shards` other than
+/// 1, a network fault profile [`FaultConfig::validate`] refuses or an
+/// option combination [`ArenaDirectoryConfig::validate`] refuses, and
+/// with the bind error when the port cannot be had.
 pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaReport> {
     let kind = if opts.threads > 1 {
         ServerKind::Parallel {
@@ -683,13 +627,11 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     } else {
         ServerKind::Sequential
     };
-    let shards = opts.gateway_shards.max(1) as usize;
     let (real, fabric) = RealFabric::new_arc_pair();
     let end_time: Nanos = opts.duration.as_nanos() as Nanos;
-    // One gateway fabric port per shard carries that shard's replies
-    // out; the directory's lifecycle tap (slot-churn notices) rides on
-    // shard 0, and the shared book shows every shard what it learns.
-    let gw_ports: Vec<PortId> = (0..shards).map(|_| fabric.alloc_port()).collect();
+    // The gateway's fabric port carries the replies out, and the
+    // directory's lifecycle tap (slot-churn notices) rides on it.
+    let gw = fabric.alloc_port();
     let server = ServerConfig {
         client_timeout_ns: opts.client_timeout.as_nanos() as Nanos,
         interest: opts.interest,
@@ -703,19 +645,28 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
         supervision: opts.supervision.clone(),
         migrate_spread: opts.migrate_spread,
         migrate_drain: opts.migrate_drain,
-        lifecycle_tap: Some(gw_ports[0]),
+        lifecycle_tap: Some(gw),
         ..ArenaDirectoryConfig::new(opts.arenas, opts.slots_per_arena, server)
     };
-    opts.fault
-        .validate()
+    let one_socket = if opts.gateway_shards == 1 {
+        Ok(())
+    } else {
+        Err(format!(
+            "gateway_shards must be 1 (the gateway is one socket), got {}",
+            opts.gateway_shards
+        ))
+    };
+    one_socket
+        .and_then(|()| opts.fault.validate())
         .and_then(|()| dir_cfg.validate())
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     // Before the worlds are built: a port that cannot be had fails at
     // once, and what arrives during set-up waits in the socket.
-    let socks = bind_shard_sockets(opts.port, shards)?;
+    let sock = UdpSocket::bind(("127.0.0.1", opts.port))?;
+    sock.set_read_timeout(Some(PUMP_IDLE_TIMEOUT))?;
     let handle = spawn_directory(&fabric, dir_cfg);
     // Every provisioned cell, including elastic headroom past the boot
-    // fleet — the pumps route to (and the report covers) all of them.
+    // fleet — the pump routes to (and the report covers) all of them.
     let cells = handle.arena_ports.len();
     let rebind_grace = if opts.client_timeout.is_zero() {
         Duration::from_secs(1)
@@ -725,52 +676,27 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
     let router = Arc::new(Router::new(
         handle.front_port,
         handle.arena_ports.clone(),
-        shards,
         rebind_grace,
     ));
 
-    let mut outs = Vec::with_capacity(shards);
-    let mut pumps = Vec::with_capacity(shards);
-    for (shard, (&gw, sock)) in gw_ports.iter().zip(&socks).enumerate() {
-        outs.push(ShardOut::install(
-            &real,
-            gw,
-            sock.try_clone()?,
-            router.clone(),
-        ));
-        // The one receive timeout of the socket every clone shares.
-        sock.set_read_timeout(Some(PUMP_IDLE_TIMEOUT))?;
-        let pump = InboundPump {
-            sock: sock.try_clone()?,
-            real: real.clone(),
-            gw,
-            router: router.clone(),
-            lottery: FaultLottery::new(FaultConfig {
-                seed: shard_fault_seed(opts.fault.seed, shard),
-                ..opts.fault.clone()
-            }),
-            lane: GatewayLane::new(shard),
-            to_arena: vec![0; cells],
-            outbox: Vec::new(),
-        };
-        pumps.push(std::thread::spawn(move || pump.run(end_time)));
-    }
+    let sink = GatewaySink::install(&real, gw, sock.try_clone()?, router.clone());
+    let pump = InboundPump {
+        sock,
+        real: real.clone(),
+        gw,
+        router,
+        lottery: FaultLottery::new(opts.fault.clone()),
+        lane: GatewayLane::default(),
+        to_arena: vec![0; cells],
+        outbox: Vec::new(),
+    };
+    let pump = std::thread::spawn(move || pump.run(end_time));
 
     fabric.run();
-    let mut shard_lanes: Vec<GatewayLane> = Vec::with_capacity(shards);
-    let mut pump_to_arena = vec![0u64; cells];
-    for pump in pumps {
-        let (lane, to_arena) = pump.join().expect("inbound pump panicked");
-        for (total, v) in pump_to_arena.iter_mut().zip(to_arena) {
-            *total += v;
-        }
-        shard_lanes.push(lane);
-    }
-    // No task is left to send through a sink.
-    for (lane, out) in shard_lanes.iter_mut().zip(&outs) {
-        out.fold_into(lane);
-    }
-    Ok(build_report(&fabric, handle, shard_lanes, &pump_to_arena))
+    let (mut lane, pump_to_arena) = pump.join().expect("inbound pump panicked");
+    // No task is left to send through the sink.
+    sink.fold_into(&mut lane);
+    Ok(build_report(&fabric, handle, lane, &pump_to_arena))
 }
 
 /// Read the directory's report and the ports' counters into the
@@ -778,10 +704,9 @@ pub fn run_udp_arena_server(opts: &UdpArenaOpts) -> std::io::Result<UdpArenaRepo
 fn build_report(
     fabric: &Arc<dyn Fabric>,
     handle: ArenaHandle,
-    shard_lanes: Vec<GatewayLane>,
+    lane: GatewayLane,
     pump_to_arena: &[u64],
 ) -> UdpArenaReport {
-    let agg = GatewayLane::aggregate(&shard_lanes);
     let (front_port, arena_ports) = (handle.front_port, handle.arena_ports.clone());
     let DirectoryReport {
         results,
@@ -824,20 +749,20 @@ fn build_report(
         });
     }
     UdpArenaReport {
-        datagrams_in: agg.datagrams_in,
-        decode_rejected: agg.decode_rejected,
-        spoof_rejected: agg.spoof_rejected,
-        arena_unknown: agg.arena_unknown,
-        fault_dropped: agg.fault_dropped,
-        fault_duplicated: agg.fault_duplicated,
-        forwarded: agg.forwarded,
-        to_front: agg.to_front,
+        datagrams_in: lane.datagrams_in,
+        decode_rejected: lane.decode_rejected,
+        spoof_rejected: lane.spoof_rejected,
+        arena_unknown: lane.arena_unknown,
+        fault_dropped: lane.fault_dropped,
+        fault_duplicated: lane.fault_duplicated,
+        forwarded: lane.forwarded,
+        to_front: lane.to_front,
         front_drained: admission.drained(),
         front_queue_dropped: fabric.port_dropped(front_port),
         front_pending: fabric.port_pending(front_port) as u64,
-        datagrams_out: agg.datagrams_out,
-        replies_unroutable: agg.replies_unroutable,
-        shards: shard_lanes,
+        datagrams_out: lane.datagrams_out,
+        replies_unroutable: lane.replies_unroutable,
+        shards: vec![lane],
         lanes,
         lanes_missing_counters,
         admission,
@@ -885,38 +810,34 @@ const CLIENT_STOP_POLL: Duration = Duration::from_millis(50);
 /// players, one jittered move per 30 ms client frame, Connect retry
 /// with back-off, a 1 s starvation watchdog, reply-seq dedup,
 /// re-homing on unsolicited acks) on a `RealFabric` of its own,
-/// bridged to sockets for `duration` (DESIGN.md §7):
+/// bridged to one socket for `duration` (DESIGN.md §7):
 ///
 /// ```text
-///   driver d ──► egress port ─(a sink: send_to on d's thread)─► socket d ──► server
-///   driver d ◄── driver port d ◄───(one OS thread per socket)─── socket d
+///   driver ──► egress port ─(a sink: send_to on the driver's thread)─► socket ──► server
+///   driver ◄── driver port ◄──────────────(one OS thread)───────────── socket
 /// ```
 ///
 /// Behind the egress port sits a single server address, so every arena
 /// of the swarm's topology, and its front door, is that one port.
 /// Inbound datagrams are injected with the egress port as their
-/// source, which is what the drivers expect of a server reply.
+/// source, which is what the driver expects of a server reply.
 ///
 /// Bot `i` requests arena `i % arenas`, also when it falls back to the
 /// handshake (moot while the director still books the session —
 /// placement is sticky). With `ramp = Some((up, hold, down))` bots join
 /// staggered over the up window and leave (with a `Disconnect`)
 /// staggered over the down window — the load shape that exercises an
-/// elastic gateway. The bots are dealt to `sockets` drivers in
-/// contiguous blocks, one client socket per spawned driver: a sharded
-/// `SO_REUSEPORT` gateway balances 4-tuples, not datagrams, so driving
-/// S shards needs at least S client sockets. Given a compiled map in
-/// `predict` (bit-identical to the server's — both sides default to
-/// [`UdpArenaOpts::default`]'s generator), every bot predicts locally,
-/// opts into the Move/Reply trailer and reconciles against each reply;
-/// the outcome then carries the prediction ledger and its oracle.
+/// elastic gateway. Given a compiled map in `predict` (bit-identical to
+/// the server's — both sides default to [`UdpArenaOpts::default`]'s
+/// generator), every bot predicts locally, opts into the Move/Reply
+/// trailer and reconciles against each reply; the outcome then carries
+/// the prediction ledger and its oracle.
 pub fn run_udp_clients(
     server: SocketAddr,
     arenas: u32,
     players: u32,
     duration: Duration,
     ramp: Option<(Duration, Duration, Duration)>,
-    sockets: u32,
     predict: Option<Arc<parquake_bsp::BspWorld>>,
 ) -> std::io::Result<ClientOutcome> {
     let arenas = arenas.max(1);
@@ -924,8 +845,7 @@ pub fn run_udp_clients(
     let egress = fabric.alloc_port();
     let end_time: Nanos = duration.as_nanos() as Nanos;
     let cfg = BotSwarmConfig {
-        // A bare `clamp(1, 0)` panics.
-        drivers: sockets.clamp(1, players.max(1)),
+        drivers: 1,
         ramp: ramp.map(|(up, hold, down)| SwarmRamp::UpDown {
             ramp_up_ns: up.as_nanos() as Nanos,
             hold_ns: hold.as_nanos() as Nanos,
@@ -939,62 +859,41 @@ pub fn run_udp_clients(
         connect_port: Some(egress),
     };
     let swarm = spawn_swarm_multi(&fabric, &cfg, &topology, |c| ((c % arenas) as u16, 0));
-    // One socket per *spawned* driver: fewer players than sockets
-    // spawn fewer drivers, and nothing may index past them.
-    let socks: Vec<UdpSocket> = swarm
-        .driver_ports
-        .iter()
-        .map(|_| {
-            let s = UdpSocket::bind("127.0.0.1:0")?;
-            s.set_read_timeout(Some(CLIENT_STOP_POLL))?;
-            Ok(s)
-        })
-        .collect::<std::io::Result<_>>()?;
+    let sock = UdpSocket::bind("127.0.0.1:0")?;
+    sock.set_read_timeout(Some(CLIENT_STOP_POLL))?;
 
-    // Outbound: the egress port is sunk into the sockets, so a
-    // driver's payload leaves on its own socket from its own thread.
+    // Outbound: the egress port is sunk into the socket, so a payload
+    // leaves from the driver's thread.
     let sent = Arc::new(AtomicU64::new(0));
     {
-        let out_socks: Vec<UdpSocket> = socks
-            .iter()
-            .map(UdpSocket::try_clone)
-            .collect::<std::io::Result<_>>()?;
-        let driver_ports = swarm.driver_ports.clone();
-        let sent = sent.clone();
-        real.sink_port(egress, move |from, payload| {
-            let Some(d) = driver_ports.iter().position(|&p| p == from) else {
-                return;
-            };
-            if out_socks[d].send_to(&payload, server).is_ok() {
+        let (out, sent) = (sock.try_clone()?, sent.clone());
+        real.sink_port(egress, move |_, payload| {
+            if out.send_to(&payload, server).is_ok() {
                 sent.fetch_add(1, Ordering::Relaxed);
             }
         });
     }
 
-    // Inbound: one plain OS thread per socket, injecting into its
-    // driver's port. No timer on the path — the read timeout exists
-    // only to observe `stop`.
+    // Inbound: one plain OS thread injecting into the driver's port
+    // (zero players spawn no driver, and no thread). No timer on the
+    // path — the read timeout exists only to observe `stop`.
     let stop = Arc::new(AtomicBool::new(false));
-    let inbound: Vec<std::thread::JoinHandle<()>> = socks
-        .into_iter()
-        .zip(swarm.driver_ports.iter().copied())
-        .map(|(sock, port)| {
-            let real = real.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut buf = [0u8; MAX_DATAGRAM];
-                while !stop.load(Ordering::Relaxed) {
-                    if let Ok((len, _)) = sock.recv_from(&mut buf) {
-                        real.send_external(egress, port, buf[..len].to_vec());
-                    }
+    let inbound = swarm.driver_ports.first().map(|&port| {
+        let real = real.clone();
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut buf = [0u8; MAX_DATAGRAM];
+            while !stop.load(Ordering::Relaxed) {
+                if let Ok((len, _)) = sock.recv_from(&mut buf) {
+                    real.send_external(egress, port, buf[..len].to_vec());
                 }
-            })
+            }
         })
-        .collect();
+    });
 
     fabric.run();
     stop.store(true, Ordering::Relaxed);
-    for t in inbound {
+    if let Some(t) = inbound {
         t.join().expect("client inbound thread panicked");
     }
 
@@ -1087,7 +986,7 @@ mod tests {
     /// A router over a synthetic 2-arena × 2-thread port table, and a
     /// lane for it to count refusals in.
     fn two_by_two() -> (Router, GatewayLane) {
-        let router = Router::new(FRONT_PORT, vec![vec![10, 11], vec![20, 21]], 1, GRACE);
+        let router = Router::new(FRONT_PORT, vec![vec![10, 11], vec![20, 21]], GRACE);
         (router, GatewayLane::default())
     }
 
@@ -1100,7 +999,7 @@ mod tests {
     }
 
     /// [`Router::outbound`], counting an unroutable payload in `lane`
-    /// as a shard's sink does.
+    /// as the gateway's sink does.
     fn outbound(
         router: &Router,
         lane: &mut GatewayLane,
@@ -1411,7 +1310,7 @@ mod tests {
             "dedicated parallel arena should expose one port per thread"
         );
         let front = handle.front_port;
-        let router = Arc::new(Router::new(front, handle.arena_ports.clone(), 1, GRACE));
+        let router = Arc::new(Router::new(front, handle.arena_ports.clone(), GRACE));
         let from = addr(4000);
 
         let task_router = router.clone();
@@ -1461,10 +1360,10 @@ mod tests {
 
     /// A payload for a client with no session is counted
     /// `replies_unroutable` when it is sent — nothing is retained — and
-    /// a routable one leaves on the shard socket before `send` returns.
+    /// a routable one leaves on the gateway socket before `send` returns.
     #[test]
     fn reply_for_a_client_with_no_session_is_unroutable_at_once() {
-        let (Ok(client_sock), Ok(shard_sock)) = (
+        let (Ok(client_sock), Ok(gateway_sock)) = (
             UdpSocket::bind("127.0.0.1:0"),
             UdpSocket::bind("127.0.0.1:0"),
         ) else {
@@ -1477,7 +1376,7 @@ mod tests {
         let client_addr = client_sock.local_addr().unwrap();
         let (real, fabric) = RealFabric::new_arc_pair();
         let gw = fabric.alloc_port();
-        let router = Arc::new(Router::new(FRONT_PORT, vec![vec![10]], 1, GRACE));
+        let router = Arc::new(Router::new(FRONT_PORT, vec![vec![10]], GRACE));
         router
             .inbound(
                 &mut GatewayLane::default(),
@@ -1486,10 +1385,10 @@ mod tests {
                 Instant::now(),
             )
             .unwrap();
-        let out = ShardOut::install(&real, gw, shard_sock, router);
+        let out = GatewaySink::install(&real, gw, gateway_sock, router);
         // Client 42 never connected; client 7's reply follows its.
         real.send_external(gw, gw, reply(42));
-        let mut lane = GatewayLane::new(0);
+        let mut lane = GatewayLane::default();
         out.fold_into(&mut lane);
         assert_eq!((lane.replies_unroutable, lane.datagrams_out), (1, 0));
         real.send_external(gw, gw, reply(7));
@@ -1500,7 +1399,7 @@ mod tests {
             .recv_from(&mut buf)
             .expect("routable reply not sent");
         assert_eq!(buf[..n], reply(7)[..]);
-        let mut lane = GatewayLane::new(0);
+        let mut lane = GatewayLane::default();
         out.fold_into(&mut lane);
         assert_eq!((lane.replies_unroutable, lane.datagrams_out), (1, 1));
         assert!(lane.accounting_closed(), "{lane:?}");
@@ -1508,7 +1407,7 @@ mod tests {
 
     #[test]
     fn striped_book_is_coherent_across_stripes() {
-        let book = SessionBook::new(4, GRACE);
+        let book = SessionBook::new(GRACE);
         let now = Instant::now();
         let home = |cid: u32| (addr(4000 + (cid % 7) as u16), (cid % 3) as u16);
         for cid in 0..256u32 {
@@ -1594,18 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_zero_keeps_the_configured_fault_seed() {
-        // Byte-identity anchor: at `--gateway-shards 1` the only pump
-        // draws the exact pre-shard lottery sequence.
-        assert_eq!(shard_fault_seed(0xDEAD_BEEF, 0), 0xDEAD_BEEF);
-        assert_ne!(shard_fault_seed(0xDEAD_BEEF, 1), 0xDEAD_BEEF);
-        assert_ne!(
-            shard_fault_seed(0xDEAD_BEEF, 1),
-            shard_fault_seed(0xDEAD_BEEF, 2)
-        );
-    }
-
-    #[test]
     fn missing_lane_counters_keep_the_report_open() {
         let mut r = UdpArenaReport {
             lanes: vec![balanced_lane()],
@@ -1643,98 +1530,33 @@ mod tests {
     }
 
     #[test]
-    fn report_requires_shard_lanes_to_sum_to_totals() {
-        let shard = |s: usize, datagrams: u64| GatewayLane {
-            shard: s,
-            datagrams_in: datagrams,
-            forwarded: datagrams,
+    fn report_requires_the_gateway_lane_to_be_the_totals() {
+        let lane = GatewayLane {
+            datagrams_in: 30,
+            forwarded: 30,
             ..GatewayLane::default()
         };
         let mut r = UdpArenaReport {
             datagrams_in: 30,
             forwarded: 30,
             to_front: 0,
-            shards: vec![shard(0, 10), shard(1, 20)],
+            shards: vec![lane],
             ..UdpArenaReport::default()
         };
         assert!(r.accounting_closed(), "{r:?}");
-        // A shard lane that doesn't close opens the report…
+        // A lane that doesn't close opens the report…
         r.shards[0].fault_dropped += 1;
         assert!(!r.accounting_closed(), "{r:?}");
         r.shards[0].fault_dropped -= 1;
-        // …and closed shard lanes that don't SUM to the totals (a
-        // datagram counted on a shard but missing from the aggregate)
-        // open it too.
-        r.shards[1].datagrams_in -= 5;
-        r.shards[1].forwarded -= 5;
+        // …and a closed lane that isn't the totals (a datagram counted
+        // on the lane but missing from the totals) opens it too.
+        r.shards[0].datagrams_in -= 5;
+        r.shards[0].forwarded -= 5;
         assert!(!r.accounting_closed(), "{r:?}");
-    }
-
-    /// Satellite: the per-shard counter model. Any partition of one
-    /// seeded fate stream across shards must (a) leave every shard
-    /// lane individually closed and (b) sum exactly to the lane a
-    /// single-socket gateway would have counted for the same stream —
-    /// sharding the gateway must never create or lose a datagram fate.
-    fn apply_fate(lane: &mut GatewayLane, fate: u8, dups: u8) {
-        match fate % 5 {
-            0 => {
-                lane.datagrams_in += 1;
-                lane.decode_rejected += 1;
-            }
-            1 => {
-                lane.datagrams_in += 1;
-                lane.spoof_rejected += 1;
-            }
-            2 => {
-                lane.datagrams_in += 1;
-                lane.arena_unknown += 1;
-            }
-            3 => {
-                lane.datagrams_in += 1;
-                lane.fault_dropped += 1;
-            }
-            _ => {
-                let copies = 1 + u64::from(dups % 3);
-                lane.datagrams_in += 1;
-                lane.fault_duplicated += copies - 1;
-                lane.forwarded += copies;
-                if fate % 2 == 0 {
-                    lane.to_front += 1;
-                }
-            }
-        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn sharded_lanes_sum_to_the_single_socket_totals(
-            stream in prop::collection::vec((any::<u8>(), any::<u8>(), 0usize..4), 0..200),
-            shards in 1usize..4,
-        ) {
-            let mut single = GatewayLane::new(0);
-            let mut lanes: Vec<GatewayLane> =
-                (0..shards).map(GatewayLane::new).collect();
-            for &(fate, dups, pick) in &stream {
-                apply_fate(&mut single, fate, dups);
-                apply_fate(&mut lanes[pick % shards], fate, dups);
-            }
-            for lane in &lanes {
-                prop_assert!(lane.accounting_closed(), "shard lane open: {lane:?}");
-            }
-            prop_assert!(single.accounting_closed());
-            let agg = GatewayLane::aggregate(&lanes);
-            prop_assert_eq!(agg.datagrams_in, single.datagrams_in);
-            prop_assert_eq!(agg.decode_rejected, single.decode_rejected);
-            prop_assert_eq!(agg.spoof_rejected, single.spoof_rejected);
-            prop_assert_eq!(agg.arena_unknown, single.arena_unknown);
-            prop_assert_eq!(agg.fault_dropped, single.fault_dropped);
-            prop_assert_eq!(agg.fault_duplicated, single.fault_duplicated);
-            prop_assert_eq!(agg.forwarded, single.forwarded);
-            prop_assert_eq!(agg.to_front, single.to_front);
-            prop_assert!(agg.accounting_closed());
-        }
 
         /// Any interleaving of Connects, Moves, Disconnects, acks,
         /// replies, `Bye`s and lifecycle notices over a few busy

@@ -33,6 +33,9 @@ use super::GwPlacement;
 /// No stripe is swept below this many sessions.
 const SWEEP_FLOOR: usize = 64;
 
+/// Stripes of the book (a power of two).
+const STRIPES: usize = 4;
+
 /// Everything the gateway knows of one client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Session {
@@ -129,23 +132,20 @@ impl Stripe {
     }
 }
 
-/// The client-keyed session book, split over `max(4, shards)` stripes
-/// so gateway pumps on different shards almost never contend on one
-/// lock, while every shard still sees every session (a Connect admitted
-/// on shard 0 routes the reply leaving through shard 1). Each method
-/// takes one stripe lock.
+/// The client-keyed session book, split over [`STRIPES`] stripes so the
+/// inbound pump and the threads sending replies through the sink seldom
+/// contend on one lock. Each method takes one stripe lock.
 pub(crate) struct SessionBook {
-    stripes: Vec<Mutex<Stripe>>,
+    stripes: [Mutex<Stripe>; STRIPES],
     /// The rebind grace, which is also how long a placement-less
     /// session may stay silent before a sweep may evict it.
     grace: Duration,
 }
 
 impl SessionBook {
-    pub(crate) fn new(stripes: usize, grace: Duration) -> SessionBook {
-        let n = stripes.max(4).next_power_of_two();
+    pub(crate) fn new(grace: Duration) -> SessionBook {
         SessionBook {
-            stripes: (0..n).map(|_| Mutex::default()).collect(),
+            stripes: std::array::from_fn(|_| Mutex::default()),
             grace,
         }
     }
@@ -154,8 +154,8 @@ impl SessionBook {
     /// power-of-two stripe count).
     fn with<R>(&self, cid: u32, f: impl FnOnce(&mut Stripe) -> R) -> R {
         let h = (cid.wrapping_mul(0x9E37_79B9) >> 16) as usize;
-        let stripe = &self.stripes[h & (self.stripes.len() - 1)];
-        let mut stripe = stripe.lock().expect("a pump panicked holding this stripe"); // lockcheck: allow(raw-sync: striped gateway book shared with OS-thread pumps outside the fabric)
+        let stripe = &self.stripes[h & (STRIPES - 1)];
+        let mut stripe = stripe.lock().expect("a pump panicked holding this stripe"); // lockcheck: allow(raw-sync: striped gateway book shared with the OS-thread pump outside the fabric)
         f(&mut stripe)
     }
 

@@ -105,7 +105,7 @@ fn post_restart_replies_survive_the_dedup_window() {
         (pre_crash, post_crash)
     });
 
-    let out = run_udp_clients(addr, 1, 1, CLIENT_RUN, None, 1, None).expect("client loop failed");
+    let out = run_udp_clients(addr, 1, 1, CLIENT_RUN, None, None).expect("client loop failed");
     let (sent, received) = (out.sent, out.received);
     let (pre_crash, post_crash) = server.join().unwrap();
 

@@ -16,6 +16,10 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
     run_bin(env!("CARGO_BIN_EXE_udpd"), args)
 }
 
+fn client(args: &[&str]) -> (Option<i32>, String) {
+    run_bin(env!("CARGO_BIN_EXE_udp_client"), args)
+}
+
 fn repro(args: &[&str]) -> (Option<i32>, String) {
     run_bin(env!("CARGO_BIN_EXE_repro"), args)
 }
@@ -84,6 +88,22 @@ fn faults_are_named_profiles_not_knobs() {
 }
 
 #[test]
+fn the_gateway_and_the_client_have_one_socket_each() {
+    // The gateway is one socket and the client one: neither takes a
+    // width, so asking for one is an unknown option, refused before any
+    // socket is bound.
+    let (code, stderr) = run(&["--secs", "1", "--gateway-shards", "2"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown option --gateway-shards"),
+        "{stderr}"
+    );
+    let (code, stderr) = client(&["--secs", "1", "--sockets", "4"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option --sockets"), "{stderr}");
+}
+
+#[test]
 fn repro_unknown_subcommand_is_a_usage_error() {
     let (code, stderr) = repro(&["fig99"]);
     assert_eq!(code, Some(2), "{stderr}");
@@ -93,7 +113,7 @@ fn repro_unknown_subcommand_is_a_usage_error() {
     // line while the names were kept in four places).
     let (code, stderr) = repro(&[]);
     assert_eq!(code, Some(2), "{stderr}");
-    for name in ["table1", "fig7c", "gatewaysweep", "timeline", "all"] {
+    for name in ["table1", "fig7c", "interestsweep", "timeline", "all"] {
         assert!(stderr.contains(name), "usage omits {name}: {stderr}");
     }
 }

@@ -1,13 +1,12 @@
-//! Per-shard gateway accounting.
+//! Gateway accounting.
 //!
-//! The sharded UDP gateway runs one inbound pump per shard socket;
-//! every datagram a pump reads must be attributed to exactly one fate
-//! so that losing a datagram inside the gateway is impossible without
-//! the books refusing to close. Each pump owns a [`GatewayLane`]
-//! (no sharing, no locks); the run report keeps the per-shard lanes
-//! *and* their sum, and both levels must close.
+//! The UDP gateway runs one inbound pump on its socket; every datagram
+//! the pump reads must be attributed to exactly one fate so that losing
+//! a datagram inside the gateway is impossible without the books
+//! refusing to close. The pump owns a [`GatewayLane`] (no sharing, no
+//! locks), and the run report keeps it beside the totals it must equal.
 
-/// Fate accounting for one gateway shard's inbound pump.
+/// Fate accounting for the gateway's inbound pump.
 ///
 /// Closing identity: everything read off the socket is rejected,
 /// dropped by fault injection, or forwarded into the fabric — and
@@ -16,9 +15,7 @@
 // lockcheck: identity(datagrams_in + fault_duplicated == decode_rejected + spoof_rejected + arena_unknown + fault_dropped + forwarded)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GatewayLane {
-    /// Which shard socket this lane counts (0-based).
-    pub shard: usize,
-    /// Datagrams read off this shard's socket.
+    /// Datagrams read off the socket.
     pub datagrams_in: u64,
     /// Datagrams that failed protocol decode.
     pub decode_rejected: u64,
@@ -42,7 +39,7 @@ pub struct GatewayLane {
     /// leaves with one `send_to` from the thread that built it. Kept
     /// for the readers that compute datagrams per send call.
     pub batched_sends: u64,
-    /// Replies written back to client sockets through this shard's
+    /// Replies written back to client sockets through the gateway's
     /// socket, by whichever thread sent them.
     pub datagrams_out: u64,
     /// Client-bound payloads whose client has no session in the
@@ -51,15 +48,7 @@ pub struct GatewayLane {
 }
 
 impl GatewayLane {
-    /// A fresh lane for shard `shard`.
-    pub fn new(shard: usize) -> GatewayLane {
-        GatewayLane {
-            shard,
-            ..GatewayLane::default()
-        }
-    }
-
-    /// Prove the shard's fate identity: every datagram read (plus each
+    /// Prove the lane's fate identity: every datagram read (plus each
     /// duplicate the fault lottery minted) is accounted for by exactly
     /// one rejection, drop, or forward.
     pub fn accounting_closed(&self) -> bool {
@@ -71,42 +60,14 @@ impl GatewayLane {
                 + self.forwarded
             && self.to_front <= self.forwarded
     }
-
-    /// Fold another lane's counters into this one (shard index of the
-    /// receiver is kept — used to build the aggregate lane).
-    pub fn absorb(&mut self, other: &GatewayLane) {
-        self.datagrams_in += other.datagrams_in;
-        self.decode_rejected += other.decode_rejected;
-        self.spoof_rejected += other.spoof_rejected;
-        self.arena_unknown += other.arena_unknown;
-        self.fault_dropped += other.fault_dropped;
-        self.fault_duplicated += other.fault_duplicated;
-        self.forwarded += other.forwarded;
-        self.to_front += other.to_front;
-        self.batched_recvs += other.batched_recvs;
-        self.batched_sends += other.batched_sends;
-        self.datagrams_out += other.datagrams_out;
-        self.replies_unroutable += other.replies_unroutable;
-    }
-
-    /// Sum a set of shard lanes into one aggregate lane (shard index
-    /// `usize::MAX` marks it as the aggregate, not a real socket).
-    pub fn aggregate<'a>(lanes: impl IntoIterator<Item = &'a GatewayLane>) -> GatewayLane {
-        let mut total = GatewayLane::new(usize::MAX);
-        for lane in lanes {
-            total.absorb(lane);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn closed_lane(shard: usize) -> GatewayLane {
+    fn closed_lane() -> GatewayLane {
         GatewayLane {
-            shard,
             datagrams_in: 100,
             decode_rejected: 3,
             spoof_rejected: 2,
@@ -124,45 +85,20 @@ mod tests {
 
     #[test]
     fn lane_identity_closes_on_consistent_counts() {
-        assert!(closed_lane(0).accounting_closed());
+        assert!(closed_lane().accounting_closed());
     }
 
     #[test]
     fn lane_identity_refuses_a_lost_datagram() {
-        let mut lane = closed_lane(0);
+        let mut lane = closed_lane();
         lane.forwarded -= 1; // one datagram vanished inside the pump
         assert!(!lane.accounting_closed());
     }
 
     #[test]
     fn lane_identity_refuses_front_exceeding_forwarded() {
-        let mut lane = closed_lane(0);
+        let mut lane = closed_lane();
         lane.to_front = lane.forwarded + 1;
         assert!(!lane.accounting_closed());
-    }
-
-    #[test]
-    fn aggregate_of_closed_lanes_is_closed() {
-        let lanes = vec![closed_lane(0), closed_lane(1), closed_lane(2)];
-        let total = GatewayLane::aggregate(&lanes);
-        assert!(total.accounting_closed());
-        assert_eq!(total.shard, usize::MAX);
-        assert_eq!(
-            total.datagrams_in,
-            lanes.iter().map(|l| l.datagrams_in).sum::<u64>()
-        );
-        assert_eq!(
-            total.forwarded,
-            lanes.iter().map(|l| l.forwarded).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn aggregate_surfaces_any_open_shard() {
-        let mut bad = closed_lane(1);
-        bad.fault_dropped += 7; // drops recorded but reads missing
-        let lanes = vec![closed_lane(0), bad];
-        let total = GatewayLane::aggregate(&lanes);
-        assert!(!total.accounting_closed());
     }
 }

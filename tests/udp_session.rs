@@ -57,8 +57,7 @@ fn session(fault: FaultConfig, interest: InterestMode) -> Option<(ClientOutcome,
         interest,
         ..UdpArenaOpts::default()
     })?;
-    let out =
-        run_udp_clients(addr, 1, 6, Duration::from_secs(3), None, 1, None).expect("client run");
+    let out = run_udp_clients(addr, 1, 6, Duration::from_secs(3), None, None).expect("client run");
     let report = server.join().unwrap().expect("server run");
     Some((out, report))
 }
