@@ -1000,7 +1000,9 @@ fn run_arena_frame_supervised(ctx: &TaskCtx, cell: &ArenaCell) {
             // Modelled time, so a virtual-fabric-only fault: `charge`
             // costs nothing on `RealFabric`, and no real path (`udpd`
             // exposes only the panic lottery) can configure a stall.
-            FrameFault::Stuck(ns) => ctx.charge(ns),
+            FrameFault::Stuck(ns) => {
+                ctx.charge(ns);
+            }
             FrameFault::None => {}
         }
     }

@@ -119,12 +119,14 @@ pub trait Fabric: Send + Sync {
 
     /// Current time for `task`.
     fn now(&self, task: TaskId) -> Nanos;
-    /// Account `ns` of modelled CPU work to `task`. The modelled
-    /// machine exists only in virtual time: [`virt::VirtualSmp`]
-    /// advances the task's clock by exactly `ns` (HT/bus-scaled);
-    /// [`real::RealFabric`] ignores the call — on wall-clock time the
-    /// code that ran *is* the cost, and `now()` deltas measure it.
-    fn charge(&self, task: TaskId, ns: Nanos);
+    /// Account `ns` of modelled CPU work to `task` and return how far
+    /// that advanced the task's clock. The modelled machine exists
+    /// only in virtual time: [`virt::VirtualSmp`] advances the task's
+    /// clock by `ns` scaled for hyper-threading and the shared bus, and
+    /// returns that scaled amount; [`real::RealFabric`] ignores the
+    /// call and returns 0 — on wall-clock time the code that ran *is*
+    /// the cost, and `now()` deltas measure it.
+    fn charge(&self, task: TaskId, ns: Nanos) -> Nanos;
     /// Acquire a mutex; returns the time spent blocked.
     fn lock(&self, task: TaskId, lock: LockId) -> Nanos;
     /// Release a mutex (must be held by `task`).
@@ -205,9 +207,10 @@ impl TaskCtx {
         self.fabric.now(self.id)
     }
 
+    /// [`Fabric::charge`]: returns how far the task's clock advanced.
     #[inline]
-    pub fn charge(&self, ns: Nanos) {
-        self.fabric.charge(self.id, ns);
+    pub fn charge(&self, ns: Nanos) -> Nanos {
+        self.fabric.charge(self.id, ns)
     }
 
     #[inline]

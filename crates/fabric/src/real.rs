@@ -2,8 +2,8 @@
 //! wall-clock time.
 //!
 //! Semantics mirror the pthreads environment of the original server.
-//! `charge()` is a no-op: on wall-clock time the code that ran is the
-//! cost, and the modelled 2003 Xeon lives only on
+//! `charge()` is a no-op that returns 0: on wall-clock time the code
+//! that ran is the cost, and the modelled 2003 Xeon lives only on
 //! [`crate::virt::VirtualSmp`]. Nothing here wakes on a timer of its
 //! own — a blocked task resumes on a delivery, a signal, the deadline
 //! its caller passed or the due time of a held copy. Condition
@@ -477,7 +477,9 @@ impl Fabric for RealFabric {
         self.clock()
     }
 
-    fn charge(&self, _task: TaskId, _ns: Nanos) {}
+    fn charge(&self, _task: TaskId, _ns: Nanos) -> Nanos {
+        0
+    }
 
     fn attach_witness(&self, w: Arc<LockWitness>) {
         let fresh = self.witness.set(w).is_ok();
@@ -837,7 +839,8 @@ mod tests {
             Box::new(move |ctx| {
                 let t0 = ctx.now();
                 for _ in 0..1_000 {
-                    ctx.charge(3_000_000); // 3 s of modelled work in all
+                    // 3 s of modelled work in all, none of it on the clock.
+                    assert_eq!(ctx.charge(3_000_000), 0);
                 }
                 t.store(ctx.now() - t0, Ordering::Relaxed);
             }),

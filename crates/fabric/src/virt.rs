@@ -607,7 +607,7 @@ impl Fabric for VirtualSmp {
         self.state.lock().tasks[task as usize].clock
     }
 
-    fn charge(&self, task: TaskId, ns: Nanos) {
+    fn charge(&self, task: TaskId, ns: Nanos) -> Nanos {
         let mut g = self.sync_point(task);
         let adj = self.adjusted_cost(&g, task, ns);
         g.tasks[task as usize].clock += adj;
@@ -618,6 +618,7 @@ impl Fabric for VirtualSmp {
             self.dispatch(&mut g);
             self.wait_until_running(&mut g, task);
         }
+        adj
     }
 
     fn attach_witness(&self, w: Arc<LockWitness>) {
@@ -870,12 +871,48 @@ mod tests {
             None,
             Box::new(move |ctx| {
                 assert_eq!(ctx.now(), 0);
-                ctx.charge(12345);
+                assert_eq!(ctx.charge(12345), 12345);
                 o.store(ctx.now(), Ordering::Relaxed);
             }),
         );
         f.run();
         assert_eq!(out.load(Ordering::Relaxed), 12345);
+    }
+
+    #[test]
+    fn charge_returns_the_scaled_advance_beside_a_busy_sibling() {
+        // Two contexts of one core at efficiency 0.5: while the sibling
+        // computes, a 100 ns charge advances the clock by 200 ns, and
+        // `charge` returns what the clock moved, not what was asked.
+        let f = FabricKind::VirtualSmp(VirtualSmpConfig {
+            cores: 1,
+            hyperthreading: true,
+            ht_efficiency: 0.5,
+            link_latency_ns: 0,
+            mem_penalty: 0.0,
+            ..VirtualSmpConfig::default()
+        })
+        .build();
+        let returns = Arc::new(StdMutex::new(Vec::new()));
+        for i in 0..2 {
+            let returns = returns.clone();
+            f.spawn(
+                &format!("t{i}"),
+                Some(0),
+                Box::new(move |ctx| {
+                    for _ in 0..10 {
+                        let before = ctx.now();
+                        let advanced = ctx.charge(100);
+                        assert_eq!(advanced, ctx.now() - before);
+                        returns.lock().unwrap().push(advanced);
+                    }
+                }),
+            );
+        }
+        f.run();
+        let returns = returns.lock().unwrap();
+        assert_eq!(returns.len(), 20);
+        assert!(returns.contains(&200), "no scaled charge: {returns:?}");
     }
 
     #[test]

@@ -56,7 +56,9 @@ fn execute(programs: &[Vec<Step>]) -> Vec<(u32, u64)> {
             Box::new(move |ctx| {
                 for step in &prog {
                     match step {
-                        Step::Charge(ns) => ctx.charge(*ns as u64),
+                        Step::Charge(ns) => {
+                            ctx.charge(*ns as u64);
+                        }
                         Step::Sleep(ns) => {
                             let t = ctx.now() + *ns as u64;
                             ctx.sleep_until(t);
@@ -108,23 +110,22 @@ proptest! {
 
     #[test]
     fn charges_accumulate_exactly_without_contention(steps in prop::collection::vec(1u64..10_000, 1..20)) {
-        // A single task with no contention: final clock == Σ charges.
+        // A single task with no contention: final clock == Σ charges
+        // == Σ of what each charge reports it advanced the clock by.
         let f = fabric();
         let total: u64 = steps.iter().sum();
-        let out = Arc::new(Mutex::new(0u64));
+        let out = Arc::new(Mutex::new((0u64, 0u64)));
         let o = out.clone();
         f.spawn(
             "solo",
             Some(0),
             Box::new(move |ctx| {
-                for s in &steps {
-                    ctx.charge(*s);
-                }
-                *o.lock().unwrap() = ctx.now();
+                let returned: u64 = steps.iter().map(|s| ctx.charge(*s)).sum();
+                *o.lock().unwrap() = (ctx.now(), returned);
             }),
         );
         f.run();
-        prop_assert_eq!(*out.lock().unwrap(), total);
+        prop_assert_eq!(*out.lock().unwrap(), (total, total));
     }
 }
 

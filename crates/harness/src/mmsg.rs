@@ -9,10 +9,12 @@
 //!
 //! The contract with the gateway pump:
 //!
-//! * [`recv_more`] — after a blocking `recv_from` got one datagram,
-//!   drain up to `BATCH - 1` more in a single `recvmmsg` without
-//!   blocking. Falls back to returning nothing (the caller's next
-//!   blocking read picks them up one at a time).
+//! * [`RecvBatch::recv_more`] — after a blocking `recv_from` got one
+//!   datagram, drain up to `BATCH - 1` more in a single `recvmmsg`
+//!   without blocking, into buffers the batch allocated once. Falls
+//!   back to draining nothing (the caller's next blocking read picks
+//!   them up one at a time). [`recv_more`] is the same drain into a
+//!   fresh batch, copied out.
 //! * [`send_batch`] — write a slice of (payload, destination) pairs
 //!   with as few `sendmmsg` calls as possible; falls back to a
 //!   `send_to` loop.
@@ -39,16 +41,20 @@ pub fn capability() -> BatchCapability {
     *CAPABILITY.get_or_init(sys::probe)
 }
 
-/// Drain up to `max` additional datagrams without blocking, batched in
-/// one `recvmmsg`. Call after a blocking read produced a datagram, so
-/// a bursty socket costs one syscall per `BATCH` instead of one each.
-/// Returns an empty vec when nothing is queued or batching is
-/// unavailable (the portable path reads one datagram per wakeup).
+pub use sys::RecvBatch;
+
+/// [`RecvBatch::recv_more`] into a fresh batch, each datagram copied
+/// out with its source.
 pub fn recv_more(sock: &UdpSocket, max: usize) -> Vec<(Vec<u8>, SocketAddr)> {
     if !capability().mmsg {
         return Vec::new();
     }
-    sys::recv_more(sock, max.min(BATCH))
+    let mut batch = RecvBatch::default();
+    batch.recv_more(sock, max);
+    batch
+        .received()
+        .map(|(d, from)| (d.to_vec(), from))
+        .collect()
 }
 
 /// Send every `(payload, dest)` pair, batching with `sendmmsg` where
@@ -206,55 +212,104 @@ mod sys {
         BatchCapability { mmsg }
     }
 
-    pub(super) fn recv_more(sock: &UdpSocket, max: usize) -> Vec<(Vec<u8>, SocketAddr)> {
-        let n = max.min(BATCH);
-        if n == 0 {
-            return Vec::new();
+    /// Storage for one `recvmmsg`: `BATCH` datagram buffers with their
+    /// source addresses, iovecs and message headers, allocated once and
+    /// reused by every drain, so a drain that finds nothing costs one
+    /// syscall and no allocation.
+    pub struct RecvBatch {
+        bufs: Box<[[u8; MAX_DATAGRAM]]>,
+        names: Box<[SockaddrIn]>,
+        iovs: Box<[IoVec]>,
+        hdrs: Box<[MMsgHdr]>,
+        got: usize,
+    }
+
+    impl Default for RecvBatch {
+        fn default() -> RecvBatch {
+            RecvBatch {
+                bufs: vec![[0u8; MAX_DATAGRAM]; BATCH].into_boxed_slice(),
+                names: vec![SockaddrIn::new(Ipv4Addr::UNSPECIFIED, 0); BATCH].into_boxed_slice(),
+                iovs: (0..BATCH)
+                    .map(|_| IoVec {
+                        base: std::ptr::null_mut(),
+                        len: 0,
+                    })
+                    .collect(),
+                hdrs: (0..BATCH)
+                    .map(|_| MMsgHdr {
+                        hdr: MsgHdr {
+                            name: std::ptr::null_mut(),
+                            namelen: 0,
+                            iov: std::ptr::null_mut(),
+                            iovlen: 1,
+                            control: std::ptr::null_mut(),
+                            controllen: 0,
+                            flags: 0,
+                        },
+                        len: 0,
+                    })
+                    .collect(),
+                got: 0,
+            }
         }
-        let mut bufs = vec![[0u8; MAX_DATAGRAM]; n];
-        let mut names = vec![SockaddrIn::new(Ipv4Addr::UNSPECIFIED, 0); n];
-        let mut iovs: Vec<IoVec> = bufs
-            .iter_mut()
-            .map(|b| IoVec {
-                base: b.as_mut_ptr(),
-                len: MAX_DATAGRAM,
-            })
-            .collect();
-        let mut msgs: Vec<MMsgHdr> = (0..n)
-            .map(|i| MMsgHdr {
-                hdr: MsgHdr {
-                    name: &mut names[i],
-                    namelen: std::mem::size_of::<SockaddrIn>() as u32,
-                    iov: &mut iovs[i],
-                    iovlen: 1,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                },
-                len: 0,
-            })
-            .collect();
-        // SAFETY: every pointer in msgs targets storage that outlives
-        // the call; vlen matches the array length.
-        let got = unsafe {
-            syscall5(
-                SYS_RECVMMSG,
-                sock.as_raw_fd() as usize,
-                msgs.as_mut_ptr() as usize,
-                n,
-                MSG_DONTWAIT,
-                0,
-            )
-        };
-        if got <= 0 {
-            return Vec::new();
+    }
+
+    impl RecvBatch {
+        /// Drain up to `max` (at most [`BATCH`]) datagrams without
+        /// blocking, in one `recvmmsg`, replacing what the last drain
+        /// held. Call after a blocking read produced a datagram, so a
+        /// bursty socket costs one syscall per `BATCH` instead of one
+        /// each. Returns how many arrived: none when nothing is queued
+        /// or batching is unavailable (the portable path reads one
+        /// datagram per wakeup).
+        pub fn recv_more(&mut self, sock: &UdpSocket, max: usize) -> usize {
+            let n = max.min(BATCH);
+            self.got = 0;
+            if n == 0 || !super::capability().mmsg {
+                return 0;
+            }
+            // Point each header at its name and iovec, and each iovec
+            // at its buffer, from this borrow of the batch; the kernel
+            // writes back each name's length.
+            let parts = self.bufs.iter_mut().zip(self.names.iter_mut());
+            for ((h, iov), (buf, name)) in self.hdrs[..n]
+                .iter_mut()
+                .zip(self.iovs.iter_mut())
+                .zip(parts)
+            {
+                *iov = IoVec {
+                    base: buf.as_mut_ptr(),
+                    len: MAX_DATAGRAM,
+                };
+                h.hdr.name = name;
+                h.hdr.namelen = std::mem::size_of::<SockaddrIn>() as u32;
+                h.hdr.iov = iov;
+            }
+            // SAFETY: the first `n` headers point into this batch, which
+            // the `&mut self` borrow keeps alive and unaliased for the
+            // call; vlen is `n`.
+            let got = unsafe {
+                syscall5(
+                    SYS_RECVMMSG,
+                    sock.as_raw_fd() as usize,
+                    self.hdrs.as_mut_ptr() as usize,
+                    n,
+                    MSG_DONTWAIT,
+                    0,
+                )
+            };
+            self.got = got.max(0) as usize;
+            self.got
         }
-        (0..got as usize)
-            .map(|i| {
-                let len = (msgs[i].len as usize).min(MAX_DATAGRAM);
-                (bufs[i][..len].to_vec(), names[i].to_addr())
+
+        /// The datagrams of the last drain and their sources, in
+        /// arrival order, borrowed from the batch's buffers.
+        pub fn received(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> + '_ {
+            (0..self.got).map(|i| {
+                let len = (self.hdrs[i].len as usize).min(MAX_DATAGRAM);
+                (&self.bufs[i][..len], self.names[i].to_addr())
             })
-            .collect()
+        }
     }
 
     /// Batched send; `None` means the syscall path failed outright and
@@ -330,8 +385,18 @@ mod sys {
         BatchCapability::default()
     }
 
-    pub(super) fn recv_more(_sock: &UdpSocket, _max: usize) -> Vec<(Vec<u8>, SocketAddr)> {
-        Vec::new()
+    /// Nothing to hold: the portable path never drains.
+    #[derive(Default)]
+    pub struct RecvBatch;
+
+    impl RecvBatch {
+        pub fn recv_more(&mut self, _sock: &UdpSocket, _max: usize) -> usize {
+            0
+        }
+
+        pub fn received(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> + '_ {
+            std::iter::empty()
+        }
     }
 
     pub(super) fn send_batch(_sock: &UdpSocket, _msgs: &[(Vec<u8>, SocketAddr)]) -> Option<u64> {
@@ -414,6 +479,51 @@ mod tests {
             rx.recv_from(&mut buf).expect("remaining datagram");
             rest += 1;
         }
+    }
+
+    #[test]
+    fn a_reused_batch_drains_long_then_short_datagrams_exactly() {
+        let (Some((tx, rx)), Some((tx2, _))) = (loopback_pair(), loopback_pair()) else {
+            eprintln!("skipping: loopback UDP not permitted");
+            return;
+        };
+        let dest = rx.local_addr().unwrap();
+        let mut batch = RecvBatch::default();
+        // A burst of long datagrams, then one of short ones from two
+        // senders: each drain must read back exactly what was sent, with
+        // no byte of the long burst left in the short one's buffers.
+        let long: Vec<(Vec<u8>, &UdpSocket)> = (0u8..6).map(|i| (vec![i + 1; 1200], &tx)).collect();
+        let short: Vec<(Vec<u8>, &UdpSocket)> = (0u8..9)
+            .map(|i| {
+                (
+                    vec![100 + i; 1 + i as usize % 3],
+                    if i % 2 == 0 { &tx } else { &tx2 },
+                )
+            })
+            .collect();
+        for burst in [long, short] {
+            for (payload, from) in &burst {
+                from.send_to(payload, dest).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            let got = batch.recv_more(&rx, BATCH);
+            let drained: Vec<(Vec<u8>, SocketAddr)> = batch
+                .received()
+                .map(|(d, from)| (d.to_vec(), from))
+                .collect();
+            assert_eq!(drained.len(), got);
+            if !capability().mmsg {
+                assert_eq!(got, 0, "portable path must not fake batching");
+                return;
+            }
+            let sent: Vec<(Vec<u8>, SocketAddr)> = burst
+                .iter()
+                .map(|(p, from)| (p.clone(), from.local_addr().unwrap()))
+                .collect();
+            assert_eq!(drained, sent);
+        }
+        assert_eq!(batch.recv_more(&rx, BATCH), 0, "the socket is drained");
+        assert_eq!(batch.received().count(), 0);
     }
 
     #[test]

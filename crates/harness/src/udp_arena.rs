@@ -587,6 +587,7 @@ impl InboundPump {
     fn run(mut self, end_time: Nanos) -> (GatewayLane, Vec<u64>) {
         use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let mut buf = [0u8; MAX_DATAGRAM];
+        let mut batch = mmsg::RecvBatch::default();
         // Any task id: the real fabric has one clock.
         while self.real.now(0) < end_time {
             match recv_stamped(&self.sock, &mut buf) {
@@ -595,9 +596,10 @@ impl InboundPump {
                     self.process(&buf[..n], from, received);
                     // Drain the rest of a burst in one batched syscall
                     // (no-op without mmsg capability).
-                    for (extra, from) in mmsg::recv_more(&self.sock, mmsg::BATCH - 1) {
+                    batch.recv_more(&self.sock, mmsg::BATCH - 1);
+                    for (extra, from) in batch.received() {
                         self.lane.batched_recvs += 1;
-                        self.process(&extra, from, received);
+                        self.process(extra, from, received);
                     }
                     self.flush();
                 }

@@ -11,7 +11,11 @@ pub enum Bucket {
     /// overhead.
     Exec,
     /// Lock synchronization on game objects (areanode locking) during
-    /// request processing.
+    /// request processing: the sum of what the lock sections' charges
+    /// and acquires report, never a clock difference. On the virtual
+    /// fabric that is the paper's definition, the walk that plans the
+    /// regions plus the waits for held locks; on the real fabric, where
+    /// charges return 0, it is the time blocked on locks.
     Lock,
     /// Receiving and parsing requests.
     Receive,

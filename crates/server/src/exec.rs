@@ -14,6 +14,16 @@
 //! The same executor drives the sequential server with `policy: None`
 //! — no lock plan is computed and no lock calls are made, exactly like
 //! the original single-threaded code path.
+//!
+//! A move reads the clock once, at its end; `Lock` time is what the
+//! fabric reports from inside the lock sections, never a clock
+//! difference around them. Each section adds up what its charges
+//! advanced the clock by ([`TaskCtx::charge`]'s return) and what its
+//! acquires blocked for. On the virtual fabric that sum is the section's
+//! clock advance, to the nanosecond: a task's clock moves only by its
+//! own charges and blocks. On the real fabric charges return 0, so
+//! `Lock` is the time spent blocked on region and parent locks and the
+//! walk that plans them is `Exec`.
 
 use parquake_areanode::{LeafSet, LinkTable, NodeId};
 use parquake_fabric::{LockId, Nanos, TaskCtx};
@@ -365,9 +375,7 @@ pub fn execute_move_at(
 
     // Claim everything we may mutate, run the motion, relink, release.
     if env.policy.is_some() {
-        let t0 = ctx.now();
-        ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
-        lock_ns += ctx.now() - t0;
+        lock_ns += ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
     }
     claim_all(env, task, mover, candidates);
     touched.clear();
@@ -448,9 +456,7 @@ pub fn execute_move_at(
             stats,
         );
         if env.policy.is_some() {
-            let t0 = ctx.now();
-            ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
-            lock_ns += ctx.now() - t0;
+            lock_ns += ctx.charge(env.cost.claim_op * (candidates.len() as u64 + 1));
         }
         claim_all(env, task, mover, candidates);
         if let Some(beam) = &beam {
@@ -571,23 +577,22 @@ fn lock_region(
         plan.clear();
         return;
     };
-    let t0 = ctx.now();
     // Region determination is charged to locking (paper §4.1: "locking
     // is performed in recursive procedures that traverse the areanode
     // tree and the server needs to determine which regions to lock").
     let covered = region.inflated(Vec3::splat(LOCK_COVERAGE_MARGIN));
     let visits = env.world.tree.leaves_overlapping(&covered, plan);
-    ctx.charge(visits as u64 * env.cost.areanode_visit);
+    *lock_ns += ctx.charge(visits as u64 * env.cost.areanode_visit);
     for &leaf in plan.ids() {
-        ctx.charge(env.cost.lock_op);
+        *lock_ns += ctx.charge(env.cost.lock_op);
         let waited = env.locks.acquire_leaf(ctx, &env.world.links, task, leaf);
+        *lock_ns += waited;
         stats.lock.leaf_ns += waited;
         stats.lock.leaf_ops += 1;
         *frame_leaf_mask |= env.locks.leaf_bit(leaf);
         *request_leaf_events += 1;
         request_distinct.insert(leaf);
     }
-    *lock_ns += ctx.now() - t0;
 }
 
 /// Release a leaf lock plan (reverse order, though any order is safe).
@@ -595,12 +600,10 @@ fn unlock_region(env: &ExecEnv<'_>, ctx: &TaskCtx, task: u32, plan: &LeafSet, lo
     if env.policy.is_none() {
         return;
     }
-    let t0 = ctx.now();
     for &leaf in plan.ids().iter().rev() {
-        ctx.charge(env.cost.unlock_op);
+        *lock_ns += ctx.charge(env.cost.unlock_op);
         env.locks.release_leaf(ctx, &env.world.links, task, leaf);
     }
-    *lock_ns += ctx.now() - t0;
 }
 
 /// Walk the areanode tree collecting candidate entities whose boxes
@@ -629,15 +632,9 @@ fn gather_candidates(
         let is_leaf = env.world.tree.is_leaf(node);
         if env.policy.is_some() && !is_leaf {
             // Parent areanode: lock its object list for the read only.
-            let t0 = ctx.now();
-            ctx.charge(env.cost.lock_op);
-            let waited = env.locks.acquire_parent(ctx, &env.world.links, task, node);
-            stats.lock.parent_ns += waited;
-            stats.lock.parent_ops += 1;
-            env.world.links.extend_into(node, task, raw);
-            ctx.charge(env.cost.unlock_op);
-            env.locks.release_parent(ctx, &env.world.links, task, node);
-            *lock_ns += ctx.now() - t0;
+            under_parent_lock(env, ctx, task, node, lock_ns, stats, || {
+                env.world.links.extend_into(node, task, raw)
+            });
         } else {
             if env.policy.is_some() {
                 debug_assert!(plan.contains(node), "reading unlocked leaf {node}");
@@ -737,27 +734,38 @@ fn link_into(
     stats: &mut ThreadStats,
     insert: bool,
 ) {
-    let is_leaf = env.world.tree.is_leaf(node);
-    if is_leaf {
+    let edit = || {
+        if insert {
+            env.world.links.push(node, task, ent as u32);
+        } else {
+            env.world.links.remove(node, task, ent as u32);
+        }
+    };
+    if env.world.tree.is_leaf(node) {
         debug_assert!(plan.contains(node), "relink through unlocked leaf {node}");
-        if insert {
-            env.world.links.push(node, task, ent as u32);
-        } else {
-            env.world.links.remove(node, task, ent as u32);
-        }
+        edit();
     } else {
-        let t0 = ctx.now();
-        ctx.charge(env.cost.lock_op);
-        let waited = env.locks.acquire_parent(ctx, &env.world.links, task, node);
-        stats.lock.parent_ns += waited;
-        stats.lock.parent_ops += 1;
-        if insert {
-            env.world.links.push(node, task, ent as u32);
-        } else {
-            env.world.links.remove(node, task, ent as u32);
-        }
-        ctx.charge(env.cost.unlock_op);
-        env.locks.release_parent(ctx, &env.world.links, task, node);
-        *lock_ns += ctx.now() - t0;
+        under_parent_lock(env, ctx, task, node, lock_ns, stats, edit);
     }
+}
+
+/// Run `body` under `node`'s short parent (object-list) lock, adding
+/// the lock and unlock charges and the blocked time to `lock_ns`.
+fn under_parent_lock(
+    env: &ExecEnv<'_>,
+    ctx: &TaskCtx,
+    task: u32,
+    node: NodeId,
+    lock_ns: &mut Nanos,
+    stats: &mut ThreadStats,
+    body: impl FnOnce(),
+) {
+    *lock_ns += ctx.charge(env.cost.lock_op);
+    let waited = env.locks.acquire_parent(ctx, &env.world.links, task, node);
+    *lock_ns += waited;
+    stats.lock.parent_ns += waited;
+    stats.lock.parent_ops += 1;
+    body();
+    *lock_ns += ctx.charge(env.cost.unlock_op);
+    env.locks.release_parent(ctx, &env.world.links, task, node);
 }
