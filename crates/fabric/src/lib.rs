@@ -28,6 +28,7 @@
 //! the cooperative scheduler.
 
 pub mod fault;
+mod queue;
 pub mod real;
 pub mod virt;
 pub mod witness;
@@ -72,23 +73,24 @@ pub trait Fabric: Send + Sync {
     fn alloc_cond(&self) -> CondId;
     /// Allocate a message port. Must be called before `run`.
     fn alloc_port(&self) -> PortId;
-    /// Allocate a message port whose queue holds at most `capacity`
-    /// messages. When a send would overflow it, the *oldest* queued
-    /// message is discarded (newest-data-wins, the natural policy for
-    /// game traffic) and the port's drop counter is incremented. Must
-    /// be called before `run`; `capacity` must be nonzero.
+    /// Allocate a message port that holds at most `capacity` messages,
+    /// counting every copy it holds: due, in flight (link latency) or
+    /// held (a fault delay). A send that finds it full first discards
+    /// the copy due earliest (newest data wins, the natural policy for
+    /// game traffic) and increments the port's drop counter. One rule
+    /// on both fabrics. Must be called before `run`; `capacity` must
+    /// be nonzero.
     fn alloc_bounded_port(&self, capacity: usize) -> PortId;
     /// Messages discarded from `port` by the bounded-queue drop policy.
     fn port_dropped(&self, port: PortId) -> u64;
-    /// Messages currently queued on `port` (delivered or in flight).
+    /// Messages currently held by `port`, due or in flight; never more
+    /// than its capacity.
     fn port_pending(&self, port: PortId) -> usize;
     /// Earliest delivery time of any message queued on `port`, or
     /// `None` when the queue is empty. A value at or before the
     /// caller's clock means a `try_recv` would succeed now; a future
     /// value means the message is still in flight (virtual link
-    /// latency or fault delay). The real fabric reports time 0 for a
-    /// queued message and the due time of a held one (a copy handed in
-    /// with a fault delay). Pool schedulers use this to
+    /// latency or fault delay). Pool schedulers use this to
     /// tell "work is ready" apart from "work is on the wire" without
     /// claiming the port.
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos>;
@@ -424,6 +426,44 @@ mod shared_tests {
         fabric.run();
     }
 
+    /// The capacity of the bounded port [`cap_contract`] fills.
+    const CAP: usize = 4;
+
+    /// Both fabrics must keep one cap rule: a bounded port holds at
+    /// most its capacity, counting copies still held, and a send that
+    /// finds it full drops the copy due earliest. `send(ctx, port, i,
+    /// delayed)` hands copy `i` to `port`, held for exactly [`DELAY`]
+    /// when `delayed`. Six undelayed copies go first, then six delayed
+    /// ones: every delayed copy is due after every undelayed one, in
+    /// send order, so the survivors are the last four sent.
+    fn cap_contract(
+        fabric: Arc<dyn Fabric>,
+        send: impl Fn(&TaskCtx, PortId, u8, bool) + Send + 'static,
+    ) {
+        const SENT: u8 = 12;
+        let port = fabric.alloc_bounded_port(CAP);
+        fabric.spawn(
+            "sender",
+            Some(0),
+            Box::new(move |ctx| {
+                let f = ctx.fabric();
+                for i in 0..SENT {
+                    send(ctx, port, i, i >= SENT / 2);
+                    let pending = f.port_pending(port);
+                    assert!(pending <= CAP, "copy {i}: {pending} pending");
+                }
+                let mut got = Vec::new();
+                while f.port_pending(port) > 0 {
+                    assert!(ctx.wait_readable(port, None));
+                    got.push(ctx.try_recv(port).expect("readable").payload[0]);
+                }
+                assert_eq!(got.len() as u64 + f.port_dropped(port), SENT as u64);
+                assert_eq!(got, [8, 9, 10, 11], "the last four by due time");
+            }),
+        );
+        fabric.run();
+    }
+
     #[test]
     fn real_fabric_contract() {
         contract(FabricKind::Real.build());
@@ -456,6 +496,42 @@ mod shared_tests {
         };
         delayed_contract(FabricKind::VirtualSmp(cfg).build(), |ctx, src, port| {
             ctx.send(src, port, vec![5])
+        });
+    }
+
+    #[test]
+    fn real_fabric_caps_held_copies() {
+        let (real, fabric) = real::RealFabric::new_arc_pair();
+        let src = fabric.alloc_port();
+        cap_contract(fabric, move |ctx, port, i, delayed| {
+            if delayed {
+                real.send_external_delayed(src, port, vec![i], DELAY);
+            } else {
+                ctx.send(src, port, vec![i]);
+            }
+        });
+    }
+
+    #[test]
+    fn virtual_fabric_caps_copies_in_flight() {
+        // Only sends from the WAN-marked port draw a fate, and every
+        // fate is delayed by exactly `DELAY`.
+        let fault = fault::FaultConfig {
+            delay: 1.0,
+            min_delay_ns: DELAY,
+            max_delay_ns: DELAY,
+            ..fault::FaultConfig::none()
+        };
+        let cfg = VirtualSmpConfig {
+            fault: Some(fault),
+            fault_wan_only: true,
+            ..VirtualSmpConfig::default()
+        };
+        let fabric = FabricKind::VirtualSmp(cfg).build();
+        let (lan, wan) = (fabric.alloc_port(), fabric.alloc_port());
+        fabric.mark_wan_port(wan);
+        cap_contract(fabric, move |ctx, port, i, delayed| {
+            ctx.send(if delayed { wan } else { lan }, port, vec![i]);
         });
     }
 }

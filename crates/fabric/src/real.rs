@@ -10,11 +10,13 @@
 //! variables may wake spuriously (as pthreads allows); all callers must
 //! re-check predicates in a loop.
 //!
-//! A port delivers as a [`crate::virt::VirtualSmp`] port does: a copy
-//! handed in with a delay ([`RealFabric::send_external_delayed`], the
-//! gateway's fault-delayed datagrams) is held until its due time on the
-//! fabric's clock, and no receive sees it earlier. While a port holds
-//! nothing, no call on it reads the clock.
+//! A port is the same `queue::PortQueue` a [`crate::virt::VirtualSmp`]
+//! port is, with the same order and cap rule: a copy handed in with a delay
+//! ([`RealFabric::send_external_delayed`], the gateway's fault-delayed
+//! datagrams) is held until its due time on the fabric's clock, and no
+//! receive sees it earlier. While a port holds no delayed copy, no call
+//! on it reads the clock. Every delivery — a task's `send` and the
+//! three external sends — goes through one path.
 //!
 //! A port may instead be a sink ([`RealFabric::sink_port`]): every
 //! delivery to it runs the sink's function on the sending thread and
@@ -34,12 +36,12 @@
 //! through one pointer load — no table lock, no reference count.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RawMutex};
 
+use crate::queue::PortQueue;
 use crate::witness::LockWitness;
 use crate::{CondId, Fabric, LockId, Message, Nanos, PortId, TaskBody, TaskCtx, TaskId};
 
@@ -48,77 +50,15 @@ struct CondImpl {
     cv: Condvar,
 }
 
-struct PortQueue {
-    q: VecDeque<Message>,
-    /// Delayed copies not yet due, by due time (ties in hand-off order).
-    held: VecDeque<(Nanos, Message)>,
-    /// Maximum queued messages (`usize::MAX` = unbounded).
-    cap: usize,
-    /// Messages discarded by the bounded-queue drop policy.
-    dropped: u64,
+/// A port's copies and the tasks parked on them, under one mutex.
+struct PortState {
+    copies: PortQueue,
     /// Tasks parked on the port's condvar in `wait_readable`.
     parked: u32,
 }
 
-impl PortQueue {
-    /// Enqueue a message sent now, behind the held copies that came due
-    /// before it. Returns whether a task is parked on the port and must
-    /// be notified.
-    fn push(&mut self, msg: Message) -> bool {
-        self.release(|| msg.sent_at);
-        self.enqueue(msg);
-        self.parked > 0
-    }
-
-    /// Enqueue with the drop-oldest overflow policy.
-    fn enqueue(&mut self, msg: Message) {
-        if self.q.len() >= self.cap {
-            self.q.pop_front();
-            self.dropped += 1;
-        }
-        self.q.push_back(msg);
-    }
-
-    /// Hold `msg` until `due`. Returns whether a task is parked on the
-    /// port: it must wake to wait for the new due time instead.
-    fn hold(&mut self, due: Nanos, msg: Message) -> bool {
-        let at = self.held.partition_point(|&(d, _)| d <= due);
-        self.held.insert(at, (due, msg));
-        self.parked > 0
-    }
-
-    /// Enqueue every held copy due by the time `now` returns, calling
-    /// it only when something is held. Returns the earliest due time
-    /// still held.
-    #[inline(always)]
-    fn release(&mut self, now: impl FnOnce() -> Nanos) -> Option<Nanos> {
-        if self.held.is_empty() {
-            None
-        } else {
-            self.release_due(now())
-        }
-    }
-
-    /// The held-copy half of [`PortQueue::release`], kept out of line:
-    /// every send and receive on a port that holds nothing (all traffic
-    /// without a fault profile) then compiles to the emptiness check
-    /// alone, not to a copy of this loop.
-    #[cold]
-    #[inline(never)]
-    fn release_due(&mut self, now: Nanos) -> Option<Nanos> {
-        while let Some(&(due, _)) = self.held.front() {
-            if due > now {
-                return Some(due);
-            }
-            let (_, msg) = self.held.pop_front().expect("front exists");
-            self.enqueue(msg);
-        }
-        None
-    }
-}
-
 struct PortImpl {
-    q: Mutex<PortQueue>,
+    q: Mutex<PortState>,
     cv: Condvar,
     /// Set by [`Fabric::wake_on_delivery`]: a scheduler's condvar to
     /// ring on every delivery, besides the port's own.
@@ -254,16 +194,7 @@ impl RealFabric {
     /// e.g. a socket pump). Real fabric only: ports are plain queues,
     /// so external producers are safe.
     pub fn send_external(&self, from: PortId, to: PortId, payload: Vec<u8>) {
-        let p = self.ports.get(to);
-        if let Some(sink) = p.sink.get() {
-            return sink(from, payload);
-        }
-        let parked = p.q.lock().push(Message {
-            from,
-            sent_at: self.clock(),
-            payload,
-        });
-        p.ring(parked);
+        self.deliver(from, to, 0, [payload]);
     }
 
     /// As [`RealFabric::send_external`], but the port holds the
@@ -274,19 +205,7 @@ impl RealFabric {
     /// in this way. A sunk port holds nothing: handing it a delayed
     /// copy panics.
     pub fn send_external_delayed(&self, from: PortId, to: PortId, payload: Vec<u8>, delay: Nanos) {
-        let p = self.ports.get(to);
-        assert!(
-            p.sink.get().is_none(),
-            "port {to} is a sink and holds nothing"
-        );
-        let sent_at = self.clock();
-        let msg = Message {
-            from,
-            sent_at,
-            payload,
-        };
-        let parked = p.q.lock().hold(sent_at + delay, msg);
-        p.ring(parked);
+        self.deliver(from, to, delay, [payload]);
     }
 
     /// As [`RealFabric::send_external`], but enqueue a whole batch of
@@ -300,22 +219,37 @@ impl RealFabric {
         to: PortId,
         payloads: impl IntoIterator<Item = Vec<u8>>,
     ) {
+        self.deliver(from, to, 0, payloads);
+    }
+
+    /// Every delivery: run the sink, or queue the batch, due `delay`
+    /// from now, under one queue lock and ring the port once if the
+    /// batch held anything.
+    fn deliver(
+        &self,
+        from: PortId,
+        to: PortId,
+        delay: Nanos,
+        payloads: impl IntoIterator<Item = Vec<u8>>,
+    ) {
         let p = self.ports.get(to);
         if let Some(sink) = p.sink.get() {
+            assert!(delay == 0, "port {to} is a sink and holds nothing");
             return payloads.into_iter().for_each(|payload| sink(from, payload));
         }
         let sent_at = self.clock();
         let mut q = p.q.lock();
         let mut any = false;
-        let mut parked = false;
         for payload in payloads {
-            parked = q.push(Message {
+            let msg = Message {
                 from,
                 sent_at,
                 payload,
-            });
+            };
+            q.copies.push(sent_at + delay, msg);
             any = true;
         }
+        let parked = q.parked > 0;
         drop(q);
         if any {
             p.ring(parked);
@@ -371,13 +305,9 @@ impl Fabric for RealFabric {
     }
 
     fn alloc_bounded_port(&self, capacity: usize) -> PortId {
-        assert!(capacity > 0, "bounded port needs capacity >= 1");
         self.ports.push(PortImpl {
-            q: Mutex::new(PortQueue {
-                q: VecDeque::new(),
-                held: VecDeque::new(),
-                cap: capacity,
-                dropped: 0,
+            q: Mutex::new(PortState {
+                copies: PortQueue::new(capacity),
                 parked: 0,
             }),
             cv: Condvar::new(),
@@ -387,25 +317,15 @@ impl Fabric for RealFabric {
     }
 
     fn port_dropped(&self, port: PortId) -> u64 {
-        self.ports.get(port).q.lock().dropped
+        self.ports.get(port).q.lock().copies.dropped()
     }
 
     fn port_pending(&self, port: PortId) -> usize {
-        let p = self.ports.get(port);
-        let q = p.q.lock();
-        q.q.len() + q.held.len()
+        self.ports.get(port).q.lock().copies.len()
     }
 
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos> {
-        // Anything queued is receivable now; otherwise the earliest
-        // held copy is (a due time already past means it is too).
-        let p = self.ports.get(port);
-        let q = p.q.lock();
-        if q.q.is_empty() {
-            q.held.front().map(|&(due, _)| due)
-        } else {
-            Some(0)
-        }
+        self.ports.get(port).q.lock().copies.next_due()
     }
 
     fn wake_on_delivery(&self, port: PortId, lock: LockId, cond: CondId) {
@@ -567,24 +487,12 @@ impl Fabric for RealFabric {
         c.cv.notify_all();
     }
 
-    fn send(&self, task: TaskId, from: PortId, to: PortId, payload: Vec<u8>) {
-        let p = self.ports.get(to);
-        if let Some(sink) = p.sink.get() {
-            return sink(from, payload);
-        }
-        let parked = p.q.lock().push(Message {
-            from,
-            sent_at: self.now(task),
-            payload,
-        });
-        p.ring(parked);
+    fn send(&self, _task: TaskId, from: PortId, to: PortId, payload: Vec<u8>) {
+        self.deliver(from, to, 0, [payload]);
     }
 
     fn try_recv(&self, _task: TaskId, port: PortId) -> Option<Message> {
-        let p = self.ports.get(port);
-        let mut q = p.q.lock();
-        q.release(|| self.clock());
-        q.q.pop_front()
+        self.ports.get(port).q.lock().copies.pop(|| self.clock())
     }
 
     fn wait_readable(&self, _task: TaskId, port: PortId, deadline: Option<Nanos>) -> bool {
@@ -592,16 +500,15 @@ impl Fabric for RealFabric {
         let mut q = p.q.lock();
         let mut expired = false;
         loop {
-            let held = q.release(|| self.clock());
-            if !q.q.is_empty() {
+            if q.copies.ready(|| self.clock()) {
                 return true;
             }
             if expired {
                 return false;
             }
-            // Wake at the deadline or when the earliest held copy is
-            // due, whichever comes first.
-            let wake = deadline.into_iter().chain(held).min();
+            // Wake at the deadline or when the front copy is due,
+            // whichever comes first.
+            let wake = deadline.into_iter().chain(q.copies.next_due()).min();
             // Counted from before the queue mutex is released (by the
             // wait) until after it is held again: a delivery either is
             // in the queue already or sees this task counted.
@@ -786,28 +693,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_port_drops_oldest() {
-        let fabric = FabricKind::Real.build();
+    #[should_panic(expected = "is a sink and holds nothing")]
+    fn handing_a_sunk_port_a_delayed_copy_panics() {
+        let (real, fabric) = RealFabric::new_arc_pair();
         let src = fabric.alloc_port();
-        let p = fabric.alloc_bounded_port(2);
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let s = seen.clone();
-        fabric.spawn(
-            "pump",
-            None,
-            Box::new(move |ctx| {
-                for i in 0u8..6 {
-                    ctx.send(src, p, vec![i]);
-                }
-                while let Some(m) = ctx.try_recv(p) {
-                    s.lock().unwrap().push(m.payload[0]);
-                }
-            }),
-        );
-        fabric.run();
-        assert_eq!(*seen.lock().unwrap(), vec![4, 5]);
-        assert_eq!(fabric.port_dropped(p), 4);
-        assert_eq!(fabric.port_pending(p), 0);
+        let port = fabric.alloc_port();
+        real.sink_port(port, |_, _| {});
+        real.send_external_delayed(src, port, vec![1], 1);
     }
 
     #[test]
@@ -1137,7 +1029,8 @@ mod tests {
                     eprintln!("skipping: the host stalled past the due time");
                     return;
                 }
-                assert_eq!(ctx.fabric().port_next_delivery(port), Some(0));
+                let next = ctx.fabric().port_next_delivery(port).expect("two copies");
+                assert!(next <= ctx.now(), "the immediate copy is due at once");
                 assert_eq!(ctx.fabric().port_pending(port), 2);
                 assert_eq!(ctx.try_recv(port).unwrap().payload, vec![2]);
                 assert!(ctx.wait_readable(port, None));

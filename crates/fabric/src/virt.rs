@@ -16,6 +16,15 @@
 //! when the sibling context of the same modelled core has runnable
 //! work, reproducing the paper's 4-core × 2-way-HT testbed.
 //!
+//! A port is the same `queue::PortQueue` a [`crate::real::RealFabric`]
+//! port is: a copy is due at its send time plus the link latency plus
+//! any fault delay, a receive compares the front copy's due time with
+//! the *receiving* task's clock (pool workers whose clocks differ read
+//! one port), and a bounded port holds at most its capacity of copies,
+//! in flight or due. A copy due at its send time (no latency, no fault)
+//! skips that comparison: every later operation runs at a virtual time
+//! no earlier than the send.
+//!
 //! Determinism: scheduling decisions depend only on `(virtual time,
 //! task id)` and FIFO queues, never on host timing. The same program
 //! yields the same interleaving, the same lock wait times, and the same
@@ -26,6 +35,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::queue::PortQueue;
 use crate::witness::LockWitness;
 use crate::{
     CondId, Fabric, LockId, Message, Nanos, PortId, TaskBody, TaskCtx, TaskId, VirtualSmpConfig,
@@ -84,19 +94,10 @@ struct CondState {
     waiters: VecDeque<TaskId>,
 }
 
-struct Delivery {
-    deliver_at: Nanos,
-    msg: Message,
-}
-
 struct PortState {
-    /// Pending deliveries, sorted by `deliver_at` (ties keep send
-    /// order) — `wake_key` and `try_recv` only inspect the front.
-    queue: VecDeque<Delivery>,
-    /// Maximum queued messages (`usize::MAX` = unbounded).
-    cap: usize,
-    /// Messages discarded by the bounded-queue drop policy.
-    dropped: u64,
+    /// Copies in flight or due, by delivery time — `wake_key` and
+    /// `try_recv` only inspect the front.
+    queue: PortQueue,
     /// WAN-marked ([`Fabric::mark_wan_port`]) — a client-side endpoint
     /// of the modelled wide-area path, used to scope fault injection
     /// when [`VirtualSmpConfig::fault_wan_only`] is set.
@@ -109,9 +110,7 @@ struct PortState {
 impl PortState {
     fn with_cap(cap: usize) -> PortState {
         PortState {
-            queue: VecDeque::new(),
-            cap,
-            dropped: 0,
+            queue: PortQueue::new(cap),
             wan: false,
             watch: None,
         }
@@ -187,8 +186,8 @@ impl VirtualSmp {
             Status::CondWait { deadline, .. } => deadline.unwrap_or(INF),
             Status::PortWait { port, deadline } => {
                 let dl = deadline.unwrap_or(INF);
-                match g.ports[*port as usize].queue.front() {
-                    Some(d) => dl.min(d.deliver_at.max(t.clock)),
+                match g.ports[*port as usize].queue.next_due() {
+                    Some(due) => dl.min(due.max(t.clock)),
                     None => dl,
                 }
             }
@@ -457,7 +456,6 @@ impl Fabric for VirtualSmp {
     }
 
     fn alloc_bounded_port(&self, capacity: usize) -> PortId {
-        assert!(capacity > 0, "bounded port needs capacity >= 1");
         let mut g = self.state.lock();
         g.ports.push(PortState::with_cap(capacity));
         (g.ports.len() - 1) as PortId
@@ -468,7 +466,7 @@ impl Fabric for VirtualSmp {
     }
 
     fn port_dropped(&self, port: PortId) -> u64 {
-        self.state.lock().ports[port as usize].dropped
+        self.state.lock().ports[port as usize].queue.dropped()
     }
 
     fn port_pending(&self, port: PortId) -> usize {
@@ -476,12 +474,7 @@ impl Fabric for VirtualSmp {
     }
 
     fn port_next_delivery(&self, port: PortId) -> Option<Nanos> {
-        // The queue is sorted by `deliver_at`, so the front is the
-        // earliest in-flight or deliverable message.
-        self.state.lock().ports[port as usize]
-            .queue
-            .front()
-            .map(|d| d.deliver_at)
+        self.state.lock().ports[port as usize].queue.next_due()
     }
 
     fn wake_on_delivery(&self, port: PortId, _lock: LockId, cond: CondId) {
@@ -719,37 +712,18 @@ impl Fabric for VirtualSmp {
         };
         let copies = fates.len();
         for (i, extra) in fates.into_iter().enumerate() {
-            let deliver_at = sent_at + self.cfg.link_latency_ns + extra;
             let bytes = if i + 1 == copies {
                 std::mem::take(&mut payload)
             } else {
                 payload.clone()
             };
-            let port = &mut g.ports[to as usize];
-            if port.queue.len() >= port.cap {
-                port.queue.pop_front();
-                port.dropped += 1;
-            }
-            // Keep the queue sorted by delivery time: injected delays
-            // can land a copy anywhere, including *behind* messages
-            // sent later (that is the reordering). Ties keep send
-            // order (stable insert after the last <= entry).
-            let pos = port
-                .queue
-                .iter()
-                .rposition(|d| d.deliver_at <= deliver_at)
-                .map_or(0, |p| p + 1);
-            port.queue.insert(
-                pos,
-                Delivery {
-                    deliver_at,
-                    msg: Message {
-                        from,
-                        sent_at,
-                        payload: bytes,
-                    },
-                },
-            );
+            let msg = Message {
+                from,
+                sent_at,
+                payload: bytes,
+            };
+            let due = sent_at + self.cfg.link_latency_ns + extra;
+            g.ports[to as usize].queue.push(due, msg);
         }
         // A task blocked on this port will be picked up by the wake-key
         // computation; a watcher is signalled at the send instant and
@@ -762,24 +736,14 @@ impl Fabric for VirtualSmp {
     fn try_recv(&self, task: TaskId, port: PortId) -> Option<Message> {
         let mut g = self.sync_point(task);
         let now = g.tasks[task as usize].clock;
-        let q = &mut g.ports[port as usize].queue;
-        if q.front().map(|d| d.deliver_at <= now).unwrap_or(false) {
-            Some(q.pop_front().unwrap().msg)
-        } else {
-            None
-        }
+        g.ports[port as usize].queue.pop(|| now)
     }
 
     fn wait_readable(&self, task: TaskId, port: PortId, deadline: Option<Nanos>) -> bool {
         let mut g = self.sync_point(task);
         loop {
             let now = g.tasks[task as usize].clock;
-            let readable = g.ports[port as usize]
-                .queue
-                .front()
-                .map(|d| d.deliver_at <= now)
-                .unwrap_or(false);
-            if readable {
+            if g.ports[port as usize].queue.ready(|| now) {
                 return true;
             }
             if let Some(d) = deadline {
@@ -1328,39 +1292,6 @@ mod tests {
         // 100 / (2*0.5/2) = 200ns while the sibling is busy.
         let paired = run([Some(0), Some(0)]);
         assert!(paired.iter().all(|&t| t > 1500), "paired = {paired:?}");
-    }
-
-    #[test]
-    fn bounded_port_drops_oldest() {
-        let f = fabric();
-        let src = f.alloc_port();
-        let p = f.alloc_bounded_port(4);
-        let seen = Arc::new(StdMutex::new(Vec::new()));
-        let s = seen.clone();
-        f.spawn(
-            "sender",
-            None,
-            Box::new(move |ctx| {
-                for i in 0u8..10 {
-                    ctx.send(src, p, vec![i]);
-                }
-            }),
-        );
-        f.spawn(
-            "receiver",
-            None,
-            Box::new(move |ctx| {
-                ctx.sleep_until(1_000_000); // after all sends delivered
-                while let Some(m) = ctx.try_recv(p) {
-                    s.lock().unwrap().push(m.payload[0]);
-                }
-            }),
-        );
-        f.run();
-        // Capacity 4, drop-oldest: only the last four survive.
-        assert_eq!(*seen.lock().unwrap(), vec![6, 7, 8, 9]);
-        assert_eq!(f.port_dropped(p), 6);
-        assert_eq!(f.port_pending(p), 0);
     }
 
     fn lossy_fabric(fault: crate::fault::FaultConfig) -> Arc<dyn Fabric> {
